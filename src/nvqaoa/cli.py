@@ -43,9 +43,10 @@ from .experiment import (
     write_landscape_csv,
 )
 from .graph_problem import brute_force, load_graph
-from .readout import load_calibration
+from .noise import NoiseConfig
+from .readout import load_calibration, parse_basis_values
 from .reconstruction import DegenerateCalibrationError, reconstruct
-from ._bitstrings import all_bitstrings, bits_to_index
+from ._bitstrings import all_bitstrings
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,6 +57,8 @@ SEED_ENV_VAR = "NVQAOA_SEED"
 
 DEFAULT_BETA_RANGE_TEXT = "0.1pi:0.6pi:0.025pi"
 DEFAULT_GAMMA_RANGE_TEXT = "0.1pi:2.1pi:0.05pi"
+
+THREADS_HELP = "accepted for compatibility and ignored: scans run serially"
 
 
 class UsageError(ValueError):
@@ -146,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     landscape = commands.add_parser("landscape", help="scan the (beta, gamma) cost landscape to CSV")
     _add_scan_arguments(landscape, default_mode="ideal")
     landscape.add_argument("--out", required=True, help="output directory")
-    landscape.add_argument("--threads", type=int, default=1)
+    landscape.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     landscape.add_argument("--svg", action="store_true", help="also render a grayscale heatmap")
     landscape.set_defaults(func=_cmd_landscape)
 
@@ -171,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     rerun = commands.add_parser("rerun", help="replay a manifest; outputs are bit-identical")
     rerun.add_argument("--manifest", required=True)
     rerun.add_argument("--out", help="output directory (default: the manifest's directory)")
-    rerun.add_argument("--threads", type=int, default=1)
+    rerun.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     rerun.add_argument("--force", action="store_true")
     rerun.set_defaults(func=_cmd_rerun)
     return parser
@@ -207,33 +210,24 @@ def _config_dict_from_args(args) -> dict:
     """Resolve flags and files into the fully inlined manifest configuration."""
     if args.mode == "sampled" and not args.cal:
         raise UsageError("sampled mode requires --cal")
-    graph = load_graph(args.graph)
-    calibration = load_calibration(args.cal) if args.cal else None
     noise = None
     if args.depolarizing or args.overrotation or args.phase_offset or args.cal_sigma:
-        noise = {
-            "depolarizing_prob": args.depolarizing,
-            "overrotation_frac": args.overrotation,
-            "phase_offset": args.phase_offset,
-            "calibration_sigma": args.cal_sigma,
-            "seed": args.noise_seed,
-        }
-    config = {
-        "graph": {"num_vertices": graph.num_vertices, "edges": [[i, j, w] for i, j, w in graph.edges()]},
-        "p": args.p,
-        "beta_range": list(parse_range(args.beta_range)),
-        "gamma_range": list(parse_range(args.gamma_range)),
-        "shots": args.shots,
-        "realizations": args.realizations,
-        "mode": args.mode,
-        "noise": noise,
-        "calibration": [float(v) for v in calibration.intensities] if calibration is not None else None,
-        "master_seed": _resolve_seed(args),
-        "checkpoint_every": args.checkpoint_every,
-        "exact_calibration": args.exact_calibration,
-    }
-    config_from_dict(config)  # validate now so failures precede any output
-    return config
+        noise = NoiseConfig(args.depolarizing, args.overrotation, args.phase_offset, args.cal_sigma, args.noise_seed)
+    config = ScanConfig(
+        graph=load_graph(args.graph),
+        p=args.p,
+        beta_range=parse_range(args.beta_range),
+        gamma_range=parse_range(args.gamma_range),
+        shots=args.shots,
+        realizations=args.realizations,
+        mode=args.mode,
+        noise=noise,
+        calibration=load_calibration(args.cal) if args.cal else None,
+        master_seed=_resolve_seed(args),
+        checkpoint_every=args.checkpoint_every,
+        exact_calibration=args.exact_calibration,
+    )
+    return config_to_dict(config)
 
 
 def _prepare_out(out, force: bool, filenames: list[str]) -> Path:
@@ -263,17 +257,17 @@ def _manifest(command: str, config: dict, options: dict, artifacts: list[str], d
 def _cmd_landscape(args) -> int:
     config = _config_dict_from_args(args)
     options = {"svg": bool(args.svg)}
-    return _run_landscape(config, options, args.out, args.force, args.threads)
+    return _run_landscape(config, options, args.out, args.force)
 
 
-def _run_landscape(config: dict, options: dict, out: str, force: bool, threads: int) -> int:
+def _run_landscape(config: dict, options: dict, out: str, force: bool) -> int:
     cfg = config_from_dict(config)
     artifacts = ["landscape.csv", "summary.txt"]
     if options.get("svg"):
         artifacts.append("landscape.svg")
     out_dir = _prepare_out(out, force, artifacts + ["manifest.txt"])
     started = time.perf_counter()
-    grid = run_scan(cfg, threads=threads)
+    grid = run_scan(cfg)
     duration = time.perf_counter() - started
     write_landscape_csv(grid, out_dir / "landscape.csv")
     summary = scan_summary(grid, cfg)
@@ -299,7 +293,11 @@ def _cmd_optimize(args) -> int:
 
 def _run_optimize(config: dict, options: dict, out, force: bool) -> int:
     cfg = config_from_dict(config)
+    artifacts = ["trace.csv", "summary.txt"]
+    out_dir = _prepare_out(out, force, artifacts + ["manifest.txt"]) if out else None
+    started = time.perf_counter()
     result = optimize(cfg, strategy=options["strategy"])
+    duration = time.perf_counter() - started
     report = brute_force(cfg.graph)
     for k, (beta, gamma) in enumerate(zip(result.best_params.betas, result.best_params.gammas)):
         print(f"beta[{k}]: {beta:.10g} rad ({beta / math.pi:.10g} pi)")
@@ -312,10 +310,8 @@ def _run_optimize(config: dict, options: dict, out, force: bool) -> int:
         print(f"approximation ratio: {result.best_F / report.best_cost:.10g}")
     else:
         print("approximation ratio: undefined (graph has no cut to make)")
-    if out:
+    if out_dir is not None:
         p = cfg.p
-        artifacts = ["trace.csv", "summary.txt"]
-        out_dir = _prepare_out(out, force, artifacts + ["manifest.txt"])
         header = (
             ["index"]
             + [f"beta{k}" for k in range(p)]
@@ -340,13 +336,18 @@ def _run_optimize(config: dict, options: dict, out, force: bool) -> int:
             "config": config,
         }
         _write_json(out_dir / "summary.txt", summary)
-        _write_json(out_dir / "manifest.txt", _manifest("optimize", config, options, artifacts, 0.0))
+        _write_json(out_dir / "manifest.txt", _manifest("optimize", config, options, artifacts, duration))
     return EXIT_OK
 
 
 def _cmd_reconstruct(args) -> int:
     calibration = load_calibration(args.cal)
-    means = _load_means(args.means, calibration.num_qubits)
+    path = Path(args.means)
+    text = path.read_text()
+    try:
+        means = parse_basis_values(text, "mean", calibration.num_qubits)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     estimate = reconstruct(calibration, means)  # DegenerateCalibrationError -> exit 3
     labels = all_bitstrings(calibration.num_qubits)
     for label, value in zip(labels, estimate.pops):
@@ -355,35 +356,6 @@ def _cmd_reconstruct(args) -> int:
         print(f"correlator {label} {value:.10g}")
     print(f"norm {estimate.norm:.10g}")
     return EXIT_OK
-
-
-def _load_means(path, num_qubits: int) -> np.ndarray:
-    text = Path(path).read_text()
-    size = 1 << num_qubits
-    values: dict[int, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise UsageError(f"{path}: line {lineno}: expected '<bitstring> <mean>', got {line!r}")
-        label, value = fields
-        try:
-            index = bits_to_index(label)
-        except ValueError:
-            raise UsageError(f"{path}: line {lineno}: bad basis label {label!r}") from None
-        if len(label) != num_qubits:
-            raise UsageError(f"{path}: line {lineno}: label width {len(label)} does not match calibration")
-        if index in values:
-            raise UsageError(f"{path}: line {lineno}: duplicate flip pattern {label}")
-        try:
-            values[index] = float(value)
-        except ValueError:
-            raise UsageError(f"{path}: line {lineno}: bad mean {value!r}") from None
-    if sorted(values) != list(range(size)):
-        raise UsageError(f"{path}: means must cover every flip pattern exactly once")
-    return np.array([values[k] for k in range(size)])
 
 
 def _cmd_convergence(args) -> int:
@@ -430,7 +402,7 @@ def _cmd_rerun(args) -> int:
     out = args.out or str(manifest_path.parent)
     command = data["command"]
     if command == "landscape":
-        return _run_landscape(data["config"], data["options"], out, args.force, args.threads)
+        return _run_landscape(data["config"], data["options"], out, args.force)
     if command == "optimize":
         return _run_optimize(data["config"], data["options"], out, args.force)
     if command == "convergence":

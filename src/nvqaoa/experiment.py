@@ -6,16 +6,20 @@ with each readout flip pattern, record mean photon counts, estimate the
 calibration empirically from basis-state preparations taken with the same shot
 budget, reconstruct populations, and score them against the diagonal cost.
 
+Without a stochastic noise channel the ansatz is simulated once per point:
+each flip pattern only permutes its populations and each basis preparation is
+a delta vector, so all 2^(n+1) readouts sample from that one state. Under
+depolarizing noise every sub-circuit is simulated gate by gate, X gates
+included, with its own trajectories.
+
 Reproducibility contract: every (grid point, realization) derives its random
 substreams from ``SeedSequence(master_seed, spawn_key=(point_index,
-realization_index))``, so results are independent of evaluation order and
-thread count.
+realization_index))``, so results are independent of evaluation order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
@@ -26,7 +30,6 @@ from scipy.optimize import minimize
 
 from ._bitstrings import all_bitstrings
 from .circuits import (
-    Circuit,
     QaoaParams,
     append_flips,
     build_ansatz,
@@ -35,8 +38,8 @@ from .circuits import (
     simulate,
 )
 from .graph_problem import Graph, diagonal_costs
-from .noise import NoiseConfig, perturb_calibration
-from .readout import CalibrationTable, measure_circuit
+from .noise import NoiseConfig, perturb_calibration, simulate_noisy
+from .readout import CalibrationTable, measure_circuit, sample_shots
 from .reconstruction import reconstruct
 from .statevector import expectation_diagonal, populations
 
@@ -180,10 +183,10 @@ def measure_point(
     graph = config.graph
     diag = diagonal_costs(graph)
     true_cal, streams = _point_streams(config, realization_index, point_index)
-    cal_records, flip_records = _measure_subcircuits(config, params, true_cal, streams)
+    cal_records, flip_records, pops = _measure_subcircuits(config, params, true_cal, streams)
     empirical = np.array([record.running_mean for record in cal_records])
     means = np.array([record.running_mean for record in flip_records])
-    F_ideal = ideal_cost(graph, params)
+    F_ideal = ideal_cost(graph, params) if pops is None else float(np.dot(pops, diag))
     size = diag.size
     try:
         table = true_cal if config.exact_calibration else CalibrationTable(empirical)
@@ -214,11 +217,11 @@ def measure_point(
     )
 
 
-def run_scan(config: ScanConfig, threads: int = 1) -> LandscapeGrid:
+def run_scan(config: ScanConfig) -> LandscapeGrid:
     """Evaluate the full (beta, gamma) grid.
 
     Ideal mode ignores shot settings and collapses to one exact evaluation per
-    point. Output ordering and content are independent of ``threads``.
+    point.
     """
     betas = config.betas()
     gammas = config.gammas()
@@ -226,25 +229,15 @@ def run_scan(config: ScanConfig, threads: int = 1) -> LandscapeGrid:
     diag = diagonal_costs(config.graph)
     cost_range = float(diag.max() - diag.min())
 
-    tasks = []
+    points = []
     for bi, beta in enumerate(betas):
         for gi, gamma in enumerate(gammas):
-            point_index = bi * gammas.size + gi
-            for realization in range(realizations):
-                tasks.append((point_index, float(beta), float(gamma), realization))
-
-    def evaluate(task):
-        point_index, beta, gamma, realization = task
-        params = QaoaParams((beta,) * config.p, (gamma,) * config.p)
-        if config.mode == "ideal":
-            return _ideal_point(config.graph, params, diag)
-        return measure_point(config, params, realization, point_index)
-
-    if threads <= 1:
-        points = [evaluate(task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(evaluate, tasks))
+            params = QaoaParams((float(beta),) * config.p, (float(gamma),) * config.p)
+            if config.mode == "ideal":
+                points.append(_ideal_point(config.graph, params, diag))
+            else:
+                point_index = bi * gammas.size + gi
+                points.extend(measure_point(config, params, r, point_index) for r in range(realizations))
     return LandscapeGrid(tuple(points), betas, gammas, realizations, cost_range)
 
 
@@ -396,13 +389,14 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     norm_runs = np.full((config.realizations, num_checkpoints), math.nan)
     for realization in range(config.realizations):
         true_cal, streams = _point_streams(config, realization, point_index)
-        cal_records, flip_records = _measure_subcircuits(config, params, true_cal, streams)
+        cal_records, flip_records, _ = _measure_subcircuits(config, params, true_cal, streams)
+        # one row per checkpoint, one column per sub-circuit
+        empirical = np.stack([record.checkpoints for record in cal_records], axis=1)
+        means = np.stack([record.checkpoints for record in flip_records], axis=1)
         for k in range(num_checkpoints):
-            empirical = np.array([record.checkpoints[k][1] for record in cal_records])
-            means = np.array([record.checkpoints[k][1] for record in flip_records])
             try:
-                table = true_cal if config.exact_calibration else CalibrationTable(empirical)
-                estimate = reconstruct(table, means)
+                table = true_cal if config.exact_calibration else CalibrationTable(empirical[k])
+                estimate = reconstruct(table, means[k])
             except ValueError:
                 continue
             pops_runs[realization, k] = estimate.pops
@@ -569,30 +563,30 @@ def _point_streams(config: ScanConfig, realization_index: int, point_index: int)
 
 
 def _measure_subcircuits(config: ScanConfig, params: QaoaParams, true_cal, streams):
-    """Measure the 2^n basis preparations and the 2^n flip variants of the ansatz."""
+    """Measure the 2^n basis preparations and the 2^n flip variants of the ansatz.
+
+    Returns the calibration records, the flip records, and the ansatz
+    populations when they are noiseless (None otherwise).
+    """
     n = config.graph.num_vertices
     size = 1 << n
+    noise = config.noise
+    shots, every = config.shots, config.checkpoint_every
     ansatz = build_ansatz(config.graph, params)
-    preps = calibration_circuits(n)
-    patterns = flip_patterns(n)
-    cal_records = [
-        measure_circuit(
-            preps[s], true_cal, config.shots, streams[s], config.checkpoint_every, config.noise
-        )
-        for s in range(size)
-    ]
-    flip_records = [
-        measure_circuit(
-            append_flips(ansatz, patterns[x]),
-            true_cal,
-            config.shots,
-            streams[size + x],
-            config.checkpoint_every,
-            config.noise,
-        )
-        for x in range(size)
-    ]
-    return cal_records, flip_records
+    if noise is not None and noise.is_stochastic:
+        # The channel also acts on the appended X gates, and every sub-circuit
+        # and block draws its own trajectory, so each one is simulated.
+        circuits = calibration_circuits(n) + [append_flips(ansatz, pattern) for pattern in flip_patterns(n)]
+        records = [measure_circuit(c, true_cal, shots, seed, every, noise) for c, seed in zip(circuits, streams)]
+        return records[:size], records[size:], None
+    gate_noise = noise is not None and (noise.overrotation_frac != 0.0 or noise.phase_offset != 0.0)
+    pops = populations(simulate_noisy(ansatz, noise) if gate_noise else simulate(ansatz))
+    # An X on qubit q flips bit n-1-q of the basis index, so flip pattern x
+    # reads out pops[idx ^ x] and basis preparation s is the delta at s.
+    idx = np.arange(size)
+    readouts = list(np.eye(size)) + [pops[idx ^ x] for x in range(size)]
+    records = [sample_shots(true_cal, p, shots, seed, every) for p, seed in zip(readouts, streams)]
+    return records[:size], records[size:], None if gate_noise else pops
 
 
 def _write_text(destination, text: str) -> None:

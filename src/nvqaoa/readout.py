@@ -61,14 +61,16 @@ def default_calibration() -> CalibrationTable:
 class ShotRecord:
     """Outcome of a measurement run.
 
-    ``checkpoints`` holds (shots_so_far, running_mean) at every full checkpoint
-    block; ``counts`` holds the per-shot photon counts only when explicitly
-    retained (they are large and usually not needed).
+    ``checkpoints`` is a 1-D float array of the running mean after each full
+    checkpoint block, so entry k covers (k + 1) * checkpoint_every shots and a
+    partial tail block adds no entry. ``counts`` holds the per-shot photon
+    counts only when explicitly retained (they are large and usually not
+    needed).
     """
 
     num_shots: int
     running_mean: float
-    checkpoints: tuple[tuple[int, float], ...]
+    checkpoints: np.ndarray
     counts: np.ndarray | None = None
 
 
@@ -166,24 +168,24 @@ def measure_circuit(
             block_totals[k] = total
         else:
             tail = total
-    record = _assemble_record(block_totals, tail, num_shots, checkpoint_every)
-    if retain_counts:
-        counts = np.concatenate(retained) if retained else np.zeros(0, dtype=np.int64)
-        record = ShotRecord(record.num_shots, record.running_mean, record.checkpoints, counts)
-    return record
+    counts = np.concatenate(retained) if retain_counts else None
+    return _assemble_record(block_totals, tail, num_shots, checkpoint_every, counts)
 
 
-def parse_calibration(text: str) -> CalibrationTable:
-    """Parse ``<bitstring> <intensity>`` lines covering every basis state exactly once."""
+def parse_basis_values(text: str, value_name: str = "intensity", width: int | None = None) -> np.ndarray:
+    """Parse ``<bitstring> <value>`` lines covering every basis state exactly once.
+
+    Returns the values in basis-index order. The first label sets the register
+    width unless ``width`` is given. Errors name the offending line.
+    """
     entries: dict[int, float] = {}
-    width: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
         if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected '<bitstring> <intensity>', got {line!r}")
+            raise ValueError(f"line {lineno}: expected '<bitstring> <{value_name}>', got {line!r}")
         label, value = fields
         try:
             index = bits_to_index(label)
@@ -194,20 +196,26 @@ def parse_calibration(text: str) -> CalibrationTable:
         elif len(label) != width:
             raise ValueError(f"line {lineno}: label {label!r} has width {len(label)}, expected {width}")
         try:
-            intensity = float(value)
+            number = float(value)
         except ValueError:
-            raise ValueError(f"line {lineno}: bad intensity {value!r}") from None
+            raise ValueError(f"line {lineno}: bad {value_name} {value!r}") from None
         if index in entries:
             raise ValueError(f"line {lineno}: duplicate entry for state {label!r}")
-        entries[index] = intensity
+        entries[index] = number
     if width is None:
-        raise ValueError("calibration file has no entries")
+        raise ValueError("file has no entries")
     expected = 1 << width
     if len(entries) != expected:
         missing = sorted(set(range(expected)) - set(entries))
-        raise ValueError(f"calibration covers {len(entries)} of {expected} states (missing index {missing[0]})")
+        raise ValueError(f"file covers {len(entries)} of {expected} states (missing index {missing[0]})")
+    return np.array([entries[k] for k in range(expected)])
+
+
+def parse_calibration(text: str) -> CalibrationTable:
+    """Parse ``<bitstring> <intensity>`` lines covering every basis state exactly once."""
+    intensities = parse_basis_values(text)
     try:
-        return CalibrationTable(np.array([entries[k] for k in range(expected)]))
+        return CalibrationTable(intensities)
     except ValueError as exc:
         raise ValueError(f"invalid calibration: {exc}") from None
 
@@ -265,18 +273,16 @@ def _draw_shot_counts(rng: np.random.Generator, intensities: np.ndarray, p: np.n
 
 
 def _record_from_counts(counts: np.ndarray, checkpoint_every: int) -> ShotRecord:
-    num_shots = counts.size
-    cumulative = np.cumsum(counts)
-    marks = range(checkpoint_every, num_shots + 1, checkpoint_every)
-    checkpoints = tuple((mark, float(cumulative[mark - 1]) / mark) for mark in marks)
-    return ShotRecord(num_shots, float(cumulative[-1]) / num_shots, checkpoints, counts)
+    num_full = counts.size // checkpoint_every
+    block_totals = counts[: num_full * checkpoint_every].reshape(num_full, checkpoint_every).sum(axis=1)
+    tail = int(counts[num_full * checkpoint_every :].sum())
+    return _assemble_record(block_totals, tail, counts.size, checkpoint_every, counts)
 
 
-def _assemble_record(block_totals: np.ndarray, tail: int, num_shots: int, checkpoint_every: int) -> ShotRecord:
+def _assemble_record(
+    block_totals: np.ndarray, tail: int, num_shots: int, checkpoint_every: int, counts: np.ndarray | None = None
+) -> ShotRecord:
     cumulative = np.cumsum(block_totals)
-    checkpoints = tuple(
-        ((k + 1) * checkpoint_every, float(cumulative[k]) / ((k + 1) * checkpoint_every))
-        for k in range(block_totals.size)
-    )
+    checkpoints = cumulative / (checkpoint_every * np.arange(1, block_totals.size + 1))
     grand_total = (int(cumulative[-1]) if block_totals.size else 0) + tail
-    return ShotRecord(num_shots, grand_total / num_shots, checkpoints, None)
+    return ShotRecord(num_shots, grand_total / num_shots, checkpoints, counts)

@@ -70,7 +70,7 @@ def test_criterion_01_ideal_grid_matches_closed_form(capsys):
     with criterion(capsys, 1, "ideal K2 scan matches the closed-form landscape within 1e-9") as info:
         config = ScanConfig(K2)  # default grid: beta 0.1pi:0.6pi:0.025pi, gamma 0.1pi:2.1pi:0.05pi
         started = time.perf_counter()
-        grid = run_scan(config, threads=1)
+        grid = run_scan(config)
         elapsed = time.perf_counter() - started
         assert len(grid.points) == 861, f"expected 861 grid points, got {len(grid.points)}"
         worst = 0.0

@@ -273,6 +273,27 @@ def test_optimize_writes_trace(tmp_path, capsys):
     assert set(summary["best_cut_strings"]) == {"001", "010", "100", "011", "101", "110"}
 
 
+def test_optimize_refuses_occupied_out_before_computing(tmp_path, capsys):
+    graph = write_k2(tmp_path)
+    out = tmp_path / "opt"
+    out.mkdir()
+    (out / "trace.csv").write_text("keep me\n")
+    assert main(["optimize", "--graph", graph, "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--force" in captured.err
+    assert (out / "trace.csv").read_text() == "keep me\n"
+
+
+def test_optimize_manifest_records_duration(tmp_path, capsys):
+    graph = write_k2(tmp_path)
+    out = tmp_path / "opt"
+    assert main(["optimize", "--graph", graph, "--out", str(out), *SMALL_SCAN]) == EXIT_OK
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.txt").read_text())
+    assert manifest["duration_seconds"] > 0
+
+
 def test_optimize_edgeless_graph_has_no_ratio(tmp_path, capsys):
     graph = tmp_path / "lonely.txt"
     graph.write_text("n 2\n")

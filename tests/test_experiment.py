@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nvqaoa.circuits import QaoaParams
+from nvqaoa.circuits import QaoaParams, append_flips, build_ansatz, calibration_circuits, flip_patterns
 from nvqaoa.experiment import (
     DEFAULT_BETA_RANGE,
     DEFAULT_GAMMA_RANGE,
@@ -24,10 +24,12 @@ from nvqaoa.experiment import (
     scan_summary,
     write_convergence_csv,
     write_landscape_csv,
+    _measure_subcircuits,
+    _point_streams,
 )
-from nvqaoa.graph_problem import Graph
+from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import NoiseConfig
-from nvqaoa.readout import CalibrationTable, default_calibration
+from nvqaoa.readout import CalibrationTable, default_calibration, measure_circuit
 
 K2 = Graph.complete(2)
 K3 = Graph.complete(3)
@@ -176,19 +178,6 @@ def test_single_point_grid_equals_measure_point():
         assert pt.F_measured == direct.F_measured
         assert pt.norm == direct.norm
         np.testing.assert_array_equal(pt.pops, direct.pops)
-
-
-def test_run_scan_thread_independence():
-    cfg = sampled_config(
-        beta_range=(0.1, 0.3, 0.1),
-        gamma_range=(0.5, 0.9, 0.2),
-        shots=5_000,
-        realizations=2,
-    )
-    serial = run_scan(cfg, threads=1)
-    threaded = run_scan(cfg, threads=4)
-    assert [pt.F_measured for pt in serial.points] == [pt.F_measured for pt in threaded.points]
-    assert [pt.realization for pt in serial.points] == [pt.realization for pt in threaded.points]
 
 
 def test_landscape_error_realization_averaging():
@@ -403,5 +392,49 @@ def test_scan_with_stochastic_noise_stays_deterministic():
         realizations=2,
     )
     a = run_scan(cfg)
-    b = run_scan(cfg, threads=3)
+    b = run_scan(cfg)
     assert [pt.F_measured for pt in a.points] == [pt.F_measured for pt in b.points]
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [None, NoiseConfig(overrotation_frac=0.07, phase_offset=-0.2), NoiseConfig(calibration_sigma=0.05)],
+    ids=["noiseless", "overrotation+phase", "cal-sigma"],
+)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_subcircuit_permutations_match_gate_level_oracle(n, noise):
+    # One simulated state read out under index permutations and delta vectors
+    # must reproduce, bit for bit, every appended-X sub-circuit on the same streams.
+    rng = np.random.default_rng(100 + n)
+    edges = [(i, j, float(rng.uniform(0.5, 1.5))) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7]
+    graph = Graph.from_edges(n, edges or [(0, 1, 1.0)])
+    cfg = ScanConfig(
+        graph=graph,
+        mode="sampled",
+        calibration=CalibrationTable(rng.uniform(0.5, 5.0, 1 << n)),
+        shots=2_500,
+        checkpoint_every=1_000,
+        noise=noise,
+        master_seed=int(rng.integers(1000)),
+    )
+    size = 1 << n
+    for trial in range(3):
+        p = 1 + trial % 2
+        params = QaoaParams(tuple(rng.uniform(0, math.pi, p)), tuple(rng.uniform(0, 2 * math.pi, p)))
+        true_cal, streams = _point_streams(cfg, trial, trial)
+        cal_records, flip_records, pops = _measure_subcircuits(cfg, params, true_cal, streams)
+        ansatz = build_ansatz(graph, params)
+        oracle = [measure_circuit(circuit, true_cal, cfg.shots, streams[s], cfg.checkpoint_every, noise)
+                  for s, circuit in enumerate(calibration_circuits(n))]
+        oracle += [
+            measure_circuit(append_flips(ansatz, pattern), true_cal, cfg.shots, streams[size + x],
+                            cfg.checkpoint_every, noise)
+            for x, pattern in enumerate(flip_patterns(n))
+        ]
+        for got, want in zip(cal_records + flip_records, oracle, strict=True):
+            assert got.running_mean == want.running_mean
+            np.testing.assert_array_equal(got.checkpoints, want.checkpoints)
+        if noise is not None and noise.overrotation_frac:
+            assert pops is None
+        else:
+            assert float(np.dot(pops, diagonal_costs(graph))) == ideal_cost(graph, params)

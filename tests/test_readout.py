@@ -61,7 +61,7 @@ def test_sample_shots_deterministic():
         a = sample_shots(CAL, pops, 5000, seed=123, retain_counts=retain)
         b = sample_shots(CAL, pops, 5000, seed=123, retain_counts=retain)
         assert a.running_mean == b.running_mean
-        assert a.checkpoints == b.checkpoints
+        np.testing.assert_array_equal(a.checkpoints, b.checkpoints)
         if retain:
             np.testing.assert_array_equal(a.counts, b.counts)
         else:
@@ -99,17 +99,17 @@ def test_zero_intensity_state_yields_zero_counts():
 def test_checkpoint_cadence():
     pops = np.full(4, 0.25)
     record = sample_shots(CAL, pops, 5500, seed=3, checkpoint_every=1000)
-    assert [n for n, _ in record.checkpoints] == [1000, 2000, 3000, 4000, 5000]
+    assert record.checkpoints.shape == (5,)  # entry k covers (k + 1) * 1000 shots
     record = sample_shots(CAL, pops, 999, seed=3, checkpoint_every=1000)
-    assert record.checkpoints == ()
+    assert record.checkpoints.shape == (0,)
 
 
 def test_checkpoints_match_retained_counts():
     pops = np.array([0.2, 0.3, 0.4, 0.1])
     record = sample_shots(CAL, pops, 3210, seed=9, checkpoint_every=500, retain_counts=True)
     cumulative = np.cumsum(record.counts)
-    for n, mean in record.checkpoints:
-        assert mean == pytest.approx(cumulative[n - 1] / n, abs=1e-12)
+    marks = 500 * np.arange(1, 7)
+    np.testing.assert_allclose(record.checkpoints, cumulative[marks - 1] / marks, rtol=0, atol=1e-12)
     assert record.running_mean == pytest.approx(record.counts.mean(), abs=1e-12)
     assert record.num_shots == 3210
 
@@ -162,7 +162,7 @@ def test_trivial_noise_is_bit_identical():
     a = measure_circuit(circuit, CAL, 5000, seed=11)
     b = measure_circuit(circuit, CAL, 5000, seed=11, noise=quiet)
     assert a.running_mean == b.running_mean
-    assert a.checkpoints == b.checkpoints
+    np.testing.assert_array_equal(a.checkpoints, b.checkpoints)
 
 
 def test_stochastic_noise_deterministic_per_seed():
@@ -172,7 +172,7 @@ def test_stochastic_noise_deterministic_per_seed():
     b = measure_circuit(circuit, CAL, 3000, seed=21, noise=noisy)
     c = measure_circuit(circuit, CAL, 3000, seed=22, noise=noisy)
     assert a.running_mean == b.running_mean
-    assert a.checkpoints == b.checkpoints
+    np.testing.assert_array_equal(a.checkpoints, b.checkpoints)
     assert a.running_mean != c.running_mean
 
 
