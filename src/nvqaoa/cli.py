@@ -41,6 +41,8 @@ from .experiment import (
     scan_summary,
     write_convergence_csv,
     write_landscape_csv,
+    _check_fields,
+    _realization_stats,
 )
 from .graph_problem import brute_force, load_graph
 from .noise import NoiseConfig
@@ -59,6 +61,15 @@ DEFAULT_BETA_RANGE_TEXT = "0.1pi:0.6pi:0.025pi"
 DEFAULT_GAMMA_RANGE_TEXT = "0.1pi:2.1pi:0.05pi"
 
 THREADS_HELP = "accepted for compatibility and ignored: scans run serially"
+
+STRATEGIES = ("grid_then_refine", "simplex")
+
+# Types of the manifest options a rerun reads, checked before anything runs.
+_OPTION_FIELDS = {
+    "landscape": {"svg": bool},
+    "optimize": {"strategy": str},
+    "convergence": {"beta": (int, float), "gamma": (int, float)},
+}
 
 
 class UsageError(ValueError):
@@ -155,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = commands.add_parser("optimize", help="search for the minimum-cost angles")
     _add_scan_arguments(opt, default_mode="ideal")
-    opt.add_argument("--strategy", choices=("grid_then_refine", "simplex"), default="grid_then_refine")
+    opt.add_argument("--strategy", choices=STRATEGIES, default=STRATEGIES[0])
     opt.add_argument("--out", help="optional output directory for the evaluation trace")
     opt.set_defaults(func=_cmd_optimize)
 
@@ -257,13 +268,12 @@ def _manifest(command: str, config: dict, options: dict, artifacts: list[str], d
 def _cmd_landscape(args) -> int:
     config = _config_dict_from_args(args)
     options = {"svg": bool(args.svg)}
-    return _run_landscape(config, options, args.out, args.force)
+    return _run_landscape(config_from_dict(config), config, options, args.out, args.force)
 
 
-def _run_landscape(config: dict, options: dict, out: str, force: bool) -> int:
-    cfg = config_from_dict(config)
+def _run_landscape(cfg: ScanConfig, config: dict, options: dict, out: str, force: bool) -> int:
     artifacts = ["landscape.csv", "summary.txt"]
-    if options.get("svg"):
+    if options["svg"]:
         artifacts.append("landscape.svg")
     out_dir = _prepare_out(out, force, artifacts + ["manifest.txt"])
     started = time.perf_counter()
@@ -272,7 +282,7 @@ def _run_landscape(config: dict, options: dict, out: str, force: bool) -> int:
     write_landscape_csv(grid, out_dir / "landscape.csv")
     summary = scan_summary(grid, cfg)
     _write_json(out_dir / "summary.txt", summary)
-    if options.get("svg"):
+    if options["svg"]:
         (out_dir / "landscape.svg").write_text(_landscape_svg(grid))
     _write_json(out_dir / "manifest.txt", _manifest("landscape", config, options, artifacts, duration))
     invalid = summary["points_invalid"]
@@ -288,11 +298,10 @@ def _run_landscape(config: dict, options: dict, out: str, force: bool) -> int:
 def _cmd_optimize(args) -> int:
     config = _config_dict_from_args(args)
     options = {"strategy": args.strategy}
-    return _run_optimize(config, options, args.out, args.force)
+    return _run_optimize(config_from_dict(config), config, options, args.out, args.force)
 
 
-def _run_optimize(config: dict, options: dict, out, force: bool) -> int:
-    cfg = config_from_dict(config)
+def _run_optimize(cfg: ScanConfig, config: dict, options: dict, out, force: bool) -> int:
     artifacts = ["trace.csv", "summary.txt"]
     out_dir = _prepare_out(out, force, artifacts + ["manifest.txt"]) if out else None
     started = time.perf_counter()
@@ -363,11 +372,10 @@ def _cmd_convergence(args) -> int:
         raise UsageError("convergence requires --mode sampled")
     config = _config_dict_from_args(args)
     options = {"beta": float(args.beta), "gamma": float(args.gamma)}
-    return _run_convergence(config, options, args.out, args.force)
+    return _run_convergence(config_from_dict(config), config, options, args.out, args.force)
 
 
-def _run_convergence(config: dict, options: dict, out: str, force: bool) -> int:
-    cfg = config_from_dict(config)
+def _run_convergence(cfg: ScanConfig, config: dict, options: dict, out: str, force: bool) -> int:
     params = QaoaParams((options["beta"],) * cfg.p, (options["gamma"],) * cfg.p)
     artifacts = ["convergence.csv", "summary.txt"]
     out_dir = _prepare_out(out, force, artifacts + ["manifest.txt"])
@@ -391,23 +399,26 @@ def _run_convergence(config: dict, options: dict, out: str, force: bool) -> int:
 
 
 def _cmd_rerun(args) -> int:
-    manifest_path = Path(args.manifest)
+    path = Path(args.manifest)
     try:
-        data = json.loads(manifest_path.read_text())
+        data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{manifest_path}: not a valid manifest: {exc}") from None
-    for key in ("command", "config", "options"):
-        if key not in data:
-            raise UsageError(f"{manifest_path}: manifest is missing the {key!r} field")
-    out = args.out or str(manifest_path.parent)
-    command = data["command"]
-    if command == "landscape":
-        return _run_landscape(data["config"], data["options"], out, args.force)
-    if command == "optimize":
-        return _run_optimize(data["config"], data["options"], out, args.force)
-    if command == "convergence":
-        return _run_convergence(data["config"], data["options"], out, args.force)
-    raise UsageError(f"{manifest_path}: cannot rerun command {command!r}")
+        raise UsageError(f"{path}: not a valid manifest: {exc}") from None
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: not a valid manifest: expected a JSON object")
+    try:
+        _check_fields(data, {"command": str, "config": dict, "options": dict}, "")
+        command, config, options = data["command"], data["config"], data["options"]
+        if command not in _OPTION_FIELDS:
+            raise ValueError(f"cannot rerun command {command!r}")
+        _check_fields(options, _OPTION_FIELDS[command], "options.")
+        if command == "optimize" and options["strategy"] not in STRATEGIES:
+            raise ValueError(f"field 'options.strategy' must be one of {', '.join(STRATEGIES)}")
+        cfg = config_from_dict(config)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: invalid manifest: {exc}") from None
+    run = {"landscape": _run_landscape, "optimize": _run_optimize, "convergence": _run_convergence}[command]
+    return run(cfg, config, options, args.out or str(path.parent), args.force)
 
 
 def _json_float(value: float):
@@ -418,19 +429,12 @@ def _landscape_svg(grid) -> str:
     """Self-contained grayscale heatmap of the realization-averaged measured cost."""
     n_beta = grid.betas.size
     n_gamma = grid.gammas.size
-    reals = grid.realizations
     cell = 12
     margin_left, margin_top, margin_bottom = 70, 30, 46
     width = margin_left + n_gamma * cell + 20
     height = margin_top + n_beta * cell + margin_bottom
 
-    averaged = np.full((n_beta, n_gamma), math.nan)
-    for bi in range(n_beta):
-        for gi in range(n_gamma):
-            start = (bi * n_gamma + gi) * reals
-            values = [pt.F_measured for pt in grid.points[start : start + reals] if pt.valid]
-            if values:
-                averaged[bi, gi] = float(np.mean(values))
+    averaged, _ = _realization_stats(grid.F_measured, 2)
     finite = averaged[np.isfinite(averaged)]
     lo = float(finite.min()) if finite.size else 0.0
     hi = float(finite.max()) if finite.size else 1.0
@@ -474,3 +478,7 @@ def _landscape_svg(grid) -> str:
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+if __name__ == "__main__":
+    console_main()

@@ -52,6 +52,21 @@ DEFAULT_SEED = 1
 
 CSV_HEADER = "beta,gamma,realization,F_measured,F_ideal,abs_diff,norm,pops"
 
+# Types of the config_to_dict fields that config_from_dict reads.
+_CONFIG_FIELDS = {
+    "graph": dict,
+    "p": int,
+    "beta_range": list,
+    "gamma_range": list,
+    "shots": int,
+    "realizations": int,
+    "mode": str,
+    "noise": (dict, type(None)),
+    "calibration": (list, type(None)),
+    "master_seed": int,
+    "checkpoint_every": int,
+}
+
 
 def grid_axis(range_spec: Sequence[float]) -> np.ndarray:
     """Inclusive arithmetic grid start:stop:step, robust to float endpoint error."""
@@ -113,41 +128,39 @@ class ScanConfig:
 
 @dataclass(frozen=True, eq=False)
 class PointRecord:
-    """One evaluated grid point (one realization). All layers share (beta, gamma) in scans."""
+    """One realization of the measurement protocol at one parameter point."""
 
-    params: QaoaParams
-    realization: int
     pops: np.ndarray
     norm: float
     F_measured: float
     F_ideal: float
-    abs_diff: float
     valid: bool = True
     error: str | None = None
-
-    def __post_init__(self):
-        pops = np.array(self.pops, dtype=float)
-        pops.setflags(write=False)
-        object.__setattr__(self, "pops", pops)
-
-    @property
-    def beta(self) -> float:
-        return self.params.betas[0]
-
-    @property
-    def gamma(self) -> float:
-        return self.params.gammas[0]
 
 
 @dataclass(frozen=True, eq=False)
 class LandscapeGrid:
-    """Scan output: points ordered beta-major, then gamma, then realization."""
+    """Scan output as arrays indexed [beta, gamma, realization(, basis state)].
 
-    points: tuple[PointRecord, ...]
+    An invalid realization (degenerate calibration) is stored as NaN in
+    ``F_measured``, ``norm`` and ``pops``. Ideal scans have one realization.
+    """
+
     betas: np.ndarray
     gammas: np.ndarray
-    realizations: int
+    F_measured: np.ndarray
+    norm: np.ndarray
+    pops: np.ndarray
+    F_ideal: np.ndarray
     cost_range: float
+
+    @property
+    def realizations(self) -> int:
+        return self.F_measured.shape[2]
+
+    @property
+    def valid(self) -> np.ndarray:
+        return np.isfinite(self.F_measured)
 
 
 def closed_form_cost_k2(beta: float, gamma: float) -> float:
@@ -187,34 +200,13 @@ def measure_point(
     empirical = np.array([record.running_mean for record in cal_records])
     means = np.array([record.running_mean for record in flip_records])
     F_ideal = ideal_cost(graph, params) if pops is None else float(np.dot(pops, diag))
-    size = diag.size
     try:
         table = true_cal if config.exact_calibration else CalibrationTable(empirical)
         estimate = reconstruct(table, means)
     except ValueError as exc:
-        nans = np.full(size, math.nan)
-        return PointRecord(
-            params=params,
-            realization=realization_index,
-            pops=nans,
-            norm=math.nan,
-            F_measured=math.nan,
-            F_ideal=F_ideal,
-            abs_diff=math.nan,
-            valid=False,
-            error=str(exc),
-        )
-    F_measured = float(np.dot(estimate.pops, diag))
-    return PointRecord(
-        params=params,
-        realization=realization_index,
-        pops=estimate.pops,
-        norm=estimate.norm,
-        F_measured=F_measured,
-        F_ideal=F_ideal,
-        abs_diff=abs(F_measured - F_ideal),
-        valid=True,
-    )
+        nans = np.full(diag.size, math.nan)
+        return PointRecord(nans, math.nan, math.nan, F_ideal, valid=False, error=str(exc))
+    return PointRecord(estimate.pops, estimate.norm, float(np.dot(estimate.pops, diag)), F_ideal)
 
 
 def run_scan(config: ScanConfig) -> LandscapeGrid:
@@ -227,18 +219,20 @@ def run_scan(config: ScanConfig) -> LandscapeGrid:
     gammas = config.gammas()
     realizations = 1 if config.mode == "ideal" else config.realizations
     diag = diagonal_costs(config.graph)
-    cost_range = float(diag.max() - diag.min())
-
-    points = []
-    for bi, beta in enumerate(betas):
-        for gi, gamma in enumerate(gammas):
-            params = QaoaParams((float(beta),) * config.p, (float(gamma),) * config.p)
-            if config.mode == "ideal":
-                points.append(_ideal_point(config.graph, params, diag))
-            else:
-                point_index = bi * gammas.size + gi
-                points.extend(measure_point(config, params, r, point_index) for r in range(realizations))
-    return LandscapeGrid(tuple(points), betas, gammas, realizations, cost_range)
+    shape = (betas.size, gammas.size, realizations)
+    F_measured, norm, F_ideal = np.empty(shape), np.empty(shape), np.empty(shape[:2])
+    pops = np.empty(shape + diag.shape)
+    for bi, gi, r in np.ndindex(shape):
+        params = QaoaParams((float(betas[bi]),) * config.p, (float(gammas[gi]),) * config.p)
+        if config.mode == "ideal":
+            pops[bi, gi, r], F_ideal[bi, gi] = _ideal_point(config.graph, params, diag)
+            F_measured[bi, gi, r] = F_ideal[bi, gi]
+            norm[bi, gi, r] = pops[bi, gi, r].sum()
+        else:
+            record = measure_point(config, params, r, point_index=bi * gammas.size + gi)
+            pops[bi, gi, r], norm[bi, gi, r] = record.pops, record.norm
+            F_measured[bi, gi, r], F_ideal[bi, gi] = record.F_measured, record.F_ideal
+    return LandscapeGrid(betas, gammas, F_measured, norm, pops, F_ideal, float(diag.max() - diag.min()))
 
 
 def landscape_error(grid: LandscapeGrid) -> float:
@@ -248,16 +242,9 @@ def landscape_error(grid: LandscapeGrid) -> float:
     difference. Points with no valid realization are skipped; a graph with a
     flat cost spectrum (zero range) reports zero error.
     """
-    realizations = grid.realizations
-    diffs = []
-    for i in range(0, len(grid.points), realizations):
-        chunk = grid.points[i : i + realizations]
-        valid = [pt for pt in chunk if pt.valid]
-        if not valid:
-            continue
-        f_avg = sum(pt.F_measured for pt in valid) / len(valid)
-        diffs.append(abs(f_avg - chunk[0].F_ideal))
-    if not diffs:
+    mean, _ = _realization_stats(grid.F_measured, 2)
+    diffs = np.abs(mean - grid.F_ideal)[np.isfinite(mean)]
+    if not diffs.size:
         raise ValueError("no valid points in grid")
     if grid.cost_range == 0.0:
         return 0.0
@@ -402,19 +389,8 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
             pops_runs[realization, k] = estimate.pops
             norm_runs[realization, k] = estimate.norm
 
-    mean_pops = np.full((num_checkpoints, size), math.nan)
-    std_pops = np.full((num_checkpoints, size), math.nan)
-    mean_norm = np.full(num_checkpoints, math.nan)
-    std_norm = np.full(num_checkpoints, math.nan)
-    for k in range(num_checkpoints):
-        good = ~np.isnan(norm_runs[:, k])
-        if not good.any():
-            continue
-        mean_pops[k] = pops_runs[good, k].mean(axis=0)
-        mean_norm[k] = norm_runs[good, k].mean()
-        if good.sum() >= 2:
-            std_pops[k] = pops_runs[good, k].std(axis=0, ddof=1)
-            std_norm[k] = norm_runs[good, k].std(ddof=1)
+    mean_pops, std_pops = _realization_stats(pops_runs, 0)
+    mean_norm, std_norm = _realization_stats(norm_runs, 0)
     shots_axis = config.checkpoint_every * np.arange(1, num_checkpoints + 1)
     return ConvergenceProfile(
         checkpoint_shots=shots_axis,
@@ -429,24 +405,15 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
 
 def write_landscape_csv(grid: LandscapeGrid, destination) -> None:
     """CSV with one row per (point, realization); 10 significant digits, pops joined with '|'."""
-    lines = [CSV_HEADER]
-    for pt in grid.points:
-        pops_text = "|".join(format(v, ".10g") for v in pt.pops)
-        lines.append(
-            ",".join(
-                (
-                    format(pt.beta, ".10g"),
-                    format(pt.gamma, ".10g"),
-                    str(pt.realization),
-                    format(pt.F_measured, ".10g"),
-                    format(pt.F_ideal, ".10g"),
-                    format(pt.abs_diff, ".10g"),
-                    format(pt.norm, ".10g"),
-                    pops_text,
-                )
-            )
-        )
-    _write_text(destination, "\n".join(lines) + "\n")
+    shape = grid.F_measured.shape
+    beta, gamma, realization = np.meshgrid(grid.betas, grid.gammas, np.arange(shape[2]), indexing="ij")
+    F_ideal = np.broadcast_to(grid.F_ideal[:, :, None], shape)
+    abs_diff = np.abs(grid.F_measured - F_ideal)
+    columns = [_format_10g(beta), _format_10g(gamma), realization.ravel().astype(str)]
+    columns += [_format_10g(values) for values in (grid.F_measured, F_ideal, abs_diff, grid.norm)]
+    columns.append(["|".join(_format_10g(pops)) for pops in grid.pops.reshape(-1, grid.pops.shape[-1])])
+    rows = (",".join(fields) for fields in zip(*columns))
+    _write_text(destination, "\n".join([CSV_HEADER, *rows]) + "\n")
 
 
 def write_convergence_csv(profile: ConvergenceProfile, destination) -> None:
@@ -461,17 +428,14 @@ def write_convergence_csv(profile: ConvergenceProfile, destination) -> None:
     lines = [",".join(header)]
     for k, shots in enumerate(profile.checkpoint_shots):
         row = [str(int(shots))]
-        row += [format(v, ".10g") for v in profile.mean_pops[k]]
-        row.append(format(profile.mean_norm[k], ".10g"))
-        row += [format(v, ".10g") for v in profile.std_pops[k]]
-        row.append(format(profile.std_norm[k], ".10g"))
+        row += _format_10g(profile.mean_pops[k]) + _format_10g(profile.mean_norm[k])
+        row += _format_10g(profile.std_pops[k]) + _format_10g(profile.std_norm[k])
         lines.append(",".join(row))
     _write_text(destination, "\n".join(lines) + "\n")
 
 
 def scan_summary(grid: LandscapeGrid, config: ScanConfig) -> dict:
     """Deterministic summary (JSON-friendly) of a finished scan."""
-    invalid = sum(1 for pt in grid.points if not pt.valid)
     try:
         error = landscape_error(grid)
     except ValueError:
@@ -481,8 +445,8 @@ def scan_summary(grid: LandscapeGrid, config: ScanConfig) -> dict:
         "num_beta": int(grid.betas.size),
         "num_gamma": int(grid.gammas.size),
         "realizations": grid.realizations,
-        "points_total": len(grid.points),
-        "points_invalid": invalid,
+        "points_total": int(grid.F_measured.size),
+        "points_invalid": int(np.count_nonzero(~grid.valid)),
         "cost_range": grid.cost_range,
         "config": config_to_dict(config),
     }
@@ -512,11 +476,14 @@ def config_to_dict(config: ScanConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ScanConfig:
+    """Inverse of config_to_dict; a missing or mistyped field raises ValueError naming it."""
+    _check_fields(data, _CONFIG_FIELDS, "config.")
+    _check_fields(data["graph"], {"num_vertices": int, "edges": list}, "config.graph.")
     graph = Graph.from_edges(data["graph"]["num_vertices"], data["graph"]["edges"])
-    noise = NoiseConfig.from_dict(data["noise"]) if data.get("noise") is not None else None
+    noise = NoiseConfig.from_dict(data["noise"]) if data["noise"] is not None else None
     calibration = (
         CalibrationTable(np.array(data["calibration"], dtype=float))
-        if data.get("calibration") is not None
+        if data["calibration"] is not None
         else None
     )
     return ScanConfig(
@@ -535,20 +502,42 @@ def config_from_dict(data: dict) -> ScanConfig:
     )
 
 
-def _ideal_point(graph: Graph, params: QaoaParams, diag: np.ndarray) -> PointRecord:
-    state = simulate(build_ansatz(graph, params))
-    pops = populations(state)
-    value = float(np.dot(pops, diag))
-    return PointRecord(
-        params=params,
-        realization=0,
-        pops=pops,
-        norm=float(pops.sum()),
-        F_measured=value,
-        F_ideal=value,
-        abs_diff=0.0,
-        valid=True,
-    )
+def _check_fields(section: dict, fields: dict, prefix: str) -> None:
+    """Raise ValueError naming the first field of ``section`` that is missing or not of its type."""
+    for name, kind in fields.items():
+        if name not in section:
+            raise ValueError(f"missing field {prefix + name!r}")
+        value = section[name]
+        # bool is an int subclass, so it passes only where bool is asked for
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise ValueError(f"field {prefix + name!r} has the wrong type {type(value).__name__}")
+
+
+def _ideal_point(graph: Graph, params: QaoaParams, diag: np.ndarray) -> tuple[np.ndarray, float]:
+    """Exact populations and cost at one point."""
+    pops = populations(simulate(build_ansatz(graph, params)))
+    return pops, float(np.dot(pops, diag))
+
+
+def _realization_stats(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and ddof=1 standard deviation over the finite (valid) entries along ``axis``.
+
+    The mean is NaN where no entry is valid and the deviation NaN where fewer
+    than two are. The sums run realization by realization, in index order.
+    """
+    runs = np.moveaxis(values, axis, 0)
+    valid = np.isfinite(runs)
+    count = valid.sum(axis=0)
+    mean = np.full(runs.shape[1:], math.nan)
+    std = np.full(runs.shape[1:], math.nan)
+    np.divide(sum(np.where(valid, runs, 0.0)), count, out=mean, where=count > 0)
+    deviations = np.where(valid, runs - mean, 0.0)
+    np.divide(sum(deviations * deviations), count - 1, out=std, where=count > 1)
+    return mean, np.sqrt(std)
+
+
+def _format_10g(values) -> list[str]:
+    return [format(v, ".10g") for v in np.ravel(values)]
 
 
 def _point_streams(config: ScanConfig, realization_index: int, point_index: int):

@@ -6,10 +6,16 @@ exercised exactly as a shell user would see them.
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nvqaoa
 from nvqaoa.cli import (
     EXIT_DEGENERATE,
     EXIT_IO,
@@ -233,11 +239,14 @@ def test_landscape_fully_degenerate_calibration(tmp_path, capsys):
     code = main([
         "landscape", "--graph", graph, "--mode", "sampled", "--cal", cal,
         "--shots", "500", "--realizations", "1", "--exact-calibration",
-        "--out", str(out), *SMALL_SCAN,
+        "--out", str(out), "--svg", *SMALL_SCAN,
     ])
     captured = capsys.readouterr()
     assert code == EXIT_DEGENERATE
     assert "9/9 points invalid" in captured.err
+    # a cell with no valid realization is drawn red
+    fills = re.findall(r'<rect x="\d+" y="\d+" width="12" height="12" fill="([^"]+)"/>', (out / "landscape.svg").read_text())
+    assert fills == ["rgb(255,0,0)"] * 9
     # the CSV is still written, with NaN measurements flagged per row
     lines = (out / "landscape.csv").read_text().splitlines()
     assert len(lines) == 1 + 9
@@ -461,6 +470,52 @@ def test_rerun_rejects_malformed_manifest(tmp_path, capsys):
     bad.write_text(json.dumps({"command": "teleport", "config": {}, "options": {}}))
     assert main(["rerun", "--manifest", str(bad)]) == EXIT_USAGE
     capsys.readouterr()
+    # a missing or mistyped field is a usage error that names the manifest and
+    # the field, raised before the output directory exists
+    out = tmp_path / "replay"
+    for command, edit, field in INCOMPLETE_MANIFESTS:
+        manifest = {
+            "command": command,
+            "config": {
+                "graph": {"num_vertices": 2, "edges": [[0, 1, 1.0]]}, "p": 1,
+                "beta_range": [0.1, 0.2, 0.1], "gamma_range": [0.5, 0.6, 0.1], "shots": 1000,
+                "realizations": 1, "mode": "sampled", "noise": None, "calibration": [5.0, 3.0, 2.0, 1.0],
+                "master_seed": 1, "checkpoint_every": 500,
+            },
+            "options": {"landscape": {"svg": False}, "optimize": {"strategy": "simplex"},
+                        "convergence": {"beta": 0.3, "gamma": 1.0}}[command],
+        }
+        edit(manifest)
+        bad.write_text(json.dumps(manifest))
+        assert main(["rerun", "--manifest", str(bad), "--out", str(out)]) == EXIT_USAGE, field
+        err = capsys.readouterr().err
+        assert str(bad) in err and repr(field) in err, err
+        assert not out.exists()
+
+
+INCOMPLETE_MANIFESTS = [
+    ("landscape", lambda m: m.update(config={}), "config.graph"),
+    ("landscape", lambda m: m["config"].pop("shots"), "config.shots"),
+    ("landscape", lambda m: m["config"].update(p="2"), "config.p"),
+    ("landscape", lambda m: m["config"].update(realizations=True), "config.realizations"),
+    ("landscape", lambda m: m["config"]["graph"].pop("edges"), "config.graph.edges"),
+    ("landscape", lambda m: m.update(config=[]), "config"),
+    ("landscape", lambda m: m.update(options={}), "options.svg"),
+    ("optimize", lambda m: m.update(options={}), "options.strategy"),
+    ("optimize", lambda m: m["options"].update(strategy="anneal"), "options.strategy"),
+    ("convergence", lambda m: m.update(options={"gamma": 1.0}), "options.beta"),
+    ("convergence", lambda m: m["options"].update(gamma="0.5pi"), "options.gamma"),
+]
+
+
+def test_module_form_runs_the_cli():
+    src = str(Path(nvqaoa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "nvqaoa.cli", "--version"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"nvqaoa {nvqaoa.__version__}"
 
 
 def test_rerun_missing_manifest_is_io_error(tmp_path, capsys):

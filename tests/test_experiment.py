@@ -9,7 +9,6 @@ from nvqaoa.experiment import (
     DEFAULT_BETA_RANGE,
     DEFAULT_GAMMA_RANGE,
     LandscapeGrid,
-    PointRecord,
     ScanConfig,
     closed_form_cost_k2,
     config_from_dict,
@@ -26,6 +25,7 @@ from nvqaoa.experiment import (
     write_landscape_csv,
     _measure_subcircuits,
     _point_streams,
+    _realization_stats,
 )
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import NoiseConfig
@@ -106,20 +106,30 @@ def test_config_validation():
 
 def test_ideal_scan_matches_closed_form_everywhere():
     grid = run_scan(ScanConfig(graph=K2, mode="ideal"))
-    assert len(grid.points) == 21 * 41
+    assert grid.F_measured.shape == grid.norm.shape == (21, 41, 1)
+    assert grid.pops.shape == (21, 41, 1, 4)
     assert grid.realizations == 1
-    for pt in grid.points:
-        assert pt.valid
-        assert pt.abs_diff == 0.0
-        assert pt.F_measured == pytest.approx(closed_form_cost_k2(pt.beta, pt.gamma), abs=1e-9)
-        assert pt.norm == pytest.approx(1.0, abs=1e-12)
+    assert grid.valid.all()
+    np.testing.assert_array_equal(grid.F_measured[:, :, 0], grid.F_ideal)
+    for bi, beta in enumerate(grid.betas):
+        for gi, gamma in enumerate(grid.gammas):
+            assert grid.F_measured[bi, gi, 0] == pytest.approx(closed_form_cost_k2(beta, gamma), abs=1e-9)
+    np.testing.assert_allclose(grid.norm, 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(grid.norm, grid.pops.sum(axis=-1))
     assert landscape_error(grid) == 0.0
 
 
 def test_ideal_scan_ordering_beta_major():
     cfg = ScanConfig(graph=K2, mode="ideal", beta_range=(0.1, 0.3, 0.1), gamma_range=(0.5, 0.7, 0.1))
     grid = run_scan(cfg)
-    coords = [(round(pt.beta, 6), round(pt.gamma, 6)) for pt in grid.points]
+    np.testing.assert_allclose(grid.betas, [0.1, 0.2, 0.3])
+    np.testing.assert_allclose(grid.gammas, [0.5, 0.6, 0.7])
+    for bi, gi in np.ndindex(3, 3):  # axis 0 is beta, axis 1 is gamma
+        assert grid.F_measured[bi, gi, 0] == pytest.approx(closed_form_cost_k2(grid.betas[bi], grid.gammas[gi]))
+    buffer = io.StringIO()
+    write_landscape_csv(grid, buffer)
+    coords = [(round(float(row.split(",")[0]), 6), round(float(row.split(",")[1]), 6))
+              for row in buffer.getvalue().splitlines()[1:]]
     assert coords == [
         (0.1, 0.5), (0.1, 0.6), (0.1, 0.7),
         (0.2, 0.5), (0.2, 0.6), (0.2, 0.7),
@@ -141,7 +151,6 @@ def test_measure_point_accuracy():
         assert abs(record.F_measured - record.F_ideal) <= 0.02
         assert 0.97 <= record.norm <= 1.03
         np.testing.assert_allclose(record.pops, POINT_POPS, atol=0.03)
-        assert record.abs_diff == abs(record.F_measured - record.F_ideal)
     # identical arguments reproduce identical results
     a = measure_point(cfg, POINT, 0, point_index=7)
     b = measure_point(cfg, POINT, 0, point_index=7)
@@ -172,46 +181,34 @@ def test_single_point_grid_equals_measure_point():
         realizations=2,
     )
     grid = run_scan(cfg)
-    assert len(grid.points) == 2
-    for realization, pt in enumerate(grid.points):
+    assert grid.F_measured.shape == (1, 1, 2)
+    for realization in range(2):
         direct = measure_point(cfg, QaoaParams.single(beta, gamma), realization, point_index=0)
-        assert pt.F_measured == direct.F_measured
-        assert pt.norm == direct.norm
-        np.testing.assert_array_equal(pt.pops, direct.pops)
+        assert grid.F_measured[0, 0, realization] == direct.F_measured
+        assert grid.norm[0, 0, realization] == direct.norm
+        assert grid.F_ideal[0, 0] == direct.F_ideal
+        np.testing.assert_array_equal(grid.pops[0, 0, realization], direct.pops)
+
+
+def landscape_of(F_measured, F_ideal):
+    """Grid over beta [0.1, ...] x gamma [0.5, ...] with the given [beta, gamma, realization] costs."""
+    F_measured = np.array(F_measured, dtype=float)
+    norm = np.where(np.isnan(F_measured), math.nan, 1.0)
+    return LandscapeGrid(
+        betas=0.1 * np.arange(1, F_measured.shape[0] + 1),
+        gammas=0.5 * np.arange(1, F_measured.shape[1] + 1),
+        F_measured=F_measured,
+        norm=norm,
+        pops=0.25 * norm[..., None].repeat(4, axis=-1),
+        F_ideal=np.array(F_ideal, dtype=float),
+        cost_range=1.0,
+    )
 
 
 def test_landscape_error_realization_averaging():
     # averaging happens at the cost level: +d and -d cancel before the absolute value
-    params = QaoaParams.single(0.1, 0.5)
-
-    def record(f_measured, realization):
-        return PointRecord(
-            params=params,
-            realization=realization,
-            pops=np.full(4, 0.25),
-            norm=1.0,
-            F_measured=f_measured,
-            F_ideal=-0.5,
-            abs_diff=abs(f_measured + 0.5),
-        )
-
-    grid = LandscapeGrid(
-        points=(record(-0.4, 0), record(-0.6, 1)),
-        betas=np.array([0.1]),
-        gammas=np.array([0.5]),
-        realizations=2,
-        cost_range=1.0,
-    )
-    assert landscape_error(grid) == 0.0
-
-    biased = LandscapeGrid(
-        points=(record(-0.4, 0), record(-0.3, 1)),
-        betas=np.array([0.1]),
-        gammas=np.array([0.5]),
-        realizations=2,
-        cost_range=1.0,
-    )
-    assert landscape_error(biased) == pytest.approx(0.15, abs=1e-12)
+    assert landscape_error(landscape_of([[[-0.4, -0.6]]], [[-0.5]])) == 0.0
+    assert landscape_error(landscape_of([[[-0.4, -0.3]]], [[-0.5]])) == pytest.approx(0.15, abs=1e-12)
 
 
 def test_landscape_error_zero_cost_range():
@@ -222,16 +219,29 @@ def test_landscape_error_zero_cost_range():
 
 
 def test_landscape_error_skips_invalid_points():
-    params = QaoaParams.single(0.1, 0.5)
-    good = PointRecord(params, 0, np.full(4, 0.25), 1.0, -0.45, -0.5, 0.05)
-    bad = PointRecord(
-        params, 1, np.full(4, math.nan), math.nan, math.nan, -0.5, math.nan, valid=False, error="degenerate"
-    )
-    grid = LandscapeGrid((good, bad), np.array([0.1]), np.array([0.5]), 2, 1.0)
+    nan = math.nan
+    grid = landscape_of([[[-0.45, nan]]], [[-0.5]])
+    np.testing.assert_array_equal(grid.valid, [[[True, False]]])
     assert landscape_error(grid) == pytest.approx(0.05, abs=1e-12)
-    all_bad = LandscapeGrid((bad,), np.array([0.1]), np.array([0.5]), 1, 1.0)
+    # a point with no valid realization drops out of the mean
+    assert landscape_error(landscape_of([[[-0.45, nan], [nan, nan]]], [[-0.5, -0.9]])) == pytest.approx(0.05, abs=1e-12)
     with pytest.raises(ValueError):
-        landscape_error(all_bad)
+        landscape_error(landscape_of([[[nan]]], [[-0.5]]))
+
+
+def test_realization_stats_match_numpy_on_valid_entries():
+    rng = np.random.default_rng(3)
+    for realizations in range(1, 8):
+        values = rng.normal(size=(realizations, 5, 3))
+        values[rng.random(values.shape[:2]) < 0.4] = math.nan  # whole rows invalid, as in a scan
+        mean, std = _realization_stats(values, 0)
+        for k, j in np.ndindex(5, 3):
+            good = values[:, k, j][np.isfinite(values[:, k, j])]
+            assert mean[k, j] == good.mean() if good.size else math.isnan(mean[k, j])
+            assert std[k, j] == good.std(ddof=1) if good.size > 1 else math.isnan(std[k, j])
+        moved_mean, moved_std = _realization_stats(np.moveaxis(values, 0, 2), 2)
+        np.testing.assert_array_equal(moved_mean, mean)
+        np.testing.assert_array_equal(moved_std, std)
 
 
 def test_optimize_ideal_k2_reaches_minimum():
@@ -393,7 +403,9 @@ def test_scan_with_stochastic_noise_stays_deterministic():
     )
     a = run_scan(cfg)
     b = run_scan(cfg)
-    assert [pt.F_measured for pt in a.points] == [pt.F_measured for pt in b.points]
+    assert a.F_measured.shape == (1, 1, 2)
+    np.testing.assert_array_equal(a.F_measured, b.F_measured)
+    np.testing.assert_array_equal(a.pops, b.pops)
 
 
 @pytest.mark.parametrize(
