@@ -5,10 +5,15 @@ the edge weight) with a transverse mixing layer (RX(2 beta) on every qubit),
 starting from the uniform superposition. A second builder expands each RZZ
 into the native CNOT - RZ - CNOT sequence; the two must agree up to global
 phase, which is one of the library's standing self-checks.
+
+``simulate_qaoa`` produces the exact ansatz state without building a circuit:
+one multiply by the cost-diagonal phase and n in-place RX butterflies per
+layer. The gate-level ``simulate(build_ansatz(...))`` stays as its reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,3 +128,32 @@ def simulate(circuit: Circuit) -> StateVector:
     for gate in circuit.gates:
         state = apply_gate(state, gate)
     return state
+
+
+def simulate_qaoa(costs: np.ndarray, params: QaoaParams) -> StateVector:
+    """Exact ansatz state from the cost diagonal ``costs = diagonal_costs(graph)``.
+
+    Starting from the uniform amplitude 2^(-n/2), each layer multiplies by
+    exp(-i gamma C), which is the product of the edge RZZ(gamma w) gates up to
+    the global phase e^(-i gamma W / 2) (W the total edge weight), then applies
+    RX(2 beta) to every qubit in place. Agrees with
+    ``simulate(build_ansatz(graph, params))`` up to global phase.
+    """
+    costs = np.asarray(costs, dtype=float)
+    size = costs.size
+    if costs.ndim != 1 or size < 2 or size & (size - 1):
+        raise ValueError(f"cost diagonal must have a power-of-two length >= 2, got shape {costs.shape}")
+    n = size.bit_length() - 1
+    amps = np.full(size, 2.0 ** (-0.5 * n), dtype=complex)
+    for beta, gamma in zip(params.betas, params.gammas):
+        amps *= np.exp(-1j * gamma * costs)
+        cos, minus_i_sin = math.cos(beta), -1j * math.sin(beta)
+        for q in range(n):
+            # axis 1 is qubit q: qubit 0 is the most significant bit of the index
+            pair = amps.reshape(1 << q, 2, -1)
+            lo, hi = pair[:, 0], pair[:, 1]
+            new_lo = cos * lo + minus_i_sin * hi
+            hi *= cos
+            hi += minus_i_sin * lo
+            lo[...] = new_lo
+    return StateVector(n, amps)

@@ -1,7 +1,9 @@
 """Cost-landscape scans, the shot-based measurement protocol, and optimization.
 
 A "point" is one (beta, gamma) grid cell evaluated either exactly (ideal mode)
-or through the full measurement pipeline (sampled mode): prepare the ansatz
+or through the full measurement pipeline (sampled mode). Exact points come
+from the QAOA-structured simulator ``simulate_qaoa`` on the cost diagonal,
+not from the gate-level circuit. A sampled point prepares the ansatz
 with each readout flip pattern, record mean photon counts, estimate the
 calibration empirically from basis-state preparations taken with the same shot
 budget, reconstruct populations, and score them against the diagonal cost.
@@ -36,12 +38,13 @@ from .circuits import (
     calibration_circuits,
     flip_patterns,
     simulate,
+    simulate_qaoa,
 )
 from .graph_problem import Graph, diagonal_costs
 from .noise import NoiseConfig, perturb_calibration, simulate_noisy
 from .readout import CalibrationTable, measure_circuit, sample_shots
-from .reconstruction import reconstruct
-from .statevector import expectation_diagonal, populations
+from .reconstruction import DegenerateCalibrationError, reconstruct
+from .statevector import populations
 
 DEFAULT_BETA_RANGE = (0.1 * math.pi, 0.6 * math.pi, 0.025 * math.pi)
 DEFAULT_GAMMA_RANGE = (0.1 * math.pi, 2.1 * math.pi, 0.05 * math.pi)
@@ -101,6 +104,8 @@ class ScanConfig:
     def __post_init__(self):
         if self.mode not in ("ideal", "sampled"):
             raise ValueError(f"mode must be 'ideal' or 'sampled', got {self.mode!r}")
+        if not isinstance(self.p, int) or isinstance(self.p, bool):
+            raise ValueError(f"p must be an integer, got {self.p!r}")
         if self.p < 1:
             raise ValueError("p must be at least 1")
         if self.shots < 1 or self.realizations < 1 or self.checkpoint_every < 1:
@@ -170,8 +175,7 @@ def closed_form_cost_k2(beta: float, gamma: float) -> float:
 
 def ideal_cost(graph: Graph, params: QaoaParams) -> float:
     """Expected cost of the exact ansatz state."""
-    state = simulate(build_ansatz(graph, params))
-    return expectation_diagonal(state, diagonal_costs(graph))
+    return _ideal_point(diagonal_costs(graph), params)[1]
 
 
 def measure_point(
@@ -193,17 +197,18 @@ def measure_point(
     """
     if config.mode != "sampled":
         raise ValueError("measure_point requires mode='sampled'")
-    graph = config.graph
-    diag = diagonal_costs(graph)
+    diag = diagonal_costs(config.graph)
     true_cal, streams = _point_streams(config, realization_index, point_index)
-    cal_records, flip_records, pops = _measure_subcircuits(config, params, true_cal, streams)
+    cal_records, flip_records, ideal_pops = _measure_subcircuits(config, params, true_cal, streams)
     empirical = np.array([record.running_mean for record in cal_records])
     means = np.array([record.running_mean for record in flip_records])
-    F_ideal = ideal_cost(graph, params) if pops is None else float(np.dot(pops, diag))
+    if ideal_pops is None:  # the measured sub-circuits carry noise
+        ideal_pops = populations(simulate_qaoa(diag, params))
+    F_ideal = float(np.dot(ideal_pops, diag))
     try:
         table = true_cal if config.exact_calibration else CalibrationTable(empirical)
         estimate = reconstruct(table, means)
-    except ValueError as exc:
+    except DegenerateCalibrationError as exc:
         nans = np.full(diag.size, math.nan)
         return PointRecord(nans, math.nan, math.nan, F_ideal, valid=False, error=str(exc))
     return PointRecord(estimate.pops, estimate.norm, float(np.dot(estimate.pops, diag)), F_ideal)
@@ -225,7 +230,7 @@ def run_scan(config: ScanConfig) -> LandscapeGrid:
     for bi, gi, r in np.ndindex(shape):
         params = QaoaParams((float(betas[bi]),) * config.p, (float(gammas[gi]),) * config.p)
         if config.mode == "ideal":
-            pops[bi, gi, r], F_ideal[bi, gi] = _ideal_point(config.graph, params, diag)
+            pops[bi, gi, r], F_ideal[bi, gi] = _ideal_point(diag, params)
             F_measured[bi, gi, r] = F_ideal[bi, gi]
             norm[bi, gi, r] = pops[bi, gi, r].sum()
         else:
@@ -384,7 +389,7 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
             try:
                 table = true_cal if config.exact_calibration else CalibrationTable(empirical[k])
                 estimate = reconstruct(table, means[k])
-            except ValueError:
+            except DegenerateCalibrationError:
                 continue
             pops_runs[realization, k] = estimate.pops
             norm_runs[realization, k] = estimate.norm
@@ -513,9 +518,9 @@ def _check_fields(section: dict, fields: dict, prefix: str) -> None:
             raise ValueError(f"field {prefix + name!r} has the wrong type {type(value).__name__}")
 
 
-def _ideal_point(graph: Graph, params: QaoaParams, diag: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact populations and cost at one point."""
-    pops = populations(simulate(build_ansatz(graph, params)))
+def _ideal_point(diag: np.ndarray, params: QaoaParams) -> tuple[np.ndarray, float]:
+    """Exact populations and cost at one point, from the structured simulator."""
+    pops = populations(simulate_qaoa(diag, params))
     return pops, float(np.dot(pops, diag))
 
 
@@ -537,7 +542,8 @@ def _realization_stats(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.nd
 
 
 def _format_10g(values) -> list[str]:
-    return [format(v, ".10g") for v in np.ravel(values)]
+    """Each value as ``format(v, ".10g")``; printf on Python floats gives the same bytes, faster."""
+    return ["%.10g" % v for v in np.ravel(values).tolist()]
 
 
 def _point_streams(config: ScanConfig, realization_index: int, point_index: int):

@@ -25,22 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bitstrings import index_to_bits
-from .readout import CalibrationTable
-
-DEGENERACY_TOLERANCE = 1e-9
-
-
-class DegenerateCalibrationError(ValueError):
-    """Raised when a Walsh coefficient of the calibration is too small to divide by."""
-
-    def __init__(self, t_label: str, value: float, tolerance: float):
-        self.t_label = t_label
-        self.value = float(value)
-        self.tolerance = float(tolerance)
-        super().__init__(
-            f"calibration is degenerate along parity t={t_label}: "
-            f"|c_t| = {abs(value):.3e} <= {tolerance:.3e}"
-        )
+# The error is defined next to CalibrationTable, which raises it too, and is
+# re-exported here where the reconstruction callers look for it.
+from .readout import DEGENERACY_TOLERANCE, CalibrationTable, DegenerateCalibrationError
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,7 @@ from nvqaoa.circuits import (
     calibration_circuits,
     flip_patterns,
     simulate,
+    simulate_qaoa,
 )
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.statevector import Gate, expectation_diagonal, fidelity, populations
@@ -181,3 +182,48 @@ def test_edgeless_graph_has_no_entanglers():
     g = Graph(3, np.zeros((3, 3)))
     circuit = build_ansatz_native(g, QaoaParams.single(0.3, 0.9))
     assert all(gate.kind in ("H", "RX") for gate in circuit.gates)
+
+
+def random_weighted_graph(rng, n):
+    edges = [(i, j, float(rng.uniform(0.1, 3.0))) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_structured_simulator_matches_gate_level_oracle(n, p):
+    rng = np.random.default_rng(1000 * n + p)
+    for graph in (random_weighted_graph(rng, n), Graph(n, np.zeros((n, n)))):
+        costs = diagonal_costs(graph)
+        total_weight = sum(w for _, _, w in graph.edges())
+        for _ in range(3):
+            params = QaoaParams(tuple(rng.uniform(-math.pi, math.pi, p)), tuple(rng.uniform(-math.pi, math.pi, p)))
+            fast = simulate_qaoa(costs, params)
+            gate = simulate(build_ansatz(graph, params))
+            native = simulate(build_ansatz_native(graph, params))
+            assert fast.num_qubits == n
+            assert fidelity(fast, gate) >= 1 - 1e-12
+            assert fidelity(fast, native) >= 1 - 1e-12
+            np.testing.assert_allclose(populations(fast), populations(gate), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(populations(fast), populations(native), rtol=0, atol=1e-12)
+            # the RZZ product is exp(-i gamma C) times the global phase e^(-i gamma W / 2) per layer
+            phase = np.exp(-0.5j * total_weight * sum(params.gammas))
+            np.testing.assert_allclose(gate.amplitudes, phase * fast.amplitudes, rtol=0, atol=1e-12)
+
+
+def test_structured_simulator_k2_closed_form():
+    costs = diagonal_costs(K2)
+    rng = np.random.default_rng(22)
+    for beta, gamma in rng.uniform(-2 * math.pi, 2 * math.pi, (50, 2)):
+        state = simulate_qaoa(costs, QaoaParams.single(beta, gamma))
+        assert expectation_diagonal(state, costs) == pytest.approx(closed_form(beta, gamma), abs=1e-12)
+    # at beta = pi/8, gamma = 3pi/2 the state is an equal superposition of the two cuts
+    pops = populations(simulate_qaoa(costs, QaoaParams.single(math.pi / 8, 1.5 * math.pi)))
+    np.testing.assert_allclose(pops, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
+
+
+def test_structured_simulator_rejects_bad_cost_diagonal():
+    params = QaoaParams.single(0.1, 0.2)
+    for costs in (np.zeros(1), np.zeros(3), np.zeros(6), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="power-of-two"):
+            simulate_qaoa(costs, params)

@@ -1,10 +1,12 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nvqaoa.circuits import QaoaParams, append_flips, build_ansatz, calibration_circuits, flip_patterns
+from nvqaoa import experiment
+from nvqaoa.circuits import QaoaParams, append_flips, build_ansatz, calibration_circuits, flip_patterns, simulate
 from nvqaoa.experiment import (
     DEFAULT_BETA_RANGE,
     DEFAULT_GAMMA_RANGE,
@@ -23,6 +25,7 @@ from nvqaoa.experiment import (
     scan_summary,
     write_convergence_csv,
     write_landscape_csv,
+    _format_10g,
     _measure_subcircuits,
     _point_streams,
     _realization_stats,
@@ -30,6 +33,7 @@ from nvqaoa.experiment import (
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import NoiseConfig
 from nvqaoa.readout import CalibrationTable, default_calibration, measure_circuit
+from nvqaoa.statevector import populations
 
 K2 = Graph.complete(2)
 K3 = Graph.complete(3)
@@ -102,6 +106,24 @@ def test_config_validation():
         ScanConfig(graph=K2, p=0)
     with pytest.raises(ValueError):
         ScanConfig(graph=K2, shots=0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, True, "2", None, np.float64(1.0)])
+def test_config_rejects_non_integer_p(p):
+    with pytest.raises(ValueError, match=r"\bp\b"):
+        ScanConfig(graph=K2, p=p)
+
+
+def test_ideal_scan_matches_gate_level_populations():
+    graph = Graph.from_edges(4, [(0, 1, 0.7), (1, 2, 1.3), (2, 3, 1.1), (0, 3, 0.9), (0, 2, 1.6)])
+    grid = run_scan(ScanConfig(graph=graph, p=2, beta_range=(0.1, 0.5, 0.2), gamma_range=(0.3, 1.5, 0.6)))
+    diag = diagonal_costs(graph)
+    for bi, gi in np.ndindex(grid.F_ideal.shape):
+        params = QaoaParams((float(grid.betas[bi]),) * 2, (float(grid.gammas[gi]),) * 2)
+        oracle = populations(simulate(build_ansatz(graph, params)))
+        np.testing.assert_allclose(grid.pops[bi, gi, 0], oracle, rtol=0, atol=1e-12)
+        assert grid.F_ideal[bi, gi] == pytest.approx(float(np.dot(oracle, diag)), abs=1e-12)
+        assert ideal_cost(graph, params) == grid.F_ideal[bi, gi]
 
 
 def test_ideal_scan_matches_closed_form_everywhere():
@@ -329,6 +351,44 @@ def test_convergence_final_checkpoint_matches_measure_point():
     assert profile.mean_norm[-1] == pytest.approx(np.mean([rec.norm for rec in records]), abs=1e-12)
 
 
+def test_all_zero_empirical_calibration_gives_invalid_point():
+    # intensities this dim record no photon in 2000 shots, so every empirical
+    # table entry is 0 and the table is degenerate along every parity
+    cfg = sampled_config(calibration=CalibrationTable(np.array([0.0, 0.0, 0.0, 1e-12])), shots=2_000)
+    record = measure_point(cfg, POINT)
+    assert not record.valid
+    assert "degenerate" in record.error
+    assert np.isnan(record.F_measured) and np.isnan(record.norm) and np.isnan(record.pops).all()
+    assert record.F_ideal == pytest.approx(POINT_F_IDEAL, abs=1e-12)
+    profile = convergence_profile(replace(cfg, realizations=2), POINT)
+    assert np.isnan(profile.mean_pops).all() and np.isnan(profile.mean_norm).all()
+
+
+def test_non_degenerate_reconstruction_error_propagates(monkeypatch):
+    def broken(calibration, means):
+        raise ValueError("not a calibration problem")
+
+    monkeypatch.setattr(experiment, "reconstruct", broken)
+    cfg = sampled_config(shots=2_000)
+    with pytest.raises(ValueError, match="not a calibration problem"):
+        measure_point(cfg, POINT)
+    with pytest.raises(ValueError, match="not a calibration problem"):
+        convergence_profile(cfg, POINT)
+
+
+def test_format_10g_matches_format_byte_for_byte():
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 2.2250738585072014e-308]
+    # values whose 11th significant digit is a 5: the rounding direction is decided by the binary tail
+    boundaries = [0.12345678905, 1.0000000005, 9.9999999995, 99999.999995, 1234567890.5, 12345678905.0, 2.5e-10]
+    boundaries += [np.nextafter(v, d) for v in boundaries for d in (-math.inf, math.inf)]
+    rng = np.random.default_rng(10)
+    randoms = list(rng.standard_normal(500) * 10.0 ** rng.integers(-20, 20, 500))
+    values = np.array(specials + boundaries + randoms)
+    assert _format_10g(values) == [format(v, ".10g") for v in values]
+    assert _format_10g(values[:15].reshape(5, 3)) == [format(v, ".10g") for v in values[:15]]
+    assert _format_10g(np.float64(-0.0)) == ["-0"]
+
+
 def test_convergence_requires_sampled_mode_and_enough_shots():
     with pytest.raises(ValueError):
         convergence_profile(ScanConfig(graph=K2, mode="ideal"), POINT)
@@ -449,4 +509,6 @@ def test_subcircuit_permutations_match_gate_level_oracle(n, noise):
         if noise is not None and noise.overrotation_frac:
             assert pops is None
         else:
-            assert float(np.dot(pops, diagonal_costs(graph))) == ideal_cost(graph, params)
+            # the sampled path reads the gate-level state; ideal_cost uses the structured simulator
+            np.testing.assert_array_equal(pops, populations(simulate(ansatz)))
+            assert float(np.dot(pops, diagonal_costs(graph))) == pytest.approx(ideal_cost(graph, params), abs=1e-12)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from nvqaoa import reconstruction
 from nvqaoa.circuits import Circuit, QaoaParams, build_ansatz
 from nvqaoa.graph_problem import Graph
 from nvqaoa.noise import NoiseConfig
 from nvqaoa.readout import (
     CalibrationTable,
+    DegenerateCalibrationError,
     ShotRecord,
     default_calibration,
     format_calibration,
@@ -37,8 +39,12 @@ def test_calibration_validation():
         CalibrationTable(np.array([5.0]))
     with pytest.raises(ValueError):
         CalibrationTable(np.array([1.0, -0.5]))
-    with pytest.raises(ValueError):
-        CalibrationTable(np.array([2.0, 2.0, 2.0, 2.0]))  # information-free
+    with pytest.raises(DegenerateCalibrationError, match="t=01"):
+        CalibrationTable(np.array([2.0, 2.0, 2.0, 2.0]))  # information-free: c_t = 0 for every t != 0
+    with pytest.raises(DegenerateCalibrationError, match="t=001"):
+        CalibrationTable(np.zeros(8))
+    assert reconstruction.DegenerateCalibrationError is DegenerateCalibrationError
+    assert issubclass(DegenerateCalibrationError, ValueError)
     assert CAL.num_qubits == 2
     with pytest.raises(ValueError):
         CAL.intensities[0] = 9.0
