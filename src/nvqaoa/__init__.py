@@ -21,7 +21,7 @@ from .reconstruction import (
     reconstruct,
     walsh_coefficients,
 )
-from .noise import NoiseConfig, simulate_noisy, trajectory_mean_populations, perturb_calibration
+from .noise import NoiseConfig, TrajectorySampler, simulate_noisy, trajectory_mean_populations, perturb_calibration
 from .experiment import (
     ConvergenceProfile,
     LandscapeGrid,

@@ -8,7 +8,8 @@ search), ``reconstruct`` (one-off population recovery from recorded means),
 Angles are accepted in radians ("1.5708") or as pi multiples ("0.5pi");
 ranges are START:STOP:STEP in either form. Exit codes: 0 success, 2 usage or
 malformed configuration, 3 degenerate calibration, 4 unreadable or unwritable
-files.
+files. Input errors become ``UsageError`` where the input is read; any other
+exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -208,9 +209,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def console_main() -> None:
@@ -221,24 +219,39 @@ def _config_dict_from_args(args) -> dict:
     """Resolve flags and files into the fully inlined manifest configuration."""
     if args.mode == "sampled" and not args.cal:
         raise UsageError("sampled mode requires --cal")
-    noise = None
-    if args.depolarizing or args.overrotation or args.phase_offset or args.cal_sigma:
-        noise = NoiseConfig(args.depolarizing, args.overrotation, args.phase_offset, args.cal_sigma, args.noise_seed)
-    config = ScanConfig(
-        graph=load_graph(args.graph),
-        p=args.p,
-        beta_range=parse_range(args.beta_range),
-        gamma_range=parse_range(args.gamma_range),
-        shots=args.shots,
-        realizations=args.realizations,
-        mode=args.mode,
-        noise=noise,
-        calibration=load_calibration(args.cal) if args.cal else None,
-        master_seed=_resolve_seed(args),
-        checkpoint_every=args.checkpoint_every,
-        exact_calibration=args.exact_calibration,
-    )
+    graph = _read_input(load_graph, args.graph)
+    calibration = _read_input(load_calibration, args.cal) if args.cal else None
+    beta_range, gamma_range = parse_range(args.beta_range), parse_range(args.gamma_range)
+    master_seed = _resolve_seed(args)
+    try:
+        noise = None
+        if args.depolarizing or args.overrotation or args.phase_offset or args.cal_sigma:
+            noise = NoiseConfig(args.depolarizing, args.overrotation, args.phase_offset, args.cal_sigma, args.noise_seed)
+        config = ScanConfig(
+            graph=graph,
+            p=args.p,
+            beta_range=beta_range,
+            gamma_range=gamma_range,
+            shots=args.shots,
+            realizations=args.realizations,
+            mode=args.mode,
+            noise=noise,
+            calibration=calibration,
+            master_seed=master_seed,
+            checkpoint_every=args.checkpoint_every,
+            exact_calibration=args.exact_calibration,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return config_to_dict(config)
+
+
+def _read_input(load, path):
+    """``load(path)``; malformed content is a usage error, while an unreadable file stays an OSError."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _prepare_out(out, force: bool, filenames: list[str]) -> Path:
@@ -350,7 +363,7 @@ def _run_optimize(cfg: ScanConfig, config: dict, options: dict, out, force: bool
 
 
 def _cmd_reconstruct(args) -> int:
-    calibration = load_calibration(args.cal)
+    calibration = _read_input(load_calibration, args.cal)
     path = Path(args.means)
     text = path.read_text()
     try:
@@ -368,15 +381,23 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    if args.mode != "sampled":
-        raise UsageError("convergence requires --mode sampled")
     config = _config_dict_from_args(args)
     options = {"beta": float(args.beta), "gamma": float(args.gamma)}
     return _run_convergence(config_from_dict(config), config, options, args.out, args.force)
 
 
 def _run_convergence(cfg: ScanConfig, config: dict, options: dict, out: str, force: bool) -> int:
-    params = QaoaParams((options["beta"],) * cfg.p, (options["gamma"],) * cfg.p)
+    if cfg.mode != "sampled":
+        raise UsageError("convergence requires --mode sampled")
+    if cfg.shots < cfg.checkpoint_every:
+        raise UsageError(
+            f"convergence needs at least one full checkpoint block: {cfg.shots} shots "
+            f"< checkpoint every {cfg.checkpoint_every}"
+        )
+    try:
+        params = QaoaParams((options["beta"],) * cfg.p, (options["gamma"],) * cfg.p)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     artifacts = ["convergence.csv", "summary.txt"]
     out_dir = _prepare_out(out, force, artifacts + ["manifest.txt"])
     started = time.perf_counter()

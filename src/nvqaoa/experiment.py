@@ -11,8 +11,10 @@ budget, reconstruct populations, and score them against the diagonal cost.
 Without a stochastic noise channel the ansatz is simulated once per point:
 each flip pattern only permutes its populations and each basis preparation is
 a delta vector, so all 2^(n+1) readouts sample from that one state. Under
-depolarizing noise every sub-circuit is simulated gate by gate, X gates
-included, with its own trajectories.
+depolarizing noise every sub-circuit, X gates included, gets its own
+trajectory per checkpoint block. A trajectory that draws no Pauli error reuses
+the sub-circuit's error-free state, computed once, and any other trajectory is
+simulated gate by gate from its first error on (``noise.TrajectorySampler``).
 
 Reproducibility contract: every (grid point, realization) derives its random
 substreams from ``SeedSequence(master_seed, spawn_key=(point_index,
@@ -40,7 +42,7 @@ from .circuits import (
     simulate,
     simulate_qaoa,
 )
-from .graph_problem import Graph, diagonal_costs
+from .graph_problem import MAX_VERTICES, Graph, diagonal_costs
 from .noise import NoiseConfig, perturb_calibration, simulate_noisy
 from .readout import CalibrationTable, measure_circuit, sample_shots
 from .reconstruction import DegenerateCalibrationError, reconstruct
@@ -108,6 +110,8 @@ class ScanConfig:
             raise ValueError(f"p must be an integer, got {self.p!r}")
         if self.p < 1:
             raise ValueError("p must be at least 1")
+        if self.graph.num_vertices > MAX_VERTICES:
+            raise ValueError(f"graph has {self.graph.num_vertices} vertices; scans are capped at {MAX_VERTICES}")
         if self.shots < 1 or self.realizations < 1 or self.checkpoint_every < 1:
             raise ValueError("shots, realizations and checkpoint_every must be positive")
         object.__setattr__(self, "beta_range", tuple(float(v) for v in self.beta_range))
@@ -123,6 +127,8 @@ class ScanConfig:
                     f"but the graph has {self.graph.num_vertices} vertices"
                 )
         object.__setattr__(self, "master_seed", int(self.master_seed))
+        if self.master_seed < 0:
+            raise ValueError(f"master seed must be nonnegative, got {self.master_seed}")
 
     def betas(self) -> np.ndarray:
         return grid_axis(self.beta_range)
@@ -140,7 +146,7 @@ class PointRecord:
     F_measured: float
     F_ideal: float
     valid: bool = True
-    error: str | None = None
+    error: DegenerateCalibrationError | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +199,8 @@ def measure_point(
     per-realization perturbation) is used to isolate shot noise.
 
     A degenerate empirical calibration makes the point invalid rather than
-    raising, so long scans survive unlucky draws.
+    raising, so long scans survive unlucky draws; ``error`` then holds the
+    ``DegenerateCalibrationError``.
     """
     if config.mode != "sampled":
         raise ValueError("measure_point requires mode='sampled'")
@@ -210,7 +217,7 @@ def measure_point(
         estimate = reconstruct(table, means)
     except DegenerateCalibrationError as exc:
         nans = np.full(diag.size, math.nan)
-        return PointRecord(nans, math.nan, math.nan, F_ideal, valid=False, error=str(exc))
+        return PointRecord(nans, math.nan, math.nan, F_ideal, valid=False, error=exc)
     return PointRecord(estimate.pops, estimate.norm, float(np.dot(estimate.pops, diag)), F_ideal)
 
 
@@ -271,12 +278,17 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine", refine_tole
     """Minimize the (measured or ideal) cost over the 2p angle coordinates.
 
     Both strategies start from the best point of the configured coarse grid
-    (all layers sharing each grid (beta, gamma); ties broken toward the
-    lexicographically smallest pair). ``grid_then_refine`` then runs
+    (all layers sharing each grid (beta, gamma)). The grid is walked in
+    (beta, gamma) order and a later point wins only with a strictly smaller
+    value, so exactly equal values keep the lexicographically smallest pair.
+    Optima that are tied only mathematically usually differ in the last ulp,
+    and then float rounding picks the winner. ``grid_then_refine`` then runs
     coordinate descent over all 2p coordinates, halving the steps until they
     drop below ``refine_tolerance`` radians; ``simplex`` hands the best grid
     point to Nelder-Mead. Sampled-mode evaluations consume consecutive point
-    indices of the master seed, so a given call sequence is reproducible.
+    indices of the master seed, so a given call sequence is reproducible; a
+    degenerate empirical calibration at any of them raises
+    ``DegenerateCalibrationError``.
     """
     if strategy not in ("grid_then_refine", "simplex"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -291,7 +303,7 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine", refine_tole
         else:
             record = measure_point(config, params, 0, point_index=next(eval_index))
             if not record.valid:
-                raise ValueError(f"measurement failed during optimization: {record.error}")
+                raise record.error
             value = record.F_measured
         trace.append((betas, gammas, value))
         return value

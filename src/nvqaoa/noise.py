@@ -10,6 +10,16 @@ Three gate-level knobs plus one readout knob:
 * ``phase_offset``: a fixed RZ on qubit 0 after every two-qubit gate, standing
   in for the phase the electron spin picks up during entangling operations.
 * ``calibration_sigma``: relative Gaussian jitter on the readout intensities.
+
+``simulate_noisy`` runs one trajectory gate by gate and is the reference.
+``TrajectorySampler`` produces the same trajectories for many generators of
+one circuit: it draws a trajectory's Pauli errors first, returns the cached
+error-free final state when none was drawn, and otherwise replays only the
+gates from the first error on, starting from the cached error-free state
+before that gate (the unravelling of Dalibard, Castin & Molmer, PRL 68, 580,
+1992: a trajectory leaves the error-free evolution only at its first jump).
+Both make the same draws and the same floating-point operations, so their
+states agree bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +62,8 @@ class NoiseConfig:
         if self.calibration_sigma < 0.0:
             raise ValueError("calibration_sigma must be nonnegative")
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def is_trivial(self) -> bool:
@@ -78,16 +90,7 @@ class NoiseConfig:
 
 def apply_noisy_gate(state: StateVector, gate: Gate, config: NoiseConfig, rng: np.random.Generator) -> StateVector:
     """One gate under the configured channels; rng is consumed only by the depolarizing draw."""
-    if config.overrotation_frac != 0.0 and gate.kind in ROTATION_KINDS:
-        gate = Gate(gate.kind, gate.targets, gate.angle * (1.0 + config.overrotation_frac))
-    state = apply_gate(state, gate)
-    if config.depolarizing_prob > 0.0:
-        for q in gate.targets:
-            if rng.random() < config.depolarizing_prob:
-                state = apply_matrix(state, _PAULI_CHOICES[rng.integers(3)], (q,))
-    if config.phase_offset != 0.0 and len(gate.targets) == 2:
-        state = apply_matrix(state, rz_matrix(config.phase_offset), (0,))
-    return state
+    return _noisy_step(state, gate, config, _draw_errors(gate, config, rng))
 
 
 def simulate_noisy(circuit, config: NoiseConfig, rng: np.random.Generator | None = None) -> StateVector:
@@ -104,6 +107,45 @@ def simulate_noisy(circuit, config: NoiseConfig, rng: np.random.Generator | None
     return state
 
 
+class TrajectorySampler:
+    """Noisy trajectories of one circuit that share its error-free prefix states.
+
+    ``sample(rng)`` returns ``observe`` of the state that
+    ``simulate_noisy(circuit, config, rng)`` would return, bit for bit, and
+    leaves ``rng`` in the same state. The error-free state before each gate is
+    computed once, on first need, and kept (up to one state vector per gate
+    plus one); ``observe`` of the error-free final state is
+    computed once too and the same object is returned for every trajectory
+    that draws no error, so callers must not modify it.
+    """
+
+    def __init__(self, circuit, config: NoiseConfig, observe=lambda state: state):
+        self.circuit = circuit
+        self.config = config
+        self.observe = observe
+        self._prefix = [init_zero(circuit.num_qubits)]  # error-free state before gate k
+        self._error_free = None
+
+    def sample(self, rng: np.random.Generator):
+        gates = self.circuit.gates
+        errors = [_draw_errors(gate, self.config, rng) for gate in gates]
+        first = next((k for k, drawn in enumerate(errors) if drawn), len(gates))
+        if first == len(gates):
+            if self._error_free is None:
+                self._error_free = self.observe(self._error_free_before(first))
+            return self._error_free
+        state = self._error_free_before(first)
+        for gate, drawn in zip(gates[first:], errors[first:]):
+            state = _noisy_step(state, gate, self.config, drawn)
+        return self.observe(state)
+
+    def _error_free_before(self, k: int) -> StateVector:
+        while len(self._prefix) <= k:
+            gate = self.circuit.gates[len(self._prefix) - 1]
+            self._prefix.append(_noisy_step(self._prefix[-1], gate, self.config, ()))
+        return self._prefix[k]
+
+
 def trajectory_mean_populations(circuit, config: NoiseConfig, num_trajectories: int, seed) -> np.ndarray:
     """Basis populations averaged over independent noisy trajectories.
 
@@ -113,9 +155,10 @@ def trajectory_mean_populations(circuit, config: NoiseConfig, num_trajectories: 
     if num_trajectories < 1:
         raise ValueError("need at least one trajectory")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    sampler = TrajectorySampler(circuit, config, populations)
     total = np.zeros(1 << circuit.num_qubits)
     for child in root.spawn(num_trajectories):
-        total += populations(simulate_noisy(circuit, config, np.random.default_rng(child)))
+        total += sampler.sample(np.random.default_rng(child))
     return total / num_trajectories
 
 
@@ -134,3 +177,26 @@ def perturb_calibration(table, sigma: float, seed):
     rng = np.random.default_rng(seed)
     factors = 1.0 + rng.normal(0.0, sigma, size=table.intensities.size)
     return CalibrationTable(np.maximum(table.intensities * factors, 0.0))
+
+
+def _draw_errors(gate: Gate, config: NoiseConfig, rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
+    """The depolarizing draws for one gate: (qubit, Pauli index) per hit; no draw when the channel is off."""
+    if config.depolarizing_prob == 0.0:
+        return ()
+    hits = []
+    for q in gate.targets:
+        if rng.random() < config.depolarizing_prob:
+            hits.append((q, int(rng.integers(3))))
+    return tuple(hits)
+
+
+def _noisy_step(state: StateVector, gate: Gate, config: NoiseConfig, errors) -> StateVector:
+    """One gate under the deterministic channels, with the drawn Pauli ``errors`` applied after it."""
+    if config.overrotation_frac != 0.0 and gate.kind in ROTATION_KINDS:
+        gate = Gate(gate.kind, gate.targets, gate.angle * (1.0 + config.overrotation_frac))
+    state = apply_gate(state, gate)
+    for q, pauli in errors:
+        state = apply_matrix(state, _PAULI_CHOICES[pauli], (q,))
+    if config.phase_offset != 0.0 and len(gate.targets) == 2:
+        state = apply_matrix(state, rz_matrix(config.phase_offset), (0,))
+    return state

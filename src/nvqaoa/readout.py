@@ -22,7 +22,7 @@ import numpy as np
 
 from ._bitstrings import all_bitstrings, bits_to_index, index_to_bits
 from .circuits import Circuit, simulate
-from .noise import NoiseConfig, simulate_noisy
+from .noise import NoiseConfig, TrajectorySampler, simulate_noisy
 from .statevector import populations as state_populations
 
 #: Example intensity table used throughout the tests: brighter states first.
@@ -143,9 +143,13 @@ def measure_circuit(
 
     Without stochastic noise the final populations are fixed, so this is
     ``sample_shots`` on the exact (or deterministically perturbed) state. With
-    a stochastic channel active, a fresh trajectory is simulated for every
+    a stochastic channel active, a fresh trajectory is drawn for every
     checkpoint block and its shots are drawn from that trajectory's
-    populations, mimicking slow drift between logging intervals. Substreams
+    populations, mimicking slow drift between logging intervals. Trajectories
+    come from one ``TrajectorySampler`` per call: a block whose trajectory
+    draws no Pauli error reuses the cached error-free state and its validated
+    populations, and any other block replays the circuit from its first
+    error only; the states equal ``simulate_noisy``'s bit for bit. Substreams
     are spawned per block from ``seed``, so results are independent of any
     outer scheduling.
     """
@@ -171,9 +175,11 @@ def measure_circuit(
     block_totals = np.zeros(num_full, dtype=np.int64)
     tail = 0
     retained: list[np.ndarray] = []
+    trajectories = TrajectorySampler(
+        circuit, noise, lambda state: _validate_pops(state_populations(state), intensities.size, normalize=True)
+    )
     for k, size in enumerate(sizes):
-        trajectory = simulate_noisy(circuit, noise, np.random.default_rng(children[2 * k]))
-        p = _validate_pops(state_populations(trajectory), intensities.size, normalize=True)
+        p = trajectories.sample(np.random.default_rng(children[2 * k]))
         rng = np.random.default_rng(children[2 * k + 1])
         if retain_counts:
             counts = _draw_shot_counts(rng, intensities, p, size)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import nvqaoa
+from nvqaoa import cli
 from nvqaoa.cli import (
     EXIT_DEGENERATE,
     EXIT_IO,
@@ -562,3 +563,85 @@ def test_invalid_noise_flag_rejected_before_output(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert not out.exists()
     capsys.readouterr()
+
+
+# --- usage errors come from the inputs, not from every ValueError ---
+
+
+def test_programming_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    def broken(config):
+        raise ValueError("an internal bug")
+
+    monkeypatch.setattr(cli, "run_scan", broken)
+    graph = write_k2(tmp_path)
+    argv = ["landscape", "--graph", graph, "--out", str(tmp_path / "out"), *SMALL_SCAN]
+    # the error propagates with its traceback instead of exiting 2
+    with pytest.raises(ValueError, match="an internal bug"):
+        main(argv)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("landscape", ["--cal", "@bad-cal"], "bad intensity"),
+        ("landscape", ["--cal", "@flat-cal"], "degenerate"),
+        ("landscape", ["--graph", "@big-graph"], "capped at 24"),
+        ("landscape", ["--realizations", "0"], "must be positive"),
+        ("landscape", ["--seed", "-1"], "nonnegative"),
+        ("landscape", ["--overrotation", "0.1", "--noise-seed", "-3"], "nonnegative"),
+        ("landscape", ["--p", "0"], "at least 1"),
+        ("reconstruct", ["--cal", "@bad-cal"], "bad intensity"),
+        ("convergence", ["--shots", "900", "--checkpoint-every", "1000"], "full checkpoint block"),
+        ("convergence", ["--beta", "inf"], "finite"),
+    ],
+)
+def test_bad_input_is_usage_error_before_output(tmp_path, capsys, command, extra, message):
+    files = {
+        "@bad-cal": ("bad-cal.txt", "00 5\n01 3\n10 2\n11 one\n"),
+        "@flat-cal": ("flat.txt", "00 2\n01 2\n10 2\n11 2\n"),
+        "@big-graph": ("big.txt", "n 25\n0 1\n"),
+    }
+    for key, (name, text) in files.items():
+        (tmp_path / name).write_text(text)
+    extra = [str(tmp_path / files[token][0]) if token in files else token for token in extra]
+    out = tmp_path / "out"
+    if command == "reconstruct":
+        means = tmp_path / "means.txt"
+        means.write_text("00 3\n01 3\n10 2\n11 1\n")
+        argv = ["reconstruct", "--means", str(means), "--cal", write_cal(tmp_path)]
+    else:
+        argv = [command, "--graph", write_k2(tmp_path), "--mode", "sampled", "--cal", write_cal(tmp_path),
+                "--shots", "1000", "--out", str(out)]
+        if command == "convergence":
+            argv += ["--beta", "0.15pi", "--gamma", "1.5pi"]
+        else:
+            argv += SMALL_SCAN
+    # later flags override earlier ones
+    assert main(argv + extra) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rerun_convergence_without_a_full_block_is_usage_error(tmp_path, capsys):
+    graph = write_k2(tmp_path)
+    first = tmp_path / "conv"
+    argv = ["convergence", "--graph", graph, "--cal", write_cal(tmp_path), "--beta", "0.15pi", "--gamma", "1.5pi",
+            "--shots", "1000", "--realizations", "1", "--out", str(first)]
+    assert main(argv) == EXIT_OK
+    manifest = json.loads((first / "manifest.txt").read_text())
+    manifest["config"]["shots"] = 400
+    (first / "manifest.txt").write_text(json.dumps(manifest))
+    out = tmp_path / "replay"
+    assert main(["rerun", "--manifest", str(first / "manifest.txt"), "--out", str(out)]) == EXIT_USAGE
+    assert "full checkpoint block" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_optimize_degenerate_measurement_exits_degenerate(tmp_path, capsys):
+    # intensities this dim record no photon, so the empirical calibration is all zero
+    cal = write_cal(tmp_path, intensities=(0.0, 0.0, 0.0, 1e-12))
+    code = main(["optimize", "--graph", write_k2(tmp_path), "--mode", "sampled", "--cal", cal,
+                 "--shots", "1000", *SMALL_SCAN])
+    assert code == EXIT_DEGENERATE
+    assert "degenerate" in capsys.readouterr().err

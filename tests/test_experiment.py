@@ -32,7 +32,7 @@ from nvqaoa.experiment import (
 )
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import NoiseConfig
-from nvqaoa.readout import CalibrationTable, default_calibration, measure_circuit
+from nvqaoa.readout import CalibrationTable, DegenerateCalibrationError, default_calibration, measure_circuit
 from nvqaoa.statevector import populations
 
 K2 = Graph.complete(2)
@@ -298,6 +298,9 @@ def test_optimize_edgeless_graph():
     edgeless = Graph(2, np.zeros((2, 2)))
     result = optimize(ScanConfig(graph=edgeless, mode="ideal", beta_range=(0.1, 0.2, 0.1), gamma_range=(0.1, 0.2, 0.1)))
     assert result.best_F == pytest.approx(0.0, abs=1e-12)
+    # every F is exactly 0.0, so no later grid point beats the first pair
+    assert {entry[2] for entry in result.trace} == {0.0}
+    assert result.best_params == QaoaParams.single(0.1, 0.1)
 
 
 def test_optimize_rejects_unknown_strategy():
@@ -357,7 +360,7 @@ def test_all_zero_empirical_calibration_gives_invalid_point():
     cfg = sampled_config(calibration=CalibrationTable(np.array([0.0, 0.0, 0.0, 1e-12])), shots=2_000)
     record = measure_point(cfg, POINT)
     assert not record.valid
-    assert "degenerate" in record.error
+    assert isinstance(record.error, DegenerateCalibrationError) and "degenerate" in str(record.error)
     assert np.isnan(record.F_measured) and np.isnan(record.norm) and np.isnan(record.pops).all()
     assert record.F_ideal == pytest.approx(POINT_F_IDEAL, abs=1e-12)
     profile = convergence_profile(replace(cfg, realizations=2), POINT)

@@ -3,11 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from nvqaoa.circuits import Circuit, QaoaParams, build_ansatz, simulate
+from nvqaoa import readout
+from nvqaoa.circuits import Circuit, QaoaParams, append_flips, build_ansatz, simulate
 from nvqaoa.graph_problem import Graph, diagonal_costs
-from nvqaoa.noise import NoiseConfig, apply_noisy_gate, perturb_calibration, simulate_noisy, trajectory_mean_populations
-from nvqaoa.readout import CalibrationTable, default_calibration
-from nvqaoa.statevector import Gate, apply_gate, apply_matrix, init_zero, populations, rz_matrix
+from nvqaoa.noise import (
+    NoiseConfig,
+    TrajectorySampler,
+    apply_noisy_gate,
+    perturb_calibration,
+    simulate_noisy,
+    trajectory_mean_populations,
+)
+from nvqaoa.readout import CalibrationTable, default_calibration, measure_circuit
+from nvqaoa.statevector import (
+    PAULI_MATRICES,
+    ROTATION_KINDS,
+    Gate,
+    apply_gate,
+    apply_matrix,
+    gate_matrix,
+    init_zero,
+    populations,
+    rz_matrix,
+)
 
 K2 = Graph.complete(2)
 
@@ -145,3 +163,170 @@ def test_perturbed_table_is_valid_calibration():
     perturbed = perturb_calibration(cal, 0.02, seed=11)
     assert isinstance(perturbed, CalibrationTable)
     assert perturbed.num_qubits == 2
+
+
+# --- the trajectory sampler against the gate-by-gate oracle ---
+
+DEPOLARIZING = (0.0, 0.01, 0.3, 1.0)
+
+
+def random_circuit(n, rng, num_gates=14):
+    """Random gates drawn from every kind the simulator knows."""
+    kinds = ["H", "X", "RX", "RY", "RZ"] + (["RZZ", "CNOT"] if n > 1 else [])
+    gates = []
+    for _ in range(num_gates):
+        kind = kinds[rng.integers(len(kinds))]
+        targets = tuple(rng.choice(n, 2, replace=False)) if kind in ("RZZ", "CNOT") else (int(rng.integers(n)),)
+        angle = float(rng.uniform(-math.pi, 2 * math.pi)) if kind in ROTATION_KINDS else None
+        gates.append(Gate(kind, targets, angle))
+    return Circuit(n, tuple(gates))
+
+
+def noise_config(prob, deterministic):
+    if deterministic:
+        return NoiseConfig(depolarizing_prob=prob, overrotation_frac=0.06, phase_offset=-0.4)
+    return NoiseConfig(depolarizing_prob=prob)
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("prob", DEPOLARIZING)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trajectory_sampler_matches_gate_level_oracle(n, prob, deterministic):
+    config = noise_config(prob, deterministic)
+    circuit = random_circuit(n, np.random.default_rng(100 * n + int(1000 * prob)))
+    sampler = TrajectorySampler(circuit, config)
+    states = []
+    for seed in range(60):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        states.append(sampler.sample(rng))
+        expected = simulate_noisy(circuit, config, twin)
+        np.testing.assert_array_equal(states[-1].amplitudes, expected.amplitudes)
+        assert rng.bit_generator.state == twin.bit_generator.state
+    # every error-free trajectory is the one cached state; the others are replays
+    error_free = sum(state is sampler._error_free for state in states)
+    if prob == 0.0:
+        assert error_free == 60
+    elif prob == 0.01:
+        assert 0 < error_free < 60  # both paths taken
+    elif prob == 1.0:
+        assert error_free == 0
+
+
+def reference_record(circuit, calibration, num_shots, seed, checkpoint_every, config, retain_counts):
+    """The stochastic branch of measure_circuit, one simulate_noisy trajectory per block."""
+    num_full, remainder = divmod(num_shots, checkpoint_every)
+    sizes = [checkpoint_every] * num_full + ([remainder] if remainder else [])
+    children = np.random.SeedSequence(seed).spawn(2 * len(sizes))
+    intensities = calibration.intensities
+    totals, retained = [], []
+    for k, size in enumerate(sizes):
+        state = simulate_noisy(circuit, config, np.random.default_rng(children[2 * k]))
+        p = readout._validate_pops(populations(state), intensities.size, normalize=True)
+        rng = np.random.default_rng(children[2 * k + 1])
+        if retain_counts:
+            retained.append(readout._draw_shot_counts(rng, intensities, p, size))
+            totals.append(int(retained[-1].sum()))
+        else:
+            totals.append(int(rng.poisson(rng.multinomial(size, p) * intensities).sum()))
+    block_totals = np.array(totals[:num_full], dtype=np.int64)
+    counts = np.concatenate(retained) if retain_counts else None
+    return readout._assemble_record(block_totals, sum(totals[num_full:]), num_shots, checkpoint_every, counts)
+
+
+@pytest.mark.parametrize("retain_counts", [False, True])
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("prob", [p for p in DEPOLARIZING if p > 0.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stochastic_measure_circuit_matches_simulate_noisy_loop(n, prob, deterministic, retain_counts):
+    config = noise_config(prob, deterministic)
+    circuit = random_circuit(n, np.random.default_rng(7 * n + int(100 * prob)), num_gates=10)
+    calibration = CalibrationTable(np.linspace(4.0, 0.5, 1 << n))
+    # 11 full blocks and a 70-shot tail
+    record = measure_circuit(circuit, calibration, 2270, 31, 200, config, retain_counts)
+    expected = reference_record(circuit, calibration, 2270, 31, 200, config, retain_counts)
+    assert record.num_shots == expected.num_shots
+    assert record.running_mean == expected.running_mean
+    np.testing.assert_array_equal(record.checkpoints, expected.checkpoints)
+    if retain_counts:
+        np.testing.assert_array_equal(record.counts, expected.counts)
+    else:
+        assert record.counts is None and expected.counts is None
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("prob", DEPOLARIZING)
+def test_trajectory_mean_matches_simulate_noisy_loop(prob, deterministic):
+    config = noise_config(prob, deterministic)
+    circuit = append_flips(build_ansatz(Graph.complete(3), QaoaParams((0.4, 0.9), (1.1, 2.3))), "101")
+    num_trajectories = 150
+    expected = np.zeros(8)
+    for child in np.random.SeedSequence(21).spawn(num_trajectories):
+        expected += populations(simulate_noisy(circuit, config, np.random.default_rng(child)))
+    expected /= num_trajectories
+    np.testing.assert_array_equal(trajectory_mean_populations(circuit, config, num_trajectories, 21), expected)
+
+
+# --- trajectory averages against the depolarizing channel on density matrices ---
+
+
+def embed(matrix, targets, n):
+    """The 2^n x 2^n operator acting as ``matrix`` on ``targets`` (qubit 0 is the most significant bit)."""
+    dim = 1 << n
+
+    def bits(s, qubits):
+        return sum(((s >> (n - 1 - q)) & 1) << (len(qubits) - 1 - k) for k, q in enumerate(qubits))
+
+    others = [q for q in range(n) if q not in targets]
+    full = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            if bits(i, others) == bits(j, others):
+                full[i, j] = matrix[bits(i, targets), bits(j, targets)]
+    return full
+
+
+def density_matrix_populations(circuit, config):
+    """Exact channel average: after each gate, rho -> (1-p) rho + (p/3) sum_P P rho P on each touched qubit."""
+    n = circuit.num_qubits
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+    prob = config.depolarizing_prob
+
+    def conjugate(rho, matrix, targets):
+        full = embed(matrix, targets, n)
+        return full @ rho @ full.conj().T
+
+    for gate in circuit.gates:
+        if gate.kind in ROTATION_KINDS:
+            gate = Gate(gate.kind, gate.targets, gate.angle * (1.0 + config.overrotation_frac))
+        rho = conjugate(rho, gate_matrix(gate), gate.targets)
+        for q in gate.targets:
+            flipped = sum(conjugate(rho, PAULI_MATRICES[name], (q,)) for name in "XYZ")
+            rho = (1.0 - prob) * rho + (prob / 3.0) * flipped
+        if len(gate.targets) == 2:
+            rho = conjugate(rho, rz_matrix(config.phase_offset), (0,))
+    return rho.diagonal().real
+
+
+def test_density_matrix_oracle_is_the_exact_state_without_depolarizing():
+    circuit = random_circuit(3, np.random.default_rng(2))
+    for config in (NoiseConfig(), NoiseConfig(overrotation_frac=0.06, phase_offset=-0.4)):
+        exact = populations(simulate_noisy(circuit, config, np.random.default_rng(0)))
+        np.testing.assert_allclose(density_matrix_populations(circuit, config), exact, atol=1e-12)
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("prob", [0.02, 0.2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trajectory_mean_matches_density_matrix_oracle(n, prob, deterministic):
+    config = noise_config(prob, deterministic)
+    circuit = random_circuit(n, np.random.default_rng(50 + n), num_gates=8)
+    num_trajectories, seed = 2000, 17
+    mean = trajectory_mean_populations(circuit, config, num_trajectories, seed)
+    # the spread of single-trajectory populations, from the first 400 of the same trajectories
+    sampler = TrajectorySampler(circuit, config, populations)
+    children = np.random.SeedSequence(seed).spawn(num_trajectories)[:400]
+    samples = np.array([sampler.sample(np.random.default_rng(child)) for child in children])
+    stderr = samples.std(axis=0, ddof=1) / math.sqrt(num_trajectories)
+    exact = density_matrix_populations(circuit, config)
+    assert np.all(np.abs(mean - exact) <= 5.0 * stderr + 1e-12), (mean, exact, stderr)
