@@ -6,9 +6,12 @@ starting from the uniform superposition. A second builder expands each RZZ
 into the native CNOT - RZ - CNOT sequence; the two must agree up to global
 phase, which is one of the library's standing self-checks.
 
-``simulate_qaoa`` produces the exact ansatz state without building a circuit:
-one multiply by the cost-diagonal phase and n in-place RX butterflies per
-layer. The gate-level ``simulate(build_ansatz(...))`` stays as its reference.
+``simulate_qaoa`` produces the ansatz state without building a circuit: one
+multiply by the cost-diagonal phase and n in-place RX butterflies per layer.
+It folds in the deterministic noise channels (overrotation and phase offset),
+so it makes every deterministic ansatz state of a scan, exact or sampled. The
+gate-level ``simulate(build_ansatz(...))`` and
+``noise.simulate_noisy(build_ansatz(...))`` stay as its reference.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 
 from ._bitstrings import BitString, all_bitstrings, as_bit_array
 from .graph_problem import Graph
-from .statevector import Gate, StateVector, apply_gate, init_zero
+from .noise import NoiseConfig
+from .statevector import Gate, StateVector, apply_gate, init_zero, rz_matrix
 
 
 @dataclass(frozen=True)
@@ -130,23 +134,46 @@ def simulate(circuit: Circuit) -> StateVector:
     return state
 
 
-def simulate_qaoa(costs: np.ndarray, params: QaoaParams) -> StateVector:
-    """Exact ansatz state from the cost diagonal ``costs = diagonal_costs(graph)``.
+def simulate_qaoa(
+    costs: np.ndarray, params: QaoaParams, noise: NoiseConfig | None = None, num_edges: int | None = None
+) -> StateVector:
+    """Ansatz state from the cost diagonal ``costs = diagonal_costs(graph)``.
 
     Starting from the uniform amplitude 2^(-n/2), each layer multiplies by
     exp(-i gamma C), which is the product of the edge RZZ(gamma w) gates up to
     the global phase e^(-i gamma W / 2) (W the total edge weight), then applies
     RX(2 beta) to every qubit in place. Agrees with
     ``simulate(build_ansatz(graph, params))`` up to global phase.
+
+    ``noise`` folds in the deterministic channels, matching
+    ``simulate_noisy(build_ansatz(graph, params), noise)`` up to global phase:
+    overrotation scales every beta and gamma by 1 + frac, and the RZ(offset) on
+    qubit 0 after each of the ``num_edges = len(graph.edges())`` RZZ gates of a
+    layer becomes one diagonal RZ(num_edges * offset) next to the cost phase. A
+    phase offset without ``num_edges`` and a depolarizing channel raise
+    ValueError.
     """
     costs = np.asarray(costs, dtype=float)
     size = costs.size
     if costs.ndim != 1 or size < 2 or size & (size - 1):
         raise ValueError(f"cost diagonal must have a power-of-two length >= 2, got shape {costs.shape}")
+    scale, offset = 1.0, 0.0
+    if noise is not None:
+        if noise.is_stochastic:
+            raise ValueError("simulate_qaoa takes only deterministic noise; depolarizing needs trajectories")
+        if noise.phase_offset != 0.0 and num_edges is None:
+            raise ValueError("a phase offset needs num_edges, the number of two-qubit gates per layer")
+        scale, offset = 1.0 + noise.overrotation_frac, noise.phase_offset * (num_edges or 0)
+    # RZ on qubit 0, the most significant bit of the index: one phase per half
+    offset_phases = np.diagonal(rz_matrix(offset))[:, None]
     n = size.bit_length() - 1
     amps = np.full(size, 2.0 ** (-0.5 * n), dtype=complex)
     for beta, gamma in zip(params.betas, params.gammas):
+        beta, gamma = scale * beta, scale * gamma
         amps *= np.exp(-1j * gamma * costs)
+        if offset:
+            halves = amps.reshape(2, -1)
+            halves *= offset_phases
         cos, minus_i_sin = math.cos(beta), -1j * math.sin(beta)
         for q in range(n):
             # axis 1 is qubit q: qubit 0 is the most significant bit of the index

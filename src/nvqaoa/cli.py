@@ -3,7 +3,8 @@
 Subcommands: ``landscape`` (grid scan to CSV), ``optimize`` (parameter
 search), ``reconstruct`` (one-off population recovery from recorded means),
 ``convergence`` (checkpoint-resolved estimates at a single point) and
-``rerun`` (replay a manifest bit for bit).
+``rerun`` (replay a manifest bit for bit; only a manifest written by this
+version is accepted, since another version may write different bytes).
 
 Angles are accepted in radians ("1.5708") or as pi multiples ("0.5pi");
 ranges are START:STOP:STEP in either form. Exit codes: 0 success, 2 usage or
@@ -428,7 +429,12 @@ def _cmd_rerun(args) -> int:
     if not isinstance(data, dict):
         raise UsageError(f"{path}: not a valid manifest: expected a JSON object")
     try:
-        _check_fields(data, {"command": str, "config": dict, "options": dict}, "")
+        _check_fields(data, {"version": str, "command": str, "config": dict, "options": dict}, "")
+        if data["version"] != __version__:
+            raise ValueError(
+                f"field 'version' is {data['version']!r} but this is nvqaoa {__version__}; "
+                "rerun reproduces only manifests written by the same version"
+            )
         command, config, options = data["command"], data["config"], data["options"]
         if command not in _OPTION_FIELDS:
             raise ValueError(f"cannot rerun command {command!r}")

@@ -1,20 +1,23 @@
 """Cost-landscape scans, the shot-based measurement protocol, and optimization.
 
 A "point" is one (beta, gamma) grid cell evaluated either exactly (ideal mode)
-or through the full measurement pipeline (sampled mode). Exact points come
-from the QAOA-structured simulator ``simulate_qaoa`` on the cost diagonal,
-not from the gate-level circuit. A sampled point prepares the ansatz
-with each readout flip pattern, record mean photon counts, estimate the
-calibration empirically from basis-state preparations taken with the same shot
-budget, reconstruct populations, and score them against the diagonal cost.
+or through the full measurement pipeline (sampled mode). A sampled point
+prepares the ansatz with each readout flip pattern, records mean photon
+counts, estimates the calibration empirically from basis-state preparations
+taken with the same shot budget, reconstructs populations, and scores them
+against the diagonal cost.
 
-Without a stochastic noise channel the ansatz is simulated once per point:
-each flip pattern only permutes its populations and each basis preparation is
-a delta vector, so all 2^(n+1) readouts sample from that one state. Under
+Every deterministic ansatz state comes from the QAOA-structured simulator
+``simulate_qaoa`` on the cost diagonal: the exact state of ideal points and of
+``F_ideal``, and, with overrotation and phase offset folded in, the state a
+sampled point reads without a stochastic channel. That state is simulated
+once per point: each flip pattern only permutes its populations and each basis
+preparation is a delta vector, so all 2^(n+1) readouts sample from it. Under
 depolarizing noise every sub-circuit, X gates included, gets its own
-trajectory per checkpoint block. A trajectory that draws no Pauli error reuses
-the sub-circuit's error-free state, computed once, and any other trajectory is
-simulated gate by gate from its first error on (``noise.TrajectorySampler``).
+gate-level trajectory per checkpoint block. A trajectory that draws no Pauli
+error reuses the sub-circuit's error-free state, computed once, and any other
+is simulated gate by gate from its first error on
+(``noise.TrajectorySampler``).
 
 Reproducibility contract: every (grid point, realization) derives its random
 substreams from ``SeedSequence(master_seed, spawn_key=(point_index,
@@ -39,11 +42,13 @@ from .circuits import (
     build_ansatz,
     calibration_circuits,
     flip_patterns,
+    # unused here: perfbench's test_tracer_wraps_every_binding_and_restores_them
+    # checks that the tracer wraps this binding
     simulate,
     simulate_qaoa,
 )
 from .graph_problem import MAX_VERTICES, Graph, diagonal_costs
-from .noise import NoiseConfig, perturb_calibration, simulate_noisy
+from .noise import NoiseConfig, _check_integer, perturb_calibration
 from .readout import CalibrationTable, measure_circuit, sample_shots
 from .reconstruction import DegenerateCalibrationError, reconstruct
 from .statevector import populations
@@ -70,6 +75,7 @@ _CONFIG_FIELDS = {
     "calibration": (list, type(None)),
     "master_seed": int,
     "checkpoint_every": int,
+    "exact_calibration": bool,
 }
 
 
@@ -106,8 +112,8 @@ class ScanConfig:
     def __post_init__(self):
         if self.mode not in ("ideal", "sampled"):
             raise ValueError(f"mode must be 'ideal' or 'sampled', got {self.mode!r}")
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
-            raise ValueError(f"p must be an integer, got {self.p!r}")
+        for name in ("p", "shots", "realizations", "checkpoint_every", "master_seed"):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if self.p < 1:
             raise ValueError("p must be at least 1")
         if self.graph.num_vertices > MAX_VERTICES:
@@ -126,7 +132,6 @@ class ScanConfig:
                     f"calibration covers {self.calibration.num_qubits} qubit(s) "
                     f"but the graph has {self.graph.num_vertices} vertices"
                 )
-        object.__setattr__(self, "master_seed", int(self.master_seed))
         if self.master_seed < 0:
             raise ValueError(f"master seed must be nonnegative, got {self.master_seed}")
 
@@ -198,23 +203,21 @@ def measure_point(
     set, in which case the true generating table (including any
     per-realization perturbation) is used to isolate shot noise.
 
-    A degenerate empirical calibration makes the point invalid rather than
-    raising, so long scans survive unlucky draws; ``error`` then holds the
+    A degenerate calibration, empirical or perturbed into all-dark
+    intensities, makes the point invalid rather than raising, so long scans
+    survive unlucky draws; ``error`` then holds the
     ``DegenerateCalibrationError``.
     """
     if config.mode != "sampled":
         raise ValueError("measure_point requires mode='sampled'")
     diag = diagonal_costs(config.graph)
-    true_cal, streams = _point_streams(config, realization_index, point_index)
-    cal_records, flip_records, ideal_pops = _measure_subcircuits(config, params, true_cal, streams)
-    empirical = np.array([record.running_mean for record in cal_records])
-    means = np.array([record.running_mean for record in flip_records])
-    if ideal_pops is None:  # the measured sub-circuits carry noise
-        ideal_pops = populations(simulate_qaoa(diag, params))
-    F_ideal = float(np.dot(ideal_pops, diag))
+    F_ideal = float(np.dot(populations(simulate_qaoa(diag, params)), diag))
     try:
+        true_cal, streams = _point_streams(config, realization_index, point_index)
+        cal_records, flip_records = _measure_subcircuits(config, params, diag, true_cal, streams)
+        empirical = np.array([record.running_mean for record in cal_records])
         table = true_cal if config.exact_calibration else CalibrationTable(empirical)
-        estimate = reconstruct(table, means)
+        estimate = reconstruct(table, np.array([record.running_mean for record in flip_records]))
     except DegenerateCalibrationError as exc:
         nans = np.full(diag.size, math.nan)
         return PointRecord(nans, math.nan, math.nan, F_ideal, valid=False, error=exc)
@@ -391,9 +394,13 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     num_checkpoints = config.shots // config.checkpoint_every
     pops_runs = np.full((config.realizations, num_checkpoints, size), math.nan)
     norm_runs = np.full((config.realizations, num_checkpoints), math.nan)
+    diag = diagonal_costs(config.graph)
     for realization in range(config.realizations):
-        true_cal, streams = _point_streams(config, realization, point_index)
-        cal_records, flip_records, _ = _measure_subcircuits(config, params, true_cal, streams)
+        try:
+            true_cal, streams = _point_streams(config, realization, point_index)
+        except DegenerateCalibrationError:  # the perturbed table went all dark
+            continue
+        cal_records, flip_records = _measure_subcircuits(config, params, diag, true_cal, streams)
         # one row per checkpoint, one column per sub-circuit
         empirical = np.stack([record.checkpoints for record in cal_records], axis=1)
         means = np.stack([record.checkpoints for record in flip_records], axis=1)
@@ -515,7 +522,7 @@ def config_from_dict(data: dict) -> ScanConfig:
         calibration=calibration,
         master_seed=data["master_seed"],
         checkpoint_every=data["checkpoint_every"],
-        exact_calibration=data.get("exact_calibration", False),
+        exact_calibration=data["exact_calibration"],
     )
 
 
@@ -569,31 +576,34 @@ def _point_streams(config: ScanConfig, realization_index: int, point_index: int)
     return true_cal, streams[1:]
 
 
-def _measure_subcircuits(config: ScanConfig, params: QaoaParams, true_cal, streams):
+def _measure_subcircuits(config: ScanConfig, params: QaoaParams, diag: np.ndarray, true_cal, streams):
     """Measure the 2^n basis preparations and the 2^n flip variants of the ansatz.
 
-    Returns the calibration records, the flip records, and the ansatz
-    populations when they are noiseless (None otherwise).
+    Returns the calibration records and the flip records.
     """
     n = config.graph.num_vertices
     size = 1 << n
     noise = config.noise
     shots, every = config.shots, config.checkpoint_every
-    ansatz = build_ansatz(config.graph, params)
     if noise is not None and noise.is_stochastic:
         # The channel also acts on the appended X gates, and every sub-circuit
         # and block draws its own trajectory, so each one is simulated.
+        ansatz = build_ansatz(config.graph, params)
         circuits = calibration_circuits(n) + [append_flips(ansatz, pattern) for pattern in flip_patterns(n)]
         records = [measure_circuit(c, true_cal, shots, seed, every, noise) for c, seed in zip(circuits, streams)]
-        return records[:size], records[size:], None
-    gate_noise = noise is not None and (noise.overrotation_frac != 0.0 or noise.phase_offset != 0.0)
-    pops = populations(simulate_noisy(ansatz, noise) if gate_noise else simulate(ansatz))
+        return records[:size], records[size:]
+    pops = _sampled_state_pops(config, params, diag)
     # An X on qubit q flips bit n-1-q of the basis index, so flip pattern x
     # reads out pops[idx ^ x] and basis preparation s is the delta at s.
     idx = np.arange(size)
     readouts = list(np.eye(size)) + [pops[idx ^ x] for x in range(size)]
     records = [sample_shots(true_cal, p, shots, seed, every) for p, seed in zip(readouts, streams)]
-    return records[:size], records[size:], None if gate_noise else pops
+    return records[:size], records[size:]
+
+
+def _sampled_state_pops(config: ScanConfig, params: QaoaParams, diag: np.ndarray) -> np.ndarray:
+    """Populations of the ansatz state a point reads without a stochastic channel, deterministic noise included."""
+    return populations(simulate_qaoa(diag, params, config.noise, len(config.graph.edges())))
 
 
 def _write_text(destination, text: str) -> None:

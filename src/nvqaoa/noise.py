@@ -11,13 +11,16 @@ Three gate-level knobs plus one readout knob:
   in for the phase the electron spin picks up during entangling operations.
 * ``calibration_sigma``: relative Gaussian jitter on the readout intensities.
 
-``simulate_noisy`` runs one trajectory gate by gate and is the reference.
-``TrajectorySampler`` produces the same trajectories for many generators of
-one circuit: it draws a trajectory's Pauli errors first, returns the cached
-error-free final state when none was drawn, and otherwise replays only the
-gates from the first error on, starting from the cached error-free state
-before that gate (the unravelling of Dalibard, Castin & Molmer, PRL 68, 580,
-1992: a trajectory leaves the error-free evolution only at its first jump).
+The two deterministic channels, overrotation and phase offset, also fold into
+``circuits.simulate_qaoa``, which makes the ansatz state of a scan without a
+stochastic channel. ``simulate_noisy`` runs one trajectory gate by gate and is
+the reference for both. ``TrajectorySampler`` produces the same trajectories
+for many generators of one circuit: it draws a trajectory's Pauli errors first,
+returns the cached error-free final state when none was drawn, and otherwise
+replays only the gates from the first error on, starting from the cached
+error-free state before that gate (the unravelling of Dalibard, Castin &
+Molmer, PRL 68, 580, 1992: a trajectory leaves the error-free evolution only
+at its first jump).
 Both make the same draws and the same floating-point operations, so their
 states agree bit for bit.
 """
@@ -25,6 +28,7 @@ states agree bit for bit.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -61,7 +65,7 @@ class NoiseConfig:
             raise ValueError("depolarizing_prob must be in [0, 1]")
         if self.calibration_sigma < 0.0:
             raise ValueError("calibration_sigma must be nonnegative")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_integer("seed", self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -86,6 +90,13 @@ class NoiseConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseConfig":
         return cls(**data)
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; bool and non-integral values raise ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def apply_noisy_gate(state: StateVector, gate: Gate, config: NoiseConfig, rng: np.random.Generator) -> StateVector:

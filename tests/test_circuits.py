@@ -15,6 +15,7 @@ from nvqaoa.circuits import (
     simulate_qaoa,
 )
 from nvqaoa.graph_problem import Graph, diagonal_costs
+from nvqaoa.noise import NoiseConfig, simulate_noisy
 from nvqaoa.statevector import Gate, expectation_diagonal, fidelity, populations
 
 K2 = Graph.complete(2)
@@ -189,12 +190,22 @@ def random_weighted_graph(rng, n):
     return Graph.from_edges(n, edges)
 
 
+# the deterministic channels folded into simulate_qaoa: none, and overrotation
+# with a phase offset of either sign
+DETERMINISTIC_NOISE = (
+    None,
+    NoiseConfig(overrotation_frac=0.07, phase_offset=0.3),
+    NoiseConfig(overrotation_frac=-0.04, phase_offset=-0.45),
+)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_structured_simulator_matches_gate_level_oracle(n, p):
     rng = np.random.default_rng(1000 * n + p)
     for graph in (random_weighted_graph(rng, n), Graph(n, np.zeros((n, n)))):
         costs = diagonal_costs(graph)
+        num_edges = len(graph.edges())
         total_weight = sum(w for _, _, w in graph.edges())
         for _ in range(3):
             params = QaoaParams(tuple(rng.uniform(-math.pi, math.pi, p)), tuple(rng.uniform(-math.pi, math.pi, p)))
@@ -209,6 +220,13 @@ def test_structured_simulator_matches_gate_level_oracle(n, p):
             # the RZZ product is exp(-i gamma C) times the global phase e^(-i gamma W / 2) per layer
             phase = np.exp(-0.5j * total_weight * sum(params.gammas))
             np.testing.assert_allclose(gate.amplitudes, phase * fast.amplitudes, rtol=0, atol=1e-12)
+            for noise in DETERMINISTIC_NOISE:
+                folded = simulate_qaoa(costs, params, noise, num_edges)
+                oracle = simulate_noisy(build_ansatz(graph, params), noise or NoiseConfig())
+                assert fidelity(folded, oracle) >= 1 - 1e-12
+                np.testing.assert_allclose(populations(folded), populations(oracle), rtol=0, atol=1e-12)
+            with pytest.raises(ValueError, match="depolarizing"):
+                simulate_qaoa(costs, params, NoiseConfig(depolarizing_prob=0.01), num_edges)
 
 
 def test_structured_simulator_k2_closed_form():
@@ -227,3 +245,13 @@ def test_structured_simulator_rejects_bad_cost_diagonal():
     for costs in (np.zeros(1), np.zeros(3), np.zeros(6), np.zeros((2, 2))):
         with pytest.raises(ValueError, match="power-of-two"):
             simulate_qaoa(costs, params)
+
+
+def test_structured_simulator_needs_num_edges_for_a_phase_offset():
+    params = QaoaParams.single(0.1, 0.2)
+    with pytest.raises(ValueError, match="num_edges"):
+        simulate_qaoa(diagonal_costs(K2), params, NoiseConfig(phase_offset=0.1))
+    # overrotation alone does not depend on the edge count
+    folded = simulate_qaoa(diagonal_costs(K2), params, NoiseConfig(overrotation_frac=0.1))
+    oracle = simulate_noisy(build_ansatz(K2, params), NoiseConfig(overrotation_frac=0.1))
+    np.testing.assert_allclose(populations(folded), populations(oracle), rtol=0, atol=1e-12)

@@ -477,11 +477,12 @@ def test_rerun_rejects_malformed_manifest(tmp_path, capsys):
     for command, edit, field in INCOMPLETE_MANIFESTS:
         manifest = {
             "command": command,
+            "version": nvqaoa.__version__,
             "config": {
                 "graph": {"num_vertices": 2, "edges": [[0, 1, 1.0]]}, "p": 1,
                 "beta_range": [0.1, 0.2, 0.1], "gamma_range": [0.5, 0.6, 0.1], "shots": 1000,
                 "realizations": 1, "mode": "sampled", "noise": None, "calibration": [5.0, 3.0, 2.0, 1.0],
-                "master_seed": 1, "checkpoint_every": 500,
+                "master_seed": 1, "checkpoint_every": 500, "exact_calibration": False,
             },
             "options": {"landscape": {"svg": False}, "optimize": {"strategy": "simplex"},
                         "convergence": {"beta": 0.3, "gamma": 1.0}}[command],
@@ -506,7 +507,27 @@ INCOMPLETE_MANIFESTS = [
     ("optimize", lambda m: m["options"].update(strategy="anneal"), "options.strategy"),
     ("convergence", lambda m: m.update(options={"gamma": 1.0}), "options.beta"),
     ("convergence", lambda m: m["options"].update(gamma="0.5pi"), "options.gamma"),
+    ("landscape", lambda m: m["config"].pop("exact_calibration"), "config.exact_calibration"),
+    ("landscape", lambda m: m["config"].update(exact_calibration="no"), "config.exact_calibration"),
+    ("landscape", lambda m: m["config"].update(exact_calibration=1), "config.exact_calibration"),
+    ("landscape", lambda m: m.pop("version"), "version"),
+    ("landscape", lambda m: m.update(version="0.1.0"), "version"),
 ]
+
+
+def test_rerun_refuses_a_manifest_of_another_version(tmp_path, capsys):
+    first = run_small_sampled(tmp_path, "first")
+    manifest = json.loads((first / "manifest.txt").read_text())
+    assert manifest["version"] == nvqaoa.__version__
+    manifest["version"] = "0.1.0"
+    old = tmp_path / "old_manifest.txt"
+    old.write_text(json.dumps(manifest))
+    replay = tmp_path / "replay"
+    capsys.readouterr()
+    assert main(["rerun", "--manifest", str(old), "--out", str(replay)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'0.1.0'" in err and f"nvqaoa {nvqaoa.__version__}" in err, err
+    assert not replay.exists()
 
 
 def test_module_form_runs_the_cli():

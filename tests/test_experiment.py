@@ -29,9 +29,10 @@ from nvqaoa.experiment import (
     _measure_subcircuits,
     _point_streams,
     _realization_stats,
+    _sampled_state_pops,
 )
 from nvqaoa.graph_problem import Graph, diagonal_costs
-from nvqaoa.noise import NoiseConfig
+from nvqaoa.noise import NoiseConfig, simulate_noisy
 from nvqaoa.readout import CalibrationTable, DegenerateCalibrationError, default_calibration, measure_circuit
 from nvqaoa.statevector import populations
 
@@ -110,8 +111,16 @@ def test_config_validation():
 
 @pytest.mark.parametrize("p", [1.5, 2.0, True, "2", None, np.float64(1.0)])
 def test_config_rejects_non_integer_p(p):
+    # the same check guards every integer field of ScanConfig and NoiseConfig
     with pytest.raises(ValueError, match=r"\bp\b"):
         ScanConfig(graph=K2, p=p)
+    for field in ("shots", "realizations", "checkpoint_every", "master_seed"):
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            ScanConfig(graph=K2, **{field: p})
+    with pytest.raises(ValueError, match=r"\bseed\b"):
+        NoiseConfig(seed=p)
+    assert ScanConfig(graph=K2, shots=np.int64(1500)).shots == 1500
+    assert type(ScanConfig(graph=K2, master_seed=np.int64(7)).master_seed) is int
 
 
 def test_ideal_scan_matches_gate_level_populations():
@@ -367,6 +376,31 @@ def test_all_zero_empirical_calibration_gives_invalid_point():
     assert np.isnan(profile.mean_pops).all() and np.isnan(profile.mean_norm).all()
 
 
+def test_all_dark_perturbed_calibration_gives_invalid_realization():
+    # at master seed 1, sigma = 3 floors every intensity of the perturbed table
+    # of point 4, realization 3 at zero, so the generating table is degenerate
+    cfg = sampled_config(
+        shots=2_000, realizations=4, master_seed=1, noise=NoiseConfig(calibration_sigma=3.0),
+        beta_range=(0.1, 0.1, 0.1), gamma_range=(0.1, 0.5, 0.1),
+    )
+    record = measure_point(cfg, POINT, realization_index=3, point_index=4)
+    assert not record.valid
+    assert isinstance(record.error, DegenerateCalibrationError) and "t=01" in str(record.error)
+    assert np.isnan(record.F_measured) and np.isnan(record.norm) and np.isnan(record.pops).all()
+    assert record.F_ideal == pytest.approx(POINT_F_IDEAL, abs=1e-12)
+    # the scan keeps going, with only that realization invalid
+    grid = run_scan(cfg)
+    invalid = np.zeros(grid.F_measured.shape, dtype=bool)
+    invalid[0, 4, 3] = True
+    np.testing.assert_array_equal(~grid.valid, invalid)
+    # the profile skips the realization: it equals the profile of the other three
+    profile = convergence_profile(cfg, POINT, point_index=4)
+    three = convergence_profile(replace(cfg, realizations=3), POINT, point_index=4)
+    assert np.isfinite(profile.mean_pops).all()
+    np.testing.assert_array_equal(profile.mean_pops, three.mean_pops)
+    np.testing.assert_array_equal(profile.std_norm, three.std_norm)
+
+
 def test_non_degenerate_reconstruction_error_propagates(monkeypatch):
     def broken(calibration, means):
         raise ValueError("not a calibration problem")
@@ -493,11 +527,12 @@ def test_subcircuit_permutations_match_gate_level_oracle(n, noise):
         master_seed=int(rng.integers(1000)),
     )
     size = 1 << n
+    diag = diagonal_costs(graph)
     for trial in range(3):
         p = 1 + trial % 2
         params = QaoaParams(tuple(rng.uniform(0, math.pi, p)), tuple(rng.uniform(0, 2 * math.pi, p)))
         true_cal, streams = _point_streams(cfg, trial, trial)
-        cal_records, flip_records, pops = _measure_subcircuits(cfg, params, true_cal, streams)
+        cal_records, flip_records = _measure_subcircuits(cfg, params, diag, true_cal, streams)
         ansatz = build_ansatz(graph, params)
         oracle = [measure_circuit(circuit, true_cal, cfg.shots, streams[s], cfg.checkpoint_every, noise)
                   for s, circuit in enumerate(calibration_circuits(n))]
@@ -509,9 +544,9 @@ def test_subcircuit_permutations_match_gate_level_oracle(n, noise):
         for got, want in zip(cal_records + flip_records, oracle, strict=True):
             assert got.running_mean == want.running_mean
             np.testing.assert_array_equal(got.checkpoints, want.checkpoints)
-        if noise is not None and noise.overrotation_frac:
-            assert pops is None
-        else:
-            # the sampled path reads the gate-level state; ideal_cost uses the structured simulator
-            np.testing.assert_array_equal(pops, populations(simulate(ansatz)))
-            assert float(np.dot(pops, diagonal_costs(graph))) == pytest.approx(ideal_cost(graph, params), abs=1e-12)
+        # the point reads the structured state with the deterministic channels folded in
+        pops = _sampled_state_pops(cfg, params, diag)
+        oracle_pops = populations(simulate_noisy(ansatz, noise or NoiseConfig()))
+        np.testing.assert_allclose(pops, oracle_pops, rtol=0, atol=1e-12)
+        if noise is None or not (noise.overrotation_frac or noise.phase_offset):
+            assert float(np.dot(pops, diag)) == ideal_cost(graph, params)
