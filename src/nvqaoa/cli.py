@@ -264,19 +264,56 @@ def _prepare_out(out, force: bool, filenames: list[str]) -> Path:
     return out_dir
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _manifest(command: str, config: dict, options: dict, artifacts: list[str], duration: float) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "config": config,
-        "options": options,
-        "artifacts": artifacts,
-        "duration_seconds": duration,
-    }
+class _Outputs:
+    """A command's artifacts, each written to a temp file in the output directory.
+
+    Leaving the ``with`` block normally moves every temp file into place with
+    ``os.replace``, in the order written, so the manifest, written last, lands
+    last. An exception removes the temp files instead, so a failed run leaves
+    no artifact that would make the next run need --force.
+    """
+
+    def __init__(self, out_dir: Path):
+        self.out_dir = out_dir
+        self.started = time.perf_counter()
+        self._pending: list[tuple[Path, Path]] = []
+
+    def open(self, name: str):
+        temp = self.out_dir / f".{name}.tmp"
+        self._pending.append((temp, self.out_dir / name))
+        return temp.open("w")
+
+    def write(self, name: str, text: str) -> None:
+        with self.open(name) as handle:
+            handle.write(text)
+
+    def manifest(self, command: str, config: dict, options: dict, artifacts: list[str], evaluate_s: float) -> None:
+        """The manifest, timing the evaluation and the writing of the other artifacts."""
+        timings = {"evaluate_s": evaluate_s, "write_s": time.perf_counter() - self.started}
+        manifest = {
+            "command": command,
+            "version": __version__,
+            "config": config,
+            "options": options,
+            "artifacts": artifacts,
+            "duration_seconds": evaluate_s,
+            "timings": timings,
+        }
+        self.write("manifest.txt", _json_text(manifest))
+
+    def __enter__(self) -> "_Outputs":
+        return self
+
+    def __exit__(self, kind, value, traceback) -> None:
+        for temp, final in self._pending:
+            if kind is None:
+                os.replace(temp, final)
+            else:
+                temp.unlink(missing_ok=True)
 
 
 def _cmd_landscape(args) -> int:
@@ -293,12 +330,14 @@ def _run_landscape(cfg: ScanConfig, config: dict, options: dict, out: str, force
     started = time.perf_counter()
     grid = run_scan(cfg)
     duration = time.perf_counter() - started
-    write_landscape_csv(grid, out_dir / "landscape.csv")
     summary = scan_summary(grid, cfg)
-    _write_json(out_dir / "summary.txt", summary)
-    if options["svg"]:
-        (out_dir / "landscape.svg").write_text(_landscape_svg(grid))
-    _write_json(out_dir / "manifest.txt", _manifest("landscape", config, options, artifacts, duration))
+    with _Outputs(out_dir) as outputs:
+        with outputs.open("landscape.csv") as handle:
+            write_landscape_csv(grid, handle)
+        outputs.write("summary.txt", _json_text(summary))
+        if options["svg"]:
+            outputs.write("landscape.svg", _landscape_svg(grid))
+        outputs.manifest("landscape", config, options, artifacts, duration)
     invalid = summary["points_invalid"]
     total = summary["points_total"]
     if invalid > 0:
@@ -348,7 +387,6 @@ def _run_optimize(cfg: ScanConfig, config: dict, options: dict, out, force: bool
             row += [format(g, ".10g") for g in gammas]
             row.append(format(value, ".10g"))
             lines.append(",".join(row))
-        (out_dir / "trace.csv").write_text("\n".join(lines) + "\n")
         summary = {
             "best_betas": list(result.best_params.betas),
             "best_gammas": list(result.best_params.gammas),
@@ -358,8 +396,10 @@ def _run_optimize(cfg: ScanConfig, config: dict, options: dict, out, force: bool
             "best_cut_cost": report.best_cost,
             "config": config,
         }
-        _write_json(out_dir / "summary.txt", summary)
-        _write_json(out_dir / "manifest.txt", _manifest("optimize", config, options, artifacts, duration))
+        with _Outputs(out_dir) as outputs:
+            outputs.write("trace.csv", "\n".join(lines) + "\n")
+            outputs.write("summary.txt", _json_text(summary))
+            outputs.manifest("optimize", config, options, artifacts, duration)
     return EXIT_OK
 
 
@@ -404,7 +444,6 @@ def _run_convergence(cfg: ScanConfig, config: dict, options: dict, out: str, for
     started = time.perf_counter()
     profile = convergence_profile(cfg, params)
     duration = time.perf_counter() - started
-    write_convergence_csv(profile, out_dir / "convergence.csv")
     summary = {
         "checkpoints": int(profile.checkpoint_shots.size),
         "final_shots": int(profile.checkpoint_shots[-1]),
@@ -414,8 +453,11 @@ def _run_convergence(cfg: ScanConfig, config: dict, options: dict, out: str, for
         "config": config,
         "point": options,
     }
-    _write_json(out_dir / "summary.txt", summary)
-    _write_json(out_dir / "manifest.txt", _manifest("convergence", config, options, artifacts, duration))
+    with _Outputs(out_dir) as outputs:
+        with outputs.open("convergence.csv") as handle:
+            write_convergence_csv(profile, handle)
+        outputs.write("summary.txt", _json_text(summary))
+        outputs.manifest("convergence", config, options, artifacts, duration)
     print(f"wrote {out_dir / 'convergence.csv'} ({profile.checkpoint_shots.size} checkpoints)")
     return EXIT_OK
 

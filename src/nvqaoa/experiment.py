@@ -10,18 +10,21 @@ against the diagonal cost.
 Every deterministic ansatz state comes from the QAOA-structured simulator
 ``simulate_qaoa`` on the cost diagonal: the exact state of ideal points and of
 ``F_ideal``, and, with overrotation and phase offset folded in, the state a
-sampled point reads without a stochastic channel. That state is simulated
-once per point: each flip pattern only permutes its populations and each basis
-preparation is a delta vector, so all 2^(n+1) readouts sample from it. Under
-depolarizing noise every sub-circuit, X gates included, gets its own
-gate-level trajectory per checkpoint block. A trajectory that draws no Pauli
-error reuses the sub-circuit's error-free state, computed once, and any other
-is simulated gate by gate from its first error on
-(``noise.TrajectorySampler``).
+sampled point reads without a stochastic channel (without either channel it is
+the ``F_ideal`` state itself). That state is simulated once per point: each
+flip pattern only permutes its populations and each basis preparation is a
+delta vector, so the 2^(n+1) readouts are the rows of one matrix, and one
+multinomial and one Poisson call draw all their records
+(``readout.draw_totals``). Under depolarizing noise every sub-circuit, X gates
+included, is read by ``readout.measure_circuit`` with its own generator and a
+gate-level trajectory per checkpoint block (``noise.TrajectorySampler``).
 
 Reproducibility contract: every (grid point, realization) derives its random
 substreams from ``SeedSequence(master_seed, spawn_key=(point_index,
-realization_index))``, so results are independent of evaluation order.
+realization_index))``, so results are independent of evaluation order. Its
+children 0, 1 and 2 perturb the calibration, draw the records and split them
+into checkpoint blocks (``convergence_profile`` only), so the final checkpoint
+equals ``measure_point`` bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .circuits import (
 )
 from .graph_problem import MAX_VERTICES, Graph, diagonal_costs
 from .noise import NoiseConfig, _check_integer, perturb_calibration
-from .readout import CalibrationTable, measure_circuit, sample_shots
+from .readout import CalibrationTable, draw_totals, measure_circuit, split_totals
 from .reconstruction import DegenerateCalibrationError, reconstruct
 from .statevector import populations
 
@@ -197,7 +200,7 @@ def measure_point(
 ) -> PointRecord:
     """Run the full measurement protocol at one parameter point.
 
-    Per sub-circuit seeds are spawned from (master_seed, point_index,
+    The point's substreams are children of (master_seed, point_index,
     realization_index). The calibration used for reconstruction is estimated
     empirically from basis-state preparations unless ``exact_calibration`` is
     set, in which case the true generating table (including any
@@ -211,13 +214,15 @@ def measure_point(
     if config.mode != "sampled":
         raise ValueError("measure_point requires mode='sampled'")
     diag = diagonal_costs(config.graph)
-    F_ideal = float(np.dot(populations(simulate_qaoa(diag, params)), diag))
+    ideal_pops = populations(simulate_qaoa(diag, params))
+    F_ideal = float(np.dot(ideal_pops, diag))
     try:
-        true_cal, streams = _point_streams(config, realization_index, point_index)
-        cal_records, flip_records = _measure_subcircuits(config, params, diag, true_cal, streams)
-        empirical = np.array([record.running_mean for record in cal_records])
-        table = true_cal if config.exact_calibration else CalibrationTable(empirical)
-        estimate = reconstruct(table, np.array([record.running_mean for record in flip_records]))
+        true_cal, root = _point_streams(config, realization_index, point_index)
+        pops = _sampled_state_pops(config, params, diag, ideal_pops)
+        means, _ = _measure_subcircuits(config, params, true_cal, _child_seed(root, 1), pops)
+        size = diag.size
+        table = true_cal if config.exact_calibration else CalibrationTable(means[:size])
+        estimate = reconstruct(table, means[size:])
     except DegenerateCalibrationError as exc:
         nans = np.full(diag.size, math.nan)
         return PointRecord(nans, math.nan, math.nan, F_ideal, valid=False, error=exc)
@@ -381,8 +386,9 @@ class ConvergenceProfile:
 def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int = 0) -> ConvergenceProfile:
     """Reconstruct populations from the running means at every checkpoint.
 
-    Uses exactly the same substreams as :func:`measure_point`, so when
-    ``shots`` is a multiple of ``checkpoint_every`` the final checkpoint
+    Draws the same records on the same substream as :func:`measure_point` and
+    splits them into checkpoint blocks on a third (``readout.split_totals``), so
+    when ``shots`` is a multiple of ``checkpoint_every`` the final checkpoint
     reproduces that point's estimate. Standard deviations are sample standard
     deviations across realizations (NaN when fewer than two are valid).
     """
@@ -394,20 +400,19 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     num_checkpoints = config.shots // config.checkpoint_every
     pops_runs = np.full((config.realizations, num_checkpoints, size), math.nan)
     norm_runs = np.full((config.realizations, num_checkpoints), math.nan)
-    diag = diagonal_costs(config.graph)
+    pops = _sampled_state_pops(config, params, diagonal_costs(config.graph))
     for realization in range(config.realizations):
         try:
-            true_cal, streams = _point_streams(config, realization, point_index)
+            true_cal, root = _point_streams(config, realization, point_index)
         except DegenerateCalibrationError:  # the perturbed table went all dark
             continue
-        cal_records, flip_records = _measure_subcircuits(config, params, diag, true_cal, streams)
-        # one row per checkpoint, one column per sub-circuit
-        empirical = np.stack([record.checkpoints for record in cal_records], axis=1)
-        means = np.stack([record.checkpoints for record in flip_records], axis=1)
+        # one row per sub-circuit, one column per checkpoint
+        draws, split = _child_seed(root, 1), _child_seed(root, 2)
+        _, checkpoints = _measure_subcircuits(config, params, true_cal, draws, pops, split)
         for k in range(num_checkpoints):
             try:
-                table = true_cal if config.exact_calibration else CalibrationTable(empirical[k])
-                estimate = reconstruct(table, means[k])
+                table = true_cal if config.exact_calibration else CalibrationTable(checkpoints[:size, k])
+                estimate = reconstruct(table, checkpoints[size:, k])
             except DegenerateCalibrationError:
                 continue
             pops_runs[realization, k] = estimate.pops
@@ -566,44 +571,71 @@ def _format_10g(values) -> list[str]:
 
 
 def _point_streams(config: ScanConfig, realization_index: int, point_index: int):
-    """True calibration (possibly perturbed) plus one substream per sub-circuit."""
-    size = 1 << config.graph.num_vertices
+    """True calibration (possibly perturbed) and the root substream of a point.
+
+    Children 0, 1 and 2 of the root, SeedSequence(master_seed,
+    spawn_key=(point_index, realization_index)), perturb the table, draw the
+    records and split them into checkpoint blocks.
+    """
     root = np.random.SeedSequence(config.master_seed, spawn_key=(point_index, realization_index))
-    streams = root.spawn(1 + 2 * size)
     true_cal = config.calibration
     if config.noise is not None and config.noise.calibration_sigma > 0.0:
-        true_cal = perturb_calibration(true_cal, config.noise.calibration_sigma, streams[0])
-    return true_cal, streams[1:]
+        true_cal = perturb_calibration(true_cal, config.noise.calibration_sigma, _child_seed(root, 0))
+    return true_cal, root
 
 
-def _measure_subcircuits(config: ScanConfig, params: QaoaParams, diag: np.ndarray, true_cal, streams):
-    """Measure the 2^n basis preparations and the 2^n flip variants of the ansatz.
+def _child_seed(root: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
+    """Child k of ``root``, as ``root.spawn`` would make it on a fresh sequence, without changing ``root``."""
+    return np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (k,), pool_size=root.pool_size)
 
-    Returns the calibration records and the flip records.
+
+def _measure_subcircuits(config: ScanConfig, params: QaoaParams, true_cal, draws, pops, split=None):
+    """Read out the 2^n basis preparations and the 2^n flip variants of the ansatz.
+
+    ``pops`` is the state the point reads (``_sampled_state_pops``). Returns
+    every record's mean photon count, calibration records first, and, given a
+    ``split`` substream, the running means at each full checkpoint block with
+    one row per record (otherwise None).
     """
     n = config.graph.num_vertices
     size = 1 << n
-    noise = config.noise
     shots, every = config.shots, config.checkpoint_every
-    if noise is not None and noise.is_stochastic:
+    if pops is None:
         # The channel also acts on the appended X gates, and every sub-circuit
-        # and block draws its own trajectory, so each one is simulated.
+        # and block draws its own trajectory, so each one is simulated, one
+        # generator per record.
         ansatz = build_ansatz(config.graph, params)
         circuits = calibration_circuits(n) + [append_flips(ansatz, pattern) for pattern in flip_patterns(n)]
-        records = [measure_circuit(c, true_cal, shots, seed, every, noise) for c, seed in zip(circuits, streams)]
-        return records[:size], records[size:]
-    pops = _sampled_state_pops(config, params, diag)
+        records = [
+            measure_circuit(circuit, true_cal, shots, _child_seed(draws, k), every, config.noise)
+            for k, circuit in enumerate(circuits)
+        ]
+        checkpoints = np.array([record.checkpoints for record in records]) if split is not None else None
+        return np.array([record.running_mean for record in records]), checkpoints
     # An X on qubit q flips bit n-1-q of the basis index, so flip pattern x
     # reads out pops[idx ^ x] and basis preparation s is the delta at s.
     idx = np.arange(size)
-    readouts = list(np.eye(size)) + [pops[idx ^ x] for x in range(size)]
-    records = [sample_shots(true_cal, p, shots, seed, every) for p, seed in zip(readouts, streams)]
-    return records[:size], records[size:]
+    rows = np.concatenate([np.eye(size), pops[idx ^ idx[:, None]]])
+    occupations, totals = draw_totals(np.random.default_rng(draws), true_cal.intensities, rows, shots)
+    if split is None:
+        return totals / shots, None
+    blocks, _ = split_totals(np.random.default_rng(split), true_cal.intensities, occupations, totals, every)
+    return totals / shots, np.cumsum(blocks, axis=1) / (every * np.arange(1, blocks.shape[1] + 1))
 
 
-def _sampled_state_pops(config: ScanConfig, params: QaoaParams, diag: np.ndarray) -> np.ndarray:
-    """Populations of the ansatz state a point reads without a stochastic channel, deterministic noise included."""
-    return populations(simulate_qaoa(diag, params, config.noise, len(config.graph.edges())))
+def _sampled_state_pops(config: ScanConfig, params: QaoaParams, diag: np.ndarray, ideal_pops=None):
+    """Populations of the ansatz state a point reads, deterministic noise included.
+
+    That is ``ideal_pops`` when given and neither overrotation nor phase offset
+    is set. Under a stochastic channel there is no single state and this
+    returns None.
+    """
+    noise = config.noise
+    if noise is not None and noise.is_stochastic:
+        return None
+    if ideal_pops is not None and (noise is None or not (noise.overrotation_frac or noise.phase_offset)):
+        return ideal_pops
+    return populations(simulate_qaoa(diag, params, noise, len(config.graph.edges())))
 
 
 def _write_text(destination, text: str) -> None:

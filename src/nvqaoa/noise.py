@@ -13,16 +13,16 @@ Three gate-level knobs plus one readout knob:
 
 The two deterministic channels, overrotation and phase offset, also fold into
 ``circuits.simulate_qaoa``, which makes the ansatz state of a scan without a
-stochastic channel. ``simulate_noisy`` runs one trajectory gate by gate and is
-the reference for both. ``TrajectorySampler`` produces the same trajectories
-for many generators of one circuit: it draws a trajectory's Pauli errors first,
-returns the cached error-free final state when none was drawn, and otherwise
-replays only the gates from the first error on, starting from the cached
-error-free state before that gate (the unravelling of Dalibard, Castin &
-Molmer, PRL 68, 580, 1992: a trajectory leaves the error-free evolution only
-at its first jump).
-Both make the same draws and the same floating-point operations, so their
-states agree bit for bit.
+stochastic channel. ``simulate_noisy`` runs one trajectory gate by gate,
+drawing each gate's errors as it goes, and is the reference for both.
+``TrajectorySampler`` makes batches of trajectories of one circuit: it draws
+the Pauli errors of the whole batch in one call, gives every error-free
+trajectory the cached error-free final state, and replays any other only from
+its first error on, starting from the cached error-free state before that gate
+(the unravelling of Dalibard, Castin & Molmer, PRL 68, 580, 1992: a trajectory
+leaves the error-free evolution only at its first jump). A replay makes the
+same floating-point operations as a gate-by-gate run of the same errors, so
+their states agree bit for bit.
 """
 
 from __future__ import annotations
@@ -119,15 +119,14 @@ def simulate_noisy(circuit, config: NoiseConfig, rng: np.random.Generator | None
 
 
 class TrajectorySampler:
-    """Noisy trajectories of one circuit that share its error-free prefix states.
+    """Batches of noisy trajectories of one circuit that share its error-free prefix states.
 
-    ``sample(rng)`` returns ``observe`` of the state that
-    ``simulate_noisy(circuit, config, rng)`` would return, bit for bit, and
-    leaves ``rng`` in the same state. The error-free state before each gate is
-    computed once, on first need, and kept (up to one state vector per gate
-    plus one); ``observe`` of the error-free final state is
-    computed once too and the same object is returned for every trajectory
-    that draws no error, so callers must not modify it.
+    Every gate target is an error slot. ``draw_errors`` hits slot k of a
+    trajectory when its uniform draw u < p, with X, Y or Z as 3u/p falls in
+    [0, 1), [1, 2) or [2, 3): given u < p, u/p is uniform, so this is the
+    depolarizing law. ``replay`` computes the error-free states once, on first
+    need, and keeps them (up to one per gate plus one). Every error-free
+    trajectory gets the same observed object, so callers must not modify it.
     """
 
     def __init__(self, circuit, config: NoiseConfig, observe=lambda state: state):
@@ -136,19 +135,42 @@ class TrajectorySampler:
         self.observe = observe
         self._prefix = [init_zero(circuit.num_qubits)]  # error-free state before gate k
         self._error_free = None
+        targets = [gate.targets for gate in circuit.gates]
+        self._slot_gate = np.repeat(np.arange(len(targets)), [len(t) for t in targets])
+        self._slot_qubit = np.array([q for t in targets for q in t], dtype=int)
+
+    def draw_errors(self, rng: np.random.Generator, num: int) -> np.ndarray:
+        """Pauli index (0, 1, 2 for X, Y, Z; -1 for none) per trajectory and error slot; no draw at p = 0."""
+        prob = self.config.depolarizing_prob
+        if prob == 0.0:
+            return np.full((num, self._slot_gate.size), -1, dtype=np.int8)
+        u = rng.random((num, self._slot_gate.size))
+        return np.where(u < prob, np.minimum(3.0 * u / prob, 2.0).astype(np.int8), np.int8(-1))
+
+    def replay(self, errors: np.ndarray):
+        """``observe`` of the final state of one trajectory with the given row of ``draw_errors``."""
+        gates = self.circuit.gates
+        if errors.max(initial=-1) < 0:
+            if self._error_free is None:
+                self._error_free = self.observe(self._error_free_before(len(gates)))
+            return self._error_free
+        hit = np.flatnonzero(errors >= 0)
+        first = int(self._slot_gate[hit[0]])
+        state = self._error_free_before(first)
+        drawn = [[] for _ in gates]
+        for slot in hit:
+            drawn[self._slot_gate[slot]].append((int(self._slot_qubit[slot]), int(errors[slot])))
+        for gate, errors_here in zip(gates[first:], drawn[first:]):
+            state = _noisy_step(state, gate, self.config, errors_here)
+        return self.observe(state)
+
+    def sample_many(self, rng: np.random.Generator, num: int) -> list:
+        """``observe`` of ``num`` independent trajectories, all errors drawn in one call."""
+        return [self.replay(errors) for errors in self.draw_errors(rng, num)]
 
     def sample(self, rng: np.random.Generator):
-        gates = self.circuit.gates
-        errors = [_draw_errors(gate, self.config, rng) for gate in gates]
-        first = next((k for k, drawn in enumerate(errors) if drawn), len(gates))
-        if first == len(gates):
-            if self._error_free is None:
-                self._error_free = self.observe(self._error_free_before(first))
-            return self._error_free
-        state = self._error_free_before(first)
-        for gate, drawn in zip(gates[first:], errors[first:]):
-            state = _noisy_step(state, gate, self.config, drawn)
-        return self.observe(state)
+        """One trajectory: ``sample_many(rng, 1)[0]``."""
+        return self.sample_many(rng, 1)[0]
 
     def _error_free_before(self, k: int) -> StateVector:
         while len(self._prefix) <= k:
@@ -160,16 +182,16 @@ class TrajectorySampler:
 def trajectory_mean_populations(circuit, config: NoiseConfig, num_trajectories: int, seed) -> np.ndarray:
     """Basis populations averaged over independent noisy trajectories.
 
-    Each trajectory gets its own substream spawned from ``seed``, so the result
-    does not depend on evaluation order.
+    One generator made from ``seed`` draws every trajectory's errors in one
+    call (``TrajectorySampler.sample_many``); the sum runs in trajectory order.
     """
     if num_trajectories < 1:
         raise ValueError("need at least one trajectory")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     sampler = TrajectorySampler(circuit, config, populations)
     total = np.zeros(1 << circuit.num_qubits)
-    for child in root.spawn(num_trajectories):
-        total += sampler.sample(np.random.default_rng(child))
+    for pops in sampler.sample_many(np.random.default_rng(root), num_trajectories):
+        total += pops
     return total / num_trajectories
 
 

@@ -6,11 +6,16 @@ calibrated mean intensity of that state. Individual shots therefore do not
 identify s; all information sits in the running mean photon count, which
 converges to sum_s pops[s] * I_s.
 
-Sampling is deterministic given (calibration, populations, shot count,
-checkpoint cadence, retain flag, seed): the same arguments reproduce the same
-record bit for bit. The aggregate path and the retained per-shot path consume
-the seed differently but target the identical distribution, because a sum of
-independent Poisson counts over a multinomial occupation is itself Poisson.
+A record is drawn from its sufficient statistics: one multinomial for the
+basis-state occupations of all its shots and one Poisson for its photon total
+(``draw_totals``), which is exact because a sum of independent multinomials
+(Poissons) is multinomial (Poisson) again. ``split_totals`` splits records into
+checkpoint blocks by the exact conditional law of i.i.d. shots given those
+totals. ``sample_shots`` is the two for one row; ``retain_counts=True`` draws
+every shot instead and keeps the counts, the slow path both are checked
+against. Sampling is deterministic given its arguments and the seed: a
+``SeedSequence`` passed in is only read, never spawned from, so the same
+arguments reproduce the same record bit for bit.
 """
 
 from __future__ import annotations
@@ -108,26 +113,75 @@ def sample_shots(
 ) -> ShotRecord:
     """Simulate ``num_shots`` readout shots against fixed populations.
 
-    By default shots are aggregated block-by-block (fast, no per-shot storage);
-    ``retain_counts=True`` draws every shot individually and keeps the counts.
+    By default the record's totals are drawn once (``draw_totals``) and split
+    into checkpoint blocks afterwards (``split_totals``), both on one
+    generator; ``retain_counts=True`` draws every shot individually and keeps
+    the counts.
     """
     _check_shot_args(num_shots, checkpoint_every)
     p = _validate_pops(pops, calibration.intensities.size, normalize=True)
     rng = np.random.default_rng(_seed_sequence(seed))
     intensities = calibration.intensities
     if retain_counts:
-        counts = _draw_shot_counts(rng, intensities, p, num_shots)
-        return _record_from_counts(counts, checkpoint_every)
-    num_full, remainder = divmod(num_shots, checkpoint_every)
-    block_totals = np.zeros(num_full, dtype=np.int64)
-    if num_full:
-        occupation = rng.multinomial(checkpoint_every, p, size=num_full)
-        block_totals = rng.poisson(occupation * intensities).sum(axis=1)
-    tail = 0
-    if remainder:
-        occupation = rng.multinomial(remainder, p)
-        tail = int(rng.poisson(occupation * intensities).sum())
-    return _assemble_record(block_totals, tail, num_shots, checkpoint_every)
+        return _record_from_counts(_draw_shot_counts(rng, intensities, p, num_shots), checkpoint_every)
+    occupations, totals = draw_totals(rng, intensities, p[None], num_shots)
+    blocks, tails = split_totals(rng, intensities, occupations, totals, checkpoint_every)
+    return _assemble_record(blocks[0], int(tails[0]), num_shots, checkpoint_every)
+
+
+def draw_totals(
+    rng: np.random.Generator, intensities: np.ndarray, rows: np.ndarray, num_shots
+) -> tuple[np.ndarray, np.ndarray]:
+    """Occupations and photon totals of whole records, one record per row of populations.
+
+    Row r is read ``num_shots`` (an int, or one per row) times: its basis-state
+    occupations are one multinomial draw and its photon total one Poisson
+    draw with mean occupations . intensities. This is exactly the sum of the
+    per-shot counts, since a sum of independent multinomials (Poissons) with
+    common probabilities (any means) is multinomial (Poisson) again. Rows are
+    validated and renormalized like ``sample_shots``' populations.
+    """
+    p = _validate_pops(rows, intensities.size, normalize=True, rows=True)
+    occupations = rng.multinomial(num_shots, p)
+    return occupations, rng.poisson(occupations @ intensities)
+
+
+def split_totals(
+    rng: np.random.Generator,
+    intensities: np.ndarray,
+    occupations: np.ndarray,
+    totals: np.ndarray,
+    checkpoint_every: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split ``draw_totals``' records, all of one shot count, into checkpoint blocks exactly in distribution.
+
+    Given a record's occupations, its shots in time order are a uniformly
+    random arrangement of their states. So state by state, the shots of that
+    state fill a uniformly random subset of the slots still free, and their
+    numbers per block (a partial tail is the last cell) are multivariate
+    hypergeometric over the free slots per cell; the last state present takes
+    the slots left. Given the block occupations, the block counts are
+    independent Poissons with means L_b = occupations_b . intensities, so
+    their law given the total is multinomial(total, L_b / sum L). A record
+    with sum L = 0 has total 0 and gets no counts. Returns the full block
+    totals, shape (records, full blocks), and the tail totals.
+    """
+    num_shots = int(occupations[0].sum())
+    cells = _block_sizes(num_shots, checkpoint_every)
+    num_full = num_shots // checkpoint_every
+    means = np.zeros((len(occupations), cells.size))
+    for r, row in enumerate(occupations):
+        free = cells.copy()
+        *drawn_states, last = np.flatnonzero(row)
+        for s in drawn_states:
+            drawn = rng.multivariate_hypergeometric(free, row[s])
+            means[r] += drawn * intensities[s]
+            free -= drawn
+        means[r] += free * intensities[last]
+    total = means.sum(axis=1, keepdims=True)
+    p = np.divide(means, total, out=np.full_like(means, 1.0 / cells.size), where=total > 0)
+    counts = rng.multinomial(totals, p)
+    return counts[:, :num_full], counts[:, num_full:].sum(axis=1)
 
 
 def measure_circuit(
@@ -145,13 +199,10 @@ def measure_circuit(
     ``sample_shots`` on the exact (or deterministically perturbed) state. With
     a stochastic channel active, a fresh trajectory is drawn for every
     checkpoint block and its shots are drawn from that trajectory's
-    populations, mimicking slow drift between logging intervals. Trajectories
-    come from one ``TrajectorySampler`` per call: a block whose trajectory
-    draws no Pauli error reuses the cached error-free state and its validated
-    populations, and any other block replays the circuit from its first
-    error only; the states equal ``simulate_noisy``'s bit for bit. Substreams
-    are spawned per block from ``seed``, so results are independent of any
-    outer scheduling.
+    populations, mimicking slow drift between logging intervals. One generator
+    made from ``seed`` serves the record: ``TrajectorySampler`` draws all
+    blocks' Pauli errors in one call, and one ``draw_totals`` all blocks'
+    occupations and photon totals.
     """
     if circuit.num_qubits != calibration.num_qubits:
         raise ValueError(
@@ -168,32 +219,17 @@ def measure_circuit(
             calibration, state_populations(state), num_shots, root, checkpoint_every, retain_counts
         )
 
-    num_full, remainder = divmod(num_shots, checkpoint_every)
-    sizes = [checkpoint_every] * num_full + ([remainder] if remainder else [])
-    children = root.spawn(2 * len(sizes))
+    sizes = _block_sizes(num_shots, checkpoint_every)
+    num_full = num_shots // checkpoint_every
     intensities = calibration.intensities
-    block_totals = np.zeros(num_full, dtype=np.int64)
-    tail = 0
-    retained: list[np.ndarray] = []
-    trajectories = TrajectorySampler(
-        circuit, noise, lambda state: _validate_pops(state_populations(state), intensities.size, normalize=True)
-    )
-    for k, size in enumerate(sizes):
-        p = trajectories.sample(np.random.default_rng(children[2 * k]))
-        rng = np.random.default_rng(children[2 * k + 1])
-        if retain_counts:
-            counts = _draw_shot_counts(rng, intensities, p, size)
-            retained.append(counts)
-            total = int(counts.sum())
-        else:
-            occupation = rng.multinomial(size, p)
-            total = int(rng.poisson(occupation * intensities).sum())
-        if k < num_full:
-            block_totals[k] = total
-        else:
-            tail = total
-    counts = np.concatenate(retained) if retain_counts else None
-    return _assemble_record(block_totals, tail, num_shots, checkpoint_every, counts)
+    rng = np.random.default_rng(root)
+    trajectories = TrajectorySampler(circuit, noise, state_populations).sample_many(rng, sizes.size)
+    if retain_counts:
+        p = _validate_pops(trajectories, intensities.size, normalize=True, rows=True)
+        counts = np.concatenate([_draw_shot_counts(rng, intensities, *args) for args in zip(p, sizes)])
+        return _record_from_counts(counts, checkpoint_every)
+    _, totals = draw_totals(rng, intensities, trajectories, sizes)
+    return _assemble_record(totals[:num_full], int(totals[num_full:].sum()), num_shots, checkpoint_every)
 
 
 def parse_basis_values(text: str, value_name: str = "intensity", width: int | None = None) -> np.ndarray:
@@ -271,21 +307,33 @@ def _check_shot_args(num_shots: int, checkpoint_every: int) -> None:
         raise ValueError("checkpoint_every must be at least 1")
 
 
-def _validate_pops(pops, size: int, normalize: bool) -> np.ndarray:
+def _block_sizes(num_shots: int, checkpoint_every: int) -> np.ndarray:
+    """Shots per checkpoint block, a partial tail block last."""
+    num_full, remainder = divmod(num_shots, checkpoint_every)
+    return np.array([checkpoint_every] * num_full + ([remainder] if remainder else []))
+
+
+def _validate_pops(pops, size: int, normalize: bool, rows: bool = False) -> np.ndarray:
+    """Checked populations: one vector, or with ``rows`` one per row of a matrix.
+
+    ``normalize`` clips each to nonnegative values and rescales it to sum 1.
+    """
     p = np.asarray(pops, dtype=float)
-    if p.shape != (size,):
-        raise ValueError(f"populations must have shape ({size},), got {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if p.ndim != 1 + rows or p.shape[-1] != size:
+        expected = f"(rows, {size})" if rows else f"({size},)"
+        raise ValueError(f"populations must have shape {expected}, got {p.shape}")
+    if not np.isfinite(p).all():
         raise ValueError("populations must be finite")
-    if np.any(p < -_POPS_TOLERANCE):
+    if (p < -_POPS_TOLERANCE).any():
         raise ValueError(f"populations must be nonnegative within {_POPS_TOLERANCE}")
-    total = float(p.sum())
-    if abs(total - 1.0) > _POPS_TOLERANCE:
-        raise ValueError(f"populations must sum to 1 within {_POPS_TOLERANCE}, got {total}")
+    total = p.sum(axis=-1, keepdims=True)
+    off = np.abs(total - 1.0)
+    if (off > _POPS_TOLERANCE).any():
+        raise ValueError(f"populations must sum to 1 within {_POPS_TOLERANCE}, got {float(total.flat[off.argmax()])}")
     if not normalize:
         return p
     p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def _draw_shot_counts(rng: np.random.Generator, intensities: np.ndarray, p: np.ndarray, size: int) -> np.ndarray:

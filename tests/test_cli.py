@@ -515,6 +515,63 @@ INCOMPLETE_MANIFESTS = [
 ]
 
 
+def test_rerun_ignores_the_timings_block(tmp_path, capsys):
+    first = run_small_sampled(tmp_path, "timed")
+    manifest = json.loads((first / "manifest.txt").read_text())
+    timings = manifest["timings"]
+    assert set(timings) == {"evaluate_s", "write_s"}
+    assert timings["evaluate_s"] == manifest["duration_seconds"] > 0 and timings["write_s"] > 0
+    assert "timings" not in (first / "summary.txt").read_text()
+    for edited in ({"evaluate_s": "slow", "extra": [1]}, None):
+        manifest["timings"] = edited
+        if edited is None:
+            del manifest["timings"]
+        path = tmp_path / "edited_manifest.txt"
+        path.write_text(json.dumps(manifest))
+        replay = tmp_path / f"replay-{edited is None}"
+        assert main(["rerun", "--manifest", str(path), "--out", str(replay)]) == EXIT_OK
+        assert (first / "landscape.csv").read_bytes() == (replay / "landscape.csv").read_bytes()
+        assert (first / "summary.txt").read_bytes() == (replay / "summary.txt").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, extra, writer",
+    [
+        ("landscape", ["--svg"], "_landscape_svg"),
+        ("landscape", [], "_json_text"),
+        ("convergence", ["--beta", "0.15pi", "--gamma", "1.5pi"], "write_convergence_csv"),
+        ("optimize", [], "_json_text"),
+    ],
+)
+def test_failed_write_leaves_no_artifact(tmp_path, capsys, monkeypatch, command, extra, writer):
+    graph = write_k2(tmp_path)
+    cal = write_cal(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, "--graph", graph, "--mode", "sampled", "--cal", cal, "--shots", "2000",
+            "--realizations", "1", "--out", str(out), *SMALL_SCAN, *extra]
+    original = getattr(cli, writer)
+    calls = []
+
+    def failing(*args, **kwargs):
+        # fails after writing, with the artifacts so far in their temp files
+        original(*args, **kwargs)
+        calls.append(sorted(path.name for path in out.iterdir()))
+        raise RuntimeError("disk went away")
+
+    monkeypatch.setattr(cli, writer, failing)
+    with pytest.raises(RuntimeError, match="disk went away"):
+        main(argv)
+    assert calls[0] and all(name.startswith(".") and name.endswith(".tmp") for name in calls[0]), calls
+    assert list(out.iterdir()) == []
+    monkeypatch.setattr(cli, writer, original)
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    written = sorted(path.name for path in out.iterdir())
+    manifest = json.loads((out / "manifest.txt").read_text())
+    assert written == sorted(manifest["artifacts"] + ["manifest.txt"])
+
+
 def test_rerun_refuses_a_manifest_of_another_version(tmp_path, capsys):
     first = run_small_sampled(tmp_path, "first")
     manifest = json.loads((first / "manifest.txt").read_text())

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from nvqaoa import experiment
-from nvqaoa.circuits import QaoaParams, append_flips, build_ansatz, calibration_circuits, flip_patterns, simulate
+from nvqaoa.circuits import (
+    QaoaParams,
+    append_flips,
+    build_ansatz,
+    calibration_circuits,
+    flip_patterns,
+    simulate,
+    simulate_qaoa,
+)
 from nvqaoa.experiment import (
     DEFAULT_BETA_RANGE,
     DEFAULT_GAMMA_RANGE,
@@ -25,6 +33,7 @@ from nvqaoa.experiment import (
     scan_summary,
     write_convergence_csv,
     write_landscape_csv,
+    _child_seed,
     _format_10g,
     _measure_subcircuits,
     _point_streams,
@@ -32,8 +41,8 @@ from nvqaoa.experiment import (
     _sampled_state_pops,
 )
 from nvqaoa.graph_problem import Graph, diagonal_costs
-from nvqaoa.noise import NoiseConfig, simulate_noisy
-from nvqaoa.readout import CalibrationTable, DegenerateCalibrationError, default_calibration, measure_circuit
+from nvqaoa.noise import NoiseConfig, perturb_calibration, simulate_noisy
+from nvqaoa.readout import CalibrationTable, DegenerateCalibrationError, default_calibration, draw_totals, split_totals
 from nvqaoa.statevector import populations
 
 K2 = Graph.complete(2)
@@ -513,7 +522,8 @@ def test_scan_with_stochastic_noise_stays_deterministic():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_subcircuit_permutations_match_gate_level_oracle(n, noise):
     # One simulated state read out under index permutations and delta vectors
-    # must reproduce, bit for bit, every appended-X sub-circuit on the same streams.
+    # must reproduce, bit for bit, the records of the appended-X sub-circuits'
+    # gate-level populations fed through the same batched draw and split.
     rng = np.random.default_rng(100 + n)
     edges = [(i, j, float(rng.uniform(0.5, 1.5))) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7]
     graph = Graph.from_edges(n, edges or [(0, 1, 1.0)])
@@ -526,27 +536,66 @@ def test_subcircuit_permutations_match_gate_level_oracle(n, noise):
         noise=noise,
         master_seed=int(rng.integers(1000)),
     )
-    size = 1 << n
     diag = diagonal_costs(graph)
     for trial in range(3):
         p = 1 + trial % 2
         params = QaoaParams(tuple(rng.uniform(0, math.pi, p)), tuple(rng.uniform(0, 2 * math.pi, p)))
-        true_cal, streams = _point_streams(cfg, trial, trial)
-        cal_records, flip_records = _measure_subcircuits(cfg, params, diag, true_cal, streams)
-        ansatz = build_ansatz(graph, params)
-        oracle = [measure_circuit(circuit, true_cal, cfg.shots, streams[s], cfg.checkpoint_every, noise)
-                  for s, circuit in enumerate(calibration_circuits(n))]
-        oracle += [
-            measure_circuit(append_flips(ansatz, pattern), true_cal, cfg.shots, streams[size + x],
-                            cfg.checkpoint_every, noise)
-            for x, pattern in enumerate(flip_patterns(n))
-        ]
-        for got, want in zip(cal_records + flip_records, oracle, strict=True):
-            assert got.running_mean == want.running_mean
-            np.testing.assert_array_equal(got.checkpoints, want.checkpoints)
-        # the point reads the structured state with the deterministic channels folded in
+        true_cal, root = _point_streams(cfg, trial, trial)
+        draws, split = _child_seed(root, 1), _child_seed(root, 2)
         pops = _sampled_state_pops(cfg, params, diag)
+        means, checkpoints = _measure_subcircuits(cfg, params, true_cal, draws, pops, split)
+        ansatz = build_ansatz(graph, params)
+        circuits = calibration_circuits(n) + [append_flips(ansatz, pattern) for pattern in flip_patterns(n)]
+        rows = [populations(simulate(c) if noise is None else simulate_noisy(c, noise)) for c in circuits]
+        occupations, totals = draw_totals(np.random.default_rng(draws), true_cal.intensities, rows, cfg.shots)
+        blocks, tails = split_totals(np.random.default_rng(split), true_cal.intensities, occupations, totals, 1_000)
+        np.testing.assert_array_equal(means, totals / cfg.shots)
+        np.testing.assert_array_equal(checkpoints, np.cumsum(blocks, axis=1) / (1_000 * np.arange(1, 3)))
+        np.testing.assert_array_equal(blocks.sum(axis=1) + tails, totals)
+        # the point reads the structured state with the deterministic channels folded in
         oracle_pops = populations(simulate_noisy(ansatz, noise or NoiseConfig()))
         np.testing.assert_allclose(pops, oracle_pops, rtol=0, atol=1e-12)
         if noise is None or not (noise.overrotation_frac or noise.phase_offset):
             assert float(np.dot(pops, diag)) == ideal_cost(graph, params)
+
+
+@pytest.mark.parametrize(
+    "noise, calls",
+    [
+        (None, 1),
+        (NoiseConfig(calibration_sigma=0.05), 1),
+        (NoiseConfig(depolarizing_prob=0.02, overrotation_frac=0.05), 1),
+        (NoiseConfig(overrotation_frac=0.05), 2),
+        (NoiseConfig(phase_offset=0.1), 2),
+    ],
+    ids=["noiseless", "cal-sigma", "depolarizing", "overrotation", "phase-offset"],
+)
+def test_measure_point_simulates_one_noiseless_state(monkeypatch, noise, calls):
+    # F_ideal's state is the state the point reads unless a deterministic channel changes it
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return simulate_qaoa(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "simulate_qaoa", counting)
+    cfg = sampled_config(shots=2_000, noise=noise)
+    record = measure_point(cfg, POINT)
+    assert len(seen) == calls
+    assert record.valid and record.F_ideal == pytest.approx(POINT_F_IDEAL, abs=1e-12)
+    seen.clear()
+    convergence_profile(replace(cfg, realizations=3), POINT)
+    assert len(seen) == (noise is None or not noise.is_stochastic)  # one state for every realization
+
+
+def test_point_streams_are_three_children_of_the_point_seed():
+    cfg = sampled_config(noise=NoiseConfig(calibration_sigma=0.1), master_seed=9)
+    true_cal, root = _point_streams(cfg, 2, 5)
+    children = np.random.SeedSequence(9, spawn_key=(5, 2)).spawn(3)
+    for k, want in enumerate(children):
+        got = _child_seed(root, k)
+        assert got.spawn_key == (5, 2, k)
+        np.testing.assert_array_equal(got.generate_state(4), want.generate_state(4))
+    assert root.n_children_spawned == 0
+    # child 0 perturbs the table exactly as before the draws were batched
+    np.testing.assert_array_equal(true_cal.intensities, perturb_calibration(CAL, 0.1, children[0]).intensities)

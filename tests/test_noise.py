@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nvqaoa import readout
+from nvqaoa import noise, readout
 from nvqaoa.circuits import Circuit, QaoaParams, append_flips, build_ansatz, simulate
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import (
@@ -188,49 +188,92 @@ def noise_config(prob, deterministic):
     return NoiseConfig(depolarizing_prob=prob)
 
 
+def replay_from_scratch(circuit, config, errors):
+    """simulate_noisy's gate loop with given errors: every gate from |0...0> through _noisy_step."""
+    state = init_zero(circuit.num_qubits)
+    slot = 0
+    for gate in circuit.gates:
+        drawn = []
+        for q in gate.targets:
+            if errors[slot] >= 0:
+                drawn.append((q, int(errors[slot])))
+            slot += 1
+        state = noise._noisy_step(state, gate, config, drawn)
+    assert slot == errors.size
+    return state
+
+
 @pytest.mark.parametrize("deterministic", [False, True])
 @pytest.mark.parametrize("prob", DEPOLARIZING)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_trajectory_sampler_matches_gate_level_oracle(n, prob, deterministic):
+    # The batch replays only from each trajectory's first error; a from-scratch
+    # gate-by-gate run of the same drawn errors must give the same state bit for bit.
     config = noise_config(prob, deterministic)
     circuit = random_circuit(n, np.random.default_rng(100 * n + int(1000 * prob)))
     sampler = TrajectorySampler(circuit, config)
-    states = []
-    for seed in range(60):
-        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        states.append(sampler.sample(rng))
-        expected = simulate_noisy(circuit, config, twin)
-        np.testing.assert_array_equal(states[-1].amplitudes, expected.amplitudes)
-        assert rng.bit_generator.state == twin.bit_generator.state
+    rng, twin = np.random.default_rng(n), np.random.default_rng(n)
+    states = sampler.sample_many(rng, 60)
+    errors = TrajectorySampler(circuit, config).draw_errors(twin, 60)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert errors.shape == (60, sum(len(gate.targets) for gate in circuit.gates))
+    for state, row in zip(states, errors, strict=True):
+        np.testing.assert_array_equal(state.amplitudes, replay_from_scratch(circuit, config, row).amplitudes)
     # every error-free trajectory is the one cached state; the others are replays
     error_free = sum(state is sampler._error_free for state in states)
+    assert error_free == np.count_nonzero((errors < 0).all(axis=1))
     if prob == 0.0:
         assert error_free == 60
     elif prob == 0.01:
         assert 0 < error_free < 60  # both paths taken
     elif prob == 1.0:
         assert error_free == 0
+    # one trajectory is the batch of one
+    np.testing.assert_array_equal(
+        sampler.sample(np.random.default_rng(7)).amplitudes,
+        sampler.sample_many(np.random.default_rng(7), 1)[0].amplitudes,
+    )
+
+
+def test_error_mask_has_the_depolarizing_law():
+    circuit = random_circuit(3, np.random.default_rng(4), num_gates=20)
+    rng = np.random.default_rng(8)
+    before = rng.bit_generator.state
+    quiet = TrajectorySampler(circuit, NoiseConfig()).draw_errors(rng, 5)
+    assert (quiet == -1).all() and rng.bit_generator.state == before  # no draw at p = 0
+    prob, num = 0.3, 4000
+    errors = TrajectorySampler(circuit, NoiseConfig(depolarizing_prob=prob)).draw_errors(rng, num)
+    hits = errors[errors >= 0]
+    slots = errors.size
+    assert abs(hits.size / slots - prob) <= 4 * math.sqrt(prob * (1 - prob) / slots)
+    shares = np.bincount(hits, minlength=3) / hits.size
+    assert np.all(np.abs(shares - 1 / 3) <= 4 * math.sqrt((2 / 9) / hits.size)), shares
+    # slots are independent: adjacent slots are hit together at rate prob^2
+    both = np.count_nonzero((errors[:, :-1] >= 0) & (errors[:, 1:] >= 0)) / (num * (errors.shape[1] - 1))
+    assert abs(both - prob**2) <= 4 * math.sqrt(prob**2 * (1 - prob**2) / (num * (errors.shape[1] - 1)))
+    always = TrajectorySampler(circuit, NoiseConfig(depolarizing_prob=1.0)).draw_errors(rng, 50)
+    assert (always >= 0).all() and set(np.unique(always)) == {0, 1, 2}
+    # a circuit without gates has no error slots: every trajectory is the initial state
+    empty = TrajectorySampler(Circuit(2, ()), NoiseConfig(depolarizing_prob=1.0), populations)
+    np.testing.assert_array_equal(empty.sample_many(rng, 3), np.tile([1.0, 0, 0, 0], (3, 1)))
 
 
 def reference_record(circuit, calibration, num_shots, seed, checkpoint_every, config, retain_counts):
-    """The stochastic branch of measure_circuit, one simulate_noisy trajectory per block."""
+    """The stochastic branch of measure_circuit, each block's trajectory run gate by gate from |0...0>."""
     num_full, remainder = divmod(num_shots, checkpoint_every)
     sizes = [checkpoint_every] * num_full + ([remainder] if remainder else [])
-    children = np.random.SeedSequence(seed).spawn(2 * len(sizes))
+    rng = np.random.default_rng(seed)
     intensities = calibration.intensities
-    totals, retained = [], []
-    for k, size in enumerate(sizes):
-        state = simulate_noisy(circuit, config, np.random.default_rng(children[2 * k]))
-        p = readout._validate_pops(populations(state), intensities.size, normalize=True)
-        rng = np.random.default_rng(children[2 * k + 1])
-        if retain_counts:
-            retained.append(readout._draw_shot_counts(rng, intensities, p, size))
-            totals.append(int(retained[-1].sum()))
-        else:
-            totals.append(int(rng.poisson(rng.multinomial(size, p) * intensities).sum()))
-    block_totals = np.array(totals[:num_full], dtype=np.int64)
-    counts = np.concatenate(retained) if retain_counts else None
-    return readout._assemble_record(block_totals, sum(totals[num_full:]), num_shots, checkpoint_every, counts)
+    errors = TrajectorySampler(circuit, config).draw_errors(rng, len(sizes))
+    p = np.array([
+        readout._validate_pops(populations(replay_from_scratch(circuit, config, row)), intensities.size, True)
+        for row in errors
+    ])
+    if retain_counts:
+        counts = np.concatenate([readout._draw_shot_counts(rng, intensities, pk, size) for pk, size in zip(p, sizes)])
+        return readout._record_from_counts(counts, checkpoint_every)
+    totals = rng.poisson(rng.multinomial(sizes, p) @ intensities)
+    return readout._assemble_record(totals[:num_full], int(totals[num_full:].sum()), num_shots, checkpoint_every)
 
 
 @pytest.mark.parametrize("retain_counts", [False, True])
@@ -260,8 +303,8 @@ def test_trajectory_mean_matches_simulate_noisy_loop(prob, deterministic):
     circuit = append_flips(build_ansatz(Graph.complete(3), QaoaParams((0.4, 0.9), (1.1, 2.3))), "101")
     num_trajectories = 150
     expected = np.zeros(8)
-    for child in np.random.SeedSequence(21).spawn(num_trajectories):
-        expected += populations(simulate_noisy(circuit, config, np.random.default_rng(child)))
+    for row in TrajectorySampler(circuit, config).draw_errors(np.random.default_rng(21), num_trajectories):
+        expected += populations(replay_from_scratch(circuit, config, row))
     expected /= num_trajectories
     np.testing.assert_array_equal(trajectory_mean_populations(circuit, config, num_trajectories, 21), expected)
 

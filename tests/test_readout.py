@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from nvqaoa import reconstruction
 from nvqaoa.circuits import Circuit, QaoaParams, build_ansatz
@@ -12,6 +13,7 @@ from nvqaoa.readout import (
     DegenerateCalibrationError,
     ShotRecord,
     default_calibration,
+    draw_totals,
     format_calibration,
     load_calibration,
     measure_circuit,
@@ -19,6 +21,7 @@ from nvqaoa.readout import (
     parse_calibration,
     sample_shots,
     save_calibration,
+    split_totals,
 )
 from nvqaoa.statevector import Gate
 
@@ -189,6 +192,97 @@ def test_stochastic_noise_retains_counts():
     assert record.counts.size == 2500
     assert record.running_mean == pytest.approx(record.counts.mean(), abs=1e-12)
     assert len(record.checkpoints) == 2
+
+
+def test_seed_sequence_argument_is_not_mutated():
+    # a SeedSequence passed in is read, never spawned from, so passing it again repeats the record
+    circuit = build_ansatz(Graph.complete(2), QaoaParams.single(0.2, 0.9))
+    for noise in (NoiseConfig(depolarizing_prob=0.05), None):
+        seed = np.random.SeedSequence(5)
+        first = measure_circuit(circuit, CAL, 3000, seed, 500, noise)
+        second = measure_circuit(circuit, CAL, 3000, seed, 500, noise)
+        assert first.running_mean == second.running_mean
+        np.testing.assert_array_equal(first.checkpoints, second.checkpoints)
+        assert seed.n_children_spawned == 0
+    assert first.running_mean == measure_circuit(circuit, CAL, 3000, 5, 500).running_mean
+
+
+def test_sample_shots_is_the_batched_draw_and_split_of_one_row():
+    pops = np.array([0.1, 0.2, 0.3, 0.4])
+    record = sample_shots(CAL, pops, 2_345, seed=17, checkpoint_every=500)
+    rng = np.random.default_rng(17)
+    occupations, totals = draw_totals(rng, CAL.intensities, pops[None], 2_345)
+    blocks, tails = split_totals(rng, CAL.intensities, occupations, totals, 500)
+    assert occupations.shape == (1, 4) and occupations.sum() == 2_345
+    assert blocks.shape == (1, 4) and blocks.sum() + tails[0] == totals[0]
+    assert record.running_mean == totals[0] / 2_345
+    np.testing.assert_array_equal(record.checkpoints, np.cumsum(blocks[0]) / (500 * np.arange(1, 5)))
+
+
+def test_split_of_a_dark_record_is_all_zero():
+    # sum L = 0 forces T = 0: the split draws nothing and divides by nothing
+    dark = CalibrationTable(np.array([0.0, 0.0, 0.0, 1.0]))
+    rows = np.array([[1.0, 0, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0, 1.0]])
+    rng = np.random.default_rng(3)
+    occupations, totals = draw_totals(rng, dark.intensities, rows, 1_000)
+    blocks, tails = split_totals(rng, dark.intensities, occupations, totals, 300)
+    assert totals[0] == totals[1] == 0 and totals[2] > 0
+    assert not blocks[:2].any() and not tails[:2].any()
+    assert blocks[2].sum() + tails[2] == totals[2]
+
+
+# The record-level distribution gate. F is a deterministic function of the
+# record means, so records equal in distribution give F equal in distribution.
+# Each seed draws two records, as a point draws its rows, with mirrored pops.
+GATE_POPS = np.array([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]])
+GATE_CAL = CalibrationTable(np.array([5.0, 3.0, 2.0, 1.0]))
+GATE_SEEDS = 3000
+GATE_SHOTS, GATE_EVERY = 1_050, 100  # 10 full blocks and a 50-shot tail
+
+
+def gate_records():
+    """Block totals, tails and totals, indexed [seed, record], drawn and split as a point does."""
+    blocks, tails, totals = [], [], []
+    for seed in range(GATE_SEEDS):
+        draws, split = np.random.SeedSequence(seed).spawn(2)
+        occupations, total = draw_totals(np.random.default_rng(draws), GATE_CAL.intensities, GATE_POPS, GATE_SHOTS)
+        block, tail = split_totals(np.random.default_rng(split), GATE_CAL.intensities, occupations, total, GATE_EVERY)
+        blocks.append(block)
+        tails.append(tail)
+        totals.append(total)
+    return np.array(blocks), np.array(tails), np.array(totals)
+
+
+def chi2_bounds(dof, tail=3e-5):
+    """Two-sided bounds on the ratio sample variance / true variance with ``dof`` degrees of freedom."""
+    return chi2.ppf(tail, dof) / dof, chi2.isf(tail, dof) / dof
+
+
+def assert_mean_and_variance(values, mean, variance):
+    values = np.asarray(values, dtype=float).ravel()
+    assert abs(values.mean() - mean) <= 4 * math.sqrt(variance / values.size), (values.mean(), mean)
+    lo, hi = chi2_bounds(values.size - 1)
+    assert lo <= values.var(ddof=1) / variance <= hi, (values.var(ddof=1), variance)
+
+
+def test_record_distribution_gate():
+    intensity = GATE_CAL.intensities
+    blocks, tails, totals = gate_records()
+    np.testing.assert_array_equal(blocks.sum(axis=2) + tails, totals)
+    tail_shots = GATE_SHOTS % GATE_EVERY
+    for r, pops in enumerate(GATE_POPS):
+        mean_i = float(pops @ intensity)
+        # a shot's count is Poisson(I_s) with s ~ pops: variance E[I] + Var_p[I]
+        per_shot_var = mean_i + float(pops @ intensity**2) - mean_i**2
+        assert_mean_and_variance(totals[:, r] / GATE_SHOTS, mean_i, per_shot_var / GATE_SHOTS)
+        assert_mean_and_variance(blocks[:, r], GATE_EVERY * mean_i, GATE_EVERY * per_shot_var)
+        assert_mean_and_variance(tails[:, r], tail_shots * mean_i, tail_shots * per_shot_var)
+        # blocks of one record are independent: adjacent-block correlation about 0
+        left, right = blocks[:, r, :-1].ravel(), blocks[:, r, 1:].ravel()
+        assert abs(np.corrcoef(left, right)[0, 1]) <= 4 / math.sqrt(left.size)
+        assert abs(np.corrcoef(blocks[:, r, -1], tails[:, r])[0, 1]) <= 4 / math.sqrt(GATE_SEEDS)
+    # and so are the two records
+    assert abs(np.corrcoef(totals[:, 0], totals[:, 1])[0, 1]) <= 4 / math.sqrt(GATE_SEEDS)
 
 
 def test_shot_record_is_plain_data():
