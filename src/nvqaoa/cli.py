@@ -446,6 +446,7 @@ def _run_convergence(cfg: ScanConfig, config: dict, options: dict, out: str, for
     duration = time.perf_counter() - started
     summary = {
         "checkpoints": int(profile.checkpoint_shots.size),
+        "checkpoints_invalid": profile.checkpoints_invalid,
         "final_shots": int(profile.checkpoint_shots[-1]),
         "final_norm_mean": _json_float(profile.mean_norm[-1]),
         "final_norm_std": _json_float(profile.std_norm[-1]),

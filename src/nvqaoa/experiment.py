@@ -372,7 +372,11 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine", refine_tole
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceProfile:
-    """Population and norm estimates at every checkpoint, aggregated over realizations."""
+    """Population and norm estimates at every checkpoint, aggregated over realizations.
+
+    ``checkpoints_invalid`` counts the (realization, checkpoint) estimates left
+    out because their table was degenerate, all checkpoints of an all-dark one.
+    """
 
     checkpoint_shots: np.ndarray
     mean_pops: np.ndarray
@@ -381,6 +385,7 @@ class ConvergenceProfile:
     std_norm: np.ndarray
     realizations: int
     num_qubits: int
+    checkpoints_invalid: int
 
 
 def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int = 0) -> ConvergenceProfile:
@@ -389,7 +394,9 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     Draws the same records on the same substream as :func:`measure_point` and
     splits them into checkpoint blocks on a third (``readout.split_totals``), so
     when ``shots`` is a multiple of ``checkpoint_every`` the final checkpoint
-    reproduces that point's estimate. Standard deviations are sample standard
+    reproduces that point's estimate. Each realization inverts all its
+    checkpoints in one stacked ``reconstruct`` call, which leaves a checkpoint
+    with a degenerate table NaN. Standard deviations are sample standard
     deviations across realizations (NaN when fewer than two are valid).
     """
     if config.mode != "sampled":
@@ -409,14 +416,10 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
         # one row per sub-circuit, one column per checkpoint
         draws, split = _child_seed(root, 1), _child_seed(root, 2)
         _, checkpoints = _measure_subcircuits(config, params, true_cal, draws, pops, split)
-        for k in range(num_checkpoints):
-            try:
-                table = true_cal if config.exact_calibration else CalibrationTable(checkpoints[:size, k])
-                estimate = reconstruct(table, checkpoints[size:, k])
-            except DegenerateCalibrationError:
-                continue
-            pops_runs[realization, k] = estimate.pops
-            norm_runs[realization, k] = estimate.norm
+        table = true_cal if config.exact_calibration else checkpoints[:size].T
+        estimate = reconstruct(table, checkpoints[size:].T)
+        pops_runs[realization] = estimate.pops
+        norm_runs[realization] = estimate.norm
 
     mean_pops, std_pops = _realization_stats(pops_runs, 0)
     mean_norm, std_norm = _realization_stats(norm_runs, 0)
@@ -429,6 +432,7 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
         std_norm=std_norm,
         realizations=config.realizations,
         num_qubits=config.graph.num_vertices,
+        checkpoints_invalid=int(np.count_nonzero(~np.isfinite(norm_runs))),
     )
 
 

@@ -16,6 +16,10 @@ reported as ``norm`` and deliberately never used to rescale anything.
 Reconstruction is exactly linear in the means, so shot noise propagates
 without bias. It fails only when some |c_t| is (near) zero, i.e. when the
 calibration carries no signal along parity t.
+
+``reconstruct`` also inverts stacked rows of means, ``(..., 2^n)``, all in one
+transform along the last axis. A degenerate table raises for a single vector
+but only turns its own row NaN in a stack.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ class PopulationEstimate:
 
     pops: np.ndarray
     correlators: np.ndarray
-    norm: float
+    norm: float | np.ndarray
 
     def __post_init__(self):
         pops = np.array(self.pops, dtype=float)
@@ -61,7 +65,9 @@ class PopulationEstimate:
         corr.setflags(write=False)
         object.__setattr__(self, "pops", pops)
         object.__setattr__(self, "correlators", corr)
-        object.__setattr__(self, "norm", float(self.norm))
+        norm = np.array(self.norm, dtype=float)
+        norm.setflags(write=False)
+        object.__setattr__(self, "norm", float(norm) if norm.ndim == 0 else norm)
 
 
 def fwht(values) -> np.ndarray:
@@ -72,15 +78,20 @@ def fwht(values) -> np.ndarray:
     v = np.array(values, dtype=float)
     if v.ndim != 1 or v.size == 0 or v.size & (v.size - 1):
         raise ValueError(f"transform needs a power-of-two length vector, got shape {v.shape}")
+    _butterfly(v)
+    return v
+
+
+def _butterfly(v: np.ndarray) -> None:
+    """Transform the C-contiguous array ``v`` in place along its last axis, a power of two long."""
     h = 1
-    while h < v.size:
+    while h < v.shape[-1]:
+        # each row is a whole number of blocks, so the blocks never straddle two rows
         blocks = v.reshape(-1, 2 * h)
         left = blocks[:, :h].copy()
-        right = blocks[:, h:].copy()
-        blocks[:, :h] = left + right
-        blocks[:, h:] = left - right
+        blocks[:, :h] += blocks[:, h:]
+        blocks[:, h:] = left - blocks[:, h:]
         h *= 2
-    return v
 
 
 def walsh_coefficients(calibration: CalibrationTable) -> WalshCoefficients:
@@ -104,29 +115,53 @@ def forward_means(calibration: CalibrationTable, pops) -> np.ndarray:
 
 
 def reconstruct(
-    calibration: CalibrationTable,
+    calibration: CalibrationTable | np.ndarray,
     means,
     degeneracy_tolerance: float = DEGENERACY_TOLERANCE,
 ) -> PopulationEstimate:
     """Invert flip-pattern means to populations and parity correlators.
 
-    Raises :class:`DegenerateCalibrationError` (naming the offending parity
-    mask) when any |c_t| <= degeneracy_tolerance. No clipping and no
-    renormalization: negative entries and norm != 1 are honest noise
-    indicators that callers may inspect.
+    ``means`` is one vector of 2^n means or stacked rows of them, ``(...,
+    2^n)``. ``calibration`` is a :class:`CalibrationTable` shared by every row,
+    or an array of intensity rows of the same shape as ``means``. The estimate
+    has the shape of ``means``; its ``norm`` (the t = 0 correlator) is a float
+    for one vector and an array of shape ``means.shape[:-1]`` for stacked rows.
+
+    A table with some |c_t| <= degeneracy_tolerance raises
+    :class:`DegenerateCalibrationError` (naming the first such parity mask)
+    for a single vector; for stacked rows its row comes back NaN. Mismatched
+    shapes, non-finite means and non-finite or negative intensities raise
+    ``ValueError``. No clipping and no renormalization: negative entries and
+    norm != 1 are honest noise indicators that callers may inspect.
     """
-    n = calibration.num_qubits
-    size = calibration.intensities.size
     m = np.asarray(means, dtype=float)
-    if m.shape != (size,):
-        raise ValueError(f"means must have shape ({size},), got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if isinstance(calibration, CalibrationTable):
+        intensities = calibration.intensities  # broadcast over the rows below
+    else:
+        intensities = np.asarray(calibration, dtype=float)
+        if intensities.shape != m.shape:
+            raise ValueError(f"intensity rows of shape {intensities.shape} do not match means of shape {m.shape}")
+        if not np.isfinite(intensities).all() or (intensities < 0).any():
+            raise ValueError("intensities must be finite and nonnegative")
+    size = intensities.shape[-1] if intensities.ndim else 0
+    if m.shape[-1:] != (size,) or size < 2 or size & (size - 1):
+        raise ValueError(f"means of shape {m.shape} do not fit a power-of-two table of length {size}")
+    if not np.isfinite(m).all():
         raise ValueError("means must be finite")
-    c = walsh_coefficients(calibration).c
+    # the tables and the means go through one transform together
+    spectra = np.empty((2,) + m.shape)
+    spectra[0], spectra[1] = intensities, m
+    _butterfly(spectra)
+    c = spectra[0] / size
     small = np.abs(c) <= degeneracy_tolerance
-    if small.any():
+    if m.ndim > 1:
+        # NaN spreads through a degenerate row without a floating-point warning
+        c[small.any(axis=-1)] = np.nan
+    elif small.any():
         t = int(np.argmax(small))
-        raise DegenerateCalibrationError(index_to_bits(t, n), c[t], degeneracy_tolerance)
-    correlators = fwht(m) / (size * c)
-    pops = fwht(correlators) / size
-    return PopulationEstimate(pops=pops, correlators=correlators, norm=float(correlators[0]))
+        raise DegenerateCalibrationError(index_to_bits(t, size.bit_length() - 1), c[t], degeneracy_tolerance)
+    correlators = spectra[1] / (size * c)
+    pops = correlators.copy()
+    _butterfly(pops)
+    pops /= size
+    return PopulationEstimate(pops=pops, correlators=correlators, norm=correlators[..., 0])

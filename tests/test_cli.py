@@ -397,8 +397,27 @@ def test_convergence_checkpoint_rows(tmp_path, capsys):
     assert [row.split(",")[0] for row in lines[1:]] == ["1000", "2000"]
     summary = json.loads((out / "summary.txt").read_text())
     assert summary["final_shots"] == 2000
+    assert summary["checkpoints_invalid"] == 0
     assert summary["point"]["gamma"] == pytest.approx(1.5 * math.pi)
     assert 0.9 < summary["final_norm_mean"] < 1.1
+
+
+def test_convergence_summary_counts_invalid_checkpoints(tmp_path, capsys):
+    # a table this dim records no photon, so every empirical table is all zero
+    graph = write_k2(tmp_path)
+    cal = write_cal(tmp_path, intensities=(0.0, 0.0, 0.0, 1e-12))
+    out = tmp_path / "conv"
+    code = main([
+        "convergence", "--graph", graph, "--cal", cal,
+        "--beta", "0.15pi", "--gamma", "1.5pi",
+        "--shots", "2000", "--checkpoint-every", "1000",
+        "--realizations", "2", "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    capsys.readouterr()
+    summary = json.loads((out / "summary.txt").read_text())
+    assert summary["checkpoints_invalid"] == 2 * 2
+    assert summary["final_norm_mean"] is None
 
 
 def test_convergence_rejects_ideal_mode(tmp_path, capsys):

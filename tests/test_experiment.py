@@ -43,6 +43,7 @@ from nvqaoa.experiment import (
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import NoiseConfig, perturb_calibration, simulate_noisy
 from nvqaoa.readout import CalibrationTable, DegenerateCalibrationError, default_calibration, draw_totals, split_totals
+from nvqaoa.reconstruction import reconstruct
 from nvqaoa.statevector import populations
 
 K2 = Graph.complete(2)
@@ -368,8 +369,8 @@ def test_convergence_final_checkpoint_matches_measure_point():
     profile = convergence_profile(cfg, POINT)
     records = [measure_point(cfg, POINT, r, point_index=0) for r in range(2)]
     expected_pops = np.mean([rec.pops for rec in records], axis=0)
-    np.testing.assert_allclose(profile.mean_pops[-1], expected_pops, atol=1e-12)
-    assert profile.mean_norm[-1] == pytest.approx(np.mean([rec.norm for rec in records]), abs=1e-12)
+    np.testing.assert_array_equal(profile.mean_pops[-1], expected_pops)
+    assert profile.mean_norm[-1] == np.mean([rec.norm for rec in records])
 
 
 def test_all_zero_empirical_calibration_gives_invalid_point():
@@ -383,6 +384,7 @@ def test_all_zero_empirical_calibration_gives_invalid_point():
     assert record.F_ideal == pytest.approx(POINT_F_IDEAL, abs=1e-12)
     profile = convergence_profile(replace(cfg, realizations=2), POINT)
     assert np.isnan(profile.mean_pops).all() and np.isnan(profile.mean_norm).all()
+    assert profile.checkpoints_invalid == 2 * 2  # every checkpoint of both realizations
 
 
 def test_all_dark_perturbed_calibration_gives_invalid_realization():
@@ -408,6 +410,71 @@ def test_all_dark_perturbed_calibration_gives_invalid_realization():
     assert np.isfinite(profile.mean_pops).all()
     np.testing.assert_array_equal(profile.mean_pops, three.mean_pops)
     np.testing.assert_array_equal(profile.std_norm, three.std_norm)
+    # the skipped realization counts all of its checkpoints as invalid
+    assert profile.checkpoints_invalid == 2 and three.checkpoints_invalid == 0
+
+
+def per_checkpoint_runs(config, params, point_index=0):
+    """The checkpoint-by-checkpoint reconstruction that the stacked call replaced, kept as its oracle."""
+    size = 1 << config.graph.num_vertices
+    num_checkpoints = config.shots // config.checkpoint_every
+    pops_runs = np.full((config.realizations, num_checkpoints, size), math.nan)
+    norm_runs = np.full((config.realizations, num_checkpoints), math.nan)
+    pops = _sampled_state_pops(config, params, diagonal_costs(config.graph))
+    for realization in range(config.realizations):
+        try:
+            true_cal, root = _point_streams(config, realization, point_index)
+        except DegenerateCalibrationError:
+            continue
+        draws, split = _child_seed(root, 1), _child_seed(root, 2)
+        _, checkpoints = _measure_subcircuits(config, params, true_cal, draws, pops, split)
+        for k in range(num_checkpoints):
+            try:
+                table = true_cal if config.exact_calibration else CalibrationTable(checkpoints[:size, k])
+                estimate = reconstruct(table, checkpoints[size:, k])
+            except DegenerateCalibrationError:
+                continue
+            pops_runs[realization, k] = estimate.pops
+            norm_runs[realization, k] = estimate.norm
+    return pops_runs, norm_runs
+
+
+@pytest.mark.parametrize("noise", [None, NoiseConfig(calibration_sigma=0.3)], ids=["noiseless", "cal-sigma"])
+@pytest.mark.parametrize("exact", [False, True], ids=["empirical", "exact"])
+def test_convergence_profile_matches_per_checkpoint_oracle(noise, exact):
+    # a table this dim records no photon in the first 10-shot blocks of every realization
+    cfg = sampled_config(
+        calibration=CalibrationTable(np.array([0.04, 0.02, 0.01, 0.0])), shots=400, checkpoint_every=10,
+        realizations=3, master_seed=1, noise=noise, exact_calibration=exact,
+    )
+    profile = convergence_profile(cfg, POINT)
+    pops_runs, norm_runs = per_checkpoint_runs(cfg, POINT)
+    np.testing.assert_array_equal([profile.mean_pops, profile.std_pops], _realization_stats(pops_runs, 0))
+    np.testing.assert_array_equal([profile.mean_norm, profile.std_norm], _realization_stats(norm_runs, 0))
+    assert profile.checkpoints_invalid == np.count_nonzero(np.isnan(norm_runs))
+    if not exact:
+        # early checkpoints are degenerate and later ones are not
+        assert np.isnan(norm_runs[:, 0]).any() and np.isfinite(norm_runs[:, -1]).all()
+        assert 0 < profile.checkpoints_invalid < norm_runs.size
+
+
+@pytest.mark.parametrize("realizations, point_index, calls", [(3, 0, 3), (4, 4, 3)], ids=["valid", "one-all-dark"])
+def test_convergence_reconstructs_once_per_valid_realization(monkeypatch, realizations, point_index, calls):
+    # at master seed 1 the perturbed table of point 4, realization 3 is all dark (see above)
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return reconstruct(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "reconstruct", counting)
+    cfg = sampled_config(
+        shots=2_000, checkpoint_every=100, realizations=realizations, master_seed=1,
+        noise=NoiseConfig(calibration_sigma=3.0),
+    )
+    convergence_profile(cfg, POINT, point_index=point_index)
+    assert len(seen) == calls  # one stacked call per valid realization, not one per checkpoint
+    assert all(means.shape == (20, 4) for _, means in seen)
 
 
 def test_non_degenerate_reconstruction_error_propagates(monkeypatch):

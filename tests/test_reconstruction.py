@@ -170,3 +170,82 @@ def test_norm_from_sampled_data_stays_near_one():
         if 0.97 <= estimate.norm <= 1.03:
             in_window += 1
     assert in_window >= 0.95 * trials
+
+
+def per_row_reconstruct(tables, means):
+    """The row-by-row loop that stacked reconstruction replaces: NaN where a row's table is degenerate."""
+    pops, norms = np.full(means.shape, np.nan), np.full(means.shape[:-1], np.nan)
+    for index in np.ndindex(means.shape[:-1]):
+        try:
+            table = tables if isinstance(tables, CalibrationTable) else CalibrationTable(tables[index])
+            estimate = reconstruct(table, means[index])
+        except DegenerateCalibrationError:
+            continue
+        pops[index], norms[index] = estimate.pops, estimate.norm
+    return pops, norms
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stacked_rows_match_per_row_reconstruct_and_linear_solve(n):
+    rng = np.random.default_rng(100 + n)
+    size = 1 << n
+    tables = rng.uniform(0.5, 10.0, size=(3, 5, size))
+    means = rng.normal(2.0, 1.0, size=(3, 5, size))
+    for calibration in (CalibrationTable(tables[0, 0]), tables):
+        stacked = reconstruct(calibration, means)
+        pops, norms = per_row_reconstruct(calibration, means)
+        np.testing.assert_array_equal(stacked.pops, pops)
+        np.testing.assert_array_equal(stacked.norm, norms)
+        assert stacked.correlators.shape == means.shape and stacked.norm.shape == (3, 5)
+        for index in np.ndindex(3, 5):
+            row = calibration.intensities if isinstance(calibration, CalibrationTable) else tables[index]
+            matrix = np.array([[row[s ^ x] for s in range(size)] for x in range(size)])
+            np.testing.assert_allclose(stacked.pops[index], np.linalg.solve(matrix, means[index]), atol=1e-10)
+            single = reconstruct(CalibrationTable(row), means[index])
+            np.testing.assert_array_equal(stacked.correlators[index], single.correlators)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_degenerate_stacked_rows_are_nan_and_leave_the_others_untouched(n):
+    rng = np.random.default_rng(200 + n)
+    size = 1 << n
+    tables = rng.uniform(0.5, 10.0, size=(6, size))
+    means = rng.normal(2.0, 1.0, size=(6, size))
+    tables[1] = 3.0  # all equal: c_t = 0 exactly for every t != 0
+    tables[3, size // 2 :] = tables[3, : size // 2] + 2e-12  # c_t of the first qubit's parity about -1e-12
+    tables[4] = 0.0  # all dark
+    assert 0 < abs(walsh_coefficients(CalibrationTable(tables[3])).c[size // 2]) <= 1e-9
+    stacked = reconstruct(tables, means)
+    pops, norms = per_row_reconstruct(tables, means)
+    np.testing.assert_array_equal(stacked.pops, pops)
+    np.testing.assert_array_equal(stacked.norm, norms)
+    np.testing.assert_array_equal(np.isnan(stacked.norm), [False, True, False, True, True, False])
+    assert np.isnan(stacked.pops[[1, 3, 4]]).all() and np.isnan(stacked.correlators[[1, 3, 4]]).all()
+    assert np.isfinite(stacked.pops[[0, 2, 5]]).all()
+    # a degenerate table shared by every row leaves every row NaN, and one vector still raises
+    shared = CalibrationTable(tables[3])
+    assert np.isnan(reconstruct(shared, means).pops).all()
+    with pytest.raises(DegenerateCalibrationError):
+        reconstruct(shared, means[0])
+    with pytest.raises(DegenerateCalibrationError):
+        reconstruct(tables[1], means[1])
+
+
+def test_stacked_reconstruct_validation():
+    tables = np.tile(CAL.intensities, (3, 1))
+    means = np.tile([5.0, 3.0, 2.0, 1.0], (3, 1))
+    with pytest.raises(ValueError, match="shape"):
+        reconstruct(tables, means[:2])
+    with pytest.raises(ValueError, match="shape"):
+        reconstruct(CAL, means[:, :2])
+    with pytest.raises(ValueError, match="shape"):
+        reconstruct(tables[:, :3], means[:, :3])
+    bad = means.copy()
+    bad[2, 1] = np.nan
+    with pytest.raises(ValueError, match="means must be finite"):
+        reconstruct(CAL, bad)
+    for value in (-1.0, np.inf):
+        bad = tables.copy()
+        bad[1, 2] = value
+        with pytest.raises(ValueError, match="intensities"):
+            reconstruct(bad, means)
