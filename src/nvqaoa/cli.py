@@ -43,6 +43,7 @@ from .experiment import (
     scan_summary,
     write_convergence_csv,
     write_landscape_csv,
+    write_trace_csv,
     _check_fields,
     _realization_stats,
 )
@@ -147,7 +148,9 @@ def _add_scan_arguments(sub: argparse.ArgumentParser, default_mode: str) -> None
     sub.add_argument("--overrotation", type=float, default=0.0, help="fractional rotation-angle scaling")
     sub.add_argument("--phase-offset", type=parse_angle, default=0.0, help="RZ on qubit 0 after two-qubit gates")
     sub.add_argument("--cal-sigma", type=float, default=0.0, help="relative jitter on the true intensities")
-    sub.add_argument("--noise-seed", type=int, default=0)
+    sub.add_argument(
+        "--noise-seed", type=int, default=0, help="accepted for compatibility and ignored: errors are drawn from --seed"
+    )
     sub.add_argument("--force", action="store_true", help="overwrite existing output files")
 
 
@@ -227,7 +230,7 @@ def _config_dict_from_args(args) -> dict:
     try:
         noise = None
         if args.depolarizing or args.overrotation or args.phase_offset or args.cal_sigma:
-            noise = NoiseConfig(args.depolarizing, args.overrotation, args.phase_offset, args.cal_sigma, args.noise_seed)
+            noise = NoiseConfig(args.depolarizing, args.overrotation, args.phase_offset, args.cal_sigma)
         config = ScanConfig(
             graph=graph,
             p=args.p,
@@ -373,20 +376,6 @@ def _run_optimize(cfg: ScanConfig, config: dict, options: dict, out, force: bool
     else:
         print("approximation ratio: undefined (graph has no cut to make)")
     if out_dir is not None:
-        p = cfg.p
-        header = (
-            ["index"]
-            + [f"beta{k}" for k in range(p)]
-            + [f"gamma{k}" for k in range(p)]
-            + ["F"]
-        )
-        lines = [",".join(header)]
-        for i, (betas, gammas, value) in enumerate(result.trace):
-            row = [str(i)]
-            row += [format(b, ".10g") for b in betas]
-            row += [format(g, ".10g") for g in gammas]
-            row.append(format(value, ".10g"))
-            lines.append(",".join(row))
         summary = {
             "best_betas": list(result.best_params.betas),
             "best_gammas": list(result.best_params.gammas),
@@ -397,7 +386,8 @@ def _run_optimize(cfg: ScanConfig, config: dict, options: dict, out, force: bool
             "config": config,
         }
         with _Outputs(out_dir) as outputs:
-            outputs.write("trace.csv", "\n".join(lines) + "\n")
+            with outputs.open("trace.csv") as handle:
+                write_trace_csv(result, handle)
             outputs.write("summary.txt", _json_text(summary))
             outputs.manifest("optimize", config, options, artifacts, duration)
     return EXIT_OK

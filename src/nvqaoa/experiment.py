@@ -15,9 +15,13 @@ the ``F_ideal`` state itself). That state is simulated once per point: each
 flip pattern only permutes its populations and each basis preparation is a
 delta vector, so the 2^(n+1) readouts are the rows of one matrix, and one
 multinomial and one Poisson call draw all their records
-(``readout.draw_totals``). Under depolarizing noise every sub-circuit, X gates
-included, is read by ``readout.measure_circuit`` with its own generator and a
-gate-level trajectory per checkpoint block (``noise.TrajectorySampler``).
+(``readout.draw_totals``). Under depolarizing noise each checkpoint block of a
+record reads its own trajectory, so a point makes one
+``noise.TrajectorySampler`` of the ansatz and reads its records one by one
+through the same index flips: a flip variant flips an ansatz trajectory, a
+basis preparation the delta at 0. The channel also acts on the appended X
+gates, and a Pauli after the last gate only moves the index: an X or Y drawn
+after an appended X undoes its flip.
 
 Reproducibility contract: every (grid point, realization) derives its random
 substreams from ``SeedSequence(master_seed, spawn_key=(point_index,
@@ -32,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count
+from numbers import Integral
 from pathlib import Path
 from typing import Sequence
 
@@ -40,21 +45,19 @@ from scipy.optimize import minimize
 
 from ._bitstrings import all_bitstrings
 from .circuits import (
+    Circuit,
     QaoaParams,
-    append_flips,
     build_ansatz,
-    calibration_circuits,
-    flip_patterns,
     # unused here: perfbench's test_tracer_wraps_every_binding_and_restores_them
     # checks that the tracer wraps this binding
     simulate,
     simulate_qaoa,
 )
 from .graph_problem import MAX_VERTICES, Graph, diagonal_costs
-from .noise import NoiseConfig, _check_integer, perturb_calibration
-from .readout import CalibrationTable, draw_totals, measure_circuit, split_totals
+from .noise import NoiseConfig, TrajectorySampler, perturb_calibration
+from .readout import CalibrationTable, _block_sizes, draw_totals, split_totals
 from .reconstruction import DegenerateCalibrationError, reconstruct
-from .statevector import populations
+from .statevector import Gate, populations
 
 DEFAULT_BETA_RANGE = (0.1 * math.pi, 0.6 * math.pi, 0.025 * math.pi)
 DEFAULT_GAMMA_RANGE = (0.1 * math.pi, 2.1 * math.pi, 0.05 * math.pi)
@@ -64,6 +67,13 @@ DEFAULT_CHECKPOINT_EVERY = 1000
 DEFAULT_SEED = 1
 
 CSV_HEADER = "beta,gamma,realization,F_measured,F_ideal,abs_diff,norm,pops"
+
+# Coordinate descent halves its steps until they drop below REFINE_TOLERANCE
+# radians. A shot-noise objective can keep producing spurious "improvements"
+# forever, so the descent also stops after REFINE_BUDGET evaluations past the
+# grid, far above anything an ideal objective needs.
+REFINE_TOLERANCE = 1e-3
+REFINE_BUDGET = 10_000
 
 # Types of the config_to_dict fields that config_from_dict reads.
 _CONFIG_FIELDS = {
@@ -282,7 +292,7 @@ class OptimizeResult:
         return len(self.trace)
 
 
-def optimize(config: ScanConfig, strategy: str = "grid_then_refine", refine_tolerance: float = 1e-3) -> OptimizeResult:
+def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> OptimizeResult:
     """Minimize the (measured or ideal) cost over the 2p angle coordinates.
 
     Both strategies start from the best point of the configured coarse grid
@@ -292,7 +302,7 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine", refine_tole
     Optima that are tied only mathematically usually differ in the last ulp,
     and then float rounding picks the winner. ``grid_then_refine`` then runs
     coordinate descent over all 2p coordinates, halving the steps until they
-    drop below ``refine_tolerance`` radians; ``simplex`` hands the best grid
+    drop below ``REFINE_TOLERANCE`` radians; ``simplex`` hands the best grid
     point to Nelder-Mead. Sampled-mode evaluations consume consecutive point
     indices of the master seed, so a given call sequence is reproducible; a
     degenerate empirical calibration at any of them raises
@@ -343,13 +353,8 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine", refine_tole
     scale = 1.0
     value = best_value
     grid_evals = len(trace)
-    # A shot-noise objective can keep producing spurious "improvements"
-    # forever, so the descent gets a hard evaluation budget on top of the
-    # step-size stopping rule. The budget is far above anything an ideal
-    # objective needs.
-    budget = 10_000
-    while (base_steps * scale).max() >= refine_tolerance:
-        while len(trace) - grid_evals < budget:
+    while (base_steps * scale).max() >= REFINE_TOLERANCE:
+        while len(trace) - grid_evals < REFINE_BUDGET:
             improved = False
             for coord in range(2 * p):
                 step = base_steps[coord] * scale
@@ -467,14 +472,20 @@ def write_convergence_csv(profile: ConvergenceProfile, destination) -> None:
     _write_text(destination, "\n".join(lines) + "\n")
 
 
+def write_trace_csv(result: OptimizeResult, destination) -> None:
+    """CSV with one row per evaluation in call order: index, the 2p angles and F, 10 significant digits."""
+    p = result.best_params.p
+    header = ["index", *(f"beta{k}" for k in range(p)), *(f"gamma{k}" for k in range(p)), "F"]
+    lines = [",".join(header)]
+    for i, (betas, gammas, value) in enumerate(result.trace):
+        lines.append(",".join([str(i), *_format_10g([*betas, *gammas, value])]))
+    _write_text(destination, "\n".join(lines) + "\n")
+
+
 def scan_summary(grid: LandscapeGrid, config: ScanConfig) -> dict:
-    """Deterministic summary (JSON-friendly) of a finished scan."""
-    try:
-        error = landscape_error(grid)
-    except ValueError:
-        error = None
+    """Deterministic summary (JSON-friendly) of a finished scan; ``landscape_error`` is None without a valid point."""
     return {
-        "landscape_error": error,
+        "landscape_error": landscape_error(grid) if grid.valid.any() else None,
         "num_beta": int(grid.betas.size),
         "num_gamma": int(grid.gammas.size),
         "realizations": grid.realizations,
@@ -533,6 +544,13 @@ def config_from_dict(data: dict) -> ScanConfig:
         checkpoint_every=data["checkpoint_every"],
         exact_calibration=data["exact_calibration"],
     )
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; bool and non-integral values raise ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_fields(section: dict, fields: dict, prefix: str) -> None:
@@ -596,34 +614,44 @@ def _child_seed(root: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
 def _measure_subcircuits(config: ScanConfig, params: QaoaParams, true_cal, draws, pops, split=None):
     """Read out the 2^n basis preparations and the 2^n flip variants of the ansatz.
 
-    ``pops`` is the state the point reads (``_sampled_state_pops``). Returns
-    every record's mean photon count, calibration records first, and, given a
-    ``split`` substream, the running means at each full checkpoint block with
-    one row per record (otherwise None).
+    ``pops`` is the state the point reads (``_sampled_state_pops``), None under
+    depolarizing noise. Returns every record's mean photon count, calibration
+    records first, and, given a ``split`` substream, the running means at each
+    full checkpoint block with one row per record (otherwise None).
     """
     n = config.graph.num_vertices
     size = 1 << n
     shots, every = config.shots, config.checkpoint_every
-    if pops is None:
-        # The channel also acts on the appended X gates, and every sub-circuit
-        # and block draws its own trajectory, so each one is simulated, one
-        # generator per record.
-        ansatz = build_ansatz(config.graph, params)
-        circuits = calibration_circuits(n) + [append_flips(ansatz, pattern) for pattern in flip_patterns(n)]
-        records = [
-            measure_circuit(circuit, true_cal, shots, _child_seed(draws, k), every, config.noise)
-            for k, circuit in enumerate(circuits)
-        ]
-        checkpoints = np.array([record.checkpoints for record in records]) if split is not None else None
-        return np.array([record.running_mean for record in records]), checkpoints
+    intensities = true_cal.intensities
     # An X on qubit q flips bit n-1-q of the basis index, so flip pattern x
     # reads out pops[idx ^ x] and basis preparation s is the delta at s.
     idx = np.arange(size)
-    rows = np.concatenate([np.eye(size), pops[idx ^ idx[:, None]]])
-    occupations, totals = draw_totals(np.random.default_rng(draws), true_cal.intensities, rows, shots)
+    if pops is not None:
+        rows = np.concatenate([np.eye(size), pops[idx ^ idx[:, None]]])
+        occupations, totals = draw_totals(np.random.default_rng(draws), intensities, rows, shots)
+        if split is not None:
+            blocks, _ = split_totals(np.random.default_rng(split), intensities, occupations, totals, every)
+    else:
+        # Record k has its own generator and every block its own trajectory,
+        # flipped by the pattern less the flips that an X or Y error on the
+        # appended X gates undid (one error slot per qubit).
+        sizes = _block_sizes(shots, every)
+        ansatz = TrajectorySampler(build_ansatz(config.graph, params), config.noise, populations)
+        appended = TrajectorySampler(Circuit(n, tuple(Gate("X", (q,)) for q in range(n))), config.noise)
+        qubit_bits = 1 << (n - 1 - np.arange(n))
+        zero = np.eye(1, size).repeat(sizes.size, axis=0)  # a preparation starts from |0...0>
+        block_totals = np.empty((2 * size, sizes.size), dtype=np.int64)
+        for k in range(2 * size):
+            rng = np.random.default_rng(_child_seed(draws, k))
+            states = np.array(ansatz.sample_many(rng, sizes.size)) if k >= size else zero
+            errors = appended.draw_errors(rng, sizes.size)
+            undone = ((errors == 0) | (errors == 1)) @ qubit_bits  # X or Y
+            flips = (k % size) & ~undone
+            rows = np.take_along_axis(states, idx ^ flips[:, None], axis=1)
+            _, block_totals[k] = draw_totals(rng, intensities, rows, sizes)
+        totals, blocks = block_totals.sum(axis=1), block_totals[:, : shots // every]
     if split is None:
         return totals / shots, None
-    blocks, _ = split_totals(np.random.default_rng(split), true_cal.intensities, occupations, totals, every)
     return totals / shots, np.cumsum(blocks, axis=1) / (every * np.arange(1, blocks.shape[1] + 1))
 
 

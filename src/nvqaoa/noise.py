@@ -13,22 +13,21 @@ Three gate-level knobs plus one readout knob:
 
 The two deterministic channels, overrotation and phase offset, also fold into
 ``circuits.simulate_qaoa``, which makes the ansatz state of a scan without a
-stochastic channel. ``simulate_noisy`` runs one trajectory gate by gate,
-drawing each gate's errors as it goes, and is the reference for both.
-``TrajectorySampler`` makes batches of trajectories of one circuit: it draws
-the Pauli errors of the whole batch in one call, gives every error-free
-trajectory the cached error-free final state, and replays any other only from
-its first error on, starting from the cached error-free state before that gate
-(the unravelling of Dalibard, Castin & Molmer, PRL 68, 580, 1992: a trajectory
-leaves the error-free evolution only at its first jump). A replay makes the
-same floating-point operations as a gate-by-gate run of the same errors, so
-their states agree bit for bit.
+stochastic channel; ``simulate_noisy`` runs them gate by gate and is its
+reference. ``TrajectorySampler`` is the only code that draws Pauli errors. It
+makes batches of trajectories of one circuit: it draws the errors of the whole
+batch in one call, gives every error-free trajectory the cached error-free
+final state, and replays any other only from its first error on, starting from
+the cached error-free state before that gate (the unravelling of Dalibard,
+Castin & Molmer, PRL 68, 580, 1992: a trajectory leaves the error-free
+evolution only at its first jump). A replay makes the same floating-point
+operations as a gate-by-gate run of the same errors, so their states agree bit
+for bit. ``simulate_noisy`` is one such trajectory.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -53,7 +52,6 @@ class NoiseConfig:
     overrotation_frac: float = 0.0
     phase_offset: float = 0.0
     calibration_sigma: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("depolarizing_prob", "overrotation_frac", "phase_offset", "calibration_sigma"):
@@ -65,19 +63,6 @@ class NoiseConfig:
             raise ValueError("depolarizing_prob must be in [0, 1]")
         if self.calibration_sigma < 0.0:
             raise ValueError("calibration_sigma must be nonnegative")
-        object.__setattr__(self, "seed", _check_integer("seed", self.seed))
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-
-    @property
-    def is_trivial(self) -> bool:
-        """True when every channel is off; the noisy simulator then matches the exact one bit-for-bit."""
-        return (
-            self.depolarizing_prob == 0.0
-            and self.overrotation_frac == 0.0
-            and self.phase_offset == 0.0
-            and self.calibration_sigma == 0.0
-        )
 
     @property
     def is_stochastic(self) -> bool:
@@ -92,30 +77,16 @@ class NoiseConfig:
         return cls(**data)
 
 
-def _check_integer(name: str, value) -> int:
-    """``value`` as an int; bool and non-integral values raise ValueError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def apply_noisy_gate(state: StateVector, gate: Gate, config: NoiseConfig, rng: np.random.Generator) -> StateVector:
-    """One gate under the configured channels; rng is consumed only by the depolarizing draw."""
-    return _noisy_step(state, gate, config, _draw_errors(gate, config, rng))
-
-
 def simulate_noisy(circuit, config: NoiseConfig, rng: np.random.Generator | None = None) -> StateVector:
-    """One noisy trajectory of the circuit from |00...0>.
+    """One noisy trajectory of the circuit from |00...0>: ``TrajectorySampler(circuit, config).sample(rng)``.
 
-    With all channels off this reproduces the exact simulator bit for bit:
-    the angles are untouched and no extra operators are applied.
+    A depolarizing channel draws its errors from ``rng`` and raises ValueError
+    without one. With all channels off this reproduces the exact simulator bit
+    for bit: the angles are untouched and no extra operators are applied.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    state = init_zero(circuit.num_qubits)
-    for gate in circuit.gates:
-        state = apply_noisy_gate(state, gate, config, rng)
-    return state
+    if rng is None and config.is_stochastic:
+        raise ValueError("a depolarizing channel needs an rng to draw its errors from")
+    return TrajectorySampler(circuit, config).sample(rng)
 
 
 class TrajectorySampler:
@@ -210,17 +181,6 @@ def perturb_calibration(table, sigma: float, seed):
     rng = np.random.default_rng(seed)
     factors = 1.0 + rng.normal(0.0, sigma, size=table.intensities.size)
     return CalibrationTable(np.maximum(table.intensities * factors, 0.0))
-
-
-def _draw_errors(gate: Gate, config: NoiseConfig, rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
-    """The depolarizing draws for one gate: (qubit, Pauli index) per hit; no draw when the channel is off."""
-    if config.depolarizing_prob == 0.0:
-        return ()
-    hits = []
-    for q in gate.targets:
-        if rng.random() < config.depolarizing_prob:
-            hits.append((q, int(rng.integers(3))))
-    return tuple(hits)
 
 
 def _noisy_step(state: StateVector, gate: Gate, config: NoiseConfig, errors) -> StateVector:

@@ -13,9 +13,12 @@ basis-state occupations of all its shots and one Poisson for its photon total
 checkpoint blocks by the exact conditional law of i.i.d. shots given those
 totals. ``sample_shots`` is the two for one row; ``retain_counts=True`` draws
 every shot instead and keeps the counts, the slow path both are checked
-against. Sampling is deterministic given its arguments and the seed: a
-``SeedSequence`` passed in is only read, never spawned from, so the same
-arguments reproduce the same record bit for bit.
+against. ``measure_circuit`` reads a gate-level circuit with one
+``noise.TrajectorySampler`` trajectory per checkpoint block; a scan reads its
+sub-circuits as index flips instead and keeps it as their oracle. Sampling is
+deterministic given its arguments and the seed: a ``SeedSequence`` passed in
+is only read, never spawned from, so the same arguments reproduce the same
+record bit for bit.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from ._bitstrings import all_bitstrings, bits_to_index, index_to_bits
-from .circuits import Circuit, simulate
-from .noise import NoiseConfig, TrajectorySampler, simulate_noisy
+from .circuits import Circuit
+from .noise import NoiseConfig, TrajectorySampler
 from .statevector import populations as state_populations
 
 #: Example intensity table used throughout the tests: brighter states first.
@@ -195,35 +198,25 @@ def measure_circuit(
 ) -> ShotRecord:
     """Simulate the circuit and read it out for ``num_shots`` shots.
 
-    Without stochastic noise the final populations are fixed, so this is
-    ``sample_shots`` on the exact (or deterministically perturbed) state. With
-    a stochastic channel active, a fresh trajectory is drawn for every
-    checkpoint block and its shots are drawn from that trajectory's
-    populations, mimicking slow drift between logging intervals. One generator
-    made from ``seed`` serves the record: ``TrajectorySampler`` draws all
-    blocks' Pauli errors in one call, and one ``draw_totals`` all blocks'
-    occupations and photon totals.
+    Every checkpoint block reads its own trajectory (``TrajectorySampler`` over
+    ``noise``, all blocks' Pauli errors drawn in one call), mimicking slow drift
+    between logging intervals; without a stochastic channel every block reads
+    the one (exact or deterministically perturbed) final state. One generator
+    made from ``seed`` serves the record: after the errors, one ``draw_totals``
+    draws all blocks' occupations and photon totals. ``retain_counts=True``
+    draws every shot of every block instead and keeps the counts.
     """
     if circuit.num_qubits != calibration.num_qubits:
         raise ValueError(
             f"circuit acts on {circuit.num_qubits} qubit(s) but calibration covers {calibration.num_qubits}"
         )
     _check_shot_args(num_shots, checkpoint_every)
-    root = _seed_sequence(seed)
-    if noise is None or not noise.is_stochastic:
-        if noise is None or noise.is_trivial:
-            state = simulate(circuit)
-        else:
-            state = simulate_noisy(circuit, noise)
-        return sample_shots(
-            calibration, state_populations(state), num_shots, root, checkpoint_every, retain_counts
-        )
-
     sizes = _block_sizes(num_shots, checkpoint_every)
     num_full = num_shots // checkpoint_every
     intensities = calibration.intensities
-    rng = np.random.default_rng(root)
-    trajectories = TrajectorySampler(circuit, noise, state_populations).sample_many(rng, sizes.size)
+    rng = np.random.default_rng(_seed_sequence(seed))
+    sampler = TrajectorySampler(circuit, noise or NoiseConfig(), state_populations)
+    trajectories = sampler.sample_many(rng, sizes.size)
     if retain_counts:
         p = _validate_pops(trajectories, intensities.size, normalize=True, rows=True)
         counts = np.concatenate([_draw_shot_counts(rng, intensities, *args) for args in zip(p, sizes)])

@@ -1,0 +1,65 @@
+"""Slow reference implementations shared by the test modules.
+
+``replay_from_scratch`` runs one trajectory gate by gate from |0...0> with
+given Pauli errors, and ``density_matrix_populations`` is the exact
+depolarizing channel on density matrices (small n only).
+"""
+
+import numpy as np
+
+from nvqaoa import noise
+from nvqaoa.statevector import PAULI_MATRICES, ROTATION_KINDS, Gate, gate_matrix, init_zero, rz_matrix
+
+
+def replay_from_scratch(circuit, config, errors):
+    """One trajectory with a given row of ``TrajectorySampler.draw_errors``, gate by gate from |0...0>."""
+    state = init_zero(circuit.num_qubits)
+    slot = 0
+    for gate in circuit.gates:
+        drawn = []
+        for q in gate.targets:
+            if errors[slot] >= 0:
+                drawn.append((q, int(errors[slot])))
+            slot += 1
+        state = noise._noisy_step(state, gate, config, drawn)
+    assert slot == errors.size
+    return state
+
+
+def embed(matrix, targets, n):
+    """The 2^n x 2^n operator acting as ``matrix`` on ``targets`` (qubit 0 is the most significant bit)."""
+    dim = 1 << n
+
+    def bits(s, qubits):
+        return sum(((s >> (n - 1 - q)) & 1) << (len(qubits) - 1 - k) for k, q in enumerate(qubits))
+
+    others = [q for q in range(n) if q not in targets]
+    full = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            if bits(i, others) == bits(j, others):
+                full[i, j] = matrix[bits(i, targets), bits(j, targets)]
+    return full
+
+
+def density_matrix_populations(circuit, config):
+    """Exact channel average: after each gate, rho -> (1-p) rho + (p/3) sum_P P rho P on each touched qubit."""
+    n = circuit.num_qubits
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+    prob = config.depolarizing_prob
+
+    def conjugate(rho, matrix, targets):
+        full = embed(matrix, targets, n)
+        return full @ rho @ full.conj().T
+
+    for gate in circuit.gates:
+        if gate.kind in ROTATION_KINDS:
+            gate = Gate(gate.kind, gate.targets, gate.angle * (1.0 + config.overrotation_frac))
+        rho = conjugate(rho, gate_matrix(gate), gate.targets)
+        for q in gate.targets:
+            flipped = sum(conjugate(rho, PAULI_MATRICES[name], (q,)) for name in "XYZ")
+            rho = (1.0 - prob) * rho + (prob / 3.0) * flipped
+        if len(gate.targets) == 2:
+            rho = conjugate(rho, rz_matrix(config.phase_offset), (0,))
+    return rho.diagonal().real

@@ -642,6 +642,18 @@ def test_noise_flags_recorded_in_manifest(tmp_path, capsys):
     assert noise["depolarizing_prob"] == 0.0
 
 
+def test_noise_seed_is_accepted_and_ignored(tmp_path, capsys):
+    # depolarizing errors are drawn from the master seed's point substreams
+    extra = ["--depolarizing", "0.05", "--realizations", "1"]
+    first = run_small_sampled(tmp_path, "first", extra=extra)
+    second = run_small_sampled(tmp_path, "second", extra=[*extra, "--noise-seed", "7"])
+    capsys.readouterr()
+    for name in ("landscape.csv", "summary.txt"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    noise = json.loads((second / "manifest.txt").read_text())["config"]["noise"]
+    assert sorted(noise) == ["calibration_sigma", "depolarizing_prob", "overrotation_frac", "phase_offset"]
+
+
 def test_noiseless_manifest_has_null_noise(tmp_path, capsys):
     out = run_small_sampled(tmp_path, "clean")
     capsys.readouterr()
@@ -686,7 +698,7 @@ def test_programming_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
         ("landscape", ["--graph", "@big-graph"], "capped at 24"),
         ("landscape", ["--realizations", "0"], "must be positive"),
         ("landscape", ["--seed", "-1"], "nonnegative"),
-        ("landscape", ["--overrotation", "0.1", "--noise-seed", "-3"], "nonnegative"),
+        ("landscape", ["--cal-sigma", "-0.1"], "nonnegative"),
         ("landscape", ["--p", "0"], "at least 1"),
         ("reconstruct", ["--cal", "@bad-cal"], "bad intensity"),
         ("convergence", ["--shots", "900", "--checkpoint-every", "1000"], "full checkpoint block"),

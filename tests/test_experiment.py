@@ -7,6 +7,7 @@ import pytest
 
 from nvqaoa import experiment
 from nvqaoa.circuits import (
+    Circuit,
     QaoaParams,
     append_flips,
     build_ansatz,
@@ -19,6 +20,7 @@ from nvqaoa.experiment import (
     DEFAULT_BETA_RANGE,
     DEFAULT_GAMMA_RANGE,
     LandscapeGrid,
+    OptimizeResult,
     ScanConfig,
     closed_form_cost_k2,
     config_from_dict,
@@ -33,6 +35,7 @@ from nvqaoa.experiment import (
     scan_summary,
     write_convergence_csv,
     write_landscape_csv,
+    write_trace_csv,
     _child_seed,
     _format_10g,
     _measure_subcircuits,
@@ -41,10 +44,11 @@ from nvqaoa.experiment import (
     _sampled_state_pops,
 )
 from nvqaoa.graph_problem import Graph, diagonal_costs
-from nvqaoa.noise import NoiseConfig, perturb_calibration, simulate_noisy
+from nvqaoa.noise import NoiseConfig, TrajectorySampler, perturb_calibration, simulate_noisy
 from nvqaoa.readout import CalibrationTable, DegenerateCalibrationError, default_calibration, draw_totals, split_totals
 from nvqaoa.reconstruction import reconstruct
-from nvqaoa.statevector import populations
+from nvqaoa.statevector import Gate, populations
+from oracles import density_matrix_populations, replay_from_scratch
 
 K2 = Graph.complete(2)
 K3 = Graph.complete(3)
@@ -121,14 +125,12 @@ def test_config_validation():
 
 @pytest.mark.parametrize("p", [1.5, 2.0, True, "2", None, np.float64(1.0)])
 def test_config_rejects_non_integer_p(p):
-    # the same check guards every integer field of ScanConfig and NoiseConfig
+    # the same check guards every integer field of ScanConfig
     with pytest.raises(ValueError, match=r"\bp\b"):
         ScanConfig(graph=K2, p=p)
     for field in ("shots", "realizations", "checkpoint_every", "master_seed"):
         with pytest.raises(ValueError, match=rf"\b{field}\b"):
             ScanConfig(graph=K2, **{field: p})
-    with pytest.raises(ValueError, match=r"\bseed\b"):
-        NoiseConfig(seed=p)
     assert ScanConfig(graph=K2, shots=np.int64(1500)).shots == 1500
     assert type(ScanConfig(graph=K2, master_seed=np.int64(7)).master_seed) is int
 
@@ -536,6 +538,19 @@ def test_convergence_csv_format():
     assert lines[1].split(",")[0] == "1000"
 
 
+def test_trace_csv_format():
+    # one row per evaluation, every angle and F at 10 significant digits as format(v, ".10g") prints them
+    trace = (
+        ((0.1, 0.30000000000000004), (1.0, -0.0), -0.123456789012345),
+        ((np.float64(math.pi / 7),) * 2, (2.5e-10, 1e300), math.nan),
+        ((1.0000000005, 0.0), (-math.inf, 3.0), -1.0),
+    )
+    buffer = io.StringIO()
+    write_trace_csv(OptimizeResult(QaoaParams((0.1, 0.2), (1.0, 2.0)), -1.0, trace), buffer)
+    rows = [",".join([str(i), *(format(v, ".10g") for v in (*b, *g, f))]) for i, (b, g, f) in enumerate(trace)]
+    assert buffer.getvalue() == "\n".join(["index,beta0,beta1,gamma0,gamma1,F", *rows]) + "\n"
+
+
 def test_scan_summary_contents():
     cfg = sampled_config(beta_range=(0.1, 0.2, 0.1), gamma_range=(0.5, 0.5, 1.0), shots=3_000, realizations=2)
     grid = run_scan(cfg)
@@ -550,9 +565,24 @@ def test_scan_summary_contents():
     assert summary["landscape_error"] >= 0.0
 
 
+def test_scan_summary_error_is_none_only_without_valid_points(monkeypatch):
+    cfg = sampled_config()
+    nan = math.nan
+    assert scan_summary(landscape_of([[[nan, nan]]], [[-0.5]]), cfg)["landscape_error"] is None
+    assert scan_summary(landscape_of([[[-0.45, nan]]], [[-0.5]]), cfg)["landscape_error"] == pytest.approx(0.05)
+
+    def broken(grid):
+        raise ValueError("an unrelated bug")
+
+    # any other ValueError is a bug and propagates
+    monkeypatch.setattr(experiment, "landscape_error", broken)
+    with pytest.raises(ValueError, match="an unrelated bug"):
+        scan_summary(landscape_of([[[-0.45, nan]]], [[-0.5]]), cfg)
+
+
 def test_config_dict_round_trip():
     cfg = sampled_config(
-        noise=NoiseConfig(depolarizing_prob=0.01, overrotation_frac=0.05, seed=3),
+        noise=NoiseConfig(depolarizing_prob=0.01, overrotation_frac=0.05),
         p=2,
         exact_calibration=True,
     )
@@ -571,7 +601,7 @@ def test_scan_with_stochastic_noise_stays_deterministic():
         beta_range=(0.3, 0.3, 1.0),
         gamma_range=(1.0, 1.0, 1.0),
         shots=3_000,
-        noise=NoiseConfig(depolarizing_prob=0.02, seed=1),
+        noise=NoiseConfig(depolarizing_prob=0.02),
         realizations=2,
     )
     a = run_scan(cfg)
@@ -581,19 +611,37 @@ def test_scan_with_stochastic_noise_stays_deterministic():
     np.testing.assert_array_equal(a.pops, b.pops)
 
 
+def random_graph(n, rng):
+    edges = [(i, j, float(rng.uniform(0.5, 1.5))) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7]
+    return Graph.from_edges(n, edges or ([(0, 1, 1.0)] if n > 1 else []))
+
+
+def subcircuits(graph, params):
+    """The gate-level sub-circuits of a point, in record order: basis preparations, then flip variants."""
+    ansatz = build_ansatz(graph, params)
+    n = graph.num_vertices
+    return calibration_circuits(n) + [append_flips(ansatz, pattern) for pattern in flip_patterns(n)]
+
+
 @pytest.mark.parametrize(
     "noise",
-    [None, NoiseConfig(overrotation_frac=0.07, phase_offset=-0.2), NoiseConfig(calibration_sigma=0.05)],
-    ids=["noiseless", "overrotation+phase", "cal-sigma"],
+    [
+        None,
+        NoiseConfig(overrotation_frac=0.07, phase_offset=-0.2),
+        NoiseConfig(calibration_sigma=0.05),
+        NoiseConfig(depolarizing_prob=0.3, overrotation_frac=0.07, phase_offset=-0.2),
+    ],
+    ids=["noiseless", "overrotation+phase", "cal-sigma", "depolarizing"],
 )
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_subcircuit_permutations_match_gate_level_oracle(n, noise):
+def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
     # One simulated state read out under index permutations and delta vectors
     # must reproduce, bit for bit, the records of the appended-X sub-circuits'
     # gate-level populations fed through the same batched draw and split.
+    # Under depolarizing noise every block reads its own trajectory, and the
+    # rows must equal gate-level runs of the sub-circuits with the same errors.
     rng = np.random.default_rng(100 + n)
-    edges = [(i, j, float(rng.uniform(0.5, 1.5))) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7]
-    graph = Graph.from_edges(n, edges or [(0, 1, 1.0)])
+    graph = random_graph(n, rng)
     cfg = ScanConfig(
         graph=graph,
         mode="sampled",
@@ -604,15 +652,43 @@ def test_subcircuit_permutations_match_gate_level_oracle(n, noise):
         master_seed=int(rng.integers(1000)),
     )
     diag = diagonal_costs(graph)
+    stochastic = noise is not None and noise.is_stochastic
+    fed = []
+
+    def recording(rng, intensities, rows, num_shots):
+        fed.append(rows)
+        return draw_totals(rng, intensities, rows, num_shots)
+
+    monkeypatch.setattr(experiment, "draw_totals", recording)
+    undone = 0
     for trial in range(3):
         p = 1 + trial % 2
         params = QaoaParams(tuple(rng.uniform(0, math.pi, p)), tuple(rng.uniform(0, 2 * math.pi, p)))
         true_cal, root = _point_streams(cfg, trial, trial)
         draws, split = _child_seed(root, 1), _child_seed(root, 2)
         pops = _sampled_state_pops(cfg, params, diag)
+        fed.clear()
         means, checkpoints = _measure_subcircuits(cfg, params, true_cal, draws, pops, split)
         ansatz = build_ansatz(graph, params)
-        circuits = calibration_circuits(n) + [append_flips(ansatz, pattern) for pattern in flip_patterns(n)]
+        circuits = subcircuits(graph, params)
+        if stochastic:
+            # each record draws its ansatz errors, then one error slot per appended X,
+            # on its own generator; blocks of 1000, 1000 and 500 shots
+            assert pops is None and len(fed) == len(circuits)
+            appended = TrajectorySampler(Circuit(n, tuple(Gate("X", (q,)) for q in range(n))), noise)
+            for k, circuit in enumerate(circuits):
+                twin = np.random.default_rng(_child_seed(draws, k))
+                head = TrajectorySampler(ansatz, noise).draw_errors(twin, 3) if k >= len(circuits) // 2 else None
+                flipped = [q for q in range(n) if (k >> (n - 1 - q)) & 1]  # the qubits of pattern k mod 2^n
+                tail = appended.draw_errors(twin, 3)[:, flipped]
+                undone += np.count_nonzero((tail == 0) | (tail == 1))
+                errors = tail if head is None else np.concatenate([head, tail], axis=1)
+                rows = [populations(replay_from_scratch(circuit, noise, row)) for row in errors]
+                np.testing.assert_array_equal(fed[k], rows)
+                _, totals = draw_totals(twin, true_cal.intensities, rows, [1_000, 1_000, 500])
+                assert means[k] == totals.sum() / cfg.shots
+                np.testing.assert_array_equal(checkpoints[k], np.cumsum(totals[:2]) / (1_000 * np.arange(1, 3)))
+            continue
         rows = [populations(simulate(c) if noise is None else simulate_noisy(c, noise)) for c in circuits]
         occupations, totals = draw_totals(np.random.default_rng(draws), true_cal.intensities, rows, cfg.shots)
         blocks, tails = split_totals(np.random.default_rng(split), true_cal.intensities, occupations, totals, 1_000)
@@ -624,6 +700,34 @@ def test_subcircuit_permutations_match_gate_level_oracle(n, noise):
         np.testing.assert_allclose(pops, oracle_pops, rtol=0, atol=1e-12)
         if noise is None or not (noise.overrotation_frac or noise.phase_offset):
             assert float(np.dot(pops, diag)) == ideal_cost(graph, params)
+    assert undone > 0 or not stochastic  # some X or Y error undid an appended X
+
+
+@pytest.mark.parametrize("deterministic", [False, True], ids=["depolarizing", "with-overrotation+phase"])
+@pytest.mark.parametrize("prob", [0.02, 0.3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_depolarizing_record_means_match_density_matrix_oracle(n, prob, deterministic):
+    # Each record of a depolarizing point estimates the mean photon count of its
+    # gate-level sub-circuit under the exact channel, X gates included. Its
+    # checkpoint blocks read independent trajectories, so their means are i.i.d.;
+    # there are enough of them for about 40 errors per error slot.
+    rng = np.random.default_rng(40 + n)
+    graph = random_graph(n, rng)
+    extra = dict(overrotation_frac=0.07, phase_offset=-0.2) if deterministic else {}
+    noise = NoiseConfig(depolarizing_prob=prob, **extra)
+    cal = CalibrationTable(rng.uniform(0.5, 5.0, 1 << n))
+    every, num_blocks = 1_000, round(40 / prob)
+    cfg = ScanConfig(graph=graph, mode="sampled", calibration=cal, shots=num_blocks * every, checkpoint_every=every,
+                     noise=noise)
+    params = QaoaParams.single(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
+    exact = np.array([density_matrix_populations(c, noise) @ cal.intensities for c in subcircuits(graph, params)])
+    draws, split = np.random.SeedSequence(7 + n).spawn(2)
+    means, checkpoints = _measure_subcircuits(cfg, params, cal, draws, None, split)
+    totals = np.rint(checkpoints * every * np.arange(1, num_blocks + 1))
+    block_means = np.diff(totals, axis=1, prepend=0.0) / every
+    np.testing.assert_allclose(block_means.mean(axis=1), means, rtol=1e-12)
+    z = (means - exact) / (block_means.std(axis=1, ddof=1) / math.sqrt(num_blocks))
+    assert np.all(np.abs(z) <= 4.0), z
 
 
 @pytest.mark.parametrize(

@@ -3,29 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from nvqaoa import noise, readout
+from nvqaoa import readout
 from nvqaoa.circuits import Circuit, QaoaParams, append_flips, build_ansatz, simulate
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import (
     NoiseConfig,
     TrajectorySampler,
-    apply_noisy_gate,
     perturb_calibration,
     simulate_noisy,
     trajectory_mean_populations,
 )
 from nvqaoa.readout import CalibrationTable, default_calibration, measure_circuit
-from nvqaoa.statevector import (
-    PAULI_MATRICES,
-    ROTATION_KINDS,
-    Gate,
-    apply_gate,
-    apply_matrix,
-    gate_matrix,
-    init_zero,
-    populations,
-    rz_matrix,
-)
+from nvqaoa.statevector import ROTATION_KINDS, Gate, apply_gate, apply_matrix, init_zero, populations, rz_matrix
+from oracles import density_matrix_populations, replay_from_scratch
 
 K2 = Graph.complete(2)
 
@@ -43,16 +33,14 @@ def test_config_validation():
         NoiseConfig(calibration_sigma=-1.0)
     with pytest.raises(ValueError):
         NoiseConfig(overrotation_frac=float("nan"))
-    quiet = NoiseConfig()
-    assert quiet.is_trivial and not quiet.is_stochastic
-    drifted = NoiseConfig(overrotation_frac=0.1)
-    assert not drifted.is_trivial and not drifted.is_stochastic
+    assert not NoiseConfig().is_stochastic
+    assert not NoiseConfig(overrotation_frac=0.1, phase_offset=0.2, calibration_sigma=0.1).is_stochastic
     jumpy = NoiseConfig(depolarizing_prob=0.2)
     assert jumpy.is_stochastic
 
 
 def test_config_dict_round_trip():
-    config = NoiseConfig(0.1, 0.05, 0.3, 0.02, seed=9)
+    config = NoiseConfig(0.1, 0.05, 0.3, 0.02)
     again = NoiseConfig.from_dict(config.to_dict())
     assert again == config
 
@@ -98,15 +86,6 @@ def test_phase_offset_follows_two_qubit_gates():
     np.testing.assert_allclose(noisy.amplitudes, simulate(single).amplitudes, atol=1e-15)
 
 
-def test_apply_noisy_gate_consumes_rng_only_for_depolarizing():
-    state = init_zero(2)
-    gate = Gate("RX", (0,), 0.4)
-    rng = np.random.default_rng(5)
-    before = rng.bit_generator.state["state"]["state"]
-    apply_noisy_gate(state, gate, NoiseConfig(overrotation_frac=0.1, phase_offset=0.2), rng)
-    assert rng.bit_generator.state["state"]["state"] == before
-
-
 def test_depolarizing_single_gate_statistics():
     # one RX on one qubit: X and Y flips swap populations, Z leaves them
     theta, prob, trials = 1.1, 0.3, 20_000
@@ -136,12 +115,24 @@ def test_trajectory_mean_deterministic():
         trajectory_mean_populations(circuit, config, 0, seed=1)
 
 
-def test_simulate_noisy_default_rng_comes_from_config_seed():
+def test_simulate_noisy_is_one_sampler_trajectory():
     circuit = build_ansatz(K2, QaoaParams.single(0.3, 1.2))
-    config = NoiseConfig(depolarizing_prob=0.5, seed=77)
-    a = simulate_noisy(circuit, config)
-    b = simulate_noisy(circuit, config)
-    np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+    config = NoiseConfig(depolarizing_prob=0.5, overrotation_frac=0.05)
+    with pytest.raises(ValueError, match="rng"):
+        simulate_noisy(circuit, config)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        state = simulate_noisy(circuit, config, rng)
+        expected = TrajectorySampler(circuit, config).sample(np.random.default_rng(seed))
+        np.testing.assert_array_equal(state.amplitudes, expected.amplitudes)
+    # deterministic channels draw nothing, so they need no generator and leave a given one untouched
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    drifted = NoiseConfig(overrotation_frac=0.1, phase_offset=0.2)
+    np.testing.assert_array_equal(
+        simulate_noisy(circuit, drifted, rng).amplitudes, simulate_noisy(circuit, drifted).amplitudes
+    )
+    assert rng.bit_generator.state == before
 
 
 def test_perturb_calibration():
@@ -186,21 +177,6 @@ def noise_config(prob, deterministic):
     if deterministic:
         return NoiseConfig(depolarizing_prob=prob, overrotation_frac=0.06, phase_offset=-0.4)
     return NoiseConfig(depolarizing_prob=prob)
-
-
-def replay_from_scratch(circuit, config, errors):
-    """simulate_noisy's gate loop with given errors: every gate from |0...0> through _noisy_step."""
-    state = init_zero(circuit.num_qubits)
-    slot = 0
-    for gate in circuit.gates:
-        drawn = []
-        for q in gate.targets:
-            if errors[slot] >= 0:
-                drawn.append((q, int(errors[slot])))
-            slot += 1
-        state = noise._noisy_step(state, gate, config, drawn)
-    assert slot == errors.size
-    return state
 
 
 @pytest.mark.parametrize("deterministic", [False, True])
@@ -259,7 +235,7 @@ def test_error_mask_has_the_depolarizing_law():
 
 
 def reference_record(circuit, calibration, num_shots, seed, checkpoint_every, config, retain_counts):
-    """The stochastic branch of measure_circuit, each block's trajectory run gate by gate from |0...0>."""
+    """measure_circuit with each block's trajectory run gate by gate from |0...0>."""
     num_full, remainder = divmod(num_shots, checkpoint_every)
     sizes = [checkpoint_every] * num_full + ([remainder] if remainder else [])
     rng = np.random.default_rng(seed)
@@ -278,7 +254,7 @@ def reference_record(circuit, calibration, num_shots, seed, checkpoint_every, co
 
 @pytest.mark.parametrize("retain_counts", [False, True])
 @pytest.mark.parametrize("deterministic", [False, True])
-@pytest.mark.parametrize("prob", [p for p in DEPOLARIZING if p > 0.0])
+@pytest.mark.parametrize("prob", DEPOLARIZING)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stochastic_measure_circuit_matches_simulate_noisy_loop(n, prob, deterministic, retain_counts):
     config = noise_config(prob, deterministic)
@@ -310,45 +286,6 @@ def test_trajectory_mean_matches_simulate_noisy_loop(prob, deterministic):
 
 
 # --- trajectory averages against the depolarizing channel on density matrices ---
-
-
-def embed(matrix, targets, n):
-    """The 2^n x 2^n operator acting as ``matrix`` on ``targets`` (qubit 0 is the most significant bit)."""
-    dim = 1 << n
-
-    def bits(s, qubits):
-        return sum(((s >> (n - 1 - q)) & 1) << (len(qubits) - 1 - k) for k, q in enumerate(qubits))
-
-    others = [q for q in range(n) if q not in targets]
-    full = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            if bits(i, others) == bits(j, others):
-                full[i, j] = matrix[bits(i, targets), bits(j, targets)]
-    return full
-
-
-def density_matrix_populations(circuit, config):
-    """Exact channel average: after each gate, rho -> (1-p) rho + (p/3) sum_P P rho P on each touched qubit."""
-    n = circuit.num_qubits
-    rho = np.zeros((1 << n, 1 << n), dtype=complex)
-    rho[0, 0] = 1.0
-    prob = config.depolarizing_prob
-
-    def conjugate(rho, matrix, targets):
-        full = embed(matrix, targets, n)
-        return full @ rho @ full.conj().T
-
-    for gate in circuit.gates:
-        if gate.kind in ROTATION_KINDS:
-            gate = Gate(gate.kind, gate.targets, gate.angle * (1.0 + config.overrotation_frac))
-        rho = conjugate(rho, gate_matrix(gate), gate.targets)
-        for q in gate.targets:
-            flipped = sum(conjugate(rho, PAULI_MATRICES[name], (q,)) for name in "XYZ")
-            rho = (1.0 - prob) * rho + (prob / 3.0) * flipped
-        if len(gate.targets) == 2:
-            rho = conjugate(rho, rz_matrix(config.phase_offset), (0,))
-    return rho.diagonal().real
 
 
 def test_density_matrix_oracle_is_the_exact_state_without_depolarizing():
