@@ -395,12 +395,9 @@ def _run_optimize(cfg: ScanConfig, config: dict, options: dict, out, force: bool
 
 def _cmd_reconstruct(args) -> int:
     calibration = _read_input(load_calibration, args.cal)
-    path = Path(args.means)
-    text = path.read_text()
-    try:
-        means = parse_basis_values(text, "mean", calibration.num_qubits)
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+    means = _read_input(
+        lambda path: parse_basis_values(Path(path).read_text(), "mean", calibration.num_qubits), args.means
+    )
     estimate = reconstruct(calibration, means)  # DegenerateCalibrationError -> exit 3
     labels = all_bitstrings(calibration.num_qubits)
     for label, value in zip(labels, estimate.pops):
@@ -455,8 +452,9 @@ def _run_convergence(cfg: ScanConfig, config: dict, options: dict, out: str, for
 
 def _cmd_rerun(args) -> int:
     path = Path(args.manifest)
+    text = _read_input(Path.read_text, path)  # undecodable bytes are a usage error
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: not a valid manifest: {exc}") from None
     if not isinstance(data, dict):

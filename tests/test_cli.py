@@ -283,6 +283,17 @@ def test_optimize_writes_trace(tmp_path, capsys):
     assert set(summary["best_cut_strings"]) == {"001", "010", "100", "011", "101", "110"}
 
 
+def test_optimize_simplex_writes_trace(tmp_path, capsys):
+    # the simplex branch imports scipy.optimize itself; every other command runs without it
+    graph = write_k2(tmp_path)
+    out = tmp_path / "simplex"
+    assert main(["optimize", "--graph", graph, "--strategy", "simplex", "--out", str(out), *SMALL_SCAN]) == EXIT_OK
+    capsys.readouterr()
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0] == "index,beta0,gamma0,F"
+    assert json.loads((out / "summary.txt").read_text())["evaluations"] == len(lines) - 1
+
+
 def test_optimize_refuses_occupied_out_before_computing(tmp_path, capsys):
     graph = write_k2(tmp_path)
     out = tmp_path / "opt"
@@ -606,12 +617,15 @@ def test_rerun_refuses_a_manifest_of_another_version(tmp_path, capsys):
     assert not replay.exists()
 
 
-def test_module_form_runs_the_cli():
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``args`` that imports nvqaoa from this checkout."""
     src = str(Path(nvqaoa.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "nvqaoa.cli", "--version"], capture_output=True, text=True, env=env, timeout=60
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_form_runs_the_cli():
+    done = run_python("-m", "nvqaoa.cli", "--version")
     assert done.returncode == 0
     assert done.stdout.strip() == f"nvqaoa {nvqaoa.__version__}"
 
@@ -619,6 +633,41 @@ def test_module_form_runs_the_cli():
 def test_rerun_missing_manifest_is_io_error(tmp_path, capsys):
     assert main(["rerun", "--manifest", str(tmp_path / "gone.txt")]) == EXIT_IO
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("reconstruct", "--means"), ("rerun", "--manifest"), ("landscape", "--graph")]
+)
+def test_undecodable_input_file_is_usage_error(tmp_path, capsys, command, flag):
+    undecodable = tmp_path / "latin1.txt"
+    undecodable.write_bytes(b"00 5\n01 3\n10 2\n11 \xff\n")
+    extra = {"reconstruct": ["--cal", write_cal(tmp_path)], "landscape": ["--out", str(tmp_path / "out")]}
+    assert main([command, flag, str(undecodable), *extra.get(command, [])]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {undecodable}: ")
+
+
+# A fresh process, since this one has imported scipy.stats for the readout tests.
+COLD_COMMANDS = """
+import sys
+from pathlib import Path
+from nvqaoa import cli
+
+tmp = Path(sys.argv[1])
+(tmp / "k2.txt").write_text("n 2\\n0 1\\n")
+(tmp / "cal.txt").write_text("00 5\\n01 3\\n10 2\\n11 1\\n")
+scan = ["--graph", str(tmp / "k2.txt"), "--cal", str(tmp / "cal.txt"), "--shots", "2000", "--realizations", "2"]
+grid = ["--beta-range", "0.1:0.2:0.1", "--gamma-range", "0.5:0.7:0.2"]
+assert cli.main(["landscape", "--mode", "sampled", *scan, *grid, "--out", str(tmp / "scan")]) == 0
+assert cli.main(["convergence", *scan, "--beta", "0.3", "--gamma", "0.7", "--out", str(tmp / "conv")]) == 0
+assert cli.main(["rerun", "--manifest", str(tmp / "scan" / "manifest.txt"), "--out", str(tmp / "again")]) == 0
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+
+
+def test_scan_convergence_and_rerun_never_import_scipy(tmp_path):
+    done = run_python("-c", COLD_COMMANDS, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 # --- noise flags ---

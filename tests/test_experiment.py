@@ -757,6 +757,9 @@ def test_measure_point_simulates_one_noiseless_state(monkeypatch, noise, calls):
     seen.clear()
     convergence_profile(replace(cfg, realizations=3), POINT)
     assert len(seen) == (noise is None or not noise.is_stochastic)  # one state for every realization
+    seen.clear()
+    run_scan(replace(cfg, beta_range=(0.1, 0.2, 0.1), gamma_range=(0.5, 0.7, 0.2), realizations=3))
+    assert len(seen) == calls * 4  # a 2x2 grid reads each point's states in all three realizations
 
 
 def test_point_streams_are_three_children_of_the_point_seed():
