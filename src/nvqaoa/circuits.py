@@ -11,7 +11,9 @@ multiply by the cost-diagonal phase and n in-place RX butterflies per layer.
 It folds in the deterministic noise channels (overrotation and phase offset),
 so it makes every deterministic ansatz state of a scan, exact or sampled. The
 gate-level ``simulate(build_ansatz(...))`` and
-``noise.simulate_noisy(build_ansatz(...))`` stay as its reference.
+``noise.simulate_noisy(build_ansatz(...))`` stay as its reference. A
+depolarizing channel leaves a mixed state, which a sampled scan reads from
+``noise.density_populations(build_ansatz(...))`` instead.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def simulate_qaoa(
     scale, offset = 1.0, 0.0
     if noise is not None:
         if noise.is_stochastic:
-            raise ValueError("simulate_qaoa takes only deterministic noise; depolarizing needs trajectories")
+            raise ValueError("simulate_qaoa takes only deterministic noise; depolarizing needs density_populations")
         if noise.phase_offset != 0.0 and num_edges is None:
             raise ValueError("a phase offset needs num_edges, the number of two-qubit gates per layer")
         scale, offset = 1.0 + noise.overrotation_frac, noise.phase_offset * (num_edges or 0)

@@ -149,7 +149,7 @@ def _add_scan_arguments(sub: argparse.ArgumentParser, default_mode: str) -> None
     sub.add_argument("--phase-offset", type=parse_angle, default=0.0, help="RZ on qubit 0 after two-qubit gates")
     sub.add_argument("--cal-sigma", type=float, default=0.0, help="relative jitter on the true intensities")
     sub.add_argument(
-        "--noise-seed", type=int, default=0, help="accepted for compatibility and ignored: errors are drawn from --seed"
+        "--noise-seed", type=int, default=0, help="accepted for compatibility and ignored: every draw comes from --seed"
     )
     sub.add_argument("--force", action="store_true", help="overwrite existing output files")
 

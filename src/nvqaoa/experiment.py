@@ -11,18 +11,17 @@ Every deterministic ansatz state comes from the QAOA-structured simulator
 ``simulate_qaoa`` on the cost diagonal: the exact state of ideal points and of
 ``F_ideal``, and, with overrotation and phase offset folded in, the state a
 sampled point reads without a stochastic channel (without either channel it is
-the ``F_ideal`` state itself). ``run_scan`` simulates that state once per
-point and reads it in every realization. Each flip pattern only permutes its
-populations and each basis preparation is a delta vector, so the 2^(n+1)
-readouts are the rows of one matrix, and one multinomial and one Poisson call
-per realization draw all their records
-(``readout.draw_totals``). Under depolarizing noise each checkpoint block of a
-record reads its own trajectory, so a point makes one
-``noise.TrajectorySampler`` of the ansatz and reads its records one by one
-through the same index flips: a flip variant flips an ansatz trajectory, a
-basis preparation the delta at 0. The channel also acts on the appended X
-gates, and a Pauli after the last gate only moves the index: an X or Y drawn
-after an appended X undoes its flip.
+the ``F_ideal`` state itself). Under depolarizing noise a point reads the
+exact channel-averaged populations of the ansatz instead
+(``noise.density_populations``): every shot is a fresh run with its own
+errors, so each shot's basis state is a draw from them. ``run_scan`` makes
+those populations once per point and reads them in every realization. Each
+flip pattern only permutes them and each basis preparation is a delta vector;
+under depolarizing noise an X or Y error after an appended X undoes its flip,
+with probability 2p/3 per flipped qubit. So the 2^(n+1) readouts are the rows
+of one matrix, and one multinomial and one Poisson call per realization draw
+all their records (``readout.draw_totals``). Depolarizing scans are capped at
+``MAX_DEPOLARIZING_VERTICES``, since rho has 4^n entries.
 
 Reproducibility contract: every (grid point, realization) derives its random
 substreams from ``SeedSequence(master_seed, spawn_key=(point_index,
@@ -45,7 +44,6 @@ import numpy as np
 
 from ._bitstrings import all_bitstrings
 from .circuits import (
-    Circuit,
     QaoaParams,
     build_ansatz,
     # unused here: perfbench's test_tracer_wraps_every_binding_and_restores_them
@@ -54,10 +52,10 @@ from .circuits import (
     simulate_qaoa,
 )
 from .graph_problem import MAX_VERTICES, Graph, diagonal_costs
-from .noise import NoiseConfig, TrajectorySampler, perturb_calibration
-from .readout import CalibrationTable, _block_sizes, draw_totals, split_totals
+from .noise import NoiseConfig, density_populations, perturb_calibration
+from .readout import CalibrationTable, draw_totals, split_totals
 from .reconstruction import DegenerateCalibrationError, reconstruct
-from .statevector import Gate, populations
+from .statevector import populations
 
 DEFAULT_BETA_RANGE = (0.1 * math.pi, 0.6 * math.pi, 0.025 * math.pi)
 DEFAULT_GAMMA_RANGE = (0.1 * math.pi, 2.1 * math.pi, 0.05 * math.pi)
@@ -65,6 +63,9 @@ DEFAULT_SHOTS = 300_000
 DEFAULT_REALIZATIONS = 4
 DEFAULT_CHECKPOINT_EVERY = 1000
 DEFAULT_SEED = 1
+
+# A depolarizing point holds its density matrix: 4^n complex entries, 16 MiB at n = 10.
+MAX_DEPOLARIZING_VERTICES = 10
 
 CSV_HEADER = "beta,gamma,realization,F_measured,F_ideal,abs_diff,norm,pops"
 
@@ -138,6 +139,11 @@ class ScanConfig:
         grid_axis(self.beta_range)
         grid_axis(self.gamma_range)
         if self.mode == "sampled":
+            n = self.graph.num_vertices
+            if self.noise is not None and self.noise.is_stochastic and n > MAX_DEPOLARIZING_VERTICES:
+                raise ValueError(
+                    f"graph has {n} vertices; depolarizing scans are capped at {MAX_DEPOLARIZING_VERTICES}"
+                )
             if self.calibration is None:
                 raise ValueError("sampled mode requires a calibration table")
             if self.calibration.num_qubits != self.graph.num_vertices:
@@ -208,7 +214,7 @@ def measure_point(
     realization_index: int = 0,
     point_index: int = 0,
     *,
-    state: tuple[float, np.ndarray | None] | None = None,
+    state: tuple[float, np.ndarray] | None = None,
 ) -> PointRecord:
     """Run the full measurement protocol at one parameter point.
 
@@ -233,7 +239,7 @@ def measure_point(
     F_ideal, pops = _point_state(config, params, diag) if state is None else state
     try:
         true_cal, root = _point_streams(config, realization_index, point_index)
-        means, _ = _measure_subcircuits(config, params, true_cal, _child_seed(root, 1), pops)
+        means, _ = _measure_subcircuits(config, true_cal, _child_seed(root, 1), pops)
         size = diag.size
         table = true_cal if config.exact_calibration else CalibrationTable(means[:size])
         estimate = reconstruct(table, means[size:])
@@ -428,7 +434,7 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
             continue
         # one row per sub-circuit, one column per checkpoint
         draws, split = _child_seed(root, 1), _child_seed(root, 2)
-        _, checkpoints = _measure_subcircuits(config, params, true_cal, draws, pops, split)
+        _, checkpoints = _measure_subcircuits(config, true_cal, draws, pops, split)
         table = true_cal if config.exact_calibration else checkpoints[:size].T
         estimate = reconstruct(table, checkpoints[size:].T)
         pops_runs[realization] = estimate.pops
@@ -578,7 +584,7 @@ def _ideal_point(diag: np.ndarray, params: QaoaParams) -> tuple[np.ndarray, floa
     return pops, float(np.dot(pops, diag))
 
 
-def _point_state(config: ScanConfig, params: QaoaParams, diag: np.ndarray) -> tuple[float, np.ndarray | None]:
+def _point_state(config: ScanConfig, params: QaoaParams, diag: np.ndarray) -> tuple[float, np.ndarray]:
     """``F_ideal`` and the populations a sampled point reads (``_sampled_state_pops``)."""
     # _ideal_point's body, inlined: perfbench's tracer counts every _ideal_point
     # call as an evaluation of its own
@@ -627,13 +633,13 @@ def _child_seed(root: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (k,), pool_size=root.pool_size)
 
 
-def _measure_subcircuits(config: ScanConfig, params: QaoaParams, true_cal, draws, pops, split=None):
+def _measure_subcircuits(config: ScanConfig, true_cal, draws, pops, split=None):
     """Read out the 2^n basis preparations and the 2^n flip variants of the ansatz.
 
-    ``pops`` is the state the point reads (``_sampled_state_pops``), None under
-    depolarizing noise. Returns every record's mean photon count, calibration
-    records first, and, given a ``split`` substream, the running means at each
-    full checkpoint block with one row per record (otherwise None).
+    ``pops`` is the state the point reads (``_sampled_state_pops``). Returns
+    every record's mean photon count, calibration records first, and, given a
+    ``split`` substream, the running means at each full checkpoint block with
+    one row per record (otherwise None).
     """
     n = config.graph.num_vertices
     size = 1 << n
@@ -642,45 +648,34 @@ def _measure_subcircuits(config: ScanConfig, params: QaoaParams, true_cal, draws
     # An X on qubit q flips bit n-1-q of the basis index, so flip pattern x
     # reads out pops[idx ^ x] and basis preparation s is the delta at s.
     idx = np.arange(size)
-    if pops is not None:
-        rows = np.concatenate([np.eye(size), pops[idx ^ idx[:, None]]])
-        occupations, totals = draw_totals(np.random.default_rng(draws), intensities, rows, shots)
-        if split is not None:
-            blocks, _ = split_totals(np.random.default_rng(split), intensities, occupations, totals, every)
-    else:
-        # Record k has its own generator and every block its own trajectory,
-        # flipped by the pattern less the flips that an X or Y error on the
-        # appended X gates undid (one error slot per qubit).
-        sizes = _block_sizes(shots, every)
-        ansatz = TrajectorySampler(build_ansatz(config.graph, params), config.noise, populations)
-        appended = TrajectorySampler(Circuit(n, tuple(Gate("X", (q,)) for q in range(n))), config.noise)
-        qubit_bits = 1 << (n - 1 - np.arange(n))
-        zero = np.eye(1, size).repeat(sizes.size, axis=0)  # a preparation starts from |0...0>
-        block_totals = np.empty((2 * size, sizes.size), dtype=np.int64)
-        for k in range(2 * size):
-            rng = np.random.default_rng(_child_seed(draws, k))
-            states = np.array(ansatz.sample_many(rng, sizes.size)) if k >= size else zero
-            errors = appended.draw_errors(rng, sizes.size)
-            undone = ((errors == 0) | (errors == 1)) @ qubit_bits  # X or Y
-            flips = (k % size) & ~undone
-            rows = np.take_along_axis(states, idx ^ flips[:, None], axis=1)
-            _, block_totals[k] = draw_totals(rng, intensities, rows, sizes)
-        totals, blocks = block_totals.sum(axis=1), block_totals[:, : shots // every]
+    rows = np.concatenate([np.eye(size), pops[idx ^ idx[:, None]]])
+    # An X or Y error after an appended X undoes it: on each qubit whose bit is
+    # set in the pattern (k mod 2^n), record k mixes (1 - r) of its row with
+    # r = 2p/3 of its row read at idx ^ bit, which is the row of record k ^ bit.
+    # At p = 0 the mixing is an identity, skipped because its numpy calls cost
+    # a noiseless K2 point about 7%.
+    undo = 2.0 * config.noise.depolarizing_prob / 3.0 if config.noise is not None else 0.0
+    if undo:
+        for bit in (1 << np.arange(n)).tolist():
+            pairs = rows.reshape(-1, 2, bit, size)  # axis 1 is this bit of the record index
+            pairs[:, 1] = (1.0 - undo) * pairs[:, 1] + undo * pairs[:, 0]
+    occupations, totals = draw_totals(np.random.default_rng(draws), intensities, rows, shots)
     if split is None:
         return totals / shots, None
+    blocks, _ = split_totals(np.random.default_rng(split), intensities, occupations, totals, every)
     return totals / shots, np.cumsum(blocks, axis=1) / (every * np.arange(1, blocks.shape[1] + 1))
 
 
 def _sampled_state_pops(config: ScanConfig, params: QaoaParams, diag: np.ndarray, ideal_pops=None):
-    """Populations of the ansatz state a point reads, deterministic noise included.
+    """Populations of the ansatz state a point reads, every noise channel included.
 
-    That is ``ideal_pops`` when given and neither overrotation nor phase offset
-    is set. Under a stochastic channel there is no single state and this
-    returns None.
+    Under a depolarizing channel these are the exact channel-averaged
+    populations. Otherwise they are ``ideal_pops`` when given and neither
+    overrotation nor phase offset is set.
     """
     noise = config.noise
     if noise is not None and noise.is_stochastic:
-        return None
+        return density_populations(build_ansatz(config.graph, params), noise)
     if ideal_pops is not None and (noise is None or not (noise.overrotation_frac or noise.phase_offset)):
         return ideal_pops
     return populations(simulate_qaoa(diag, params, noise, len(config.graph.edges())))

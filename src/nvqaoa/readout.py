@@ -13,12 +13,13 @@ basis-state occupations of all its shots and one Poisson for its photon total
 checkpoint blocks by the exact conditional law of i.i.d. shots given those
 totals. ``sample_shots`` is the two for one row; ``retain_counts=True`` draws
 every shot instead and keeps the counts, the slow path both are checked
-against. ``measure_circuit`` reads a gate-level circuit with one
-``noise.TrajectorySampler`` trajectory per checkpoint block; a scan reads its
-sub-circuits as index flips instead and keeps it as their oracle. Sampling is
-deterministic given its arguments and the seed: a ``SeedSequence`` passed in
-is only read, never spawned from, so the same arguments reproduce the same
-record bit for bit.
+against. ``measure_circuit`` reads a gate-level circuit: it is ``sample_shots``
+of the circuit's exact channel-averaged populations
+(``noise.density_populations``), so under depolarizing noise too each shot
+reads its own errors. A scan reads its sub-circuits as index flips instead and
+keeps it as their oracle. Sampling is deterministic given its arguments and
+the seed: a ``SeedSequence`` passed in is only read, never spawned from, so
+the same arguments reproduce the same record bit for bit.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ import numpy as np
 
 from ._bitstrings import all_bitstrings, bits_to_index, index_to_bits
 from .circuits import Circuit
-from .noise import NoiseConfig, TrajectorySampler
-from .statevector import populations as state_populations
+from .noise import NoiseConfig, density_populations
 
 #: Example intensity table used throughout the tests: brighter states first.
 DEFAULT_INTENSITIES = (5.0, 3.0, 2.0, 1.0)
@@ -196,33 +196,18 @@ def measure_circuit(
     noise: NoiseConfig | None = None,
     retain_counts: bool = False,
 ) -> ShotRecord:
-    """Simulate the circuit and read it out for ``num_shots`` shots.
+    """Read the circuit out for ``num_shots`` shots: ``sample_shots`` of ``noise.density_populations``.
 
-    Every checkpoint block reads its own trajectory (``TrajectorySampler`` over
-    ``noise``, all blocks' Pauli errors drawn in one call), mimicking slow drift
-    between logging intervals; without a stochastic channel every block reads
-    the one (exact or deterministically perturbed) final state. One generator
-    made from ``seed`` serves the record: after the errors, one ``draw_totals``
-    draws all blocks' occupations and photon totals. ``retain_counts=True``
-    draws every shot of every block instead and keeps the counts.
+    Every shot is a fresh run of the circuit, so under a depolarizing
+    ``noise`` it draws its own Pauli errors, and its basis state has the law
+    of the channel-averaged populations.
     """
     if circuit.num_qubits != calibration.num_qubits:
         raise ValueError(
             f"circuit acts on {circuit.num_qubits} qubit(s) but calibration covers {calibration.num_qubits}"
         )
-    _check_shot_args(num_shots, checkpoint_every)
-    sizes = _block_sizes(num_shots, checkpoint_every)
-    num_full = num_shots // checkpoint_every
-    intensities = calibration.intensities
-    rng = np.random.default_rng(_seed_sequence(seed))
-    sampler = TrajectorySampler(circuit, noise or NoiseConfig(), state_populations)
-    trajectories = sampler.sample_many(rng, sizes.size)
-    if retain_counts:
-        p = _validate_pops(trajectories, intensities.size, normalize=True, rows=True)
-        counts = np.concatenate([_draw_shot_counts(rng, intensities, *args) for args in zip(p, sizes)])
-        return _record_from_counts(counts, checkpoint_every)
-    _, totals = draw_totals(rng, intensities, trajectories, sizes)
-    return _assemble_record(totals[:num_full], int(totals[num_full:].sum()), num_shots, checkpoint_every)
+    pops = density_populations(circuit, noise or NoiseConfig())
+    return sample_shots(calibration, pops, num_shots, seed, checkpoint_every, retain_counts)
 
 
 def parse_basis_values(text: str, value_name: str = "intensity", width: int | None = None) -> np.ndarray:

@@ -1,29 +1,13 @@
 """Slow reference implementations shared by the test modules.
 
-``replay_from_scratch`` runs one trajectory gate by gate from |0...0> with
-given Pauli errors, and ``density_matrix_populations`` is the exact
-depolarizing channel on density matrices (small n only).
+``density_matrix_populations`` is the exact depolarizing channel on dense
+density matrices (small n only), written out independently of
+``noise.density_populations``.
 """
 
 import numpy as np
 
-from nvqaoa import noise
-from nvqaoa.statevector import PAULI_MATRICES, ROTATION_KINDS, Gate, gate_matrix, init_zero, rz_matrix
-
-
-def replay_from_scratch(circuit, config, errors):
-    """One trajectory with a given row of ``TrajectorySampler.draw_errors``, gate by gate from |0...0>."""
-    state = init_zero(circuit.num_qubits)
-    slot = 0
-    for gate in circuit.gates:
-        drawn = []
-        for q in gate.targets:
-            if errors[slot] >= 0:
-                drawn.append((q, int(errors[slot])))
-            slot += 1
-        state = noise._noisy_step(state, gate, config, drawn)
-    assert slot == errors.size
-    return state
+from nvqaoa.statevector import PAULI_MATRICES, ROTATION_KINDS, Gate, gate_matrix, rz_matrix
 
 
 def embed(matrix, targets, n):

@@ -25,6 +25,7 @@ from nvqaoa import (
     build_ansatz,
     build_ansatz_native,
     default_calibration,
+    density_populations,
     diagonal_costs,
     fidelity,
     forward_means,
@@ -35,7 +36,6 @@ from nvqaoa import (
     reconstruct,
     run_scan,
     simulate,
-    trajectory_mean_populations,
     walsh_coefficients,
 )
 from nvqaoa.cli import main as cli_main
@@ -221,12 +221,12 @@ def test_criterion_07_depolarizing_fixed_point(capsys):
     with criterion(capsys, 7, "full depolarizing drives K2 to uniform populations and F = -1/2") as info:
         noise = NoiseConfig(depolarizing_prob=1.0)
         circuit = build_ansatz(K2, POINT)
-        pops = trajectory_mean_populations(circuit, noise, num_trajectories=20_000, seed=42)
+        pops = density_populations(circuit, noise)
         worst = float(np.max(np.abs(pops - 0.25)))
         assert worst <= 0.02, f"population deviates from 1/4 by {worst:.4f} (cap 0.02)"
         f_noisy = float(pops @ diagonal_costs(K2))
         assert abs(f_noisy + 0.5) <= 0.03, f"F = {f_noisy:.4f} is not within 0.03 of -1/2"
-        info["detail"] = f"20000 trajectories, max |p - 1/4| = {worst:.4f}, F = {f_noisy:.4f}"
+        info["detail"] = f"exact channel average, max |p - 1/4| = {worst:.2e}, F = {f_noisy:.4f}"
 
 
 def test_criterion_08_brute_force_consistency(capsys):

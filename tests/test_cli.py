@@ -692,7 +692,7 @@ def test_noise_flags_recorded_in_manifest(tmp_path, capsys):
 
 
 def test_noise_seed_is_accepted_and_ignored(tmp_path, capsys):
-    # depolarizing errors are drawn from the master seed's point substreams
+    # a depolarizing point draws only from the master seed's point substreams
     extra = ["--depolarizing", "0.05", "--realizations", "1"]
     first = run_small_sampled(tmp_path, "first", extra=extra)
     second = run_small_sampled(tmp_path, "second", extra=[*extra, "--noise-seed", "7"])
@@ -752,6 +752,7 @@ def test_programming_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
         ("reconstruct", ["--cal", "@bad-cal"], "bad intensity"),
         ("convergence", ["--shots", "900", "--checkpoint-every", "1000"], "full checkpoint block"),
         ("convergence", ["--beta", "inf"], "finite"),
+        ("landscape", ["--graph", "@ring-11", "--cal", "@cal-11", "--depolarizing", "0.01"], "capped at 10"),
     ],
 )
 def test_bad_input_is_usage_error_before_output(tmp_path, capsys, command, extra, message):
@@ -759,6 +760,8 @@ def test_bad_input_is_usage_error_before_output(tmp_path, capsys, command, extra
         "@bad-cal": ("bad-cal.txt", "00 5\n01 3\n10 2\n11 one\n"),
         "@flat-cal": ("flat.txt", "00 2\n01 2\n10 2\n11 2\n"),
         "@big-graph": ("big.txt", "n 25\n0 1\n"),
+        "@ring-11": ("ring-11.txt", "n 11\n" + "".join(f"{i} {(i + 1) % 11}\n" for i in range(11))),
+        "@cal-11": ("cal-11.txt", "".join(f"{s:011b} {1 + s}\n" for s in range(2048))),
     }
     for key, (name, text) in files.items():
         (tmp_path / name).write_text(text)

@@ -7,7 +7,6 @@ import pytest
 
 from nvqaoa import experiment
 from nvqaoa.circuits import (
-    Circuit,
     QaoaParams,
     append_flips,
     build_ansatz,
@@ -19,6 +18,7 @@ from nvqaoa.circuits import (
 from nvqaoa.experiment import (
     DEFAULT_BETA_RANGE,
     DEFAULT_GAMMA_RANGE,
+    MAX_DEPOLARIZING_VERTICES,
     LandscapeGrid,
     OptimizeResult,
     ScanConfig,
@@ -44,11 +44,11 @@ from nvqaoa.experiment import (
     _sampled_state_pops,
 )
 from nvqaoa.graph_problem import Graph, diagonal_costs
-from nvqaoa.noise import NoiseConfig, TrajectorySampler, perturb_calibration, simulate_noisy
+from nvqaoa.noise import NoiseConfig, perturb_calibration, simulate_noisy
 from nvqaoa.readout import CalibrationTable, DegenerateCalibrationError, default_calibration, draw_totals, split_totals
-from nvqaoa.reconstruction import reconstruct
-from nvqaoa.statevector import Gate, populations
-from oracles import density_matrix_populations, replay_from_scratch
+from nvqaoa.reconstruction import fwht, reconstruct, walsh_coefficients
+from nvqaoa.statevector import populations
+from oracles import density_matrix_populations
 
 K2 = Graph.complete(2)
 K3 = Graph.complete(3)
@@ -121,6 +121,10 @@ def test_config_validation():
         ScanConfig(graph=K2, p=0)
     with pytest.raises(ValueError):
         ScanConfig(graph=K2, shots=0)
+    ring = Graph.from_edges(11, [(i, (i + 1) % 11) for i in range(11)])
+    depolarizing = NoiseConfig(depolarizing_prob=0.01)
+    with pytest.raises(ValueError, match=f"capped at {MAX_DEPOLARIZING_VERTICES}"):
+        ScanConfig(graph=ring, mode="sampled", calibration=CalibrationTable(np.arange(2048.0)), noise=depolarizing)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, True, "2", None, np.float64(1.0)])
@@ -367,12 +371,13 @@ def test_convergence_profile_checkpoints():
 
 
 def test_convergence_final_checkpoint_matches_measure_point():
-    cfg = sampled_config(shots=4_000, realizations=2, checkpoint_every=1000)
-    profile = convergence_profile(cfg, POINT)
-    records = [measure_point(cfg, POINT, r, point_index=0) for r in range(2)]
-    expected_pops = np.mean([rec.pops for rec in records], axis=0)
-    np.testing.assert_array_equal(profile.mean_pops[-1], expected_pops)
-    assert profile.mean_norm[-1] == np.mean([rec.norm for rec in records])
+    for noise in (None, NoiseConfig(depolarizing_prob=0.05)):
+        cfg = sampled_config(shots=4_000, realizations=2, checkpoint_every=1000, noise=noise)
+        profile = convergence_profile(cfg, POINT)
+        records = [measure_point(cfg, POINT, r, point_index=0) for r in range(2)]
+        expected_pops = np.mean([rec.pops for rec in records], axis=0)
+        np.testing.assert_array_equal(profile.mean_pops[-1], expected_pops)
+        assert profile.mean_norm[-1] == np.mean([rec.norm for rec in records])
 
 
 def test_all_zero_empirical_calibration_gives_invalid_point():
@@ -429,7 +434,7 @@ def per_checkpoint_runs(config, params, point_index=0):
         except DegenerateCalibrationError:
             continue
         draws, split = _child_seed(root, 1), _child_seed(root, 2)
-        _, checkpoints = _measure_subcircuits(config, params, true_cal, draws, pops, split)
+        _, checkpoints = _measure_subcircuits(config, true_cal, draws, pops, split)
         for k in range(num_checkpoints):
             try:
                 table = true_cal if config.exact_calibration else CalibrationTable(checkpoints[:size, k])
@@ -638,8 +643,8 @@ def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
     # One simulated state read out under index permutations and delta vectors
     # must reproduce, bit for bit, the records of the appended-X sub-circuits'
     # gate-level populations fed through the same batched draw and split.
-    # Under depolarizing noise every block reads its own trajectory, and the
-    # rows must equal gate-level runs of the sub-circuits with the same errors.
+    # Under depolarizing noise the rows of that one draw are the sub-circuits'
+    # exact channel-averaged populations, X gates included.
     rng = np.random.default_rng(100 + n)
     graph = random_graph(n, rng)
     cfg = ScanConfig(
@@ -660,7 +665,6 @@ def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
         return draw_totals(rng, intensities, rows, num_shots)
 
     monkeypatch.setattr(experiment, "draw_totals", recording)
-    undone = 0
     for trial in range(3):
         p = 1 + trial % 2
         params = QaoaParams(tuple(rng.uniform(0, math.pi, p)), tuple(rng.uniform(0, 2 * math.pi, p)))
@@ -668,66 +672,84 @@ def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
         draws, split = _child_seed(root, 1), _child_seed(root, 2)
         pops = _sampled_state_pops(cfg, params, diag)
         fed.clear()
-        means, checkpoints = _measure_subcircuits(cfg, params, true_cal, draws, pops, split)
+        means, checkpoints = _measure_subcircuits(cfg, true_cal, draws, pops, split)
         ansatz = build_ansatz(graph, params)
         circuits = subcircuits(graph, params)
+        assert len(fed) == 1  # every record of the point in one draw
         if stochastic:
-            # each record draws its ansatz errors, then one error slot per appended X,
-            # on its own generator; blocks of 1000, 1000 and 500 shots
-            assert pops is None and len(fed) == len(circuits)
-            appended = TrajectorySampler(Circuit(n, tuple(Gate("X", (q,)) for q in range(n))), noise)
-            for k, circuit in enumerate(circuits):
-                twin = np.random.default_rng(_child_seed(draws, k))
-                head = TrajectorySampler(ansatz, noise).draw_errors(twin, 3) if k >= len(circuits) // 2 else None
-                flipped = [q for q in range(n) if (k >> (n - 1 - q)) & 1]  # the qubits of pattern k mod 2^n
-                tail = appended.draw_errors(twin, 3)[:, flipped]
-                undone += np.count_nonzero((tail == 0) | (tail == 1))
-                errors = tail if head is None else np.concatenate([head, tail], axis=1)
-                rows = [populations(replay_from_scratch(circuit, noise, row)) for row in errors]
-                np.testing.assert_array_equal(fed[k], rows)
-                _, totals = draw_totals(twin, true_cal.intensities, rows, [1_000, 1_000, 500])
-                assert means[k] == totals.sum() / cfg.shots
-                np.testing.assert_array_equal(checkpoints[k], np.cumsum(totals[:2]) / (1_000 * np.arange(1, 3)))
-            continue
-        rows = [populations(simulate(c) if noise is None else simulate_noisy(c, noise)) for c in circuits]
+            rows = fed[0]
+            oracle = [density_matrix_populations(c, noise) for c in circuits]
+            np.testing.assert_allclose(rows, oracle, rtol=0, atol=1e-12)
+            oracle_pops = density_matrix_populations(ansatz, noise)
+        else:
+            rows = [populations(simulate(c) if noise is None else simulate_noisy(c, noise)) for c in circuits]
+            oracle_pops = populations(simulate_noisy(ansatz, noise or NoiseConfig()))
         occupations, totals = draw_totals(np.random.default_rng(draws), true_cal.intensities, rows, cfg.shots)
         blocks, tails = split_totals(np.random.default_rng(split), true_cal.intensities, occupations, totals, 1_000)
         np.testing.assert_array_equal(means, totals / cfg.shots)
         np.testing.assert_array_equal(checkpoints, np.cumsum(blocks, axis=1) / (1_000 * np.arange(1, 3)))
         np.testing.assert_array_equal(blocks.sum(axis=1) + tails, totals)
-        # the point reads the structured state with the deterministic channels folded in
-        oracle_pops = populations(simulate_noisy(ansatz, noise or NoiseConfig()))
+        # the point reads the structured state with every channel folded in
         np.testing.assert_allclose(pops, oracle_pops, rtol=0, atol=1e-12)
-        if noise is None or not (noise.overrotation_frac or noise.phase_offset):
+        if noise is None or not (noise.overrotation_frac or noise.phase_offset or stochastic):
             assert float(np.dot(pops, diag)) == ideal_cost(graph, params)
-    assert undone > 0 or not stochastic  # some X or Y error undid an appended X
 
 
 @pytest.mark.parametrize("deterministic", [False, True], ids=["depolarizing", "with-overrotation+phase"])
 @pytest.mark.parametrize("prob", [0.02, 0.3])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_depolarizing_record_means_match_density_matrix_oracle(n, prob, deterministic):
-    # Each record of a depolarizing point estimates the mean photon count of its
-    # gate-level sub-circuit under the exact channel, X gates included. Its
-    # checkpoint blocks read independent trajectories, so their means are i.i.d.;
-    # there are enough of them for about 40 errors per error slot.
+def test_depolarizing_record_means_match_density_matrix_oracle(monkeypatch, n, prob, deterministic):
+    # Each record of a depolarizing point is a multinomial over the exact
+    # channel-averaged populations of its gate-level sub-circuit, X gates
+    # included, so its mean photon count has the oracle's mean and variance.
     rng = np.random.default_rng(40 + n)
     graph = random_graph(n, rng)
     extra = dict(overrotation_frac=0.07, phase_offset=-0.2) if deterministic else {}
     noise = NoiseConfig(depolarizing_prob=prob, **extra)
     cal = CalibrationTable(rng.uniform(0.5, 5.0, 1 << n))
-    every, num_blocks = 1_000, round(40 / prob)
-    cfg = ScanConfig(graph=graph, mode="sampled", calibration=cal, shots=num_blocks * every, checkpoint_every=every,
-                     noise=noise)
+    cfg = ScanConfig(graph=graph, mode="sampled", calibration=cal, shots=40_000, noise=noise)
     params = QaoaParams.single(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
-    exact = np.array([density_matrix_populations(c, noise) @ cal.intensities for c in subcircuits(graph, params)])
-    draws, split = np.random.SeedSequence(7 + n).spawn(2)
-    means, checkpoints = _measure_subcircuits(cfg, params, cal, draws, None, split)
-    totals = np.rint(checkpoints * every * np.arange(1, num_blocks + 1))
-    block_means = np.diff(totals, axis=1, prepend=0.0) / every
-    np.testing.assert_allclose(block_means.mean(axis=1), means, rtol=1e-12)
-    z = (means - exact) / (block_means.std(axis=1, ddof=1) / math.sqrt(num_blocks))
+    fed = []
+
+    def recording(rng, intensities, rows, num_shots):
+        fed.append(rows)
+        return draw_totals(rng, intensities, rows, num_shots)
+
+    monkeypatch.setattr(experiment, "draw_totals", recording)
+    pops = _sampled_state_pops(cfg, params, diagonal_costs(graph))
+    means, _ = _measure_subcircuits(cfg, cal, np.random.SeedSequence(7 + n), pops)
+    oracle = np.array([density_matrix_populations(c, noise) for c in subcircuits(graph, params)])
+    (rows,) = fed
+    np.testing.assert_allclose(rows, oracle, rtol=0, atol=1e-12)
+    exact = oracle @ cal.intensities
+    variance = exact + oracle @ cal.intensities**2 - exact**2  # per shot: Poisson plus the spread over states
+    z = (means - exact) / np.sqrt(variance / cfg.shots)
     assert np.all(np.abs(z) <= 4.0), z
+
+
+def test_depolarizing_errors_are_independent_per_shot():
+    # Every shot is a fresh run with its own Pauli errors, so F's spread over
+    # realizations is the closed form for i.i.d. shots, whatever the checkpoint
+    # blocks. With the exact table F = sum_x w_x m_x, w = fwht(fwht(C) / c) / 4^n,
+    # and a flip record's mean m_x has variance (E[I] + Var[I]) / shots under
+    # the oracle's populations of that sub-circuit.
+    from scipy import stats
+
+    noise = NoiseConfig(depolarizing_prob=0.05)
+    params = QaoaParams.single(0.3, 0.7)
+    shots, num = 300_000, 400
+    cfg = sampled_config(shots=shots, noise=noise, exact_calibration=True, master_seed=3)
+    one_block = replace(cfg, checkpoint_every=shots)
+    F = np.array([measure_point(cfg, params, r).F_measured for r in range(num)])
+    np.testing.assert_array_equal(F, [measure_point(one_block, params, r).F_measured for r in range(num)])
+    size = 4
+    rows = np.array([density_matrix_populations(c, noise) for c in subcircuits(K2, params)[size:]])
+    mean_I = rows @ CAL.intensities
+    var_I = rows @ CAL.intensities**2 - mean_I**2
+    w = fwht(fwht(diagonal_costs(K2)) / walsh_coefficients(CAL).c) / size**2
+    sigma_F = math.sqrt(np.sum(w**2 * (mean_I + var_I)) / shots)
+    ratio = (num - 1) * F.var(ddof=1) / sigma_F**2
+    assert stats.chi2.ppf(1e-4, num - 1) <= ratio <= stats.chi2.isf(1e-4, num - 1), (F.std(ddof=1), sigma_F)
 
 
 @pytest.mark.parametrize(

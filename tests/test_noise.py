@@ -1,21 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from nvqaoa import readout
-from nvqaoa.circuits import Circuit, QaoaParams, append_flips, build_ansatz, simulate
+from nvqaoa.circuits import Circuit, QaoaParams, build_ansatz, simulate
 from nvqaoa.graph_problem import Graph, diagonal_costs
-from nvqaoa.noise import (
-    NoiseConfig,
-    TrajectorySampler,
-    perturb_calibration,
-    simulate_noisy,
-    trajectory_mean_populations,
-)
-from nvqaoa.readout import CalibrationTable, default_calibration, measure_circuit
+from nvqaoa.noise import NoiseConfig, density_populations, perturb_calibration, simulate_noisy
+from nvqaoa.readout import CalibrationTable, default_calibration, measure_circuit, sample_shots
 from nvqaoa.statevector import ROTATION_KINDS, Gate, apply_gate, apply_matrix, init_zero, populations, rz_matrix
-from oracles import density_matrix_populations, replay_from_scratch
+from oracles import density_matrix_populations
 
 K2 = Graph.complete(2)
 
@@ -51,7 +45,7 @@ def test_trivial_config_bit_identical_to_exact():
         beta, gamma = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
         circuit = build_ansatz(K2, QaoaParams.single(beta, gamma))
         exact = simulate(circuit)
-        quiet = simulate_noisy(circuit, NoiseConfig(), np.random.default_rng(0))
+        quiet = simulate_noisy(circuit, NoiseConfig())
         assert np.array_equal(exact.amplitudes, quiet.amplitudes)
 
 
@@ -63,7 +57,7 @@ def test_overrotation_scales_rotation_angles_only():
     for _ in range(10):
         beta, gamma = rng.uniform(0.05, 1.0), rng.uniform(0.1, 5.0)
         circuit = build_ansatz(K2, QaoaParams.single(beta, gamma))
-        state = simulate_noisy(circuit, config, np.random.default_rng(0))
+        state = simulate_noisy(circuit, config)
         value = float(np.dot(populations(state), diag))
         # H gates are untouched, so the state is the exact ansatz at scaled angles
         assert value == pytest.approx(closed_form(beta * (1 + eps), gamma * (1 + eps)), abs=1e-9)
@@ -73,7 +67,7 @@ def test_phase_offset_follows_two_qubit_gates():
     phi = 0.83
     config = NoiseConfig(phase_offset=phi)
     circuit = Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))))
-    noisy = simulate_noisy(circuit, config, np.random.default_rng(0))
+    noisy = simulate_noisy(circuit, config)
     expected = init_zero(2)
     expected = apply_gate(expected, Gate("H", (0,)))
     expected = apply_gate(expected, Gate("CNOT", (0, 1)))
@@ -82,57 +76,32 @@ def test_phase_offset_follows_two_qubit_gates():
 
     # single-qubit gates must not pick up the offset
     single = Circuit(2, (Gate("H", (0,)),))
-    noisy = simulate_noisy(single, config, np.random.default_rng(0))
+    noisy = simulate_noisy(single, config)
     np.testing.assert_allclose(noisy.amplitudes, simulate(single).amplitudes, atol=1e-15)
 
 
 def test_depolarizing_single_gate_statistics():
     # one RX on one qubit: X and Y flips swap populations, Z leaves them
-    theta, prob, trials = 1.1, 0.3, 20_000
+    theta, prob = 1.1, 0.3
     circuit = Circuit(1, (Gate("RX", (0,), theta),))
     p0 = math.cos(theta / 2) ** 2
     expected0 = (1 - prob) * p0 + prob * (p0 / 3 + 2 * (1 - p0) / 3)
-    mean = trajectory_mean_populations(circuit, NoiseConfig(depolarizing_prob=prob), trials, seed=8)
-    assert mean[0] == pytest.approx(expected0, abs=5 / math.sqrt(trials))
+    pops = density_populations(circuit, NoiseConfig(depolarizing_prob=prob))
+    np.testing.assert_allclose(pops, [expected0, 1 - expected0], rtol=0, atol=1e-12)
 
 
 def test_full_depolarizing_drives_to_uniform():
     params = QaoaParams.single(0.15 * math.pi, 1.5 * math.pi)
     circuit = build_ansatz(K2, params)
-    mean = trajectory_mean_populations(circuit, NoiseConfig(depolarizing_prob=1.0), 2000, seed=3)
-    np.testing.assert_allclose(mean, np.full(4, 0.25), atol=0.05)
+    pops = density_populations(circuit, NoiseConfig(depolarizing_prob=1.0))
+    np.testing.assert_allclose(pops, np.full(4, 0.25), atol=0.05)
 
 
-def test_trajectory_mean_deterministic():
+def test_simulate_noisy_rejects_depolarizing():
+    # a depolarizing channel leaves a mixed state, which only density_populations describes
     circuit = build_ansatz(K2, QaoaParams.single(0.3, 1.2))
-    config = NoiseConfig(depolarizing_prob=0.2)
-    a = trajectory_mean_populations(circuit, config, 200, seed=42)
-    b = trajectory_mean_populations(circuit, config, 200, seed=42)
-    c = trajectory_mean_populations(circuit, config, 200, seed=43)
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, c)
-    with pytest.raises(ValueError):
-        trajectory_mean_populations(circuit, config, 0, seed=1)
-
-
-def test_simulate_noisy_is_one_sampler_trajectory():
-    circuit = build_ansatz(K2, QaoaParams.single(0.3, 1.2))
-    config = NoiseConfig(depolarizing_prob=0.5, overrotation_frac=0.05)
-    with pytest.raises(ValueError, match="rng"):
-        simulate_noisy(circuit, config)
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        state = simulate_noisy(circuit, config, rng)
-        expected = TrajectorySampler(circuit, config).sample(np.random.default_rng(seed))
-        np.testing.assert_array_equal(state.amplitudes, expected.amplitudes)
-    # deterministic channels draw nothing, so they need no generator and leave a given one untouched
-    rng = np.random.default_rng(5)
-    before = rng.bit_generator.state
-    drifted = NoiseConfig(overrotation_frac=0.1, phase_offset=0.2)
-    np.testing.assert_array_equal(
-        simulate_noisy(circuit, drifted, rng).amplitudes, simulate_noisy(circuit, drifted).amplitudes
-    )
-    assert rng.bit_generator.state == before
+    with pytest.raises(ValueError, match="depolarizing"):
+        simulate_noisy(circuit, NoiseConfig(depolarizing_prob=0.5, overrotation_frac=0.05))
 
 
 def test_perturb_calibration():
@@ -156,9 +125,9 @@ def test_perturbed_table_is_valid_calibration():
     assert perturbed.num_qubits == 2
 
 
-# --- the trajectory sampler against the gate-by-gate oracle ---
+# --- the exact channel average against independent oracles ---
 
-DEPOLARIZING = (0.0, 0.01, 0.3, 1.0)
+DEPOLARIZING = (0.0, 0.01, 0.02, 0.3, 1.0)
 
 
 def random_circuit(n, rng, num_gates=14):
@@ -183,73 +152,13 @@ def noise_config(prob, deterministic):
 @pytest.mark.parametrize("prob", DEPOLARIZING)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_trajectory_sampler_matches_gate_level_oracle(n, prob, deterministic):
-    # The batch replays only from each trajectory's first error; a from-scratch
-    # gate-by-gate run of the same drawn errors must give the same state bit for bit.
+    # density_populations on a 2n-qubit vector against the dense density-matrix oracle
     config = noise_config(prob, deterministic)
     circuit = random_circuit(n, np.random.default_rng(100 * n + int(1000 * prob)))
-    sampler = TrajectorySampler(circuit, config)
-    rng, twin = np.random.default_rng(n), np.random.default_rng(n)
-    states = sampler.sample_many(rng, 60)
-    errors = TrajectorySampler(circuit, config).draw_errors(twin, 60)
-    assert rng.bit_generator.state == twin.bit_generator.state
-    assert errors.shape == (60, sum(len(gate.targets) for gate in circuit.gates))
-    for state, row in zip(states, errors, strict=True):
-        np.testing.assert_array_equal(state.amplitudes, replay_from_scratch(circuit, config, row).amplitudes)
-    # every error-free trajectory is the one cached state; the others are replays
-    error_free = sum(state is sampler._error_free for state in states)
-    assert error_free == np.count_nonzero((errors < 0).all(axis=1))
-    if prob == 0.0:
-        assert error_free == 60
-    elif prob == 0.01:
-        assert 0 < error_free < 60  # both paths taken
-    elif prob == 1.0:
-        assert error_free == 0
-    # one trajectory is the batch of one
-    np.testing.assert_array_equal(
-        sampler.sample(np.random.default_rng(7)).amplitudes,
-        sampler.sample_many(np.random.default_rng(7), 1)[0].amplitudes,
-    )
-
-
-def test_error_mask_has_the_depolarizing_law():
-    circuit = random_circuit(3, np.random.default_rng(4), num_gates=20)
-    rng = np.random.default_rng(8)
-    before = rng.bit_generator.state
-    quiet = TrajectorySampler(circuit, NoiseConfig()).draw_errors(rng, 5)
-    assert (quiet == -1).all() and rng.bit_generator.state == before  # no draw at p = 0
-    prob, num = 0.3, 4000
-    errors = TrajectorySampler(circuit, NoiseConfig(depolarizing_prob=prob)).draw_errors(rng, num)
-    hits = errors[errors >= 0]
-    slots = errors.size
-    assert abs(hits.size / slots - prob) <= 4 * math.sqrt(prob * (1 - prob) / slots)
-    shares = np.bincount(hits, minlength=3) / hits.size
-    assert np.all(np.abs(shares - 1 / 3) <= 4 * math.sqrt((2 / 9) / hits.size)), shares
-    # slots are independent: adjacent slots are hit together at rate prob^2
-    both = np.count_nonzero((errors[:, :-1] >= 0) & (errors[:, 1:] >= 0)) / (num * (errors.shape[1] - 1))
-    assert abs(both - prob**2) <= 4 * math.sqrt(prob**2 * (1 - prob**2) / (num * (errors.shape[1] - 1)))
-    always = TrajectorySampler(circuit, NoiseConfig(depolarizing_prob=1.0)).draw_errors(rng, 50)
-    assert (always >= 0).all() and set(np.unique(always)) == {0, 1, 2}
-    # a circuit without gates has no error slots: every trajectory is the initial state
-    empty = TrajectorySampler(Circuit(2, ()), NoiseConfig(depolarizing_prob=1.0), populations)
-    np.testing.assert_array_equal(empty.sample_many(rng, 3), np.tile([1.0, 0, 0, 0], (3, 1)))
-
-
-def reference_record(circuit, calibration, num_shots, seed, checkpoint_every, config, retain_counts):
-    """measure_circuit with each block's trajectory run gate by gate from |0...0>."""
-    num_full, remainder = divmod(num_shots, checkpoint_every)
-    sizes = [checkpoint_every] * num_full + ([remainder] if remainder else [])
-    rng = np.random.default_rng(seed)
-    intensities = calibration.intensities
-    errors = TrajectorySampler(circuit, config).draw_errors(rng, len(sizes))
-    p = np.array([
-        readout._validate_pops(populations(replay_from_scratch(circuit, config, row)), intensities.size, True)
-        for row in errors
-    ])
-    if retain_counts:
-        counts = np.concatenate([readout._draw_shot_counts(rng, intensities, pk, size) for pk, size in zip(p, sizes)])
-        return readout._record_from_counts(counts, checkpoint_every)
-    totals = rng.poisson(rng.multinomial(sizes, p) @ intensities)
-    return readout._assemble_record(totals[:num_full], int(totals[num_full:].sum()), num_shots, checkpoint_every)
+    pops = density_populations(circuit, config)
+    assert pops.shape == (1 << n,)
+    np.testing.assert_allclose(pops, density_matrix_populations(circuit, config), rtol=0, atol=1e-12)
+    assert abs(pops.sum() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("retain_counts", [False, True])
@@ -257,12 +166,17 @@ def reference_record(circuit, calibration, num_shots, seed, checkpoint_every, co
 @pytest.mark.parametrize("prob", DEPOLARIZING)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stochastic_measure_circuit_matches_simulate_noisy_loop(n, prob, deterministic, retain_counts):
+    # measure_circuit has one path: sample_shots of the exact channel-averaged
+    # populations, which without depolarizing are the gate-by-gate state's
     config = noise_config(prob, deterministic)
     circuit = random_circuit(n, np.random.default_rng(7 * n + int(100 * prob)), num_gates=10)
     calibration = CalibrationTable(np.linspace(4.0, 0.5, 1 << n))
+    pops = density_populations(circuit, config)
+    if prob == 0.0:
+        np.testing.assert_allclose(pops, populations(simulate_noisy(circuit, config)), rtol=0, atol=1e-12)
     # 11 full blocks and a 70-shot tail
     record = measure_circuit(circuit, calibration, 2270, 31, 200, config, retain_counts)
-    expected = reference_record(circuit, calibration, 2270, 31, 200, config, retain_counts)
+    expected = sample_shots(calibration, pops, 2270, 31, 200, retain_counts)
     assert record.num_shots == expected.num_shots
     assert record.running_mean == expected.running_mean
     np.testing.assert_array_equal(record.checkpoints, expected.checkpoints)
@@ -275,38 +189,53 @@ def test_stochastic_measure_circuit_matches_simulate_noisy_loop(n, prob, determi
 @pytest.mark.parametrize("deterministic", [False, True])
 @pytest.mark.parametrize("prob", DEPOLARIZING)
 def test_trajectory_mean_matches_simulate_noisy_loop(prob, deterministic):
+    # The channel average is the mean over trajectories: sum over every Pauli
+    # error pattern of its probability times the populations of simulate_noisy
+    # on the circuit with those errors written in as fixed gates (Z = HXH and
+    # Y = XZ up to phase; fixed gates are neither overrotated nor followed by
+    # the phase offset).
     config = noise_config(prob, deterministic)
-    circuit = append_flips(build_ansatz(Graph.complete(3), QaoaParams((0.4, 0.9), (1.1, 2.3))), "101")
-    num_trajectories = 150
-    expected = np.zeros(8)
-    for row in TrajectorySampler(circuit, config).draw_errors(np.random.default_rng(21), num_trajectories):
-        expected += populations(replay_from_scratch(circuit, config, row))
-    expected /= num_trajectories
-    np.testing.assert_array_equal(trajectory_mean_populations(circuit, config, num_trajectories, 21), expected)
+    quiet = NoiseConfig(overrotation_frac=config.overrotation_frac, phase_offset=config.phase_offset)
+    gates = (Gate("H", (0,)), Gate("RZZ", (0, 1), 1.3), Gate("RX", (1,), 0.8))
+    circuit = Circuit(2, gates)
+    slots = [(k, q) for k, gate in enumerate(gates) for q in gate.targets]
+    paulis = {1: ("X",), 2: ("H", "X", "H", "X"), 3: ("H", "X", "H")}  # X, Y, Z
+    expected = np.zeros(4)
+    for errors in itertools.product(range(4), repeat=len(slots)):
+        weight = math.prod(prob / 3 if e else 1 - prob for e in errors)
+        if weight == 0.0:
+            continue
+        noisy = []
+        for k, gate in enumerate(gates):
+            noisy.append(gate)
+            noisy += [Gate(kind, (q,)) for (g, q), e in zip(slots, errors) if g == k and e for kind in paulis[e]]
+        expected += weight * populations(simulate_noisy(Circuit(2, tuple(noisy)), quiet))
+    np.testing.assert_allclose(density_populations(circuit, config), expected, rtol=0, atol=1e-12)
 
 
-# --- trajectory averages against the depolarizing channel on density matrices ---
+# --- shot averages of measure_circuit against the density-matrix oracle ---
 
 
 def test_density_matrix_oracle_is_the_exact_state_without_depolarizing():
     circuit = random_circuit(3, np.random.default_rng(2))
     for config in (NoiseConfig(), NoiseConfig(overrotation_frac=0.06, phase_offset=-0.4)):
-        exact = populations(simulate_noisy(circuit, config, np.random.default_rng(0)))
+        exact = populations(simulate_noisy(circuit, config))
         np.testing.assert_allclose(density_matrix_populations(circuit, config), exact, atol=1e-12)
+        np.testing.assert_allclose(density_populations(circuit, config), exact, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("deterministic", [False, True])
 @pytest.mark.parametrize("prob", [0.02, 0.2])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_trajectory_mean_matches_density_matrix_oracle(n, prob, deterministic):
+    # every shot of measure_circuit is a fresh trajectory, so its mean count is
+    # an average of i.i.d. counts with the oracle's mean and variance
     config = noise_config(prob, deterministic)
     circuit = random_circuit(n, np.random.default_rng(50 + n), num_gates=8)
-    num_trajectories, seed = 2000, 17
-    mean = trajectory_mean_populations(circuit, config, num_trajectories, seed)
-    # the spread of single-trajectory populations, from the first 400 of the same trajectories
-    sampler = TrajectorySampler(circuit, config, populations)
-    children = np.random.SeedSequence(seed).spawn(num_trajectories)[:400]
-    samples = np.array([sampler.sample(np.random.default_rng(child)) for child in children])
-    stderr = samples.std(axis=0, ddof=1) / math.sqrt(num_trajectories)
+    intensities = np.linspace(4.0, 0.5, 1 << n)
+    shots = 200_000
+    record = measure_circuit(circuit, CalibrationTable(intensities), shots, 17, noise=config)
     exact = density_matrix_populations(circuit, config)
-    assert np.all(np.abs(mean - exact) <= 5.0 * stderr + 1e-12), (mean, exact, stderr)
+    mean = exact @ intensities
+    var = mean + exact @ intensities**2 - mean**2  # Poisson noise plus the spread over basis states
+    assert abs(record.running_mean - mean) <= 5.0 * math.sqrt(var / shots), (record.running_mean, mean)
