@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bitstrings import BitString, all_bitstrings, as_bit_array
+from ._bitstrings import BitString, as_bit_array
 from .graph_problem import Graph
 from .noise import NoiseConfig
 from .statevector import Gate, StateVector, apply_gate, init_zero, rz_matrix
@@ -69,16 +69,6 @@ class Circuit:
                 raise ValueError(f"gate {gate.kind} targets {gate.targets} exceed {self.num_qubits} qubits")
         object.__setattr__(self, "gates", gates)
 
-    def to_text(self) -> str:
-        """One gate per line: ``KIND target[,target2][,angle]`` with 17-digit angles."""
-        lines = []
-        for gate in self.gates:
-            fields = [str(t) for t in gate.targets]
-            if gate.angle is not None:
-                fields.append(format(gate.angle, ".17g"))
-            lines.append(f"{gate.kind} {','.join(fields)}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 def build_ansatz(graph: Graph, params: QaoaParams) -> Circuit:
     """Hadamard wall, then per layer: RZZ(gamma * w) on each edge, RX(2 beta) on each qubit."""
@@ -115,17 +105,6 @@ def append_flips(circuit: Circuit, pattern: BitString) -> Circuit:
     bits = as_bit_array(pattern, circuit.num_qubits)
     extra = tuple(Gate("X", (q,)) for q in range(circuit.num_qubits) if bits[q])
     return Circuit(circuit.num_qubits, circuit.gates + extra)
-
-
-def flip_patterns(num_qubits: int) -> list[str]:
-    """All 2**n flip patterns in basis-index order ('00', '01', '10', '11' for n=2)."""
-    return all_bitstrings(num_qubits)
-
-
-def calibration_circuits(num_qubits: int) -> list[Circuit]:
-    """One preparation circuit per basis state: X gates writing that bit pattern."""
-    empty = Circuit(num_qubits, ())
-    return [append_flips(empty, pattern) for pattern in flip_patterns(num_qubits)]
 
 
 def simulate(circuit: Circuit) -> StateVector:

@@ -20,7 +20,7 @@ flip pattern only permutes them and each basis preparation is a delta vector;
 under depolarizing noise an X or Y error after an appended X undoes its flip,
 with probability 2p/3 per flipped qubit. So the 2^(n+1) readouts are the rows
 of one matrix, and one multinomial and one Poisson call per realization draw
-all their records (``readout.draw_totals``). Depolarizing scans are capped at
+all their records (``readout.read_records``). Depolarizing scans are capped at
 ``MAX_DEPOLARIZING_VERTICES``, since rho has 4^n entries.
 
 Reproducibility contract: every (grid point, realization) derives its random
@@ -53,7 +53,7 @@ from .circuits import (
 )
 from .graph_problem import MAX_VERTICES, Graph, diagonal_costs
 from .noise import NoiseConfig, density_populations, perturb_calibration
-from .readout import CalibrationTable, draw_totals, split_totals
+from .readout import CalibrationTable, read_records
 from .reconstruction import DegenerateCalibrationError, reconstruct
 from .statevector import populations
 
@@ -637,14 +637,13 @@ def _measure_subcircuits(config: ScanConfig, true_cal, draws, pops, split=None):
     """Read out the 2^n basis preparations and the 2^n flip variants of the ansatz.
 
     ``pops`` is the state the point reads (``_sampled_state_pops``). Returns
-    every record's mean photon count, calibration records first, and, given a
-    ``split`` substream, the running means at each full checkpoint block with
-    one row per record (otherwise None).
+    ``readout.read_records`` of their rows: every record's mean photon count,
+    calibration records first, and, given a ``split`` substream, the running
+    means at each full checkpoint block with one row per record (otherwise
+    None).
     """
     n = config.graph.num_vertices
     size = 1 << n
-    shots, every = config.shots, config.checkpoint_every
-    intensities = true_cal.intensities
     # An X on qubit q flips bit n-1-q of the basis index, so flip pattern x
     # reads out pops[idx ^ x] and basis preparation s is the delta at s.
     idx = np.arange(size)
@@ -659,11 +658,7 @@ def _measure_subcircuits(config: ScanConfig, true_cal, draws, pops, split=None):
         for bit in (1 << np.arange(n)).tolist():
             pairs = rows.reshape(-1, 2, bit, size)  # axis 1 is this bit of the record index
             pairs[:, 1] = (1.0 - undo) * pairs[:, 1] + undo * pairs[:, 0]
-    occupations, totals = draw_totals(np.random.default_rng(draws), intensities, rows, shots)
-    if split is None:
-        return totals / shots, None
-    blocks, _ = split_totals(np.random.default_rng(split), intensities, occupations, totals, every)
-    return totals / shots, np.cumsum(blocks, axis=1) / (every * np.arange(1, blocks.shape[1] + 1))
+    return read_records(true_cal.intensities, rows, config.shots, draws, split, config.checkpoint_every)
 
 
 def _sampled_state_pops(config: ScanConfig, params: QaoaParams, diag: np.ndarray, ideal_pops=None):

@@ -11,15 +11,11 @@ basis-state occupations of all its shots and one Poisson for its photon total
 (``draw_totals``), which is exact because a sum of independent multinomials
 (Poissons) is multinomial (Poisson) again. ``split_totals`` splits records into
 checkpoint blocks by the exact conditional law of i.i.d. shots given those
-totals. ``sample_shots`` is the two for one row; ``retain_counts=True`` draws
-every shot instead and keeps the counts, the slow path both are checked
-against. ``measure_circuit`` reads a gate-level circuit: it is ``sample_shots``
-of the circuit's exact channel-averaged populations
-(``noise.density_populations``), so under depolarizing noise too each shot
-reads its own errors. A scan reads its sub-circuits as index flips instead and
-keeps it as their oracle. Sampling is deterministic given its arguments and
-the seed: a ``SeedSequence`` passed in is only read, never spawned from, so
-the same arguments reproduce the same record bit for bit.
+totals. ``read_records`` is the one path from populations to records: it runs
+the two on their own generators and returns every record's mean and its
+running means at each full checkpoint block. Reading is deterministic given
+its arguments and seeds: a ``SeedSequence`` passed in is only read, never
+spawned from, so the same arguments reproduce the same records bit for bit.
 """
 
 from __future__ import annotations
@@ -30,8 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from ._bitstrings import all_bitstrings, bits_to_index, index_to_bits
-from .circuits import Circuit
-from .noise import NoiseConfig, density_populations
 
 #: Example intensity table used throughout the tests: brighter states first.
 DEFAULT_INTENSITIES = (5.0, 3.0, 2.0, 1.0)
@@ -83,55 +77,6 @@ def default_calibration() -> CalibrationTable:
     return CalibrationTable(np.array(DEFAULT_INTENSITIES))
 
 
-@dataclass(frozen=True, eq=False)
-class ShotRecord:
-    """Outcome of a measurement run.
-
-    ``checkpoints`` is a 1-D float array of the running mean after each full
-    checkpoint block, so entry k covers (k + 1) * checkpoint_every shots and a
-    partial tail block adds no entry. ``counts`` holds the per-shot photon
-    counts only when explicitly retained (they are large and usually not
-    needed).
-    """
-
-    num_shots: int
-    running_mean: float
-    checkpoints: np.ndarray
-    counts: np.ndarray | None = None
-
-
-def observable_expectation(calibration: CalibrationTable, pops: np.ndarray) -> float:
-    """Exact mean photon count sum_s pops[s] * I_s for a population vector."""
-    p = _validate_pops(pops, calibration.intensities.size, normalize=False)
-    return float(np.dot(calibration.intensities, p))
-
-
-def sample_shots(
-    calibration: CalibrationTable,
-    pops: np.ndarray,
-    num_shots: int,
-    seed,
-    checkpoint_every: int = 1000,
-    retain_counts: bool = False,
-) -> ShotRecord:
-    """Simulate ``num_shots`` readout shots against fixed populations.
-
-    By default the record's totals are drawn once (``draw_totals``) and split
-    into checkpoint blocks afterwards (``split_totals``), both on one
-    generator; ``retain_counts=True`` draws every shot individually and keeps
-    the counts.
-    """
-    _check_shot_args(num_shots, checkpoint_every)
-    p = _validate_pops(pops, calibration.intensities.size, normalize=True)
-    rng = np.random.default_rng(_seed_sequence(seed))
-    intensities = calibration.intensities
-    if retain_counts:
-        return _record_from_counts(_draw_shot_counts(rng, intensities, p, num_shots), checkpoint_every)
-    occupations, totals = draw_totals(rng, intensities, p[None], num_shots)
-    blocks, tails = split_totals(rng, intensities, occupations, totals, checkpoint_every)
-    return _assemble_record(blocks[0], int(tails[0]), num_shots, checkpoint_every)
-
-
 def draw_totals(
     rng: np.random.Generator, intensities: np.ndarray, rows: np.ndarray, num_shots
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -141,10 +86,11 @@ def draw_totals(
     occupations are one multinomial draw and its photon total one Poisson
     draw with mean occupations . intensities. This is exactly the sum of the
     per-shot counts, since a sum of independent multinomials (Poissons) with
-    common probabilities (any means) is multinomial (Poisson) again. Rows are
-    validated and renormalized like ``sample_shots``' populations.
+    common probabilities (any means) is multinomial (Poisson) again. Each row
+    must be a population vector within 1e-9; it is clipped to nonnegative
+    values and renormalized.
     """
-    p = _validate_pops(rows, intensities.size, normalize=True, rows=True)
+    p = _validate_rows(rows, intensities.size)
     occupations = rng.multinomial(num_shots, p)
     return occupations, rng.poisson(occupations @ intensities)
 
@@ -155,7 +101,7 @@ def split_totals(
     occupations: np.ndarray,
     totals: np.ndarray,
     checkpoint_every: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Split ``draw_totals``' records, all of one shot count, into checkpoint blocks exactly in distribution.
 
     Given a record's occupations, its shots in time order are a uniformly
@@ -167,7 +113,8 @@ def split_totals(
     independent Poissons with means L_b = occupations_b . intensities, so
     their law given the total is multinomial(total, L_b / sum L). A record
     with sum L = 0 has total 0 and gets no counts. Returns the full block
-    totals, shape (records, full blocks), and the tail totals.
+    totals, shape (records, full blocks); a record's partial tail holds the
+    rest of its total.
     """
     num_shots = int(occupations[0].sum())
     cells = _block_sizes(num_shots, checkpoint_every)
@@ -184,37 +131,34 @@ def split_totals(
     total = means.sum(axis=1, keepdims=True)
     p = np.divide(means, total, out=np.full_like(means, 1.0 / cells.size), where=total > 0)
     counts = rng.multinomial(totals, p)
-    return counts[:, :num_full], counts[:, num_full:].sum(axis=1)
+    return counts[:, :num_full]
 
 
-def measure_circuit(
-    circuit: Circuit,
-    calibration: CalibrationTable,
-    num_shots: int,
-    seed,
-    checkpoint_every: int = 1000,
-    noise: NoiseConfig | None = None,
-    retain_counts: bool = False,
-) -> ShotRecord:
-    """Read the circuit out for ``num_shots`` shots: ``sample_shots`` of ``noise.density_populations``.
+def read_records(
+    intensities: np.ndarray, rows: np.ndarray, num_shots: int, draws, split=None, checkpoint_every: int | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Mean photon count of every record, one record per row of populations, and its checkpoint means.
 
-    Every shot is a fresh run of the circuit, so under a depolarizing
-    ``noise`` it draws its own Pauli errors, and its basis state has the law
-    of the channel-averaged populations.
+    The records are drawn by ``draw_totals`` on a generator seeded with
+    ``draws``. Given a ``split`` seed they are also split into
+    ``checkpoint_every``-shot blocks (``split_totals``) on a second generator,
+    and the running means at each full block come back with one row per
+    record, so entry k covers (k + 1) * checkpoint_every shots. Otherwise the
+    second value is None.
     """
-    if circuit.num_qubits != calibration.num_qubits:
-        raise ValueError(
-            f"circuit acts on {circuit.num_qubits} qubit(s) but calibration covers {calibration.num_qubits}"
-        )
-    pops = density_populations(circuit, noise or NoiseConfig())
-    return sample_shots(calibration, pops, num_shots, seed, checkpoint_every, retain_counts)
+    occupations, totals = draw_totals(np.random.default_rng(draws), intensities, rows, num_shots)
+    if split is None:
+        return totals / num_shots, None
+    blocks = split_totals(np.random.default_rng(split), intensities, occupations, totals, checkpoint_every)
+    return totals / num_shots, np.cumsum(blocks, axis=1) / (checkpoint_every * np.arange(1, blocks.shape[1] + 1))
 
 
 def parse_basis_values(text: str, value_name: str = "intensity", width: int | None = None) -> np.ndarray:
     """Parse ``<bitstring> <value>`` lines covering every basis state exactly once.
 
     Returns the values in basis-index order. The first label sets the register
-    width unless ``width`` is given. Errors name the offending line.
+    width unless ``width`` is given. Values must be finite. Errors name the
+    offending line.
     """
     entries: dict[int, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -237,6 +181,8 @@ def parse_basis_values(text: str, value_name: str = "intensity", width: int | No
             number = float(value)
         except ValueError:
             raise ValueError(f"line {lineno}: bad {value_name} {value!r}") from None
+        if not np.isfinite(number):
+            raise ValueError(f"line {lineno}: {value_name} {value!r} is not finite")
         if index in entries:
             raise ValueError(f"line {lineno}: duplicate entry for state {label!r}")
         entries[index] = number
@@ -272,34 +218,17 @@ def save_calibration(path, calibration: CalibrationTable) -> None:
     Path(path).write_text(format_calibration(calibration))
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
-def _check_shot_args(num_shots: int, checkpoint_every: int) -> None:
-    if num_shots < 1:
-        raise ValueError("num_shots must be at least 1")
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be at least 1")
-
-
 def _block_sizes(num_shots: int, checkpoint_every: int) -> np.ndarray:
     """Shots per checkpoint block, a partial tail block last."""
     num_full, remainder = divmod(num_shots, checkpoint_every)
     return np.array([checkpoint_every] * num_full + ([remainder] if remainder else []))
 
 
-def _validate_pops(pops, size: int, normalize: bool, rows: bool = False) -> np.ndarray:
-    """Checked populations: one vector, or with ``rows`` one per row of a matrix.
-
-    ``normalize`` clips each to nonnegative values and rescales it to sum 1.
-    """
-    p = np.asarray(pops, dtype=float)
-    if p.ndim != 1 + rows or p.shape[-1] != size:
-        expected = f"(rows, {size})" if rows else f"({size},)"
-        raise ValueError(f"populations must have shape {expected}, got {p.shape}")
+def _validate_rows(rows, size: int) -> np.ndarray:
+    """Checked population rows, each clipped to nonnegative values and rescaled to sum 1."""
+    p = np.asarray(rows, dtype=float)
+    if p.ndim != 2 or p.shape[-1] != size:
+        raise ValueError(f"populations must have shape (rows, {size}), got {p.shape}")
     if not np.isfinite(p).all():
         raise ValueError("populations must be finite")
     if (p < -_POPS_TOLERANCE).any():
@@ -308,31 +237,5 @@ def _validate_pops(pops, size: int, normalize: bool, rows: bool = False) -> np.n
     off = np.abs(total - 1.0)
     if (off > _POPS_TOLERANCE).any():
         raise ValueError(f"populations must sum to 1 within {_POPS_TOLERANCE}, got {float(total.flat[off.argmax()])}")
-    if not normalize:
-        return p
     p = np.clip(p, 0.0, None)
     return p / p.sum(axis=-1, keepdims=True)
-
-
-def _draw_shot_counts(rng: np.random.Generator, intensities: np.ndarray, p: np.ndarray, size: int) -> np.ndarray:
-    """Per-shot outcomes (inverse-CDF on the populations) followed by Poisson counts."""
-    cdf = np.cumsum(p)
-    cdf[-1] = 1.0
-    outcomes = np.searchsorted(cdf, rng.random(size), side="right")
-    return rng.poisson(intensities[outcomes])
-
-
-def _record_from_counts(counts: np.ndarray, checkpoint_every: int) -> ShotRecord:
-    num_full = counts.size // checkpoint_every
-    block_totals = counts[: num_full * checkpoint_every].reshape(num_full, checkpoint_every).sum(axis=1)
-    tail = int(counts[num_full * checkpoint_every :].sum())
-    return _assemble_record(block_totals, tail, counts.size, checkpoint_every, counts)
-
-
-def _assemble_record(
-    block_totals: np.ndarray, tail: int, num_shots: int, checkpoint_every: int, counts: np.ndarray | None = None
-) -> ShotRecord:
-    cumulative = np.cumsum(block_totals)
-    checkpoints = cumulative / (checkpoint_every * np.arange(1, block_totals.size + 1))
-    grand_total = (int(cumulative[-1]) if block_totals.size else 0) + tail
-    return ShotRecord(num_shots, grand_total / num_shots, checkpoints, counts)

@@ -35,22 +35,6 @@ from .readout import DEGENERACY_TOLERANCE, CalibrationTable, DegenerateCalibrati
 
 
 @dataclass(frozen=True, eq=False)
-class WalshCoefficients:
-    """Normalized Walsh spectrum of an intensity table, indexed by parity mask t."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.c, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "c", arr)
-
-    @property
-    def num_qubits(self) -> int:
-        return int(self.c.size).bit_length() - 1
-
-
-@dataclass(frozen=True, eq=False)
 class PopulationEstimate:
     """Reconstructed populations plus the parity correlators they came from."""
 
@@ -94,9 +78,9 @@ def _butterfly(v: np.ndarray) -> None:
         h *= 2
 
 
-def walsh_coefficients(calibration: CalibrationTable) -> WalshCoefficients:
-    n = calibration.num_qubits
-    return WalshCoefficients(fwht(calibration.intensities) / (1 << n))
+def walsh_coefficients(calibration: CalibrationTable) -> np.ndarray:
+    """Normalized Walsh spectrum c_t = 2^-n sum_s I_s (-1)^(s.t) of the table, indexed by parity mask t."""
+    return fwht(calibration.intensities) / (1 << calibration.num_qubits)
 
 
 def forward_means(calibration: CalibrationTable, pops) -> np.ndarray:
@@ -109,7 +93,7 @@ def forward_means(calibration: CalibrationTable, pops) -> np.ndarray:
         raise ValueError("populations must be finite and nonnegative")
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError("populations must sum to 1")
-    c = walsh_coefficients(calibration).c
+    c = walsh_coefficients(calibration)
     # XOR convolution via the spectrum: transform, multiply, transform back.
     return fwht(c * fwht(p))
 

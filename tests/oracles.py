@@ -2,12 +2,30 @@
 
 ``density_matrix_populations`` is the exact depolarizing channel on dense
 density matrices (small n only), written out independently of
-``noise.density_populations``.
+``noise.density_populations``. ``calibration_circuits`` builds the gate-level
+basis preparations a scan reads as delta rows, and ``draw_shot_counts`` reads
+populations one shot at a time, the slow path of ``readout.read_records``.
 """
 
 import numpy as np
 
+from nvqaoa._bitstrings import all_bitstrings
+from nvqaoa.circuits import Circuit, append_flips
 from nvqaoa.statevector import PAULI_MATRICES, ROTATION_KINDS, Gate, gate_matrix, rz_matrix
+
+
+def calibration_circuits(num_qubits):
+    """One preparation circuit per basis state, in index order: X gates writing that bit pattern."""
+    empty = Circuit(num_qubits, ())
+    return [append_flips(empty, pattern) for pattern in all_bitstrings(num_qubits)]
+
+
+def draw_shot_counts(rng, intensities, pops, num_shots):
+    """Photon count of every shot: an inverse-CDF basis state on ``pops``, then a Poisson count."""
+    cdf = np.cumsum(pops)
+    cdf[-1] = 1.0
+    outcomes = np.searchsorted(cdf, rng.random(num_shots), side="right")
+    return rng.poisson(intensities[outcomes])
 
 
 def embed(matrix, targets, n):

@@ -115,7 +115,7 @@ def test_criterion_03_reconstruction_round_trip(capsys):
             size = 1 << n
             while True:
                 cal = CalibrationTable(rng.uniform(0.2, 8.0, size))
-                coeffs = walsh_coefficients(cal).c
+                coeffs = walsh_coefficients(cal)
                 if np.min(np.abs(coeffs)) > 1e-6:
                     break
             smallest_c = min(smallest_c, float(np.min(np.abs(coeffs))))
@@ -138,7 +138,7 @@ def test_criterion_04_two_qubit_linear_system_oracle(capsys):
         for _ in range(100):
             while True:
                 cal = CalibrationTable(rng.uniform(0.2, 8.0, 4))
-                if np.min(np.abs(walsh_coefficients(cal).c)) > 1e-3:
+                if np.min(np.abs(walsh_coefficients(cal))) > 1e-3:
                     break
             pops = rng.dirichlet(np.ones(4))
             # forward map built from scratch: mean under flip pattern x is sum_s p_s I_{s^x}

@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from nvqaoa._bitstrings import all_bitstrings
 from nvqaoa.circuits import (
     Circuit,
     QaoaParams,
     append_flips,
     build_ansatz,
     build_ansatz_native,
-    calibration_circuits,
-    flip_patterns,
     simulate,
     simulate_qaoa,
 )
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import NoiseConfig, simulate_noisy
 from nvqaoa.statevector import Gate, expectation_diagonal, fidelity, populations
+from oracles import calibration_circuits
 
 K2 = Graph.complete(2)
 K3 = Graph.complete(3)
@@ -143,7 +143,8 @@ def test_flip_moves_populations():
 
 
 def test_flip_patterns_order():
-    assert flip_patterns(2) == ["00", "01", "10", "11"]
+    # flip pattern x is read in basis-index order, qubit 0 the leftmost bit
+    assert all_bitstrings(2) == ["00", "01", "10", "11"]
 
 
 def test_calibration_circuits_prepare_basis_states():
@@ -155,21 +156,6 @@ def test_calibration_circuits_prepare_basis_states():
         expected = np.zeros(4)
         expected[index] = 1.0
         np.testing.assert_allclose(pops, expected, atol=1e-15)
-
-
-def test_circuit_text_serialization():
-    circuit = Circuit(
-        2,
-        (
-            Gate("H", (0,)),
-            Gate("RZZ", (0, 1), 0.1),
-            Gate("CNOT", (0, 1)),
-            Gate("RX", (1,), 2 * math.pi),
-        ),
-    )
-    text = circuit.to_text()
-    assert text == "H 0\nRZZ 0,1,0.10000000000000001\nCNOT 0,1\nRX 1,6.2831853071795862\n"
-    assert Circuit(1, ()).to_text() == ""
 
 
 def test_circuit_target_validation():

@@ -376,6 +376,8 @@ def test_reconstruct_missing_means_file(tmp_path, capsys):
         "00 5\n01 3\n10 2\n11 one\n",  # bad value
         "0 5\n1 3\n",  # width mismatch with a two-qubit calibration
         "00 5 9\n01 3\n10 2\n11 1\n",  # too many fields
+        "00 nan\n01 3\n10 2\n11 1\n",  # not a number
+        "00 inf\n01 3\n10 2\n11 1\n",  # not finite
     ],
 )
 def test_reconstruct_malformed_means(tmp_path, capsys, content):
@@ -383,7 +385,7 @@ def test_reconstruct_malformed_means(tmp_path, capsys, content):
     means = tmp_path / "means.txt"
     means.write_text(content)
     assert main(["reconstruct", "--cal", cal, "--means", str(means)]) == EXIT_USAGE
-    capsys.readouterr()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # --- convergence command ---

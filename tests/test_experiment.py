@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from nvqaoa import experiment
+from nvqaoa._bitstrings import all_bitstrings
 from nvqaoa.circuits import (
     QaoaParams,
     append_flips,
     build_ansatz,
-    calibration_circuits,
-    flip_patterns,
     simulate,
     simulate_qaoa,
 )
@@ -45,10 +44,10 @@ from nvqaoa.experiment import (
 )
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import NoiseConfig, perturb_calibration, simulate_noisy
-from nvqaoa.readout import CalibrationTable, DegenerateCalibrationError, default_calibration, draw_totals, split_totals
+from nvqaoa.readout import CalibrationTable, DegenerateCalibrationError, default_calibration, read_records
 from nvqaoa.reconstruction import fwht, reconstruct, walsh_coefficients
 from nvqaoa.statevector import populations
-from oracles import density_matrix_populations
+from oracles import calibration_circuits, density_matrix_populations
 
 K2 = Graph.complete(2)
 K3 = Graph.complete(3)
@@ -625,7 +624,7 @@ def subcircuits(graph, params):
     """The gate-level sub-circuits of a point, in record order: basis preparations, then flip variants."""
     ansatz = build_ansatz(graph, params)
     n = graph.num_vertices
-    return calibration_circuits(n) + [append_flips(ansatz, pattern) for pattern in flip_patterns(n)]
+    return calibration_circuits(n) + [append_flips(ansatz, pattern) for pattern in all_bitstrings(n)]
 
 
 @pytest.mark.parametrize(
@@ -641,8 +640,8 @@ def subcircuits(graph, params):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
     # One simulated state read out under index permutations and delta vectors
-    # must reproduce, bit for bit, the records of the appended-X sub-circuits'
-    # gate-level populations fed through the same batched draw and split.
+    # must reproduce, bit for bit, the records read_records makes of the
+    # appended-X sub-circuits' gate-level populations on the same seeds.
     # Under depolarizing noise the rows of that one draw are the sub-circuits'
     # exact channel-averaged populations, X gates included.
     rng = np.random.default_rng(100 + n)
@@ -660,11 +659,11 @@ def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
     stochastic = noise is not None and noise.is_stochastic
     fed = []
 
-    def recording(rng, intensities, rows, num_shots):
+    def recording(intensities, rows, *args):
         fed.append(rows)
-        return draw_totals(rng, intensities, rows, num_shots)
+        return read_records(intensities, rows, *args)
 
-    monkeypatch.setattr(experiment, "draw_totals", recording)
+    monkeypatch.setattr(experiment, "read_records", recording)
     for trial in range(3):
         p = 1 + trial % 2
         params = QaoaParams(tuple(rng.uniform(0, math.pi, p)), tuple(rng.uniform(0, 2 * math.pi, p)))
@@ -684,11 +683,10 @@ def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
         else:
             rows = [populations(simulate(c) if noise is None else simulate_noisy(c, noise)) for c in circuits]
             oracle_pops = populations(simulate_noisy(ansatz, noise or NoiseConfig()))
-        occupations, totals = draw_totals(np.random.default_rng(draws), true_cal.intensities, rows, cfg.shots)
-        blocks, tails = split_totals(np.random.default_rng(split), true_cal.intensities, occupations, totals, 1_000)
-        np.testing.assert_array_equal(means, totals / cfg.shots)
-        np.testing.assert_array_equal(checkpoints, np.cumsum(blocks, axis=1) / (1_000 * np.arange(1, 3)))
-        np.testing.assert_array_equal(blocks.sum(axis=1) + tails, totals)
+        oracle_means, oracle_checkpoints = read_records(true_cal.intensities, rows, cfg.shots, draws, split, 1_000)
+        np.testing.assert_array_equal(means, oracle_means)
+        np.testing.assert_array_equal(checkpoints, oracle_checkpoints)
+        assert checkpoints.shape == (2 << n, 2)
         # the point reads the structured state with every channel folded in
         np.testing.assert_allclose(pops, oracle_pops, rtol=0, atol=1e-12)
         if noise is None or not (noise.overrotation_frac or noise.phase_offset or stochastic):
@@ -711,11 +709,11 @@ def test_depolarizing_record_means_match_density_matrix_oracle(monkeypatch, n, p
     params = QaoaParams.single(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
     fed = []
 
-    def recording(rng, intensities, rows, num_shots):
+    def recording(intensities, rows, *args):
         fed.append(rows)
-        return draw_totals(rng, intensities, rows, num_shots)
+        return read_records(intensities, rows, *args)
 
-    monkeypatch.setattr(experiment, "draw_totals", recording)
+    monkeypatch.setattr(experiment, "read_records", recording)
     pops = _sampled_state_pops(cfg, params, diagonal_costs(graph))
     means, _ = _measure_subcircuits(cfg, cal, np.random.SeedSequence(7 + n), pops)
     oracle = np.array([density_matrix_populations(c, noise) for c in subcircuits(graph, params)])
@@ -746,7 +744,7 @@ def test_depolarizing_errors_are_independent_per_shot():
     rows = np.array([density_matrix_populations(c, noise) for c in subcircuits(K2, params)[size:]])
     mean_I = rows @ CAL.intensities
     var_I = rows @ CAL.intensities**2 - mean_I**2
-    w = fwht(fwht(diagonal_costs(K2)) / walsh_coefficients(CAL).c) / size**2
+    w = fwht(fwht(diagonal_costs(K2)) / walsh_coefficients(CAL)) / size**2
     sigma_F = math.sqrt(np.sum(w**2 * (mean_I + var_I)) / shots)
     ratio = (num - 1) * F.var(ddof=1) / sigma_F**2
     assert stats.chi2.ppf(1e-4, num - 1) <= ratio <= stats.chi2.isf(1e-4, num - 1), (F.std(ddof=1), sigma_F)

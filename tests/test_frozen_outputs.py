@@ -1,0 +1,75 @@
+"""Frozen-output gate: fixed-seed CLI runs must reproduce their outputs byte for byte.
+
+Each case runs ``cli.main`` at a fixed seed and pins the sha256 of every CSV,
+SVG and ``summary.txt`` it writes (manifests carry timings and are left out).
+A change that keeps the RNG streams must keep these digests. A change that
+alters a stream on purpose is a named RNG re-baseline: it bumps the version,
+says so in CHANGES.md, and re-records the digests here.
+"""
+
+import hashlib
+
+import pytest
+
+from nvqaoa.cli import EXIT_OK, main
+
+GRAPHS = {
+    "k2.txt": "n 2\n0 1\n",
+    "ring4.txt": "n 4\n0 1 0.7\n1 2 1.2\n2 3 0.9\n3 0 1.1\n",
+}
+CALIBRATIONS = {
+    "cal.txt": (5, 3, 2, 1),
+    "cal4.txt": (2.1, 1.9, 1.7, 1.5, 1.3, 1.2, 1.1, 1.0, 0.9, 0.8, 0.75, 0.7, 0.6, 0.5, 0.45, 0.4),
+}
+K2_COARSE = ["--graph", "k2.txt", "--cal", "cal.txt", "--beta-range", "0.1pi:0.6pi:0.25pi", "--gamma-range", "0.1pi:2.1pi:0.8pi"]
+
+CASES = {
+    "sampled-svg": (
+        ["landscape", "--mode", "sampled", "--svg", "--graph", "k2.txt", "--cal", "cal.txt",
+         "--beta-range", "0.1pi:0.6pi:0.1pi", "--gamma-range", "0.1pi:2.1pi:0.2pi",
+         "--shots", "30000", "--realizations", "2", "--seed", "5"],
+        {
+            "landscape.csv": "47e5899c915f496c02e50cf44ed7399ee9d27ad662a17810a033319321a54bfe",
+            "landscape.svg": "d03b7853cef98d8f45647d25875ad6df2c31ffe125e8fd2c4f86754962edd80e",
+            "summary.txt": "5bd143fa338f7e96a643bbc9eb26c93a18714b02f4f0d5de3e4df8b7fe70eb2d",
+        },
+    ),
+    "depolarizing": (
+        ["landscape", "--mode", "sampled", "--depolarizing", "0.02", "--overrotation", "0.05", "--cal-sigma", "0.03",
+         *K2_COARSE, "--shots", "30000", "--realizations", "2", "--seed", "6"],
+        {
+            "landscape.csv": "b31988078efe6a49782600a1c813620a5aa76db40b6403ec3d5e7ff5957af45e",
+            "summary.txt": "2105022c5eb74ad8ca6a618ee7db8df67f06986a21be3ea9b910e48fc05fd7d2",
+        },
+    ),
+    "convergence-ring4": (
+        ["convergence", "--graph", "ring4.txt", "--cal", "cal4.txt", "--beta", "0.3", "--gamma", "0.8",
+         "--shots", "20000", "--checkpoint-every", "100", "--realizations", "3", "--seed", "7"],
+        {
+            "convergence.csv": "0e9e7990a1b6411bf3f3ca3c1047ccb894aca5236f459810e3eac7fc6e690d4d",
+            "summary.txt": "480f80aa3ca793ba2fa28a4d0653e23f95f909ce903e3764fab46f1c72d212ee",
+        },
+    ),
+    "optimize-sampled": (
+        ["optimize", "--mode", "sampled", *K2_COARSE, "--shots", "20000", "--seed", "8"],
+        {
+            "trace.csv": "770dc51441bf1e18d62ab9504d1fbdccc7b56bc0ee23f8f8357338cdeae8ad28",
+            "summary.txt": "aaac0b7e377bc4c752b3d7288cb85633fdb5bc35c29be4b19709d588dfc34e4e",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_fixed_seed_outputs_are_frozen(tmp_path, monkeypatch, capsys, case):
+    for name, text in GRAPHS.items():
+        (tmp_path / name).write_text(text)
+    for name, levels in CALIBRATIONS.items():
+        width = (len(levels) - 1).bit_length()
+        (tmp_path / name).write_text("".join(f"{k:0{width}b} {v}\n" for k, v in enumerate(levels)))
+    monkeypatch.chdir(tmp_path)
+    argv, digests = CASES[case]
+    assert main([*argv, "--out", "out"]) == EXIT_OK
+    capsys.readouterr()
+    got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in digests}
+    assert got == digests

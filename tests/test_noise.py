@@ -7,7 +7,7 @@ import pytest
 from nvqaoa.circuits import Circuit, QaoaParams, build_ansatz, simulate
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import NoiseConfig, density_populations, perturb_calibration, simulate_noisy
-from nvqaoa.readout import CalibrationTable, default_calibration, measure_circuit, sample_shots
+from nvqaoa.readout import CalibrationTable, default_calibration, read_records
 from nvqaoa.statevector import ROTATION_KINDS, Gate, apply_gate, apply_matrix, init_zero, populations, rz_matrix
 from oracles import density_matrix_populations
 
@@ -161,29 +161,27 @@ def test_trajectory_sampler_matches_gate_level_oracle(n, prob, deterministic):
     assert abs(pops.sum() - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("retain_counts", [False, True])
+@pytest.mark.parametrize("split", [False, True])
 @pytest.mark.parametrize("deterministic", [False, True])
 @pytest.mark.parametrize("prob", DEPOLARIZING)
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_stochastic_measure_circuit_matches_simulate_noisy_loop(n, prob, deterministic, retain_counts):
-    # measure_circuit has one path: sample_shots of the exact channel-averaged
+def test_stochastic_measure_circuit_matches_simulate_noisy_loop(n, prob, deterministic, split):
+    # a circuit is read as read_records of its exact channel-averaged
     # populations, which without depolarizing are the gate-by-gate state's
     config = noise_config(prob, deterministic)
     circuit = random_circuit(n, np.random.default_rng(7 * n + int(100 * prob)), num_gates=10)
-    calibration = CalibrationTable(np.linspace(4.0, 0.5, 1 << n))
+    intensities = np.linspace(4.0, 0.5, 1 << n)
     pops = density_populations(circuit, config)
     if prob == 0.0:
         np.testing.assert_allclose(pops, populations(simulate_noisy(circuit, config)), rtol=0, atol=1e-12)
     # 11 full blocks and a 70-shot tail
-    record = measure_circuit(circuit, calibration, 2270, 31, 200, config, retain_counts)
-    expected = sample_shots(calibration, pops, 2270, 31, 200, retain_counts)
-    assert record.num_shots == expected.num_shots
-    assert record.running_mean == expected.running_mean
-    np.testing.assert_array_equal(record.checkpoints, expected.checkpoints)
-    if retain_counts:
-        np.testing.assert_array_equal(record.counts, expected.counts)
-    else:
-        assert record.counts is None and expected.counts is None
+    means, checkpoints = read_records(intensities, pops[None], 2270, 31, 32 if split else None, 200)
+    assert checkpoints is None if not split else checkpoints.shape == (1, 11)
+    # the split runs on its own generator and leaves the record's mean as it is
+    np.testing.assert_array_equal(means, read_records(intensities, pops[None], 2270, 31)[0])
+    mean = pops @ intensities
+    var = mean + pops @ intensities**2 - mean**2
+    assert abs(means[0] - mean) <= 5.0 * math.sqrt(var / 2270)
 
 
 @pytest.mark.parametrize("deterministic", [False, True])
@@ -213,7 +211,7 @@ def test_trajectory_mean_matches_simulate_noisy_loop(prob, deterministic):
     np.testing.assert_allclose(density_populations(circuit, config), expected, rtol=0, atol=1e-12)
 
 
-# --- shot averages of measure_circuit against the density-matrix oracle ---
+# --- record means of a circuit's populations against the density-matrix oracle ---
 
 
 def test_density_matrix_oracle_is_the_exact_state_without_depolarizing():
@@ -228,14 +226,14 @@ def test_density_matrix_oracle_is_the_exact_state_without_depolarizing():
 @pytest.mark.parametrize("prob", [0.02, 0.2])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_trajectory_mean_matches_density_matrix_oracle(n, prob, deterministic):
-    # every shot of measure_circuit is a fresh trajectory, so its mean count is
-    # an average of i.i.d. counts with the oracle's mean and variance
+    # every shot is a fresh trajectory, so a record's mean count is an
+    # average of i.i.d. counts with the oracle's mean and variance
     config = noise_config(prob, deterministic)
     circuit = random_circuit(n, np.random.default_rng(50 + n), num_gates=8)
     intensities = np.linspace(4.0, 0.5, 1 << n)
     shots = 200_000
-    record = measure_circuit(circuit, CalibrationTable(intensities), shots, 17, noise=config)
+    (got,), _ = read_records(intensities, density_populations(circuit, config)[None], shots, 17)
     exact = density_matrix_populations(circuit, config)
     mean = exact @ intensities
     var = mean + exact @ intensities**2 - mean**2  # Poisson noise plus the spread over basis states
-    assert abs(record.running_mean - mean) <= 5.0 * math.sqrt(var / shots), (record.running_mean, mean)
+    assert abs(got - mean) <= 5.0 * math.sqrt(var / shots), (got, mean)

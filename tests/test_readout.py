@@ -7,23 +7,21 @@ from scipy.stats import chi2
 from nvqaoa import reconstruction
 from nvqaoa.circuits import Circuit, QaoaParams, build_ansatz
 from nvqaoa.graph_problem import Graph
-from nvqaoa.noise import NoiseConfig
+from nvqaoa.noise import NoiseConfig, density_populations
 from nvqaoa.readout import (
     CalibrationTable,
     DegenerateCalibrationError,
-    ShotRecord,
     default_calibration,
     draw_totals,
     format_calibration,
     load_calibration,
-    measure_circuit,
-    observable_expectation,
     parse_calibration,
-    sample_shots,
+    read_records,
     save_calibration,
     split_totals,
 )
 from nvqaoa.statevector import Gate
+from oracles import draw_shot_counts
 
 CAL = default_calibration()
 
@@ -53,45 +51,33 @@ def test_calibration_validation():
         CAL.intensities[0] = 9.0
 
 
-def test_observable_expectation():
-    assert observable_expectation(CAL, np.array([1.0, 0, 0, 0])) == 5.0
-    assert observable_expectation(CAL, np.full(4, 0.25)) == pytest.approx(2.75)
-    with pytest.raises(ValueError):
-        observable_expectation(CAL, np.full(2, 0.5))
-    with pytest.raises(ValueError):
-        observable_expectation(CAL, np.array([0.5, 0.6, 0.0, 0.0]))  # sums to 1.1
-    with pytest.raises(ValueError):
-        observable_expectation(CAL, np.array([1.2, -0.2, 0.0, 0.0]))
-
-
 def test_sample_shots_deterministic():
-    pops = np.array([0.1, 0.4, 0.3, 0.2])
-    for retain in (False, True):
-        a = sample_shots(CAL, pops, 5000, seed=123, retain_counts=retain)
-        b = sample_shots(CAL, pops, 5000, seed=123, retain_counts=retain)
-        assert a.running_mean == b.running_mean
-        np.testing.assert_array_equal(a.checkpoints, b.checkpoints)
-        if retain:
-            np.testing.assert_array_equal(a.counts, b.counts)
-        else:
-            assert a.counts is None
+    rows = np.array([[0.1, 0.4, 0.3, 0.2], [0.4, 0.1, 0.2, 0.3]])
+    means, checkpoints = read_records(CAL.intensities, rows, 5000, 123, 124, 1000)
+    again, again_checkpoints = read_records(CAL.intensities, rows, 5000, 123, 124, 1000)
+    np.testing.assert_array_equal(means, again)
+    np.testing.assert_array_equal(checkpoints, again_checkpoints)
+    # the split runs on its own generator, so the means do not depend on it
+    unsplit, none = read_records(CAL.intensities, rows, 5000, 123)
+    np.testing.assert_array_equal(unsplit, means)
+    assert none is None
+    assert not np.array_equal(read_records(CAL.intensities, rows, 5000, 125)[0], means)
 
 
 def test_sample_shots_mean_converges():
     pops = np.array([1.0, 0.0, 0.0, 0.0])
-    record = sample_shots(CAL, pops, 300_000, seed=0)
-    bound = 5 * mixture_std(CAL.intensities, pops, 300_000)
-    assert abs(record.running_mean - 5.0) <= bound
+    (mean,), _ = read_records(CAL.intensities, pops[None], 300_000, 0)
+    assert abs(mean - 5.0) <= 5 * mixture_std(CAL.intensities, pops, 300_000)
 
     uniform = np.full(4, 0.25)
-    record = sample_shots(CAL, uniform, 300_000, seed=1)
-    assert abs(record.running_mean - 2.75) <= 5 * mixture_std(CAL.intensities, uniform, 300_000)
+    (mean,), _ = read_records(CAL.intensities, uniform[None], 300_000, 1)
+    assert abs(mean - 2.75) <= 5 * mixture_std(CAL.intensities, uniform, 300_000)
 
 
 def test_sample_shots_respects_mixture_variance():
     # the sampled spread must match the Poisson-mixture formula, not plain Poisson
     pops = np.array([0.5, 0.0, 0.0, 0.5])
-    means = [sample_shots(CAL, pops, 2000, seed=s).running_mean for s in range(150)]
+    means, _ = read_records(CAL.intensities, np.tile(pops, (150, 1)), 2000, 0)
     expected = mixture_std(CAL.intensities, pops, 2000)
     observed = np.std(means, ddof=1)
     assert 0.7 * expected < observed < 1.3 * expected
@@ -100,34 +86,44 @@ def test_sample_shots_respects_mixture_variance():
 def test_zero_intensity_state_yields_zero_counts():
     cal = CalibrationTable(np.array([0.0, 3.0, 2.0, 1.0]))
     pops = np.array([1.0, 0.0, 0.0, 0.0])
-    record = sample_shots(cal, pops, 4000, seed=7, retain_counts=True)
-    assert record.running_mean == 0.0
-    np.testing.assert_array_equal(record.counts, np.zeros(4000, dtype=record.counts.dtype))
+    counts = draw_shot_counts(np.random.default_rng(7), cal.intensities, pops, 4000)
+    np.testing.assert_array_equal(counts, np.zeros(4000, dtype=counts.dtype))
+    means, checkpoints = read_records(cal.intensities, pops[None], 4000, 7, 8, 1000)
+    assert means[0] == 0.0
+    np.testing.assert_array_equal(checkpoints, np.zeros((1, 4)))
 
 
 def test_checkpoint_cadence():
     pops = np.full(4, 0.25)
-    record = sample_shots(CAL, pops, 5500, seed=3, checkpoint_every=1000)
-    assert record.checkpoints.shape == (5,)  # entry k covers (k + 1) * 1000 shots
-    record = sample_shots(CAL, pops, 999, seed=3, checkpoint_every=1000)
-    assert record.checkpoints.shape == (0,)
+    _, checkpoints = read_records(CAL.intensities, pops[None], 5500, 3, 4, 1000)
+    assert checkpoints.shape == (1, 5)  # entry k covers (k + 1) * 1000 shots; the 500-shot tail adds none
+    _, checkpoints = read_records(CAL.intensities, pops[None], 999, 3, 4, 1000)
+    assert checkpoints.shape == (1, 0)
 
 
 def test_checkpoints_match_retained_counts():
+    # each checkpoint of the batched records has the law of the per-shot running mean
     pops = np.array([0.2, 0.3, 0.4, 0.1])
-    record = sample_shots(CAL, pops, 3210, seed=9, checkpoint_every=500, retain_counts=True)
-    cumulative = np.cumsum(record.counts)
+    num = 200
+    _, checkpoints = read_records(CAL.intensities, np.tile(pops, (num, 1)), 3210, 9, 10, 500)
+    rng = np.random.default_rng(11)
+    counts = np.array([draw_shot_counts(rng, CAL.intensities, pops, 3210) for _ in range(num)])
     marks = 500 * np.arange(1, 7)
-    np.testing.assert_allclose(record.checkpoints, cumulative[marks - 1] / marks, rtol=0, atol=1e-12)
-    assert record.running_mean == pytest.approx(record.counts.mean(), abs=1e-12)
-    assert record.num_shots == 3210
+    retained = np.cumsum(counts, axis=1)[:, marks - 1] / marks
+    assert checkpoints.shape == retained.shape == (num, 6)
+    expected = float(pops @ CAL.intensities)
+    for k, mark in enumerate(marks):
+        sigma = mixture_std(CAL.intensities, pops, mark) / math.sqrt(num)
+        assert abs(checkpoints[:, k].mean() - expected) <= 5 * sigma
+        assert abs(retained[:, k].mean() - expected) <= 5 * sigma
+        assert 0.7 < checkpoints[:, k].std(ddof=1) / retained[:, k].std(ddof=1) < 1.4
 
 
 def test_retained_and_aggregate_agree_statistically():
     pops = np.array([0.3, 0.3, 0.2, 0.2])
-    slow = [sample_shots(CAL, pops, 3000, seed=s, retain_counts=True).running_mean for s in range(60)]
-    fast = [sample_shots(CAL, pops, 3000, seed=1000 + s).running_mean for s in range(60)]
-    expected = observable_expectation(CAL, pops)
+    slow = [draw_shot_counts(np.random.default_rng(s), CAL.intensities, pops, 3000).mean() for s in range(60)]
+    fast, _ = read_records(CAL.intensities, np.tile(pops, (60, 1)), 3000, 1000)
+    expected = float(pops @ CAL.intensities)
     tol = 4 * mixture_std(CAL.intensities, pops, 3000) / math.sqrt(60)
     assert abs(np.mean(slow) - expected) < 4 * tol
     assert abs(np.mean(fast) - expected) < 4 * tol
@@ -135,88 +131,71 @@ def test_retained_and_aggregate_agree_statistically():
 
 
 def test_shot_argument_validation():
-    pops = np.full(4, 0.25)
-    with pytest.raises(ValueError):
-        sample_shots(CAL, pops, 0, seed=0)
-    with pytest.raises(ValueError):
-        sample_shots(CAL, pops, 100, seed=0, checkpoint_every=0)
-    with pytest.raises(ValueError):
-        sample_shots(CAL, np.array([0.5, 0.5]), 100, seed=0)
+    for rows in (
+        np.full(4, 0.25),  # one vector, not rows
+        np.full((1, 2), 0.5),  # wrong width
+        np.array([[0.5, 0.6, 0.0, 0.0]]),  # sums to 1.1
+        np.array([[1.2, -0.2, 0.0, 0.0]]),  # negative
+        np.array([[np.nan, 1.0, 0.0, 0.0]]),
+    ):
+        with pytest.raises(ValueError, match="populations"):
+            read_records(CAL.intensities, rows, 100, 0)
 
 
 def test_measure_circuit_basic():
-    graph = Graph.complete(2)
-    empty = Circuit(2, ())
-    record = measure_circuit(empty, CAL, 200_000, seed=4)
-    assert abs(record.running_mean - 5.0) <= 5 * mixture_std(CAL.intensities, np.eye(4)[0], 200_000)
-
-    both_on = Circuit(2, (Gate("X", (0,)), Gate("X", (1,))))
-    record = measure_circuit(both_on, CAL, 200_000, seed=5)
-    assert abs(record.running_mean - 1.0) <= 5 * mixture_std(CAL.intensities, np.eye(4)[3], 200_000)
-
-    ansatz = build_ansatz(graph, QaoaParams.single(0.0, 0.0))  # uniform state
-    record = measure_circuit(ansatz, CAL, 200_000, seed=6)
-    uniform = np.full(4, 0.25)
-    assert abs(record.running_mean - 2.75) <= 5 * mixture_std(CAL.intensities, uniform, 200_000)
+    circuits = [
+        Circuit(2, ()),
+        Circuit(2, (Gate("X", (0,)), Gate("X", (1,)))),
+        build_ansatz(Graph.complete(2), QaoaParams.single(0.0, 0.0)),  # uniform state
+    ]
+    rows = np.array([density_populations(c, NoiseConfig()) for c in circuits])
+    means, _ = read_records(CAL.intensities, rows, 200_000, 4)
+    for mean, pops, exact in zip(means, (np.eye(4)[0], np.eye(4)[3], np.full(4, 0.25)), (5.0, 1.0, 2.75)):
+        assert abs(mean - exact) <= 5 * mixture_std(CAL.intensities, pops, 200_000)
 
 
 def test_measure_circuit_dimension_check():
-    with pytest.raises(ValueError):
-        measure_circuit(Circuit(1, ()), CAL, 100, seed=0)
-
-
-def test_trivial_noise_is_bit_identical():
-    circuit = build_ansatz(Graph.complete(2), QaoaParams.single(0.2, 0.9))
-    quiet = NoiseConfig()
-    a = measure_circuit(circuit, CAL, 5000, seed=11)
-    b = measure_circuit(circuit, CAL, 5000, seed=11, noise=quiet)
-    assert a.running_mean == b.running_mean
-    np.testing.assert_array_equal(a.checkpoints, b.checkpoints)
+    with pytest.raises(ValueError, match="shape"):
+        read_records(CAL.intensities, density_populations(Circuit(1, ()), NoiseConfig())[None], 100, 0)
 
 
 def test_stochastic_noise_deterministic_per_seed():
     circuit = build_ansatz(Graph.complete(2), QaoaParams.single(0.2, 0.9))
-    noisy = NoiseConfig(depolarizing_prob=0.05)
-    a = measure_circuit(circuit, CAL, 3000, seed=21, noise=noisy)
-    b = measure_circuit(circuit, CAL, 3000, seed=21, noise=noisy)
-    c = measure_circuit(circuit, CAL, 3000, seed=22, noise=noisy)
-    assert a.running_mean == b.running_mean
-    np.testing.assert_array_equal(a.checkpoints, b.checkpoints)
-    assert a.running_mean != c.running_mean
-
-
-def test_stochastic_noise_retains_counts():
-    circuit = build_ansatz(Graph.complete(2), QaoaParams.single(0.2, 0.9))
-    noisy = NoiseConfig(depolarizing_prob=0.1)
-    record = measure_circuit(circuit, CAL, 2500, seed=31, noise=noisy, retain_counts=True)
-    assert record.counts.size == 2500
-    assert record.running_mean == pytest.approx(record.counts.mean(), abs=1e-12)
-    assert len(record.checkpoints) == 2
+    rows = density_populations(circuit, NoiseConfig(depolarizing_prob=0.05))[None]
+    a = read_records(CAL.intensities, rows, 3000, 21, 23, 1000)
+    b = read_records(CAL.intensities, rows, 3000, 21, 23, 1000)
+    c = read_records(CAL.intensities, rows, 3000, 22, 23, 1000)
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
+    assert a[0][0] != c[0][0]
 
 
 def test_seed_sequence_argument_is_not_mutated():
-    # a SeedSequence passed in is read, never spawned from, so passing it again repeats the record
+    # a SeedSequence passed in is read, never spawned from, so passing it again repeats the records
     circuit = build_ansatz(Graph.complete(2), QaoaParams.single(0.2, 0.9))
-    for noise in (NoiseConfig(depolarizing_prob=0.05), None):
-        seed = np.random.SeedSequence(5)
-        first = measure_circuit(circuit, CAL, 3000, seed, 500, noise)
-        second = measure_circuit(circuit, CAL, 3000, seed, 500, noise)
-        assert first.running_mean == second.running_mean
-        np.testing.assert_array_equal(first.checkpoints, second.checkpoints)
-        assert seed.n_children_spawned == 0
-    assert first.running_mean == measure_circuit(circuit, CAL, 3000, 5, 500).running_mean
+    for noise in (NoiseConfig(depolarizing_prob=0.05), NoiseConfig()):
+        rows = density_populations(circuit, noise)[None]
+        draws, split = np.random.SeedSequence(5), np.random.SeedSequence(6)
+        first = read_records(CAL.intensities, rows, 3000, draws, split, 500)
+        second = read_records(CAL.intensities, rows, 3000, draws, split, 500)
+        for got, want in zip(first, second):
+            np.testing.assert_array_equal(got, want)
+        assert draws.n_children_spawned == split.n_children_spawned == 0
+        # an int seed is the SeedSequence of that int
+        for got, want in zip(read_records(CAL.intensities, rows, 3000, 5, 6, 500), first):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_sample_shots_is_the_batched_draw_and_split_of_one_row():
     pops = np.array([0.1, 0.2, 0.3, 0.4])
-    record = sample_shots(CAL, pops, 2_345, seed=17, checkpoint_every=500)
-    rng = np.random.default_rng(17)
-    occupations, totals = draw_totals(rng, CAL.intensities, pops[None], 2_345)
-    blocks, tails = split_totals(rng, CAL.intensities, occupations, totals, 500)
+    means, checkpoints = read_records(CAL.intensities, pops[None], 2_345, 17, 18, 500)
+    occupations, totals = draw_totals(np.random.default_rng(17), CAL.intensities, pops[None], 2_345)
+    blocks = split_totals(np.random.default_rng(18), CAL.intensities, occupations, totals, 500)
     assert occupations.shape == (1, 4) and occupations.sum() == 2_345
-    assert blocks.shape == (1, 4) and blocks.sum() + tails[0] == totals[0]
-    assert record.running_mean == totals[0] / 2_345
-    np.testing.assert_array_equal(record.checkpoints, np.cumsum(blocks[0]) / (500 * np.arange(1, 5)))
+    # four full blocks; the 345-shot tail holds the rest of the total
+    assert blocks.shape == (1, 4) and 0 <= totals[0] - blocks.sum() <= totals[0]
+    np.testing.assert_array_equal(means, totals / 2_345)
+    np.testing.assert_array_equal(checkpoints, np.cumsum(blocks, axis=1) / (500 * np.arange(1, 5)))
 
 
 def test_split_of_a_dark_record_is_all_zero():
@@ -225,15 +204,16 @@ def test_split_of_a_dark_record_is_all_zero():
     rows = np.array([[1.0, 0, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0, 1.0]])
     rng = np.random.default_rng(3)
     occupations, totals = draw_totals(rng, dark.intensities, rows, 1_000)
-    blocks, tails = split_totals(rng, dark.intensities, occupations, totals, 300)
+    blocks = split_totals(rng, dark.intensities, occupations, totals, 300)
+    assert blocks.shape == (3, 3)  # three full blocks and a 100-shot tail
     assert totals[0] == totals[1] == 0 and totals[2] > 0
-    assert not blocks[:2].any() and not tails[:2].any()
-    assert blocks[2].sum() + tails[2] == totals[2]
+    assert not blocks[:2].any()
+    assert blocks[2].sum() <= totals[2]
 
 
 # The record-level distribution gate. F is a deterministic function of the
 # record means, so records equal in distribution give F equal in distribution.
-# Each seed draws two records, as a point draws its rows, with mirrored pops.
+# Each seed reads two records, as a point reads its rows, with mirrored pops.
 GATE_POPS = np.array([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]])
 GATE_CAL = CalibrationTable(np.array([5.0, 3.0, 2.0, 1.0]))
 GATE_SEEDS = 3000
@@ -241,16 +221,17 @@ GATE_SHOTS, GATE_EVERY = 1_050, 100  # 10 full blocks and a 50-shot tail
 
 
 def gate_records():
-    """Block totals, tails and totals, indexed [seed, record], drawn and split as a point does."""
-    blocks, tails, totals = [], [], []
+    """Block totals, tails and totals, indexed [seed, record], read as a point reads them."""
+    means, checkpoints = [], []
     for seed in range(GATE_SEEDS):
         draws, split = np.random.SeedSequence(seed).spawn(2)
-        occupations, total = draw_totals(np.random.default_rng(draws), GATE_CAL.intensities, GATE_POPS, GATE_SHOTS)
-        block, tail = split_totals(np.random.default_rng(split), GATE_CAL.intensities, occupations, total, GATE_EVERY)
-        blocks.append(block)
-        tails.append(tail)
-        totals.append(total)
-    return np.array(blocks), np.array(tails), np.array(totals)
+        mean, checkpoint = read_records(GATE_CAL.intensities, GATE_POPS, GATE_SHOTS, draws, split, GATE_EVERY)
+        means.append(mean)
+        checkpoints.append(checkpoint)
+    # the running means are whole photon counts over whole shots, so the counts come back exactly
+    totals = np.rint(np.array(means) * GATE_SHOTS).astype(int)
+    cumulative = np.rint(np.array(checkpoints) * (GATE_EVERY * np.arange(1, GATE_SHOTS // GATE_EVERY + 1))).astype(int)
+    return np.diff(cumulative, axis=2, prepend=0), totals - cumulative[..., -1], totals
 
 
 def chi2_bounds(dof, tail=3e-5):
@@ -268,7 +249,8 @@ def assert_mean_and_variance(values, mean, variance):
 def test_record_distribution_gate():
     intensity = GATE_CAL.intensities
     blocks, tails, totals = gate_records()
-    np.testing.assert_array_equal(blocks.sum(axis=2) + tails, totals)
+    assert blocks.shape == (GATE_SEEDS, 2, GATE_SHOTS // GATE_EVERY)
+    assert (blocks >= 0).all() and (tails >= 0).all()
     tail_shots = GATE_SHOTS % GATE_EVERY
     for r, pops in enumerate(GATE_POPS):
         mean_i = float(pops @ intensity)
@@ -283,11 +265,6 @@ def test_record_distribution_gate():
         assert abs(np.corrcoef(blocks[:, r, -1], tails[:, r])[0, 1]) <= 4 / math.sqrt(GATE_SEEDS)
     # and so are the two records
     assert abs(np.corrcoef(totals[:, 0], totals[:, 1])[0, 1]) <= 4 / math.sqrt(GATE_SEEDS)
-
-
-def test_shot_record_is_plain_data():
-    record = ShotRecord(10, 2.5, ((10, 2.5),))
-    assert record.counts is None
 
 
 CAL_FILE = """\
@@ -319,6 +296,9 @@ def test_parse_calibration_errors():
         parse_calibration("# empty\n")
     with pytest.raises(ValueError, match="invalid calibration"):
         parse_calibration("0 2\n1 2\n")  # all equal
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=f"line 2: intensity '{bad}' is not finite"):
+            parse_calibration(f"0 2\n1 {bad}\n")
 
 
 def test_calibration_round_trip(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from nvqaoa._bitstrings import parity_signs
-from nvqaoa.circuits import QaoaParams, append_flips, build_ansatz, calibration_circuits, flip_patterns
+from nvqaoa._bitstrings import all_bitstrings, parity_signs
+from nvqaoa.circuits import QaoaParams, append_flips, build_ansatz
 from nvqaoa.graph_problem import Graph
-from nvqaoa.readout import CalibrationTable, default_calibration, measure_circuit
+from nvqaoa.noise import NoiseConfig, density_populations
+from nvqaoa.readout import CalibrationTable, default_calibration, read_records
 from nvqaoa.reconstruction import (
     DegenerateCalibrationError,
     forward_means,
@@ -12,6 +13,7 @@ from nvqaoa.reconstruction import (
     reconstruct,
     walsh_coefficients,
 )
+from oracles import calibration_circuits
 
 CAL = default_calibration()
 
@@ -43,9 +45,9 @@ def test_fwht_input_validation():
 
 
 def test_walsh_coefficients_known_tables():
-    np.testing.assert_allclose(walsh_coefficients(CAL).c, [2.75, 0.75, 1.25, 0.25], atol=1e-15)
+    np.testing.assert_allclose(walsh_coefficients(CAL), [2.75, 0.75, 1.25, 0.25], atol=1e-15)
     degenerate = CalibrationTable(np.array([4.0, 3.0, 2.0, 1.0]))
-    c = walsh_coefficients(degenerate).c
+    c = walsh_coefficients(degenerate)
     np.testing.assert_allclose(c, [2.5, 0.5, 1.0, 0.0], atol=1e-15)
 
 
@@ -151,21 +153,13 @@ def test_norm_from_sampled_data_stays_near_one():
     graph = Graph.complete(2)
     params = QaoaParams.single(0.15 * np.pi, 1.5 * np.pi)
     ansatz = build_ansatz(graph, params)
-    patterns = flip_patterns(2)
-    preps = calibration_circuits(2)
+    circuits = calibration_circuits(2) + [append_flips(ansatz, pattern) for pattern in all_bitstrings(2)]
+    rows = np.array([density_populations(c, NoiseConfig()) for c in circuits])
     in_window = 0
     trials = 40
     for seed in range(trials):
-        root = np.random.SeedSequence(seed).spawn(8)
-        empirical = np.array(
-            [measure_circuit(preps[s], CAL, 300_000, root[s]).running_mean for s in range(4)]
-        )
-        means = np.array(
-            [
-                measure_circuit(append_flips(ansatz, patterns[x]), CAL, 300_000, root[4 + x]).running_mean
-                for x in range(4)
-            ]
-        )
+        records, _ = read_records(CAL.intensities, rows, 300_000, seed)
+        empirical, means = records[:4], records[4:]
         estimate = reconstruct(CalibrationTable(empirical), means)
         if 0.97 <= estimate.norm <= 1.03:
             in_window += 1
@@ -214,7 +208,7 @@ def test_degenerate_stacked_rows_are_nan_and_leave_the_others_untouched(n):
     tables[1] = 3.0  # all equal: c_t = 0 exactly for every t != 0
     tables[3, size // 2 :] = tables[3, : size // 2] + 2e-12  # c_t of the first qubit's parity about -1e-12
     tables[4] = 0.0  # all dark
-    assert 0 < abs(walsh_coefficients(CalibrationTable(tables[3])).c[size // 2]) <= 1e-9
+    assert 0 < abs(walsh_coefficients(CalibrationTable(tables[3]))[size // 2]) <= 1e-9
     stacked = reconstruct(tables, means)
     pops, norms = per_row_reconstruct(tables, means)
     np.testing.assert_array_equal(stacked.pops, pops)
