@@ -26,7 +26,7 @@ import numpy as np
 from ._bitstrings import BitString, as_bit_array
 from .graph_problem import Graph
 from .noise import NoiseConfig
-from .statevector import Gate, StateVector, apply_gate, init_zero, rz_matrix
+from .statevector import Gate, StateVector, apply_gate, butterfly, init_zero, rz_matrix
 
 
 @dataclass(frozen=True)
@@ -156,12 +156,6 @@ def simulate_qaoa(
             halves = amps.reshape(2, -1)
             halves *= offset_phases
         cos, minus_i_sin = math.cos(beta), -1j * math.sin(beta)
-        for q in range(n):
-            # axis 1 is qubit q: qubit 0 is the most significant bit of the index
-            pair = amps.reshape(1 << q, 2, -1)
-            lo, hi = pair[:, 0], pair[:, 1]
-            new_lo = cos * lo + minus_i_sin * hi
-            hi *= cos
-            hi += minus_i_sin * lo
-            lo[...] = new_lo
+        mixer = ((cos, minus_i_sin), (minus_i_sin, cos))  # RX(2 beta)
+        butterfly(amps, mixer, range(n))
     return StateVector(n, amps)

@@ -538,7 +538,10 @@ def config_from_dict(data: dict) -> ScanConfig:
     _check_fields(data, _CONFIG_FIELDS, "config.")
     _check_fields(data["graph"], {"num_vertices": int, "edges": list}, "config.graph.")
     graph = Graph.from_edges(data["graph"]["num_vertices"], data["graph"]["edges"])
-    noise = NoiseConfig.from_dict(data["noise"]) if data["noise"] is not None else None
+    noise = None
+    if data["noise"] is not None:
+        _check_fields(data["noise"], dict.fromkeys(NoiseConfig().to_dict(), (int, float)), "config.noise.")
+        noise = NoiseConfig.from_dict(data["noise"])
     calibration = (
         CalibrationTable(np.array(data["calibration"], dtype=float))
         if data["calibration"] is not None

@@ -11,7 +11,13 @@ import numpy as np
 
 from nvqaoa._bitstrings import all_bitstrings
 from nvqaoa.circuits import Circuit, append_flips
-from nvqaoa.statevector import PAULI_MATRICES, ROTATION_KINDS, Gate, gate_matrix, rz_matrix
+from nvqaoa.statevector import ROTATION_KINDS, Gate, gate_matrix, rz_matrix
+
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 
 def calibration_circuits(num_qubits):
@@ -60,7 +66,7 @@ def density_matrix_populations(circuit, config):
             gate = Gate(gate.kind, gate.targets, gate.angle * (1.0 + config.overrotation_frac))
         rho = conjugate(rho, gate_matrix(gate), gate.targets)
         for q in gate.targets:
-            flipped = sum(conjugate(rho, PAULI_MATRICES[name], (q,)) for name in "XYZ")
+            flipped = sum(conjugate(rho, pauli, (q,)) for pauli in PAULIS)
             rho = (1.0 - prob) * rho + (prob / 3.0) * flipped
         if len(gate.targets) == 2:
             rho = conjugate(rho, rz_matrix(config.phase_offset), (0,))

@@ -527,6 +527,7 @@ def test_rerun_rejects_malformed_manifest(tmp_path, capsys):
         assert not out.exists()
 
 
+NOISE = {"depolarizing_prob": 0.0, "overrotation_frac": 0.0, "phase_offset": 0.0, "calibration_sigma": 0.0}
 INCOMPLETE_MANIFESTS = [
     ("landscape", lambda m: m.update(config={}), "config.graph"),
     ("landscape", lambda m: m["config"].pop("shots"), "config.shots"),
@@ -542,6 +543,12 @@ INCOMPLETE_MANIFESTS = [
     ("landscape", lambda m: m["config"].pop("exact_calibration"), "config.exact_calibration"),
     ("landscape", lambda m: m["config"].update(exact_calibration="no"), "config.exact_calibration"),
     ("landscape", lambda m: m["config"].update(exact_calibration=1), "config.exact_calibration"),
+    ("landscape", lambda m: m["config"].update(noise=dict(NOISE, depolarizing_prob=True)),
+     "config.noise.depolarizing_prob"),
+    ("landscape", lambda m: m["config"].update(noise=dict(NOISE, overrotation_frac="0.05")),
+     "config.noise.overrotation_frac"),
+    ("landscape", lambda m: m["config"].update(noise={k: v for k, v in NOISE.items() if k != "phase_offset"}),
+     "config.noise.phase_offset"),
     ("landscape", lambda m: m.pop("version"), "version"),
     ("landscape", lambda m: m.update(version="0.1.0"), "version"),
 ]

@@ -50,6 +50,15 @@ CASES = {
             "summary.txt": "480f80aa3ca793ba2fa28a4d0653e23f95f909ce903e3764fab46f1c72d212ee",
         },
     ),
+    "convergence-ring4-depolarizing": (
+        ["convergence", "--graph", "ring4.txt", "--cal", "cal4.txt", "--beta", "0.3", "--gamma", "0.8",
+         "--depolarizing", "0.01", "--phase-offset", "0.1",
+         "--shots", "20000", "--checkpoint-every", "100", "--realizations", "3", "--seed", "9"],
+        {
+            "convergence.csv": "a85b9edb78669559b216556507743a871eaade6d3ca249c56b1d507ca68d27f8",
+            "summary.txt": "d0b102a4059e36d92bf79d62f468cce1ad842327c21837bbe789a7de2a31e537",
+        },
+    ),
     "optimize-sampled": (
         ["optimize", "--mode", "sampled", *K2_COARSE, "--shots", "20000", "--seed", "8"],
         {

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nvqaoa import noise, statevector
 from nvqaoa.circuits import Circuit, QaoaParams, build_ansatz, simulate
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import NoiseConfig, density_populations, perturb_calibration, simulate_noisy
@@ -159,6 +160,43 @@ def test_trajectory_sampler_matches_gate_level_oracle(n, prob, deterministic):
     assert pops.shape == (1 << n,)
     np.testing.assert_allclose(pops, density_matrix_populations(circuit, config), rtol=0, atol=1e-12)
     assert abs(pops.sum() - 1.0) <= 1e-12
+
+
+def forbid_dense_operators(monkeypatch):
+    def dense(*args):
+        raise AssertionError("density_populations applied a dense operator")
+
+    monkeypatch.setattr(statevector, "apply_matrix", dense)
+    monkeypatch.setattr(noise, "apply_matrix", dense)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_density_populations_runs_without_dense_operators(monkeypatch, n):
+    # every gate kind, both orders of two-qubit targets, against the oracle
+    circuit = random_circuit(n, np.random.default_rng(900 + n), num_gates=40)
+    kinds = {gate.kind for gate in circuit.gates}
+    assert kinds == ({"H", "X", "RX", "RY", "RZ", "RZZ", "CNOT"} if n > 1 else {"H", "X", "RX", "RY", "RZ"})
+    if n > 1:
+        assert {gate.targets[0] > gate.targets[1] for gate in circuit.gates if gate.kind == "CNOT"} == {False, True}
+    config = NoiseConfig(depolarizing_prob=0.02, overrotation_frac=0.06, phase_offset=-0.4)
+    expected = density_matrix_populations(circuit, config)
+    forbid_dense_operators(monkeypatch)
+    np.testing.assert_allclose(density_populations(circuit, config), expected, rtol=0, atol=1e-12)
+
+
+def test_density_populations_of_a_five_qubit_ansatz(monkeypatch):
+    graph = Graph.from_edges(5, [(0, 1, 0.7), (1, 2, 1.2), (2, 3, 0.9), (3, 4, 1.1), (4, 0, 0.6), (1, 3, 1.3)])
+    circuit = build_ansatz(graph, QaoaParams((0.3, 0.8), (0.7, 1.9)))
+    config = NoiseConfig(depolarizing_prob=0.02, overrotation_frac=0.05, phase_offset=0.1)
+    expected = density_matrix_populations(circuit, config)
+    forbid_dense_operators(monkeypatch)
+    np.testing.assert_allclose(density_populations(circuit, config), expected, rtol=0, atol=1e-12)
+
+
+def test_density_populations_rejects_a_register_past_the_limit():
+    # rho on 13 qubits has 4^13 entries, a 26-qubit register
+    with pytest.raises(ValueError, match="26"):
+        density_populations(Circuit(13, ()), NoiseConfig(0.01))
 
 
 @pytest.mark.parametrize("split", [False, True])
