@@ -37,12 +37,12 @@ import math
 from dataclasses import dataclass
 from itertools import count
 from numbers import Integral
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from ._bitstrings import all_bitstrings
+from ._format10g import write_rows
 from .circuits import (
     QaoaParams,
     build_ansatz,
@@ -455,20 +455,21 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     )
 
 
-def write_landscape_csv(grid: LandscapeGrid, destination) -> None:
+def write_landscape_csv(grid: LandscapeGrid, handle) -> None:
     """CSV with one row per (point, realization); 10 significant digits, pops joined with '|'."""
     shape = grid.F_measured.shape
     beta, gamma, realization = np.meshgrid(grid.betas, grid.gammas, np.arange(shape[2]), indexing="ij")
     F_ideal = np.broadcast_to(grid.F_ideal[:, :, None], shape)
     abs_diff = np.abs(grid.F_measured - F_ideal)
-    columns = [_format_10g(beta), _format_10g(gamma), realization.ravel().astype(str)]
-    columns += [_format_10g(values) for values in (grid.F_measured, F_ideal, abs_diff, grid.norm)]
-    columns.append(["|".join(_format_10g(pops)) for pops in grid.pops.reshape(-1, grid.pops.shape[-1])])
-    rows = (",".join(fields) for fields in zip(*columns))
-    _write_text(destination, "\n".join([CSV_HEADER, *rows]) + "\n")
+    columns = [beta, gamma, realization, grid.F_measured, F_ideal, abs_diff, grid.norm]
+    pops = grid.pops.reshape(-1, grid.pops.shape[-1])
+    table = np.column_stack([np.ravel(column) for column in columns] + [pops])
+    handle.write(CSV_HEADER + "\n")
+    seps = "," * len(columns) + "|" * (pops.shape[1] - 1) + "\n"
+    write_rows(handle, table, seps, {2: [str(r) for r in realization.ravel().tolist()]})
 
 
-def write_convergence_csv(profile: ConvergenceProfile, destination) -> None:
+def write_convergence_csv(profile: ConvergenceProfile, handle) -> None:
     labels = all_bitstrings(profile.num_qubits)
     header = (
         ["shots"]
@@ -477,23 +478,23 @@ def write_convergence_csv(profile: ConvergenceProfile, destination) -> None:
         + [f"std_p{label}" for label in labels]
         + ["std_norm"]
     )
-    lines = [",".join(header)]
-    for k, shots in enumerate(profile.checkpoint_shots):
-        row = [str(int(shots))]
-        row += _format_10g(profile.mean_pops[k]) + _format_10g(profile.mean_norm[k])
-        row += _format_10g(profile.std_pops[k]) + _format_10g(profile.std_norm[k])
-        lines.append(",".join(row))
-    _write_text(destination, "\n".join(lines) + "\n")
+    handle.write(",".join(header) + "\n")
+    shots = np.asarray(profile.checkpoint_shots)
+    columns = [shots.astype(float), profile.mean_pops, profile.mean_norm, profile.std_pops, profile.std_norm]
+    table = np.column_stack(columns)
+    seps = "," * (table.shape[1] - 1) + "\n"
+    write_rows(handle, table, seps, {0: [str(int(s)) for s in shots.tolist()]})
 
 
-def write_trace_csv(result: OptimizeResult, destination) -> None:
+def write_trace_csv(result: OptimizeResult, handle) -> None:
     """CSV with one row per evaluation in call order: index, the 2p angles and F, 10 significant digits."""
     p = result.best_params.p
     header = ["index", *(f"beta{k}" for k in range(p)), *(f"gamma{k}" for k in range(p)), "F"]
-    lines = [",".join(header)]
-    for i, (betas, gammas, value) in enumerate(result.trace):
-        lines.append(",".join([str(i), *_format_10g([*betas, *gammas, value])]))
-    _write_text(destination, "\n".join(lines) + "\n")
+    handle.write(",".join(header) + "\n")
+    rows = [(i, *betas, *gammas, value) for i, (betas, gammas, value) in enumerate(result.trace)]
+    table = np.array(rows, dtype=float).reshape(len(rows), 2 * p + 2)
+    seps = "," * (2 * p + 1) + "\n"
+    write_rows(handle, table, seps, {0: [str(i) for i in range(len(rows))]})
 
 
 def scan_summary(grid: LandscapeGrid, config: ScanConfig) -> dict:
@@ -612,11 +613,6 @@ def _realization_stats(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.nd
     return mean, np.sqrt(std)
 
 
-def _format_10g(values) -> list[str]:
-    """Each value as ``format(v, ".10g")``; printf on Python floats gives the same bytes, faster."""
-    return ["%.10g" % v for v in np.ravel(values).tolist()]
-
-
 def _point_streams(config: ScanConfig, realization_index: int, point_index: int):
     """True calibration (possibly perturbed) and the root substream of a point.
 
@@ -678,9 +674,3 @@ def _sampled_state_pops(config: ScanConfig, params: QaoaParams, diag: np.ndarray
         return ideal_pops
     return populations(simulate_qaoa(diag, params, noise, len(config.graph.edges())))
 
-
-def _write_text(destination, text: str) -> None:
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text)

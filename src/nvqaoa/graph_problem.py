@@ -137,11 +137,11 @@ def diagonal_costs(graph: Graph) -> np.ndarray:
     if n > MAX_VERTICES:
         raise ValueError(f"diagonal cost table capped at {MAX_VERTICES} vertices, got {n}")
     idx = np.arange(1 << n, dtype=np.int64)
+    # w times a 0 or 1 of any integer type is the same double, so uint8 bits keep every sum bit for bit
+    bits = [((idx >> (n - 1 - v)) & 1).astype(np.uint8) for v in range(n)]
     total = np.zeros(1 << n)
     for i, j, w in graph.edges():
-        bi = (idx >> (n - 1 - i)) & 1
-        bj = (idx >> (n - 1 - j)) & 1
-        total -= w * (bi ^ bj)
+        total -= w * (bits[i] ^ bits[j])
     return total
 
 

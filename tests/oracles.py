@@ -5,12 +5,16 @@ density matrices (small n only), written out independently of
 ``noise.density_populations``. ``calibration_circuits`` builds the gate-level
 basis preparations a scan reads as delta rows, and ``draw_shot_counts`` reads
 populations one shot at a time, the slow path of ``readout.read_records``.
+``landscape_csv_text``, ``convergence_csv_text`` and ``trace_csv_text`` are the
+per-value CSV writers, the slow path of the ``experiment.write_*_csv`` writers:
+every float is ``format(v, ".10g")`` and every integer column ``str(int)``.
 """
 
 import numpy as np
 
 from nvqaoa._bitstrings import all_bitstrings
 from nvqaoa.circuits import Circuit, append_flips
+from nvqaoa.experiment import CSV_HEADER
 from nvqaoa.statevector import ROTATION_KINDS, Gate, gate_matrix, rz_matrix
 
 PAULIS = (
@@ -71,3 +75,41 @@ def density_matrix_populations(circuit, config):
         if len(gate.targets) == 2:
             rho = conjugate(rho, rz_matrix(config.phase_offset), (0,))
     return rho.diagonal().real
+
+
+def format_10g(values):
+    """Each value as ``format(v, ".10g")``."""
+    return [format(v, ".10g") for v in np.ravel(values).tolist()]
+
+
+def landscape_csv_text(grid):
+    shape = grid.F_measured.shape
+    beta, gamma, realization = np.meshgrid(grid.betas, grid.gammas, np.arange(shape[2]), indexing="ij")
+    F_ideal = np.broadcast_to(grid.F_ideal[:, :, None], shape)
+    abs_diff = np.abs(grid.F_measured - F_ideal)
+    columns = [format_10g(beta), format_10g(gamma), realization.ravel().astype(str)]
+    columns += [format_10g(values) for values in (grid.F_measured, F_ideal, abs_diff, grid.norm)]
+    columns.append(["|".join(format_10g(pops)) for pops in grid.pops.reshape(-1, grid.pops.shape[-1])])
+    rows = (",".join(fields) for fields in zip(*columns))
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
+
+
+def convergence_csv_text(profile):
+    labels = all_bitstrings(profile.num_qubits)
+    header = ["shots"] + [f"p{s}" for s in labels] + ["norm"] + [f"std_p{s}" for s in labels] + ["std_norm"]
+    lines = [",".join(header)]
+    for k, shots in enumerate(profile.checkpoint_shots):
+        row = [str(int(shots))]
+        row += format_10g(profile.mean_pops[k]) + format_10g(profile.mean_norm[k])
+        row += format_10g(profile.std_pops[k]) + format_10g(profile.std_norm[k])
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def trace_csv_text(result):
+    p = result.best_params.p
+    header = ["index", *(f"beta{k}" for k in range(p)), *(f"gamma{k}" for k in range(p)), "F"]
+    lines = [",".join(header)]
+    for i, (betas, gammas, value) in enumerate(result.trace):
+        lines.append(",".join([str(i), *format_10g([*betas, *gammas, value])]))
+    return "\n".join(lines) + "\n"

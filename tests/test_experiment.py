@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from nvqaoa import experiment
 from nvqaoa._bitstrings import all_bitstrings
+from nvqaoa._format10g import SMALL, write_rows
 from nvqaoa.circuits import (
     QaoaParams,
     append_flips,
@@ -18,6 +21,7 @@ from nvqaoa.experiment import (
     DEFAULT_BETA_RANGE,
     DEFAULT_GAMMA_RANGE,
     MAX_DEPOLARIZING_VERTICES,
+    ConvergenceProfile,
     LandscapeGrid,
     OptimizeResult,
     ScanConfig,
@@ -36,7 +40,6 @@ from nvqaoa.experiment import (
     write_landscape_csv,
     write_trace_csv,
     _child_seed,
-    _format_10g,
     _measure_subcircuits,
     _point_streams,
     _realization_stats,
@@ -47,7 +50,14 @@ from nvqaoa.noise import NoiseConfig, perturb_calibration, simulate_noisy
 from nvqaoa.readout import CalibrationTable, DegenerateCalibrationError, default_calibration, read_records
 from nvqaoa.reconstruction import fwht, reconstruct, walsh_coefficients
 from nvqaoa.statevector import populations
-from oracles import calibration_circuits, density_matrix_populations
+from oracles import (
+    calibration_circuits,
+    convergence_csv_text,
+    density_matrix_populations,
+    format_10g,
+    landscape_csv_text,
+    trace_csv_text,
+)
 
 K2 = Graph.complete(2)
 K3 = Graph.complete(3)
@@ -495,17 +505,106 @@ def test_non_degenerate_reconstruction_error_propagates(monkeypatch):
         convergence_profile(cfg, POINT)
 
 
+def kernel_text(values, seps, texts=None):
+    buffer = io.StringIO()
+    write_rows(buffer, np.reshape(values, (-1, len(seps))), seps, texts)
+    return buffer.getvalue()
+
+
+def per_value_text(values, seps):
+    return "".join(map(str.__add__, format_10g(values), itertools.cycle(seps)))
+
+
 def test_format_10g_matches_format_byte_for_byte():
     specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 2.2250738585072014e-308]
     # values whose 11th significant digit is a 5: the rounding direction is decided by the binary tail
     boundaries = [0.12345678905, 1.0000000005, 9.9999999995, 99999.999995, 1234567890.5, 12345678905.0, 2.5e-10]
+    # both sides of the switch between fixed and scientific notation
+    boundaries += [1e-4, 9.9999999995e-5, 1e10, 9999999999.5]
+    # the ends of the kernel's exact-scaling range, e = floor(log10|v|) in -13..31, and just outside
+    boundaries += [1e-13, 9.999999999e-14, 1.0000000001e-13, 9.999999999e31, 9.9999999996e31, 1e32, 1e-14]
     boundaries += [np.nextafter(v, d) for v in boundaries for d in (-math.inf, math.inf)]
+    # 10^e and its neighbours 1 and 2 ulp away, for every decimal exponent of a double
+    powers = []
+    for e in range(-330, 309):
+        below = above = float(f"1e{e}")
+        powers.append(below)
+        for _ in range(2):
+            below, above = np.nextafter(below, -math.inf), np.nextafter(above, math.inf)
+            powers += [below, above]
     rng = np.random.default_rng(10)
+    # 11-digit decimal ties, exact or nearest to the decimal, at every exponent of the range
+    digits, exponents = rng.integers(10**9, 10**10, 3000).tolist(), rng.integers(-23, 23, 3000).tolist()
+    ties = [float(f"{d}5e{k}") for d, k in zip(digits, exponents)]
     randoms = list(rng.standard_normal(500) * 10.0 ** rng.integers(-20, 20, 500))
-    values = np.array(specials + boundaries + randoms)
-    assert _format_10g(values) == [format(v, ".10g") for v in values]
-    assert _format_10g(values[:15].reshape(5, 3)) == [format(v, ".10g") for v in values[:15]]
-    assert _format_10g(np.float64(-0.0)) == ["-0"]
+    # every float64 bit pattern is as likely: NaN payloads, subnormals and every exponent
+    patterns = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([specials, boundaries, powers, ties, randoms, patterns, -patterns[:1000]])
+    # seven fields a row: chunks start and end mid-row
+    values = values[: values.size - values.size % 7]
+    seps = ",,|||,\n"
+    text = kernel_text(values, seps)
+    assert re.split("[,|\n]", text)[:-1] == format_10g(values)
+    assert text == per_value_text(values, seps)
+    # a table under SMALL values is formatted value by value, to the same bytes
+    assert kernel_text(values[: SMALL - 1], "\n") == per_value_text(values[: SMALL - 1], "\n")
+    assert kernel_text(np.float64(-0.0), "\n") == "-0\n"
+
+
+def test_write_rows_puts_text_columns_in_place():
+    rng = np.random.default_rng(4)
+    for rows in (10, 900):  # the per-value loop and the kernel
+        table = rng.standard_normal((rows, 3))
+        # an integer column keeps every digit: %.10g would print 10**10 as 1e+10; the
+        # longest texts do not fit the kernel's fixed width
+        column = [str(10**10 + r) if r % 3 else str(10**20 * r) for r in range(rows)]
+        text = kernel_text(table, ",,\n", {1: column})
+        fields = zip(format_10g(table[:, 0]), column, format_10g(table[:, 2]))
+        expected = "".join(f"{a},{c},{b}\n" for a, c, b in fields)
+        assert text == expected
+
+
+def test_csv_writers_match_per_value_oracles():
+    def same_text(write, oracle, result):
+        buffer = io.StringIO()
+        write(result, buffer)
+        assert buffer.getvalue() == oracle(result)
+
+    # ideal n = 10: 1024 populations a row, more than one chunk
+    rng = np.random.default_rng(12)
+    weights = np.triu(rng.uniform(0.5, 1.5, size=(10, 10)), k=1)
+    graph = Graph(10, weights + weights.T)
+    ideal = ScanConfig(graph=graph, mode="ideal", beta_range=(0.1, 0.3, 0.2), gamma_range=(0.5, 0.9, 0.4))
+    same_text(write_landscape_csv, landscape_csv_text, run_scan(ideal))
+    # sampled grids with an invalid (NaN) row, through the per-value loop and the kernel
+    for betas in ((0.1, 0.1, 0.1), (0.1, 1.0, 0.1)):
+        cfg = sampled_config(
+            shots=2_000, realizations=4, master_seed=1, noise=NoiseConfig(calibration_sigma=3.0),
+            beta_range=betas, gamma_range=(0.1, 0.5, 0.1),
+        )
+        grid = run_scan(cfg)
+        assert not grid.valid[0, 4, 3]
+        same_text(write_landscape_csv, landscape_csv_text, grid)
+    # one realization: every standard deviation is NaN; 11 fields a checkpoint
+    profile = convergence_profile(sampled_config(shots=20_000, checkpoint_every=200), POINT)
+    assert np.isnan(profile.std_pops).all() and 11 * profile.checkpoint_shots.size > SMALL
+    same_text(write_convergence_csv, convergence_csv_text, profile)
+    # shot counts of 10**10 and more print as integers
+    for checkpoints in (2, 600):
+        shots = 10**10 * np.arange(1, checkpoints + 1)
+        pops = rng.random((checkpoints, 2))
+        big = ConvergenceProfile(shots, pops, pops / 3, pops.sum(axis=1), pops[:, 0], 1, 1, 0)
+        buffer = io.StringIO()
+        write_convergence_csv(big, buffer)
+        assert buffer.getvalue().splitlines()[1].startswith("10000000000,")
+        assert buffer.getvalue().splitlines()[2].startswith("20000000000,")
+        same_text(write_convergence_csv, convergence_csv_text, big)
+    # a trace with +-inf, NaN and -0.0, long enough for the kernel
+    angles = rng.standard_normal((400, 3)).tolist()
+    angles[7] = [math.inf, -0.0, math.nan]
+    angles[300] = [-math.inf, 0.0, -0.0]
+    trace = tuple(((b,), (g,), f) for b, g, f in angles)
+    same_text(write_trace_csv, trace_csv_text, OptimizeResult(QaoaParams((0.1,), (1.0,)), -1.0, trace))
 
 
 def test_convergence_requires_sampled_mode_and_enough_shots():

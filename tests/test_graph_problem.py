@@ -110,6 +110,20 @@ def test_diagonal_costs_k3():
     np.testing.assert_array_equal(diagonal_costs(k3()), [0, -2, -2, -2, -2, -2, -2, 0])
 
 
+def test_diagonal_costs_are_bit_identical_to_the_per_edge_expression():
+    # each edge once recomputed both vertices' bits from the basis index; the
+    # bits are now made once per vertex, and the sum runs in the same order
+    rng = np.random.default_rng(14)
+    n = 14
+    weights = np.triu(rng.uniform(0.5, 1.5, size=(n, n)), k=1)
+    g = Graph(n, weights + weights.T)
+    idx = np.arange(1 << n, dtype=np.int64)
+    expected = np.zeros(1 << n)
+    for i, j, w in g.edges():
+        expected -= w * (((idx >> (n - 1 - i)) & 1) ^ ((idx >> (n - 1 - j)) & 1))
+    np.testing.assert_array_equal(diagonal_costs(g).view(np.int64), expected.view(np.int64))
+
+
 def test_unweighted_cut_is_integral_and_bounded():
     rng = np.random.default_rng(19)
     for _ in range(10):
