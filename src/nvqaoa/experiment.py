@@ -14,14 +14,24 @@ sampled point reads without a stochastic channel (without either channel it is
 the ``F_ideal`` state itself). Under depolarizing noise a point reads the
 exact channel-averaged populations of the ansatz instead
 (``noise.density_populations``): every shot is a fresh run with its own
-errors, so each shot's basis state is a draw from them. ``run_scan`` makes
-those populations once per point and reads them in every realization. Each
-flip pattern only permutes them and each basis preparation is a delta vector;
+errors, so each shot's basis state is a draw from them. Each flip pattern
+only permutes those populations and each basis preparation is a delta vector;
 under depolarizing noise an X or Y error after an appended X undoes its flip,
-with probability 2p/3 per flipped qubit. So the 2^(n+1) readouts are the rows
-of one matrix, and one multinomial and one Poisson call per realization draw
-all their records (``readout.read_records``). Depolarizing scans are capped at
-``MAX_DEPOLARIZING_VERTICES``, since rho has 4^n entries.
+with probability 2p/3 per flipped qubit. So a point's 2^(n+1) readouts are the
+rows of one matrix (``_point_rows``), and one multinomial and one Poisson call
+per realization draw all their records (``readout.read_records``).
+Depolarizing scans are capped at ``MAX_DEPOLARIZING_VERTICES``, since rho has
+4^n entries.
+
+A sampled ``run_scan`` reads the grid in chunks of consecutive points, each
+chunk's batch arrays bounded by ``_CHUNK_ENTRIES`` floats. For a chunk it
+makes each point's populations once, builds the rows of every point as one
+``(points, 2^(n+1), 2^n)`` stack and checks them once
+(``readout.check_rows``). Each (point, realization) then makes only its draws,
+in index order, and one stacked ``reconstruct`` call inverts every
+realization of the chunk, turning a degenerate table's row NaN.
+``measure_point`` and ``convergence_profile`` read one point through the same
+row builder and draws, so a grid cell equals ``measure_point`` bit for bit.
 
 Reproducibility contract: every (grid point, realization) derives its random
 substreams from ``SeedSequence(master_seed, spawn_key=(point_index,
@@ -53,7 +63,7 @@ from .circuits import (
 )
 from .graph_problem import MAX_VERTICES, Graph, diagonal_costs
 from .noise import NoiseConfig, density_populations, perturb_calibration
-from .readout import CalibrationTable, read_records
+from .readout import CalibrationTable, check_rows, read_records
 from .reconstruction import DegenerateCalibrationError, reconstruct
 from .statevector import populations
 
@@ -66,6 +76,14 @@ DEFAULT_SEED = 1
 
 # A depolarizing point holds its density matrix: 4^n complex entries, 16 MiB at n = 10.
 MAX_DEPOLARIZING_VERTICES = 10
+
+# Scans hold arrays per (beta, gamma) point, so the grid is capped before any is made.
+MAX_GRID_POINTS = 10**6
+
+# A sampled scan reads its grid in chunks of points whose batch arrays hold at
+# most this many floats (64 KiB), below glibc's default 128 KiB mmap threshold.
+# Freeing a block above it raises that threshold for the rest of the process.
+_CHUNK_ENTRIES = 1 << 13
 
 CSV_HEADER = "beta,gamma,realization,F_measured,F_ideal,abs_diff,norm,pops"
 
@@ -95,14 +113,7 @@ _CONFIG_FIELDS = {
 
 def grid_axis(range_spec: Sequence[float]) -> np.ndarray:
     """Inclusive arithmetic grid start:stop:step, robust to float endpoint error."""
-    start, stop, step = (float(v) for v in range_spec)
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError("grid range must be finite")
-    if step <= 0:
-        raise ValueError("grid step must be positive")
-    if stop < start:
-        raise ValueError("grid stop must not precede start")
-    num = int(math.floor((stop - start) / step + 1e-9)) + 1
+    start, step, num = _axis(range_spec)
     return start + step * np.arange(num)
 
 
@@ -136,8 +147,9 @@ class ScanConfig:
             raise ValueError("shots, realizations and checkpoint_every must be positive")
         object.__setattr__(self, "beta_range", tuple(float(v) for v in self.beta_range))
         object.__setattr__(self, "gamma_range", tuple(float(v) for v in self.gamma_range))
-        grid_axis(self.beta_range)
-        grid_axis(self.gamma_range)
+        num_points = _axis(self.beta_range)[2] * _axis(self.gamma_range)[2]
+        if num_points > MAX_GRID_POINTS:
+            raise ValueError(f"grid has {num_points} (beta, gamma) points; scans are capped at {MAX_GRID_POINTS}")
         if self.mode == "sampled":
             n = self.graph.num_vertices
             if self.noise is not None and self.noise.is_stochastic and n > MAX_DEPOLARIZING_VERTICES:
@@ -213,8 +225,6 @@ def measure_point(
     params: QaoaParams,
     realization_index: int = 0,
     point_index: int = 0,
-    *,
-    state: tuple[float, np.ndarray] | None = None,
 ) -> PointRecord:
     """Run the full measurement protocol at one parameter point.
 
@@ -222,11 +232,8 @@ def measure_point(
     realization_index). The calibration used for reconstruction is estimated
     empirically from basis-state preparations unless ``exact_calibration`` is
     set, in which case the true generating table (including any
-    per-realization perturbation) is used to isolate shot noise.
-
-    ``state`` is the point's ``(F_ideal, read populations)`` pair from
-    ``_point_state`` when the caller has already simulated it; ``run_scan``
-    passes it so every realization of a point reads one simulation.
+    per-realization perturbation) is used to isolate shot noise. This is one
+    cell of ``run_scan``'s grid, bit for bit.
 
     A degenerate calibration, empirical or perturbed into all-dark
     intensities, makes the point invalid rather than raising, so long scans
@@ -235,26 +242,17 @@ def measure_point(
     """
     if config.mode != "sampled":
         raise ValueError("measure_point requires mode='sampled'")
-    diag = diagonal_costs(config.graph)
-    F_ideal, pops = _point_state(config, params, diag) if state is None else state
-    try:
-        true_cal, root = _point_streams(config, realization_index, point_index)
-        means, _ = _measure_subcircuits(config, true_cal, _child_seed(root, 1), pops)
-        size = diag.size
-        table = true_cal if config.exact_calibration else CalibrationTable(means[:size])
-        estimate = reconstruct(table, means[size:])
-    except DegenerateCalibrationError as exc:
-        nans = np.full(diag.size, math.nan)
-        return PointRecord(nans, math.nan, math.nan, F_ideal, valid=False, error=exc)
-    return PointRecord(estimate.pops, estimate.norm, float(np.dot(estimate.pops, diag)), F_ideal)
+    return _measure_point(config, diagonal_costs(config.graph), params, realization_index, point_index)
 
 
 def run_scan(config: ScanConfig) -> LandscapeGrid:
     """Evaluate the full (beta, gamma) grid.
 
     Ideal mode ignores shot settings and collapses to one exact evaluation per
-    point. Sampled mode simulates a point's state once for all its
-    realizations.
+    point. Sampled mode reads the grid in chunks of consecutive points
+    (``_chunk_points``): a chunk's record rows are built and checked once, each
+    (point, realization) then makes only its own draws, and one stacked
+    ``reconstruct`` call inverts the whole chunk (``_read_chunk``).
     """
     betas = config.betas()
     gammas = config.gammas()
@@ -263,18 +261,29 @@ def run_scan(config: ScanConfig) -> LandscapeGrid:
     shape = (betas.size, gammas.size, realizations)
     F_measured, norm, F_ideal = np.empty(shape), np.empty(shape), np.empty(shape[:2])
     pops = np.empty(shape + diag.shape)
-    for bi, gi in np.ndindex(shape[:2]):
-        params = QaoaParams((float(betas[bi]),) * config.p, (float(gammas[gi]),) * config.p)
-        if config.mode == "ideal":
-            pops[bi, gi, 0], F_ideal[bi, gi] = _ideal_point(diag, params)
+    grid = LandscapeGrid(betas, gammas, F_measured, norm, pops, F_ideal, float(diag.max() - diag.min()))
+
+    def params(bi: int, gi: int) -> QaoaParams:
+        return QaoaParams((float(betas[bi]),) * config.p, (float(gammas[gi]),) * config.p)
+
+    if config.mode == "ideal":
+        for bi, gi in np.ndindex(shape[:2]):
+            pops[bi, gi, 0], F_ideal[bi, gi] = _ideal_point(diag, params(bi, gi))
             F_measured[bi, gi, 0], norm[bi, gi, 0] = F_ideal[bi, gi], pops[bi, gi, 0].sum()
-            continue
-        state = _point_state(config, params, diag)
-        F_ideal[bi, gi] = state[0]
-        for r in range(realizations):
-            record = measure_point(config, params, r, bi * gammas.size + gi, state=state)
-            pops[bi, gi, r], norm[bi, gi, r], F_measured[bi, gi, r] = record.pops, record.norm, record.F_measured
-    return LandscapeGrid(betas, gammas, F_measured, norm, pops, F_ideal, float(diag.max() - diag.min()))
+        return grid
+    # [point, realization(, basis state)] views; a point's grid index is bi * gammas.size + gi
+    F_rows, norm_rows = F_measured.reshape(-1, realizations), norm.reshape(-1, realizations)
+    pops_rows = pops.reshape(-1, realizations, diag.size)
+    step = _chunk_points(diag.size, realizations)
+    for start in range(0, F_rows.shape[0], step):
+        stop = min(start + step, F_rows.shape[0])
+        states = [_point_state(config, params(*divmod(k, gammas.size)), diag) for k in range(start, stop)]
+        F_ideal.flat[start:stop] = [F for F, _ in states]
+        estimate = _read_chunk(config, np.array([reads for _, reads in states]), start)
+        pops_rows[start:stop], norm_rows[start:stop] = estimate.pops, estimate.norm
+        # row by row, so each cost equals measure_point's np.dot bit for bit
+        F_rows[start:stop] = [[np.dot(row, diag) for row in point] for point in estimate.pops]
+    return grid
 
 
 def landscape_error(grid: LandscapeGrid) -> float:
@@ -325,13 +334,14 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> Optimize
     p = config.p
     trace: list[tuple[tuple[float, ...], tuple[float, ...], float]] = []
     eval_index = count()
+    diag = diagonal_costs(config.graph)
 
     def evaluate(betas: tuple[float, ...], gammas: tuple[float, ...]) -> float:
         params = QaoaParams(betas, gammas)
         if config.mode == "ideal":
-            value = ideal_cost(config.graph, params)
+            value = _ideal_point(diag, params)[1]
         else:
-            record = measure_point(config, params, 0, point_index=next(eval_index))
+            record = _measure_point(config, diag, params, 0, next(eval_index))
             if not record.valid:
                 raise record.error
             value = record.F_measured
@@ -426,15 +436,13 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     num_checkpoints = config.shots // config.checkpoint_every
     pops_runs = np.full((config.realizations, num_checkpoints, size), math.nan)
     norm_runs = np.full((config.realizations, num_checkpoints), math.nan)
-    pops = _sampled_state_pops(config, params, diagonal_costs(config.graph))
+    rows = _point_rows(config, _sampled_state_pops(config, params, diagonal_costs(config.graph)))
     for realization in range(config.realizations):
         try:
-            true_cal, root = _point_streams(config, realization, point_index)
+            # one row per sub-circuit, one column per checkpoint
+            true_cal, _, checkpoints = _read_point(config, rows, realization, point_index, checkpoints=True)
         except DegenerateCalibrationError:  # the perturbed table went all dark
             continue
-        # one row per sub-circuit, one column per checkpoint
-        draws, split = _child_seed(root, 1), _child_seed(root, 2)
-        _, checkpoints = _measure_subcircuits(config, true_cal, draws, pops, split)
         table = true_cal if config.exact_calibration else checkpoints[:size].T
         estimate = reconstruct(table, checkpoints[size:].T)
         pops_runs[realization] = estimate.pops
@@ -564,6 +572,24 @@ def config_from_dict(data: dict) -> ScanConfig:
     )
 
 
+def _axis(range_spec: Sequence[float]) -> tuple[float, float, int]:
+    """Start, step and point count of ``grid_axis(range_spec)``, counted without making the axis.
+
+    An axis of more than ``MAX_GRID_POINTS`` points raises ValueError.
+    """
+    start, stop, step = (float(v) for v in range_spec)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("grid range must be finite")
+    if step <= 0:
+        raise ValueError("grid step must be positive")
+    if stop < start:
+        raise ValueError("grid stop must not precede start")
+    span = (stop - start) / step + 1e-9  # inf when the count overflows a float
+    if span >= MAX_GRID_POINTS:
+        raise ValueError(f"grid range {start!r}:{stop!r}:{step!r} has more than {MAX_GRID_POINTS} points")
+    return start, step, int(math.floor(span)) + 1
+
+
 def _check_integer(name: str, value) -> int:
     """``value`` as an int; bool and non-integral values raise ValueError naming the field."""
     if isinstance(value, bool) or not isinstance(value, Integral):
@@ -632,21 +658,66 @@ def _child_seed(root: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (k,), pool_size=root.pool_size)
 
 
-def _measure_subcircuits(config: ScanConfig, true_cal, draws, pops, split=None):
-    """Read out the 2^n basis preparations and the 2^n flip variants of the ansatz.
+def _measure_point(config: ScanConfig, diag: np.ndarray, params: QaoaParams, realization_index: int, point_index: int):
+    """``measure_point`` given the cost diagonal of ``config.graph``."""
+    F_ideal, reads = _point_state(config, params, diag)
+    size = diag.size
+    try:
+        true_cal, means, _ = _read_point(config, _point_rows(config, reads), realization_index, point_index)
+        table = true_cal if config.exact_calibration else CalibrationTable(means[:size])
+        estimate = reconstruct(table, means[size:])
+    except DegenerateCalibrationError as exc:
+        nans = np.full(size, math.nan)
+        return PointRecord(nans, math.nan, math.nan, F_ideal, valid=False, error=exc)
+    return PointRecord(estimate.pops, estimate.norm, float(np.dot(estimate.pops, diag)), F_ideal)
 
-    ``pops`` is the state the point reads (``_sampled_state_pops``). Returns
-    ``readout.read_records`` of their rows: every record's mean photon count,
-    calibration records first, and, given a ``split`` substream, the running
-    means at each full checkpoint block with one row per record (otherwise
-    None).
+
+def _chunk_points(size: int, realizations: int) -> int:
+    """Points per sampled-scan chunk, at least one.
+
+    The chunk's record rows, (points, 2 size, size), and reconstruction stack,
+    (2, points, realizations, size), each fit ``_CHUNK_ENTRIES`` floats.
     """
-    n = config.graph.num_vertices
-    size = 1 << n
+    return max(1, _CHUNK_ENTRIES // (2 * size * max(size, realizations)))
+
+
+def _read_chunk(config: ScanConfig, reads: np.ndarray, first_index: int):
+    """Reconstruction of every realization of consecutive grid points, indexed [point, realization].
+
+    Row j of ``reads``, the populations a point reads, has grid index
+    ``first_index + j``. A realization whose perturbed table went all dark
+    keeps an all-zero table, which ``reconstruct`` turns NaN like any other
+    degenerate one.
+    """
+    size = reads.shape[-1]
+    rows = _point_rows(config, reads)
+    shape = (len(reads), config.realizations, size)
+    tables, flips = np.zeros(shape), np.zeros(shape)
+    for j in range(shape[0]):
+        for r in range(shape[1]):
+            try:
+                true_cal, means, _ = _read_point(config, rows[j], r, first_index + j)
+            except DegenerateCalibrationError:
+                continue
+            tables[j, r] = true_cal.intensities if config.exact_calibration else means[:size]
+            flips[j, r] = means[size:]
+    return reconstruct(tables, flips)
+
+
+def _point_rows(config: ScanConfig, reads: np.ndarray) -> np.ndarray:
+    """Checked population rows of the 2^n basis preparations and the 2^n flip variants of the ansatz.
+
+    ``reads`` is the state a point reads (``_sampled_state_pops``), or a stack
+    of them ``(..., 2^n)``; each point gets its 2^(n+1) rows, calibration rows
+    first, so the result is ``(..., 2^(n+1), 2^n)``.
+    """
+    size = reads.shape[-1]
     # An X on qubit q flips bit n-1-q of the basis index, so flip pattern x
-    # reads out pops[idx ^ x] and basis preparation s is the delta at s.
+    # reads out reads[idx ^ x] and basis preparation s is the delta at s.
     idx = np.arange(size)
-    rows = np.concatenate([np.eye(size), pops[idx ^ idx[:, None]]])
+    rows = np.empty(reads.shape[:-1] + (2 * size, size))
+    rows[..., :size, :] = np.eye(size)
+    rows[..., size:, :] = reads[..., idx ^ idx[:, None]]
     # An X or Y error after an appended X undoes it: on each qubit whose bit is
     # set in the pattern (k mod 2^n), record k mixes (1 - r) of its row with
     # r = 2p/3 of its row read at idx ^ bit, which is the row of record k ^ bit.
@@ -654,10 +725,26 @@ def _measure_subcircuits(config: ScanConfig, true_cal, draws, pops, split=None):
     # a noiseless K2 point about 7%.
     undo = 2.0 * config.noise.depolarizing_prob / 3.0 if config.noise is not None else 0.0
     if undo:
-        for bit in (1 << np.arange(n)).tolist():
-            pairs = rows.reshape(-1, 2, bit, size)  # axis 1 is this bit of the record index
+        for bit in (1 << np.arange(size.bit_length() - 1)).tolist():
+            # axis 1 is this bit of the record index; blocks never straddle two points
+            pairs = rows.reshape(-1, 2, bit, size)
             pairs[:, 1] = (1.0 - undo) * pairs[:, 1] + undo * pairs[:, 0]
-    return read_records(true_cal.intensities, rows, config.shots, draws, split, config.checkpoint_every)
+    return check_rows(rows, size)
+
+
+def _read_point(config: ScanConfig, rows: np.ndarray, realization_index: int, point_index: int, checkpoints=False):
+    """True calibration, record means and, given ``checkpoints``, checkpoint means (else None) of one realization.
+
+    ``rows`` are the point's ``_point_rows``, drawn on child 1 of its substream
+    and split on child 2. An all-dark perturbed table raises
+    ``DegenerateCalibrationError`` before any draw.
+    """
+    true_cal, root = _point_streams(config, realization_index, point_index)
+    split = _child_seed(root, 2) if checkpoints else None
+    means, blocks = read_records(
+        true_cal.intensities, rows, config.shots, _child_seed(root, 1), split, config.checkpoint_every
+    )
+    return true_cal, means, blocks
 
 
 def _sampled_state_pops(config: ScanConfig, params: QaoaParams, diag: np.ndarray, ideal_pops=None):

@@ -11,11 +11,13 @@ basis-state occupations of all its shots and one Poisson for its photon total
 (``draw_totals``), which is exact because a sum of independent multinomials
 (Poissons) is multinomial (Poisson) again. ``split_totals`` splits records into
 checkpoint blocks by the exact conditional law of i.i.d. shots given those
-totals. ``read_records`` is the one path from populations to records: it runs
-the two on their own generators and returns every record's mean and its
-running means at each full checkpoint block. Reading is deterministic given
-its arguments and seeds: a ``SeedSequence`` passed in is only read, never
-spawned from, so the same arguments reproduce the same records bit for bit.
+totals. ``check_rows`` checks population rows once, however many records are
+later drawn from them; ``read_records`` is the one path from checked rows to
+records: it runs the two draws on their own generators and returns every
+record's mean and its running means at each full checkpoint block. Reading is
+deterministic given its arguments and seeds: a ``SeedSequence`` passed in is
+only read, never spawned from, so the same arguments reproduce the same
+records bit for bit.
 """
 
 from __future__ import annotations
@@ -77,20 +79,38 @@ def default_calibration() -> CalibrationTable:
     return CalibrationTable(np.array(DEFAULT_INTENSITIES))
 
 
+def check_rows(rows, size: int) -> np.ndarray:
+    """Population rows ``(..., records, size)``, checked and each clipped to nonnegative values and rescaled to sum 1.
+
+    Every row must be a population vector within 1e-9. The records drawn from
+    the result (``draw_totals``, ``read_records``) are not checked again.
+    """
+    p = np.asarray(rows, dtype=float)
+    if p.ndim < 2 or p.shape[-1] != size:
+        raise ValueError(f"populations must have shape (..., rows, {size}), got {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("populations must be finite")
+    if (p < -_POPS_TOLERANCE).any():
+        raise ValueError(f"populations must be nonnegative within {_POPS_TOLERANCE}")
+    total = p.sum(axis=-1, keepdims=True)
+    off = np.abs(total - 1.0)
+    if (off > _POPS_TOLERANCE).any():
+        raise ValueError(f"populations must sum to 1 within {_POPS_TOLERANCE}, got {float(total.flat[off.argmax()])}")
+    p = np.clip(p, 0.0, None)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
 def draw_totals(
-    rng: np.random.Generator, intensities: np.ndarray, rows: np.ndarray, num_shots
+    rng: np.random.Generator, intensities: np.ndarray, p: np.ndarray, num_shots
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Occupations and photon totals of whole records, one record per row of populations.
+    """Occupations and photon totals of whole records, one record per row of ``check_rows`` output.
 
     Row r is read ``num_shots`` (an int, or one per row) times: its basis-state
     occupations are one multinomial draw and its photon total one Poisson
     draw with mean occupations . intensities. This is exactly the sum of the
     per-shot counts, since a sum of independent multinomials (Poissons) with
-    common probabilities (any means) is multinomial (Poisson) again. Each row
-    must be a population vector within 1e-9; it is clipped to nonnegative
-    values and renormalized.
+    common probabilities (any means) is multinomial (Poisson) again.
     """
-    p = _validate_rows(rows, intensities.size)
     occupations = rng.multinomial(num_shots, p)
     return occupations, rng.poisson(occupations @ intensities)
 
@@ -135,9 +155,9 @@ def split_totals(
 
 
 def read_records(
-    intensities: np.ndarray, rows: np.ndarray, num_shots: int, draws, split=None, checkpoint_every: int | None = None
+    intensities: np.ndarray, p: np.ndarray, num_shots: int, draws, split=None, checkpoint_every: int | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Mean photon count of every record, one record per row of populations, and its checkpoint means.
+    """Mean photon count of every record, one record per row of ``check_rows`` output, and its checkpoint means.
 
     The records are drawn by ``draw_totals`` on a generator seeded with
     ``draws``. Given a ``split`` seed they are also split into
@@ -146,7 +166,7 @@ def read_records(
     record, so entry k covers (k + 1) * checkpoint_every shots. Otherwise the
     second value is None.
     """
-    occupations, totals = draw_totals(np.random.default_rng(draws), intensities, rows, num_shots)
+    occupations, totals = draw_totals(np.random.default_rng(draws), intensities, p, num_shots)
     if split is None:
         return totals / num_shots, None
     blocks = split_totals(np.random.default_rng(split), intensities, occupations, totals, checkpoint_every)
@@ -222,20 +242,3 @@ def _block_sizes(num_shots: int, checkpoint_every: int) -> np.ndarray:
     """Shots per checkpoint block, a partial tail block last."""
     num_full, remainder = divmod(num_shots, checkpoint_every)
     return np.array([checkpoint_every] * num_full + ([remainder] if remainder else []))
-
-
-def _validate_rows(rows, size: int) -> np.ndarray:
-    """Checked population rows, each clipped to nonnegative values and rescaled to sum 1."""
-    p = np.asarray(rows, dtype=float)
-    if p.ndim != 2 or p.shape[-1] != size:
-        raise ValueError(f"populations must have shape (rows, {size}), got {p.shape}")
-    if not np.isfinite(p).all():
-        raise ValueError("populations must be finite")
-    if (p < -_POPS_TOLERANCE).any():
-        raise ValueError(f"populations must be nonnegative within {_POPS_TOLERANCE}")
-    total = p.sum(axis=-1, keepdims=True)
-    off = np.abs(total - 1.0)
-    if (off > _POPS_TOLERANCE).any():
-        raise ValueError(f"populations must sum to 1 within {_POPS_TOLERANCE}, got {float(total.flat[off.argmax()])}")
-    p = np.clip(p, 0.0, None)
-    return p / p.sum(axis=-1, keepdims=True)

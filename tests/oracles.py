@@ -5,16 +5,25 @@ density matrices (small n only), written out independently of
 ``noise.density_populations``. ``calibration_circuits`` builds the gate-level
 basis preparations a scan reads as delta rows, and ``draw_shot_counts`` reads
 populations one shot at a time, the slow path of ``readout.read_records``.
+``measure_point_per_point`` is one sampled grid cell read on its own, rows
+built, checked, drawn and reconstructed for that point alone: the slow path of
+``experiment.run_scan``'s chunks, which build and check a chunk's rows at once
+and invert it in one stacked call.
 ``landscape_csv_text``, ``convergence_csv_text`` and ``trace_csv_text`` are the
 per-value CSV writers, the slow path of the ``experiment.write_*_csv`` writers:
 every float is ``format(v, ".10g")`` and every integer column ``str(int)``.
 """
 
+import math
+
 import numpy as np
 
 from nvqaoa._bitstrings import all_bitstrings
 from nvqaoa.circuits import Circuit, append_flips
-from nvqaoa.experiment import CSV_HEADER
+from nvqaoa.experiment import CSV_HEADER, _child_seed, _point_state, _point_streams
+from nvqaoa.graph_problem import diagonal_costs
+from nvqaoa.readout import CalibrationTable, check_rows, read_records
+from nvqaoa.reconstruction import DegenerateCalibrationError, reconstruct
 from nvqaoa.statevector import ROTATION_KINDS, Gate, gate_matrix, rz_matrix
 
 PAULIS = (
@@ -75,6 +84,28 @@ def density_matrix_populations(circuit, config):
         if len(gate.targets) == 2:
             rho = conjugate(rho, rz_matrix(config.phase_offset), (0,))
     return rho.diagonal().real
+
+
+def measure_point_per_point(config, params, realization_index=0, point_index=0):
+    """``(pops, norm, F_measured, F_ideal)`` of one sampled grid cell, NaN for a degenerate table."""
+    diag = diagonal_costs(config.graph)
+    size = diag.size
+    F_ideal, pops = _point_state(config, params, diag)
+    try:
+        true_cal, root = _point_streams(config, realization_index, point_index)
+        idx = np.arange(size)
+        rows = np.concatenate([np.eye(size), pops[idx ^ idx[:, None]]])
+        undo = 2.0 * config.noise.depolarizing_prob / 3.0 if config.noise is not None else 0.0
+        if undo:
+            for bit in (1 << np.arange(size.bit_length() - 1)).tolist():
+                pairs = rows.reshape(-1, 2, bit, size)
+                pairs[:, 1] = (1.0 - undo) * pairs[:, 1] + undo * pairs[:, 0]
+        means, _ = read_records(true_cal.intensities, check_rows(rows, size), config.shots, _child_seed(root, 1))
+        table = true_cal if config.exact_calibration else CalibrationTable(means[:size])
+        estimate = reconstruct(table, means[size:])
+    except DegenerateCalibrationError:
+        return np.full(size, math.nan), math.nan, math.nan, F_ideal
+    return estimate.pops, estimate.norm, float(np.dot(estimate.pops, diag)), F_ideal
 
 
 def format_10g(values):

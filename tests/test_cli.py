@@ -130,6 +130,16 @@ def test_malformed_graph_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_oversized_grid_is_usage_error(tmp_path, capsys):
+    # 10^12 beta points: rejected from the ranges, before any array is made
+    graph = write_k2(tmp_path)
+    out = tmp_path / "out"
+    code = main(["landscape", "--graph", graph, "--beta-range", "0:1:1e-12", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "more than 1000000 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_env_seed_is_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NVQAOA_SEED", "not-a-seed")
     graph = write_k2(tmp_path)

@@ -21,6 +21,7 @@ from nvqaoa.experiment import (
     DEFAULT_BETA_RANGE,
     DEFAULT_GAMMA_RANGE,
     MAX_DEPOLARIZING_VERTICES,
+    MAX_GRID_POINTS,
     ConvergenceProfile,
     LandscapeGrid,
     OptimizeResult,
@@ -40,14 +41,16 @@ from nvqaoa.experiment import (
     write_landscape_csv,
     write_trace_csv,
     _child_seed,
-    _measure_subcircuits,
+    _chunk_points,
+    _point_rows,
     _point_streams,
+    _read_point,
     _realization_stats,
     _sampled_state_pops,
 )
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import NoiseConfig, perturb_calibration, simulate_noisy
-from nvqaoa.readout import CalibrationTable, DegenerateCalibrationError, default_calibration, read_records
+from nvqaoa.readout import CalibrationTable, DegenerateCalibrationError, check_rows, default_calibration, read_records
 from nvqaoa.reconstruction import fwht, reconstruct, walsh_coefficients
 from nvqaoa.statevector import populations
 from oracles import (
@@ -56,6 +59,7 @@ from oracles import (
     density_matrix_populations,
     format_10g,
     landscape_csv_text,
+    measure_point_per_point,
     trace_csv_text,
 )
 
@@ -98,6 +102,21 @@ def test_grid_axis_validation():
         grid_axis((1.0, 0.0, 0.1))
     with pytest.raises(ValueError):
         grid_axis((0.0, float("inf"), 0.1))
+
+
+def test_grid_is_capped_before_any_array_exists():
+    # an axis or a grid of more than MAX_GRID_POINTS points raises ValueError from the ranges alone
+    assert MAX_GRID_POINTS == 10**6
+    assert grid_axis((0.0, MAX_GRID_POINTS - 1.0, 1.0)).size == MAX_GRID_POINTS
+    at_limit = ScanConfig(graph=K2, beta_range=(0.0, 999.0, 1.0), gamma_range=(0.0, 999.0, 1.0))
+    assert at_limit.betas().size * at_limit.gammas().size == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="capped at 1000000"):
+        ScanConfig(graph=K2, beta_range=(0.0, 100.0, 1.0), gamma_range=(0.0, 9900.0, 1.0))  # 101 x 9901 points
+    for huge in ((0.0, 1.0, 1e-12), (0.0, 1e300, 1e-300), (0.0, float(MAX_GRID_POINTS), 1.0)):
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            grid_axis(huge)
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            ScanConfig(graph=K2, beta_range=huge)
 
 
 def test_closed_form_special_values():
@@ -229,21 +248,72 @@ def test_measure_point_exact_calibration_mode():
     assert abs(record_exact.F_measured - record_exact.F_ideal) <= 0.05
 
 
-def test_single_point_grid_equals_measure_point():
-    beta, gamma = 0.15 * math.pi, 1.5 * math.pi
-    cfg = sampled_config(
-        beta_range=(beta, beta, 1.0),
-        gamma_range=(gamma, gamma, 1.0),
-        realizations=2,
-    )
+def ring(n):
+    return Graph.from_edges(n, [(q, (q + 1) % n, 0.6 + 0.1 * q) for q in range(n)])
+
+
+def random_table(n, seed):
+    return CalibrationTable(np.random.default_rng(seed).uniform(0.5, 5.0, 1 << n))
+
+
+GRID_CASES = {
+    "k2-one-point": dict(beta_range=(0.15 * math.pi,) * 2 + (1.0,), gamma_range=(1.5 * math.pi,) * 2 + (1.0,)),
+    "k2-empirical": dict(realizations=3),
+    "k2-exact": dict(realizations=3, exact_calibration=True),
+    "ring4-empirical": dict(graph=ring(4), calibration=random_table(4, 1)),
+    "ring4-exact": dict(graph=ring(4), calibration=random_table(4, 2), exact_calibration=True),
+    "ring4-overrotation": dict(
+        graph=ring(4), calibration=random_table(4, 3), noise=NoiseConfig(overrotation_frac=0.07, phase_offset=-0.2)
+    ),
+    "k2-depolarizing": dict(realizations=3, noise=NoiseConfig(depolarizing_prob=0.05, overrotation_frac=0.05)),
+    "ring4-depolarizing-exact": dict(
+        graph=ring(4), calibration=random_table(4, 4), exact_calibration=True,
+        noise=NoiseConfig(depolarizing_prob=0.02, calibration_sigma=0.05),
+    ),
+    # at master seed 1, sigma = 3 turns the perturbed table of point 4, realization 3 all dark
+    "cal-sigma-all-dark": dict(
+        realizations=4, master_seed=1, noise=NoiseConfig(calibration_sigma=3.0),
+        beta_range=(0.1, 0.1, 0.1), gamma_range=(0.1, 0.5, 0.1),
+    ),
+    # c_01 = (5 - 3 + 2 - 4) / 4 = 0, off the cost's support {00, 11}
+    "degenerate-off-support-exact": dict(calibration=CalibrationTable(np.array([5.0, 3, 2, 4])), exact_calibration=True),
+    "degenerate-off-support-empirical": dict(calibration=CalibrationTable(np.array([5.0, 3, 2, 4]))),
+    # 2 * 4^5 row entries a point: 4 points per chunk, so the 3x3 grid reads chunks of 4, 4 and 1
+    "ring5-partial-chunk": dict(graph=ring(5), calibration=random_table(5, 5), beta_range=(0.1, 0.5, 0.2)),
+    "ring6-one-point-chunks": dict(graph=ring(6), calibration=random_table(6, 6), beta_range=(0.1, 0.3, 0.2)),
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_CASES))
+def test_single_point_grid_equals_measure_point(case):
+    # every cell of the chunked scan is measure_point of that cell bit for bit,
+    # and both equal the per-point oracle, NaN for NaN
+    overrides = dict(beta_range=(0.1, 0.5, 0.2), gamma_range=(0.3, 1.3, 0.5), realizations=2, shots=3_000)
+    cfg = sampled_config(**{**overrides, **GRID_CASES[case]})
     grid = run_scan(cfg)
-    assert grid.F_measured.shape == (1, 1, 2)
-    for realization in range(2):
-        direct = measure_point(cfg, QaoaParams.single(beta, gamma), realization, point_index=0)
-        assert grid.F_measured[0, 0, realization] == direct.F_measured
-        assert grid.norm[0, 0, realization] == direct.norm
-        assert grid.F_ideal[0, 0] == direct.F_ideal
-        np.testing.assert_array_equal(grid.pops[0, 0, realization], direct.pops)
+    cells = list(itertools.product(range(grid.betas.size), range(grid.gammas.size), range(cfg.realizations)))
+    assert grid.F_measured.shape == (grid.betas.size, grid.gammas.size, cfg.realizations)
+    for bi, gi, r in cells:
+        params = QaoaParams.single(float(grid.betas[bi]), float(grid.gammas[gi]))
+        direct = measure_point(cfg, params, r, point_index=bi * grid.gammas.size + gi)
+        oracle = measure_point_per_point(cfg, params, r, bi * grid.gammas.size + gi)
+        for got in ((direct.pops, direct.norm, direct.F_measured, direct.F_ideal), oracle):
+            np.testing.assert_array_equal(grid.pops[bi, gi, r], got[0])
+            np.testing.assert_array_equal(grid.norm[bi, gi, r], got[1])
+            np.testing.assert_array_equal(grid.F_measured[bi, gi, r], got[2])
+            np.testing.assert_array_equal(grid.F_ideal[bi, gi], got[3])
+        assert direct.valid == np.isfinite(direct.F_measured)
+    invalid = ~grid.valid
+    if case == "cal-sigma-all-dark":
+        assert np.flatnonzero(invalid).tolist() == [4 * 4 + 3]
+    elif case == "degenerate-off-support-exact":
+        assert invalid.all()
+    elif cfg.graph.num_vertices <= 4:  # at n = 6, 3000 shots an empirical c_t can vanish exactly
+        assert not invalid.any()
+    # K2 and ring-4 grids are one chunk
+    n = cfg.graph.num_vertices
+    chunk = _chunk_points(1 << n, cfg.realizations)
+    assert chunk == {5: 4, 6: 1}[n] if n >= 5 else chunk >= grid.F_ideal.size
 
 
 def landscape_of(F_measured, F_ideal):
@@ -354,6 +424,20 @@ def test_optimize_sampled_smoke():
     assert result.trace  # sampled evaluations recorded
 
 
+@pytest.mark.parametrize("mode", ["ideal", "sampled"])
+def test_optimize_computes_the_cost_diagonal_once(monkeypatch, mode):
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return diagonal_costs(graph)
+
+    monkeypatch.setattr(experiment, "diagonal_costs", counting)
+    cfg = sampled_config(mode=mode, beta_range=(0.1, 0.3, 0.1), gamma_range=(0.5, 0.9, 0.2), shots=2_000)
+    assert optimize(cfg).evaluations > 9
+    assert calls == [K2]
+
+
 def test_optimize_p2_refines_all_four_coordinates():
     cfg = ScanConfig(
         graph=K2,
@@ -443,7 +527,8 @@ def per_checkpoint_runs(config, params, point_index=0):
         except DegenerateCalibrationError:
             continue
         draws, split = _child_seed(root, 1), _child_seed(root, 2)
-        _, checkpoints = _measure_subcircuits(config, true_cal, draws, pops, split)
+        rows = _point_rows(config, pops)
+        _, checkpoints = read_records(true_cal.intensities, rows, config.shots, draws, split, config.checkpoint_every)
         for k in range(num_checkpoints):
             try:
                 table = true_cal if config.exact_calibration else CalibrationTable(checkpoints[:size, k])
@@ -770,19 +855,20 @@ def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
         draws, split = _child_seed(root, 1), _child_seed(root, 2)
         pops = _sampled_state_pops(cfg, params, diag)
         fed.clear()
-        means, checkpoints = _measure_subcircuits(cfg, true_cal, draws, pops, split)
+        _, means, checkpoints = _read_point(cfg, _point_rows(cfg, pops), trial, trial, checkpoints=True)
         ansatz = build_ansatz(graph, params)
         circuits = subcircuits(graph, params)
         assert len(fed) == 1  # every record of the point in one draw
         if stochastic:
-            rows = fed[0]
+            oracle_rows = fed[0]
             oracle = [density_matrix_populations(c, noise) for c in circuits]
-            np.testing.assert_allclose(rows, oracle, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(oracle_rows, oracle, rtol=0, atol=1e-12)
             oracle_pops = density_matrix_populations(ansatz, noise)
         else:
             rows = [populations(simulate(c) if noise is None else simulate_noisy(c, noise)) for c in circuits]
+            oracle_rows = check_rows(rows, 1 << n)
             oracle_pops = populations(simulate_noisy(ansatz, noise or NoiseConfig()))
-        oracle_means, oracle_checkpoints = read_records(true_cal.intensities, rows, cfg.shots, draws, split, 1_000)
+        oracle_means, oracle_checkpoints = read_records(true_cal.intensities, oracle_rows, cfg.shots, draws, split, 1000)
         np.testing.assert_array_equal(means, oracle_means)
         np.testing.assert_array_equal(checkpoints, oracle_checkpoints)
         assert checkpoints.shape == (2 << n, 2)
@@ -795,7 +881,7 @@ def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
 @pytest.mark.parametrize("deterministic", [False, True], ids=["depolarizing", "with-overrotation+phase"])
 @pytest.mark.parametrize("prob", [0.02, 0.3])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_depolarizing_record_means_match_density_matrix_oracle(monkeypatch, n, prob, deterministic):
+def test_depolarizing_record_means_match_density_matrix_oracle(n, prob, deterministic):
     # Each record of a depolarizing point is a multinomial over the exact
     # channel-averaged populations of its gate-level sub-circuit, X gates
     # included, so its mean photon count has the oracle's mean and variance.
@@ -806,17 +892,9 @@ def test_depolarizing_record_means_match_density_matrix_oracle(monkeypatch, n, p
     cal = CalibrationTable(rng.uniform(0.5, 5.0, 1 << n))
     cfg = ScanConfig(graph=graph, mode="sampled", calibration=cal, shots=40_000, noise=noise)
     params = QaoaParams.single(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
-    fed = []
-
-    def recording(intensities, rows, *args):
-        fed.append(rows)
-        return read_records(intensities, rows, *args)
-
-    monkeypatch.setattr(experiment, "read_records", recording)
-    pops = _sampled_state_pops(cfg, params, diagonal_costs(graph))
-    means, _ = _measure_subcircuits(cfg, cal, np.random.SeedSequence(7 + n), pops)
+    rows = _point_rows(cfg, _sampled_state_pops(cfg, params, diagonal_costs(graph)))
+    means, _ = read_records(cal.intensities, rows, cfg.shots, np.random.SeedSequence(7 + n))
     oracle = np.array([density_matrix_populations(c, noise) for c in subcircuits(graph, params)])
-    (rows,) = fed
     np.testing.assert_allclose(rows, oracle, rtol=0, atol=1e-12)
     exact = oracle @ cal.intensities
     variance = exact + oracle @ cal.intensities**2 - exact**2  # per shot: Poisson plus the spread over states

@@ -8,7 +8,7 @@ from nvqaoa import noise, statevector
 from nvqaoa.circuits import Circuit, QaoaParams, build_ansatz, simulate
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import NoiseConfig, density_populations, perturb_calibration, simulate_noisy
-from nvqaoa.readout import CalibrationTable, default_calibration, read_records
+from nvqaoa.readout import CalibrationTable, check_rows, default_calibration, read_records
 from nvqaoa.statevector import ROTATION_KINDS, Gate, apply_gate, apply_matrix, init_zero, populations, rz_matrix
 from oracles import density_matrix_populations
 
@@ -213,10 +213,11 @@ def test_stochastic_measure_circuit_matches_simulate_noisy_loop(n, prob, determi
     if prob == 0.0:
         np.testing.assert_allclose(pops, populations(simulate_noisy(circuit, config)), rtol=0, atol=1e-12)
     # 11 full blocks and a 70-shot tail
-    means, checkpoints = read_records(intensities, pops[None], 2270, 31, 32 if split else None, 200)
+    rows = check_rows(pops[None], pops.size)
+    means, checkpoints = read_records(intensities, rows, 2270, 31, 32 if split else None, 200)
     assert checkpoints is None if not split else checkpoints.shape == (1, 11)
     # the split runs on its own generator and leaves the record's mean as it is
-    np.testing.assert_array_equal(means, read_records(intensities, pops[None], 2270, 31)[0])
+    np.testing.assert_array_equal(means, read_records(intensities, rows, 2270, 31)[0])
     mean = pops @ intensities
     var = mean + pops @ intensities**2 - mean**2
     assert abs(means[0] - mean) <= 5.0 * math.sqrt(var / 2270)
@@ -270,7 +271,7 @@ def test_trajectory_mean_matches_density_matrix_oracle(n, prob, deterministic):
     circuit = random_circuit(n, np.random.default_rng(50 + n), num_gates=8)
     intensities = np.linspace(4.0, 0.5, 1 << n)
     shots = 200_000
-    (got,), _ = read_records(intensities, density_populations(circuit, config)[None], shots, 17)
+    (got,), _ = read_records(intensities, check_rows(density_populations(circuit, config)[None], 1 << n), shots, 17)
     exact = density_matrix_populations(circuit, config)
     mean = exact @ intensities
     var = mean + exact @ intensities**2 - mean**2  # Poisson noise plus the spread over basis states

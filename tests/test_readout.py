@@ -11,6 +11,7 @@ from nvqaoa.noise import NoiseConfig, density_populations
 from nvqaoa.readout import (
     CalibrationTable,
     DegenerateCalibrationError,
+    check_rows,
     default_calibration,
     draw_totals,
     format_calibration,
@@ -52,7 +53,7 @@ def test_calibration_validation():
 
 
 def test_sample_shots_deterministic():
-    rows = np.array([[0.1, 0.4, 0.3, 0.2], [0.4, 0.1, 0.2, 0.3]])
+    rows = check_rows(np.array([[0.1, 0.4, 0.3, 0.2], [0.4, 0.1, 0.2, 0.3]]), 4)
     means, checkpoints = read_records(CAL.intensities, rows, 5000, 123, 124, 1000)
     again, again_checkpoints = read_records(CAL.intensities, rows, 5000, 123, 124, 1000)
     np.testing.assert_array_equal(means, again)
@@ -66,18 +67,18 @@ def test_sample_shots_deterministic():
 
 def test_sample_shots_mean_converges():
     pops = np.array([1.0, 0.0, 0.0, 0.0])
-    (mean,), _ = read_records(CAL.intensities, pops[None], 300_000, 0)
+    (mean,), _ = read_records(CAL.intensities, check_rows(pops[None], 4), 300_000, 0)
     assert abs(mean - 5.0) <= 5 * mixture_std(CAL.intensities, pops, 300_000)
 
     uniform = np.full(4, 0.25)
-    (mean,), _ = read_records(CAL.intensities, uniform[None], 300_000, 1)
+    (mean,), _ = read_records(CAL.intensities, check_rows(uniform[None], 4), 300_000, 1)
     assert abs(mean - 2.75) <= 5 * mixture_std(CAL.intensities, uniform, 300_000)
 
 
 def test_sample_shots_respects_mixture_variance():
     # the sampled spread must match the Poisson-mixture formula, not plain Poisson
     pops = np.array([0.5, 0.0, 0.0, 0.5])
-    means, _ = read_records(CAL.intensities, np.tile(pops, (150, 1)), 2000, 0)
+    means, _ = read_records(CAL.intensities, check_rows(np.tile(pops, (150, 1)), 4), 2000, 0)
     expected = mixture_std(CAL.intensities, pops, 2000)
     observed = np.std(means, ddof=1)
     assert 0.7 * expected < observed < 1.3 * expected
@@ -88,16 +89,16 @@ def test_zero_intensity_state_yields_zero_counts():
     pops = np.array([1.0, 0.0, 0.0, 0.0])
     counts = draw_shot_counts(np.random.default_rng(7), cal.intensities, pops, 4000)
     np.testing.assert_array_equal(counts, np.zeros(4000, dtype=counts.dtype))
-    means, checkpoints = read_records(cal.intensities, pops[None], 4000, 7, 8, 1000)
+    means, checkpoints = read_records(cal.intensities, check_rows(pops[None], 4), 4000, 7, 8, 1000)
     assert means[0] == 0.0
     np.testing.assert_array_equal(checkpoints, np.zeros((1, 4)))
 
 
 def test_checkpoint_cadence():
-    pops = np.full(4, 0.25)
-    _, checkpoints = read_records(CAL.intensities, pops[None], 5500, 3, 4, 1000)
+    rows = check_rows(np.full((1, 4), 0.25), 4)
+    _, checkpoints = read_records(CAL.intensities, rows, 5500, 3, 4, 1000)
     assert checkpoints.shape == (1, 5)  # entry k covers (k + 1) * 1000 shots; the 500-shot tail adds none
-    _, checkpoints = read_records(CAL.intensities, pops[None], 999, 3, 4, 1000)
+    _, checkpoints = read_records(CAL.intensities, rows, 999, 3, 4, 1000)
     assert checkpoints.shape == (1, 0)
 
 
@@ -105,7 +106,7 @@ def test_checkpoints_match_retained_counts():
     # each checkpoint of the batched records has the law of the per-shot running mean
     pops = np.array([0.2, 0.3, 0.4, 0.1])
     num = 200
-    _, checkpoints = read_records(CAL.intensities, np.tile(pops, (num, 1)), 3210, 9, 10, 500)
+    _, checkpoints = read_records(CAL.intensities, check_rows(np.tile(pops, (num, 1)), 4), 3210, 9, 10, 500)
     rng = np.random.default_rng(11)
     counts = np.array([draw_shot_counts(rng, CAL.intensities, pops, 3210) for _ in range(num)])
     marks = 500 * np.arange(1, 7)
@@ -122,7 +123,7 @@ def test_checkpoints_match_retained_counts():
 def test_retained_and_aggregate_agree_statistically():
     pops = np.array([0.3, 0.3, 0.2, 0.2])
     slow = [draw_shot_counts(np.random.default_rng(s), CAL.intensities, pops, 3000).mean() for s in range(60)]
-    fast, _ = read_records(CAL.intensities, np.tile(pops, (60, 1)), 3000, 1000)
+    fast, _ = read_records(CAL.intensities, check_rows(np.tile(pops, (60, 1)), 4), 3000, 1000)
     expected = float(pops @ CAL.intensities)
     tol = 4 * mixture_std(CAL.intensities, pops, 3000) / math.sqrt(60)
     assert abs(np.mean(slow) - expected) < 4 * tol
@@ -139,7 +140,14 @@ def test_shot_argument_validation():
         np.array([[np.nan, 1.0, 0.0, 0.0]]),
     ):
         with pytest.raises(ValueError, match="populations"):
-            read_records(CAL.intensities, rows, 100, 0)
+            check_rows(rows, 4)
+    # a stack of row blocks is checked row by row, each exactly as on its own
+    rng = np.random.default_rng(2)
+    stack = rng.dirichlet(np.ones(4), size=(3, 5)) * (1 + rng.uniform(-1e-10, 1e-10, (3, 5, 1)))
+    np.testing.assert_array_equal(check_rows(stack, 4), [check_rows(block, 4) for block in stack])
+    stack[2, 1, 0] += 1e-8  # one row of one block sums off
+    with pytest.raises(ValueError, match="sum to 1"):
+        check_rows(stack, 4)
 
 
 def test_measure_circuit_basic():
@@ -148,7 +156,7 @@ def test_measure_circuit_basic():
         Circuit(2, (Gate("X", (0,)), Gate("X", (1,)))),
         build_ansatz(Graph.complete(2), QaoaParams.single(0.0, 0.0)),  # uniform state
     ]
-    rows = np.array([density_populations(c, NoiseConfig()) for c in circuits])
+    rows = check_rows([density_populations(c, NoiseConfig()) for c in circuits], 4)
     means, _ = read_records(CAL.intensities, rows, 200_000, 4)
     for mean, pops, exact in zip(means, (np.eye(4)[0], np.eye(4)[3], np.full(4, 0.25)), (5.0, 1.0, 2.75)):
         assert abs(mean - exact) <= 5 * mixture_std(CAL.intensities, pops, 200_000)
@@ -156,12 +164,12 @@ def test_measure_circuit_basic():
 
 def test_measure_circuit_dimension_check():
     with pytest.raises(ValueError, match="shape"):
-        read_records(CAL.intensities, density_populations(Circuit(1, ()), NoiseConfig())[None], 100, 0)
+        check_rows(density_populations(Circuit(1, ()), NoiseConfig())[None], CAL.intensities.size)
 
 
 def test_stochastic_noise_deterministic_per_seed():
     circuit = build_ansatz(Graph.complete(2), QaoaParams.single(0.2, 0.9))
-    rows = density_populations(circuit, NoiseConfig(depolarizing_prob=0.05))[None]
+    rows = check_rows(density_populations(circuit, NoiseConfig(depolarizing_prob=0.05))[None], 4)
     a = read_records(CAL.intensities, rows, 3000, 21, 23, 1000)
     b = read_records(CAL.intensities, rows, 3000, 21, 23, 1000)
     c = read_records(CAL.intensities, rows, 3000, 22, 23, 1000)
@@ -174,7 +182,7 @@ def test_seed_sequence_argument_is_not_mutated():
     # a SeedSequence passed in is read, never spawned from, so passing it again repeats the records
     circuit = build_ansatz(Graph.complete(2), QaoaParams.single(0.2, 0.9))
     for noise in (NoiseConfig(depolarizing_prob=0.05), NoiseConfig()):
-        rows = density_populations(circuit, noise)[None]
+        rows = check_rows(density_populations(circuit, noise)[None], 4)
         draws, split = np.random.SeedSequence(5), np.random.SeedSequence(6)
         first = read_records(CAL.intensities, rows, 3000, draws, split, 500)
         second = read_records(CAL.intensities, rows, 3000, draws, split, 500)
@@ -187,9 +195,9 @@ def test_seed_sequence_argument_is_not_mutated():
 
 
 def test_sample_shots_is_the_batched_draw_and_split_of_one_row():
-    pops = np.array([0.1, 0.2, 0.3, 0.4])
-    means, checkpoints = read_records(CAL.intensities, pops[None], 2_345, 17, 18, 500)
-    occupations, totals = draw_totals(np.random.default_rng(17), CAL.intensities, pops[None], 2_345)
+    rows = check_rows(np.array([[0.1, 0.2, 0.3, 0.4]]), 4)
+    means, checkpoints = read_records(CAL.intensities, rows, 2_345, 17, 18, 500)
+    occupations, totals = draw_totals(np.random.default_rng(17), CAL.intensities, rows, 2_345)
     blocks = split_totals(np.random.default_rng(18), CAL.intensities, occupations, totals, 500)
     assert occupations.shape == (1, 4) and occupations.sum() == 2_345
     # four full blocks; the 345-shot tail holds the rest of the total
@@ -201,7 +209,7 @@ def test_sample_shots_is_the_batched_draw_and_split_of_one_row():
 def test_split_of_a_dark_record_is_all_zero():
     # sum L = 0 forces T = 0: the split draws nothing and divides by nothing
     dark = CalibrationTable(np.array([0.0, 0.0, 0.0, 1.0]))
-    rows = np.array([[1.0, 0, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0, 1.0]])
+    rows = check_rows(np.array([[1.0, 0, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0, 1.0]]), 4)
     rng = np.random.default_rng(3)
     occupations, totals = draw_totals(rng, dark.intensities, rows, 1_000)
     blocks = split_totals(rng, dark.intensities, occupations, totals, 300)
@@ -214,7 +222,7 @@ def test_split_of_a_dark_record_is_all_zero():
 # The record-level distribution gate. F is a deterministic function of the
 # record means, so records equal in distribution give F equal in distribution.
 # Each seed reads two records, as a point reads its rows, with mirrored pops.
-GATE_POPS = np.array([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]])
+GATE_POPS = check_rows(np.array([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]]), 4)
 GATE_CAL = CalibrationTable(np.array([5.0, 3.0, 2.0, 1.0]))
 GATE_SEEDS = 3000
 GATE_SHOTS, GATE_EVERY = 1_050, 100  # 10 full blocks and a 50-shot tail

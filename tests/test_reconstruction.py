@@ -5,7 +5,7 @@ from nvqaoa._bitstrings import all_bitstrings, parity_signs
 from nvqaoa.circuits import QaoaParams, append_flips, build_ansatz
 from nvqaoa.graph_problem import Graph
 from nvqaoa.noise import NoiseConfig, density_populations
-from nvqaoa.readout import CalibrationTable, default_calibration, read_records
+from nvqaoa.readout import CalibrationTable, check_rows, default_calibration, read_records
 from nvqaoa.reconstruction import (
     DegenerateCalibrationError,
     forward_means,
@@ -154,7 +154,7 @@ def test_norm_from_sampled_data_stays_near_one():
     params = QaoaParams.single(0.15 * np.pi, 1.5 * np.pi)
     ansatz = build_ansatz(graph, params)
     circuits = calibration_circuits(2) + [append_flips(ansatz, pattern) for pattern in all_bitstrings(2)]
-    rows = np.array([density_populations(c, NoiseConfig()) for c in circuits])
+    rows = check_rows([density_populations(c, NoiseConfig()) for c in circuits], 4)
     in_window = 0
     trials = 40
     for seed in range(trials):
