@@ -53,15 +53,6 @@ def all_bitstrings(width: int) -> list[str]:
     return [index_to_bits(k, width) for k in range(1 << width)]
 
 
-def parity_signs(width: int) -> np.ndarray:
-    """Matrix S with S[t, s] = (-1)^(t.s), the bitwise-AND parity character table."""
-    idx = np.arange(1 << width)
-    ands = idx[:, None] & idx[None, :]
-    # popcount via uint8 view; widths stay tiny so this is exact
-    pop = np.unpackbits(ands.astype(">u4").view(np.uint8).reshape(ands.shape + (4,)), axis=-1).sum(axis=-1)
-    return np.where(pop % 2 == 0, 1.0, -1.0)
-
-
 def iter_edges(adjacency: np.ndarray) -> Iterable[tuple[int, int, float]]:
     """Yield (i, j, weight) for the upper triangle of a symmetric matrix, nonzero entries only."""
     n = adjacency.shape[0]

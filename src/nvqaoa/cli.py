@@ -45,6 +45,7 @@ from .experiment import (
     write_landscape_csv,
     write_trace_csv,
     _check_fields,
+    _check_scan_entries,
     _realization_stats,
 )
 from .graph_problem import brute_force, load_graph
@@ -327,6 +328,10 @@ def _cmd_landscape(args) -> int:
 
 def _run_landscape(cfg: ScanConfig, config: dict, options: dict, out: str, force: bool) -> int:
     artifacts = ["landscape.csv", "summary.txt"]
+    try:
+        _check_scan_entries(cfg)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if options["svg"]:
         artifacts.append("landscape.svg")
     out_dir = _prepare_out(out, force, artifacts + ["manifest.txt"])

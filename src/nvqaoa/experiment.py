@@ -29,9 +29,11 @@ makes each point's populations once, builds the rows of every point as one
 ``(points, 2^(n+1), 2^n)`` stack and checks them once
 (``readout.check_rows``). Each (point, realization) then makes only its draws,
 in index order, and one stacked ``reconstruct`` call inverts every
-realization of the chunk, turning a degenerate table's row NaN.
-``measure_point`` and ``convergence_profile`` read one point through the same
-row builder and draws, so a grid cell equals ``measure_point`` bit for bit.
+realization of the chunk. ``measure_point`` and ``convergence_profile`` read
+one point through the same row builder and draws, so a grid cell equals
+``measure_point`` bit for bit. Every path inverts the same pair
+(``_read_point``): a calibration row and the flip means. An all-dark perturbed
+table is drawn like any other, and ``reconstruct`` alone judges a table.
 
 Reproducibility contract: every (grid point, realization) derives its random
 substreams from ``SeedSequence(master_seed, spawn_key=(point_index,
@@ -80,6 +82,11 @@ MAX_DEPOLARIZING_VERTICES = 10
 # Scans hold arrays per (beta, gamma) point, so the grid is capped before any is made.
 MAX_GRID_POINTS = 10**6
 
+# A landscape scan's populations hold points x realizations x 2^n floats (one
+# realization in ideal mode), capped before they are made: 2^27 float64 entries
+# are 1 GiB. optimize and convergence_profile hold one state at a time.
+MAX_SCAN_ENTRIES = 1 << 27
+
 # A sampled scan reads its grid in chunks of points whose batch arrays hold at
 # most this many floats (64 KiB), below glibc's default 128 KiB mmap threshold.
 # Freeing a block above it raises that threshold for the rest of the process.
@@ -94,7 +101,7 @@ CSV_HEADER = "beta,gamma,realization,F_measured,F_ideal,abs_diff,norm,pops"
 REFINE_TOLERANCE = 1e-3
 REFINE_BUDGET = 10_000
 
-# Types of the config_to_dict fields that config_from_dict reads.
+# The fields of ScanConfig, in order, each with the type config_from_dict reads.
 _CONFIG_FIELDS = {
     "graph": dict,
     "p": int,
@@ -235,14 +242,26 @@ def measure_point(
     per-realization perturbation) is used to isolate shot noise. This is one
     cell of ``run_scan``'s grid, bit for bit.
 
-    A degenerate calibration, empirical or perturbed into all-dark
-    intensities, makes the point invalid rather than raising, so long scans
-    survive unlucky draws; ``error`` then holds the
-    ``DegenerateCalibrationError``.
+    An all-dark perturbed table is drawn like any other. A table that
+    ``reconstruct`` judges degenerate makes the point invalid, and ``error``
+    holds the ``DegenerateCalibrationError``.
     """
     if config.mode != "sampled":
         raise ValueError("measure_point requires mode='sampled'")
     return _measure_point(config, diagonal_costs(config.graph), params, realization_index, point_index)
+
+
+def _check_scan_entries(config: ScanConfig) -> None:
+    """Raise ValueError if ``run_scan`` would hold more than ``MAX_SCAN_ENTRIES`` populations."""
+    num_points = _axis(config.beta_range)[2] * _axis(config.gamma_range)[2]
+    realizations = config.realizations if config.mode == "sampled" else 1
+    n = config.graph.num_vertices
+    entries = num_points * realizations << n
+    if entries > MAX_SCAN_ENTRIES:
+        raise ValueError(
+            f"scan would hold {num_points} x {realizations} x 2^{n} = {entries} "
+            f"populations; scans are capped at {MAX_SCAN_ENTRIES}"
+        )
 
 
 def run_scan(config: ScanConfig) -> LandscapeGrid:
@@ -254,8 +273,8 @@ def run_scan(config: ScanConfig) -> LandscapeGrid:
     (point, realization) then makes only its own draws, and one stacked
     ``reconstruct`` call inverts the whole chunk (``_read_chunk``).
     """
-    betas = config.betas()
-    gammas = config.gammas()
+    _check_scan_entries(config)
+    betas, gammas = config.betas(), config.gammas()
     realizations = 1 if config.mode == "ideal" else config.realizations
     diag = diagonal_costs(config.graph)
     shape = (betas.size, gammas.size, realizations)
@@ -364,12 +383,7 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> Optimize
         def objective(vec: np.ndarray) -> float:
             return evaluate(tuple(vec[:p]), tuple(vec[p:]))
 
-        minimize(
-            objective,
-            x,
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-12, "maxfev": 20_000},
-        )
+        minimize(objective, x, method="Nelder-Mead", options={"xatol": 1e-7, "fatol": 1e-12, "maxfev": 20_000})
         best = min(trace, key=lambda entry: (entry[2], entry[0], entry[1]))
         return OptimizeResult(QaoaParams(best[0], best[1]), best[2], tuple(trace))
 
@@ -403,8 +417,9 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> Optimize
 class ConvergenceProfile:
     """Population and norm estimates at every checkpoint, aggregated over realizations.
 
-    ``checkpoints_invalid`` counts the (realization, checkpoint) estimates left
-    out because their table was degenerate, all checkpoints of an all-dark one.
+    ``checkpoints_invalid`` counts the (realization, checkpoint) estimates
+    whose table ``reconstruct`` judged degenerate, every checkpoint of an
+    all-dark realization among them.
     """
 
     checkpoint_shots: np.ndarray
@@ -423,10 +438,11 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     Draws the same records on the same substream as :func:`measure_point` and
     splits them into checkpoint blocks on a third (``readout.split_totals``), so
     when ``shots`` is a multiple of ``checkpoint_every`` the final checkpoint
-    reproduces that point's estimate. Each realization inverts all its
-    checkpoints in one stacked ``reconstruct`` call, which leaves a checkpoint
-    with a degenerate table NaN. Standard deviations are sample standard
-    deviations across realizations (NaN when fewer than two are valid).
+    reproduces that point's estimate. Each realization, an all-dark one too,
+    inverts all its checkpoints in one stacked ``reconstruct`` call, which
+    leaves a checkpoint with a degenerate table NaN. Standard deviations are
+    sample standard deviations across realizations (NaN when fewer than two
+    are valid).
     """
     if config.mode != "sampled":
         raise ValueError("convergence_profile requires mode='sampled'")
@@ -434,19 +450,14 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
         raise ValueError("need at least one full checkpoint block")
     size = 1 << config.graph.num_vertices
     num_checkpoints = config.shots // config.checkpoint_every
-    pops_runs = np.full((config.realizations, num_checkpoints, size), math.nan)
-    norm_runs = np.full((config.realizations, num_checkpoints), math.nan)
+    pops_runs = np.empty((config.realizations, num_checkpoints, size))
+    norm_runs = np.empty((config.realizations, num_checkpoints))
     rows = _point_rows(config, _sampled_state_pops(config, params, diagonal_costs(config.graph)))
     for realization in range(config.realizations):
-        try:
-            # one row per sub-circuit, one column per checkpoint
-            true_cal, _, checkpoints = _read_point(config, rows, realization, point_index, checkpoints=True)
-        except DegenerateCalibrationError:  # the perturbed table went all dark
-            continue
-        table = true_cal if config.exact_calibration else checkpoints[:size].T
-        estimate = reconstruct(table, checkpoints[size:].T)
-        pops_runs[realization] = estimate.pops
-        norm_runs[realization] = estimate.norm
+        table, flips = _read_point(config, rows, realization, point_index, checkpoints=True)
+        # an exact table is one row, shared by every checkpoint
+        estimate = reconstruct(np.broadcast_to(table, flips.shape), flips)
+        pops_runs[realization], norm_runs[realization] = estimate.pops, estimate.norm
 
     mean_pops, std_pops = _realization_stats(pops_runs, 0)
     mean_norm, std_norm = _realization_stats(norm_runs, 0)
@@ -479,13 +490,7 @@ def write_landscape_csv(grid: LandscapeGrid, handle) -> None:
 
 def write_convergence_csv(profile: ConvergenceProfile, handle) -> None:
     labels = all_bitstrings(profile.num_qubits)
-    header = (
-        ["shots"]
-        + [f"p{label}" for label in labels]
-        + ["norm"]
-        + [f"std_p{label}" for label in labels]
-        + ["std_norm"]
-    )
+    header = ["shots", *(f"p{label}" for label in labels), "norm", *(f"std_p{label}" for label in labels), "std_norm"]
     handle.write(",".join(header) + "\n")
     shots = np.asarray(profile.checkpoint_shots)
     columns = [shots.astype(float), profile.mean_pops, profile.mean_norm, profile.std_pops, profile.std_norm]
@@ -521,55 +526,28 @@ def scan_summary(grid: LandscapeGrid, config: ScanConfig) -> dict:
 
 def config_to_dict(config: ScanConfig) -> dict:
     """Fully resolved, JSON-serializable echo of a scan configuration."""
-    return {
-        "graph": {
-            "num_vertices": config.graph.num_vertices,
-            "edges": [[i, j, w] for i, j, w in config.graph.edges()],
-        },
-        "p": config.p,
-        "beta_range": list(config.beta_range),
-        "gamma_range": list(config.gamma_range),
-        "shots": config.shots,
-        "realizations": config.realizations,
-        "mode": config.mode,
-        "noise": config.noise.to_dict() if config.noise is not None else None,
-        "calibration": (
-            [float(v) for v in config.calibration.intensities] if config.calibration is not None else None
-        ),
-        "master_seed": config.master_seed,
-        "checkpoint_every": config.checkpoint_every,
-        "exact_calibration": config.exact_calibration,
-    }
+    data = {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    data["graph"] = {"num_vertices": config.graph.num_vertices, "edges": [list(e) for e in config.graph.edges()]}
+    data["beta_range"], data["gamma_range"] = list(config.beta_range), list(config.gamma_range)
+    if config.noise is not None:
+        data["noise"] = config.noise.to_dict()
+    if config.calibration is not None:
+        data["calibration"] = config.calibration.intensities.tolist()
+    return data
 
 
 def config_from_dict(data: dict) -> ScanConfig:
     """Inverse of config_to_dict; a missing or mistyped field raises ValueError naming it."""
     _check_fields(data, _CONFIG_FIELDS, "config.")
     _check_fields(data["graph"], {"num_vertices": int, "edges": list}, "config.graph.")
-    graph = Graph.from_edges(data["graph"]["num_vertices"], data["graph"]["edges"])
-    noise = None
+    fields = {name: data[name] for name in _CONFIG_FIELDS}  # ScanConfig makes the ranges tuples of floats
+    fields["graph"] = Graph.from_edges(data["graph"]["num_vertices"], data["graph"]["edges"])
     if data["noise"] is not None:
         _check_fields(data["noise"], dict.fromkeys(NoiseConfig().to_dict(), (int, float)), "config.noise.")
-        noise = NoiseConfig.from_dict(data["noise"])
-    calibration = (
-        CalibrationTable(np.array(data["calibration"], dtype=float))
-        if data["calibration"] is not None
-        else None
-    )
-    return ScanConfig(
-        graph=graph,
-        p=data["p"],
-        beta_range=tuple(data["beta_range"]),
-        gamma_range=tuple(data["gamma_range"]),
-        shots=data["shots"],
-        realizations=data["realizations"],
-        mode=data["mode"],
-        noise=noise,
-        calibration=calibration,
-        master_seed=data["master_seed"],
-        checkpoint_every=data["checkpoint_every"],
-        exact_calibration=data["exact_calibration"],
-    )
+        fields["noise"] = NoiseConfig.from_dict(data["noise"])
+    if data["calibration"] is not None:
+        fields["calibration"] = CalibrationTable(np.array(data["calibration"], dtype=float))
+    return ScanConfig(**fields)
 
 
 def _axis(range_spec: Sequence[float]) -> tuple[float, float, int]:
@@ -616,10 +594,8 @@ def _ideal_point(diag: np.ndarray, params: QaoaParams) -> tuple[np.ndarray, floa
 
 def _point_state(config: ScanConfig, params: QaoaParams, diag: np.ndarray) -> tuple[float, np.ndarray]:
     """``F_ideal`` and the populations a sampled point reads (``_sampled_state_pops``)."""
-    # _ideal_point's body, inlined: perfbench's tracer counts every _ideal_point
-    # call as an evaluation of its own
-    ideal_pops = populations(simulate_qaoa(diag, params))
-    return float(np.dot(ideal_pops, diag)), _sampled_state_pops(config, params, diag, ideal_pops)
+    ideal_pops, F_ideal = _ideal_point(diag, params)
+    return F_ideal, _sampled_state_pops(config, params, diag, ideal_pops)
 
 
 def _realization_stats(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -640,17 +616,17 @@ def _realization_stats(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.nd
 
 
 def _point_streams(config: ScanConfig, realization_index: int, point_index: int):
-    """True calibration (possibly perturbed) and the root substream of a point.
+    """True intensities (possibly perturbed) and the root substream of a point.
 
     Children 0, 1 and 2 of the root, SeedSequence(master_seed,
     spawn_key=(point_index, realization_index)), perturb the table, draw the
     records and split them into checkpoint blocks.
     """
     root = np.random.SeedSequence(config.master_seed, spawn_key=(point_index, realization_index))
-    true_cal = config.calibration
+    intensities = config.calibration.intensities
     if config.noise is not None and config.noise.calibration_sigma > 0.0:
-        true_cal = perturb_calibration(true_cal, config.noise.calibration_sigma, _child_seed(root, 0))
-    return true_cal, root
+        intensities = perturb_calibration(intensities, config.noise.calibration_sigma, _child_seed(root, 0))
+    return intensities, root
 
 
 def _child_seed(root: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
@@ -661,14 +637,11 @@ def _child_seed(root: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
 def _measure_point(config: ScanConfig, diag: np.ndarray, params: QaoaParams, realization_index: int, point_index: int):
     """``measure_point`` given the cost diagonal of ``config.graph``."""
     F_ideal, reads = _point_state(config, params, diag)
-    size = diag.size
+    table, flips = _read_point(config, _point_rows(config, reads), realization_index, point_index)
     try:
-        true_cal, means, _ = _read_point(config, _point_rows(config, reads), realization_index, point_index)
-        table = true_cal if config.exact_calibration else CalibrationTable(means[:size])
-        estimate = reconstruct(table, means[size:])
+        estimate = reconstruct(table, flips)
     except DegenerateCalibrationError as exc:
-        nans = np.full(size, math.nan)
-        return PointRecord(nans, math.nan, math.nan, F_ideal, valid=False, error=exc)
+        return PointRecord(np.full(diag.size, math.nan), math.nan, math.nan, F_ideal, valid=False, error=exc)
     return PointRecord(estimate.pops, estimate.norm, float(np.dot(estimate.pops, diag)), F_ideal)
 
 
@@ -685,22 +658,16 @@ def _read_chunk(config: ScanConfig, reads: np.ndarray, first_index: int):
     """Reconstruction of every realization of consecutive grid points, indexed [point, realization].
 
     Row j of ``reads``, the populations a point reads, has grid index
-    ``first_index + j``. A realization whose perturbed table went all dark
-    keeps an all-zero table, which ``reconstruct`` turns NaN like any other
-    degenerate one.
+    ``first_index + j``. Every realization is drawn, one whose perturbed table
+    went all dark too, and ``reconstruct`` turns each degenerate table's row
+    NaN.
     """
-    size = reads.shape[-1]
     rows = _point_rows(config, reads)
-    shape = (len(reads), config.realizations, size)
-    tables, flips = np.zeros(shape), np.zeros(shape)
+    shape = (len(reads), config.realizations, reads.shape[-1])
+    tables, flips = np.empty(shape), np.empty(shape)
     for j in range(shape[0]):
         for r in range(shape[1]):
-            try:
-                true_cal, means, _ = _read_point(config, rows[j], r, first_index + j)
-            except DegenerateCalibrationError:
-                continue
-            tables[j, r] = true_cal.intensities if config.exact_calibration else means[:size]
-            flips[j, r] = means[size:]
+            tables[j, r], flips[j, r] = _read_point(config, rows[j], r, first_index + j)
     return reconstruct(tables, flips)
 
 
@@ -733,18 +700,20 @@ def _point_rows(config: ScanConfig, reads: np.ndarray) -> np.ndarray:
 
 
 def _read_point(config: ScanConfig, rows: np.ndarray, realization_index: int, point_index: int, checkpoints=False):
-    """True calibration, record means and, given ``checkpoints``, checkpoint means (else None) of one realization.
+    """The calibration row and flip means one realization of a point inverts, each ``(2^n,)`` or one row per checkpoint.
 
     ``rows`` are the point's ``_point_rows``, drawn on child 1 of its substream
-    and split on child 2. An all-dark perturbed table raises
-    ``DegenerateCalibrationError`` before any draw.
+    and, given ``checkpoints``, split on child 2. The calibration row is the
+    true, possibly perturbed, intensities ``(2^n,)`` under
+    ``exact_calibration`` and the basis preparations' means otherwise.
     """
-    true_cal, root = _point_streams(config, realization_index, point_index)
+    intensities, root = _point_streams(config, realization_index, point_index)
     split = _child_seed(root, 2) if checkpoints else None
-    means, blocks = read_records(
-        true_cal.intensities, rows, config.shots, _child_seed(root, 1), split, config.checkpoint_every
-    )
-    return true_cal, means, blocks
+    means, blocks = read_records(intensities, rows, config.shots, _child_seed(root, 1), split, config.checkpoint_every)
+    if checkpoints:
+        means = blocks.T
+    size = rows.shape[-1]
+    return (intensities if config.exact_calibration else means[..., :size]), means[..., size:]
 
 
 def _sampled_state_pops(config: ScanConfig, params: QaoaParams, diag: np.ndarray, ideal_pops=None):

@@ -2,9 +2,7 @@
 
 A candidate partition is a bit string over the vertices (vertex 0 first). The
 cut value is the total weight of edges crossing the partition; the cost is its
-negation, so lower is better and the best cost is ``-maxcut``. The same cost
-can be evaluated in spin variables z = 1 - 2x, which is the form the diagonal
-circuit Hamiltonian uses.
+negation, so lower is better and the best cost is ``-maxcut``.
 """
 
 from __future__ import annotations
@@ -103,17 +101,6 @@ def cut_value(graph: Graph, bits: BitString) -> float:
 def cost(graph: Graph, bits: BitString) -> float:
     """Negated cut value: the quantity the variational search minimizes."""
     return -cut_value(graph, bits)
-
-
-def cost_spin(graph: Graph, spins: Sequence[float]) -> float:
-    """Cost in spin variables z_i in {-1, +1}; equals ``cost`` under z = 1 - 2x."""
-    z = np.asarray(spins, dtype=float)
-    if z.ndim != 1 or z.size != graph.num_vertices:
-        raise ValueError(f"expected {graph.num_vertices} spins, got shape {z.shape}")
-    if not np.isin(z, (-1.0, 1.0)).all():
-        raise ValueError("spin entries must be -1 or +1")
-    iu, ju = np.triu_indices(graph.num_vertices, k=1)
-    return float(-0.5 * np.sum(graph.adjacency[iu, ju] * (1.0 - z[iu] * z[ju])))
 
 
 def brute_force(graph: Graph) -> CutReport:

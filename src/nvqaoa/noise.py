@@ -150,21 +150,19 @@ def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
     one[...] = saved
 
 
-def perturb_calibration(table, sigma: float, seed):
-    """Return a copy of the calibration with intensities scaled by 1 + N(0, sigma), floored at zero.
+def perturb_calibration(intensities: np.ndarray, sigma: float, seed) -> np.ndarray:
+    """Intensities scaled entry by entry by 1 + N(0, sigma), floored at zero.
 
-    ``sigma == 0`` returns the table unchanged. Import is deferred to keep the
-    module dependency graph one-way.
+    ``sigma == 0`` returns ``intensities`` unchanged. A large sigma can floor
+    every entry, an all-dark table; it is read like any other, and
+    ``reconstruction.reconstruct`` judges it degenerate.
     """
-    from .readout import CalibrationTable
-
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:
-        return table
+        return intensities
     rng = np.random.default_rng(seed)
-    factors = 1.0 + rng.normal(0.0, sigma, size=table.intensities.size)
-    return CalibrationTable(np.maximum(table.intensities * factors, 0.0))
+    return np.maximum(intensities * (1.0 + rng.normal(0.0, sigma, size=len(intensities))), 0.0)
 
 
 def _gate_operators(gate: Gate, config: NoiseConfig) -> list[Gate]:

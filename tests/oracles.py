@@ -9,6 +9,8 @@ populations one shot at a time, the slow path of ``readout.read_records``.
 built, checked, drawn and reconstructed for that point alone: the slow path of
 ``experiment.run_scan``'s chunks, which build and check a chunk's rows at once
 and invert it in one stacked call.
+``parity_signs`` is the dense character table that ``reconstruction.fwht``
+applies in place.
 ``landscape_csv_text``, ``convergence_csv_text`` and ``trace_csv_text`` are the
 per-value CSV writers, the slow path of the ``experiment.write_*_csv`` writers:
 every float is ``format(v, ".10g")`` and every integer column ``str(int)``.
@@ -91,21 +93,31 @@ def measure_point_per_point(config, params, realization_index=0, point_index=0):
     diag = diagonal_costs(config.graph)
     size = diag.size
     F_ideal, pops = _point_state(config, params, diag)
+    intensities, root = _point_streams(config, realization_index, point_index)
+    idx = np.arange(size)
+    rows = np.concatenate([np.eye(size), pops[idx ^ idx[:, None]]])
+    undo = 2.0 * config.noise.depolarizing_prob / 3.0 if config.noise is not None else 0.0
+    if undo:
+        for bit in (1 << np.arange(size.bit_length() - 1)).tolist():
+            pairs = rows.reshape(-1, 2, bit, size)
+            pairs[:, 1] = (1.0 - undo) * pairs[:, 1] + undo * pairs[:, 0]
+    means, _ = read_records(intensities, check_rows(rows, size), config.shots, _child_seed(root, 1))
     try:
-        true_cal, root = _point_streams(config, realization_index, point_index)
-        idx = np.arange(size)
-        rows = np.concatenate([np.eye(size), pops[idx ^ idx[:, None]]])
-        undo = 2.0 * config.noise.depolarizing_prob / 3.0 if config.noise is not None else 0.0
-        if undo:
-            for bit in (1 << np.arange(size.bit_length() - 1)).tolist():
-                pairs = rows.reshape(-1, 2, bit, size)
-                pairs[:, 1] = (1.0 - undo) * pairs[:, 1] + undo * pairs[:, 0]
-        means, _ = read_records(true_cal.intensities, check_rows(rows, size), config.shots, _child_seed(root, 1))
-        table = true_cal if config.exact_calibration else CalibrationTable(means[:size])
+        # an all-dark table is rejected by CalibrationTable before reconstruct sees it
+        table = CalibrationTable(intensities if config.exact_calibration else means[:size])
         estimate = reconstruct(table, means[size:])
     except DegenerateCalibrationError:
         return np.full(size, math.nan), math.nan, math.nan, F_ideal
     return estimate.pops, estimate.norm, float(np.dot(estimate.pops, diag)), F_ideal
+
+
+def parity_signs(width):
+    """Matrix S with S[t, s] = (-1)^(t.s), the bitwise-AND parity character table."""
+    idx = np.arange(1 << width)
+    ands = idx[:, None] & idx[None, :]
+    # popcount via uint8 view; widths stay tiny so this is exact
+    pop = np.unpackbits(ands.astype(">u4").view(np.uint8).reshape(ands.shape + (4,)), axis=-1).sum(axis=-1)
+    return np.where(pop % 2 == 0, 1.0, -1.0)
 
 
 def format_10g(values):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import nvqaoa
-from nvqaoa import cli
+from nvqaoa import cli, experiment
 from nvqaoa.cli import (
     EXIT_DEGENERATE,
     EXIT_IO,
@@ -138,6 +138,33 @@ def test_oversized_grid_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "more than 1000000 points" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_oversized_scan_is_usage_error(tmp_path, capsys):
+    # an ideal K14 scan of 1000 x 1000 points would hold 122 GiB of populations
+    graph = tmp_path / "k14.txt"
+    graph.write_text("n 14\n" + "".join(f"{i} {j}\n" for i in range(14) for j in range(i + 1, 14)))
+    out = tmp_path / "out"
+    code = main(["landscape", "--graph", str(graph), "--beta-range", "0:999:1", "--gamma-range", "0:999:1",
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "1000000 x 1 x 2^14 = 16384000000 populations" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_bound_is_checked_only_for_the_landscape(tmp_path, capsys, monkeypatch):
+    # optimize and convergence hold one state at a time, so the bound on the
+    # landscape's populations does not refuse them
+    monkeypatch.setattr(experiment, "MAX_SCAN_ENTRIES", 3)
+    graph, cal = write_k2(tmp_path), write_cal(tmp_path)
+    grid = ["--graph", graph, "--beta-range", "0.1:0.2:0.1", "--gamma-range", "0.5:0.5:1"]
+    sampled = ["--mode", "sampled", "--cal", cal, "--shots", "2000", "--realizations", "2"]
+    assert main(["landscape", *grid, "--out", str(tmp_path / "scan")]) == EXIT_USAGE
+    assert "capped at 3" in capsys.readouterr().err
+    assert not (tmp_path / "scan").exists()
+    assert main(["optimize", *grid]) == EXIT_OK
+    point = ["--beta", "0.1", "--gamma", "0.5"]
+    assert main(["convergence", *grid, *sampled, *point, "--out", str(tmp_path / "conv")]) == EXIT_OK
 
 
 def test_bad_env_seed_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -669,7 +696,7 @@ def test_undecodable_input_file_is_usage_error(tmp_path, capsys, command, flag):
 COLD_COMMANDS = """
 import sys
 from pathlib import Path
-from nvqaoa import cli
+from nvqaoa import cli, experiment
 
 tmp = Path(sys.argv[1])
 (tmp / "k2.txt").write_text("n 2\\n0 1\\n")

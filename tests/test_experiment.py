@@ -22,6 +22,7 @@ from nvqaoa.experiment import (
     DEFAULT_GAMMA_RANGE,
     MAX_DEPOLARIZING_VERTICES,
     MAX_GRID_POINTS,
+    MAX_SCAN_ENTRIES,
     ConvergenceProfile,
     LandscapeGrid,
     OptimizeResult,
@@ -40,6 +41,7 @@ from nvqaoa.experiment import (
     write_convergence_csv,
     write_landscape_csv,
     write_trace_csv,
+    _check_scan_entries,
     _child_seed,
     _chunk_points,
     _point_rows,
@@ -117,6 +119,41 @@ def test_grid_is_capped_before_any_array_exists():
             grid_axis(huge)
         with pytest.raises(ValueError, match="more than 1000000 points"):
             ScanConfig(graph=K2, beta_range=huge)
+
+
+def test_scan_populations_are_capped_before_any_array_exists():
+    # points x realizations x 2^n, counted from the config alone; nothing is run
+    assert MAX_SCAN_ENTRIES == 1 << 27
+    k14 = Graph.complete(14)
+    at_limit = ScanConfig(graph=k14, beta_range=(0.0, 8191.0, 1.0), gamma_range=(0.0, 0.0, 1.0))
+    assert at_limit.betas().size << 14 == MAX_SCAN_ENTRIES
+    _check_scan_entries(at_limit)
+    above = ScanConfig(graph=k14, beta_range=(0.0, 8192.0, 1.0), gamma_range=(0.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="8193 x 1 x 2\\^14 = 134234112 populations"):
+        _check_scan_entries(above)
+    with pytest.raises(ValueError, match="8193 x 1 x 2\\^14"):
+        run_scan(above)
+    # a sampled scan holds every realization, an ideal scan one
+    one_point = dict(graph=K2, beta_range=(0.1, 0.1, 1.0), gamma_range=(0.2, 0.2, 1.0), realizations=1 << 25)
+    _check_scan_entries(ScanConfig(mode="sampled", calibration=CAL, **one_point))
+    _check_scan_entries(ScanConfig(**{**one_point, "realizations": (1 << 25) + 1}))
+    with pytest.raises(ValueError, match="capped at 134217728"):
+        _check_scan_entries(ScanConfig(mode="sampled", calibration=CAL, **{**one_point, "realizations": (1 << 25) + 1}))
+
+
+def test_scan_bound_leaves_optimize_and_convergence_alone(monkeypatch):
+    # the bound is on what run_scan holds: a config over it is still valid, and
+    # optimize and convergence_profile, which hold one state at a time, run it
+    k18 = ScanConfig(graph=Graph.complete(18))  # the default 21 x 41 grid
+    with pytest.raises(ValueError, match="861 x 1 x 2\\^18"):
+        _check_scan_entries(k18)
+    monkeypatch.setattr(experiment, "MAX_SCAN_ENTRIES", 3)
+    cfg = sampled_config(beta_range=(0.1, 0.2, 0.1), gamma_range=(0.5, 0.5, 1.0), shots=2_000, realizations=2)
+    with pytest.raises(ValueError, match="capped at 3"):
+        run_scan(cfg)
+    assert optimize(cfg).evaluations >= 2
+    assert optimize(replace(cfg, mode="ideal")).evaluations >= 2
+    assert convergence_profile(cfg, POINT).realizations == 2
 
 
 def test_closed_form_special_values():
@@ -275,6 +312,11 @@ GRID_CASES = {
         realizations=4, master_seed=1, noise=NoiseConfig(calibration_sigma=3.0),
         beta_range=(0.1, 0.1, 0.1), gamma_range=(0.1, 0.5, 0.1),
     ),
+    # the same all-zero table, now the one reconstruct inverts
+    "cal-sigma-all-dark-exact": dict(
+        realizations=4, master_seed=1, noise=NoiseConfig(calibration_sigma=3.0), exact_calibration=True,
+        beta_range=(0.1, 0.1, 0.1), gamma_range=(0.1, 0.5, 0.1),
+    ),
     # c_01 = (5 - 3 + 2 - 4) / 4 = 0, off the cost's support {00, 11}
     "degenerate-off-support-exact": dict(calibration=CalibrationTable(np.array([5.0, 3, 2, 4])), exact_calibration=True),
     "degenerate-off-support-empirical": dict(calibration=CalibrationTable(np.array([5.0, 3, 2, 4]))),
@@ -304,7 +346,7 @@ def test_single_point_grid_equals_measure_point(case):
             np.testing.assert_array_equal(grid.F_ideal[bi, gi], got[3])
         assert direct.valid == np.isfinite(direct.F_measured)
     invalid = ~grid.valid
-    if case == "cal-sigma-all-dark":
+    if case.startswith("cal-sigma-all-dark"):
         assert np.flatnonzero(invalid).tolist() == [4 * 4 + 3]
     elif case == "degenerate-off-support-exact":
         assert invalid.all()
@@ -489,28 +531,30 @@ def test_all_zero_empirical_calibration_gives_invalid_point():
 
 def test_all_dark_perturbed_calibration_gives_invalid_realization():
     # at master seed 1, sigma = 3 floors every intensity of the perturbed table
-    # of point 4, realization 3 at zero, so the generating table is degenerate
+    # of point 4, realization 3 at zero. The all-dark records are drawn like any
+    # others, and the all-zero table, empirical or exact, has c_00 = 0.
     cfg = sampled_config(
         shots=2_000, realizations=4, master_seed=1, noise=NoiseConfig(calibration_sigma=3.0),
         beta_range=(0.1, 0.1, 0.1), gamma_range=(0.1, 0.5, 0.1),
     )
-    record = measure_point(cfg, POINT, realization_index=3, point_index=4)
-    assert not record.valid
-    assert isinstance(record.error, DegenerateCalibrationError) and "t=01" in str(record.error)
-    assert np.isnan(record.F_measured) and np.isnan(record.norm) and np.isnan(record.pops).all()
-    assert record.F_ideal == pytest.approx(POINT_F_IDEAL, abs=1e-12)
+    for exact in (False, True):
+        record = measure_point(replace(cfg, exact_calibration=exact), POINT, realization_index=3, point_index=4)
+        assert not record.valid
+        assert isinstance(record.error, DegenerateCalibrationError) and "t=00" in str(record.error)
+        assert np.isnan(record.F_measured) and np.isnan(record.norm) and np.isnan(record.pops).all()
+        assert record.F_ideal == pytest.approx(POINT_F_IDEAL, abs=1e-12)
     # the scan keeps going, with only that realization invalid
     grid = run_scan(cfg)
     invalid = np.zeros(grid.F_measured.shape, dtype=bool)
     invalid[0, 4, 3] = True
     np.testing.assert_array_equal(~grid.valid, invalid)
-    # the profile skips the realization: it equals the profile of the other three
+    # the profile leaves the realization out: it equals the profile of the other three
     profile = convergence_profile(cfg, POINT, point_index=4)
     three = convergence_profile(replace(cfg, realizations=3), POINT, point_index=4)
     assert np.isfinite(profile.mean_pops).all()
     np.testing.assert_array_equal(profile.mean_pops, three.mean_pops)
     np.testing.assert_array_equal(profile.std_norm, three.std_norm)
-    # the skipped realization counts all of its checkpoints as invalid
+    # the all-dark realization counts all of its checkpoints as invalid
     assert profile.checkpoints_invalid == 2 and three.checkpoints_invalid == 0
 
 
@@ -522,16 +566,13 @@ def per_checkpoint_runs(config, params, point_index=0):
     norm_runs = np.full((config.realizations, num_checkpoints), math.nan)
     pops = _sampled_state_pops(config, params, diagonal_costs(config.graph))
     for realization in range(config.realizations):
-        try:
-            true_cal, root = _point_streams(config, realization, point_index)
-        except DegenerateCalibrationError:
-            continue
+        intensities, root = _point_streams(config, realization, point_index)
         draws, split = _child_seed(root, 1), _child_seed(root, 2)
         rows = _point_rows(config, pops)
-        _, checkpoints = read_records(true_cal.intensities, rows, config.shots, draws, split, config.checkpoint_every)
+        _, checkpoints = read_records(intensities, rows, config.shots, draws, split, config.checkpoint_every)
         for k in range(num_checkpoints):
             try:
-                table = true_cal if config.exact_calibration else CalibrationTable(checkpoints[:size, k])
+                table = CalibrationTable(intensities if config.exact_calibration else checkpoints[:size, k])
                 estimate = reconstruct(table, checkpoints[size:, k])
             except DegenerateCalibrationError:
                 continue
@@ -559,8 +600,8 @@ def test_convergence_profile_matches_per_checkpoint_oracle(noise, exact):
         assert 0 < profile.checkpoints_invalid < norm_runs.size
 
 
-@pytest.mark.parametrize("realizations, point_index, calls", [(3, 0, 3), (4, 4, 3)], ids=["valid", "one-all-dark"])
-def test_convergence_reconstructs_once_per_valid_realization(monkeypatch, realizations, point_index, calls):
+@pytest.mark.parametrize("realizations, point_index", [(3, 0), (4, 4)], ids=["valid", "one-all-dark"])
+def test_convergence_reconstructs_once_per_realization(monkeypatch, realizations, point_index):
     # at master seed 1 the perturbed table of point 4, realization 3 is all dark (see above)
     seen = []
 
@@ -574,7 +615,8 @@ def test_convergence_reconstructs_once_per_valid_realization(monkeypatch, realiz
         noise=NoiseConfig(calibration_sigma=3.0),
     )
     convergence_profile(cfg, POINT, point_index=point_index)
-    assert len(seen) == calls  # one stacked call per valid realization, not one per checkpoint
+    # one stacked call per realization, all-dark included, not one per checkpoint
+    assert len(seen) == realizations
     assert all(means.shape == (20, 4) for _, means in seen)
 
 
@@ -851,14 +893,15 @@ def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
     for trial in range(3):
         p = 1 + trial % 2
         params = QaoaParams(tuple(rng.uniform(0, math.pi, p)), tuple(rng.uniform(0, 2 * math.pi, p)))
-        true_cal, root = _point_streams(cfg, trial, trial)
+        intensities, root = _point_streams(cfg, trial, trial)
         draws, split = _child_seed(root, 1), _child_seed(root, 2)
         pops = _sampled_state_pops(cfg, params, diag)
         fed.clear()
-        _, means, checkpoints = _read_point(cfg, _point_rows(cfg, pops), trial, trial, checkpoints=True)
+        means = np.concatenate(_read_point(cfg, _point_rows(cfg, pops), trial, trial))
+        assert len(fed) == 1  # every record of the point in one draw
+        checkpoints = np.hstack(_read_point(cfg, _point_rows(cfg, pops), trial, trial, checkpoints=True)).T
         ansatz = build_ansatz(graph, params)
         circuits = subcircuits(graph, params)
-        assert len(fed) == 1  # every record of the point in one draw
         if stochastic:
             oracle_rows = fed[0]
             oracle = [density_matrix_populations(c, noise) for c in circuits]
@@ -868,7 +911,7 @@ def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
             rows = [populations(simulate(c) if noise is None else simulate_noisy(c, noise)) for c in circuits]
             oracle_rows = check_rows(rows, 1 << n)
             oracle_pops = populations(simulate_noisy(ansatz, noise or NoiseConfig()))
-        oracle_means, oracle_checkpoints = read_records(true_cal.intensities, oracle_rows, cfg.shots, draws, split, 1000)
+        oracle_means, oracle_checkpoints = read_records(intensities, oracle_rows, cfg.shots, draws, split, 1000)
         np.testing.assert_array_equal(means, oracle_means)
         np.testing.assert_array_equal(checkpoints, oracle_checkpoints)
         assert checkpoints.shape == (2 << n, 2)
@@ -961,7 +1004,7 @@ def test_measure_point_simulates_one_noiseless_state(monkeypatch, noise, calls):
 
 def test_point_streams_are_three_children_of_the_point_seed():
     cfg = sampled_config(noise=NoiseConfig(calibration_sigma=0.1), master_seed=9)
-    true_cal, root = _point_streams(cfg, 2, 5)
+    intensities, root = _point_streams(cfg, 2, 5)
     children = np.random.SeedSequence(9, spawn_key=(5, 2)).spawn(3)
     for k, want in enumerate(children):
         got = _child_seed(root, k)
@@ -969,4 +1012,4 @@ def test_point_streams_are_three_children_of_the_point_seed():
         np.testing.assert_array_equal(got.generate_state(4), want.generate_state(4))
     assert root.n_children_spawned == 0
     # child 0 perturbs the table exactly as before the draws were batched
-    np.testing.assert_array_equal(true_cal.intensities, perturb_calibration(CAL, 0.1, children[0]).intensities)
+    np.testing.assert_array_equal(intensities, perturb_calibration(CAL.intensities, 0.1, children[0]))

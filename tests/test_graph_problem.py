@@ -6,7 +6,6 @@ from nvqaoa.graph_problem import (
     Graph,
     brute_force,
     cost,
-    cost_spin,
     cut_value,
     diagonal_costs,
     load_graph,
@@ -44,18 +43,6 @@ def test_bit_sequence_inputs_match_strings():
     g = k3()
     assert cut_value(g, [0, 1, 1]) == cut_value(g, "011")
     assert cut_value(g, np.array([1, 0, 1])) == cut_value(g, "101")
-
-
-def test_cost_spin_matches_bit_cost():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        n = int(rng.integers(1, 6))
-        weights = np.triu(rng.uniform(0.0, 3.0, size=(n, n)), k=1)
-        g = Graph(n, weights + weights.T)
-        for k in range(1 << n):
-            bits = [(k >> (n - 1 - q)) & 1 for q in range(n)]
-            spins = [1 - 2 * b for b in bits]
-            assert cost_spin(g, spins) == pytest.approx(cost(g, bits), abs=1e-12)
 
 
 def test_global_flip_invariance():
@@ -161,13 +148,6 @@ def test_from_edges_validation():
 def test_bitstring_length_mismatch():
     with pytest.raises(ValueError):
         cut_value(k2(), "011")
-    with pytest.raises(ValueError):
-        cost_spin(k2(), [1, -1, 1])
-
-
-def test_spin_domain_checked():
-    with pytest.raises(ValueError):
-        cost_spin(k2(), [1, 0])
 
 
 def test_enum_capacity_guard():

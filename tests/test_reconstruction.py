@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nvqaoa._bitstrings import all_bitstrings, parity_signs
+from nvqaoa._bitstrings import all_bitstrings
 from nvqaoa.circuits import QaoaParams, append_flips, build_ansatz
 from nvqaoa.graph_problem import Graph
 from nvqaoa.noise import NoiseConfig, density_populations
@@ -13,7 +13,7 @@ from nvqaoa.reconstruction import (
     reconstruct,
     walsh_coefficients,
 )
-from oracles import calibration_circuits
+from oracles import calibration_circuits, parity_signs
 
 CAL = default_calibration()
 
