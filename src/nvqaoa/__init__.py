@@ -10,7 +10,9 @@ __version__ = "0.5.0"
 
 from .graph_problem import Graph, CutReport, brute_force, cost, cut_value, diagonal_costs, load_graph
 from .statevector import Gate, StateVector, apply_gate, init_zero, populations, expectation_diagonal, fidelity
-from .circuits import Circuit, QaoaParams, build_ansatz, build_ansatz_native, append_flips, simulate, simulate_qaoa
+from .circuits import (
+    Circuit, QaoaParams, append_flips, build_ansatz, build_ansatz_native, qaoa_amplitudes, simulate, simulate_qaoa
+)
 from .readout import CalibrationTable, check_rows, default_calibration, read_records
 from .reconstruction import (
     DegenerateCalibrationError,

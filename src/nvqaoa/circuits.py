@@ -6,19 +6,18 @@ starting from the uniform superposition. A second builder expands each RZZ
 into the native CNOT - RZ - CNOT sequence; the two must agree up to global
 phase, which is one of the library's standing self-checks.
 
-``simulate_qaoa`` produces the ansatz state without building a circuit: one
-multiply by the cost-diagonal phase and n in-place RX butterflies per layer.
-It folds in the deterministic noise channels (overrotation and phase offset),
-so it makes every deterministic ansatz state of a scan, exact or sampled. The
-gate-level ``simulate(build_ansatz(...))`` and
+``qaoa_amplitudes`` makes a stack of ansatz states without building a circuit:
+per layer, one multiply by the cost-diagonal phase and n in-place RX
+butterflies, each row with its own angles. It folds in overrotation and phase
+offset, so it makes every deterministic ansatz state of a scan, exact or
+sampled; ``simulate_qaoa`` is its one-row case. The gate-level ``simulate(build_ansatz(...))`` and
 ``noise.simulate_noisy(build_ansatz(...))`` stay as its reference. A
 depolarizing channel leaves a mixed state, which a sampled scan reads from
-``noise.density_populations(build_ansatz(...))`` instead.
+``noise.density_populations(build_ansatz(...))`` instead, point by point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,47 +114,58 @@ def simulate(circuit: Circuit) -> StateVector:
     return state
 
 
-def simulate_qaoa(
-    costs: np.ndarray, params: QaoaParams, noise: NoiseConfig | None = None, num_edges: int | None = None
-) -> StateVector:
-    """Ansatz state from the cost diagonal ``costs = diagonal_costs(graph)``.
+def qaoa_amplitudes(
+    costs: np.ndarray, betas, gammas, noise: NoiseConfig | None = None, num_edges: int | None = None
+) -> np.ndarray:
+    """Ansatz amplitudes ``(points, 2^n)`` at ``(points, p)`` angle stacks, from ``costs = diagonal_costs(graph)``.
 
     Starting from the uniform amplitude 2^(-n/2), each layer multiplies by
     exp(-i gamma C), which is the product of the edge RZZ(gamma w) gates up to
     the global phase e^(-i gamma W / 2) (W the total edge weight), then applies
-    RX(2 beta) to every qubit in place. Agrees with
-    ``simulate(build_ansatz(graph, params))`` up to global phase.
+    RX(2 beta) to every qubit in place. Row k equals the one-row call on row k
+    bit for bit, and agrees with ``simulate(build_ansatz(graph, params))`` up
+    to global phase at ``params = QaoaParams(betas[k], gammas[k])``.
 
     ``noise`` folds in the deterministic channels, matching
     ``simulate_noisy(build_ansatz(graph, params), noise)`` up to global phase:
     overrotation scales every beta and gamma by 1 + frac, and the RZ(offset) on
     qubit 0 after each of the ``num_edges = len(graph.edges())`` RZZ gates of a
-    layer becomes one diagonal RZ(num_edges * offset) next to the cost phase. A
-    phase offset without ``num_edges`` and a depolarizing channel raise
-    ValueError.
+    layer becomes one diagonal RZ(num_edges * offset) next to the cost phase.
+    Unequal, empty or non-finite angle stacks, a phase offset without
+    ``num_edges`` and a depolarizing channel raise ValueError.
     """
     costs = np.asarray(costs, dtype=float)
     size = costs.size
     if costs.ndim != 1 or size < 2 or size & (size - 1):
         raise ValueError(f"cost diagonal must have a power-of-two length >= 2, got shape {costs.shape}")
+    betas, gammas = np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float)
+    if betas.ndim != 2 or betas.shape != gammas.shape or not betas.size or not np.isfinite([betas, gammas]).all():
+        raise ValueError(f"angles must be finite, nonempty (points, p) stacks, got {betas.shape} and {gammas.shape}")
     scale, offset = 1.0, 0.0
     if noise is not None:
         if noise.is_stochastic:
-            raise ValueError("simulate_qaoa takes only deterministic noise; depolarizing needs density_populations")
+            raise ValueError("qaoa_amplitudes takes only deterministic noise; depolarizing needs density_populations")
         if noise.phase_offset != 0.0 and num_edges is None:
             raise ValueError("a phase offset needs num_edges, the number of two-qubit gates per layer")
         scale, offset = 1.0 + noise.overrotation_frac, noise.phase_offset * (num_edges or 0)
     # RZ on qubit 0, the most significant bit of the index: one phase per half
     offset_phases = np.diagonal(rz_matrix(offset))[:, None]
     n = size.bit_length() - 1
-    amps = np.full(size, 2.0 ** (-0.5 * n), dtype=complex)
-    for beta, gamma in zip(params.betas, params.gammas):
-        beta, gamma = scale * beta, scale * gamma
-        amps *= np.exp(-1j * gamma * costs)
+    amps = np.full((betas.shape[0], size), 2.0 ** (-0.5 * n), dtype=complex)
+    for beta, gamma in zip((scale * betas).T, (scale * gammas).T):
+        amps *= np.exp(-1j * gamma[:, None] * costs)
         if offset:
-            halves = amps.reshape(2, -1)
+            halves = amps.reshape(-1, 2, size >> 1)
             halves *= offset_phases
-        cos, minus_i_sin = math.cos(beta), -1j * math.sin(beta)
-        mixer = ((cos, minus_i_sin), (minus_i_sin, cos))  # RX(2 beta)
-        butterfly(amps, mixer, range(n))
-    return StateVector(n, amps)
+        beta = beta[:, None, None]  # one RX(2 beta) per row, shaped as butterfly takes it
+        cos, minus_i_sin = np.cos(beta), -1j * np.sin(beta)
+        butterfly(amps, ((cos, minus_i_sin), (minus_i_sin, cos)), range(n))
+    return amps
+
+
+def simulate_qaoa(
+    costs: np.ndarray, params: QaoaParams, noise: NoiseConfig | None = None, num_edges: int | None = None
+) -> StateVector:
+    """The ansatz state of ``params``: the one-row case of ``qaoa_amplitudes``."""
+    amps = qaoa_amplitudes(costs, [params.betas], [params.gammas], noise, num_edges)[0]
+    return StateVector(amps.size.bit_length() - 1, amps)

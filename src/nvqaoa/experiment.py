@@ -8,8 +8,8 @@ taken with the same shot budget, reconstructs populations, and scores them
 against the diagonal cost.
 
 Every deterministic ansatz state comes from the QAOA-structured simulator
-``simulate_qaoa`` on the cost diagonal: the exact state of ideal points and of
-``F_ideal``, and, with overrotation and phase offset folded in, the state a
+``qaoa_amplitudes`` on the cost diagonal: the exact state of ideal points and
+of ``F_ideal``, and, with overrotation and phase offset folded in, the state a
 sampled point reads without a stochastic channel (without either channel it is
 the ``F_ideal`` state itself). Under depolarizing noise a point reads the
 exact channel-averaged populations of the ansatz instead
@@ -24,14 +24,14 @@ Depolarizing scans are capped at ``MAX_DEPOLARIZING_VERTICES``, since rho has
 4^n entries.
 
 A sampled ``run_scan`` reads the grid in chunks of consecutive points, each
-chunk's batch arrays bounded by ``_CHUNK_ENTRIES`` floats. For a chunk it
-makes each point's populations once, builds the rows of every point as one
-``(points, 2^(n+1), 2^n)`` stack and checks them once
+chunk's batch arrays bounded by ``_CHUNK_ENTRIES`` floats. A chunk simulates
+its points' states in stacked ``qaoa_amplitudes`` calls (``_point_states``),
+builds their rows as one ``(points, 2^(n+1), 2^n)`` stack and checks them once
 (``readout.check_rows``). Each (point, realization) then makes only its draws,
 in index order, and one stacked ``reconstruct`` call inverts every
-realization of the chunk. ``measure_point`` and ``convergence_profile`` read
-one point through the same row builder and draws, so a grid cell equals
-``measure_point`` bit for bit. Every path inverts the same pair
+realization of the chunk. ``measure_point``, ``optimize`` and
+``convergence_profile`` read one point as a stack of one, so a grid cell
+equals ``measure_point`` bit for bit. Every path inverts the same pair
 (``_read_point``): a calibration row and the flip means. An all-dark perturbed
 table is drawn like any other, and ``reconstruct`` alone judges a table.
 
@@ -40,7 +40,7 @@ substreams from ``SeedSequence(master_seed, spawn_key=(point_index,
 realization_index))``, so results are independent of evaluation order. Its
 children 0, 1 and 2 perturb the calibration, draw the records and split them
 into checkpoint blocks (``convergence_profile`` only), so the final checkpoint
-equals ``measure_point`` bit for bit.
+equals ``measure_point`` bit for bit. ``_point_streams`` builds each child directly.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from ._format10g import write_rows
 from .circuits import (
     QaoaParams,
     build_ansatz,
+    qaoa_amplitudes,
     # unused here: perfbench's test_tracer_wraps_every_binding_and_restores_them
     # checks that the tracer wraps this binding
     simulate,
@@ -269,9 +270,9 @@ def run_scan(config: ScanConfig) -> LandscapeGrid:
 
     Ideal mode ignores shot settings and collapses to one exact evaluation per
     point. Sampled mode reads the grid in chunks of consecutive points
-    (``_chunk_points``): a chunk's record rows are built and checked once, each
-    (point, realization) then makes only its own draws, and one stacked
-    ``reconstruct`` call inverts the whole chunk (``_read_chunk``).
+    (``_chunk_points``): a chunk's states are simulated and its record rows
+    built and checked once, each (point, realization) then makes only its own
+    draws, and one stacked ``reconstruct`` call inverts it (``_read_chunk``).
     """
     _check_scan_entries(config)
     betas, gammas = config.betas(), config.gammas()
@@ -281,13 +282,10 @@ def run_scan(config: ScanConfig) -> LandscapeGrid:
     F_measured, norm, F_ideal = np.empty(shape), np.empty(shape), np.empty(shape[:2])
     pops = np.empty(shape + diag.shape)
     grid = LandscapeGrid(betas, gammas, F_measured, norm, pops, F_ideal, float(diag.max() - diag.min()))
-
-    def params(bi: int, gi: int) -> QaoaParams:
-        return QaoaParams((float(betas[bi]),) * config.p, (float(gammas[gi]),) * config.p)
-
     if config.mode == "ideal":
         for bi, gi in np.ndindex(shape[:2]):
-            pops[bi, gi, 0], F_ideal[bi, gi] = _ideal_point(diag, params(bi, gi))
+            params = QaoaParams((float(betas[bi]),) * config.p, (float(gammas[gi]),) * config.p)
+            pops[bi, gi, 0], F_ideal[bi, gi] = _ideal_point(diag, params)
             F_measured[bi, gi, 0], norm[bi, gi, 0] = F_ideal[bi, gi], pops[bi, gi, 0].sum()
         return grid
     # [point, realization(, basis state)] views; a point's grid index is bi * gammas.size + gi
@@ -296,9 +294,11 @@ def run_scan(config: ScanConfig) -> LandscapeGrid:
     step = _chunk_points(diag.size, realizations)
     for start in range(0, F_rows.shape[0], step):
         stop = min(start + step, F_rows.shape[0])
-        states = [_point_state(config, params(*divmod(k, gammas.size)), diag) for k in range(start, stop)]
-        F_ideal.flat[start:stop] = [F for F, _ in states]
-        estimate = _read_chunk(config, np.array([reads for _, reads in states]), start)
+        bi, gi = np.divmod(np.arange(start, stop), gammas.size)
+        # (points, p) angle stacks: every layer shares its point's (beta, gamma)
+        point_betas, point_gammas = betas[bi, None].repeat(config.p, 1), gammas[gi, None].repeat(config.p, 1)
+        F_ideal.flat[start:stop], reads = _point_states(config, diag, point_betas, point_gammas)
+        estimate = _read_chunk(config, reads, start)
         pops_rows[start:stop], norm_rows[start:stop] = estimate.pops, estimate.norm
         # row by row, so each cost equals measure_point's np.dot bit for bit
         F_rows[start:stop] = [[np.dot(row, diag) for row in point] for point in estimate.pops]
@@ -452,7 +452,8 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     num_checkpoints = config.shots // config.checkpoint_every
     pops_runs = np.empty((config.realizations, num_checkpoints, size))
     norm_runs = np.empty((config.realizations, num_checkpoints))
-    rows = _point_rows(config, _sampled_state_pops(config, params, diagonal_costs(config.graph)))
+    reads = _sampled_state_pops(config, diagonal_costs(config.graph), [params.betas], [params.gammas])
+    rows = _point_rows(config, reads[0])
     for realization in range(config.realizations):
         table, flips = _read_point(config, rows, realization, point_index, checkpoints=True)
         # an exact table is one row, shared by every checkpoint
@@ -592,10 +593,11 @@ def _ideal_point(diag: np.ndarray, params: QaoaParams) -> tuple[np.ndarray, floa
     return pops, float(np.dot(pops, diag))
 
 
-def _point_state(config: ScanConfig, params: QaoaParams, diag: np.ndarray) -> tuple[float, np.ndarray]:
-    """``F_ideal`` and the populations a sampled point reads (``_sampled_state_pops``)."""
-    ideal_pops, F_ideal = _ideal_point(diag, params)
-    return F_ideal, _sampled_state_pops(config, params, diag, ideal_pops)
+def _point_states(config: ScanConfig, diag: np.ndarray, betas, gammas) -> tuple[list[float], np.ndarray]:
+    """``F_ideal`` and the populations read (``_sampled_state_pops``) at ``(points, p)`` angle stacks."""
+    ideal = populations(qaoa_amplitudes(diag, betas, gammas))
+    # row by row, so each cost equals _ideal_point's np.dot bit for bit
+    return [float(np.dot(row, diag)) for row in ideal], _sampled_state_pops(config, diag, betas, gammas, ideal)
 
 
 def _realization_stats(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -615,28 +617,27 @@ def _realization_stats(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.nd
     return mean, np.sqrt(std)
 
 
-def _point_streams(config: ScanConfig, realization_index: int, point_index: int):
-    """True intensities (possibly perturbed) and the root substream of a point.
+def _point_streams(config: ScanConfig, realization_index: int, point_index: int, checkpoints: bool = False):
+    """True intensities (possibly perturbed), and the draw and, given ``checkpoints``, split substreams of a point.
 
-    Children 0, 1 and 2 of the root, SeedSequence(master_seed,
-    spawn_key=(point_index, realization_index)), perturb the table, draw the
-    records and split them into checkpoint blocks.
+    Children 0, 1 and 2 of SeedSequence(master_seed, spawn_key=(point_index,
+    realization_index)) perturb the table, draw the records and split them into
+    checkpoint blocks. Child k is SeedSequence(master_seed,
+    spawn_key=(point_index, realization_index, k)), which is what ``spawn`` makes.
     """
-    root = np.random.SeedSequence(config.master_seed, spawn_key=(point_index, realization_index))
+
+    def child(k: int) -> np.random.SeedSequence:
+        return np.random.SeedSequence(config.master_seed, spawn_key=(point_index, realization_index, k))
+
     intensities = config.calibration.intensities
     if config.noise is not None and config.noise.calibration_sigma > 0.0:
-        intensities = perturb_calibration(intensities, config.noise.calibration_sigma, _child_seed(root, 0))
-    return intensities, root
-
-
-def _child_seed(root: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
-    """Child k of ``root``, as ``root.spawn`` would make it on a fresh sequence, without changing ``root``."""
-    return np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (k,), pool_size=root.pool_size)
+        intensities = perturb_calibration(intensities, config.noise.calibration_sigma, child(0))
+    return intensities, child(1), child(2) if checkpoints else None
 
 
 def _measure_point(config: ScanConfig, diag: np.ndarray, params: QaoaParams, realization_index: int, point_index: int):
     """``measure_point`` given the cost diagonal of ``config.graph``."""
-    F_ideal, reads = _point_state(config, params, diag)
+    (F_ideal,), (reads,) = _point_states(config, diag, [params.betas], [params.gammas])
     table, flips = _read_point(config, _point_rows(config, reads), realization_index, point_index)
     try:
         estimate = reconstruct(table, flips)
@@ -648,8 +649,9 @@ def _measure_point(config: ScanConfig, diag: np.ndarray, params: QaoaParams, rea
 def _chunk_points(size: int, realizations: int) -> int:
     """Points per sampled-scan chunk, at least one.
 
-    The chunk's record rows, (points, 2 size, size), and reconstruction stack,
-    (2, points, realizations, size), each fit ``_CHUNK_ENTRIES`` floats.
+    The chunk's record rows, (points, 2 size, size), reconstruction stack,
+    (2, points, realizations, size), and complex state stack, (points, size),
+    each fit ``_CHUNK_ENTRIES`` floats.
     """
     return max(1, _CHUNK_ENTRIES // (2 * size * max(size, realizations)))
 
@@ -707,26 +709,26 @@ def _read_point(config: ScanConfig, rows: np.ndarray, realization_index: int, po
     true, possibly perturbed, intensities ``(2^n,)`` under
     ``exact_calibration`` and the basis preparations' means otherwise.
     """
-    intensities, root = _point_streams(config, realization_index, point_index)
-    split = _child_seed(root, 2) if checkpoints else None
-    means, blocks = read_records(intensities, rows, config.shots, _child_seed(root, 1), split, config.checkpoint_every)
+    intensities, draws, split = _point_streams(config, realization_index, point_index, checkpoints)
+    means, blocks = read_records(intensities, rows, config.shots, draws, split, config.checkpoint_every)
     if checkpoints:
         means = blocks.T
     size = rows.shape[-1]
     return (intensities if config.exact_calibration else means[..., :size]), means[..., size:]
 
 
-def _sampled_state_pops(config: ScanConfig, params: QaoaParams, diag: np.ndarray, ideal_pops=None):
-    """Populations of the ansatz state a point reads, every noise channel included.
+def _sampled_state_pops(config: ScanConfig, diag: np.ndarray, betas, gammas, ideal_pops=None) -> np.ndarray:
+    """Populations ``(points, 2^n)`` read at ``(points, p)`` angle stacks, every noise channel included.
 
     Under a depolarizing channel these are the exact channel-averaged
-    populations. Otherwise they are ``ideal_pops`` when given and neither
-    overrotation nor phase offset is set.
+    populations, point by point. Otherwise they are ``ideal_pops`` when given
+    and neither overrotation nor phase offset is set.
     """
     noise = config.noise
     if noise is not None and noise.is_stochastic:
-        return density_populations(build_ansatz(config.graph, params), noise)
+        circuits = (build_ansatz(config.graph, QaoaParams(b, g)) for b, g in zip(betas, gammas))
+        return np.array([density_populations(circuit, noise) for circuit in circuits])
     if ideal_pops is not None and (noise is None or not (noise.overrotation_frac or noise.phase_offset)):
         return ideal_pops
-    return populations(simulate_qaoa(diag, params, noise, len(config.graph.edges())))
+    return populations(qaoa_amplitudes(diag, betas, gammas, noise, len(config.graph.edges())))
 

@@ -12,7 +12,7 @@ Three gate-level knobs plus one readout knob:
 * ``calibration_sigma``: relative Gaussian jitter on the readout intensities.
 
 The two deterministic channels, overrotation and phase offset, also fold into
-``circuits.simulate_qaoa``, which makes the ansatz state of a scan without a
+``circuits.qaoa_amplitudes``, which makes the ansatz state of a scan without a
 stochastic channel; ``simulate_noisy`` runs them gate by gate and is its
 reference. Every shot is a fresh run of the circuit with its own Pauli errors,
 so one shot's basis state has the law diag(rho) of the channel-averaged

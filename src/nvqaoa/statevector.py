@@ -151,7 +151,10 @@ def apply_matrix(state: StateVector, matrix: np.ndarray, targets: tuple[int, ...
 
 
 def butterfly(amps: np.ndarray, matrix, qubits) -> None:
-    """Apply a 2x2 ``matrix`` (array or nested pairs) to each of ``qubits`` of a flat array, in place.
+    """Apply a 2x2 ``matrix`` (array or nested pairs) to each of ``qubits`` of ``amps``, in place.
+
+    ``amps`` is one flat register or a ``(rows, 2^n)`` stack of them. For a
+    stack an entry may be a ``(rows, 1, 1)`` array, one value per row.
 
     The loop is in here so that one qubit's temporaries are still held while
     the next qubit's are allocated. A call per qubit freed them on every
@@ -160,9 +163,9 @@ def butterfly(amps: np.ndarray, matrix, qubits) -> None:
     """
     (a, b), (c, d) = matrix
     for q in qubits:
-        # axis 1 is qubit q: qubit 0 is the most significant bit of the index
-        pair = amps.reshape(1 << q, 2, -1)
-        lo, hi = pair[:, 0], pair[:, 1]
+        # axis -2 is qubit q: qubit 0 is the most significant bit of the index
+        pair = amps.reshape(amps.shape[:-1] + (1 << q, 2, -1))
+        lo, hi = pair[..., 0, :], pair[..., 1, :]
         new_lo = a * lo + b * hi
         hi *= d
         hi += c * lo
@@ -173,10 +176,10 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return apply_matrix(state, gate_matrix(gate), gate.targets)
 
 
-def populations(state: StateVector) -> np.ndarray:
-    """Basis-state probabilities |amplitude|^2 (not renormalized)."""
-    amps = state.amplitudes
-    return (amps.real**2 + amps.imag**2).astype(float)
+def populations(state: StateVector | np.ndarray) -> np.ndarray:
+    """Basis-state probabilities |amplitude|^2 (not renormalized) of a state or an array of amplitudes."""
+    amps = state.amplitudes if isinstance(state, StateVector) else state
+    return amps.real**2 + amps.imag**2
 
 
 def expectation_diagonal(state: StateVector, diagonal: np.ndarray) -> float:

@@ -5,10 +5,12 @@ density matrices (small n only), written out independently of
 ``noise.density_populations``. ``calibration_circuits`` builds the gate-level
 basis preparations a scan reads as delta rows, and ``draw_shot_counts`` reads
 populations one shot at a time, the slow path of ``readout.read_records``.
-``measure_point_per_point`` is one sampled grid cell read on its own, rows
-built, checked, drawn and reconstructed for that point alone: the slow path of
-``experiment.run_scan``'s chunks, which build and check a chunk's rows at once
-and invert it in one stacked call.
+``measure_point_per_point`` is one sampled grid cell read on its own: its
+state simulated, its rows built, checked, drawn and reconstructed for that
+point alone, on seeds spawned from the point's SeedSequence. It is the slow
+path of ``experiment.run_scan``'s chunks, which simulate a chunk's states in
+one stacked call, build and check its rows at once and invert it in one
+stacked call.
 ``parity_signs`` is the dense character table that ``reconstruction.fwht``
 applies in place.
 ``landscape_csv_text``, ``convergence_csv_text`` and ``trace_csv_text`` are the
@@ -21,12 +23,13 @@ import math
 import numpy as np
 
 from nvqaoa._bitstrings import all_bitstrings
-from nvqaoa.circuits import Circuit, append_flips
-from nvqaoa.experiment import CSV_HEADER, _child_seed, _point_state, _point_streams
+from nvqaoa.circuits import Circuit, append_flips, build_ansatz, simulate_qaoa
+from nvqaoa.experiment import CSV_HEADER
 from nvqaoa.graph_problem import diagonal_costs
+from nvqaoa.noise import density_populations, perturb_calibration
 from nvqaoa.readout import CalibrationTable, check_rows, read_records
 from nvqaoa.reconstruction import DegenerateCalibrationError, reconstruct
-from nvqaoa.statevector import ROTATION_KINDS, Gate, gate_matrix, rz_matrix
+from nvqaoa.statevector import ROTATION_KINDS, Gate, gate_matrix, populations, rz_matrix
 
 PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -92,16 +95,24 @@ def measure_point_per_point(config, params, realization_index=0, point_index=0):
     """``(pops, norm, F_measured, F_ideal)`` of one sampled grid cell, NaN for a degenerate table."""
     diag = diagonal_costs(config.graph)
     size = diag.size
-    F_ideal, pops = _point_state(config, params, diag)
-    intensities, root = _point_streams(config, realization_index, point_index)
+    noise = config.noise
+    F_ideal = float(np.dot(populations(simulate_qaoa(diag, params)), diag))
+    if noise is not None and noise.is_stochastic:
+        pops = density_populations(build_ansatz(config.graph, params), noise)
+    else:
+        pops = populations(simulate_qaoa(diag, params, noise, len(config.graph.edges())))
+    perturb, draws, _ = np.random.SeedSequence(config.master_seed, spawn_key=(point_index, realization_index)).spawn(3)
+    intensities = config.calibration.intensities
+    if noise is not None and noise.calibration_sigma > 0.0:
+        intensities = perturb_calibration(intensities, noise.calibration_sigma, perturb)
     idx = np.arange(size)
     rows = np.concatenate([np.eye(size), pops[idx ^ idx[:, None]]])
-    undo = 2.0 * config.noise.depolarizing_prob / 3.0 if config.noise is not None else 0.0
+    undo = 2.0 * noise.depolarizing_prob / 3.0 if noise is not None else 0.0
     if undo:
         for bit in (1 << np.arange(size.bit_length() - 1)).tolist():
             pairs = rows.reshape(-1, 2, bit, size)
             pairs[:, 1] = (1.0 - undo) * pairs[:, 1] + undo * pairs[:, 0]
-    means, _ = read_records(intensities, check_rows(rows, size), config.shots, _child_seed(root, 1))
+    means, _ = read_records(intensities, check_rows(rows, size), config.shots, draws)
     try:
         # an all-dark table is rejected by CalibrationTable before reconstruct sees it
         table = CalibrationTable(intensities if config.exact_calibration else means[:size])

@@ -10,6 +10,7 @@ from nvqaoa.circuits import (
     append_flips,
     build_ansatz,
     build_ansatz_native,
+    qaoa_amplitudes,
     simulate,
     simulate_qaoa,
 )
@@ -213,6 +214,36 @@ def test_structured_simulator_matches_gate_level_oracle(n, p):
                 np.testing.assert_allclose(populations(folded), populations(oracle), rtol=0, atol=1e-12)
             with pytest.raises(ValueError, match="depolarizing"):
                 simulate_qaoa(costs, params, NoiseConfig(depolarizing_prob=0.01), num_edges)
+
+
+@pytest.mark.parametrize("noise", DETERMINISTIC_NOISE, ids=["noiseless", "positive", "negative"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_stacked_kernel_rows_equal_one_row_calls(n, p, noise):
+    # every row of a (points, p) stack is the one-row simulate_qaoa of its angles bit for bit,
+    # and the gate-level state up to global phase
+    rng = np.random.default_rng(100 * n + p)
+    graph = random_weighted_graph(rng, n)
+    costs, num_edges = diagonal_costs(graph), len(graph.edges())
+    betas, gammas = rng.uniform(-math.pi, math.pi, (2, 7, p))
+    stack = qaoa_amplitudes(costs, betas, gammas, noise, num_edges)
+    assert stack.shape == (7, 1 << n)
+    for row, beta, gamma in zip(stack, betas, gammas):
+        params = QaoaParams(tuple(beta), tuple(gamma))
+        np.testing.assert_array_equal(row, simulate_qaoa(costs, params, noise, num_edges).amplitudes)
+        oracle = simulate_noisy(build_ansatz(graph, params), noise or NoiseConfig()).amplitudes
+        overlap = np.vdot(row, oracle)
+        np.testing.assert_allclose(oracle, overlap / abs(overlap) * row, rtol=0, atol=1e-12)
+
+
+def test_stacked_kernel_rejects_mismatched_or_empty_angles():
+    costs = diagonal_costs(K2)
+    shapes = [((3, 1), (2, 1)), ((3, 2), (3, 1)), ((0, 1), (0, 1)), ((2, 0), (2, 0)), ((3,), (3,)), ((1, 1, 1), (1, 1, 1))]
+    for beta_shape, gamma_shape in shapes:
+        with pytest.raises(ValueError, match="stacks"):
+            qaoa_amplitudes(costs, np.zeros(beta_shape), np.zeros(gamma_shape))
+    with pytest.raises(ValueError, match="finite"):
+        qaoa_amplitudes(costs, [[0.1, math.nan]], [[0.2, 0.3]])
 
 
 def test_structured_simulator_k2_closed_form():

@@ -14,8 +14,8 @@ from nvqaoa.circuits import (
     QaoaParams,
     append_flips,
     build_ansatz,
+    qaoa_amplitudes,
     simulate,
-    simulate_qaoa,
 )
 from nvqaoa.experiment import (
     DEFAULT_BETA_RANGE,
@@ -42,7 +42,6 @@ from nvqaoa.experiment import (
     write_landscape_csv,
     write_trace_csv,
     _check_scan_entries,
-    _child_seed,
     _chunk_points,
     _point_rows,
     _point_streams,
@@ -302,6 +301,9 @@ GRID_CASES = {
     "ring4-overrotation": dict(
         graph=ring(4), calibration=random_table(4, 3), noise=NoiseConfig(overrotation_frac=0.07, phase_offset=-0.2)
     ),
+    "ring4-p2-overrotation": dict(
+        graph=ring(4), calibration=random_table(4, 7), p=2, noise=NoiseConfig(overrotation_frac=-0.04, phase_offset=0.3)
+    ),
     "k2-depolarizing": dict(realizations=3, noise=NoiseConfig(depolarizing_prob=0.05, overrotation_frac=0.05)),
     "ring4-depolarizing-exact": dict(
         graph=ring(4), calibration=random_table(4, 4), exact_calibration=True,
@@ -336,7 +338,7 @@ def test_single_point_grid_equals_measure_point(case):
     cells = list(itertools.product(range(grid.betas.size), range(grid.gammas.size), range(cfg.realizations)))
     assert grid.F_measured.shape == (grid.betas.size, grid.gammas.size, cfg.realizations)
     for bi, gi, r in cells:
-        params = QaoaParams.single(float(grid.betas[bi]), float(grid.gammas[gi]))
+        params = QaoaParams((float(grid.betas[bi]),) * cfg.p, (float(grid.gammas[gi]),) * cfg.p)
         direct = measure_point(cfg, params, r, point_index=bi * grid.gammas.size + gi)
         oracle = measure_point_per_point(cfg, params, r, bi * grid.gammas.size + gi)
         for got in ((direct.pops, direct.norm, direct.F_measured, direct.F_ideal), oracle):
@@ -564,10 +566,9 @@ def per_checkpoint_runs(config, params, point_index=0):
     num_checkpoints = config.shots // config.checkpoint_every
     pops_runs = np.full((config.realizations, num_checkpoints, size), math.nan)
     norm_runs = np.full((config.realizations, num_checkpoints), math.nan)
-    pops = _sampled_state_pops(config, params, diagonal_costs(config.graph))
+    (pops,) = _sampled_state_pops(config, diagonal_costs(config.graph), [params.betas], [params.gammas])
     for realization in range(config.realizations):
-        intensities, root = _point_streams(config, realization, point_index)
-        draws, split = _child_seed(root, 1), _child_seed(root, 2)
+        intensities, draws, split = _point_streams(config, realization, point_index, checkpoints=True)
         rows = _point_rows(config, pops)
         _, checkpoints = read_records(intensities, rows, config.shots, draws, split, config.checkpoint_every)
         for k in range(num_checkpoints):
@@ -893,9 +894,8 @@ def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
     for trial in range(3):
         p = 1 + trial % 2
         params = QaoaParams(tuple(rng.uniform(0, math.pi, p)), tuple(rng.uniform(0, 2 * math.pi, p)))
-        intensities, root = _point_streams(cfg, trial, trial)
-        draws, split = _child_seed(root, 1), _child_seed(root, 2)
-        pops = _sampled_state_pops(cfg, params, diag)
+        intensities, draws, split = _point_streams(cfg, trial, trial, checkpoints=True)
+        (pops,) = _sampled_state_pops(cfg, diag, [params.betas], [params.gammas])
         fed.clear()
         means = np.concatenate(_read_point(cfg, _point_rows(cfg, pops), trial, trial))
         assert len(fed) == 1  # every record of the point in one draw
@@ -935,7 +935,7 @@ def test_depolarizing_record_means_match_density_matrix_oracle(n, prob, determin
     cal = CalibrationTable(rng.uniform(0.5, 5.0, 1 << n))
     cfg = ScanConfig(graph=graph, mode="sampled", calibration=cal, shots=40_000, noise=noise)
     params = QaoaParams.single(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
-    rows = _point_rows(cfg, _sampled_state_pops(cfg, params, diagonal_costs(graph)))
+    rows = _point_rows(cfg, _sampled_state_pops(cfg, diagonal_costs(graph), [params.betas], [params.gammas])[0])
     means, _ = read_records(cal.intensities, rows, cfg.shots, np.random.SeedSequence(7 + n))
     oracle = np.array([density_matrix_populations(c, noise) for c in subcircuits(graph, params)])
     np.testing.assert_allclose(rows, oracle, rtol=0, atol=1e-12)
@@ -987,9 +987,9 @@ def test_measure_point_simulates_one_noiseless_state(monkeypatch, noise, calls):
 
     def counting(*args, **kwargs):
         seen.append(args)
-        return simulate_qaoa(*args, **kwargs)
+        return qaoa_amplitudes(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "simulate_qaoa", counting)
+    monkeypatch.setattr(experiment, "qaoa_amplitudes", counting)
     cfg = sampled_config(shots=2_000, noise=noise)
     record = measure_point(cfg, POINT)
     assert len(seen) == calls
@@ -999,17 +999,21 @@ def test_measure_point_simulates_one_noiseless_state(monkeypatch, noise, calls):
     assert len(seen) == (noise is None or not noise.is_stochastic)  # one state for every realization
     seen.clear()
     run_scan(replace(cfg, beta_range=(0.1, 0.2, 0.1), gamma_range=(0.5, 0.7, 0.2), realizations=3))
-    assert len(seen) == calls * 4  # a 2x2 grid reads each point's states in all three realizations
+    # a 2x2 grid is one chunk: one stacked call of all 4 points per state, read by all three realizations
+    assert len(seen) == calls
+    assert all(np.shape(betas) == np.shape(gammas) == (4, 1) for _, betas, gammas, *_ in seen)
 
 
 def test_point_streams_are_three_children_of_the_point_seed():
     cfg = sampled_config(noise=NoiseConfig(calibration_sigma=0.1), master_seed=9)
-    intensities, root = _point_streams(cfg, 2, 5)
+    intensities, draws, split = _point_streams(cfg, 2, 5, checkpoints=True)
     children = np.random.SeedSequence(9, spawn_key=(5, 2)).spawn(3)
-    for k, want in enumerate(children):
-        got = _child_seed(root, k)
-        assert got.spawn_key == (5, 2, k)
-        np.testing.assert_array_equal(got.generate_state(4), want.generate_state(4))
-    assert root.n_children_spawned == 0
+    for k, got in ((1, draws), (2, split)):
+        assert got.spawn_key == (5, 2, k) and got.pool_size == children[k].pool_size
+        np.testing.assert_array_equal(got.generate_state(4), children[k].generate_state(4))
     # child 0 perturbs the table exactly as before the draws were batched
     np.testing.assert_array_equal(intensities, perturb_calibration(CAL.intensities, 0.1, children[0]))
+    # without checkpoints there is no split substream, and the same draw substream
+    _, draws, split = _point_streams(cfg, 2, 5)
+    assert split is None
+    np.testing.assert_array_equal(draws.generate_state(4), children[1].generate_state(4))

@@ -59,6 +59,34 @@ CASES = {
             "summary.txt": "d0b102a4059e36d92bf79d62f468cce1ad842327c21837bbe789a7de2a31e537",
         },
     ),
+    "ideal-svg": (
+        ["landscape", "--mode", "ideal", "--svg", "--graph", "k2.txt",
+         "--beta-range", "0.1pi:0.6pi:0.1pi", "--gamma-range", "0.1pi:2.1pi:0.2pi"],
+        {
+            "landscape.csv": "c66faba1f2ebf54982b7743ccf08ffe364869668cf14dcaa9a96bb6bb02dbf57",
+            "landscape.svg": "f2d2088e99d95382cc95609f305dc7dd995ff4e3b4ca9738ab21becf7828ac46",
+            "summary.txt": "d3b211dfa22bdc556d0a820c13a809a97d71090e62fb030ae2002403619dd3e8",
+        },
+    ),
+    "ideal-ring4-p2": (
+        ["landscape", "--mode", "ideal", "--p", "2", "--graph", "ring4.txt",
+         "--beta-range", "0.1pi:0.6pi:0.1pi", "--gamma-range", "0.1pi:2.1pi:0.4pi"],
+        {
+            "landscape.csv": "6a8e6cdf08b4359d19e0021f4321eadb49859411cf7bd81a15b4d32c191dcec3",
+            "summary.txt": "e852be21de831bb8c800aa12c1601cfae183bb4d8731e0b02ed34a1c253a86c8",
+        },
+    ),
+    # the read state has both deterministic channels folded in, with no depolarizing
+    "sampled-ring4-overrotation-phase": (
+        ["landscape", "--mode", "sampled", "--overrotation", "0.05", "--phase-offset", "0.1",
+         "--graph", "ring4.txt", "--cal", "cal4.txt",
+         "--beta-range", "0.1pi:0.6pi:0.25pi", "--gamma-range", "0.1pi:2.1pi:0.8pi",
+         "--shots", "20000", "--realizations", "2", "--seed", "10"],
+        {
+            "landscape.csv": "dd3a766c8cd84e1b4cd608b7745b6c52fdb22a3202ccfed897d3464e0d5eb31c",
+            "summary.txt": "7b526cff9f4f78db206b00411a3ca228802aa32434927790d13a30d71c814047",
+        },
+    ),
     "optimize-sampled": (
         ["optimize", "--mode", "sampled", *K2_COARSE, "--shots", "20000", "--seed", "8"],
         {

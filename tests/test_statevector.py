@@ -6,6 +6,7 @@ from nvqaoa.statevector import (
     StateVector,
     apply_gate,
     apply_matrix,
+    butterfly,
     expectation_diagonal,
     fidelity,
     gate_matrix,
@@ -207,3 +208,24 @@ def test_fidelity_global_phase():
     state = random_state(rng, 2)
     rotated = StateVector(2, state.amplitudes * np.exp(0.4j))
     assert fidelity(state, rotated) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_stacked_butterfly_applies_each_rows_matrix(n):
+    # row k of a stack gets the 2x2 matrix of entries [k], bit for bit as a flat call
+    # with that row's scalars, and as apply_matrix on each qubit in turn
+    rng = np.random.default_rng(60 + n)
+    rows = 5
+    stack = np.array([random_state(rng, n).amplitudes for _ in range(rows)])
+    entries = rng.normal(size=(2, 2, rows, 1, 1)) + 1j * rng.normal(size=(2, 2, rows, 1, 1))
+    qubits = rng.permutation(n).tolist()
+    got = stack.copy()
+    butterfly(got, entries, qubits)
+    for k in range(rows):
+        flat = stack[k].copy()
+        butterfly(flat, entries[:, :, k, 0, 0], qubits)
+        np.testing.assert_array_equal(got[k], flat)
+        want = StateVector(n, stack[k])
+        for q in qubits:
+            want = apply_matrix(want, entries[:, :, k, 0, 0], (q,))
+        np.testing.assert_allclose(got[k], want.amplitudes, rtol=0, atol=1e-12)
