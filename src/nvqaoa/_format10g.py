@@ -18,7 +18,7 @@ significant digits; a positive value skips the template's leading minus.
 Every other value goes through ``"%.10g" % v``, which gives the same bytes as
 ``format(v, ".10g")``: a near-tie, 0, -0.0, NaN, +-inf, anything outside the
 exact-scaling range, and a value so near a power of ten that log10 misplaces
-it. Text fields (integer columns) are written as given.
+it. Integer columns are floats too: below 10^10 "%.10g" prints them as str.
 """
 
 from __future__ import annotations
@@ -83,48 +83,35 @@ _SLOTS = np.array([slot for slots in _LAYOUTS for slot in slots], dtype=np.uint8
 del _LAYOUTS
 
 
-def write_rows(handle, table, seps: str, texts: dict[int, list[str]] | None = None) -> None:
+def write_rows(handle, table, seps: str) -> None:
     """Write each row of the 2-D float ``table`` to the text ``handle``.
 
-    Field c of every row is followed by ``seps[c]``. A float field reads as
-    ``format(v, ".10g")``; ``texts[c]``, where given, holds column c's fields
-    as text, one per row, and replaces its values.
+    Field c of every row reads as ``format(v, ".10g")`` and is followed by ``seps[c]``.
     """
     table = np.asarray(table, dtype=float)
     rows, cols = table.shape
     flat = table.ravel()
-    texts = texts or {}
     if flat.size < SMALL:
-        given = {r * cols + c: text for c, column in texts.items() for r, text in enumerate(column)}
-        handle.write(_per_value(flat, seps * rows, given))
+        handle.write(_per_value(flat, seps * rows))
         return
     codes = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
     for start in range(0, flat.size, CHUNK):
         stop = min(start + CHUNK, flat.size)
-        given = {
-            k - start: column[k // cols]
-            for c, column in texts.items()
-            for k in range(start + (c - start) % cols, stop, cols)
-        }
-        handle.write(_format_chunk(flat[start:stop], codes[np.arange(start, stop) % cols], given))
+        handle.write(_format_chunk(flat[start:stop], codes[np.arange(start, stop) % cols]))
 
 
-def _per_value(values: np.ndarray, seps: str, given: dict[int, str]) -> str:
-    """The text of ``values``, each as "%.10g" % v followed by its separator; ``given`` maps positions to their text."""
-    fields = ["%.10g" % v for v in values.tolist()]
-    for k, text in given.items():
-        fields[k] = text
-    return "".join(map(str.__add__, fields, seps))
+def _per_value(values: np.ndarray, seps: str) -> str:
+    """The text of ``values``, each as "%.10g" % v followed by its separator."""
+    return "".join(map(str.__add__, ["%.10g" % v for v in values.tolist()], seps))
 
 
-def _format_chunk(values: np.ndarray, seps: np.ndarray, given: dict[int, str]) -> str:
+def _format_chunk(values: np.ndarray, seps: np.ndarray) -> str:
     """``_per_value`` of ``values`` with separator bytes ``seps``, by the array kernel."""
     size = values.size
     with np.errstate(all="ignore"):
         a = np.abs(values)
         e = np.floor(np.log10(a))
         fast = (e >= _E_MIN) & (e <= _E_MAX)
-        fast[list(given)] = False
         e = np.where(fast, e, 0.0).astype(np.intp)
         m = a * _UP.take(e - _E_MIN) / _DOWN.take(e - _E_MIN)
         fast &= (m >= 1e9) & (m < 1e10) & (np.abs(m - np.floor(m) - 0.5) >= TIE)
@@ -150,10 +137,8 @@ def _format_chunk(values: np.ndarray, seps: np.ndarray, given: dict[int, str]) -
 
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = [given[k] if k in given else "%.10g" % v for k, v in zip(slow.tolist(), values[slow].tolist())]
+        text = ["%.10g" % v for v in values[slow].tolist()]
         lengths = np.fromiter(map(len, text), dtype=np.intp, count=slow.size)
-        if lengths.max() > _WIDTH:
-            return _per_value(values, seps.tobytes().decode("ascii"), given)
         src[slow, :_WIDTH] = np.array(text, dtype=f"S{_WIDTH}").view(np.uint8).reshape(slow.size, _WIDTH)
         layout[slow] = _VERBATIM + lengths
         positive[slow] = 1

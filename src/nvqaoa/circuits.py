@@ -13,7 +13,7 @@ offset, so it makes every deterministic ansatz state of a scan, exact or
 sampled; ``simulate_qaoa`` is its one-row case. The gate-level ``simulate(build_ansatz(...))`` and
 ``noise.simulate_noisy(build_ansatz(...))`` stay as its reference. A
 depolarizing channel leaves a mixed state, which a sampled scan reads from
-``noise.density_populations(build_ansatz(...))`` instead, point by point.
+the density-matrix twin ``noise.density_populations`` instead.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from ._bitstrings import BitString, as_bit_array
 from .graph_problem import Graph
-from .noise import NoiseConfig
+from .noise import NoiseConfig, _angle_stacks
 from .statevector import Gate, StateVector, apply_gate, butterfly, init_zero, rz_matrix
 
 
@@ -138,9 +138,7 @@ def qaoa_amplitudes(
     size = costs.size
     if costs.ndim != 1 or size < 2 or size & (size - 1):
         raise ValueError(f"cost diagonal must have a power-of-two length >= 2, got shape {costs.shape}")
-    betas, gammas = np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float)
-    if betas.ndim != 2 or betas.shape != gammas.shape or not betas.size or not np.isfinite([betas, gammas]).all():
-        raise ValueError(f"angles must be finite, nonempty (points, p) stacks, got {betas.shape} and {gammas.shape}")
+    betas, gammas = _angle_stacks(betas, gammas)
     scale, offset = 1.0, 0.0
     if noise is not None:
         if noise.is_stochastic:

@@ -428,6 +428,7 @@ def _run_convergence(cfg: ScanConfig, config: dict, options: dict, out: str, for
             f"< checkpoint every {cfg.checkpoint_every}"
         )
     try:
+        _check_scan_entries(cfg, checkpoints=True)
         params = QaoaParams((options["beta"],) * cfg.p, (options["gamma"],) * cfg.p)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -20,15 +20,17 @@ under depolarizing noise an X or Y error after an appended X undoes its flip,
 with probability 2p/3 per flipped qubit. So a point's 2^(n+1) readouts are the
 rows of one matrix (``_point_rows``), and one multinomial and one Poisson call
 per realization draw all their records (``readout.read_records``).
-Depolarizing scans are capped at ``MAX_DEPOLARIZING_VERTICES``, since rho has
-4^n entries.
+Sampled scans are capped at ``MAX_SAMPLED_VERTICES``, since a point's rows
+hold 2 * 4^n floats, and depolarizing ones at ``MAX_DEPOLARIZING_VERTICES``,
+since its rho holds 4^n complex entries and each gate sweeps them.
 
 A sampled ``run_scan`` reads the grid in chunks of consecutive points, each
 chunk's batch arrays bounded by ``_CHUNK_ENTRIES`` floats. A chunk simulates
 its points' states in stacked ``qaoa_amplitudes`` calls (``_point_states``),
-builds their rows as one ``(points, 2^(n+1), 2^n)`` stack and checks them once
-(``readout.check_rows``). Each (point, realization) then makes only its draws,
-in index order, and one stacked ``reconstruct`` call inverts every
+plus one ``density_populations`` call under depolarizing noise, builds their
+rows as one ``(points, 2^(n+1), 2^n)`` stack and checks them once
+(``readout.check_rows``). Each (point, realization) then makes only its
+draws, in index order, and one stacked ``reconstruct`` call inverts every
 realization of the chunk. ``measure_point``, ``optimize`` and
 ``convergence_profile`` read one point as a stack of one, so a grid cell
 equals ``measure_point`` bit for bit. Every path inverts the same pair
@@ -57,7 +59,6 @@ from ._bitstrings import all_bitstrings
 from ._format10g import write_rows
 from .circuits import (
     QaoaParams,
-    build_ansatz,
     qaoa_amplitudes,
     # unused here: perfbench's test_tracer_wraps_every_binding_and_restores_them
     # checks that the tracer wraps this binding
@@ -80,12 +81,29 @@ DEFAULT_SEED = 1
 # A depolarizing point holds its density matrix: 4^n complex entries, 16 MiB at n = 10.
 MAX_DEPOLARIZING_VERTICES = 10
 
+# A sampled point holds three (2^(n+1), 2^n) arrays: its rows, the index matrix
+# that permutes them and its int64 occupations. At n = 13 they take 1, 0.5 and
+# 1 GiB, 2.5 GiB before check_rows copies the rows; at n = 14, 4, 2 and 4 GiB.
+MAX_SAMPLED_VERTICES = 12
+
+# numpy's multivariate_hypergeometric, which splits a record into checkpoint
+# blocks, takes fewer than 10^9 items. This is over 3000 times DEFAULT_SHOTS.
+MAX_SHOTS = 10**9 - 1
+
+# A record's photon total is one Poisson draw whose mean is at most shots x
+# the brightest intensity; numpy's Poisson takes means up to about 9.2e18.
+# This cap leaves a factor of about 9000 for --cal-sigma's jitter 1 + N(0,
+# sigma), so a perturbed mean overflows only at a draw of 9000 / sigma
+# standard deviations.
+MAX_RECORD_PHOTONS = 1e15
+
 # Scans hold arrays per (beta, gamma) point, so the grid is capped before any is made.
 MAX_GRID_POINTS = 10**6
 
 # A landscape scan's populations hold points x realizations x 2^n floats (one
-# realization in ideal mode), capped before they are made: 2^27 float64 entries
-# are 1 GiB. optimize and convergence_profile hold one state at a time.
+# realization in ideal mode), and a convergence profile's largest array
+# checkpoints x max(realizations, 2) x 2^n; each is capped before it is made:
+# 2^27 float64 entries are 1 GiB. optimize holds one state at a time.
 MAX_SCAN_ENTRIES = 1 << 27
 
 # A sampled scan reads its grid in chunks of points whose batch arrays hold at
@@ -153,6 +171,8 @@ class ScanConfig:
             raise ValueError(f"graph has {self.graph.num_vertices} vertices; scans are capped at {MAX_VERTICES}")
         if self.shots < 1 or self.realizations < 1 or self.checkpoint_every < 1:
             raise ValueError("shots, realizations and checkpoint_every must be positive")
+        if self.shots > MAX_SHOTS:
+            raise ValueError(f"{self.shots} shots; records are capped at {MAX_SHOTS}")
         object.__setattr__(self, "beta_range", tuple(float(v) for v in self.beta_range))
         object.__setattr__(self, "gamma_range", tuple(float(v) for v in self.gamma_range))
         num_points = _axis(self.beta_range)[2] * _axis(self.gamma_range)[2]
@@ -164,12 +184,20 @@ class ScanConfig:
                 raise ValueError(
                     f"graph has {n} vertices; depolarizing scans are capped at {MAX_DEPOLARIZING_VERTICES}"
                 )
+            if n > MAX_SAMPLED_VERTICES:
+                raise ValueError(f"graph has {n} vertices; sampled scans are capped at {MAX_SAMPLED_VERTICES}")
             if self.calibration is None:
                 raise ValueError("sampled mode requires a calibration table")
             if self.calibration.num_qubits != self.graph.num_vertices:
                 raise ValueError(
                     f"calibration covers {self.calibration.num_qubits} qubit(s) "
                     f"but the graph has {self.graph.num_vertices} vertices"
+                )
+            brightest = float(self.calibration.intensities.max())
+            if self.shots * brightest > MAX_RECORD_PHOTONS:
+                raise ValueError(
+                    f"{self.shots} shots at a brightest intensity of {brightest:g} expect {self.shots * brightest:g} "
+                    f"photons a record; records are capped at {MAX_RECORD_PHOTONS:g}"
                 )
         if self.master_seed < 0:
             raise ValueError(f"master seed must be nonnegative, got {self.master_seed}")
@@ -252,17 +280,25 @@ def measure_point(
     return _measure_point(config, diagonal_costs(config.graph), params, realization_index, point_index)
 
 
-def _check_scan_entries(config: ScanConfig) -> None:
-    """Raise ValueError if ``run_scan`` would hold more than ``MAX_SCAN_ENTRIES`` populations."""
-    num_points = _axis(config.beta_range)[2] * _axis(config.gamma_range)[2]
-    realizations = config.realizations if config.mode == "sampled" else 1
+def _check_scan_entries(config: ScanConfig, checkpoints: bool = False) -> None:
+    """Raise ValueError if ``run_scan``, or given ``checkpoints`` ``convergence_profile``, would exceed ``MAX_SCAN_ENTRIES``.
+
+    A scan holds points x realizations x 2^n populations, one realization in
+    ideal mode. A convergence profile holds realizations x checkpoints x 2^n
+    populations, and ``readout.split_totals`` 2^(n+1) x checkpoints block
+    totals, so its count is checkpoints x max(realizations, 2) x 2^n.
+    """
     n = config.graph.num_vertices
-    entries = num_points * realizations << n
+    if checkpoints:
+        count, copies = config.shots // config.checkpoint_every, max(config.realizations, 2)
+        what, unit = "convergence profile", "entries"
+    else:
+        count = _axis(config.beta_range)[2] * _axis(config.gamma_range)[2]
+        copies = config.realizations if config.mode == "sampled" else 1
+        what, unit = "scan", "populations"
+    entries = count * copies << n
     if entries > MAX_SCAN_ENTRIES:
-        raise ValueError(
-            f"scan would hold {num_points} x {realizations} x 2^{n} = {entries} "
-            f"populations; scans are capped at {MAX_SCAN_ENTRIES}"
-        )
+        raise ValueError(f"{what} would hold {count} x {copies} x 2^{n} = {entries} {unit}; capped at {MAX_SCAN_ENTRIES}")
 
 
 def run_scan(config: ScanConfig) -> LandscapeGrid:
@@ -448,6 +484,7 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
         raise ValueError("convergence_profile requires mode='sampled'")
     if config.shots < config.checkpoint_every:
         raise ValueError("need at least one full checkpoint block")
+    _check_scan_entries(config, checkpoints=True)
     size = 1 << config.graph.num_vertices
     num_checkpoints = config.shots // config.checkpoint_every
     pops_runs = np.empty((config.realizations, num_checkpoints, size))
@@ -486,18 +523,16 @@ def write_landscape_csv(grid: LandscapeGrid, handle) -> None:
     table = np.column_stack([np.ravel(column) for column in columns] + [pops])
     handle.write(CSV_HEADER + "\n")
     seps = "," * len(columns) + "|" * (pops.shape[1] - 1) + "\n"
-    write_rows(handle, table, seps, {2: [str(r) for r in realization.ravel().tolist()]})
+    write_rows(handle, table, seps)
 
 
 def write_convergence_csv(profile: ConvergenceProfile, handle) -> None:
     labels = all_bitstrings(profile.num_qubits)
     header = ["shots", *(f"p{label}" for label in labels), "norm", *(f"std_p{label}" for label in labels), "std_norm"]
     handle.write(",".join(header) + "\n")
-    shots = np.asarray(profile.checkpoint_shots)
-    columns = [shots.astype(float), profile.mean_pops, profile.mean_norm, profile.std_pops, profile.std_norm]
+    columns = [profile.checkpoint_shots, profile.mean_pops, profile.mean_norm, profile.std_pops, profile.std_norm]
     table = np.column_stack(columns)
-    seps = "," * (table.shape[1] - 1) + "\n"
-    write_rows(handle, table, seps, {0: [str(int(s)) for s in shots.tolist()]})
+    write_rows(handle, table, "," * (table.shape[1] - 1) + "\n")
 
 
 def write_trace_csv(result: OptimizeResult, handle) -> None:
@@ -507,8 +542,7 @@ def write_trace_csv(result: OptimizeResult, handle) -> None:
     handle.write(",".join(header) + "\n")
     rows = [(i, *betas, *gammas, value) for i, (betas, gammas, value) in enumerate(result.trace)]
     table = np.array(rows, dtype=float).reshape(len(rows), 2 * p + 2)
-    seps = "," * (2 * p + 1) + "\n"
-    write_rows(handle, table, seps, {0: [str(i) for i in range(len(rows))]})
+    write_rows(handle, table, "," * (2 * p + 1) + "\n")
 
 
 def scan_summary(grid: LandscapeGrid, config: ScanConfig) -> dict:
@@ -651,7 +685,9 @@ def _chunk_points(size: int, realizations: int) -> int:
 
     The chunk's record rows, (points, 2 size, size), reconstruction stack,
     (2, points, realizations, size), and complex state stack, (points, size),
-    each fit ``_CHUNK_ENTRIES`` floats.
+    each fit ``_CHUNK_ENTRIES`` floats. A depolarizing chunk also holds a
+    (points, size^2) complex rho stack: 2 size^2 floats a point, as many as
+    its rows, so it fits too.
     """
     return max(1, _CHUNK_ENTRIES // (2 * size * max(size, realizations)))
 
@@ -721,13 +757,12 @@ def _sampled_state_pops(config: ScanConfig, diag: np.ndarray, betas, gammas, ide
     """Populations ``(points, 2^n)`` read at ``(points, p)`` angle stacks, every noise channel included.
 
     Under a depolarizing channel these are the exact channel-averaged
-    populations, point by point. Otherwise they are ``ideal_pops`` when given
-    and neither overrotation nor phase offset is set.
+    populations, from one ``density_populations`` call. Otherwise they are
+    ``ideal_pops`` when given and neither overrotation nor phase offset is set.
     """
     noise = config.noise
     if noise is not None and noise.is_stochastic:
-        circuits = (build_ansatz(config.graph, QaoaParams(b, g)) for b, g in zip(betas, gammas))
-        return np.array([density_populations(circuit, noise) for circuit in circuits])
+        return density_populations(config.graph, betas, gammas, noise)
     if ideal_pops is not None and (noise is None or not (noise.overrotation_frac or noise.phase_offset)):
         return ideal_pops
     return populations(qaoa_amplitudes(diag, betas, gammas, noise, len(config.graph.edges())))

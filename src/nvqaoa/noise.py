@@ -13,14 +13,14 @@ Three gate-level knobs plus one readout knob:
 
 The two deterministic channels, overrotation and phase offset, also fold into
 ``circuits.qaoa_amplitudes``, which makes the ansatz state of a scan without a
-stochastic channel; ``simulate_noisy`` runs them gate by gate and is its
-reference. Every shot is a fresh run of the circuit with its own Pauli errors,
-so one shot's basis state has the law diag(rho) of the channel-averaged
-density matrix. ``density_populations`` computes that diagonal exactly (small
-registers only: rho has 4^n entries) by updating one flat rho in place, with
-one kernel per gate kind and the depolarizing channel in closed form; a
-depolarizing record is a multinomial over it like any other. Both share one
-reading of a gate under the deterministic channels (``_gate_operators``).
+stochastic channel; ``simulate_noisy`` runs any circuit under them gate by gate
+and is the reference. Every shot is a fresh run of the ansatz with its own
+Pauli errors, so one shot's basis state has the law diag(rho) of the
+channel-averaged density matrix. ``density_populations``, the density-matrix
+twin of ``qaoa_amplitudes``, computes that diagonal exactly for a stack of
+angles (small registers only: rho has 4^n entries) by walking the ansatz's
+gates on one flat rho per point, with the depolarizing channel in closed form;
+a depolarizing record is a multinomial over it like any other.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .statevector import (
     butterfly,
     gate_matrix,
     init_zero,
+    rz_matrix,
 )
 
 
@@ -84,70 +85,73 @@ def simulate_noisy(circuit, config: NoiseConfig) -> StateVector:
         raise ValueError("simulate_noisy takes only deterministic noise; depolarizing needs density_populations")
     state = init_zero(circuit.num_qubits)
     for gate in circuit.gates:
-        for op in _gate_operators(gate, config):
-            state = apply_matrix(state, gate_matrix(op), op.targets)
+        if config.overrotation_frac != 0.0 and gate.kind in ROTATION_KINDS:
+            gate = Gate(gate.kind, gate.targets, gate.angle * (1.0 + config.overrotation_frac))
+        state = apply_matrix(state, gate_matrix(gate), gate.targets)
+        if config.phase_offset != 0.0 and len(gate.targets) == 2:
+            state = apply_matrix(state, rz_matrix(config.phase_offset), (0,))
     return state
 
 
-def density_populations(circuit, config: NoiseConfig) -> np.ndarray:
-    """Basis populations of the circuit from |00...0>, averaged exactly over the depolarizing channel.
+def density_populations(graph, betas, gammas, config: NoiseConfig) -> np.ndarray:
+    """Basis populations ``(points, 2^n)`` of the ansatz at ``(points, p)`` angle stacks, exactly averaged over the depolarizing channel.
 
-    rho is one flat array of 4^n entries, entry i * 2^n + j holding rho[i, j]:
-    read as a 2n-qubit register, the ket is on qubits 0..n-1 and the bra on
-    n..2n-1. It is updated in place, one kernel per gate kind: a single-qubit
-    U is a butterfly on ket qubit q and conj(U) on bra qubit n + q, an RZZ the
-    phase d[i] conj(d[j]) of its diagonal d, a CNOT the same index permutation
-    of rows and columns. After each gate every touched qubit q gets the
-    depolarizing channel rho -> (1 - p) rho + (p/3) sum_P P rho P in closed
-    form: where the ket and bra bits of q differ rho is scaled by 1 - 4p/3,
-    and where they agree the two blocks move toward each other by 2p/3. The
-    channel commutes with every unitary on q, so it may follow the phase
-    offset's RZ. Returns diag(rho), the law of one shot's basis state.
+    Row k is the channel average of ``build_ansatz(graph, QaoaParams(betas[k],
+    gammas[k]))`` read gate by gate as ``simulate_noisy`` reads it: the H wall,
+    then per layer each edge's RZZ(gamma w) and the phase offset's RZ on qubit
+    0, then RX(2 beta) on every qubit. rho is one flat row of 4^n entries per
+    point, entry i * 2^n + j holding rho[i, j]: the ket is on qubits 0..n-1 of
+    a 2n-qubit register and the bra on n..2n-1. A single-qubit U is a
+    butterfly on ket qubit q and conj(U) on bra qubit n + q, an RZZ the phase
+    d[i] conj(d[j]) of its diagonal d. After each gate every touched qubit q
+    gets rho -> (1 - p) rho + (p/3) sum_P P rho P in closed form: where the ket
+    and bra bits of q differ rho is scaled by 1 - 4p/3, and where they agree
+    the two blocks move toward each other by 2p/3. The channel commutes with
+    every unitary on q, so it may follow the offset's RZ. Returns diag(rho),
+    the law of one shot's basis state.
     """
-    n = circuit.num_qubits
+    n = graph.num_vertices
     if 2 * n > MAX_QUBITS:
         raise ValueError(f"a density matrix on {n} qubits needs {2 * n} > {MAX_QUBITS} qubits of amplitudes")
+    betas, gammas = _angle_stacks(betas, gammas)
     dim = 1 << n
-    prob = config.depolarizing_prob
+    prob, scale = config.depolarizing_prob, 1.0 + config.overrotation_frac
     keep, mix = 1.0 - 4.0 * prob / 3.0, 2.0 * prob / 3.0
-    rho = np.zeros(dim * dim, dtype=complex)
-    rho[0] = 1.0
-    for gate in circuit.gates:
-        for op in _gate_operators(gate, config):
-            if op.kind == "RZZ":
-                index = np.arange(dim)
-                a, b = ((index >> (n - 1 - q)) & 1 for q in op.targets)
-                phases = np.diagonal(gate_matrix(op))[2 * a + b]
-                rho *= np.outer(phases, phases.conj()).reshape(-1)
-            elif op.kind == "CNOT":
-                control, target = op.targets
-                _apply_cnot(rho, control, target)
-                _apply_cnot(rho, control + n, target + n)
-            else:
-                matrix = gate_matrix(op)
-                butterfly(rho, matrix, op.targets)
-                butterfly(rho, matrix.conj(), (op.targets[0] + n,))
-        for q in gate.targets:
-            # axes 1 and 3 are the ket and bra bits of q
-            blocks = rho.reshape(1 << q, 2, dim >> 1, 2, -1)
-            blocks[:, 0, :, 1] *= keep
-            blocks[:, 1, :, 0] *= keep
-            low, high = blocks[:, 0, :, 0], blocks[:, 1, :, 1]
+    offset = rz_matrix(config.phase_offset) if config.phase_offset != 0.0 else None
+    rho = np.zeros((betas.shape[0], dim * dim), dtype=complex)
+    rho[:, 0] = 1.0
+
+    def gate(matrix, q, channel):
+        """``matrix`` (None: no unitary) on qubit q, then the channel on each qubit of ``channel``."""
+        if matrix is not None:
+            butterfly(rho, matrix, (q,))
+            butterfly(rho, np.conj(matrix), (q + n,))
+        for c in channel:
+            # axes 2 and 4 are the ket and bra bits of c
+            blocks = rho.reshape(-1, 1 << c, 2, dim >> 1, 2, dim >> (c + 1))
+            blocks[:, :, 0, :, 1] *= keep
+            blocks[:, :, 1, :, 0] *= keep
+            low, high = blocks[:, :, 0, :, 0], blocks[:, :, 1, :, 1]
             shift = mix * (high - low)
             low += shift
             high -= shift
-    return rho[:: dim + 1].real.copy()
 
-
-def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
-    """CNOT in place on a flat register: swap the halves of ``target`` where ``control`` is 1."""
-    first, second = sorted((control, target))
-    # axes 1 and 3 are the bits of ``first`` and ``second``
-    view = amps.reshape(1 << first, 2, 1 << (second - first - 1), 2, -1)
-    zero, one = view[:, 1, :, 0] if control < target else view[:, 0, :, 1], view[:, 1, :, 1]
-    saved = zero.copy()
-    zero[...] = one
-    one[...] = saved
+    for q in range(n):
+        gate(gate_matrix(Gate("H", (q,))), q, (q,))
+    index = np.arange(dim)
+    for beta, gamma in zip(betas.T, gammas.T):
+        for i, j, w in graph.edges():
+            theta = (gamma * w) * scale
+            parity = ((index >> (n - 1 - i)) ^ (index >> (n - 1 - j))) & 1
+            phases = np.where(parity, np.exp(0.5j * theta)[:, None], np.exp(-0.5j * theta)[:, None])
+            rho *= (phases[:, :, None] * phases.conj()[:, None, :]).reshape(rho.shape)
+            gate(offset, 0, (i, j))  # the offset's RZ has no channel of its own
+        half = (((2.0 * beta) * scale) / 2.0)[:, None, None]  # rounded as rx_matrix rounds theta / 2
+        cos, minus_i_sin = np.cos(half), -1j * np.sin(half)
+        rx = np.array(((cos, minus_i_sin), (minus_i_sin, cos)), dtype=complex)
+        for q in range(n):
+            gate(rx, q, (q,))
+    return rho[:, :: dim + 1].real.copy()
 
 
 def perturb_calibration(intensities: np.ndarray, sigma: float, seed) -> np.ndarray:
@@ -165,15 +169,9 @@ def perturb_calibration(intensities: np.ndarray, sigma: float, seed) -> np.ndarr
     return np.maximum(intensities * (1.0 + rng.normal(0.0, sigma, size=len(intensities))), 0.0)
 
 
-def _gate_operators(gate: Gate, config: NoiseConfig) -> list[Gate]:
-    """``gate`` under the deterministic channels, as the gates that act, in order.
-
-    Overrotation scales a rotation angle by 1 + frac; a two-qubit gate is
-    followed by RZ(phase_offset) on qubit 0.
-    """
-    if config.overrotation_frac != 0.0 and gate.kind in ROTATION_KINDS:
-        gate = Gate(gate.kind, gate.targets, gate.angle * (1.0 + config.overrotation_frac))
-    operators = [gate]
-    if config.phase_offset != 0.0 and len(gate.targets) == 2:
-        operators.append(Gate("RZ", (0,), config.phase_offset))
-    return operators
+def _angle_stacks(betas, gammas) -> tuple[np.ndarray, np.ndarray]:
+    """``betas`` and ``gammas`` as float ``(points, p)`` arrays; unequal, empty or non-finite stacks raise ValueError."""
+    betas, gammas = np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float)
+    if betas.ndim != 2 or betas.shape != gammas.shape or not betas.size or not np.isfinite([betas, gammas]).all():
+        raise ValueError(f"angles must be finite, nonempty (points, p) stacks, got {betas.shape} and {gammas.shape}")
+    return betas, gammas

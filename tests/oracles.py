@@ -10,7 +10,9 @@ state simulated, its rows built, checked, drawn and reconstructed for that
 point alone, on seeds spawned from the point's SeedSequence. It is the slow
 path of ``experiment.run_scan``'s chunks, which simulate a chunk's states in
 one stacked call, build and check its rows at once and invert it in one
-stacked call.
+stacked call. Its depolarizing state is a one-row ``density_populations``
+call, so there it is not independent of the kernel;
+``density_matrix_populations`` holds the kernel to the channel.
 ``parity_signs`` is the dense character table that ``reconstruction.fwht``
 applies in place.
 ``landscape_csv_text``, ``convergence_csv_text`` and ``trace_csv_text`` are the
@@ -23,7 +25,7 @@ import math
 import numpy as np
 
 from nvqaoa._bitstrings import all_bitstrings
-from nvqaoa.circuits import Circuit, append_flips, build_ansatz, simulate_qaoa
+from nvqaoa.circuits import Circuit, append_flips, simulate_qaoa
 from nvqaoa.experiment import CSV_HEADER
 from nvqaoa.graph_problem import diagonal_costs
 from nvqaoa.noise import density_populations, perturb_calibration
@@ -98,7 +100,7 @@ def measure_point_per_point(config, params, realization_index=0, point_index=0):
     noise = config.noise
     F_ideal = float(np.dot(populations(simulate_qaoa(diag, params)), diag))
     if noise is not None and noise.is_stochastic:
-        pops = density_populations(build_ansatz(config.graph, params), noise)
+        (pops,) = density_populations(config.graph, [params.betas], [params.gammas], noise)
     else:
         pops = populations(simulate_qaoa(diag, params, noise, len(config.graph.edges())))
     perturb, draws, _ = np.random.SeedSequence(config.master_seed, spawn_key=(point_index, realization_index)).spawn(3)

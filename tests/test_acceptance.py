@@ -220,8 +220,7 @@ def test_criterion_06_shot_convergence(capsys):
 def test_criterion_07_depolarizing_fixed_point(capsys):
     with criterion(capsys, 7, "full depolarizing drives K2 to uniform populations and F = -1/2") as info:
         noise = NoiseConfig(depolarizing_prob=1.0)
-        circuit = build_ansatz(K2, POINT)
-        pops = density_populations(circuit, noise)
+        (pops,) = density_populations(K2, [POINT.betas], [POINT.gammas], noise)
         worst = float(np.max(np.abs(pops - 0.25)))
         assert worst <= 0.02, f"population deviates from 1/4 by {worst:.4f} (cap 0.02)"
         f_noisy = float(pops @ diagonal_costs(K2))

@@ -153,18 +153,39 @@ def test_oversized_scan_is_usage_error(tmp_path, capsys):
 
 
 def test_scan_bound_is_checked_only_for_the_landscape(tmp_path, capsys, monkeypatch):
-    # optimize and convergence hold one state at a time, so the bound on the
-    # landscape's populations does not refuse them
-    monkeypatch.setattr(experiment, "MAX_SCAN_ENTRIES", 3)
+    # optimize holds one state at a time, so the bound on the landscape's
+    # populations does not refuse it; convergence is held to its own count
+    monkeypatch.setattr(experiment, "MAX_SCAN_ENTRIES", 8)
     graph, cal = write_k2(tmp_path), write_cal(tmp_path)
     grid = ["--graph", graph, "--beta-range", "0.1:0.2:0.1", "--gamma-range", "0.5:0.5:1"]
     sampled = ["--mode", "sampled", "--cal", cal, "--shots", "2000", "--realizations", "2"]
-    assert main(["landscape", *grid, "--out", str(tmp_path / "scan")]) == EXIT_USAGE
-    assert "capped at 3" in capsys.readouterr().err
+    # 2 points x 2 realizations x 2^2 = 16 populations
+    assert main(["landscape", *grid, *sampled, "--out", str(tmp_path / "scan")]) == EXIT_USAGE
+    assert "capped at 8" in capsys.readouterr().err
     assert not (tmp_path / "scan").exists()
     assert main(["optimize", *grid]) == EXIT_OK
+    assert main(["optimize", *grid, *sampled]) == EXIT_OK
+    # one checkpoint x 2 realizations x 2^2 = 8 entries runs; two checkpoints are 16
     point = ["--beta", "0.1", "--gamma", "0.5"]
-    assert main(["convergence", *grid, *sampled, *point, "--out", str(tmp_path / "conv")]) == EXIT_OK
+    conv = ["convergence", *grid, *sampled, *point, "--checkpoint-every", "2000", "--out", str(tmp_path / "conv")]
+    assert main(conv) == EXIT_OK
+    capsys.readouterr()
+    assert main([*conv, "--checkpoint-every", "1000", "--out", str(tmp_path / "conv2")]) == EXIT_USAGE
+    assert "2 x 2 x 2^2 = 16 entries; capped at 8" in capsys.readouterr().err
+    assert not (tmp_path / "conv2").exists()
+
+
+def test_shot_bound_admits_its_limit(tmp_path, capsys):
+    # 10^9 - 1 shots split into nine full blocks and a tail; 10^9 is refused before output
+    argv = ["convergence", "--graph", write_k2(tmp_path), "--cal", write_cal(tmp_path), "--beta", "0.3",
+            "--gamma", "1.1", "--checkpoint-every", "100000000", "--realizations", "1"]
+    assert main([*argv, "--shots", str(experiment.MAX_SHOTS), "--out", str(tmp_path / "limit")]) == EXIT_OK
+    rows = (tmp_path / "limit" / "convergence.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == [str(k * 10**8) for k in range(1, 10)]
+    capsys.readouterr()
+    assert main([*argv, "--shots", str(experiment.MAX_SHOTS + 1), "--out", str(tmp_path / "above")]) == EXIT_USAGE
+    assert "1000000000 shots; records are capped at 999999999" in capsys.readouterr().err
+    assert not (tmp_path / "above").exists()
 
 
 def test_bad_env_seed_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -799,6 +820,12 @@ def test_programming_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
         ("convergence", ["--shots", "900", "--checkpoint-every", "1000"], "full checkpoint block"),
         ("convergence", ["--beta", "inf"], "finite"),
         ("landscape", ["--graph", "@ring-11", "--cal", "@cal-11", "--depolarizing", "0.01"], "capped at 10"),
+        ("landscape", ["--graph", "@ring-13", "--cal", "@cal-13"], "sampled scans are capped at 12"),
+        ("convergence", ["--shots", "1000000000", "--checkpoint-every", "100000000", "--realizations", "1"],
+         "records are capped at 999999999"),
+        ("landscape", ["--shots", "100000000000000000000"], "records are capped at 999999999"),
+        ("landscape", ["--cal", "@bright-cal", "--shots", "300000"], "photons a record; records are capped at 1e+15"),
+        ("convergence", ["--shots", "100000000", "--checkpoint-every", "1"], "100000000 x 4 x 2^2 = 1600000000 entries"),
     ],
 )
 def test_bad_input_is_usage_error_before_output(tmp_path, capsys, command, extra, message):
@@ -808,6 +835,9 @@ def test_bad_input_is_usage_error_before_output(tmp_path, capsys, command, extra
         "@big-graph": ("big.txt", "n 25\n0 1\n"),
         "@ring-11": ("ring-11.txt", "n 11\n" + "".join(f"{i} {(i + 1) % 11}\n" for i in range(11))),
         "@cal-11": ("cal-11.txt", "".join(f"{s:011b} {1 + s}\n" for s in range(2048))),
+        "@ring-13": ("ring-13.txt", "n 13\n" + "".join(f"{i} {(i + 1) % 13}\n" for i in range(13))),
+        "@cal-13": ("cal-13.txt", "".join(f"{s:013b} {1 + s}\n" for s in range(8192))),
+        "@bright-cal": ("bright.txt", "00 1e15\n01 3\n10 2\n11 1\n"),
     }
     for key, (name, text) in files.items():
         (tmp_path / name).write_text(text)

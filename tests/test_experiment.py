@@ -22,7 +22,10 @@ from nvqaoa.experiment import (
     DEFAULT_GAMMA_RANGE,
     MAX_DEPOLARIZING_VERTICES,
     MAX_GRID_POINTS,
+    MAX_RECORD_PHOTONS,
+    MAX_SAMPLED_VERTICES,
     MAX_SCAN_ENTRIES,
+    MAX_SHOTS,
     ConvergenceProfile,
     LandscapeGrid,
     OptimizeResult,
@@ -50,7 +53,7 @@ from nvqaoa.experiment import (
     _sampled_state_pops,
 )
 from nvqaoa.graph_problem import Graph, diagonal_costs
-from nvqaoa.noise import NoiseConfig, perturb_calibration, simulate_noisy
+from nvqaoa.noise import NoiseConfig, density_populations, perturb_calibration, simulate_noisy
 from nvqaoa.readout import CalibrationTable, DegenerateCalibrationError, check_rows, default_calibration, read_records
 from nvqaoa.reconstruction import fwht, reconstruct, walsh_coefficients
 from nvqaoa.statevector import populations
@@ -141,18 +144,67 @@ def test_scan_populations_are_capped_before_any_array_exists():
 
 
 def test_scan_bound_leaves_optimize_and_convergence_alone(monkeypatch):
-    # the bound is on what run_scan holds: a config over it is still valid, and
-    # optimize and convergence_profile, which hold one state at a time, run it
+    # the bound on what run_scan holds leaves a config valid: optimize, which
+    # holds one state at a time, runs it, and convergence_profile meets only
+    # its own count
     k18 = ScanConfig(graph=Graph.complete(18))  # the default 21 x 41 grid
     with pytest.raises(ValueError, match="861 x 1 x 2\\^18"):
         _check_scan_entries(k18)
-    monkeypatch.setattr(experiment, "MAX_SCAN_ENTRIES", 3)
-    cfg = sampled_config(beta_range=(0.1, 0.2, 0.1), gamma_range=(0.5, 0.5, 1.0), shots=2_000, realizations=2)
-    with pytest.raises(ValueError, match="capped at 3"):
+    monkeypatch.setattr(experiment, "MAX_SCAN_ENTRIES", 8)
+    # 2 points x 2 realizations x 2^2 = 16 populations; 1 checkpoint x 2 x 2^2 = 8 entries
+    cfg = sampled_config(
+        beta_range=(0.1, 0.2, 0.1), gamma_range=(0.5, 0.5, 1.0), shots=2_000, realizations=2, checkpoint_every=2_000
+    )
+    with pytest.raises(ValueError, match="capped at 8"):
         run_scan(cfg)
     assert optimize(cfg).evaluations >= 2
     assert optimize(replace(cfg, mode="ideal")).evaluations >= 2
     assert convergence_profile(cfg, POINT).realizations == 2
+    with pytest.raises(ValueError, match="2 x 2 x 2\\^2 = 16 entries; capped at 8"):
+        convergence_profile(replace(cfg, checkpoint_every=1_000), POINT)
+
+
+def test_convergence_arrays_are_capped_before_any_array_exists():
+    # checkpoints x max(realizations, 2) x 2^n, counted from the config alone: one
+    # realization counts as two, for split_totals' 2^(n+1) records
+    at_limit = sampled_config(shots=1 << 24, checkpoint_every=1)
+    assert (1 << 24) * 2 * 4 == MAX_SCAN_ENTRIES
+    _check_scan_entries(at_limit, checkpoints=True)
+    with pytest.raises(ValueError, match="16777217 x 2 x 2\\^2 = 134217736 entries"):
+        _check_scan_entries(replace(at_limit, shots=(1 << 24) + 1), checkpoints=True)
+    with pytest.raises(ValueError, match="x 3 x 2\\^2"):
+        _check_scan_entries(replace(at_limit, realizations=3), checkpoints=True)
+    # 10^8 one-shot checkpoints on K2 would take more than 17 GB; refused before any draw
+    with pytest.raises(ValueError, match="100000000 x 2 x 2\\^2 = 800000000 entries"):
+        convergence_profile(sampled_config(shots=10**8, checkpoint_every=1), POINT)
+
+
+def test_shots_and_photon_means_are_capped_before_any_draw():
+    assert ScanConfig(graph=K2, shots=MAX_SHOTS).shots == MAX_SHOTS == 10**9 - 1
+    for mode in ("ideal", "sampled"):
+        with pytest.raises(ValueError, match="1000000000 shots; records are capped at 999999999"):
+            ScanConfig(graph=K2, mode=mode, calibration=CAL, shots=MAX_SHOTS + 1)
+        with pytest.raises(ValueError, match="records are capped at 999999999"):
+            ScanConfig(graph=K2, mode=mode, calibration=CAL, shots=10**20)
+    # shots x the brightest intensity at the cap, and one ulp above
+    bright = CalibrationTable(np.array([MAX_RECORD_PHOTONS / 1000, 3.0, 2.0, 1.0]))
+    sampled_config(calibration=bright, shots=1000)
+    above = CalibrationTable(np.array([np.nextafter(MAX_RECORD_PHOTONS / 1000, math.inf), 3.0, 2.0, 1.0]))
+    with pytest.raises(ValueError, match="photons a record; records are capped at 1e\\+15"):
+        sampled_config(calibration=above, shots=1000)
+    ScanConfig(graph=K2, calibration=above, shots=1000)  # an ideal scan draws no photons
+    with pytest.raises(ValueError, match="capped at 1e\\+15"):
+        sampled_config(calibration=CalibrationTable(np.array([1e15, 3.0, 2.0, 1.0])), shots=300_000)
+
+
+def test_sampled_registers_are_capped():
+    ring = [(i, (i + 1) % 13) for i in range(13)]
+    cal13 = CalibrationTable(np.arange(1.0, 8193.0))
+    with pytest.raises(ValueError, match="13 vertices; sampled scans are capped at 12"):
+        ScanConfig(graph=Graph.from_edges(13, ring), mode="sampled", calibration=cal13)
+    assert MAX_SAMPLED_VERTICES == 12
+    ScanConfig(graph=Graph.from_edges(13, ring))  # ideal scans are not
+    ScanConfig(graph=Graph.complete(12), mode="sampled", calibration=CalibrationTable(np.arange(1.0, 4097.0)))
 
 
 def test_closed_form_special_values():
@@ -633,9 +685,9 @@ def test_non_degenerate_reconstruction_error_propagates(monkeypatch):
         convergence_profile(cfg, POINT)
 
 
-def kernel_text(values, seps, texts=None):
+def kernel_text(values, seps):
     buffer = io.StringIO()
-    write_rows(buffer, np.reshape(values, (-1, len(seps))), seps, texts)
+    write_rows(buffer, np.reshape(values, (-1, len(seps))), seps)
     return buffer.getvalue()
 
 
@@ -679,19 +731,6 @@ def test_format_10g_matches_format_byte_for_byte():
     assert kernel_text(np.float64(-0.0), "\n") == "-0\n"
 
 
-def test_write_rows_puts_text_columns_in_place():
-    rng = np.random.default_rng(4)
-    for rows in (10, 900):  # the per-value loop and the kernel
-        table = rng.standard_normal((rows, 3))
-        # an integer column keeps every digit: %.10g would print 10**10 as 1e+10; the
-        # longest texts do not fit the kernel's fixed width
-        column = [str(10**10 + r) if r % 3 else str(10**20 * r) for r in range(rows)]
-        text = kernel_text(table, ",,\n", {1: column})
-        fields = zip(format_10g(table[:, 0]), column, format_10g(table[:, 2]))
-        expected = "".join(f"{a},{c},{b}\n" for a, c, b in fields)
-        assert text == expected
-
-
 def test_csv_writers_match_per_value_oracles():
     def same_text(write, oracle, result):
         buffer = io.StringIO()
@@ -717,16 +756,16 @@ def test_csv_writers_match_per_value_oracles():
     profile = convergence_profile(sampled_config(shots=20_000, checkpoint_every=200), POINT)
     assert np.isnan(profile.std_pops).all() and 11 * profile.checkpoint_shots.size > SMALL
     same_text(write_convergence_csv, convergence_csv_text, profile)
-    # shot counts of 10**10 and more print as integers
-    for checkpoints in (2, 600):
-        shots = 10**10 * np.arange(1, checkpoints + 1)
+    # shot counts up to MAX_SHOTS print as integers, through the per-value loop and the kernel
+    for every, checkpoints in ((333_333_333, 3), (1_666_666, 600)):
+        shots = every * np.arange(1, checkpoints + 1)
         pops = rng.random((checkpoints, 2))
         big = ConvergenceProfile(shots, pops, pops / 3, pops.sum(axis=1), pops[:, 0], 1, 1, 0)
         buffer = io.StringIO()
         write_convergence_csv(big, buffer)
-        assert buffer.getvalue().splitlines()[1].startswith("10000000000,")
-        assert buffer.getvalue().splitlines()[2].startswith("20000000000,")
+        assert buffer.getvalue().splitlines()[-1].startswith(f"{shots[-1]},")
         same_text(write_convergence_csv, convergence_csv_text, big)
+    assert 3 * 333_333_333 == MAX_SHOTS
     # a trace with +-inf, NaN and -0.0, long enough for the kernel
     angles = rng.standard_normal((400, 3)).tolist()
     angles[7] = [math.inf, -0.0, math.nan]
@@ -1002,6 +1041,20 @@ def test_measure_point_simulates_one_noiseless_state(monkeypatch, noise, calls):
     # a 2x2 grid is one chunk: one stacked call of all 4 points per state, read by all three realizations
     assert len(seen) == calls
     assert all(np.shape(betas) == np.shape(gammas) == (4, 1) for _, betas, gammas, *_ in seen)
+
+
+def test_depolarizing_chunk_makes_one_density_call(monkeypatch):
+    # a chunk's channel-averaged populations come from one stacked call of all its points
+    seen = []
+
+    def counting(graph, betas, gammas, noise):
+        seen.append((np.shape(betas), np.shape(gammas)))
+        return density_populations(graph, betas, gammas, noise)
+
+    monkeypatch.setattr(experiment, "density_populations", counting)
+    cfg = sampled_config(p=2, shots=2_000, realizations=3, noise=NoiseConfig(depolarizing_prob=0.02))
+    run_scan(replace(cfg, beta_range=(0.1, 0.2, 0.1), gamma_range=(0.5, 0.7, 0.2)))
+    assert seen == [((4, 2), (4, 2))]
 
 
 def test_point_streams_are_three_children_of_the_point_seed():

@@ -87,14 +87,13 @@ def test_depolarizing_single_gate_statistics():
     circuit = Circuit(1, (Gate("RX", (0,), theta),))
     p0 = math.cos(theta / 2) ** 2
     expected0 = (1 - prob) * p0 + prob * (p0 / 3 + 2 * (1 - p0) / 3)
-    pops = density_populations(circuit, NoiseConfig(depolarizing_prob=prob))
+    # the channel on an arbitrary circuit is the dense oracle's; the kernel is held to it below
+    pops = density_matrix_populations(circuit, NoiseConfig(depolarizing_prob=prob))
     np.testing.assert_allclose(pops, [expected0, 1 - expected0], rtol=0, atol=1e-12)
 
 
 def test_full_depolarizing_drives_to_uniform():
-    params = QaoaParams.single(0.15 * math.pi, 1.5 * math.pi)
-    circuit = build_ansatz(K2, params)
-    pops = density_populations(circuit, NoiseConfig(depolarizing_prob=1.0))
+    (pops,) = density_populations(K2, [[0.15 * math.pi]], [[1.5 * math.pi]], NoiseConfig(depolarizing_prob=1.0))
     np.testing.assert_allclose(pops, np.full(4, 0.25), atol=0.05)
 
 
@@ -143,6 +142,19 @@ def random_circuit(n, rng, num_gates=14):
     return Circuit(n, tuple(gates))
 
 
+def random_ansatz(n, rng, points=3, p=None):
+    """A random weighted graph on ``n`` vertices and ``(points, p)`` angle stacks, p from 1 to 3 unless given."""
+    edges = [(i, j, float(rng.uniform(0.1, 3.0))) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7]
+    p = p or int(rng.integers(1, 4))
+    return Graph.from_edges(n, edges), rng.uniform(-math.pi, math.pi, (points, p)), rng.uniform(-4.0, 4.0, (points, p))
+
+
+def oracle_rows(graph, betas, gammas, config):
+    """The dense oracle's populations of ``build_ansatz`` at each row of the angle stacks."""
+    circuits = (build_ansatz(graph, QaoaParams(tuple(b), tuple(g))) for b, g in zip(betas, gammas))
+    return np.array([density_matrix_populations(circuit, config) for circuit in circuits])
+
+
 def noise_config(prob, deterministic):
     if deterministic:
         return NoiseConfig(depolarizing_prob=prob, overrotation_frac=0.06, phase_offset=-0.4)
@@ -153,13 +165,13 @@ def noise_config(prob, deterministic):
 @pytest.mark.parametrize("prob", DEPOLARIZING)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_trajectory_sampler_matches_gate_level_oracle(n, prob, deterministic):
-    # density_populations on a 2n-qubit vector against the dense density-matrix oracle
+    # density_populations on a 2n-qubit vector per point against the dense density-matrix oracle
     config = noise_config(prob, deterministic)
-    circuit = random_circuit(n, np.random.default_rng(100 * n + int(1000 * prob)))
-    pops = density_populations(circuit, config)
-    assert pops.shape == (1 << n,)
-    np.testing.assert_allclose(pops, density_matrix_populations(circuit, config), rtol=0, atol=1e-12)
-    assert abs(pops.sum() - 1.0) <= 1e-12
+    graph, betas, gammas = random_ansatz(n, np.random.default_rng(100 * n + int(1000 * prob)))
+    pops = density_populations(graph, betas, gammas, config)
+    assert pops.shape == (3, 1 << n)
+    np.testing.assert_allclose(pops, oracle_rows(graph, betas, gammas, config), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pops.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def forbid_dense_operators(monkeypatch):
@@ -172,31 +184,48 @@ def forbid_dense_operators(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_density_populations_runs_without_dense_operators(monkeypatch, n):
-    # every gate kind, both orders of two-qubit targets, against the oracle
-    circuit = random_circuit(n, np.random.default_rng(900 + n), num_gates=40)
-    kinds = {gate.kind for gate in circuit.gates}
-    assert kinds == ({"H", "X", "RX", "RY", "RZ", "RZZ", "CNOT"} if n > 1 else {"H", "X", "RX", "RY", "RZ"})
-    if n > 1:
-        assert {gate.targets[0] > gate.targets[1] for gate in circuit.gates if gate.kind == "CNOT"} == {False, True}
+    # a complete weighted graph, so every pair of qubits meets in an RZZ, against the oracle
+    rng = np.random.default_rng(900 + n)
+    graph = Graph.from_edges(n, [(i, j, float(rng.uniform(0.1, 3.0))) for i in range(n) for j in range(i + 1, n)])
+    betas, gammas = rng.uniform(-math.pi, math.pi, (2, 4, 2))
     config = NoiseConfig(depolarizing_prob=0.02, overrotation_frac=0.06, phase_offset=-0.4)
-    expected = density_matrix_populations(circuit, config)
+    expected = oracle_rows(graph, betas, gammas, config)
     forbid_dense_operators(monkeypatch)
-    np.testing.assert_allclose(density_populations(circuit, config), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(density_populations(graph, betas, gammas, config), expected, rtol=0, atol=1e-12)
 
 
 def test_density_populations_of_a_five_qubit_ansatz(monkeypatch):
     graph = Graph.from_edges(5, [(0, 1, 0.7), (1, 2, 1.2), (2, 3, 0.9), (3, 4, 1.1), (4, 0, 0.6), (1, 3, 1.3)])
-    circuit = build_ansatz(graph, QaoaParams((0.3, 0.8), (0.7, 1.9)))
+    betas, gammas = [(0.3, 0.8), (1.1, -0.2)], [(0.7, 1.9), (2.3, 0.4)]
     config = NoiseConfig(depolarizing_prob=0.02, overrotation_frac=0.05, phase_offset=0.1)
-    expected = density_matrix_populations(circuit, config)
+    expected = oracle_rows(graph, betas, gammas, config)
     forbid_dense_operators(monkeypatch)
-    np.testing.assert_allclose(density_populations(circuit, config), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(density_populations(graph, betas, gammas, config), expected, rtol=0, atol=1e-12)
 
 
 def test_density_populations_rejects_a_register_past_the_limit():
     # rho on 13 qubits has 4^13 entries, a 26-qubit register
     with pytest.raises(ValueError, match="26"):
-        density_populations(Circuit(13, ()), NoiseConfig(0.01))
+        density_populations(Graph.from_edges(13, []), [[0.1]], [[0.2]], NoiseConfig(0.01))
+
+
+@pytest.mark.parametrize("noise", [(0.0, 0.0), (0.07, 0.3), (-0.04, -0.45)], ids=["plain", "positive", "negative"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_stacked_density_rows_equal_one_row_calls(n, p, noise):
+    # every row of a (points, p) stack is the one-row call of its angles bit for bit
+    graph, betas, gammas = random_ansatz(n, np.random.default_rng(300 * n + p), points=5, p=p)
+    config = NoiseConfig(depolarizing_prob=0.03, overrotation_frac=noise[0], phase_offset=noise[1])
+    stack = density_populations(graph, betas, gammas, config)
+    assert stack.shape == (5, 1 << n)
+    for row, beta, gamma in zip(stack, betas, gammas):
+        np.testing.assert_array_equal(row, density_populations(graph, [beta], [gamma], config)[0])
+
+
+def test_density_populations_rejects_mismatched_or_empty_angles():
+    for beta_shape, gamma_shape in (((3, 1), (2, 1)), ((0, 1), (0, 1)), ((3,), (3,))):
+        with pytest.raises(ValueError, match="stacks"):
+            density_populations(K2, np.zeros(beta_shape), np.zeros(gamma_shape), NoiseConfig(0.01))
 
 
 @pytest.mark.parametrize("split", [False, True])
@@ -207,10 +236,11 @@ def test_stochastic_measure_circuit_matches_simulate_noisy_loop(n, prob, determi
     # a circuit is read as read_records of its exact channel-averaged
     # populations, which without depolarizing are the gate-by-gate state's
     config = noise_config(prob, deterministic)
-    circuit = random_circuit(n, np.random.default_rng(7 * n + int(100 * prob)), num_gates=10)
+    graph, betas, gammas = random_ansatz(n, np.random.default_rng(7 * n + int(100 * prob)), points=1)
     intensities = np.linspace(4.0, 0.5, 1 << n)
-    pops = density_populations(circuit, config)
+    (pops,) = density_populations(graph, betas, gammas, config)
     if prob == 0.0:
+        circuit = build_ansatz(graph, QaoaParams(tuple(betas[0]), tuple(gammas[0])))
         np.testing.assert_allclose(pops, populations(simulate_noisy(circuit, config)), rtol=0, atol=1e-12)
     # 11 full blocks and a 70-shot tail
     rows = check_rows(pops[None], pops.size)
@@ -230,7 +260,8 @@ def test_trajectory_mean_matches_simulate_noisy_loop(prob, deterministic):
     # error pattern of its probability times the populations of simulate_noisy
     # on the circuit with those errors written in as fixed gates (Z = HXH and
     # Y = XZ up to phase; fixed gates are neither overrotated nor followed by
-    # the phase offset).
+    # the phase offset). The channel on an arbitrary circuit is the dense
+    # oracle's; the kernel is held to the oracle above.
     config = noise_config(prob, deterministic)
     quiet = NoiseConfig(overrotation_frac=config.overrotation_frac, phase_offset=config.phase_offset)
     gates = (Gate("H", (0,)), Gate("RZZ", (0, 1), 1.3), Gate("RX", (1,), 0.8))
@@ -247,7 +278,7 @@ def test_trajectory_mean_matches_simulate_noisy_loop(prob, deterministic):
             noisy.append(gate)
             noisy += [Gate(kind, (q,)) for (g, q), e in zip(slots, errors) if g == k and e for kind in paulis[e]]
         expected += weight * populations(simulate_noisy(Circuit(2, tuple(noisy)), quiet))
-    np.testing.assert_allclose(density_populations(circuit, config), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(density_matrix_populations(circuit, config), expected, rtol=0, atol=1e-12)
 
 
 # --- record means of a circuit's populations against the density-matrix oracle ---
@@ -255,10 +286,13 @@ def test_trajectory_mean_matches_simulate_noisy_loop(prob, deterministic):
 
 def test_density_matrix_oracle_is_the_exact_state_without_depolarizing():
     circuit = random_circuit(3, np.random.default_rng(2))
+    graph, betas, gammas = random_ansatz(3, np.random.default_rng(3))
     for config in (NoiseConfig(), NoiseConfig(overrotation_frac=0.06, phase_offset=-0.4)):
         exact = populations(simulate_noisy(circuit, config))
         np.testing.assert_allclose(density_matrix_populations(circuit, config), exact, atol=1e-12)
-        np.testing.assert_allclose(density_populations(circuit, config), exact, rtol=0, atol=1e-12)
+        circuits = (build_ansatz(graph, QaoaParams(tuple(b), tuple(g))) for b, g in zip(betas, gammas))
+        exact = [populations(simulate_noisy(c, config)) for c in circuits]
+        np.testing.assert_allclose(density_populations(graph, betas, gammas, config), exact, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("deterministic", [False, True])
@@ -268,11 +302,11 @@ def test_trajectory_mean_matches_density_matrix_oracle(n, prob, deterministic):
     # every shot is a fresh trajectory, so a record's mean count is an
     # average of i.i.d. counts with the oracle's mean and variance
     config = noise_config(prob, deterministic)
-    circuit = random_circuit(n, np.random.default_rng(50 + n), num_gates=8)
+    graph, betas, gammas = random_ansatz(n, np.random.default_rng(50 + n), points=1)
     intensities = np.linspace(4.0, 0.5, 1 << n)
     shots = 200_000
-    (got,), _ = read_records(intensities, check_rows(density_populations(circuit, config)[None], 1 << n), shots, 17)
-    exact = density_matrix_populations(circuit, config)
+    (got,), _ = read_records(intensities, check_rows(density_populations(graph, betas, gammas, config), 1 << n), shots, 17)
+    (exact,) = oracle_rows(graph, betas, gammas, config)
     mean = exact @ intensities
     var = mean + exact @ intensities**2 - mean**2  # Poisson noise plus the spread over basis states
     assert abs(got - mean) <= 5.0 * math.sqrt(var / shots), (got, mean)

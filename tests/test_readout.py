@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chi2
 
 from nvqaoa import reconstruction
-from nvqaoa.circuits import Circuit, QaoaParams, build_ansatz
+from nvqaoa.circuits import QaoaParams, build_ansatz, simulate
 from nvqaoa.graph_problem import Graph
 from nvqaoa.noise import NoiseConfig, density_populations
 from nvqaoa.readout import (
@@ -21,7 +21,7 @@ from nvqaoa.readout import (
     save_calibration,
     split_totals,
 )
-from nvqaoa.statevector import Gate
+from nvqaoa.statevector import populations
 from oracles import draw_shot_counts
 
 CAL = default_calibration()
@@ -151,12 +151,9 @@ def test_shot_argument_validation():
 
 
 def test_measure_circuit_basic():
-    circuits = [
-        Circuit(2, ()),
-        Circuit(2, (Gate("X", (0,)), Gate("X", (1,)))),
-        build_ansatz(Graph.complete(2), QaoaParams.single(0.0, 0.0)),  # uniform state
-    ]
-    rows = check_rows([density_populations(c, NoiseConfig()) for c in circuits], 4)
+    # |00>, |11> and the uniform state
+    uniform = populations(simulate(build_ansatz(Graph.complete(2), QaoaParams.single(0.0, 0.0))))
+    rows = check_rows([np.eye(4)[0], np.eye(4)[3], uniform], 4)
     means, _ = read_records(CAL.intensities, rows, 200_000, 4)
     for mean, pops, exact in zip(means, (np.eye(4)[0], np.eye(4)[3], np.full(4, 0.25)), (5.0, 1.0, 2.75)):
         assert abs(mean - exact) <= 5 * mixture_std(CAL.intensities, pops, 200_000)
@@ -164,12 +161,11 @@ def test_measure_circuit_basic():
 
 def test_measure_circuit_dimension_check():
     with pytest.raises(ValueError, match="shape"):
-        check_rows(density_populations(Circuit(1, ()), NoiseConfig())[None], CAL.intensities.size)
+        check_rows(np.eye(2)[:1], CAL.intensities.size)
 
 
 def test_stochastic_noise_deterministic_per_seed():
-    circuit = build_ansatz(Graph.complete(2), QaoaParams.single(0.2, 0.9))
-    rows = check_rows(density_populations(circuit, NoiseConfig(depolarizing_prob=0.05))[None], 4)
+    rows = check_rows(density_populations(Graph.complete(2), [[0.2]], [[0.9]], NoiseConfig(depolarizing_prob=0.05)), 4)
     a = read_records(CAL.intensities, rows, 3000, 21, 23, 1000)
     b = read_records(CAL.intensities, rows, 3000, 21, 23, 1000)
     c = read_records(CAL.intensities, rows, 3000, 22, 23, 1000)
@@ -180,9 +176,10 @@ def test_stochastic_noise_deterministic_per_seed():
 
 def test_seed_sequence_argument_is_not_mutated():
     # a SeedSequence passed in is read, never spawned from, so passing it again repeats the records
-    circuit = build_ansatz(Graph.complete(2), QaoaParams.single(0.2, 0.9))
-    for noise in (NoiseConfig(depolarizing_prob=0.05), NoiseConfig()):
-        rows = check_rows(density_populations(circuit, noise)[None], 4)
+    noisy = density_populations(Graph.complete(2), [[0.2]], [[0.9]], NoiseConfig(depolarizing_prob=0.05))
+    exact = populations(simulate(build_ansatz(Graph.complete(2), QaoaParams.single(0.2, 0.9))))[None]
+    for pops in (noisy, exact):
+        rows = check_rows(pops, 4)
         draws, split = np.random.SeedSequence(5), np.random.SeedSequence(6)
         first = read_records(CAL.intensities, rows, 3000, draws, split, 500)
         second = read_records(CAL.intensities, rows, 3000, draws, split, 500)

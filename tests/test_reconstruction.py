@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from nvqaoa._bitstrings import all_bitstrings
-from nvqaoa.circuits import QaoaParams, append_flips, build_ansatz
+from nvqaoa.circuits import QaoaParams, append_flips, build_ansatz, simulate
 from nvqaoa.graph_problem import Graph
-from nvqaoa.noise import NoiseConfig, density_populations
 from nvqaoa.readout import CalibrationTable, check_rows, default_calibration, read_records
 from nvqaoa.reconstruction import (
     DegenerateCalibrationError,
@@ -13,6 +12,7 @@ from nvqaoa.reconstruction import (
     reconstruct,
     walsh_coefficients,
 )
+from nvqaoa.statevector import populations
 from oracles import calibration_circuits, parity_signs
 
 CAL = default_calibration()
@@ -154,7 +154,7 @@ def test_norm_from_sampled_data_stays_near_one():
     params = QaoaParams.single(0.15 * np.pi, 1.5 * np.pi)
     ansatz = build_ansatz(graph, params)
     circuits = calibration_circuits(2) + [append_flips(ansatz, pattern) for pattern in all_bitstrings(2)]
-    rows = check_rows([density_populations(c, NoiseConfig()) for c in circuits], 4)
+    rows = check_rows([populations(simulate(c)) for c in circuits], 4)
     in_window = 0
     trials = 40
     for seed in range(trials):
