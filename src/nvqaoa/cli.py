@@ -64,7 +64,7 @@ SEED_ENV_VAR = "NVQAOA_SEED"
 DEFAULT_BETA_RANGE_TEXT = "0.1pi:0.6pi:0.025pi"
 DEFAULT_GAMMA_RANGE_TEXT = "0.1pi:2.1pi:0.05pi"
 
-THREADS_HELP = "accepted for compatibility and ignored: scans run serially"
+THREADS_HELP = "accepted for compatibility and ignored: landscapes run serially"
 
 STRATEGIES = ("grid_then_refine", "simplex")
 

@@ -43,11 +43,22 @@ realization_index))``, so results are independent of evaluation order. Its
 children 0, 1 and 2 perturb the calibration, draw the records and split them
 into checkpoint blocks (``convergence_profile`` only), so the final checkpoint
 equals ``measure_point`` bit for bit. ``_point_streams`` builds each child directly.
+
+Landscapes and ``optimize`` run on the calling thread. ``convergence_profile``
+draws and splits its realizations in rounds of one per available CPU
+(``_split_workers``), each on a thread of its own, the caller taking one: the
+hypergeometric split, which dominates it, runs numpy's C routine without the
+GIL and takes it back only briefly between calls. A split too
+short to pay for a thread stays on the calling thread. Each realization draws
+on its own generators, so the profile does not depend on the CPU count;
+reconstruction and statistics stay serial.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from itertools import count
 from numbers import Integral
@@ -94,7 +105,7 @@ MAX_SHOTS = 10**9 - 1
 # the brightest intensity; numpy's Poisson takes means up to about 9.2e18.
 # This cap leaves a factor of about 9000 for --cal-sigma's jitter 1 + N(0,
 # sigma), so a perturbed mean overflows only at a draw of 9000 / sigma
-# standard deviations.
+# standard deviations, 90 at noise.MAX_CALIBRATION_SIGMA.
 MAX_RECORD_PHOTONS = 1e15
 
 # Scans hold arrays per (beta, gamma) point, so the grid is capped before any is made.
@@ -110,6 +121,16 @@ MAX_SCAN_ENTRIES = 1 << 27
 # most this many floats (64 KiB), below glibc's default 128 KiB mmap threshold.
 # Freeing a block above it raises that threshold for the rest of the process.
 _CHUNK_ENTRIES = 1 << 13
+
+# convergence_profile splits realizations on threads only where that pays. A
+# split's hypergeometric calls (readout._fill_slots) run without the GIL for
+# about 0.13 us a block and hold it for about 5 us a call between them, and
+# starting a thread takes about 0.5 ms (2-vCPU Xeon VM, numpy 2.4). So a record
+# must split into at least _THREAD_MIN_BLOCKS blocks, and a realization's
+# records into at least _THREAD_MIN_SPLIT blocks in all; below either, two
+# threads ran up to 1.5x slower than one.
+_THREAD_MIN_BLOCKS = 1 << 8
+_THREAD_MIN_SPLIT = 1 << 13
 
 CSV_HEADER = "beta,gamma,realization,F_measured,F_ideal,abs_diff,norm,pops"
 
@@ -286,7 +307,11 @@ def _check_scan_entries(config: ScanConfig, checkpoints: bool = False) -> None:
     A scan holds points x realizations x 2^n populations, one realization in
     ideal mode. A convergence profile holds realizations x checkpoints x 2^n
     populations, and ``readout.split_totals`` 2^(n+1) x checkpoints block
-    totals, so its count is checkpoints x max(realizations, 2) x 2^n.
+    totals, so its largest array holds checkpoints x max(realizations, 2) x
+    2^n entries. It splits W realizations at a time (``_split_workers``, at
+    most one per CPU and per realization), so its live set is the populations
+    plus W realizations' block arrays, about (realizations + 2 W) x
+    checkpoints x 2^n floats besides each split's temporaries.
     """
     n = config.graph.num_vertices
     if checkpoints:
@@ -474,10 +499,14 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     Draws the same records on the same substream as :func:`measure_point` and
     splits them into checkpoint blocks on a third (``readout.split_totals``), so
     when ``shots`` is a multiple of ``checkpoint_every`` the final checkpoint
-    reproduces that point's estimate. Each realization, an all-dark one too,
-    inverts all its checkpoints in one stacked ``reconstruct`` call, which
-    leaves a checkpoint with a degenerate table NaN. Standard deviations are
-    sample standard deviations across realizations (NaN when fewer than two
+    reproduces that point's estimate. Realizations are drawn and split in
+    rounds of W (``_split_workers``: one per available CPU, 1 for a short
+    split), each on its own thread, the calling thread taking the first; only
+    one round's blocks are alive at a time, and the profile is the same bit for
+    bit whatever W. Each realization, an all-dark one too, then inverts all its
+    checkpoints in one stacked ``reconstruct`` call on the calling thread,
+    which leaves a checkpoint with a degenerate table NaN. Standard deviations
+    are sample standard deviations across realizations (NaN when fewer than two
     are valid).
     """
     if config.mode != "sampled":
@@ -491,11 +520,19 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     norm_runs = np.empty((config.realizations, num_checkpoints))
     reads = _sampled_state_pops(config, diagonal_costs(config.graph), [params.betas], [params.gammas])
     rows = _point_rows(config, reads[0])
-    for realization in range(config.realizations):
-        table, flips = _read_point(config, rows, realization, point_index, checkpoints=True)
-        # an exact table is one row, shared by every checkpoint
-        estimate = reconstruct(np.broadcast_to(table, flips.shape), flips)
-        pops_runs[realization], norm_runs[realization] = estimate.pops, estimate.norm
+
+    def read(realization: int):
+        return _read_point(config, rows, realization, point_index, checkpoints=True)
+
+    workers = _split_workers(config)
+    for first in range(0, config.realizations, workers):
+        batch = range(first, min(first + workers, config.realizations))
+        for realization, (table, flips) in zip(batch, _map_threads(read, batch)):
+            # an exact table is one row, shared by every checkpoint
+            estimate = reconstruct(np.broadcast_to(table, flips.shape), flips)
+            pops_runs[realization], norm_runs[realization] = estimate.pops, estimate.norm
+        # the next round reads with no block array of this one alive
+        del table, flips, estimate
 
     mean_pops, std_pops = _realization_stats(pops_runs, 0)
     mean_norm, std_norm = _realization_stats(norm_runs, 0)
@@ -632,6 +669,56 @@ def _point_states(config: ScanConfig, diag: np.ndarray, betas, gammas) -> tuple[
     ideal = populations(qaoa_amplitudes(diag, betas, gammas))
     # row by row, so each cost equals _ideal_point's np.dot bit for bit
     return [float(np.dot(row, diag)) for row in ideal], _sampled_state_pops(config, diag, betas, gammas, ideal)
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_workers(config: ScanConfig) -> int:
+    """Realizations ``convergence_profile`` draws and splits at a time: one per available CPU, at most all.
+
+    A split too short to pay for a thread (``_THREAD_MIN_BLOCKS``,
+    ``_THREAD_MIN_SPLIT``) takes one at a time.
+    """
+    blocks = config.shots // config.checkpoint_every
+    if blocks < _THREAD_MIN_BLOCKS or blocks << (config.graph.num_vertices + 1) < _THREAD_MIN_SPLIT:
+        return 1
+    return min(_available_cpus(), config.realizations)
+
+
+def _map_threads(function, items: Sequence) -> list:
+    """``[function(item) for item in items]``, every item but the first on a thread of its own.
+
+    The calling thread takes the first item, so a single item starts no
+    thread. Every thread is joined before the first exception, in item order,
+    is raised here.
+    """
+    results, errors = [None] * len(items), [None] * len(items)
+
+    def run(k: int) -> None:
+        try:
+            results[k] = function(items[k])
+        except BaseException as exc:  # raised in the caller once every thread is joined
+            errors[k] = exc
+
+    threads = []
+    try:
+        for k in range(1, len(items)):
+            thread = threading.Thread(target=run, args=(k,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _realization_stats(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:

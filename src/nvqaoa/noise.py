@@ -41,6 +41,11 @@ from .statevector import (
     rz_matrix,
 )
 
+# A perturbed intensity is I * (1 + N(0, sigma)), and experiment.MAX_RECORD_PHOTONS
+# leaves a factor of about 9000 below numpy's Poisson limit for that jitter. At
+# this cap a record's photon mean overflows only at a draw of 90 standard deviations.
+MAX_CALIBRATION_SIGMA = 100.0
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -59,6 +64,8 @@ class NoiseConfig:
             raise ValueError("depolarizing_prob must be in [0, 1]")
         if self.calibration_sigma < 0.0:
             raise ValueError("calibration_sigma must be nonnegative")
+        if self.calibration_sigma > MAX_CALIBRATION_SIGMA:
+            raise ValueError(f"calibration_sigma is capped at {MAX_CALIBRATION_SIGMA:g}")
 
     @property
     def is_stochastic(self) -> bool:

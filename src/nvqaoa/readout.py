@@ -11,8 +11,10 @@ basis-state occupations of all its shots and one Poisson for its photon total
 (``draw_totals``), which is exact because a sum of independent multinomials
 (Poissons) is multinomial (Poisson) again. ``split_totals`` splits records into
 checkpoint blocks by the exact conditional law of i.i.d. shots given those
-totals. ``check_rows`` checks population rows once, however many records are
-later drawn from them; ``read_records`` is the one path from checked rows to
+totals, calling the C routine behind ``Generator.multivariate_hypergeometric``
+directly where numpy exports it (``_marginals``), with the same draws.
+``check_rows`` checks population rows once, however many records are later
+drawn from them; ``read_records`` is the one path from checked rows to
 records: it runs the two draws on their own generators and returns every
 record's mean and its running means at each full checkpoint block. Reading is
 deterministic given its arguments and seeds: a ``SeedSequence`` passed in is
@@ -22,7 +24,9 @@ records bit for bit.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,38 @@ _POPS_TOLERANCE = 1e-9
 
 #: Walsh coefficients |c_t| at or below this cannot be divided by.
 DEGENERACY_TOLERANCE = 1e-9
+
+
+@cache
+def _marginals():
+    """numpy's C routine behind ``Generator.multivariate_hypergeometric``'s marginals method, or None.
+
+    numpy exports the C distributions of ``Generator`` from its
+    ``_generator`` extension, where its "Extending via CFFI" example calls
+    them on a bit generator's interface. Called on a generator's own bit
+    generator, the routine draws what the method draws, bit for bit. The
+    method checks its arguments for about 10 us a call with the GIL held, a
+    ctypes call takes about 1.4 us, and ctypes releases the GIL while the
+    routine runs: concurrent splits (``experiment.convergence_profile``) then
+    seldom wait on each other for it. Where numpy does not export the
+    routine, the split calls the method. Looked up at the first split, since
+    reading ``np.random`` imports it.
+    """
+    try:
+        function = ctypes.CDLL(np.random._generator.__file__).random_multivariate_hypergeometric_marginals
+    except (AttributeError, OSError):
+        return None
+    # (bitgen, total, num_colors, colors, nsample, num_variates, variates)
+    function.argtypes = (
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_int64, ctypes.c_size_t,
+        ctypes.c_void_p,
+    )
+    function.restype = None
+    return function
+
+
+# The marginals method takes fewer than 10^9 items, for its draws' precision.
+_MAX_SPLIT_SHOTS = 10**9
 
 
 class DegenerateCalibrationError(ValueError):
@@ -137,21 +173,52 @@ def split_totals(
     rest of its total.
     """
     num_shots = int(occupations[0].sum())
+    # the C routine checks nothing: each record must fill exactly its cells, below
+    # the marginals method's own limit
+    if num_shots >= _MAX_SPLIT_SHOTS or (occupations.sum(axis=1) != num_shots).any():
+        raise ValueError(f"records to split must share one shot count below {_MAX_SPLIT_SHOTS}")
     cells = _block_sizes(num_shots, checkpoint_every)
     num_full = num_shots // checkpoint_every
-    means = np.zeros((len(occupations), cells.size))
+    means = np.empty((len(occupations), cells.size))
     for r, row in enumerate(occupations):
-        free = cells.copy()
-        *drawn_states, last = np.flatnonzero(row)
-        for s in drawn_states:
-            drawn = rng.multivariate_hypergeometric(free, row[s])
-            means[r] += drawn * intensities[s]
-            free -= drawn
-        means[r] += free * intensities[last]
+        states = np.flatnonzero(row)
+        slots = np.zeros((states.size, cells.size), dtype=np.int64)
+        slots[-1] = cells
+        _fill_slots(rng, row[states[:-1]], slots)
+        # accumulate adds the states' means one at a time, in state order: the
+        # running sum of the method's loop, bit for bit
+        means[r] = np.add.accumulate(slots * intensities[states, None])[-1]
     total = means.sum(axis=1, keepdims=True)
     p = np.divide(means, total, out=np.full_like(means, 1.0 / cells.size), where=total > 0)
     counts = rng.multinomial(totals, p)
     return counts[:, :num_full]
+
+
+def _fill_slots(rng: np.random.Generator, counts: np.ndarray, slots: np.ndarray) -> None:
+    """Draw state k's ``counts[k]`` shots per cell into ``slots[k]``, over the free slots held in ``slots[-1]``.
+
+    State by state, each row is multivariate hypergeometric over the slots
+    still free (``Generator.multivariate_hypergeometric``, marginals method),
+    which are then taken out of ``slots[-1]``; it ends holding the slots no
+    state took. Every row but the last must start at 0: the C routine writes
+    only the cells it draws.
+    """
+    free = slots[-1]
+    marginals = _marginals()
+    if marginals is None:
+        for k, count in enumerate(counts):
+            slots[k] = rng.multivariate_hypergeometric(free, count)
+            free -= slots[k]
+        return
+    bitgen = rng.bit_generator.ctypes.bit_generator
+    address, stride = slots.ctypes.data, slots.strides[0]
+    free_address = address + (len(slots) - 1) * stride
+    left = int(free.sum())
+    with rng.bit_generator.lock:
+        for k, count in enumerate(counts.tolist()):
+            marginals(bitgen, left, free.size, free_address, count, 1, address + k * stride)
+            free -= slots[k]
+            left -= count
 
 
 def read_records(

@@ -29,6 +29,7 @@ from nvqaoa.cli import (
     parse_range,
 )
 from nvqaoa.experiment import closed_form_cost_k2
+from nvqaoa.noise import MAX_CALIBRATION_SIGMA
 
 
 def write_k2(tmp_path, name="k2.txt"):
@@ -185,6 +186,21 @@ def test_shot_bound_admits_its_limit(tmp_path, capsys):
     capsys.readouterr()
     assert main([*argv, "--shots", str(experiment.MAX_SHOTS + 1), "--out", str(tmp_path / "above")]) == EXIT_USAGE
     assert "1000000000 shots; records are capped at 999999999" in capsys.readouterr().err
+    assert not (tmp_path / "above").exists()
+
+
+def test_cal_sigma_bound_admits_its_limit(tmp_path, capsys):
+    # 10^5 shots of a 10^10 state are MAX_RECORD_PHOTONS; at sigma = 100 the
+    # jitter overflows numpy's Poisson limit only at a draw of 90 standard deviations
+    bright = tmp_path / "bright.txt"
+    bright.write_text("00 1e10\n01 3\n10 2\n11 1\n")
+    argv = ["landscape", "--graph", write_k2(tmp_path), "--mode", "sampled", "--cal", str(bright),
+            "--shots", "100000", "--realizations", "2", "--cal-sigma", str(MAX_CALIBRATION_SIGMA), *SMALL_SCAN]
+    assert main([*argv, "--out", str(tmp_path / "limit")]) == EXIT_OK
+    capsys.readouterr()
+    above = str(np.nextafter(MAX_CALIBRATION_SIGMA, math.inf))
+    assert main([*argv, "--cal-sigma", above, "--out", str(tmp_path / "above")]) == EXIT_USAGE
+    assert "calibration_sigma is capped at 100" in capsys.readouterr().err
     assert not (tmp_path / "above").exists()
 
 
@@ -714,27 +730,43 @@ def test_undecodable_input_file_is_usage_error(tmp_path, capsys, command, flag):
 
 
 # A fresh process, since this one has imported scipy.stats for the readout tests.
+# Its convergence splits its two realizations, 2000 one-shot blocks each, on
+# two threads whatever the host.
 COLD_COMMANDS = """
 import sys
 from pathlib import Path
 from nvqaoa import cli, experiment
 
+experiment._available_cpus = lambda: 2
 tmp = Path(sys.argv[1])
 (tmp / "k2.txt").write_text("n 2\\n0 1\\n")
 (tmp / "cal.txt").write_text("00 5\\n01 3\\n10 2\\n11 1\\n")
 scan = ["--graph", str(tmp / "k2.txt"), "--cal", str(tmp / "cal.txt"), "--shots", "2000", "--realizations", "2"]
 grid = ["--beta-range", "0.1:0.2:0.1", "--gamma-range", "0.5:0.7:0.2"]
 assert cli.main(["landscape", "--mode", "sampled", *scan, *grid, "--out", str(tmp / "scan")]) == 0
-assert cli.main(["convergence", *scan, "--beta", "0.3", "--gamma", "0.7", "--out", str(tmp / "conv")]) == 0
+conv = ["--beta", "0.3", "--gamma", "0.7", "--checkpoint-every", "1"]
+assert cli.main(["convergence", *scan, *conv, "--out", str(tmp / "conv")]) == 0
 assert cli.main(["rerun", "--manifest", str(tmp / "scan" / "manifest.txt"), "--out", str(tmp / "again")]) == 0
-print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+for package in ("scipy", "concurrent.futures"):
+    print(sorted(name for name in sys.modules if name == package or name.startswith(package + ".")))
 """
 
 
-def test_scan_convergence_and_rerun_never_import_scipy(tmp_path):
-    done = run_python("-c", COLD_COMMANDS, str(tmp_path))
+@pytest.fixture(scope="module")
+def cold_imports(tmp_path_factory):
+    """The scipy and concurrent.futures modules a fresh process imports to run landscape, convergence and rerun."""
+    done = run_python("-c", COLD_COMMANDS, str(tmp_path_factory.mktemp("cold")))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-2:]
+
+
+def test_scan_convergence_and_rerun_never_import_scipy(cold_imports):
+    assert cold_imports[0] == "[]"
+
+
+def test_scan_convergence_and_rerun_never_import_concurrent_futures(cold_imports):
+    # threads come from threading, which numpy imports anyway
+    assert cold_imports[1] == "[]"
 
 
 # --- noise flags ---
@@ -826,6 +858,8 @@ def test_programming_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
         ("landscape", ["--shots", "100000000000000000000"], "records are capped at 999999999"),
         ("landscape", ["--cal", "@bright-cal", "--shots", "300000"], "photons a record; records are capped at 1e+15"),
         ("convergence", ["--shots", "100000000", "--checkpoint-every", "1"], "100000000 x 4 x 2^2 = 1600000000 entries"),
+        ("landscape", ["--cal-sigma", "100.00000000000001"], "calibration_sigma is capped at 100"),
+        ("landscape", ["--cal", "@bright-10", "--shots", "100000", "--cal-sigma", "100000"], "capped at 100"),
     ],
 )
 def test_bad_input_is_usage_error_before_output(tmp_path, capsys, command, extra, message):
@@ -838,6 +872,7 @@ def test_bad_input_is_usage_error_before_output(tmp_path, capsys, command, extra
         "@ring-13": ("ring-13.txt", "n 13\n" + "".join(f"{i} {(i + 1) % 13}\n" for i in range(13))),
         "@cal-13": ("cal-13.txt", "".join(f"{s:013b} {1 + s}\n" for s in range(8192))),
         "@bright-cal": ("bright.txt", "00 1e15\n01 3\n10 2\n11 1\n"),
+        "@bright-10": ("bright-10.txt", "00 1e10\n01 3\n10 2\n11 1\n"),
     }
     for key, (name, text) in files.items():
         (tmp_path / name).write_text(text)

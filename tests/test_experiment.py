@@ -2,12 +2,15 @@ import io
 import itertools
 import math
 import re
-from dataclasses import replace
+import sys
+import threading
+import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from nvqaoa import experiment
+from nvqaoa import experiment, readout
 from nvqaoa._bitstrings import all_bitstrings
 from nvqaoa._format10g import SMALL, write_rows
 from nvqaoa.circuits import (
@@ -683,6 +686,120 @@ def test_non_degenerate_reconstruction_error_propagates(monkeypatch):
         measure_point(cfg, POINT)
     with pytest.raises(ValueError, match="not a calibration problem"):
         convergence_profile(cfg, POINT)
+
+
+WORKER_CASES = {
+    "empirical": dict(),
+    "exact": dict(exact_calibration=True),
+    # at master seed 1 the perturbed table of point 4, realization 3 is all dark (see above)
+    "cal-sigma-all-dark": dict(master_seed=1, noise=NoiseConfig(calibration_sigma=3.0)),
+    "depolarizing": dict(noise=NoiseConfig(depolarizing_prob=0.05)),
+}
+
+
+@pytest.mark.parametrize("realizations", [1, 3, 4])
+@pytest.mark.parametrize("case", list(WORKER_CASES))
+def test_convergence_profile_does_not_depend_on_the_worker_count(monkeypatch, case, realizations):
+    # 1024 one-shot blocks of 8 records: long enough a split to go to a thread
+    cfg = sampled_config(shots=1_024, checkpoint_every=1, realizations=realizations, **WORKER_CASES[case])
+    point_index = 4 if case == "cal-sigma-all-dark" else 0
+    on_main = {}
+
+    def spying(config, rows, realization, *args, **kwargs):
+        on_main[realization] = threading.current_thread() is threading.main_thread()
+        return _read_point(config, rows, realization, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_read_point", spying)
+    profiles = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(experiment, "_available_cpus", lambda: workers)
+        on_main.clear()
+        profiles.append(convergence_profile(cfg, POINT, point_index=point_index))
+        # rounds of min(workers, realizations): the calling thread reads the first of each
+        share = min(workers, realizations)
+        assert on_main == {r: r % share == 0 for r in range(realizations)}
+    for profile in profiles[1:]:
+        for field in fields(ConvergenceProfile):
+            np.testing.assert_array_equal(getattr(profile, field.name), getattr(profiles[0], field.name))
+    pops_runs, norm_runs = per_checkpoint_runs(cfg, POINT, point_index)
+    np.testing.assert_array_equal([profiles[0].mean_pops, profiles[0].std_pops], _realization_stats(pops_runs, 0))
+    np.testing.assert_array_equal([profiles[0].mean_norm, profiles[0].std_norm], _realization_stats(norm_runs, 0))
+    assert profiles[0].checkpoints_invalid == np.count_nonzero(np.isnan(norm_runs))
+    if case == "cal-sigma-all-dark" and realizations == 4:
+        assert np.isnan(norm_runs[3]).all() and np.isfinite(norm_runs[:3, -1]).all()
+
+
+def test_convergence_profile_holds_under_thread_stress(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows
+    cfg = sampled_config(graph=ring(3), calibration=random_table(3, 2), shots=1_024, checkpoint_every=1, realizations=8)
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 1)
+    serial = convergence_profile(cfg, POINT)
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = convergence_profile(cfg, POINT)
+    finally:
+        sys.setswitchinterval(interval)
+    for field in fields(ConvergenceProfile):
+        np.testing.assert_array_equal(getattr(threaded, field.name), getattr(serial, field.name))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_convergence_holds_one_round_of_blocks_at_a_time(monkeypatch, workers):
+    # a read that starts sees only the block arrays its own round has returned
+    lock, live, seen = threading.Lock(), [0], []
+
+    def released():
+        with lock:
+            live[0] -= 1
+
+    def tracking(*args, **kwargs):
+        with lock:
+            seen.append(live[0])
+        table, flips = _read_point(*args, **kwargs)
+        with lock:
+            live[0] += 1
+        weakref.finalize(flips.base, released)
+        return table, flips
+
+    monkeypatch.setattr(experiment, "_read_point", tracking)
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: workers)
+    convergence_profile(sampled_config(shots=1_024, checkpoint_every=1, realizations=7), POINT)
+    assert len(seen) == 7 and max(seen) <= workers - 1
+    assert live[0] == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_failed_split_is_raised_after_every_thread_is_joined(monkeypatch, workers):
+    def failing(rng, *args):
+        # spawn key (point, realization, 2): realization 2 reads on a worker thread when workers = 3
+        if rng.bit_generator.seed_seq.spawn_key[1] == 2:
+            raise RuntimeError("split failed")
+        return split_totals(rng, *args)
+
+    split_totals = readout.split_totals
+    monkeypatch.setattr(readout, "split_totals", failing)
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: workers)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="split failed"):
+        convergence_profile(sampled_config(shots=1_024, checkpoint_every=1, realizations=4), POINT)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "graph, shots, workers",
+    [(K2, 1_023, 1), (K2, 1_024, 3), (ring(4), 255, 1), (ring(4), 256, 3), (ring(6), 255, 1), (ring(6), 256, 3)],
+)
+def test_only_long_splits_go_to_threads(monkeypatch, graph, shots, workers):
+    # a record must split into 256 blocks, and a realization's 2^(n+1) records into 2^13
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 8)
+    cfg = sampled_config(graph=graph, calibration=random_table(graph.num_vertices, 1), shots=shots, checkpoint_every=1,
+                         realizations=3)
+    assert experiment._split_workers(cfg) == workers
+    assert experiment._split_workers(replace(cfg, realizations=1)) == 1
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 1)
+    assert experiment._split_workers(cfg) == 1
 
 
 def kernel_text(values, seps):

@@ -7,7 +7,7 @@ import pytest
 from nvqaoa import noise, statevector
 from nvqaoa.circuits import Circuit, QaoaParams, build_ansatz, simulate
 from nvqaoa.graph_problem import Graph, diagonal_costs
-from nvqaoa.noise import NoiseConfig, density_populations, perturb_calibration, simulate_noisy
+from nvqaoa.noise import MAX_CALIBRATION_SIGMA, NoiseConfig, density_populations, perturb_calibration, simulate_noisy
 from nvqaoa.readout import CalibrationTable, check_rows, default_calibration, read_records
 from nvqaoa.statevector import ROTATION_KINDS, Gate, apply_gate, apply_matrix, init_zero, populations, rz_matrix
 from oracles import density_matrix_populations
@@ -26,6 +26,9 @@ def test_config_validation():
         NoiseConfig(depolarizing_prob=-0.1)
     with pytest.raises(ValueError):
         NoiseConfig(calibration_sigma=-1.0)
+    assert NoiseConfig(calibration_sigma=MAX_CALIBRATION_SIGMA).calibration_sigma == MAX_CALIBRATION_SIGMA
+    with pytest.raises(ValueError, match="capped at 100"):
+        NoiseConfig(calibration_sigma=np.nextafter(MAX_CALIBRATION_SIGMA, math.inf))
     with pytest.raises(ValueError):
         NoiseConfig(overrotation_frac=float("nan"))
     assert not NoiseConfig().is_stochastic

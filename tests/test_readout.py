@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from nvqaoa import reconstruction
+from nvqaoa import readout, reconstruction
 from nvqaoa.circuits import QaoaParams, build_ansatz, simulate
 from nvqaoa.graph_problem import Graph
 from nvqaoa.noise import NoiseConfig, density_populations
@@ -201,6 +201,51 @@ def test_sample_shots_is_the_batched_draw_and_split_of_one_row():
     assert blocks.shape == (1, 4) and 0 <= totals[0] - blocks.sum() <= totals[0]
     np.testing.assert_array_equal(means, totals / 2_345)
     np.testing.assert_array_equal(checkpoints, np.cumsum(blocks, axis=1) / (500 * np.arange(1, 5)))
+
+
+def method_split(rng, intensities, occupations, totals, checkpoint_every):
+    """``split_totals`` as a loop of ``Generator.multivariate_hypergeometric`` calls, one running sum per record."""
+    num_shots = int(occupations[0].sum())
+    full, tail = divmod(num_shots, checkpoint_every)
+    cells = np.array([checkpoint_every] * full + ([tail] if tail else []))
+    means = np.zeros((len(occupations), cells.size))
+    for r, row in enumerate(occupations):
+        free = cells.copy()
+        *drawn_states, last = np.flatnonzero(row)
+        for s in drawn_states:
+            drawn = rng.multivariate_hypergeometric(free, row[s])
+            means[r] += drawn * intensities[s]
+            free -= drawn
+        means[r] += free * intensities[last]
+    total = means.sum(axis=1, keepdims=True)
+    p = np.divide(means, total, out=np.full_like(means, 1.0 / cells.size), where=total > 0)
+    return rng.multinomial(totals, p)[:, :full]
+
+
+@pytest.mark.parametrize("through_method", [False, True], ids=["c_routine", "method"])
+def test_split_draws_what_the_generator_method_draws(monkeypatch, through_method):
+    # 2 to 32 states a record, split into 1 to 300 cells, with dark states
+    if through_method:
+        monkeypatch.setattr(readout, "_marginals", lambda: None)
+    else:
+        assert readout._marginals() is not None
+    cases = np.random.default_rng(29)
+    for trial in range(60):
+        size = 1 << int(cases.integers(1, 6))
+        intensities = cases.uniform(0.0, 3.0, size) * (cases.random(size) > 0.2)
+        rows = check_rows(cases.dirichlet(np.full(size, cases.choice([0.1, 1.0, 5.0])), 2 * size), size)
+        shots = int(cases.choice([1, 7, 100, 1_000, 50_000]))
+        every = int(cases.choice([max(shots // 300, 1), max(shots // 7, 1), shots // 2 + 1, shots]))
+        occupations, totals = draw_totals(np.random.default_rng(trial), intensities, rows, shots)
+        got = split_totals(np.random.default_rng(trial + 1), intensities, occupations, totals, every)
+        want = method_split(np.random.default_rng(trial + 1), intensities, occupations, totals, every)
+        np.testing.assert_array_equal(got, want)
+    # records of unequal shot counts, or too many shots, never reach the draws
+    occupations = np.array([[3, 2], [4, 2]])
+    with pytest.raises(ValueError, match="one shot count"):
+        split_totals(np.random.default_rng(0), np.ones(2), occupations, np.array([5, 6]), 2)
+    with pytest.raises(ValueError, match="one shot count"):
+        split_totals(np.random.default_rng(0), np.ones(2), np.array([[10**9, 0]]), np.array([5]), 10**6)
 
 
 def test_split_of_a_dark_record_is_all_zero():
