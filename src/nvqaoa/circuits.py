@@ -10,7 +10,11 @@ phase, which is one of the library's standing self-checks.
 per layer, one multiply by the cost-diagonal phase and n in-place RX
 butterflies, each row with its own angles. It folds in overrotation and phase
 offset, so it makes every deterministic ansatz state of a scan, exact or
-sampled; ``simulate_qaoa`` is its one-row case. The gate-level ``simulate(build_ansatz(...))`` and
+sampled; ``simulate_qaoa`` is its one-row case. Without a phase offset, on a
+cost diagonal equal to its own reverse (every ``diagonal_costs`` output), it
+simulates only the half of each row with qubit 0 clear and mirrors it
+(``_even_amplitudes``), bit for bit what the loop over the whole register
+gives. The gate-level ``simulate(build_ansatz(...))`` and
 ``noise.simulate_noisy(build_ansatz(...))`` stay as its reference. A
 depolarizing channel leaves a mixed state, which a sampled scan reads from
 the density-matrix twin ``noise.density_populations`` instead.
@@ -133,6 +137,13 @@ def qaoa_amplitudes(
     layer becomes one diagonal RZ(num_edges * offset) next to the cost phase.
     Unequal, empty or non-finite angle stacks, a phase offset without
     ``num_edges`` and a depolarizing channel raise ValueError.
+
+    Without a phase offset, and with ``costs`` equal to ``costs[::-1]``, every
+    amplitude equals its mirror's under flipping all qubits, and only the half
+    with qubit 0 clear is simulated (``_even_amplitudes``); the result is the
+    same bit for bit. The loop over all 2^n amplitudes runs otherwise: for a
+    phase offset, whose RZ on qubit 0 breaks the symmetry, and for a diagonal
+    that is not its own reverse.
     """
     costs = np.asarray(costs, dtype=float)
     size = costs.size
@@ -146,11 +157,14 @@ def qaoa_amplitudes(
         if noise.phase_offset != 0.0 and num_edges is None:
             raise ValueError("a phase offset needs num_edges, the number of two-qubit gates per layer")
         scale, offset = 1.0 + noise.overrotation_frac, noise.phase_offset * (num_edges or 0)
+    betas, gammas = scale * betas, scale * gammas
+    if not offset and np.array_equal(costs, costs[::-1]):
+        return _even_amplitudes(costs, betas, gammas)
     # RZ on qubit 0, the most significant bit of the index: one phase per half
     offset_phases = np.diagonal(rz_matrix(offset))[:, None]
     n = size.bit_length() - 1
     amps = np.full((betas.shape[0], size), 2.0 ** (-0.5 * n), dtype=complex)
-    for beta, gamma in zip((scale * betas).T, (scale * gammas).T):
+    for beta, gamma in zip(betas.T, gammas.T):
         amps *= np.exp(-1j * gamma[:, None] * costs)
         if offset:
             halves = amps.reshape(-1, 2, size >> 1)
@@ -159,6 +173,28 @@ def qaoa_amplitudes(
         cos, minus_i_sin = np.cos(beta), -1j * np.sin(beta)
         butterfly(amps, ((cos, minus_i_sin), (minus_i_sin, cos)), range(n))
     return amps
+
+
+def _even_amplitudes(costs: np.ndarray, betas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """``qaoa_amplitudes`` without a phase offset for ``costs`` equal to ``costs[::-1]``, from the half with qubit 0 clear.
+
+    Flipping every qubit maps index z to its mirror 2^n - 1 - z. Such a cost
+    diagonal, the |+>^n start and every RX commute with that flip, so each
+    amplitude equals its mirror's. Qubit 0's RX pairs z with z + 2^(n-1),
+    whose amplitude is the mirror entry of the half. Each entry takes the full
+    loop's operations in its order, so the result equals it bit for bit: RX has
+    equal diagonal and equal off-diagonal entries, and complex multiplication
+    and addition are commutative.
+    """
+    half, n = costs.size >> 1, costs.size.bit_length() - 1
+    lo = np.full((betas.shape[0], half), 2.0 ** (-0.5 * n), dtype=complex)
+    for beta, gamma in zip(betas.T, gammas.T):
+        lo *= np.exp(-1j * gamma[:, None] * costs[:half])
+        beta = beta[:, None, None]
+        cos, minus_i_sin = np.cos(beta), -1j * np.sin(beta)
+        lo = cos[:, 0] * lo + minus_i_sin[:, 0] * lo[..., ::-1]
+        butterfly(lo, ((cos, minus_i_sin), (minus_i_sin, cos)), range(n - 1))
+    return np.concatenate((lo, lo[..., ::-1]), axis=-1)
 
 
 def simulate_qaoa(

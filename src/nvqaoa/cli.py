@@ -44,6 +44,7 @@ from .experiment import (
     write_convergence_csv,
     write_landscape_csv,
     write_trace_csv,
+    _check_cost_phase,
     _check_fields,
     _check_scan_entries,
     _realization_stats,
@@ -330,6 +331,7 @@ def _run_landscape(cfg: ScanConfig, config: dict, options: dict, out: str, force
     artifacts = ["landscape.csv", "summary.txt"]
     try:
         _check_scan_entries(cfg)
+        _check_cost_phase(cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if options["svg"]:
@@ -364,6 +366,10 @@ def _cmd_optimize(args) -> int:
 
 def _run_optimize(cfg: ScanConfig, config: dict, options: dict, out, force: bool) -> int:
     artifacts = ["trace.csv", "summary.txt"]
+    try:
+        _check_cost_phase(cfg)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     out_dir = _prepare_out(out, force, artifacts + ["manifest.txt"]) if out else None
     started = time.perf_counter()
     result = optimize(cfg, strategy=options["strategy"])
@@ -430,6 +436,7 @@ def _run_convergence(cfg: ScanConfig, config: dict, options: dict, out: str, for
     try:
         _check_scan_entries(cfg, checkpoints=True)
         params = QaoaParams((options["beta"],) * cfg.p, (options["gamma"],) * cfg.p)
+        _check_cost_phase(cfg, params.gammas)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     artifacts = ["convergence.csv", "summary.txt"]

@@ -23,6 +23,8 @@ per realization draw all their records (``readout.read_records``).
 Sampled scans are capped at ``MAX_SAMPLED_VERTICES``, since a point's rows
 hold 2 * 4^n floats, and depolarizing ones at ``MAX_DEPOLARIZING_VERTICES``,
 since its rho holds 4^n complex entries and each gate sweeps them.
+``run_scan``, ``optimize`` and ``convergence_profile`` first check that the
+largest cost phase they evaluate is finite (``_check_cost_phase``).
 
 A sampled ``run_scan`` reads the grid in chunks of consecutive points, each
 chunk's batch arrays bounded by ``_CHUNK_ENTRIES`` floats. A chunk simulates
@@ -326,6 +328,24 @@ def _check_scan_entries(config: ScanConfig, checkpoints: bool = False) -> None:
         raise ValueError(f"{what} would hold {count} x {copies} x 2^{n} = {entries} {unit}; capped at {MAX_SCAN_ENTRIES}")
 
 
+def _check_cost_phase(config: ScanConfig, gammas=None) -> None:
+    """Raise ValueError if a cost phase gamma x C at ``gammas``, by default the gamma grid, could overflow.
+
+    Every phase is bounded by |gamma| x (1 + |overrotation|) x the total edge
+    weight, which must be finite; an overflowed phase would turn every
+    amplitude NaN.
+    """
+    # Python floats overflow to inf without a numpy warning
+    gamma = float(np.max(np.abs(config.gammas() if gammas is None else gammas)))
+    frac = config.noise.overrotation_frac if config.noise is not None else 0.0
+    weight = config.graph.total_weight()
+    if not math.isfinite(gamma * (1.0 + abs(frac)) * weight):
+        raise ValueError(
+            f"cost phase overflows: |gamma| {gamma:g} x (1 + |overrotation| {abs(frac):g}) "
+            f"x total edge weight {weight:g} is not finite"
+        )
+
+
 def run_scan(config: ScanConfig) -> LandscapeGrid:
     """Evaluate the full (beta, gamma) grid.
 
@@ -336,6 +356,7 @@ def run_scan(config: ScanConfig) -> LandscapeGrid:
     draws, and one stacked ``reconstruct`` call inverts it (``_read_chunk``).
     """
     _check_scan_entries(config)
+    _check_cost_phase(config)
     betas, gammas = config.betas(), config.gammas()
     realizations = 1 if config.mode == "ideal" else config.realizations
     diag = diagonal_costs(config.graph)
@@ -411,6 +432,7 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> Optimize
     """
     if strategy not in ("grid_then_refine", "simplex"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    _check_cost_phase(config)
     p = config.p
     trace: list[tuple[tuple[float, ...], tuple[float, ...], float]] = []
     eval_index = count()
@@ -514,6 +536,7 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     if config.shots < config.checkpoint_every:
         raise ValueError("need at least one full checkpoint block")
     _check_scan_entries(config, checkpoints=True)
+    _check_cost_phase(config, params.gammas)
     size = 1 << config.graph.num_vertices
     num_checkpoints = config.shots // config.checkpoint_every
     pops_runs = np.empty((config.realizations, num_checkpoints, size))

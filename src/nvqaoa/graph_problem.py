@@ -7,6 +7,7 @@ negation, so lower is better and the best cost is ``-maxcut``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -22,7 +23,7 @@ MAX_VERTICES = 24
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected weighted graph as a symmetric adjacency matrix with zero diagonal."""
+    """Undirected weighted graph as a symmetric adjacency matrix with zero diagonal and a finite total weight."""
 
     num_vertices: int
     adjacency: np.ndarray
@@ -44,6 +45,8 @@ class Graph:
             raise ValueError("adjacency matrix must be symmetric")
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
+        if not math.isfinite(self.total_weight()):
+            raise ValueError("total edge weight must be finite")
 
     @classmethod
     def from_edges(cls, num_vertices: int, edges: Iterable[Sequence[float]]) -> "Graph":
@@ -76,6 +79,10 @@ class Graph:
         np.fill_diagonal(adj, 0.0)
         return cls(num_vertices, adj)
 
+    def total_weight(self) -> float:
+        """Sum of the edge weights, the largest cut value any partition can reach."""
+        return sum((w for _, _, w in self.edges()), 0.0)
+
     def edges(self) -> list[tuple[int, int, float]]:
         """Edges as (i, j, weight) with i < j, ascending."""
         return list(iter_edges(self.adjacency))
@@ -99,8 +106,8 @@ def cut_value(graph: Graph, bits: BitString) -> float:
 
 
 def cost(graph: Graph, bits: BitString) -> float:
-    """Negated cut value: the quantity the variational search minimizes."""
-    return -cut_value(graph, bits)
+    """Negated cut value: the quantity the variational search minimizes; an uncut partition costs +0."""
+    return 0.0 - cut_value(graph, bits)
 
 
 def brute_force(graph: Graph) -> CutReport:
@@ -118,18 +125,21 @@ def diagonal_costs(graph: Graph) -> np.ndarray:
     """Cost of every basis state as a length-2**n vector (the diagonal cost operator).
 
     Vertex 0 is the most significant bit of the basis index, matching the
-    state-vector convention.
+    state-vector convention. Moving every vertex to the other side cuts the
+    same edges, and it maps index z to 2^n - 1 - z, so the table equals its
+    reverse: the half with vertex 0 on side 0 is summed, and the other half is
+    its mirror, each entry the same edge-order sum.
     """
     n = graph.num_vertices
     if n > MAX_VERTICES:
         raise ValueError(f"diagonal cost table capped at {MAX_VERTICES} vertices, got {n}")
-    idx = np.arange(1 << n, dtype=np.int64)
+    idx = np.arange(1 << (n - 1), dtype=np.int64)
     # w times a 0 or 1 of any integer type is the same double, so uint8 bits keep every sum bit for bit
     bits = [((idx >> (n - 1 - v)) & 1).astype(np.uint8) for v in range(n)]
-    total = np.zeros(1 << n)
+    half = np.zeros(idx.size)
     for i, j, w in graph.edges():
-        total -= w * (bits[i] ^ bits[j])
-    return total
+        half -= w * (bits[i] ^ bits[j])
+    return np.concatenate((half, half[::-1]))
 
 
 def parse_graph(text: str) -> Graph:

@@ -13,6 +13,10 @@ one stacked call, build and check its rows at once and invert it in one
 stacked call. Its depolarizing state is a one-row ``density_populations``
 call, so there it is not independent of the kernel;
 ``density_matrix_populations`` holds the kernel to the channel.
+``full_loop_amplitudes`` is ``circuits.qaoa_amplitudes``' loop over all 2^n
+amplitudes, the slow path of its half-register path for mirror-symmetric cost
+diagonals. ``p1_cost`` is the closed-form expected cost of a one-layer ansatz
+state, built from per-edge correlators that share no code with the simulator.
 ``parity_signs`` is the dense character table that ``reconstruction.fwht``
 applies in place.
 ``landscape_csv_text``, ``convergence_csv_text`` and ``trace_csv_text`` are the
@@ -26,12 +30,13 @@ import numpy as np
 
 from nvqaoa._bitstrings import all_bitstrings
 from nvqaoa.circuits import Circuit, append_flips, simulate_qaoa
+from nvqaoa.noise import _angle_stacks
 from nvqaoa.experiment import CSV_HEADER
 from nvqaoa.graph_problem import diagonal_costs
 from nvqaoa.noise import density_populations, perturb_calibration
 from nvqaoa.readout import CalibrationTable, check_rows, read_records
 from nvqaoa.reconstruction import DegenerateCalibrationError, reconstruct
-from nvqaoa.statevector import ROTATION_KINDS, Gate, gate_matrix, populations, rz_matrix
+from nvqaoa.statevector import ROTATION_KINDS, Gate, butterfly, gate_matrix, populations, rz_matrix
 
 PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -122,6 +127,63 @@ def measure_point_per_point(config, params, realization_index=0, point_index=0):
     except DegenerateCalibrationError:
         return np.full(size, math.nan), math.nan, math.nan, F_ideal
     return estimate.pops, estimate.norm, float(np.dot(estimate.pops, diag)), F_ideal
+
+
+def full_loop_amplitudes(costs, betas, gammas, noise=None, num_edges=None):
+    """``qaoa_amplitudes`` with every layer applied to all 2^n amplitudes of each row."""
+    costs = np.asarray(costs, dtype=float)
+    size = costs.size
+    if costs.ndim != 1 or size < 2 or size & (size - 1):
+        raise ValueError(f"cost diagonal must have a power-of-two length >= 2, got shape {costs.shape}")
+    betas, gammas = _angle_stacks(betas, gammas)
+    scale, offset = 1.0, 0.0
+    if noise is not None:
+        if noise.is_stochastic:
+            raise ValueError("qaoa_amplitudes takes only deterministic noise; depolarizing needs density_populations")
+        if noise.phase_offset != 0.0 and num_edges is None:
+            raise ValueError("a phase offset needs num_edges, the number of two-qubit gates per layer")
+        scale, offset = 1.0 + noise.overrotation_frac, noise.phase_offset * (num_edges or 0)
+    # RZ on qubit 0, the most significant bit of the index: one phase per half
+    offset_phases = np.diagonal(rz_matrix(offset))[:, None]
+    n = size.bit_length() - 1
+    amps = np.full((betas.shape[0], size), 2.0 ** (-0.5 * n), dtype=complex)
+    for beta, gamma in zip((scale * betas).T, (scale * gammas).T):
+        amps *= np.exp(-1j * gamma[:, None] * costs)
+        if offset:
+            halves = amps.reshape(-1, 2, size >> 1)
+            halves *= offset_phases
+        beta = beta[:, None, None]  # one RX(2 beta) per row, shaped as butterfly takes it
+        cos, minus_i_sin = np.cos(beta), -1j * np.sin(beta)
+        butterfly(amps, ((cos, minus_i_sin), (minus_i_sin, cos)), range(n))
+    return amps
+
+
+def p1_edge_correlators(graph, beta, gamma):
+    """<Z_u Z_v> of every edge, in ``graph.edges()`` order, in the state e^(-i beta sum X) e^(-i gamma C)|+>^n.
+
+    With C = sum w (Z_u Z_v - 1) / 2 the couplings are J = w / 2, and
+    <Z_u Z_v> = 1/2 sin 4 beta sin 2 gamma J_uv (prod_k cos 2 gamma J_uk + prod_k cos 2 gamma J_vk)
+    - 1/2 sin^2 2 beta (prod_k cos 2 gamma (J_uk + J_vk) - prod_k cos 2 gamma (J_uk - J_vk)),
+    each product over k other than u and v (Wang, Hadfield, Jiang & Rieffel,
+    PRA 97, 022304 (2018); Ozaeta, van Dam & McMahon, Quantum Sci. Technol. 7,
+    045036 (2022)).
+    """
+    J = graph.adjacency / 2.0
+    correlators = []
+    for u, v, _ in graph.edges():
+        others = [k for k in range(graph.num_vertices) if k not in (u, v)]
+        Ju, Jv = J[u, others], J[v, others]
+        field = math.sin(4.0 * beta) * math.sin(2.0 * gamma * J[u, v])
+        field *= np.prod(np.cos(2.0 * gamma * Ju)) + np.prod(np.cos(2.0 * gamma * Jv))
+        triangles = np.prod(np.cos(2.0 * gamma * (Ju + Jv))) - np.prod(np.cos(2.0 * gamma * (Ju - Jv)))
+        correlators.append(0.5 * field - 0.5 * math.sin(2.0 * beta) ** 2 * triangles)
+    return np.array(correlators)
+
+
+def p1_cost(graph, beta, gamma):
+    """Expected cost sum w (<Z_u Z_v> - 1) / 2 of the one-layer ansatz state at (beta, gamma)."""
+    weights = np.array([w for _, _, w in graph.edges()])
+    return float(np.sum(weights * (p1_edge_correlators(graph, beta, gamma) - 1.0)) / 2.0)
 
 
 def parity_signs(width):

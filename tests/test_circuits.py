@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nvqaoa import circuits
 from nvqaoa._bitstrings import all_bitstrings
 from nvqaoa.circuits import (
     Circuit,
@@ -17,7 +18,7 @@ from nvqaoa.circuits import (
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import NoiseConfig, simulate_noisy
 from nvqaoa.statevector import Gate, expectation_diagonal, fidelity, populations
-from oracles import calibration_circuits
+from oracles import calibration_circuits, full_loop_amplitudes
 
 K2 = Graph.complete(2)
 K3 = Graph.complete(3)
@@ -193,7 +194,6 @@ def test_structured_simulator_matches_gate_level_oracle(n, p):
     for graph in (random_weighted_graph(rng, n), Graph(n, np.zeros((n, n)))):
         costs = diagonal_costs(graph)
         num_edges = len(graph.edges())
-        total_weight = sum(w for _, _, w in graph.edges())
         for _ in range(3):
             params = QaoaParams(tuple(rng.uniform(-math.pi, math.pi, p)), tuple(rng.uniform(-math.pi, math.pi, p)))
             fast = simulate_qaoa(costs, params)
@@ -205,7 +205,7 @@ def test_structured_simulator_matches_gate_level_oracle(n, p):
             np.testing.assert_allclose(populations(fast), populations(gate), rtol=0, atol=1e-12)
             np.testing.assert_allclose(populations(fast), populations(native), rtol=0, atol=1e-12)
             # the RZZ product is exp(-i gamma C) times the global phase e^(-i gamma W / 2) per layer
-            phase = np.exp(-0.5j * total_weight * sum(params.gammas))
+            phase = np.exp(-0.5j * graph.total_weight() * sum(params.gammas))
             np.testing.assert_allclose(gate.amplitudes, phase * fast.amplitudes, rtol=0, atol=1e-12)
             for noise in DETERMINISTIC_NOISE:
                 folded = simulate_qaoa(costs, params, noise, num_edges)
@@ -234,6 +234,46 @@ def test_stacked_kernel_rows_equal_one_row_calls(n, p, noise):
         oracle = simulate_noisy(build_ansatz(graph, params), noise or NoiseConfig()).amplitudes
         overlap = np.vdot(row, oracle)
         np.testing.assert_allclose(oracle, overlap / abs(overlap) * row, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_half_register_path_equals_the_full_loop_bit_for_bit(n):
+    # a diagonal_costs output equals its reverse, so the state is simulated on the half with qubit 0 clear
+    rng = np.random.default_rng(2000 + n)
+    for trial in range(25):
+        graph = random_weighted_graph(rng, n)
+        costs = diagonal_costs(graph)
+        p, rows = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        betas, gammas = rng.uniform(-math.pi, math.pi, (2, rows, p))
+        noise = NoiseConfig(overrotation_frac=float(rng.uniform(-0.2, 0.2))) if trial % 2 else None
+        fast = qaoa_amplitudes(costs, betas, gammas, noise)
+        slow = full_loop_amplitudes(costs, betas, gammas, noise)
+        np.testing.assert_array_equal(populations(fast), populations(slow))
+        np.testing.assert_array_equal(fast, slow)
+
+
+def test_phase_offset_and_asymmetric_diagonals_take_the_full_loop(monkeypatch):
+    def half_path(*args):
+        raise AssertionError("half-register path taken")
+
+    monkeypatch.setattr(circuits, "_even_amplitudes", half_path)
+    rng = np.random.default_rng(31)
+    graph = random_weighted_graph(rng, 5)
+    costs, num_edges = diagonal_costs(graph), len(graph.edges())
+    betas, gammas = rng.uniform(-math.pi, math.pi, (2, 3, 2))
+    # a caller's diagonal that is not its own reverse
+    lopsided = costs + np.linspace(0.0, 0.5, costs.size)
+    np.testing.assert_array_equal(
+        qaoa_amplitudes(lopsided, betas, gammas), full_loop_amplitudes(lopsided, betas, gammas)
+    )
+    noise = NoiseConfig(overrotation_frac=0.03, phase_offset=0.2)
+    folded = qaoa_amplitudes(costs, betas, gammas, noise, num_edges)
+    np.testing.assert_array_equal(folded, full_loop_amplitudes(costs, betas, gammas, noise, num_edges))
+    for row, beta, gamma in zip(folded, betas, gammas):
+        oracle = simulate_noisy(build_ansatz(graph, QaoaParams(tuple(beta), tuple(gamma))), noise)
+        np.testing.assert_allclose(populations(row), populations(oracle), rtol=0, atol=1e-12)
+    with pytest.raises(AssertionError, match="half-register"):
+        qaoa_amplitudes(costs, betas, gammas)
 
 
 def test_stacked_kernel_rejects_mismatched_or_empty_angles():

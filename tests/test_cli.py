@@ -398,6 +398,17 @@ def test_optimize_edgeless_graph_has_no_ratio(tmp_path, capsys):
     assert "best F: 0\n" in out
 
 
+@pytest.mark.parametrize("text", ["n 1\n", "n 2\n"])
+def test_optimize_uncut_partition_costs_positive_zero(tmp_path, capsys, text):
+    graph = tmp_path / "lonely.txt"
+    graph.write_text(text)
+    out = tmp_path / "opt"
+    assert main(["optimize", "--graph", str(graph), "--out", str(out), *SMALL_SCAN]) == EXIT_OK
+    assert "best cut cost: 0\n" in capsys.readouterr().out
+    best = json.loads((out / "summary.txt").read_text())["best_cut_cost"]
+    assert best == 0.0 and math.copysign(1.0, best) == 1.0
+
+
 # --- reconstruct command ---
 
 
@@ -892,6 +903,51 @@ def test_bad_input_is_usage_error_before_output(tmp_path, capsys, command, extra
     # later flags override earlier ones
     assert main(argv + extra) == EXIT_USAGE
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+HEAVY_GRAPHS = {
+    # every weight is finite, their total is not
+    "triangle": ("n 3\n0 1 1e308\n1 2 1e308\n0 2 1e308\n", "total edge weight must be finite"),
+    # the total is finite, gamma x C is not at |gamma| = 6
+    "k2": ("n 2\n0 1 1e308\n", "cost phase overflows"),
+}
+
+
+@pytest.mark.parametrize("graph", list(HEAVY_GRAPHS))
+@pytest.mark.parametrize("command", ["landscape", "landscape-sampled", "optimize", "optimize-sampled", "convergence"])
+def test_overflowing_cost_phase_is_usage_error_before_output(tmp_path, capsys, command, graph):
+    text, message = HEAVY_GRAPHS[graph]
+    (tmp_path / "heavy.txt").write_text(text)
+    num_vertices = int(text.split()[1])
+    cal = write_cal(tmp_path, intensities=tuple(range(1 << num_vertices, 0, -1)))
+    out = tmp_path / "out"
+    name, _, mode = command.partition("-")
+    argv = [name, "--graph", str(tmp_path / "heavy.txt"), "--cal", cal, "--shots", "1000", "--out", str(out)]
+    if name == "convergence":
+        argv += ["--beta", "0.3", "--gamma", "-6"]
+    else:
+        argv += ["--mode", mode or "ideal", "--beta-range", "0.1:0.2:0.1", "--gamma-range", "2:6:4"]
+    assert main(argv) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cost_phase_bound_admits_a_finite_phase(tmp_path, capsys):
+    # |gamma| x the weight is 1.5e308, finite, so the scan runs; its rerun at |gamma| = 6 exits 2
+    (tmp_path / "heavy.txt").write_text(HEAVY_GRAPHS["k2"][0])
+    first = tmp_path / "first"
+    argv = ["landscape", "--graph", str(tmp_path / "heavy.txt"), "--beta-range", "0.1:0.2:0.1",
+            "--gamma-range", "1:1.5:0.5", "--out", str(first)]
+    assert main(argv) == EXIT_OK
+    F = [float(line.split(",")[3]) for line in (first / "landscape.csv").read_text().splitlines()[1:]]
+    assert len(F) == 4 and all(math.isfinite(value) for value in F)
+    manifest = json.loads((first / "manifest.txt").read_text())
+    manifest["config"]["gamma_range"] = [2.0, 6.0, 4.0]
+    (first / "manifest.txt").write_text(json.dumps(manifest))
+    out = tmp_path / "replay"
+    assert main(["rerun", "--manifest", str(first / "manifest.txt"), "--out", str(out)]) == EXIT_USAGE
+    assert "cost phase overflows" in capsys.readouterr().err
     assert not out.exists()
 
 

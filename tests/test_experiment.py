@@ -47,6 +47,7 @@ from nvqaoa.experiment import (
     write_convergence_csv,
     write_landscape_csv,
     write_trace_csv,
+    _check_cost_phase,
     _check_scan_entries,
     _chunk_points,
     _point_rows,
@@ -67,6 +68,7 @@ from oracles import (
     format_10g,
     landscape_csv_text,
     measure_point_per_point,
+    p1_cost,
     trace_csv_text,
 )
 
@@ -283,6 +285,55 @@ def test_ideal_scan_matches_closed_form_everywhere():
     np.testing.assert_allclose(grid.norm, 1.0, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(grid.norm, grid.pops.sum(axis=-1))
     assert landscape_error(grid) == 0.0
+
+
+def test_ideal_k14_scan_matches_the_closed_form_p1_oracle():
+    rng = np.random.default_rng(140)
+    weights = np.triu(rng.uniform(0.5, 1.5, (14, 14)), k=1)
+    graph = Graph(14, weights + weights.T)
+    grid = run_scan(ScanConfig(graph=graph, beta_range=(0.1 * math.pi, 0.6 * math.pi, 0.25 * math.pi),
+                               gamma_range=(0.1 * math.pi, 2.1 * math.pi, 0.8 * math.pi)))
+    expected = [[p1_cost(graph, beta, gamma) for gamma in grid.gammas] for beta in grid.betas]
+    np.testing.assert_allclose(grid.F_ideal, expected, rtol=0, atol=1e-12 * graph.total_weight())
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_ideal_scan_matches_the_closed_form_p1_oracle(n):
+    rng = np.random.default_rng(1400 + n)
+    for _ in range(3):
+        edges = [(i, j, float(rng.uniform(0.1, 3.0))) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+        graph = Graph.from_edges(n, edges)
+        beta, gamma = rng.uniform(-math.pi, math.pi, 2)
+        grid = run_scan(ScanConfig(graph=graph, beta_range=(beta, beta, 1.0), gamma_range=(gamma, gamma, 1.0)))
+        assert abs(grid.F_ideal[0, 0] - p1_cost(graph, beta, gamma)) <= 1e-12 * graph.total_weight()
+
+
+def test_overflowing_cost_phase_is_rejected_before_any_state(monkeypatch):
+    def simulate(*args, **kwargs):
+        raise AssertionError("a state was simulated")
+
+    monkeypatch.setattr(experiment, "qaoa_amplitudes", simulate)
+    monkeypatch.setattr(experiment, "simulate_qaoa", simulate)
+    heavy = Graph.complete(2, 1e308)
+    cal = CalibrationTable([5.0, 3.0, 2.0, 1.0])
+    grid = {"beta_range": (0.1, 0.2, 0.1), "gamma_range": (2.0, 6.0, 4.0)}
+    for mode in ("ideal", "sampled"):
+        config = ScanConfig(graph=heavy, mode=mode, calibration=cal, **grid)
+        with pytest.raises(ValueError, match="cost phase overflows"):
+            run_scan(config)
+        with pytest.raises(ValueError, match="cost phase overflows"):
+            optimize(config)
+    config = ScanConfig(graph=heavy, mode="sampled", calibration=cal, shots=1000)
+    with pytest.raises(ValueError, match="cost phase overflows"):
+        convergence_profile(config, QaoaParams.single(0.3, -6.0))
+    # the bound counts overrotation: 1.5 x 1e308 is finite, 1.5 x 1.2 x 1e308 is not
+    _check_cost_phase(config, [1.5])
+    with pytest.raises(ValueError, match=r"\|overrotation\| 0.2\)"):
+        _check_cost_phase(replace(config, noise=NoiseConfig(overrotation_frac=-0.2)), [-1.5])
+    # the grid's largest |gamma| may be at either end
+    _check_cost_phase(replace(config, gamma_range=(-1.7, 1.0, 0.1)))
+    with pytest.raises(ValueError, match=r"\|gamma\| 1.8 "):
+        _check_cost_phase(replace(config, gamma_range=(-1.8, 1.0, 0.1)))
 
 
 def test_ideal_scan_ordering_beta_major():

@@ -16,12 +16,17 @@ from nvqaoa.cli import EXIT_OK, main
 GRAPHS = {
     "k2.txt": "n 2\n0 1\n",
     "ring4.txt": "n 4\n0 1 0.7\n1 2 1.2\n2 3 0.9\n3 0 1.1\n",
+    "ring6.txt": "n 6\n0 1 0.8\n1 2 1.3\n2 3 0.6\n3 4 1.1\n4 5 0.9\n5 0 1.4\n",
+    "k10.txt": "n 10\n" + "".join(f"{i} {j} {0.5 + (7 * i + 3 * j) % 11 / 10}\n" for i in range(10) for j in range(i + 1, 10)),
 }
 CALIBRATIONS = {
     "cal.txt": (5, 3, 2, 1),
     "cal4.txt": (2.1, 1.9, 1.7, 1.5, 1.3, 1.2, 1.1, 1.0, 0.9, 0.8, 0.75, 0.7, 0.6, 0.5, 0.45, 0.4),
+    # product form, 1.2 x 0.75 per bright qubit: every Walsh coefficient is nonzero
+    "cal6.txt": tuple(1.2 * 0.75 ** bin(k).count("1") for k in range(64)),
 }
-K2_COARSE = ["--graph", "k2.txt", "--cal", "cal.txt", "--beta-range", "0.1pi:0.6pi:0.25pi", "--gamma-range", "0.1pi:2.1pi:0.8pi"]
+COARSE = ["--beta-range", "0.1pi:0.6pi:0.25pi", "--gamma-range", "0.1pi:2.1pi:0.8pi"]
+K2_COARSE = ["--graph", "k2.txt", "--cal", "cal.txt", *COARSE]
 
 CASES = {
     "sampled-svg": (
@@ -85,6 +90,23 @@ CASES = {
         {
             "landscape.csv": "dd3a766c8cd84e1b4cd608b7745b6c52fdb22a3202ccfed897d3464e0d5eb31c",
             "summary.txt": "7b526cff9f4f78db206b00411a3ca228802aa32434927790d13a30d71c814047",
+        },
+    ),
+    # the ideal states of a weighted ten-qubit register, two layers each
+    "ideal-k10-p2": (
+        ["landscape", "--mode", "ideal", "--p", "2", "--graph", "k10.txt", *COARSE],
+        {
+            "landscape.csv": "6afd549fb557bfa5b1004d82d4f1573010dc47eb1f6516dd3fb6d5eb104e6e5f",
+            "summary.txt": "f4f5737661cf2232f66fbd5754d04cd4c8c33c06fa960f671feb63df8cc9b798",
+        },
+    ),
+    # overrotation alone: the read state differs from the F_ideal state
+    "sampled-ring6-overrotation": (
+        ["landscape", "--mode", "sampled", "--overrotation", "0.05", "--graph", "ring6.txt", "--cal", "cal6.txt",
+         *COARSE, "--shots", "20000", "--realizations", "2", "--seed", "11"],
+        {
+            "landscape.csv": "8c61909b03073c15bde2d6146b7cfedc4be96fa1c259d9728369baf78dfafbc6",
+            "summary.txt": "913653700c3ac70355fbcb151be361baadbf19fdb6d9a855a1ebd6840140eb43",
         },
     ),
     "optimize-sampled": (

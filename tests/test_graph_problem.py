@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,12 @@ def test_cut_values_two_vertices():
     assert cut_value(g, "10") == 1.0
     assert cut_value(g, "11") == 0.0
     assert cost(g, "10") == -1.0
+
+
+def test_uncut_partition_costs_positive_zero():
+    for g, bits in ((k2(), "00"), (k2(), "11"), (Graph(1, np.zeros((1, 1))), "0"), (Graph(2, np.zeros((2, 2))), "01")):
+        assert math.copysign(1.0, cost(g, bits)) == 1.0
+    assert math.copysign(1.0, brute_force(Graph(2, np.zeros((2, 2)))).best_cost) == 1.0
 
 
 def test_cut_values_triangle():
@@ -99,7 +107,8 @@ def test_diagonal_costs_k3():
 
 def test_diagonal_costs_are_bit_identical_to_the_per_edge_expression():
     # each edge once recomputed both vertices' bits from the basis index; the
-    # bits are now made once per vertex, and the sum runs in the same order
+    # bits are now made once per vertex for the half with vertex 0 on side 0,
+    # the other half is its mirror, and every sum runs in the same order
     rng = np.random.default_rng(14)
     n = 14
     weights = np.triu(rng.uniform(0.5, 1.5, size=(n, n)), k=1)
@@ -134,6 +143,11 @@ def test_graph_validation():
         Graph(2, np.array([[1.0, 0.0], [0.0, 0.0]]))  # self loop
     with pytest.raises(ValueError):
         Graph(2, np.zeros((3, 3)))  # shape mismatch
+    with pytest.raises(ValueError, match="total edge weight"):
+        Graph.complete(3, 1e308)  # every weight finite, their sum not
+    assert Graph.complete(2, 1e308).total_weight() == 1e308
+    assert Graph.from_edges(3, [(0, 1, 0.5), (1, 2, 2.0)]).total_weight() == 2.5
+    assert Graph(1, np.zeros((1, 1))).total_weight() == 0.0
 
 
 def test_from_edges_validation():
