@@ -24,6 +24,7 @@ from .reconstruction import (
 )
 from .noise import NoiseConfig, density_populations, simulate_noisy, perturb_calibration
 from .experiment import (
+    ConfigError,
     ConvergenceProfile,
     LandscapeGrid,
     OptimizeResult,

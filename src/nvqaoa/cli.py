@@ -7,10 +7,14 @@ search), ``reconstruct`` (one-off population recovery from recorded means),
 version is accepted, since another version may write different bytes).
 
 Angles are accepted in radians ("1.5708") or as pi multiples ("0.5pi");
-ranges are START:STOP:STEP in either form. Exit codes: 0 success, 2 usage or
-malformed configuration, 3 degenerate calibration, 4 unreadable or unwritable
-files. Input errors become ``UsageError`` where the input is read; any other
-exception is a bug and propagates with its traceback.
+ranges are START:STOP:STEP in either form. ``landscape``, ``optimize`` and
+``convergence`` share one entry, and their table with ``rerun``
+(``_SCAN_COMMANDS``); the bounds of a run are checked by the ``experiment``
+call that runs it. Exit codes: 0 success, 2 usage or malformed configuration
+(every ``experiment.ConfigError``, ``UsageError`` among them), 3 degenerate
+calibration, 4 unreadable or unwritable files. Any other exception is a bug
+and propagates with its traceback. The output directory is made at the first
+write, so a run that fails before it leaves none.
 """
 
 from __future__ import annotations
@@ -27,26 +31,27 @@ import numpy as np
 
 from . import __version__
 from .experiment import (
+    DEFAULT_BETA_RANGE,
     DEFAULT_CHECKPOINT_EVERY,
+    DEFAULT_GAMMA_RANGE,
     DEFAULT_REALIZATIONS,
     DEFAULT_SEED,
     DEFAULT_SHOTS,
-    ConvergenceProfile,
+    STRATEGIES,
+    ConfigError,
     QaoaParams,
     ScanConfig,
     config_from_dict,
     config_to_dict,
     convergence_profile,
-    landscape_error,
     optimize,
     run_scan,
     scan_summary,
     write_convergence_csv,
     write_landscape_csv,
     write_trace_csv,
-    _check_cost_phase,
+    _axis,
     _check_fields,
-    _check_scan_entries,
     _realization_stats,
 )
 from .graph_problem import brute_force, load_graph
@@ -62,23 +67,11 @@ EXIT_IO = 4
 
 SEED_ENV_VAR = "NVQAOA_SEED"
 
-DEFAULT_BETA_RANGE_TEXT = "0.1pi:0.6pi:0.025pi"
-DEFAULT_GAMMA_RANGE_TEXT = "0.1pi:2.1pi:0.05pi"
-
 THREADS_HELP = "accepted for compatibility and ignored: landscapes run serially"
 
-STRATEGIES = ("grid_then_refine", "simplex")
 
-# Types of the manifest options a rerun reads, checked before anything runs.
-_OPTION_FIELDS = {
-    "landscape": {"svg": bool},
-    "optimize": {"strategy": str},
-    "convergence": {"beta": (int, float), "gamma": (int, float)},
-}
-
-
-class UsageError(ValueError):
-    """Bad flags or malformed configuration content; maps to exit code 2."""
+class UsageError(ConfigError):
+    """Bad flags or malformed input content, raised where the input is read; maps to exit code 2."""
 
 
 def parse_angle(text: str) -> float:
@@ -105,21 +98,16 @@ def parse_angle(text: str) -> float:
 
 
 def parse_range(text: str) -> tuple[float, float, float]:
-    """Parse START:STOP:STEP where each field is an angle token."""
+    """Parse START:STOP:STEP where each field is an angle token; the range must make a grid axis."""
     fields = text.split(":")
     if len(fields) != 3:
         raise UsageError(f"range must be START:STOP:STEP, got {text!r}")
-    start, stop, step = (parse_angle(f) for f in fields)
-    if step <= 0:
-        raise UsageError(f"range step must be positive, got {text!r}")
-    if stop < start:
-        raise UsageError(f"range stop precedes start in {text!r}")
-    return (start, stop, step)
-
-
-def format_angle(value: float) -> str:
-    """Radians at full precision; parse_angle round-trips the output exactly."""
-    return format(float(value), ".17g")
+    spec = tuple(parse_angle(f) for f in fields)
+    try:
+        _axis(spec)
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from None
+    return spec
 
 
 def _resolve_seed(args) -> int:
@@ -137,8 +125,9 @@ def _resolve_seed(args) -> int:
 def _add_scan_arguments(sub: argparse.ArgumentParser, default_mode: str) -> None:
     sub.add_argument("--graph", required=True, help="graph file ('n <count>' header, 'u v [w]' lines)")
     sub.add_argument("--p", type=int, default=1, help="number of ansatz layers")
-    sub.add_argument("--beta-range", default=DEFAULT_BETA_RANGE_TEXT, metavar="START:STOP:STEP")
-    sub.add_argument("--gamma-range", default=DEFAULT_GAMMA_RANGE_TEXT, metavar="START:STOP:STEP")
+    # the defaults in radians, each at full precision, so parse_range reads experiment's values back exactly
+    sub.add_argument("--beta-range", default=":".join(map(repr, DEFAULT_BETA_RANGE)), metavar="START:STOP:STEP")
+    sub.add_argument("--gamma-range", default=":".join(map(repr, DEFAULT_GAMMA_RANGE)), metavar="START:STOP:STEP")
     sub.add_argument("--mode", choices=("ideal", "sampled"), default=default_mode)
     sub.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     sub.add_argument("--realizations", type=int, default=DEFAULT_REALIZATIONS)
@@ -169,13 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
     landscape.add_argument("--out", required=True, help="output directory")
     landscape.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     landscape.add_argument("--svg", action="store_true", help="also render a grayscale heatmap")
-    landscape.set_defaults(func=_cmd_landscape)
+    landscape.set_defaults(func=_cmd_scan)
 
     opt = commands.add_parser("optimize", help="search for the minimum-cost angles")
     _add_scan_arguments(opt, default_mode="ideal")
     opt.add_argument("--strategy", choices=STRATEGIES, default=STRATEGIES[0])
     opt.add_argument("--out", help="optional output directory for the evaluation trace")
-    opt.set_defaults(func=_cmd_optimize)
+    opt.set_defaults(func=_cmd_scan)
 
     rec = commands.add_parser("reconstruct", help="recover populations from recorded flip-pattern means")
     rec.add_argument("--cal", required=True)
@@ -187,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--beta", required=True, type=parse_angle)
     conv.add_argument("--gamma", required=True, type=parse_angle)
     conv.add_argument("--out", required=True)
-    conv.set_defaults(func=_cmd_convergence)
+    conv.set_defaults(func=_cmd_scan)
 
     rerun = commands.add_parser("rerun", help="replay a manifest; outputs are bit-identical")
     rerun.add_argument("--manifest", required=True)
@@ -206,7 +195,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ConfigError as exc:  # a UsageError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateCalibrationError as exc:
@@ -261,11 +250,11 @@ def _read_input(load, path):
 
 
 def _prepare_out(out, force: bool, filenames: list[str]) -> Path:
+    """``out`` as a path, refused if it holds one of ``filenames`` and ``force`` is not set; ``_Outputs`` makes it."""
     out_dir = Path(out)
     existing = [name for name in filenames if (out_dir / name).exists()]
     if existing and not force:
         raise UsageError(f"{', '.join(existing)} already exist(s) in {out_dir}; pass --force to overwrite")
-    out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
@@ -276,10 +265,11 @@ def _json_text(payload: dict) -> str:
 class _Outputs:
     """A command's artifacts, each written to a temp file in the output directory.
 
-    Leaving the ``with`` block normally moves every temp file into place with
-    ``os.replace``, in the order written, so the manifest, written last, lands
-    last. An exception removes the temp files instead, so a failed run leaves
-    no artifact that would make the next run need --force.
+    The first artifact opened makes the directory. Leaving the ``with`` block
+    normally moves every temp file into place with ``os.replace``, in the order
+    written, so the manifest, written last, lands last. An exception removes
+    the temp files instead, so a failed run leaves no artifact that would make
+    the next run need --force.
     """
 
     def __init__(self, out_dir: Path):
@@ -288,6 +278,8 @@ class _Outputs:
         self._pending: list[tuple[Path, Path]] = []
 
     def open(self, name: str):
+        if not self._pending:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
         temp = self.out_dir / f".{name}.tmp"
         self._pending.append((temp, self.out_dir / name))
         return temp.open("w")
@@ -321,19 +313,16 @@ class _Outputs:
                 temp.unlink(missing_ok=True)
 
 
-def _cmd_landscape(args) -> int:
+def _cmd_scan(args) -> int:
+    """``landscape``, ``optimize`` or ``convergence``: the flags resolved as a manifest records them, then run."""
     config = _config_dict_from_args(args)
-    options = {"svg": bool(args.svg)}
-    return _run_landscape(config_from_dict(config), config, options, args.out, args.force)
+    run, fields = _SCAN_COMMANDS[args.command]
+    options = {name: getattr(args, name) for name in fields}
+    return run(config_from_dict(config), config, options, args.out, args.force)
 
 
 def _run_landscape(cfg: ScanConfig, config: dict, options: dict, out: str, force: bool) -> int:
     artifacts = ["landscape.csv", "summary.txt"]
-    try:
-        _check_scan_entries(cfg)
-        _check_cost_phase(cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     if options["svg"]:
         artifacts.append("landscape.svg")
     out_dir = _prepare_out(out, force, artifacts + ["manifest.txt"])
@@ -358,18 +347,8 @@ def _run_landscape(cfg: ScanConfig, config: dict, options: dict, out: str, force
     return EXIT_OK
 
 
-def _cmd_optimize(args) -> int:
-    config = _config_dict_from_args(args)
-    options = {"strategy": args.strategy}
-    return _run_optimize(config_from_dict(config), config, options, args.out, args.force)
-
-
 def _run_optimize(cfg: ScanConfig, config: dict, options: dict, out, force: bool) -> int:
     artifacts = ["trace.csv", "summary.txt"]
-    try:
-        _check_cost_phase(cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     out_dir = _prepare_out(out, force, artifacts + ["manifest.txt"]) if out else None
     started = time.perf_counter()
     result = optimize(cfg, strategy=options["strategy"])
@@ -419,24 +398,9 @@ def _cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _cmd_convergence(args) -> int:
-    config = _config_dict_from_args(args)
-    options = {"beta": float(args.beta), "gamma": float(args.gamma)}
-    return _run_convergence(config_from_dict(config), config, options, args.out, args.force)
-
-
 def _run_convergence(cfg: ScanConfig, config: dict, options: dict, out: str, force: bool) -> int:
-    if cfg.mode != "sampled":
-        raise UsageError("convergence requires --mode sampled")
-    if cfg.shots < cfg.checkpoint_every:
-        raise UsageError(
-            f"convergence needs at least one full checkpoint block: {cfg.shots} shots "
-            f"< checkpoint every {cfg.checkpoint_every}"
-        )
     try:
-        _check_scan_entries(cfg, checkpoints=True)
         params = QaoaParams((options["beta"],) * cfg.p, (options["gamma"],) * cfg.p)
-        _check_cost_phase(cfg, params.gammas)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     artifacts = ["convergence.csv", "summary.txt"]
@@ -480,16 +444,26 @@ def _cmd_rerun(args) -> int:
                 "rerun reproduces only manifests written by the same version"
             )
         command, config, options = data["command"], data["config"], data["options"]
-        if command not in _OPTION_FIELDS:
+        if command not in _SCAN_COMMANDS:
             raise ValueError(f"cannot rerun command {command!r}")
-        _check_fields(options, _OPTION_FIELDS[command], "options.")
+        run, fields = _SCAN_COMMANDS[command]
+        _check_fields(options, fields, "options.")
+        # a manifest names its bad field, as argparse's choices name a bad --strategy
         if command == "optimize" and options["strategy"] not in STRATEGIES:
             raise ValueError(f"field 'options.strategy' must be one of {', '.join(STRATEGIES)}")
         cfg = config_from_dict(config)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: invalid manifest: {exc}") from None
-    run = {"landscape": _run_landscape, "optimize": _run_optimize, "convergence": _run_convergence}[command]
     return run(cfg, config, options, args.out or str(path.parent), args.force)
+
+
+# Each scan command's runner and the types of the options its manifest records,
+# which _cmd_scan reads from the flags and _cmd_rerun checks before anything runs.
+_SCAN_COMMANDS = {
+    "landscape": (_run_landscape, {"svg": bool}),
+    "optimize": (_run_optimize, {"strategy": str}),
+    "convergence": (_run_convergence, {"beta": (int, float), "gamma": (int, float)}),
+}
 
 
 def _json_float(value: float):

@@ -23,8 +23,10 @@ per realization draw all their records (``readout.read_records``).
 Sampled scans are capped at ``MAX_SAMPLED_VERTICES``, since a point's rows
 hold 2 * 4^n floats, and depolarizing ones at ``MAX_DEPOLARIZING_VERTICES``,
 since its rho holds 4^n complex entries and each gate sweeps them.
-``run_scan``, ``optimize`` and ``convergence_profile`` first check that the
-largest cost phase they evaluate is finite (``_check_cost_phase``).
+Every bound a run is refused for raises ``ConfigError`` before any array is
+made: ``ScanConfig``'s when it is made, and, when called, those of
+``run_scan``, ``optimize``, ``convergence_profile`` and ``measure_point``,
+among them that the largest cost phase is finite (``_check_cost_phase``).
 
 A sampled ``run_scan`` reads the grid in chunks of consecutive points, each
 chunk's batch arrays bounded by ``_CHUNK_ENTRIES`` floats. A chunk simulates
@@ -80,7 +82,7 @@ from .circuits import (
 )
 from .graph_problem import MAX_VERTICES, Graph, diagonal_costs
 from .noise import NoiseConfig, density_populations, perturb_calibration
-from .readout import CalibrationTable, check_rows, read_records
+from .readout import _MAX_SPLIT_SHOTS, CalibrationTable, check_rows, read_records
 from .reconstruction import DegenerateCalibrationError, reconstruct
 from .statevector import populations
 
@@ -99,9 +101,9 @@ MAX_DEPOLARIZING_VERTICES = 10
 # 1 GiB, 2.5 GiB before check_rows copies the rows; at n = 14, 4, 2 and 4 GiB.
 MAX_SAMPLED_VERTICES = 12
 
-# numpy's multivariate_hypergeometric, which splits a record into checkpoint
-# blocks, takes fewer than 10^9 items. This is over 3000 times DEFAULT_SHOTS.
-MAX_SHOTS = 10**9 - 1
+# A record is split into checkpoint blocks (readout.split_totals), which takes
+# fewer than 10^9 shots. This is over 3000 times DEFAULT_SHOTS.
+MAX_SHOTS = _MAX_SPLIT_SHOTS - 1
 
 # A record's photon total is one Poisson draw whose mean is at most shots x
 # the brightest intensity; numpy's Poisson takes means up to about 9.2e18.
@@ -134,6 +136,8 @@ _CHUNK_ENTRIES = 1 << 13
 _THREAD_MIN_BLOCKS = 1 << 8
 _THREAD_MIN_SPLIT = 1 << 13
 
+STRATEGIES = ("grid_then_refine", "simplex")
+
 CSV_HEADER = "beta,gamma,realization,F_measured,F_ideal,abs_diff,norm,pops"
 
 # Coordinate descent halves its steps until they drop below REFINE_TOLERANCE
@@ -158,6 +162,10 @@ _CONFIG_FIELDS = {
     "checkpoint_every": int,
     "exact_calibration": bool,
 }
+
+
+class ConfigError(ValueError):
+    """A configuration, or a run of it, that breaks a bound or a setting; the CLI exits 2."""
 
 
 def grid_axis(range_spec: Sequence[float]) -> np.ndarray:
@@ -185,45 +193,45 @@ class ScanConfig:
 
     def __post_init__(self):
         if self.mode not in ("ideal", "sampled"):
-            raise ValueError(f"mode must be 'ideal' or 'sampled', got {self.mode!r}")
+            raise ConfigError(f"mode must be 'ideal' or 'sampled', got {self.mode!r}")
         for name in ("p", "shots", "realizations", "checkpoint_every", "master_seed"):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if self.p < 1:
-            raise ValueError("p must be at least 1")
+            raise ConfigError("p must be at least 1")
         if self.graph.num_vertices > MAX_VERTICES:
-            raise ValueError(f"graph has {self.graph.num_vertices} vertices; scans are capped at {MAX_VERTICES}")
+            raise ConfigError(f"graph has {self.graph.num_vertices} vertices; scans are capped at {MAX_VERTICES}")
         if self.shots < 1 or self.realizations < 1 or self.checkpoint_every < 1:
-            raise ValueError("shots, realizations and checkpoint_every must be positive")
+            raise ConfigError("shots, realizations and checkpoint_every must be positive")
         if self.shots > MAX_SHOTS:
-            raise ValueError(f"{self.shots} shots; records are capped at {MAX_SHOTS}")
+            raise ConfigError(f"{self.shots} shots; records are capped at {MAX_SHOTS}")
         object.__setattr__(self, "beta_range", tuple(float(v) for v in self.beta_range))
         object.__setattr__(self, "gamma_range", tuple(float(v) for v in self.gamma_range))
         num_points = _axis(self.beta_range)[2] * _axis(self.gamma_range)[2]
         if num_points > MAX_GRID_POINTS:
-            raise ValueError(f"grid has {num_points} (beta, gamma) points; scans are capped at {MAX_GRID_POINTS}")
+            raise ConfigError(f"grid has {num_points} (beta, gamma) points; scans are capped at {MAX_GRID_POINTS}")
         if self.mode == "sampled":
             n = self.graph.num_vertices
             if self.noise is not None and self.noise.is_stochastic and n > MAX_DEPOLARIZING_VERTICES:
-                raise ValueError(
+                raise ConfigError(
                     f"graph has {n} vertices; depolarizing scans are capped at {MAX_DEPOLARIZING_VERTICES}"
                 )
             if n > MAX_SAMPLED_VERTICES:
-                raise ValueError(f"graph has {n} vertices; sampled scans are capped at {MAX_SAMPLED_VERTICES}")
+                raise ConfigError(f"graph has {n} vertices; sampled scans are capped at {MAX_SAMPLED_VERTICES}")
             if self.calibration is None:
-                raise ValueError("sampled mode requires a calibration table")
+                raise ConfigError("sampled mode requires a calibration table")
             if self.calibration.num_qubits != self.graph.num_vertices:
-                raise ValueError(
+                raise ConfigError(
                     f"calibration covers {self.calibration.num_qubits} qubit(s) "
                     f"but the graph has {self.graph.num_vertices} vertices"
                 )
             brightest = float(self.calibration.intensities.max())
             if self.shots * brightest > MAX_RECORD_PHOTONS:
-                raise ValueError(
+                raise ConfigError(
                     f"{self.shots} shots at a brightest intensity of {brightest:g} expect {self.shots * brightest:g} "
                     f"photons a record; records are capped at {MAX_RECORD_PHOTONS:g}"
                 )
         if self.master_seed < 0:
-            raise ValueError(f"master seed must be nonnegative, got {self.master_seed}")
+            raise ConfigError(f"master seed must be nonnegative, got {self.master_seed}")
 
     def betas(self) -> np.ndarray:
         return grid_axis(self.beta_range)
@@ -299,12 +307,13 @@ def measure_point(
     holds the ``DegenerateCalibrationError``.
     """
     if config.mode != "sampled":
-        raise ValueError("measure_point requires mode='sampled'")
+        raise ConfigError("measure_point requires mode 'sampled'")
+    _check_cost_phase(config, params.gammas)
     return _measure_point(config, diagonal_costs(config.graph), params, realization_index, point_index)
 
 
 def _check_scan_entries(config: ScanConfig, checkpoints: bool = False) -> None:
-    """Raise ValueError if ``run_scan``, or given ``checkpoints`` ``convergence_profile``, would exceed ``MAX_SCAN_ENTRIES``.
+    """Raise ConfigError if ``run_scan``, or given ``checkpoints`` ``convergence_profile``, would exceed ``MAX_SCAN_ENTRIES``.
 
     A scan holds points x realizations x 2^n populations, one realization in
     ideal mode. A convergence profile holds realizations x checkpoints x 2^n
@@ -325,25 +334,29 @@ def _check_scan_entries(config: ScanConfig, checkpoints: bool = False) -> None:
         what, unit = "scan", "populations"
     entries = count * copies << n
     if entries > MAX_SCAN_ENTRIES:
-        raise ValueError(f"{what} would hold {count} x {copies} x 2^{n} = {entries} {unit}; capped at {MAX_SCAN_ENTRIES}")
+        raise ConfigError(f"{what} would hold {count} x {copies} x 2^{n} = {entries} {unit}; capped at {MAX_SCAN_ENTRIES}")
 
 
 def _check_cost_phase(config: ScanConfig, gammas=None) -> None:
-    """Raise ValueError if a cost phase gamma x C at ``gammas``, by default the gamma grid, could overflow.
+    """Raise ConfigError if a cost phase gamma x C at ``gammas``, by default the gamma grid, could overflow.
 
-    Every phase is bounded by |gamma| x (1 + |overrotation|) x the total edge
-    weight, which must be finite; an overflowed phase would turn every
-    amplitude NaN.
+    Every phase is bounded by ``_phase_bound``, which must be finite; an
+    overflowed phase would turn every amplitude NaN.
     """
-    # Python floats overflow to inf without a numpy warning
     gamma = float(np.max(np.abs(config.gammas() if gammas is None else gammas)))
-    frac = config.noise.overrotation_frac if config.noise is not None else 0.0
-    weight = config.graph.total_weight()
-    if not math.isfinite(gamma * (1.0 + abs(frac)) * weight):
-        raise ValueError(
+    if not math.isfinite(_phase_bound(config, gamma)):
+        frac = config.noise.overrotation_frac if config.noise is not None else 0.0
+        raise ConfigError(
             f"cost phase overflows: |gamma| {gamma:g} x (1 + |overrotation| {abs(frac):g}) "
-            f"x total edge weight {weight:g} is not finite"
+            f"x total edge weight {config.graph.total_weight():g} is not finite"
         )
+
+
+def _phase_bound(config: ScanConfig, gamma: float) -> float:
+    """|gamma| x (1 + |overrotation|) x the total edge weight: no cost phase at ``gamma`` is larger; inf on overflow."""
+    frac = config.noise.overrotation_frac if config.noise is not None else 0.0
+    # Python floats overflow to inf without a numpy warning
+    return abs(float(gamma)) * (1.0 + abs(frac)) * config.graph.total_weight()
 
 
 def run_scan(config: ScanConfig) -> LandscapeGrid:
@@ -428,10 +441,12 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> Optimize
     point to Nelder-Mead. Sampled-mode evaluations consume consecutive point
     indices of the master seed, so a given call sequence is reproducible; a
     degenerate empirical calibration at any of them raises
-    ``DegenerateCalibrationError``.
+    ``DegenerateCalibrationError``. A trial off the grid whose cost phase
+    could overflow (``_phase_bound``) is skipped: it is not evaluated or
+    recorded, and it counts as +inf, so it never improves on a point.
     """
-    if strategy not in ("grid_then_refine", "simplex"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"strategy must be one of {', '.join(STRATEGIES)}, got {strategy!r}")
     _check_cost_phase(config)
     p = config.p
     trace: list[tuple[tuple[float, ...], tuple[float, ...], float]] = []
@@ -439,6 +454,8 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> Optimize
     diag = diagonal_costs(config.graph)
 
     def evaluate(betas: tuple[float, ...], gammas: tuple[float, ...]) -> float:
+        if not math.isfinite(_phase_bound(config, max(map(abs, gammas)))):
+            return math.inf
         params = QaoaParams(betas, gammas)
         if config.mode == "ideal":
             value = _ideal_point(diag, params)[1]
@@ -532,9 +549,12 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     are valid).
     """
     if config.mode != "sampled":
-        raise ValueError("convergence_profile requires mode='sampled'")
+        raise ConfigError("convergence requires mode 'sampled'")
     if config.shots < config.checkpoint_every:
-        raise ValueError("need at least one full checkpoint block")
+        raise ConfigError(
+            f"convergence needs at least one full checkpoint block: {config.shots} shots "
+            f"< checkpoint every {config.checkpoint_every}"
+        )
     _check_scan_entries(config, checkpoints=True)
     _check_cost_phase(config, params.gammas)
     size = 1 << config.graph.num_vertices
@@ -632,7 +652,7 @@ def config_to_dict(config: ScanConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ScanConfig:
-    """Inverse of config_to_dict; a missing or mistyped field raises ValueError naming it."""
+    """Inverse of config_to_dict; a missing or mistyped field raises ConfigError naming it."""
     _check_fields(data, _CONFIG_FIELDS, "config.")
     _check_fields(data["graph"], {"num_vertices": int, "edges": list}, "config.graph.")
     fields = {name: data[name] for name in _CONFIG_FIELDS}  # ScanConfig makes the ranges tuples of floats
@@ -648,37 +668,39 @@ def config_from_dict(data: dict) -> ScanConfig:
 def _axis(range_spec: Sequence[float]) -> tuple[float, float, int]:
     """Start, step and point count of ``grid_axis(range_spec)``, counted without making the axis.
 
-    An axis of more than ``MAX_GRID_POINTS`` points raises ValueError.
+    A range that is not finite, not increasing by a positive step, or of more
+    than ``MAX_GRID_POINTS`` points raises ConfigError naming it.
     """
     start, stop, step = (float(v) for v in range_spec)
+    text = f"grid range {start!r}:{stop!r}:{step!r}"
     if not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError("grid range must be finite")
+        raise ConfigError(f"{text} must be finite")
     if step <= 0:
-        raise ValueError("grid step must be positive")
+        raise ConfigError(f"{text}: step must be positive")
     if stop < start:
-        raise ValueError("grid stop must not precede start")
+        raise ConfigError(f"{text}: stop must not precede start")
     span = (stop - start) / step + 1e-9  # inf when the count overflows a float
     if span >= MAX_GRID_POINTS:
-        raise ValueError(f"grid range {start!r}:{stop!r}:{step!r} has more than {MAX_GRID_POINTS} points")
+        raise ConfigError(f"{text} has more than {MAX_GRID_POINTS} points")
     return start, step, int(math.floor(span)) + 1
 
 
 def _check_integer(name: str, value) -> int:
-    """``value`` as an int; bool and non-integral values raise ValueError naming the field."""
+    """``value`` as an int; bool and non-integral values raise ConfigError naming the field."""
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def _check_fields(section: dict, fields: dict, prefix: str) -> None:
-    """Raise ValueError naming the first field of ``section`` that is missing or not of its type."""
+    """Raise ConfigError naming the first field of ``section`` that is missing or not of its type."""
     for name, kind in fields.items():
         if name not in section:
-            raise ValueError(f"missing field {prefix + name!r}")
+            raise ConfigError(f"missing field {prefix + name!r}")
         value = section[name]
         # bool is an int subclass, so it passes only where bool is asked for
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-            raise ValueError(f"field {prefix + name!r} has the wrong type {type(value).__name__}")
+            raise ConfigError(f"field {prefix + name!r} has the wrong type {type(value).__name__}")
 
 
 def _ideal_point(diag: np.ndarray, params: QaoaParams) -> tuple[np.ndarray, float]:

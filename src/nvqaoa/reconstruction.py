@@ -98,11 +98,7 @@ def forward_means(calibration: CalibrationTable, pops) -> np.ndarray:
     return fwht(c * fwht(p))
 
 
-def reconstruct(
-    calibration: CalibrationTable | np.ndarray,
-    means,
-    degeneracy_tolerance: float = DEGENERACY_TOLERANCE,
-) -> PopulationEstimate:
+def reconstruct(calibration: CalibrationTable | np.ndarray, means) -> PopulationEstimate:
     """Invert flip-pattern means to populations and parity correlators.
 
     ``means`` is one vector of 2^n means or stacked rows of them, ``(...,
@@ -111,7 +107,7 @@ def reconstruct(
     has the shape of ``means``; its ``norm`` (the t = 0 correlator) is a float
     for one vector and an array of shape ``means.shape[:-1]`` for stacked rows.
 
-    A table with some |c_t| <= degeneracy_tolerance raises
+    A table with some |c_t| <= ``DEGENERACY_TOLERANCE`` raises
     :class:`DegenerateCalibrationError` (naming the first such parity mask)
     for a single vector; for stacked rows its row comes back NaN. Mismatched
     shapes, non-finite means and non-finite or negative intensities raise
@@ -137,13 +133,13 @@ def reconstruct(
     spectra[0], spectra[1] = intensities, m
     _butterfly(spectra)
     c = spectra[0] / size
-    small = np.abs(c) <= degeneracy_tolerance
+    small = np.abs(c) <= DEGENERACY_TOLERANCE
     if m.ndim > 1:
         # NaN spreads through a degenerate row without a floating-point warning
         c[small.any(axis=-1)] = np.nan
     elif small.any():
         t = int(np.argmax(small))
-        raise DegenerateCalibrationError(index_to_bits(t, size.bit_length() - 1), c[t], degeneracy_tolerance)
+        raise DegenerateCalibrationError(index_to_bits(t, size.bit_length() - 1), c[t], DEGENERACY_TOLERANCE)
     correlators = spectra[1] / (size * c)
     pops = correlators.copy()
     _butterfly(pops)

@@ -23,7 +23,6 @@ from nvqaoa.cli import (
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
-    format_angle,
     main,
     parse_angle,
     parse_range,
@@ -78,7 +77,7 @@ def test_parse_angle_rejects_garbage(bad):
 
 def test_format_angle_round_trips():
     for value in (0.0, 0.1 * math.pi, 2.1 * math.pi, 1e-3, -2.75):
-        assert parse_angle(format_angle(value)) == value
+        assert parse_angle(format(value, ".17g")) == value
 
 
 def test_parse_range():
@@ -973,3 +972,32 @@ def test_optimize_degenerate_measurement_exits_degenerate(tmp_path, capsys):
                  "--shots", "1000", *SMALL_SCAN])
     assert code == EXIT_DEGENERATE
     assert "degenerate" in capsys.readouterr().err
+
+
+def test_degenerate_optimize_leaves_no_output_directory(tmp_path, capsys):
+    cal = write_cal(tmp_path, intensities=(0.0, 0.0, 0.0, 1e-12))
+    out = tmp_path / "out"
+    code = main(["optimize", "--graph", write_k2(tmp_path), "--mode", "sampled", "--cal", cal,
+                 "--shots", "1000", "--out", str(out), *SMALL_SCAN])
+    assert code == EXIT_DEGENERATE
+    capsys.readouterr()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy", ["grid_then_refine", "simplex"])
+def test_optimize_skips_trials_whose_cost_phase_overflows(tmp_path, capsys, strategy):
+    # the grid's largest phase, 1.79 x 1e308, is finite; refinement trials
+    # past gamma = 1.797 would overflow, so they are skipped, not recorded
+    (tmp_path / "heavy.txt").write_text(HEAVY_GRAPHS["k2"][0])
+    out = tmp_path / "out"
+    argv = ["optimize", "--graph", str(tmp_path / "heavy.txt"), "--beta-range", "0.1pi:0.3pi:0.1pi",
+            "--gamma-range", "1.5:1.79:0.29", "--strategy", strategy, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert all(math.isfinite(float(row.split(",")[-1])) for row in rows)
+    assert f"evaluations: {len(rows)}\n" in stdout
+    if strategy == "grid_then_refine":
+        # evaluated, the 8 overflowing trials were NaN, which never wins: the best point is the same
+        assert "(0.125 pi)\ngamma[0]: 1.783203125 rad" in stdout and "best F: -9.922366818e+307\n" in stdout
+        assert len(rows) == 62 - 8

@@ -29,6 +29,7 @@ from nvqaoa.experiment import (
     MAX_SAMPLED_VERTICES,
     MAX_SCAN_ENTRIES,
     MAX_SHOTS,
+    ConfigError,
     ConvergenceProfile,
     LandscapeGrid,
     OptimizeResult,
@@ -334,6 +335,58 @@ def test_overflowing_cost_phase_is_rejected_before_any_state(monkeypatch):
     _check_cost_phase(replace(config, gamma_range=(-1.7, 1.0, 0.1)))
     with pytest.raises(ValueError, match=r"\|gamma\| 1.8 "):
         _check_cost_phase(replace(config, gamma_range=(-1.8, 1.0, 0.1)))
+
+
+def _bound_cases() -> dict:
+    """Each entry point's bounds under MAX_SCAN_ENTRIES = 8, each case breaking one: (call, message)."""
+    # 2 points x 2 realizations x 2^2 = 16 populations; 1 checkpoint x 2 x 2^2 = 8 entries
+    sampled = ScanConfig(graph=K2, mode="sampled", calibration=CAL, shots=2000, realizations=2, checkpoint_every=2000,
+                         beta_range=(0.1, 0.2, 0.1), gamma_range=(0.5, 0.5, 1.0))
+    # 1 point x 2 gammas x 1 realization x 2^2 = 8 populations, and gamma = 6 overflows
+    heavy = replace(sampled, graph=Graph.complete(2, 1e308), realizations=1, beta_range=(0.1, 0.1, 1.0),
+                    gamma_range=(2.0, 6.0, 4.0))
+    far = QaoaParams.single(0.3, -6.0)
+    ideal = replace(sampled, mode="ideal")
+    return {
+        "run_scan-entries": (lambda: run_scan(sampled), "2 x 2 x 2^2 = 16 populations; capped at 8"),
+        "run_scan-cost-phase": (lambda: run_scan(heavy), "cost phase overflows"),
+        "optimize-strategy": (lambda: optimize(sampled, "anneal"), "one of grid_then_refine, simplex, got 'anneal'"),
+        "optimize-cost-phase": (lambda: optimize(heavy), "cost phase overflows"),
+        "convergence_profile-mode": (lambda: convergence_profile(ideal, POINT), "requires mode 'sampled'"),
+        "convergence_profile-block": (
+            lambda: convergence_profile(replace(sampled, checkpoint_every=4000), POINT),
+            "one full checkpoint block: 2000 shots < checkpoint every 4000",
+        ),
+        "convergence_profile-entries": (
+            lambda: convergence_profile(replace(sampled, checkpoint_every=1000), POINT),
+            "2 x 2 x 2^2 = 16 entries; capped at 8",
+        ),
+        "convergence_profile-cost-phase": (lambda: convergence_profile(heavy, far), "cost phase overflows"),
+        "measure_point-mode": (lambda: measure_point(ideal, POINT), "requires mode 'sampled'"),
+        "measure_point-cost-phase": (lambda: measure_point(heavy, far), "cost phase overflows"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bound_cases()))
+def test_each_entry_point_raises_config_error_before_any_state(monkeypatch, case):
+    def diagonal(*args, **kwargs):
+        raise AssertionError("a cost diagonal was made")
+
+    monkeypatch.setattr(experiment, "MAX_SCAN_ENTRIES", 8)
+    call, message = _bound_cases()[case]
+    monkeypatch.setattr(experiment, "diagonal_costs", diagonal)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        call()
+
+
+def test_scan_config_bounds_raise_config_error():
+    for fields_ in ({"p": 0}, {"shots": MAX_SHOTS + 1}, {"mode": "bogus"}, {"beta_range": (0.0, 1.0, 1e-12)},
+                    {"beta_range": (1.0, 0.0, 0.1)}, {"master_seed": -1}, {"realizations": 1.5}):
+        with pytest.raises(ConfigError):
+            ScanConfig(graph=K2, **fields_)
+    with pytest.raises(ConfigError, match="'config.p'"):
+        config_from_dict({**config_to_dict(ScanConfig(graph=K2)), "p": "2"})
+    assert MAX_SHOTS == readout._MAX_SPLIT_SHOTS - 1
 
 
 def test_ideal_scan_ordering_beta_major():

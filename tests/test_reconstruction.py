@@ -4,7 +4,7 @@ import pytest
 from nvqaoa._bitstrings import all_bitstrings
 from nvqaoa.circuits import QaoaParams, append_flips, build_ansatz, simulate
 from nvqaoa.graph_problem import Graph
-from nvqaoa.readout import CalibrationTable, check_rows, default_calibration, read_records
+from nvqaoa.readout import DEGENERACY_TOLERANCE, CalibrationTable, check_rows, default_calibration, read_records
 from nvqaoa.reconstruction import (
     DegenerateCalibrationError,
     forward_means,
@@ -102,12 +102,14 @@ def test_degenerate_calibration_raises():
     assert isinstance(excinfo.value, ValueError)
 
 
-def test_degeneracy_tolerance_parameter():
-    cal = CalibrationTable(np.array([4.0, 3.0, 2.0, 1.0 + 4e-6]))  # c_11 = 1e-6
-    means = forward_means(cal, np.full(4, 0.25))
-    reconstruct(cal, means, degeneracy_tolerance=1e-7)  # passes with a looser floor
-    with pytest.raises(DegenerateCalibrationError):
-        reconstruct(cal, means, degeneracy_tolerance=1e-5)
+def test_degeneracy_tolerance_is_the_floor():
+    # c_11 = (4 - 3 - 2 + I_11) / 4, twice and half DEGENERACY_TOLERANCE
+    above = CalibrationTable(np.array([4.0, 3.0, 2.0, 1.0 + 8 * DEGENERACY_TOLERANCE]))
+    reconstruct(above, forward_means(above, np.full(4, 0.25)))
+    below = CalibrationTable(np.array([4.0, 3.0, 2.0, 1.0 + 2 * DEGENERACY_TOLERANCE]))
+    with pytest.raises(DegenerateCalibrationError) as excinfo:
+        reconstruct(below, forward_means(below, np.full(4, 0.25)))
+    assert excinfo.value.t_label == "11" and excinfo.value.tolerance == DEGENERACY_TOLERANCE
 
 
 def test_reconstruct_is_linear_in_means():
