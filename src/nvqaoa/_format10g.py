@@ -1,19 +1,26 @@
 """CSV rows of floats, each printed as ``format(v, ".10g")``, a whole array at a time.
 
 ``write_rows`` writes a table row by row, every field followed by its
-separator, in chunks of ``CHUNK`` values, so the text of a whole file is never
-held. A table under ``SMALL`` values is formatted value by value, which is
-faster there than the array kernel's fixed cost.
+separator. An optional column map lets one source column stand for several
+fields, so a row that repeats its values (an ideal state's populations, which
+read the same backwards) has each distinct value formatted once. The table is
+formatted in blocks of whole rows, about ``CHUNK`` values each, and written
+``CHUNK`` fields at a time, so the text of a whole file is never held. A table
+under ``SMALL`` fields is formatted value by value, which is faster there than
+the array kernel's fixed cost.
 
 Fast path, for a finite nonzero v whose decimal exponent e = floor(log10|v|)
 lies in the exact-scaling range: 10^|9-e| is an exact double, so
 m = |v| * 10^(9-e) (a division by 10^(e-9) for e > 9) is one correctly rounded
 operation, within 2^-20 of the exact product. Where m lies in [1e9, 1e10) and
 its fractional part is farther than ``TIE`` from 0.5, rounding m gives the
-correctly rounded 10-digit mantissa. Its digits come from a two-digit table,
-and the value's bytes are laid out by one template per notation (fixed at
-each exponent, or scientific with either exponent sign) and count of
-significant digits; a positive value skips the template's leading minus.
+correctly rounded 10-digit mantissa. Its digits come from two 4-digit groups
+and one 2-digit group (float floor divisions, exact for an integer below
+1e10), each read from a table. One template per notation (fixed at each
+exponent, or scientific with either exponent sign), count of significant
+digits and sign then gathers the value's text into a zero-padded row of
+``_WIDTH`` bytes and a separator byte; a field is that row with the zero
+bytes dropped.
 
 Every other value goes through ``"%.10g" % v``, which gives the same bytes as
 ``format(v, ".10g")``: a near-tie, 0, -0.0, NaN, +-inf, anything outside the
@@ -25,12 +32,12 @@ from __future__ import annotations
 
 import numpy as np
 
-# Values per chunk. At 4096 a chunk's index temporaries (about 0.5 MB once
-# take() widens them to intp) raise glibc's dynamic mmap threshold for the rest
+# Values per kernel call, and fields per write. A chunk's largest temporary is
+# its (CHUNK, _WIDTH + 1) intp gather index, 295 KB. At 4096 a chunk's
+# temporaries (about 0.5 MB) raised glibc's dynamic mmap threshold for the rest
 # of the process. That moves the timing of unrelated code: perfbench's
 # reference kernel ran 35% faster after a convergence scan, so that workload
-# read 15% slower in reference seconds while its host time fell. At 2048 they
-# are about 250 KB, and ideal-k14 wall_s is about 7% above its value at 4096.
+# read 15% slower in reference seconds while its host time fell.
 CHUNK = 2048
 SMALL = 1024  # the kernel's fixed cost breaks even at about 1000 values
 TIE = 1e-5  # m is within 2^-20 of the exact mantissa; nearer a tie than this, fall back
@@ -40,20 +47,32 @@ TIE = 1e-5  # m is within 2^-20 of the exact mantissa; nearer a tie than this, f
 _E_MIN, _E_MAX = -13, 31
 _UP = np.array([float(10 ** max(9 - e, 0)) for e in range(_E_MIN, _E_MAX + 1)])
 _DOWN = np.array([float(10 ** max(e - 9, 0)) for e in range(_E_MIN, _E_MAX + 1)])
-_PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), dtype=np.uint16)
-# _SIGNIFICANT[k, r]: significant digits of a mantissa whose last nonzero pair is r, at pair k
-_SIGNIFICANT = np.array([[0] + [2 * k + 2 - (r % 10 == 0) for r in range(1, 100)] for k in range(5)], dtype=np.intp)
 
-# Source slots of each value's bytes: the 10 mantissa digits, two exponent
-# digits, the constant characters, and the separator. A value formatted per
-# value has its text in slots 0..16.
-_EXP, _MINUS, _POINT, _ZERO, _E, _PLUS, _SEP = 10, 12, 13, 14, 15, 16, 17
-_WIDTH = 17
-_CONSTANTS = np.frombuffer(b"-.0e+", dtype=np.uint8)
+# _PAIRS[k] holds the bytes of "%02d" % k, and _QUADS[k] those of "%04d" % k.
+_PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), dtype=np.uint16)
+_QUADS = np.empty((100, 100, 2), dtype=np.uint16)
+_QUADS[:, :, 0] = _PAIRS[:, None]
+_QUADS[:, :, 1] = _PAIRS
+_QUADS = _QUADS.reshape(-1).view(np.uint32)
+
+# Significant digits of a mantissa whose last nonzero group is the high group
+# (_HIGH), the middle group (_MID) or the low pair (_LOW), at that group's
+# value; 0 for a zero group, so the mantissa has the largest of the three.
+_LAST2 = np.array([0] + [2 - (k % 10 == 0) for k in range(1, 100)], dtype=np.int8)
+_HIGH = np.where(_LAST2 > 0, _LAST2 + 2, _LAST2[:, None]).astype(np.int8).ravel()
+_MID = np.where(_HIGH > 0, _HIGH + 4, 0).astype(np.int8)
+_LOW = np.where(_LAST2 > 0, _LAST2 + 8, 0).astype(np.int8)
+
+# Source slots of each value's text, a row of _ROW bytes: the 10 mantissa
+# digits, the two exponent digits, the constant characters, and zero bytes.
+_EXP, _MINUS, _POINT, _ZERO, _E, _PLUS, _NUL = 10, 12, 13, 14, 15, 16, 17
+_ROW = 20
+_CONSTANTS = np.frombuffer(b"-.0e+\0\0\0", dtype=np.uint32)  # slots 12..19
+_WIDTH = 17  # the longest text, "-1.234567891e+300"
 
 
 def _slots(style: int, digits: int) -> list[int]:
-    """Source slots of a negative value's text and its separator; a positive value skips the minus."""
+    """Source slots of a negative value's text; a positive value skips the minus."""
     if style in (0, 15):  # scientific, d.ddd then e-XX or e+XX
         body = [0] + ([_POINT, *range(1, digits)] if digits > 1 else [])
         body += [_E, _MINUS if style == 0 else _PLUS, _EXP, _EXP + 1]
@@ -62,7 +81,7 @@ def _slots(style: int, digits: int) -> list[int]:
     else:  # fixed, ddd.ddd
         whole = style - 4
         body = list(range(whole)) + ([_POINT, *range(whole, digits)] if digits > whole else [])
-    return [_MINUS, *body, _SEP]
+    return [_MINUS, *body]
 
 
 # A value of exponent e has style _STYLE[e - _E_MIN]: fixed notation for e in
@@ -70,34 +89,47 @@ def _slots(style: int, digits: int) -> list[int]:
 # up to 10^10 carries into _E_MAX + 1.
 _STYLE = np.clip(np.arange(_E_MIN, _E_MAX + 2) + 5, 0, 15)
 
+# _TEMPLATES[2 * (11 * style + digits) + positive]: the slots of a value's
+# text, padded with zero-byte slots to _WIDTH + 1; the last byte is its
+# separator's. Built through bytes: as a nested list it raised perfbench's
+# sampled-k2 peak_rss_mb by 0.3 MB.
+_TEMPLATES = np.frombuffer(
+    bytes(
+        slot
+        for style in range(16)
+        for digits in range(11)
+        for text in (_slots(style, digits), _slots(style, digits)[1:])
+        for slot in (text + [_NUL] * _WIDTH)[: _WIDTH + 1]
+    ),
+    dtype=np.uint8,
+).reshape(-1, _WIDTH + 1).astype(np.intp)
 
-# Layout 11 * style + s lays out s significant digits; layout _VERBATIM + L
-# copies L bytes of text and is read as positive. _SLOTS holds them end to
-# end, from _START for _LENGTH slots.
-_LAYOUTS = [_slots(style, s) for style in range(16) for s in range(11)]
-_VERBATIM = len(_LAYOUTS)
-_LAYOUTS += [[_MINUS, *range(length), _SEP] for length in range(_WIDTH + 1)]
-_LENGTH = np.array([len(slots) for slots in _LAYOUTS], dtype=np.int32)
-_START = np.cumsum(_LENGTH, dtype=np.int32) - _LENGTH
-_SLOTS = np.array([slot for slots in _LAYOUTS for slot in slots], dtype=np.uint8)
-del _LAYOUTS
 
-
-def write_rows(handle, table, seps: str) -> None:
+def write_rows(handle, table, seps: str, columns=None) -> None:
     """Write each row of the 2-D float ``table`` to the text ``handle``.
 
-    Field c of every row reads as ``format(v, ".10g")`` and is followed by ``seps[c]``.
+    Field c of every row reads as ``format(v, ".10g")`` of source column
+    ``columns[c]`` (column c when ``columns`` is None) and is followed by ``seps[c]``.
     """
     table = np.asarray(table, dtype=float)
-    rows, cols = table.shape
-    flat = table.ravel()
-    if flat.size < SMALL:
-        handle.write(_per_value(flat, seps * rows))
+    rows, width = table.shape
+    fields = len(seps)
+    if rows * fields < SMALL:
+        handle.write(_per_value((table if columns is None else table[:, columns]).ravel(), seps * rows))
         return
     codes = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
-    for start in range(0, flat.size, CHUNK):
-        stop = min(start + CHUNK, flat.size)
-        handle.write(_format_chunk(flat[start:stop], codes[np.arange(start, stop) % cols]))
+    block = min(rows, max(1, CHUNK // width))
+    # source row of each field of a block, in output order; None when that is the source order
+    order = None if columns is None else (width * np.arange(block)[:, None] + columns).ravel()
+    codes = np.tile(codes, block)
+    for first in range(0, rows, block):
+        values = table[first : first + block].ravel()
+        text = np.concatenate([_format_chunk(values[start : start + CHUNK]) for start in range(0, values.size, CHUNK)])
+        count = values.size // width * fields
+        for start in range(0, count, CHUNK):
+            stop = min(start + CHUNK, count)
+            chunk = text[start:stop] if order is None else text.take(order[start:stop], axis=0)
+            handle.write(_join(chunk, codes[start:stop]))
 
 
 def _per_value(values: np.ndarray, seps: str) -> str:
@@ -105,8 +137,14 @@ def _per_value(values: np.ndarray, seps: str) -> str:
     return "".join(map(str.__add__, ["%.10g" % v for v in values.tolist()], seps))
 
 
-def _format_chunk(values: np.ndarray, seps: np.ndarray) -> str:
-    """``_per_value`` of ``values`` with separator bytes ``seps``, by the array kernel."""
+def _join(text: np.ndarray, seps: np.ndarray) -> str:
+    """Each text row of ``text`` with its last byte set to its separator, zero bytes dropped."""
+    text[:, _WIDTH] = seps
+    return text[text != 0].tobytes().decode("ascii")
+
+
+def _format_chunk(values: np.ndarray) -> np.ndarray:
+    """The text of each of ``values`` as "%.10g" % v, a zero-padded row of ``_WIDTH`` + 1 bytes each."""
     size = values.size
     with np.errstate(all="ignore"):
         a = np.abs(values)
@@ -115,41 +153,33 @@ def _format_chunk(values: np.ndarray, seps: np.ndarray) -> str:
         e = np.where(fast, e, 0.0).astype(np.intp)
         m = a * _UP.take(e - _E_MIN) / _DOWN.take(e - _E_MIN)
         fast &= (m >= 1e9) & (m < 1e10) & (np.abs(m - np.floor(m) - 0.5) >= TIE)
-    mantissa = np.where(fast, np.rint(m), 1e9).astype(np.int64)
-    carry = mantissa == 10**10  # rounded up to the next power of ten
-    mantissa[carry] = 10**9
+    m = np.where(fast, np.rint(m), 1e9)
+    carry = m == 1e10  # rounded up to the next power of ten
+    m[carry] = 1e9
     e += carry
 
-    src = np.empty((size, _SEP + 1), dtype=np.uint8)
+    high = np.floor(m / 1e6)
+    low = m - high * 1e6
+    mid = np.floor(low / 100)
+    low -= mid * 100
+    high, mid, low = high.astype(np.intp), mid.astype(np.intp), low.astype(np.intp)
+    src = np.empty((size, _ROW), dtype=np.uint8)
+    quads = src.view(np.uint32)  # slots 4k..4k + 3 are quad k
+    quads[:, 0] = _QUADS.take(high)
+    quads[:, 1] = _QUADS.take(mid)
+    quads[:, 3:] = _CONSTANTS
     pairs = src.view(np.uint16)  # slots 2k and 2k + 1 are pair k
-    digits = np.zeros(size, dtype=np.intp)
-    for k in range(4, -1, -1):
-        rest = mantissa // 100
-        pair = mantissa - 100 * rest
-        pairs[:, k] = _PAIRS.take(pair)
-        np.maximum(digits, _SIGNIFICANT[k].take(pair), out=digits)
-        mantissa = rest
+    pairs[:, 4] = _PAIRS.take(low)
     pairs[:, _EXP // 2] = _PAIRS.take(np.abs(e))
-    src[:, _MINUS : _PLUS + 1] = _CONSTANTS
-    src[:, _SEP] = seps
-    layout = _STYLE.take(e - _E_MIN) * 11 + digits
-    positive = (values >= 0).astype(np.int32)
+    digits = np.maximum(_HIGH.take(high), _MID.take(mid))
+    np.maximum(digits, _LOW.take(low), out=digits)
+    layout = 22 * _STYLE.take(e - _E_MIN) + 2 * digits + (values >= 0)
 
+    index = _TEMPLATES.take(layout, axis=0)
+    index += np.arange(0, _ROW * size, _ROW)[:, None]
+    text = src.ravel().take(index)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = ["%.10g" % v for v in values[slow].tolist()]
-        lengths = np.fromiter(map(len, text), dtype=np.intp, count=slow.size)
-        src[slow, :_WIDTH] = np.array(text, dtype=f"S{_WIDTH}").view(np.uint8).reshape(slow.size, _WIDTH)
-        layout[slow] = _VERBATIM + lengths
-        positive[slow] = 1
-
-    # One output byte per slot of each value's layout, read from its row of
-    # src. The per-byte index arrays are int32 to halve the memory a chunk touches.
-    length = _LENGTH.take(layout) - positive
-    ends = np.cumsum(length, dtype=np.int32)
-    index = np.repeat(_START.take(layout) + positive - (ends - length), length)
-    index += np.arange(ends[-1], dtype=np.int32)
-    slots = _SLOTS.take(index)
-    index = np.repeat(np.arange(0, src.size, src.shape[1], dtype=np.int32), length)
-    index += slots
-    return src.ravel().take(index).tobytes().decode("ascii")
+        strings = ["%.10g" % v for v in values[slow].tolist()]
+        text[slow, :_WIDTH] = np.array(strings, dtype=f"S{_WIDTH}").view(np.uint8).reshape(slow.size, _WIDTH)
+    return text

@@ -438,10 +438,11 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> Optimize
     and then float rounding picks the winner. ``grid_then_refine`` then runs
     coordinate descent over all 2p coordinates, halving the steps until they
     drop below ``REFINE_TOLERANCE`` radians; ``simplex`` hands the best grid
-    point to Nelder-Mead. Sampled-mode evaluations consume consecutive point
-    indices of the master seed, so a given call sequence is reproducible; a
-    degenerate empirical calibration at any of them raises
-    ``DegenerateCalibrationError``. A trial off the grid whose cost phase
+    point to Nelder-Mead, whose value tolerance is 1e-12 of the cost's range
+    (max - min of the diagonal; 1e-12 for a constant cost). Sampled-mode
+    evaluations consume consecutive point indices of the master seed, so a
+    given call sequence is reproducible; a degenerate empirical calibration at
+    any of them raises ``DegenerateCalibrationError``. A trial off the grid whose cost phase
     could overflow (``_phase_bound``) is skipped: it is not evaluated or
     recorded, and it counts as +inf, so it never improves on a point.
     """
@@ -483,7 +484,8 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> Optimize
         def objective(vec: np.ndarray) -> float:
             return evaluate(tuple(vec[:p]), tuple(vec[p:]))
 
-        minimize(objective, x, method="Nelder-Mead", options={"xatol": 1e-7, "fatol": 1e-12, "maxfev": 20_000})
+        fatol = 1e-12 * (float(diag.max() - diag.min()) or 1.0)
+        minimize(objective, x, method="Nelder-Mead", options={"xatol": 1e-7, "fatol": fatol, "maxfev": 20_000})
         best = min(trace, key=lambda entry: (entry[2], entry[0], entry[1]))
         return OptimizeResult(QaoaParams(best[0], best[1]), best[2], tuple(trace))
 
@@ -593,17 +595,28 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
 
 
 def write_landscape_csv(grid: LandscapeGrid, handle) -> None:
-    """CSV with one row per (point, realization); 10 significant digits, pops joined with '|'."""
+    """CSV with one row per (point, realization); 10 significant digits, pops joined with '|'.
+
+    Where every pops row reads the same backwards, bit for bit (every ideal
+    grid: an ansatz state is even under flipping all qubits), only the first
+    half of each row is formatted, and the writer's column map mirrors it.
+    """
     shape = grid.F_measured.shape
     beta, gamma, realization = np.meshgrid(grid.betas, grid.gammas, np.arange(shape[2]), indexing="ij")
     F_ideal = np.broadcast_to(grid.F_ideal[:, :, None], shape)
     abs_diff = np.abs(grid.F_measured - F_ideal)
     columns = [beta, gamma, realization, grid.F_measured, F_ideal, abs_diff, grid.norm]
-    pops = grid.pops.reshape(-1, grid.pops.shape[-1])
+    pops = np.asarray(grid.pops, dtype=float).reshape(-1, grid.pops.shape[-1])
+    size = pops.shape[1]
+    seps = "," * len(columns) + "|" * (size - 1) + "\n"
+    mirror = None
+    if np.array_equal(pops.view(np.int64), pops[:, ::-1].view(np.int64)):
+        pops = pops[:, : size // 2]
+        half = np.arange(len(columns) + size // 2)
+        mirror = np.concatenate((half, half[: len(columns) - 1 : -1]))
     table = np.column_stack([np.ravel(column) for column in columns] + [pops])
     handle.write(CSV_HEADER + "\n")
-    seps = "," * len(columns) + "|" * (pops.shape[1] - 1) + "\n"
-    write_rows(handle, table, seps)
+    write_rows(handle, table, seps, mirror)
 
 
 def write_convergence_csv(profile: ConvergenceProfile, handle) -> None:

@@ -10,9 +10,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from nvqaoa import experiment, readout
+from nvqaoa import _format10g, experiment, readout
 from nvqaoa._bitstrings import all_bitstrings
-from nvqaoa._format10g import SMALL, write_rows
+from nvqaoa._format10g import CHUNK, SMALL, write_rows
 from nvqaoa.circuits import (
     QaoaParams,
     append_flips,
@@ -586,6 +586,24 @@ def test_optimize_simplex_matches():
     assert result.best_F == pytest.approx(-1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("weight, fatol", [(1.0, 1e-12), (1e6, 1e-12 * 1e6), (0.0, 1e-12)])
+def test_simplex_value_tolerance_is_relative_to_the_cost_range(monkeypatch, weight, fatol):
+    import scipy.optimize
+
+    options = []
+    minimize = scipy.optimize.minimize
+
+    def recording(*args, **kwargs):
+        options.append(kwargs["options"])
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    graph = Graph(2, np.array([[0.0, weight], [weight, 0.0]]))
+    cfg = ScanConfig(graph=graph, mode="ideal", beta_range=(0.3, 0.6, 0.3), gamma_range=(1.5, 1.79, 0.29))
+    optimize(cfg, strategy="simplex")
+    assert options == [{"xatol": 1e-7, "fatol": fatol, "maxfev": 20_000}]
+
+
 def test_optimize_grid_argmin_on_analytic_minimum():
     # both analytic minima of the closed form sit exactly on the default grid
     result = optimize(ScanConfig(graph=K2, mode="ideal"))
@@ -916,7 +934,8 @@ def per_value_text(values, seps):
     return "".join(map(str.__add__, format_10g(values), itertools.cycle(seps)))
 
 
-def test_format_10g_matches_format_byte_for_byte():
+def special_values():
+    """Values that stress the kernel: specials, rounding boundaries, powers of ten, ties, and random bit patterns."""
     specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 2.2250738585072014e-308]
     # values whose 11th significant digit is a 5: the rounding direction is decided by the binary tail
     boundaries = [0.12345678905, 1.0000000005, 9.9999999995, 99999.999995, 1234567890.5, 12345678905.0, 2.5e-10]
@@ -940,7 +959,11 @@ def test_format_10g_matches_format_byte_for_byte():
     randoms = list(rng.standard_normal(500) * 10.0 ** rng.integers(-20, 20, 500))
     # every float64 bit pattern is as likely: NaN payloads, subnormals and every exponent
     patterns = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
-    values = np.concatenate([specials, boundaries, powers, ties, randoms, patterns, -patterns[:1000]])
+    return np.concatenate([specials, boundaries, powers, ties, randoms, patterns, -patterns[:1000]])
+
+
+def test_format_10g_matches_format_byte_for_byte():
+    values = special_values()
     # seven fields a row: chunks start and end mid-row
     values = values[: values.size - values.size % 7]
     seps = ",,|||,\n"
@@ -950,6 +973,90 @@ def test_format_10g_matches_format_byte_for_byte():
     # a table under SMALL values is formatted value by value, to the same bytes
     assert kernel_text(values[: SMALL - 1], "\n") == per_value_text(values[: SMALL - 1], "\n")
     assert kernel_text(np.float64(-0.0), "\n") == "-0\n"
+
+
+def assert_mapped_text(table, seps, columns, expected):
+    buffer = io.StringIO()
+    write_rows(buffer, table, seps, columns)
+    text = buffer.getvalue()
+    if text != expected:  # name the first difference: pytest's diff of megabyte strings takes minutes
+        at = next((i for i, pair in enumerate(zip(text, expected)) if pair[0] != pair[1]), min(len(text), len(expected)))
+        near = slice(max(at - 20, 0), at + 20)
+        raise AssertionError(f"first difference at {at}: {text[near]!r} != {expected[near]!r}")
+
+
+@pytest.mark.parametrize(
+    "rows, width",
+    [
+        (3, 7),  # under SMALL fields: value by value
+        (1000, 7),  # blocks of 292 rows: block edges mid-table, a short last block
+        (40, 300),  # blocks of 6 rows
+        (3, CHUNK - 1),
+        (3, CHUNK),  # one row a block, one kernel call a row
+        (3, CHUNK + 1),  # one row a block, two kernel calls a row
+        (2, 2 * CHUNK + 5),
+    ],
+)
+def test_write_rows_column_map_matches_per_value_oracle(rows, width):
+    rng = np.random.default_rng(width)
+    table = np.resize(rng.permutation(special_values()), (rows, width))
+    mirror = np.concatenate((np.arange(width), np.arange(width - 1, width // 2, -1)))
+    maps = {
+        "identity": np.arange(width),
+        "reversed": np.arange(width)[::-1],
+        "mirror": mirror,
+        "repeats": rng.integers(0, width, 2 * width + 3),
+        "one column": np.full(5, width - 1),
+    }
+    for name, columns in maps.items():
+        seps = "".join(rng.choice(list(",|;"), columns.size - 1)) + "\n"
+        expected = per_value_text(table[:, columns].ravel(), seps)
+        assert_mapped_text(table, seps, columns, expected)
+        assert_mapped_text(table, seps, list(columns), expected)
+    seps = "".join(rng.choice(list(",|;"), width - 1)) + "\n"
+    assert_mapped_text(table, seps, None, per_value_text(table.ravel(), seps))
+
+
+def test_ideal_landscape_formats_each_mirrored_population_once(monkeypatch):
+    formatted = []
+    format_chunk = _format10g._format_chunk
+
+    def counting(values):
+        formatted.append(values.size)
+        return format_chunk(values)
+
+    monkeypatch.setattr(_format10g, "_format_chunk", counting)
+    rng = np.random.default_rng(14)
+    weights = np.triu(rng.uniform(0.5, 1.5, size=(10, 10)), k=1)
+    ideal = ScanConfig(graph=Graph(10, weights + weights.T), beta_range=(0.1, 0.5, 0.2), gamma_range=(0.5, 1.3, 0.4))
+    grid = run_scan(ideal)
+    buffer = io.StringIO()
+    write_landscape_csv(grid, buffer)
+    assert sum(formatted) == 9 * (7 + 512)
+    assert buffer.getvalue() == landscape_csv_text(grid)
+    # a sampled grid's rows are not palindromes: every field is formatted
+    formatted.clear()
+    grid = run_scan(sampled_config(graph=ring(4), calibration=random_table(4, 14), realizations=2,
+                                   beta_range=(0.1, 0.5, 0.2), gamma_range=(0.5, 1.3, 0.05)))
+    buffer = io.StringIO()
+    write_landscape_csv(grid, buffer)
+    assert sum(formatted) == grid.pops[..., 0].size * (7 + 16)
+    assert buffer.getvalue() == landscape_csv_text(grid)
+
+
+def test_mirrored_rows_must_match_bit_for_bit():
+    # -0.0 == 0.0, yet they print differently: such a row is not mirrored
+    grid = run_scan(ScanConfig(graph=ring(4), beta_range=(0.1, 0.5, 0.2), gamma_range=(0.5, 1.3, 0.05)))
+    zeros = grid.pops.copy()
+    zeros[0, 0, 0, [3, -4]] = 0.0, -0.0
+    # a NaN pair with equal bits mirrors like any other value
+    nans = grid.pops.copy()
+    nans[1, 2, 0, [5, -6]] = math.nan
+    for pops in (zeros, -zeros, nans):
+        changed = replace(grid, pops=pops)
+        buffer = io.StringIO()
+        write_landscape_csv(changed, buffer)
+        assert buffer.getvalue() == landscape_csv_text(changed)
 
 
 def test_csv_writers_match_per_value_oracles():

@@ -18,6 +18,7 @@ GRAPHS = {
     "ring4.txt": "n 4\n0 1 0.7\n1 2 1.2\n2 3 0.9\n3 0 1.1\n",
     "ring6.txt": "n 6\n0 1 0.8\n1 2 1.3\n2 3 0.6\n3 4 1.1\n4 5 0.9\n5 0 1.4\n",
     "k10.txt": "n 10\n" + "".join(f"{i} {j} {0.5 + (7 * i + 3 * j) % 11 / 10}\n" for i in range(10) for j in range(i + 1, 10)),
+    "ring12.txt": "n 12\n" + "".join(f"{i} {(i + 1) % 12} {0.5 + (7 * i) % 11 / 10}\n" for i in range(12)),
 }
 CALIBRATIONS = {
     "cal.txt": (5, 3, 2, 1),
@@ -107,6 +108,22 @@ CASES = {
         {
             "landscape.csv": "8c61909b03073c15bde2d6146b7cfedc4be96fa1c259d9728369baf78dfafbc6",
             "summary.txt": "913653700c3ac70355fbcb151be361baadbf19fdb6d9a855a1ebd6840140eb43",
+        },
+    ),
+    # the README's default grid: 861 short rows, written in blocks of rows
+    "ideal-k2-default-grid": (
+        ["landscape", "--graph", "k2.txt"],
+        {
+            "landscape.csv": "b9fb537b06a9a3817bc002b6c99760632fe95ed0ed66203578551a15b2af19dc",
+            "summary.txt": "29a003c0028d590ed8082bb74bd4a9cebff76b598de36108c0602bb16216f258",
+        },
+    ),
+    # 7 + 2048 source fields a row: one row a block, formatted in two kernel calls
+    "ideal-ring12": (
+        ["landscape", "--mode", "ideal", "--graph", "ring12.txt", *COARSE],
+        {
+            "landscape.csv": "c9403f09d3f778b6b40bacb222238f8e948bdf70a5949a3b3d1ced3e86bcc01c",
+            "summary.txt": "2d65cbb9b77e71f7ec7099097233effc840b9308be080f3575f132ba04aa64fc",
         },
     ),
     "optimize-sampled": (
