@@ -6,7 +6,7 @@ noise channels, and landscape/optimization drivers with a reproducible
 seeding scheme. See the README for the measurement model.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .graph_problem import Graph, CutReport, brute_force, cost, cut_value, diagonal_costs, load_graph
 from .statevector import Gate, StateVector, apply_gate, init_zero, populations, expectation_diagonal, fidelity

@@ -19,7 +19,8 @@ only permutes those populations and each basis preparation is a delta vector;
 under depolarizing noise an X or Y error after an appended X undoes its flip,
 with probability 2p/3 per flipped qubit. So a point's 2^(n+1) readouts are the
 rows of one matrix (``_point_rows``), and one multinomial and one Poisson call
-per realization draw all their records (``readout.read_records``).
+per realization draw all their records (``readout.read_records``), or all the
+records of a stream block of points.
 Sampled scans are capped at ``MAX_SAMPLED_VERTICES``, since a point's rows
 hold 2 * 4^n floats, and depolarizing ones at ``MAX_DEPOLARIZING_VERTICES``,
 since its rho holds 4^n complex entries and each gate sweeps them.
@@ -28,25 +29,31 @@ made: ``ScanConfig``'s when it is made, and, when called, those of
 ``run_scan``, ``optimize``, ``convergence_profile`` and ``measure_point``,
 among them that the largest cost phase is finite (``_check_cost_phase``).
 
-A sampled ``run_scan`` reads the grid in chunks of consecutive points, each
-chunk's batch arrays bounded by ``_CHUNK_ENTRIES`` floats. A chunk simulates
-its points' states in stacked ``qaoa_amplitudes`` calls (``_point_states``),
-plus one ``density_populations`` call under depolarizing noise, builds their
-rows as one ``(points, 2^(n+1), 2^n)`` stack and checks them once
-(``readout.check_rows``). Each (point, realization) then makes only its
-draws, in index order, and one stacked ``reconstruct`` call inverts every
-realization of the chunk. ``measure_point``, ``optimize`` and
-``convergence_profile`` read one point as a stack of one, so a grid cell
-equals ``measure_point`` bit for bit. Every path inverts the same pair
-(``_read_point``): a calibration row and the flip means. An all-dark perturbed
-table is drawn like any other, and ``reconstruct`` alone judges a table.
+A sampled ``run_scan`` reads the grid in stream blocks of consecutive points,
+``_block_points`` of them, a number that depends on n alone and bounds a
+block's batch arrays by ``_CHUNK_ENTRIES`` floats. A block simulates its
+points' states in stacked ``qaoa_amplitudes`` calls (``_point_states``), plus
+one ``density_populations`` call under depolarizing noise, builds their rows
+as one ``(points, 2^(n+1), 2^n)`` stack and checks them once
+(``readout.check_rows``). Each realization then draws every record of the
+block on one generator, and one stacked ``reconstruct`` call inverts it.
+``measure_point``, ``optimize`` and ``convergence_profile`` read one point as
+a block of one. Every path inverts the same pair (``_read_point``): a
+calibration row and the flip means. An all-dark perturbed table is drawn like
+any other, and ``reconstruct`` alone judges a table.
 
-Reproducibility contract: every (grid point, realization) derives its random
-substreams from ``SeedSequence(master_seed, spawn_key=(point_index,
-realization_index))``, so results are independent of evaluation order. Its
-children 0, 1 and 2 perturb the calibration, draw the records and split them
-into checkpoint blocks (``convergence_profile`` only), so the final checkpoint
-equals ``measure_point`` bit for bit. ``_point_streams`` builds each child directly.
+Reproducibility contract: a cell is a function of (master seed, n, grid,
+point, realization). Realization r of the block whose first grid index is i
+derives its random substreams from ``SeedSequence(master_seed, spawn_key=(i,
+r))``, so results are independent of evaluation order and of the realization
+count. Its children 0, 1 and 2 perturb the block's calibration tables (one
+normal draw of shape ``(points, 2^n)``), draw the block's records (one
+multinomial and one Poisson call) and split them into checkpoint blocks
+(``convergence_profile`` only). ``measure_point``, ``optimize`` and
+``convergence_profile`` read point i as a block of one, on the substreams of
+(i, r), so the final checkpoint equals ``measure_point`` bit for bit, and so
+does the cell of a one-point grid. ``_point_streams`` builds each child
+directly.
 
 Landscapes and ``optimize`` run on the calling thread. ``convergence_profile``
 draws and splits its realizations in rounds of one per available CPU
@@ -121,9 +128,13 @@ MAX_GRID_POINTS = 10**6
 # 2^27 float64 entries are 1 GiB. optimize holds one state at a time.
 MAX_SCAN_ENTRIES = 1 << 27
 
-# A sampled scan reads its grid in chunks of points whose batch arrays hold at
-# most this many floats (64 KiB), below glibc's default 128 KiB mmap threshold.
-# Freeing a block above it raises that threshold for the rest of the process.
+# A sampled scan reads its grid in stream blocks of points whose batch arrays
+# hold at most this many floats (64 KiB), below glibc's default 128 KiB mmap
+# threshold. Freeing a block above it raises that threshold for the rest of the
+# process. It also sets which points share a block's generators
+# (_block_points: 256 points at n = 2, 16 at n = 4, 4 at n = 5, 1 from n = 6),
+# so changing it re-baselines every sampled landscape with blocks of more than
+# one point.
 _CHUNK_ENTRIES = 1 << 13
 
 # convergence_profile splits realizations on threads only where that pays. A
@@ -295,12 +306,14 @@ def measure_point(
 ) -> PointRecord:
     """Run the full measurement protocol at one parameter point.
 
-    The point's substreams are children of (master_seed, point_index,
-    realization_index). The calibration used for reconstruction is estimated
-    empirically from basis-state preparations unless ``exact_calibration`` is
-    set, in which case the true generating table (including any
-    per-realization perturbation) is used to isolate shot noise. This is one
-    cell of ``run_scan``'s grid, bit for bit.
+    The point is read as a stream block of one, on the children of
+    (master_seed, point_index, realization_index). The calibration used for
+    reconstruction is estimated empirically from basis-state preparations
+    unless ``exact_calibration`` is set, in which case the true generating
+    table (including any per-realization perturbation) is used to isolate
+    shot noise. It equals the cell of a one-point grid bit for bit; a cell of
+    a larger grid is drawn with the other points of its block and is equal to
+    it in distribution.
 
     An all-dark perturbed table is drawn like any other. A table that
     ``reconstruct`` judges degenerate makes the point invalid, and ``error``
@@ -363,10 +376,10 @@ def run_scan(config: ScanConfig) -> LandscapeGrid:
     """Evaluate the full (beta, gamma) grid.
 
     Ideal mode ignores shot settings and collapses to one exact evaluation per
-    point. Sampled mode reads the grid in chunks of consecutive points
-    (``_chunk_points``): a chunk's states are simulated and its record rows
-    built and checked once, each (point, realization) then makes only its own
-    draws, and one stacked ``reconstruct`` call inverts it (``_read_chunk``).
+    point. Sampled mode reads the grid in stream blocks of consecutive points
+    (``_block_points``): a block's states are simulated and its record rows
+    built and checked once, and each realization draws all the block's records
+    on one generator and inverts them in one stacked ``reconstruct`` call.
     """
     _check_scan_entries(config)
     _check_cost_phase(config)
@@ -386,17 +399,20 @@ def run_scan(config: ScanConfig) -> LandscapeGrid:
     # [point, realization(, basis state)] views; a point's grid index is bi * gammas.size + gi
     F_rows, norm_rows = F_measured.reshape(-1, realizations), norm.reshape(-1, realizations)
     pops_rows = pops.reshape(-1, realizations, diag.size)
-    step = _chunk_points(diag.size, realizations)
+    step = _block_points(diag.size)
     for start in range(0, F_rows.shape[0], step):
         stop = min(start + step, F_rows.shape[0])
         bi, gi = np.divmod(np.arange(start, stop), gammas.size)
         # (points, p) angle stacks: every layer shares its point's (beta, gamma)
         point_betas, point_gammas = betas[bi, None].repeat(config.p, 1), gammas[gi, None].repeat(config.p, 1)
         F_ideal.flat[start:stop], reads = _point_states(config, diag, point_betas, point_gammas)
-        estimate = _read_chunk(config, reads, start)
-        pops_rows[start:stop], norm_rows[start:stop] = estimate.pops, estimate.norm
+        rows = _point_rows(config, reads)
+        for r in range(realizations):
+            # a degenerate table turns only its own row NaN
+            estimate = reconstruct(*_read_point(config, rows, r, start))
+            pops_rows[start:stop, r], norm_rows[start:stop, r] = estimate.pops, estimate.norm
         # row by row, so each cost equals measure_point's np.dot bit for bit
-        F_rows[start:stop] = [[np.dot(row, diag) for row in point] for point in estimate.pops]
+        F_rows[start:stop] = [[np.dot(row, diag) for row in point] for point in pops_rows[start:stop]]
     return grid
 
 
@@ -573,8 +589,7 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     for first in range(0, config.realizations, workers):
         batch = range(first, min(first + workers, config.realizations))
         for realization, (table, flips) in zip(batch, _map_threads(read, batch)):
-            # an exact table is one row, shared by every checkpoint
-            estimate = reconstruct(np.broadcast_to(table, flips.shape), flips)
+            estimate = reconstruct(table, flips)
             pops_runs[realization], norm_runs[realization] = estimate.pops, estimate.norm
         # the next round reads with no block array of this one alive
         del table, flips, estimate
@@ -796,13 +811,19 @@ def _realization_stats(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.nd
     return mean, np.sqrt(std)
 
 
-def _point_streams(config: ScanConfig, realization_index: int, point_index: int, checkpoints: bool = False):
-    """True intensities (possibly perturbed), and the draw and, given ``checkpoints``, split substreams of a point.
+def _point_streams(
+    config: ScanConfig, realization_index: int, point_index: int, checkpoints: bool = False, points: int | None = None
+):
+    """True intensities (possibly perturbed), and the draw and, given ``checkpoints``, split substreams of a block.
 
-    Children 0, 1 and 2 of SeedSequence(master_seed, spawn_key=(point_index,
-    realization_index)) perturb the table, draw the records and split them into
-    checkpoint blocks. Child k is SeedSequence(master_seed,
-    spawn_key=(point_index, realization_index, k)), which is what ``spawn`` makes.
+    The block is the point ``point_index`` or, given ``points``, that many
+    consecutive points from it. Children 0, 1 and 2 of
+    SeedSequence(master_seed, spawn_key=(point_index, realization_index))
+    perturb the tables (one normal draw of shape ``(points, 2^n)``), draw the
+    records and split them into checkpoint blocks. Child k is
+    SeedSequence(master_seed, spawn_key=(point_index, realization_index, k)),
+    which is what ``spawn`` makes. Unperturbed intensities are the one table
+    ``(2^n,)``, shared by the block.
     """
 
     def child(k: int) -> np.random.SeedSequence:
@@ -810,13 +831,15 @@ def _point_streams(config: ScanConfig, realization_index: int, point_index: int,
 
     intensities = config.calibration.intensities
     if config.noise is not None and config.noise.calibration_sigma > 0.0:
-        intensities = perturb_calibration(intensities, config.noise.calibration_sigma, child(0))
+        shape = intensities.shape if points is None else (points, intensities.size)
+        intensities = perturb_calibration(np.broadcast_to(intensities, shape), config.noise.calibration_sigma, child(0))
     return intensities, child(1), child(2) if checkpoints else None
 
 
 def _measure_point(config: ScanConfig, diag: np.ndarray, params: QaoaParams, realization_index: int, point_index: int):
     """``measure_point`` given the cost diagonal of ``config.graph``."""
     (F_ideal,), (reads,) = _point_states(config, diag, [params.betas], [params.gammas])
+    # a block of one point: its substreams are those of (point_index, realization_index)
     table, flips = _read_point(config, _point_rows(config, reads), realization_index, point_index)
     try:
         estimate = reconstruct(table, flips)
@@ -825,33 +848,16 @@ def _measure_point(config: ScanConfig, diag: np.ndarray, params: QaoaParams, rea
     return PointRecord(estimate.pops, estimate.norm, float(np.dot(estimate.pops, diag)), F_ideal)
 
 
-def _chunk_points(size: int, realizations: int) -> int:
-    """Points per sampled-scan chunk, at least one.
+def _block_points(size: int) -> int:
+    """Points per stream block of a sampled scan, at least one: a function of n alone, never of the realizations.
 
-    The chunk's record rows, (points, 2 size, size), reconstruction stack,
-    (2, points, realizations, size), and complex state stack, (points, size),
-    each fit ``_CHUNK_ENTRIES`` floats. A depolarizing chunk also holds a
-    (points, size^2) complex rho stack: 2 size^2 floats a point, as many as
-    its rows, so it fits too.
+    The block's record rows and occupations, (points, 2 size, size), and
+    complex state stack, (points, size), each fit ``_CHUNK_ENTRIES`` floats. A
+    depolarizing block also holds a (points, size^2) complex rho stack: 2
+    size^2 floats a point, as many as its rows, so it fits too. Realizations
+    are reconstructed one at a time, (2, points, size).
     """
-    return max(1, _CHUNK_ENTRIES // (2 * size * max(size, realizations)))
-
-
-def _read_chunk(config: ScanConfig, reads: np.ndarray, first_index: int):
-    """Reconstruction of every realization of consecutive grid points, indexed [point, realization].
-
-    Row j of ``reads``, the populations a point reads, has grid index
-    ``first_index + j``. Every realization is drawn, one whose perturbed table
-    went all dark too, and ``reconstruct`` turns each degenerate table's row
-    NaN.
-    """
-    rows = _point_rows(config, reads)
-    shape = (len(reads), config.realizations, reads.shape[-1])
-    tables, flips = np.empty(shape), np.empty(shape)
-    for j in range(shape[0]):
-        for r in range(shape[1]):
-            tables[j, r], flips[j, r] = _read_point(config, rows[j], r, first_index + j)
-    return reconstruct(tables, flips)
+    return max(1, _CHUNK_ENTRIES // (2 * size * size))
 
 
 def _point_rows(config: ScanConfig, reads: np.ndarray) -> np.ndarray:
@@ -883,19 +889,24 @@ def _point_rows(config: ScanConfig, reads: np.ndarray) -> np.ndarray:
 
 
 def _read_point(config: ScanConfig, rows: np.ndarray, realization_index: int, point_index: int, checkpoints=False):
-    """The calibration row and flip means one realization of a point inverts, each ``(2^n,)`` or one row per checkpoint.
+    """The calibration rows and flip means one realization of a stream block inverts.
 
-    ``rows`` are the point's ``_point_rows``, drawn on child 1 of its substream
-    and, given ``checkpoints``, split on child 2. The calibration row is the
-    true, possibly perturbed, intensities ``(2^n,)`` under
+    ``rows`` are one point's ``_point_rows``, ``(2^(n+1), 2^n)``, or a block's
+    stack of them whose first point is ``point_index``; each result is
+    ``(2^n,)``, ``(points, 2^n)``, or for one point given ``checkpoints`` one
+    row per checkpoint. The records are drawn on child 1 of the block's
+    substream and, given ``checkpoints``, split on child 2. The calibration
+    row is the true, possibly perturbed, intensities under
     ``exact_calibration`` and the basis preparations' means otherwise.
     """
-    intensities, draws, split = _point_streams(config, realization_index, point_index, checkpoints)
+    points = len(rows) if rows.ndim == 3 else None
+    intensities, draws, split = _point_streams(config, realization_index, point_index, checkpoints, points)
     means, blocks = read_records(intensities, rows, config.shots, draws, split, config.checkpoint_every)
     if checkpoints:
         means = blocks.T
     size = rows.shape[-1]
-    return (intensities if config.exact_calibration else means[..., :size]), means[..., size:]
+    flips = means[..., size:]
+    return (np.broadcast_to(intensities, flips.shape) if config.exact_calibration else means[..., :size]), flips
 
 
 def _sampled_state_pops(config: ScanConfig, diag: np.ndarray, betas, gammas, ideal_pops=None) -> np.ndarray:

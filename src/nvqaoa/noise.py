@@ -164,7 +164,8 @@ def density_populations(graph, betas, gammas, config: NoiseConfig) -> np.ndarray
 def perturb_calibration(intensities: np.ndarray, sigma: float, seed) -> np.ndarray:
     """Intensities scaled entry by entry by 1 + N(0, sigma), floored at zero.
 
-    ``sigma == 0`` returns ``intensities`` unchanged. A large sigma can floor
+    ``intensities`` is one table or a stack of tables, one normal draw of its
+    shape. ``sigma == 0`` returns ``intensities`` unchanged. A large sigma can floor
     every entry, an all-dark table; it is read like any other, and
     ``reconstruction.reconstruct`` judges it degenerate.
     """
@@ -173,7 +174,7 @@ def perturb_calibration(intensities: np.ndarray, sigma: float, seed) -> np.ndarr
     if sigma == 0.0:
         return intensities
     rng = np.random.default_rng(seed)
-    return np.maximum(intensities * (1.0 + rng.normal(0.0, sigma, size=len(intensities))), 0.0)
+    return np.maximum(intensities * (1.0 + rng.normal(0.0, sigma, size=np.shape(intensities))), 0.0)
 
 
 def _angle_stacks(betas, gammas) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,8 @@ directly where numpy exports it (``_marginals``), with the same draws.
 ``check_rows`` checks population rows once, however many records are later
 drawn from them; ``read_records`` is the one path from checked rows to
 records: it runs the two draws on their own generators and returns every
-record's mean and its running means at each full checkpoint block. Reading is
+record's mean and its running means at each full checkpoint block. A stack of
+points' rows takes the same two draws, each one call on one generator. Reading is
 deterministic given its arguments and seeds: a ``SeedSequence`` passed in is
 only read, never spawned from, so the same arguments reproduce the same
 records bit for bit.
@@ -141,14 +142,19 @@ def draw_totals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Occupations and photon totals of whole records, one record per row of ``check_rows`` output.
 
-    Row r is read ``num_shots`` (an int, or one per row) times: its basis-state
-    occupations are one multinomial draw and its photon total one Poisson
-    draw with mean occupations . intensities. This is exactly the sum of the
-    per-shot counts, since a sum of independent multinomials (Poissons) with
-    common probabilities (any means) is multinomial (Poisson) again.
+    ``p`` is one point's rows ``(records, 2^n)``, read with ``intensities``
+    ``(2^n,)``, or a stack of points' rows ``(points, records, 2^n)``, read
+    with one intensity row per point ``(points, 2^n)`` or one shared by all.
+    Row r is read ``num_shots`` (an int, or one per row of one point) times:
+    its basis-state occupations are one multinomial draw and its photon total
+    one Poisson draw with mean occupations . intensities. This is exactly the
+    sum of the per-shot counts, since a sum of independent multinomials
+    (Poissons) with common probabilities (any means) is multinomial (Poisson)
+    again. A stack makes the same two calls on all its records, in point order.
     """
-    occupations = rng.multinomial(num_shots, p)
-    return occupations, rng.poisson(occupations @ intensities)
+    occupations = rng.multinomial(num_shots, p.reshape(-1, p.shape[-1])).reshape(p.shape)
+    # one matrix-vector product per point: a point's means are those of its rows alone, bit for bit
+    return occupations, rng.poisson(np.matmul(occupations, intensities[..., None])[..., 0])
 
 
 def split_totals(
@@ -226,12 +232,12 @@ def read_records(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Mean photon count of every record, one record per row of ``check_rows`` output, and its checkpoint means.
 
-    The records are drawn by ``draw_totals`` on a generator seeded with
-    ``draws``. Given a ``split`` seed they are also split into
-    ``checkpoint_every``-shot blocks (``split_totals``) on a second generator,
-    and the running means at each full block come back with one row per
-    record, so entry k covers (k + 1) * checkpoint_every shots. Otherwise the
-    second value is None.
+    The records, one point's or a stack of points' (``draw_totals``), are
+    drawn on a generator seeded with ``draws``. Given a ``split`` seed one
+    point's records are also split into ``checkpoint_every``-shot blocks
+    (``split_totals``) on a second generator, and the running means at each
+    full block come back with one row per record, so entry k covers (k + 1) *
+    checkpoint_every shots. Otherwise the second value is None.
     """
     occupations, totals = draw_totals(np.random.default_rng(draws), intensities, p, num_shots)
     if split is None:

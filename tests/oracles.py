@@ -5,14 +5,17 @@ density matrices (small n only), written out independently of
 ``noise.density_populations``. ``calibration_circuits`` builds the gate-level
 basis preparations a scan reads as delta rows, and ``draw_shot_counts`` reads
 populations one shot at a time, the slow path of ``readout.read_records``.
-``measure_point_per_point`` is one sampled grid cell read on its own: its
-state simulated, its rows built, checked, drawn and reconstructed for that
-point alone, on seeds spawned from the point's SeedSequence. It is the slow
-path of ``experiment.run_scan``'s chunks, which simulate a chunk's states in
-one stacked call, build and check its rows at once and invert it in one
-stacked call. Its depolarizing state is a one-row ``density_populations``
-call, so there it is not independent of the kernel;
-``density_matrix_populations`` holds the kernel to the channel.
+``measure_point_per_point`` is one sampled point read on its own: its state
+simulated, its rows built and checked, its records drawn with one multinomial
+and one Poisson call, and reconstructed, for that point alone, on seeds
+spawned from the point's SeedSequence. It is the slow path of
+``experiment.measure_point``, which reads a stream block of one point.
+``measure_grid_per_block`` is the slow path of ``experiment.run_scan``: it
+simulates and builds every point's rows on its own, draws each stream block's
+records stacked on the block's seeds, and reconstructs point by point. Their
+depolarizing state is a one-row ``density_populations`` call, so there they
+are not independent of the kernel; ``density_matrix_populations`` holds the
+kernel to the channel.
 ``full_loop_amplitudes`` is ``circuits.qaoa_amplitudes``' loop over all 2^n
 amplitudes, the slow path of its half-register path for mirror-symmetric cost
 diagonals. ``p1_cost`` is the closed-form expected cost of a one-layer ansatz
@@ -29,12 +32,12 @@ import math
 import numpy as np
 
 from nvqaoa._bitstrings import all_bitstrings
-from nvqaoa.circuits import Circuit, append_flips, simulate_qaoa
+from nvqaoa.circuits import Circuit, QaoaParams, append_flips, simulate_qaoa
 from nvqaoa.noise import _angle_stacks
 from nvqaoa.experiment import CSV_HEADER
 from nvqaoa.graph_problem import diagonal_costs
 from nvqaoa.noise import density_populations, perturb_calibration
-from nvqaoa.readout import CalibrationTable, check_rows, read_records
+from nvqaoa.readout import CalibrationTable, check_rows
 from nvqaoa.reconstruction import DegenerateCalibrationError, reconstruct
 from nvqaoa.statevector import ROTATION_KINDS, Gate, butterfly, gate_matrix, populations, rz_matrix
 
@@ -98,8 +101,8 @@ def density_matrix_populations(circuit, config):
     return rho.diagonal().real
 
 
-def measure_point_per_point(config, params, realization_index=0, point_index=0):
-    """``(pops, norm, F_measured, F_ideal)`` of one sampled grid cell, NaN for a degenerate table."""
+def point_rows(config, params):
+    """``F_ideal`` and the checked record rows of one point: 2^n basis preparations, then 2^n flip patterns."""
     diag = diagonal_costs(config.graph)
     size = diag.size
     noise = config.noise
@@ -108,10 +111,6 @@ def measure_point_per_point(config, params, realization_index=0, point_index=0):
         (pops,) = density_populations(config.graph, [params.betas], [params.gammas], noise)
     else:
         pops = populations(simulate_qaoa(diag, params, noise, len(config.graph.edges())))
-    perturb, draws, _ = np.random.SeedSequence(config.master_seed, spawn_key=(point_index, realization_index)).spawn(3)
-    intensities = config.calibration.intensities
-    if noise is not None and noise.calibration_sigma > 0.0:
-        intensities = perturb_calibration(intensities, noise.calibration_sigma, perturb)
     idx = np.arange(size)
     rows = np.concatenate([np.eye(size), pops[idx ^ idx[:, None]]])
     undo = 2.0 * noise.depolarizing_prob / 3.0 if noise is not None else 0.0
@@ -119,14 +118,72 @@ def measure_point_per_point(config, params, realization_index=0, point_index=0):
         for bit in (1 << np.arange(size.bit_length() - 1)).tolist():
             pairs = rows.reshape(-1, 2, bit, size)
             pairs[:, 1] = (1.0 - undo) * pairs[:, 1] + undo * pairs[:, 0]
-    means, _ = read_records(intensities, check_rows(rows, size), config.shots, draws)
+    return F_ideal, check_rows(rows, size)
+
+
+def invert_means(config, intensities, means):
+    """``(pops, norm, F_measured)`` of one point's record means, NaN for a degenerate table."""
+    diag = diagonal_costs(config.graph)
+    size = diag.size
     try:
         # an all-dark table is rejected by CalibrationTable before reconstruct sees it
         table = CalibrationTable(intensities if config.exact_calibration else means[:size])
         estimate = reconstruct(table, means[size:])
     except DegenerateCalibrationError:
-        return np.full(size, math.nan), math.nan, math.nan, F_ideal
-    return estimate.pops, estimate.norm, float(np.dot(estimate.pops, diag)), F_ideal
+        return np.full(size, math.nan), math.nan, math.nan
+    return estimate.pops, estimate.norm, float(np.dot(estimate.pops, diag))
+
+
+def measure_point_per_point(config, params, realization_index=0, point_index=0):
+    """``(pops, norm, F_measured, F_ideal)`` of one sampled point read on its own, NaN for a degenerate table."""
+    F_ideal, rows = point_rows(config, params)
+    perturb, draws, _ = np.random.SeedSequence(config.master_seed, spawn_key=(point_index, realization_index)).spawn(3)
+    intensities = config.calibration.intensities
+    if config.noise is not None and config.noise.calibration_sigma > 0.0:
+        intensities = perturb_calibration(intensities, config.noise.calibration_sigma, perturb)
+    rng = np.random.default_rng(draws)
+    occupations = rng.multinomial(config.shots, rows)
+    means = rng.poisson(occupations @ intensities) / config.shots
+    return (*invert_means(config, intensities, means), F_ideal)
+
+
+def measure_grid_per_block(config):
+    """``(pops, norm, F_measured, F_ideal)`` arrays of a sampled grid, each stream block drawn stacked.
+
+    A stream block is 2^13 // (2 * 4^n) consecutive grid points, at least one.
+    Realization r of the block whose first grid index is i draws on the
+    children of SeedSequence(master_seed, spawn_key=(i, r)): one normal draw of
+    shape (points, 2^n) perturbs the tables on child 0, and one multinomial
+    over all the block's rows and one Poisson over all its records draw on
+    child 1.
+    """
+    betas, gammas, size = config.betas(), config.gammas(), 1 << config.graph.num_vertices
+    num_points, realizations = betas.size * gammas.size, config.realizations
+    pops, norm = np.empty((num_points, realizations, size)), np.empty((num_points, realizations))
+    F_measured, F_ideal = np.empty((num_points, realizations)), np.empty(num_points)
+    block = max(1, (1 << 13) // (2 * size * size))
+    for first in range(0, num_points, block):
+        indices = range(first, min(first + block, num_points))
+        made = [
+            point_rows(config, QaoaParams((float(betas[i // gammas.size]),) * config.p,
+                                          (float(gammas[i % gammas.size]),) * config.p))
+            for i in indices
+        ]
+        F_ideal[indices] = [F for F, _ in made]
+        rows = np.stack([rows for _, rows in made])
+        for r in range(realizations):
+            perturb, draws, _ = np.random.SeedSequence(config.master_seed, spawn_key=(first, r)).spawn(3)
+            intensities = np.broadcast_to(config.calibration.intensities, (len(indices), size))
+            if config.noise is not None and config.noise.calibration_sigma > 0.0:
+                intensities = perturb_calibration(intensities, config.noise.calibration_sigma, perturb)
+            rng = np.random.default_rng(draws)
+            occupations = rng.multinomial(config.shots, rows.reshape(-1, size)).reshape(rows.shape)
+            totals = rng.poisson(np.array([point @ table for point, table in zip(occupations, intensities)]))
+            for j, i in enumerate(indices):
+                means = totals[j] / config.shots
+                pops[i, r], norm[i, r], F_measured[i, r] = invert_means(config, intensities[j], means)
+    shape = (betas.size, gammas.size, realizations)
+    return pops.reshape(shape + (size,)), norm.reshape(shape), F_measured.reshape(shape), F_ideal.reshape(shape[:2])
 
 
 def full_loop_amplitudes(costs, betas, gammas, noise=None, num_edges=None):

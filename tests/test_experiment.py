@@ -50,7 +50,7 @@ from nvqaoa.experiment import (
     write_trace_csv,
     _check_cost_phase,
     _check_scan_entries,
-    _chunk_points,
+    _block_points,
     _point_rows,
     _point_streams,
     _read_point,
@@ -68,10 +68,13 @@ from oracles import (
     density_matrix_populations,
     format_10g,
     landscape_csv_text,
+    measure_grid_per_block,
     measure_point_per_point,
     p1_cost,
+    point_rows,
     trace_csv_text,
 )
+from test_readout import chi2_bounds
 
 K2 = Graph.complete(2)
 K3 = Graph.complete(3)
@@ -468,44 +471,58 @@ GRID_CASES = {
         graph=ring(4), calibration=random_table(4, 4), exact_calibration=True,
         noise=NoiseConfig(depolarizing_prob=0.02, calibration_sigma=0.05),
     ),
-    # at master seed 1, sigma = 3 turns the perturbed table of point 4, realization 3 all dark
+    # at master seed 6098, sigma = 3 turns the perturbed table of point 4,
+    # realization 3 all dark, both in the grid's block and read on its own
     "cal-sigma-all-dark": dict(
-        realizations=4, master_seed=1, noise=NoiseConfig(calibration_sigma=3.0),
+        realizations=4, master_seed=6098, noise=NoiseConfig(calibration_sigma=3.0),
         beta_range=(0.1, 0.1, 0.1), gamma_range=(0.1, 0.5, 0.1),
     ),
     # the same all-zero table, now the one reconstruct inverts
     "cal-sigma-all-dark-exact": dict(
-        realizations=4, master_seed=1, noise=NoiseConfig(calibration_sigma=3.0), exact_calibration=True,
+        realizations=4, master_seed=6098, noise=NoiseConfig(calibration_sigma=3.0), exact_calibration=True,
         beta_range=(0.1, 0.1, 0.1), gamma_range=(0.1, 0.5, 0.1),
     ),
     # c_01 = (5 - 3 + 2 - 4) / 4 = 0, off the cost's support {00, 11}
     "degenerate-off-support-exact": dict(calibration=CalibrationTable(np.array([5.0, 3, 2, 4])), exact_calibration=True),
     "degenerate-off-support-empirical": dict(calibration=CalibrationTable(np.array([5.0, 3, 2, 4]))),
-    # 2 * 4^5 row entries a point: 4 points per chunk, so the 3x3 grid reads chunks of 4, 4 and 1
+    # 2 * 4^5 row entries a point: 4 points per block, so the 3x3 grid reads blocks of 4, 4 and 1
     "ring5-partial-chunk": dict(graph=ring(5), calibration=random_table(5, 5), beta_range=(0.1, 0.5, 0.2)),
     "ring6-one-point-chunks": dict(graph=ring(6), calibration=random_table(6, 6), beta_range=(0.1, 0.3, 0.2)),
 }
 
 
+def grid_cells(grid):
+    return grid.pops, grid.norm, grid.F_measured, grid.F_ideal
+
+
 @pytest.mark.parametrize("case", list(GRID_CASES))
 def test_single_point_grid_equals_measure_point(case):
-    # every cell of the chunked scan is measure_point of that cell bit for bit,
-    # and both equal the per-point oracle, NaN for NaN
+    # a grid draws each stream block stacked and equals the stream-block oracle;
+    # a one-point grid is measure_point bit for bit, and measure_point at every
+    # cell's index is the per-point oracle, NaN for NaN
     overrides = dict(beta_range=(0.1, 0.5, 0.2), gamma_range=(0.3, 1.3, 0.5), realizations=2, shots=3_000)
     cfg = sampled_config(**{**overrides, **GRID_CASES[case]})
     grid = run_scan(cfg)
-    cells = list(itertools.product(range(grid.betas.size), range(grid.gammas.size), range(cfg.realizations)))
     assert grid.F_measured.shape == (grid.betas.size, grid.gammas.size, cfg.realizations)
-    for bi, gi, r in cells:
+    for got, want in zip(grid_cells(grid), measure_grid_per_block(cfg)):
+        np.testing.assert_array_equal(got, want)
+    first = replace(cfg, beta_range=(cfg.beta_range[0],) * 2 + (1.0,), gamma_range=(cfg.gamma_range[0],) * 2 + (1.0,))
+    one_point = run_scan(first)
+    for bi, gi, r in itertools.product(range(grid.betas.size), range(grid.gammas.size), range(cfg.realizations)):
         params = QaoaParams((float(grid.betas[bi]),) * cfg.p, (float(grid.gammas[gi]),) * cfg.p)
-        direct = measure_point(cfg, params, r, point_index=bi * grid.gammas.size + gi)
-        oracle = measure_point_per_point(cfg, params, r, bi * grid.gammas.size + gi)
-        for got in ((direct.pops, direct.norm, direct.F_measured, direct.F_ideal), oracle):
-            np.testing.assert_array_equal(grid.pops[bi, gi, r], got[0])
-            np.testing.assert_array_equal(grid.norm[bi, gi, r], got[1])
-            np.testing.assert_array_equal(grid.F_measured[bi, gi, r], got[2])
-            np.testing.assert_array_equal(grid.F_ideal[bi, gi], got[3])
+        index = bi * grid.gammas.size + gi
+        direct = measure_point(cfg, params, r, point_index=index)
+        got = (direct.pops, direct.norm, direct.F_measured, direct.F_ideal)
+        for value, want in zip(got, measure_point_per_point(cfg, params, r, index)):
+            np.testing.assert_array_equal(value, want)
         assert direct.valid == np.isfinite(direct.F_measured)
+        if index == 0:
+            cell = (one_point.pops[0, 0, r], one_point.norm[0, 0, r], one_point.F_measured[0, 0, r],
+                    one_point.F_ideal[0, 0])
+            for value, want in zip(got, cell):
+                np.testing.assert_array_equal(value, want)
+        if case.startswith("cal-sigma-all-dark"):
+            assert direct.valid != (index == 4 and r == 3)
     invalid = ~grid.valid
     if case.startswith("cal-sigma-all-dark"):
         assert np.flatnonzero(invalid).tolist() == [4 * 4 + 3]
@@ -513,10 +530,105 @@ def test_single_point_grid_equals_measure_point(case):
         assert invalid.all()
     elif cfg.graph.num_vertices <= 4:  # at n = 6, 3000 shots an empirical c_t can vanish exactly
         assert not invalid.any()
-    # K2 and ring-4 grids are one chunk
+    # K2 and ring-4 grids are one block; from n = 6 on every cell is read as measure_point reads it
     n = cfg.graph.num_vertices
-    chunk = _chunk_points(1 << n, cfg.realizations)
-    assert chunk == {5: 4, 6: 1}[n] if n >= 5 else chunk >= grid.F_ideal.size
+    assert _block_points(1 << n) == {5: 4, 6: 1}[n] if n >= 5 else _block_points(1 << n) >= grid.F_ideal.size
+
+
+def test_stream_block_sizes_are_pinned():
+    # a block's size sets which cells share a generator, so it is part of every
+    # sampled output: 2^13 // (2 * 4^n) points, whatever the realization count
+    assert [_block_points(1 << n) for n in (1, 2, 3, 4, 5, 6, 7, 12)] == [1024, 256, 64, 16, 4, 1, 1, 1]
+
+
+def test_cells_do_not_depend_on_the_realization_count():
+    # 17 x 16 = 272 K2 points cross the block boundary at 256; realizations 0
+    # and 1 draw on the same substreams whatever the count
+    cfg = sampled_config(
+        shots=500, realizations=2, noise=NoiseConfig(calibration_sigma=0.05),
+        beta_range=(0.1, 1.7, 0.1), gamma_range=(0.1, 1.6, 0.1),
+    )
+    assert cfg.betas().size * cfg.gammas().size == 272 > _block_points(4)
+    two, nine = run_scan(cfg), run_scan(replace(cfg, realizations=9))
+    for got, want in zip(grid_cells(nine), grid_cells(two)):
+        np.testing.assert_array_equal(got[:, :, :2] if got.ndim > 2 else got, want)
+    # the block after the boundary draws on its own substreams
+    assert not np.array_equal(two.F_measured.flat[256:258], two.F_measured.flat[:2])
+
+
+def closed_form_stderr(config):
+    """``F_ideal`` and sigma_F of every grid point of a noiseless sampled scan with the exact table, both [beta, gamma].
+
+    F = sum_x w_x m_x, where w_x is F of the populations ``reconstruct`` makes
+    of the unit means e_x, and a flip record's mean m_x has variance (E[I] +
+    Var_p[I]) / shots over its row p.
+    """
+    diag = diagonal_costs(config.graph)
+    weights = reconstruct(config.calibration, np.eye(diag.size)).pops @ diag
+    intensities = config.calibration.intensities
+    F_ideal, sigma = [], []
+    for beta, gamma in itertools.product(config.betas(), config.gammas()):
+        F, rows = point_rows(config, QaoaParams((float(beta),) * config.p, (float(gamma),) * config.p))
+        flips = rows[diag.size:]
+        mean = flips @ intensities
+        variance = mean + flips @ intensities**2 - mean**2
+        F_ideal.append(F)
+        sigma.append(math.sqrt(np.sum(weights**2 * variance) / config.shots))
+    shape = (config.betas().size, config.gammas().size)
+    return np.reshape(F_ideal, shape), np.reshape(sigma, shape)
+
+
+def landscape_gate_failures(config, seeds):
+    """The checks of the landscape distribution gate that F_measured fails over ``seeds`` master seeds.
+
+    Per cell: mean z against F_ideal within 4 / sqrt(N), and the variance of F
+    within a chi^2 bound of the closed form sigma_F^2; between neighbouring
+    point indices: the correlation of the errors within 4 / sqrt(N).
+    """
+    F_ideal, sigma = closed_form_stderr(config)
+    F = np.array([run_scan(replace(config, master_seed=seed)).F_measured[..., 0] for seed in seeds])
+    z = ((F - F_ideal) / sigma).reshape(len(seeds), -1)
+    bound = 4 / math.sqrt(len(seeds))
+    lo, hi = chi2_bounds(len(seeds) - 1)
+    failures = [f"mean z {m:.3f} at point {i}" for i, m in enumerate(z.mean(axis=0)) if abs(m) > bound]
+    failures += [f"var z {v:.3f} at point {i}" for i, v in enumerate(z.var(axis=0, ddof=1)) if not lo <= v <= hi]
+    for i in range(z.shape[1] - 1):
+        correlation = np.corrcoef(z[:, i], z[:, i + 1])[0, 1]
+        if abs(correlation) > bound:
+            failures.append(f"correlation {correlation:.3f} of points {i} and {i + 1}")
+    return failures
+
+
+GATE_GRIDS = {
+    "k2": dict(calibration=CAL),
+    "ring4": dict(graph=ring(4), calibration=random_table(4, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(GATE_GRIDS))
+def test_landscape_distribution_gate(monkeypatch, case):
+    # each 3 x 3 grid is one stream block; 200 master seeds with the exact table
+    cfg = sampled_config(
+        shots=5_000, exact_calibration=True, beta_range=(0.1, 0.5, 0.2), gamma_range=(0.3, 1.3, 0.5),
+        **GATE_GRIDS[case],
+    )
+    assert _block_points(cfg.calibration.intensities.size) >= 9
+    seeds = range(200)
+    assert landscape_gate_failures(cfg, seeds) == []
+    if case != "k2":
+        # a reused seed correlates ring-4 neighbours by only about 0.1: their
+        # 16-outcome rows differ enough that numpy's binomial draws fall out of
+        # step, below what 200 seeds resolve
+        return
+
+    # mutation: every point of a block drawn on a generator of the block's one draw seed
+    def reused(intensities, rows, num_shots, draws, *args):
+        if rows.ndim == 2:
+            return read_records(intensities, rows, num_shots, draws, *args)
+        return np.stack([read_records(intensities, point, num_shots, draws)[0] for point in rows]), None
+
+    monkeypatch.setattr(experiment, "read_records", reused)
+    assert any(failure.startswith("correlation") for failure in landscape_gate_failures(cfg, seeds))
 
 
 def landscape_of(F_measured, F_ideal):
@@ -709,11 +821,12 @@ def test_all_zero_empirical_calibration_gives_invalid_point():
 
 
 def test_all_dark_perturbed_calibration_gives_invalid_realization():
-    # at master seed 1, sigma = 3 floors every intensity of the perturbed table
-    # of point 4, realization 3 at zero. The all-dark records are drawn like any
-    # others, and the all-zero table, empirical or exact, has c_00 = 0.
+    # at master seed 6098, sigma = 3 floors every intensity of the perturbed
+    # table of point 4, realization 3 at zero, both read on its own and in the
+    # grid's stream block. The all-dark records are drawn like any others, and
+    # the all-zero table, empirical or exact, has c_00 = 0.
     cfg = sampled_config(
-        shots=2_000, realizations=4, master_seed=1, noise=NoiseConfig(calibration_sigma=3.0),
+        shots=2_000, realizations=4, master_seed=6098, noise=NoiseConfig(calibration_sigma=3.0),
         beta_range=(0.1, 0.1, 0.1), gamma_range=(0.1, 0.5, 0.1),
     )
     for exact in (False, True):
@@ -968,21 +1081,28 @@ def test_format_10g_matches_format_byte_for_byte():
     values = values[: values.size - values.size % 7]
     seps = ",,|||,\n"
     text = kernel_text(values, seps)
-    assert re.split("[,|\n]", text)[:-1] == format_10g(values)
-    assert text == per_value_text(values, seps)
+    assert_same_text(re.split("[,|\n]", text)[:-1], format_10g(values))
+    assert_same_text(text, per_value_text(values, seps))
     # a table under SMALL values is formatted value by value, to the same bytes
-    assert kernel_text(values[: SMALL - 1], "\n") == per_value_text(values[: SMALL - 1], "\n")
+    assert_same_text(kernel_text(values[: SMALL - 1], "\n"), per_value_text(values[: SMALL - 1], "\n"))
     assert kernel_text(np.float64(-0.0), "\n") == "-0\n"
+
+
+def assert_same_text(text, expected):
+    """``text == expected`` for strings or lists, naming the first difference.
+
+    pytest's own diff of megabyte texts takes minutes.
+    """
+    if text != expected:
+        at = next((i for i, pair in enumerate(zip(text, expected)) if pair[0] != pair[1]), min(len(text), len(expected)))
+        near = slice(max(at - 20, 0), at + 20)
+        raise AssertionError(f"first difference at {at}: {text[near]!r} != {expected[near]!r}")
 
 
 def assert_mapped_text(table, seps, columns, expected):
     buffer = io.StringIO()
     write_rows(buffer, table, seps, columns)
-    text = buffer.getvalue()
-    if text != expected:  # name the first difference: pytest's diff of megabyte strings takes minutes
-        at = next((i for i, pair in enumerate(zip(text, expected)) if pair[0] != pair[1]), min(len(text), len(expected)))
-        near = slice(max(at - 20, 0), at + 20)
-        raise AssertionError(f"first difference at {at}: {text[near]!r} != {expected[near]!r}")
+    assert_same_text(buffer.getvalue(), expected)
 
 
 @pytest.mark.parametrize(
@@ -1063,7 +1183,7 @@ def test_csv_writers_match_per_value_oracles():
     def same_text(write, oracle, result):
         buffer = io.StringIO()
         write(result, buffer)
-        assert buffer.getvalue() == oracle(result)
+        assert_same_text(buffer.getvalue(), oracle(result))
 
     # ideal n = 10: 1024 populations a row, more than one chunk
     rng = np.random.default_rng(12)
@@ -1074,7 +1194,7 @@ def test_csv_writers_match_per_value_oracles():
     # sampled grids with an invalid (NaN) row, through the per-value loop and the kernel
     for betas in ((0.1, 0.1, 0.1), (0.1, 1.0, 0.1)):
         cfg = sampled_config(
-            shots=2_000, realizations=4, master_seed=1, noise=NoiseConfig(calibration_sigma=3.0),
+            shots=2_000, realizations=4, master_seed=6098, noise=NoiseConfig(calibration_sigma=3.0),
             beta_range=betas, gamma_range=(0.1, 0.5, 0.1),
         )
         grid = run_scan(cfg)

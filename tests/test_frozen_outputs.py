@@ -35,17 +35,17 @@ CASES = {
          "--beta-range", "0.1pi:0.6pi:0.1pi", "--gamma-range", "0.1pi:2.1pi:0.2pi",
          "--shots", "30000", "--realizations", "2", "--seed", "5"],
         {
-            "landscape.csv": "47e5899c915f496c02e50cf44ed7399ee9d27ad662a17810a033319321a54bfe",
-            "landscape.svg": "d03b7853cef98d8f45647d25875ad6df2c31ffe125e8fd2c4f86754962edd80e",
-            "summary.txt": "5bd143fa338f7e96a643bbc9eb26c93a18714b02f4f0d5de3e4df8b7fe70eb2d",
+            "landscape.csv": "67cb4a86d8ab5144c858c2bfa54fe8298861819da3d2b38a640a896fcca6fbb7",
+            "landscape.svg": "49e2bb654e6f726731541b7d4b4760008839f7f7cc191ab76f3b65709a7a2518",
+            "summary.txt": "38cb8e4327d36d87a094c685c78167cff8d97f8dc85a54eb0076b588eb434e33",
         },
     ),
     "depolarizing": (
         ["landscape", "--mode", "sampled", "--depolarizing", "0.02", "--overrotation", "0.05", "--cal-sigma", "0.03",
          *K2_COARSE, "--shots", "30000", "--realizations", "2", "--seed", "6"],
         {
-            "landscape.csv": "b31988078efe6a49782600a1c813620a5aa76db40b6403ec3d5e7ff5957af45e",
-            "summary.txt": "2105022c5eb74ad8ca6a618ee7db8df67f06986a21be3ea9b910e48fc05fd7d2",
+            "landscape.csv": "d8e9aba3369438112851baf544bee1d9a58badd3d406d67477da96bcf9b41f5d",
+            "summary.txt": "61fd6e90c567b37ff862a74d590e8431fcc74c22ac4cccbb68e5cecd69f4532b",
         },
     ),
     "convergence-ring4": (
@@ -89,8 +89,8 @@ CASES = {
          "--beta-range", "0.1pi:0.6pi:0.25pi", "--gamma-range", "0.1pi:2.1pi:0.8pi",
          "--shots", "20000", "--realizations", "2", "--seed", "10"],
         {
-            "landscape.csv": "dd3a766c8cd84e1b4cd608b7745b6c52fdb22a3202ccfed897d3464e0d5eb31c",
-            "summary.txt": "7b526cff9f4f78db206b00411a3ca228802aa32434927790d13a30d71c814047",
+            "landscape.csv": "b8bcf0e12c530c0a2a9fb1a9b29bf184d1a9d94dd7fd6438c7144e3f4a1ed503",
+            "summary.txt": "200df5c0e8cb0b47dc14db5da8ef9d0859cb7c758609e5cb98f4b3ab63da73b4",
         },
     ),
     # the ideal states of a weighted ten-qubit register, two layers each
