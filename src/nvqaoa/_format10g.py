@@ -39,7 +39,10 @@ import numpy as np
 # reference kernel ran 35% faster after a convergence scan, so that workload
 # read 15% slower in reference seconds while its host time fell.
 CHUNK = 2048
-SMALL = 1024  # the kernel's fixed cost breaks even at about 1000 values
+# Tables of fewer fields are formatted value by value. The kernel's fixed cost
+# breaks even at about 180 full-precision values, and at about 280 fields of a
+# landscape CSV, whose grid and realization fields are short.
+SMALL = 256
 TIE = 1e-5  # m is within 2^-20 of the exact mantissa; nearer a tie than this, fall back
 
 # Exponents e whose scale 10^|9 - e| is an exact double; m is |v| * _UP / _DOWN

@@ -7,8 +7,9 @@ into the native CNOT - RZ - CNOT sequence; the two must agree up to global
 phase, which is one of the library's standing self-checks.
 
 ``qaoa_amplitudes`` makes a stack of ansatz states without building a circuit:
-per layer, one multiply by the cost-diagonal phase and n in-place RX
-butterflies, each row with its own angles. It folds in overrotation and phase
+per layer, one multiply by the cost-diagonal phase (``_cost_phase``) and RX on
+every qubit in constant geometry (``statevector.butterfly_all``), each row with
+its own angles. It folds in overrotation and phase
 offset, so it makes every deterministic ansatz state of a scan, exact or
 sampled; ``simulate_qaoa`` is its one-row case. Without a phase offset, on a
 cost diagonal equal to its own reverse (every ``diagonal_costs`` output), it
@@ -29,7 +30,7 @@ import numpy as np
 from ._bitstrings import BitString, as_bit_array
 from .graph_problem import Graph
 from .noise import NoiseConfig, _angle_stacks
-from .statevector import Gate, StateVector, apply_gate, butterfly, init_zero, rz_matrix
+from .statevector import Gate, StateVector, apply_gate, butterfly_all, init_zero, rz_matrix
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,8 @@ def qaoa_amplitudes(
     Starting from the uniform amplitude 2^(-n/2), each layer multiplies by
     exp(-i gamma C), which is the product of the edge RZZ(gamma w) gates up to
     the global phase e^(-i gamma W / 2) (W the total edge weight), then applies
-    RX(2 beta) to every qubit in place. Row k equals the one-row call on row k
+    RX(2 beta) to every qubit (``butterfly_all``, with the bits of one
+    butterfly per qubit). Row k equals the one-row call on row k
     bit for bit, and agrees with ``simulate(build_ansatz(graph, params))`` up
     to global phase at ``params = QaoaParams(betas[k], gammas[k])``.
 
@@ -141,9 +143,11 @@ def qaoa_amplitudes(
     Without a phase offset, and with ``costs`` equal to ``costs[::-1]``, every
     amplitude equals its mirror's under flipping all qubits, and only the half
     with qubit 0 clear is simulated (``_even_amplitudes``); the result is the
-    same bit for bit. The loop over all 2^n amplitudes runs otherwise: for a
-    phase offset, whose RZ on qubit 0 breaks the symmetry, and for a diagonal
-    that is not its own reverse.
+    same bit for bit. Its layers take their cost phases from outside, so an
+    ideal scan computes one per gamma of its grid and runs every point of
+    that column from it (``experiment._ideal_point``). The loop over all 2^n
+    amplitudes runs otherwise: for a phase offset, whose RZ on qubit 0 breaks
+    the symmetry, and for a diagonal that is not its own reverse.
     """
     costs = np.asarray(costs, dtype=float)
     size = costs.size
@@ -158,25 +162,41 @@ def qaoa_amplitudes(
             raise ValueError("a phase offset needs num_edges, the number of two-qubit gates per layer")
         scale, offset = 1.0 + noise.overrotation_frac, noise.phase_offset * (num_edges or 0)
     betas, gammas = scale * betas, scale * gammas
+    n = size.bit_length() - 1
     if not offset and np.array_equal(costs, costs[::-1]):
-        return _even_amplitudes(costs, betas, gammas)
+        half = costs[: size >> 1]
+        return _even_amplitudes(n, (_cost_phase(half, gamma) for gamma in gammas.T), betas)
     # RZ on qubit 0, the most significant bit of the index: one phase per half
     offset_phases = np.diagonal(rz_matrix(offset))[:, None]
-    n = size.bit_length() - 1
     amps = np.full((betas.shape[0], size), 2.0 ** (-0.5 * n), dtype=complex)
     for beta, gamma in zip(betas.T, gammas.T):
-        amps *= np.exp(-1j * gamma[:, None] * costs)
+        amps *= _cost_phase(costs, gamma)
         if offset:
             halves = amps.reshape(-1, 2, size >> 1)
             halves *= offset_phases
-        beta = beta[:, None, None]  # one RX(2 beta) per row, shaped as butterfly takes it
-        cos, minus_i_sin = np.cos(beta), -1j * np.sin(beta)
-        butterfly(amps, ((cos, minus_i_sin), (minus_i_sin, cos)), range(n))
+        butterfly_all(amps, _rx_entries(beta))
     return amps
 
 
-def _even_amplitudes(costs: np.ndarray, betas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """``qaoa_amplitudes`` without a phase offset for ``costs`` equal to ``costs[::-1]``, from the half with qubit 0 clear.
+def _cost_phase(costs: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """exp(-i gamma C) on ``costs``, one row per entry of the ``(rows,)`` stack ``gamma``."""
+    return np.exp(-1j * gamma[:, None] * costs)
+
+
+def _rx_entries(beta: np.ndarray):
+    """RX(2 beta) as nested pairs of ``(rows, 1)`` entries, one matrix per entry of the ``(rows,)`` stack ``beta``."""
+    beta = beta[:, None]
+    cos, minus_i_sin = np.cos(beta), -1j * np.sin(beta)
+    return (cos, minus_i_sin), (minus_i_sin, cos)
+
+
+def _even_amplitudes(n: int, phases, betas: np.ndarray) -> np.ndarray:
+    """``qaoa_amplitudes`` without a phase offset for costs equal to their reverse, from the half with qubit 0 clear.
+
+    ``phases`` holds each layer's cost phase on the half diagonal
+    (``_cost_phase``), ``(rows, 2^(n-1))`` or one ``(1, 2^(n-1))`` row for
+    every row of the ``(rows, p)`` stack ``betas``. It may be lazy, and a scan
+    may pass one phase for all layers and all points of a grid column.
 
     Flipping every qubit maps index z to its mirror 2^n - 1 - z. Such a cost
     diagonal, the |+>^n start and every RX commute with that flip, so each
@@ -186,14 +206,13 @@ def _even_amplitudes(costs: np.ndarray, betas: np.ndarray, gammas: np.ndarray) -
     equal diagonal and equal off-diagonal entries, and complex multiplication
     and addition are commutative.
     """
-    half, n = costs.size >> 1, costs.size.bit_length() - 1
-    lo = np.full((betas.shape[0], half), 2.0 ** (-0.5 * n), dtype=complex)
-    for beta, gamma in zip(betas.T, gammas.T):
-        lo *= np.exp(-1j * gamma[:, None] * costs[:half])
-        beta = beta[:, None, None]
-        cos, minus_i_sin = np.cos(beta), -1j * np.sin(beta)
-        lo = cos[:, 0] * lo + minus_i_sin[:, 0] * lo[..., ::-1]
-        butterfly(lo, ((cos, minus_i_sin), (minus_i_sin, cos)), range(n - 1))
+    lo = np.full((betas.shape[0], 1 << (n - 1)), 2.0 ** (-0.5 * n), dtype=complex)
+    for phase, beta in zip(phases, betas.T):
+        lo *= phase
+        rx = _rx_entries(beta)
+        (cos, minus_i_sin), _ = rx
+        lo = cos * lo + minus_i_sin * lo[..., ::-1]
+        butterfly_all(lo, rx)
     return np.concatenate((lo, lo[..., ::-1]), axis=-1)
 
 

@@ -11,8 +11,9 @@ Every deterministic ansatz state comes from the QAOA-structured simulator
 ``qaoa_amplitudes`` on the cost diagonal: the exact state of ideal points and
 of ``F_ideal``, and, with overrotation and phase offset folded in, the state a
 sampled point reads without a stochastic channel (without either channel it is
-the ``F_ideal`` state itself). Under depolarizing noise a point reads the
-exact channel-averaged populations of the ansatz instead
+the ``F_ideal`` state itself). An ideal scan runs its layer code with one
+cost phase per gamma of the grid (``_ideal_point``). Under depolarizing noise
+a point reads the exact channel-averaged populations of the ansatz instead
 (``noise.density_populations``): every shot is a fresh run with its own
 errors, so each shot's basis state is a draw from them. Each flip pattern
 only permutes those populations and each basis preparation is a delta vector;
@@ -81,6 +82,8 @@ from ._bitstrings import all_bitstrings
 from ._format10g import write_rows
 from .circuits import (
     QaoaParams,
+    _cost_phase,
+    _even_amplitudes,
     qaoa_amplitudes,
     # unused here: perfbench's test_tracer_wraps_every_binding_and_restores_them
     # checks that the tracer wraps this binding
@@ -376,7 +379,11 @@ def run_scan(config: ScanConfig) -> LandscapeGrid:
     """Evaluate the full (beta, gamma) grid.
 
     Ideal mode ignores shot settings and collapses to one exact evaluation per
-    point. Sampled mode reads the grid in stream blocks of consecutive points
+    point. It computes the cost phase exp(-i gamma C) on the half diagonal
+    once per gamma of the grid and evaluates each point of that column from
+    it, one point at a time (``_ideal_point``): every beta and every layer
+    shares it, and each point keeps the bits of its own ``qaoa_amplitudes``
+    call. Sampled mode reads the grid in stream blocks of consecutive points
     (``_block_points``): a block's states are simulated and its record rows
     built and checked once, and each realization draws all the block's records
     on one generator and inverts them in one stacked ``reconstruct`` call.
@@ -391,10 +398,13 @@ def run_scan(config: ScanConfig) -> LandscapeGrid:
     pops = np.empty(shape + diag.shape)
     grid = LandscapeGrid(betas, gammas, F_measured, norm, pops, F_ideal, float(diag.max() - diag.min()))
     if config.mode == "ideal":
-        for bi, gi in np.ndindex(shape[:2]):
-            params = QaoaParams((float(betas[bi]),) * config.p, (float(gammas[gi]),) * config.p)
-            pops[bi, gi, 0], F_ideal[bi, gi] = _ideal_point(diag, params)
-            F_measured[bi, gi, 0], norm[bi, gi, 0] = F_ideal[bi, gi], pops[bi, gi, 0].sum()
+        half = diag[: diag.size >> 1]  # diagonal_costs equals its reverse
+        for gi in range(gammas.size):
+            phase = _cost_phase(half, gammas[gi, None])
+            for bi in range(betas.size):
+                params = QaoaParams((float(betas[bi]),) * config.p, (float(gammas[gi]),) * config.p)
+                pops[bi, gi, 0], F_ideal[bi, gi] = _ideal_point(diag, params, phase)
+                F_measured[bi, gi, 0], norm[bi, gi, 0] = F_ideal[bi, gi], pops[bi, gi, 0].sum()
         return grid
     # [point, realization(, basis state)] views; a point's grid index is bi * gammas.size + gi
     F_rows, norm_rows = F_measured.reshape(-1, realizations), norm.reshape(-1, realizations)
@@ -731,9 +741,20 @@ def _check_fields(section: dict, fields: dict, prefix: str) -> None:
             raise ConfigError(f"field {prefix + name!r} has the wrong type {type(value).__name__}")
 
 
-def _ideal_point(diag: np.ndarray, params: QaoaParams) -> tuple[np.ndarray, float]:
-    """Exact populations and cost at one point, from the structured simulator."""
-    pops = populations(simulate_qaoa(diag, params))
+def _ideal_point(diag: np.ndarray, params: QaoaParams, phase: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Exact populations and cost at one point, from the structured simulator.
+
+    ``phase`` is the ``(1, 2^(n-1))`` cost phase of the point's gamma on the
+    half diagonal (``circuits._cost_phase``), when every layer shares that
+    gamma and ``diag`` equals its reverse. A scan computes it once for a grid
+    column, and every layer of every point of the column reuses it through
+    ``qaoa_amplitudes``' half-register code, with the same bits.
+    """
+    if phase is None:
+        amps = simulate_qaoa(diag, params).amplitudes
+    else:
+        amps = _even_amplitudes(diag.size.bit_length() - 1, [phase] * params.p, np.array([params.betas]))[0]
+    pops = populations(amps)
     return pops, float(np.dot(pops, diag))
 
 

@@ -156,10 +156,10 @@ def butterfly(amps: np.ndarray, matrix, qubits) -> None:
     ``amps`` is one flat register or a ``(rows, 2^n)`` stack of them. For a
     stack an entry may be a ``(rows, 1, 1)`` array, one value per row.
 
-    The loop is in here so that one qubit's temporaries are still held while
-    the next qubit's are allocated. A call per qubit freed them on every
-    return, and the allocator shrank and regrew the heap: on a 14-qubit state
-    that took several times the page faults and about a quarter more time.
+    Qubit q pairs rows of 2^(n-1-q) amplitudes, so the last qubits loop over
+    rows of 2 and 4. ``butterfly_all`` applies a gate to every qubit with the
+    same bits and whole-half rows; this one applies the single-qubit gates of
+    ``noise.density_populations``.
     """
     (a, b), (c, d) = matrix
     for q in qubits:
@@ -170,6 +170,40 @@ def butterfly(amps: np.ndarray, matrix, qubits) -> None:
         hi *= d
         hi += c * lo
         lo[...] = new_lo
+
+
+def butterfly_all(amps: np.ndarray, matrix) -> None:
+    """Apply a 2x2 ``matrix`` (array or nested pairs) to every qubit of ``amps``, in place, in constant geometry.
+
+    ``amps`` is one flat register of 2^m amplitudes or a ``(rows, 2^m)`` stack
+    of them. For a stack an entry may be a ``(rows, 1)`` array, one value per row.
+
+    Each stage pairs index z of the two contiguous halves, z and z + 2^(m-1),
+    which differ in the leading bit, and writes the pair's results to 2z and
+    2z + 1 of a scratch state. That rotates the index bits left by one, so the
+    next stage's halves pair the next qubit, and after m stages the bits are
+    back in order (M. C. Pease, J. ACM 15, 252 (1968)). Every amplitude takes
+    the operations of ``butterfly(amps, matrix, range(m))`` in its order, so
+    the result is the same bit for bit, but every stage reads whole halves.
+    It holds one scratch state and a half-state temporary; for odd m the
+    result is copied back from the scratch.
+    """
+    (a, b), (c, d) = matrix
+    rows, size = amps.shape[:-1], amps.shape[-1]
+    half = size >> 1
+    src, dst = amps, np.empty(amps.shape, dtype=amps.dtype)
+    tmp = np.empty(rows + (half,), dtype=amps.dtype)
+    for _ in range(size.bit_length() - 1):
+        lo, hi = src[..., :half], src[..., half:]
+        pairs = dst.reshape(rows + (half, 2))
+        new_lo, new_hi = pairs[..., 0], pairs[..., 1]
+        np.multiply(a, lo, out=new_lo)
+        new_lo += np.multiply(b, hi, out=tmp)
+        np.multiply(hi, d, out=new_hi)
+        new_hi += np.multiply(c, lo, out=tmp)
+        src, dst = dst, src
+    if src is not amps:
+        amps[...] = src
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:

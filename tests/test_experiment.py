@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from nvqaoa import _format10g, experiment, readout
+from nvqaoa import _format10g, circuits, experiment, readout
 from nvqaoa._bitstrings import all_bitstrings
 from nvqaoa._format10g import CHUNK, SMALL, write_rows
 from nvqaoa.circuits import (
@@ -276,6 +276,30 @@ def test_ideal_scan_matches_gate_level_populations():
         assert ideal_cost(graph, params) == grid.F_ideal[bi, gi]
 
 
+def test_ideal_scan_computes_one_cost_phase_per_gamma(monkeypatch):
+    # every point of a gamma column, and every layer, reuses the column's phase and keeps _ideal_point's bits
+    phases = []
+
+    def counted_phase(costs, gamma):
+        phases.append(gamma.tolist())
+        return cost_phase(costs, gamma)
+
+    cost_phase = circuits._cost_phase
+    monkeypatch.setattr(circuits, "_cost_phase", counted_phase)
+    monkeypatch.setattr(experiment, "_cost_phase", counted_phase)
+    ring5 = Graph.from_edges(5, [(0, 1, 0.7), (1, 2, 1.3), (2, 3, 0.6), (3, 4, 1.1), (0, 4, 0.9)])
+    grid = run_scan(ScanConfig(graph=ring5, p=2, beta_range=(0.1, 0.4, 0.1), gamma_range=(0.2, 0.8, 0.1)))
+    assert grid.F_ideal.shape == (4, 7)
+    assert phases == [[gamma] for gamma in grid.gammas.tolist()]
+    diag = diagonal_costs(ring5)
+    for bi, gi in np.ndindex(grid.F_ideal.shape):
+        params = QaoaParams((float(grid.betas[bi]),) * 2, (float(grid.gammas[gi]),) * 2)
+        pops, cost = experiment._ideal_point(diag, params)
+        assert np.array_equal(grid.pops[bi, gi, 0].view(np.int64), pops.view(np.int64))
+        assert grid.F_ideal[bi, gi] == grid.F_measured[bi, gi, 0] == cost
+        assert grid.norm[bi, gi, 0] == pops.sum()
+
+
 def test_ideal_scan_matches_closed_form_everywhere():
     grid = run_scan(ScanConfig(graph=K2, mode="ideal"))
     assert grid.F_measured.shape == grid.norm.shape == (21, 41, 1)
@@ -318,6 +342,8 @@ def test_overflowing_cost_phase_is_rejected_before_any_state(monkeypatch):
 
     monkeypatch.setattr(experiment, "qaoa_amplitudes", simulate)
     monkeypatch.setattr(experiment, "simulate_qaoa", simulate)
+    monkeypatch.setattr(experiment, "_cost_phase", simulate)
+    monkeypatch.setattr(experiment, "_even_amplitudes", simulate)
     heavy = Graph.complete(2, 1e308)
     cal = CalibrationTable([5.0, 3.0, 2.0, 1.0])
     grid = {"beta_range": (0.1, 0.2, 0.1), "gamma_range": (2.0, 6.0, 4.0)}

@@ -7,11 +7,13 @@ from nvqaoa.statevector import (
     apply_gate,
     apply_matrix,
     butterfly,
+    butterfly_all,
     expectation_diagonal,
     fidelity,
     gate_matrix,
     init_zero,
     populations,
+    rx_matrix,
 )
 
 ALL_KINDS = ("H", "X", "RX", "RY", "RZ", "CNOT", "RZZ")
@@ -229,3 +231,35 @@ def test_stacked_butterfly_applies_each_rows_matrix(n):
         for q in qubits:
             want = apply_matrix(want, entries[:, :, k, 0, 0], (q,))
         np.testing.assert_allclose(got[k], want.amplitudes, rtol=0, atol=1e-12)
+
+
+HADAMARD = gate_matrix(Gate("H", (0,)))
+
+
+def _rx_rows(beta):
+    """RX(2 beta) per row as ``(rows, 1)`` entries, and its complex conjugate."""
+    cos, sin = np.cos(beta)[:, None], np.sin(beta)[:, None]
+    return ((cos, -1j * sin), (-1j * sin, cos)), ((cos + 0j, 1j * sin), (1j * sin, cos + 0j))
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_constant_geometry_kernel_equals_butterfly_on_every_qubit(m):
+    # butterfly(amps, M, range(m)) is the oracle, bit for bit; odd m ends in the scratch state and is copied back
+    rng = np.random.default_rng(80 + m)
+    for rows in (1, 3, 66):
+        stack = rng.normal(size=(rows, 1 << m)) + 1j * rng.normal(size=(rows, 1 << m))
+        general = rng.normal(size=(2, 2, rows, 1)) + 1j * rng.normal(size=(2, 2, rows, 1))
+        rx, conj_rx = _rx_rows(rng.uniform(-np.pi, np.pi, rows))
+        scalars = [HADAMARD, np.conj(rx_matrix(0.7)), general[:, :, 0, 0]]
+        per_row = [rx, conj_rx, general]
+        for matrix in scalars + per_row:
+            got, want = stack.copy(), stack.copy()
+            butterfly_all(got, matrix)
+            # butterfly takes a per-row entry as (rows, 1, 1)
+            butterfly(want, [[np.asarray(entry)[..., None] for entry in pair] for pair in matrix], range(m))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    flat = stack[0].copy()
+    butterfly_all(flat, HADAMARD)
+    want = stack[0].copy()
+    butterfly(want, HADAMARD, range(m))
+    assert np.array_equal(flat.view(np.int64), want.view(np.int64))
