@@ -8,6 +8,8 @@ seeding scheme. See the README for the measurement model.
 
 __version__ = "0.6.0"
 
+from types import ModuleType as _ModuleType
+
 from .graph_problem import Graph, CutReport, brute_force, cost, cut_value, diagonal_costs, load_graph
 from .statevector import Gate, StateVector, apply_gate, init_zero, populations, expectation_diagonal, fidelity
 from .circuits import (
@@ -22,7 +24,7 @@ from .reconstruction import (
     reconstruct,
     walsh_coefficients,
 )
-from .noise import NoiseConfig, density_populations, simulate_noisy, perturb_calibration
+from .noise import NoiseConfig, density_populations, perturb_calibration
 from .experiment import (
     ConfigError,
     ConvergenceProfile,
@@ -39,4 +41,5 @@ from .experiment import (
     run_scan,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above also bind each submodule here; a module is not an API name
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -15,8 +15,8 @@ sampled; ``simulate_qaoa`` is its one-row case. Without a phase offset, on a
 cost diagonal equal to its own reverse (every ``diagonal_costs`` output), it
 simulates only the half of each row with qubit 0 clear and mirrors it
 (``_even_amplitudes``), bit for bit what the loop over the whole register
-gives. The gate-level ``simulate(build_ansatz(...))`` and
-``noise.simulate_noisy(build_ansatz(...))`` stay as its reference. A
+gives. The gate-level ``simulate(build_ansatz(...), noise)``, which takes the
+same deterministic channels gate by gate, stays as its reference. A
 depolarizing channel leaves a mixed state, which a sampled scan reads from
 the density-matrix twin ``noise.density_populations`` instead.
 """
@@ -30,7 +30,7 @@ import numpy as np
 from ._bitstrings import BitString, as_bit_array
 from .graph_problem import Graph
 from .noise import NoiseConfig, _angle_stacks
-from .statevector import Gate, StateVector, apply_gate, butterfly_all, init_zero, rz_matrix
+from .statevector import ROTATION_KINDS, Gate, StateVector, apply_gate, butterfly_all, init_zero, rz_matrix
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,25 @@ def append_flips(circuit: Circuit, pattern: BitString) -> Circuit:
     return Circuit(circuit.num_qubits, circuit.gates + extra)
 
 
-def simulate(circuit: Circuit) -> StateVector:
-    """Run the circuit on |00...0> and return the exact final state."""
+def simulate(circuit: Circuit, noise: NoiseConfig | None = None) -> StateVector:
+    """Run the circuit on |00...0> gate by gate and return the final state.
+
+    ``noise`` applies the deterministic channels: overrotation scales every
+    rotation angle by 1 + frac, and a phase offset applies RZ(offset) on qubit
+    0 after each two-qubit gate. A depolarizing channel has no single final
+    state and raises ValueError (``noise.density_populations`` averages over
+    it). With every channel off the gates run as written, bit for bit.
+    """
+    noise = noise or NoiseConfig()
+    if noise.is_stochastic:
+        raise ValueError("simulate takes only deterministic noise; depolarizing needs density_populations")
     state = init_zero(circuit.num_qubits)
     for gate in circuit.gates:
+        if noise.overrotation_frac != 0.0 and gate.kind in ROTATION_KINDS:
+            gate = Gate(gate.kind, gate.targets, gate.angle * (1.0 + noise.overrotation_frac))
         state = apply_gate(state, gate)
+        if noise.phase_offset != 0.0 and len(gate.targets) == 2:
+            state = apply_gate(state, Gate("RZ", (0,), noise.phase_offset))
     return state
 
 
@@ -133,7 +147,7 @@ def qaoa_amplitudes(
     to global phase at ``params = QaoaParams(betas[k], gammas[k])``.
 
     ``noise`` folds in the deterministic channels, matching
-    ``simulate_noisy(build_ansatz(graph, params), noise)`` up to global phase:
+    ``simulate(build_ansatz(graph, params), noise)`` up to global phase:
     overrotation scales every beta and gamma by 1 + frac, and the RZ(offset) on
     qubit 0 after each of the ``num_edges = len(graph.edges())`` RZZ gates of a
     layer becomes one diagonal RZ(num_edges * offset) next to the cost phase.

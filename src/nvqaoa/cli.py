@@ -132,7 +132,10 @@ def _add_scan_arguments(sub: argparse.ArgumentParser, default_mode: str) -> None
     sub.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     sub.add_argument("--realizations", type=int, default=DEFAULT_REALIZATIONS)
     sub.add_argument("--cal", help="calibration file ('<bitstring> <intensity>' lines); required in sampled mode")
-    sub.add_argument("--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY)
+    sub.add_argument(
+        "--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY,
+        help="shots per convergence checkpoint; landscape and optimize check and record it, but draw whole records",
+    )
     sub.add_argument("--seed", type=int, default=None, help=f"master seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
     sub.add_argument("--exact-calibration", action="store_true", help="reconstruct with the true intensities")
     sub.add_argument("--depolarizing", type=float, default=0.0, help="per-qubit Pauli error probability per gate")

@@ -53,7 +53,7 @@ multinomial and one Poisson call) and split them into checkpoint blocks
 (``convergence_profile`` only). ``measure_point``, ``optimize`` and
 ``convergence_profile`` read point i as a block of one, on the substreams of
 (i, r), so the final checkpoint equals ``measure_point`` bit for bit, and so
-does the cell of a one-point grid. ``_point_streams`` builds each child
+does the cell of a one-point grid. ``_read_point`` builds each child
 directly.
 
 Landscapes and ``optimize`` run on the calling thread. ``convergence_profile``
@@ -102,6 +102,11 @@ DEFAULT_SHOTS = 300_000
 DEFAULT_REALIZATIONS = 4
 DEFAULT_CHECKPOINT_EVERY = 1000
 DEFAULT_SEED = 1
+
+# The paper runs one layer. Every layer adds (points, p) angle stacks, about
+# 8 KB a layer for each stream block of a sampled scan, so p = 10^6 would
+# exhaust a desktop; this cap is far above any depth a desk-scale run needs.
+MAX_LAYERS = 1000
 
 # A depolarizing point holds its density matrix: 4^n complex entries, 16 MiB at n = 10.
 MAX_DEPOLARIZING_VERTICES = 10
@@ -210,8 +215,8 @@ class ScanConfig:
             raise ConfigError(f"mode must be 'ideal' or 'sampled', got {self.mode!r}")
         for name in ("p", "shots", "realizations", "checkpoint_every", "master_seed"):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
-        if self.p < 1:
-            raise ConfigError("p must be at least 1")
+        if not 1 <= self.p <= MAX_LAYERS:
+            raise ConfigError(f"p must be at least 1 and is capped at {MAX_LAYERS}, got {self.p}")
         if self.graph.num_vertices > MAX_VERTICES:
             raise ConfigError(f"graph has {self.graph.num_vertices} vertices; scans are capped at {MAX_VERTICES}")
         if self.shots < 1 or self.realizations < 1 or self.checkpoint_every < 1:
@@ -832,31 +837,6 @@ def _realization_stats(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.nd
     return mean, np.sqrt(std)
 
 
-def _point_streams(
-    config: ScanConfig, realization_index: int, point_index: int, checkpoints: bool = False, points: int | None = None
-):
-    """True intensities (possibly perturbed), and the draw and, given ``checkpoints``, split substreams of a block.
-
-    The block is the point ``point_index`` or, given ``points``, that many
-    consecutive points from it. Children 0, 1 and 2 of
-    SeedSequence(master_seed, spawn_key=(point_index, realization_index))
-    perturb the tables (one normal draw of shape ``(points, 2^n)``), draw the
-    records and split them into checkpoint blocks. Child k is
-    SeedSequence(master_seed, spawn_key=(point_index, realization_index, k)),
-    which is what ``spawn`` makes. Unperturbed intensities are the one table
-    ``(2^n,)``, shared by the block.
-    """
-
-    def child(k: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(config.master_seed, spawn_key=(point_index, realization_index, k))
-
-    intensities = config.calibration.intensities
-    if config.noise is not None and config.noise.calibration_sigma > 0.0:
-        shape = intensities.shape if points is None else (points, intensities.size)
-        intensities = perturb_calibration(np.broadcast_to(intensities, shape), config.noise.calibration_sigma, child(0))
-    return intensities, child(1), child(2) if checkpoints else None
-
-
 def _measure_point(config: ScanConfig, diag: np.ndarray, params: QaoaParams, realization_index: int, point_index: int):
     """``measure_point`` given the cost diagonal of ``config.graph``."""
     (F_ideal,), (reads,) = _point_states(config, diag, [params.betas], [params.gammas])
@@ -915,17 +895,28 @@ def _read_point(config: ScanConfig, rows: np.ndarray, realization_index: int, po
     ``rows`` are one point's ``_point_rows``, ``(2^(n+1), 2^n)``, or a block's
     stack of them whose first point is ``point_index``; each result is
     ``(2^n,)``, ``(points, 2^n)``, or for one point given ``checkpoints`` one
-    row per checkpoint. The records are drawn on child 1 of the block's
-    substream and, given ``checkpoints``, split on child 2. The calibration
-    row is the true, possibly perturbed, intensities under
-    ``exact_calibration`` and the basis preparations' means otherwise.
+    row per checkpoint. Child k of the block's substream is
+    SeedSequence(master_seed, spawn_key=(point_index, realization_index, k)),
+    which is what ``spawn`` makes. Child 0 perturbs the tables, one normal
+    draw of shape ``rows.shape[:-2] + (2^n,)``; unperturbed, the one table is
+    shared by the block. The records are drawn on child 1 and, given
+    ``checkpoints``, split on child 2. The calibration row is the true,
+    possibly perturbed, intensities under ``exact_calibration`` and the basis
+    preparations' means otherwise.
     """
-    points = len(rows) if rows.ndim == 3 else None
-    intensities, draws, split = _point_streams(config, realization_index, point_index, checkpoints, points)
-    means, blocks = read_records(intensities, rows, config.shots, draws, split, config.checkpoint_every)
+
+    def child(k: int) -> np.random.SeedSequence:
+        return np.random.SeedSequence(config.master_seed, spawn_key=(point_index, realization_index, k))
+
+    size = rows.shape[-1]
+    intensities = config.calibration.intensities
+    if config.noise is not None and config.noise.calibration_sigma > 0.0:
+        shape = rows.shape[:-2] + (size,)
+        intensities = perturb_calibration(np.broadcast_to(intensities, shape), config.noise.calibration_sigma, child(0))
+    split = child(2) if checkpoints else None
+    means, blocks = read_records(intensities, rows, config.shots, child(1), split, config.checkpoint_every)
     if checkpoints:
         means = blocks.T
-    size = rows.shape[-1]
     flips = means[..., size:]
     return (np.broadcast_to(intensities, flips.shape) if config.exact_calibration else means[..., :size]), flips
 

@@ -50,7 +50,13 @@ class Graph:
 
     @classmethod
     def from_edges(cls, num_vertices: int, edges: Iterable[Sequence[float]]) -> "Graph":
-        """Build a graph from (u, v) or (u, v, weight) triples; weight defaults to 1."""
+        """Build a graph from (u, v) or (u, v, weight) triples; weight defaults to 1.
+
+        More than ``MAX_VERTICES`` vertices are refused before the adjacency
+        matrix is made, so a graph file or manifest cannot ask for n^2 floats.
+        """
+        if num_vertices > MAX_VERTICES:
+            raise ValueError(f"graph has {num_vertices} vertices; graphs are capped at {MAX_VERTICES}")
         adj = np.zeros((num_vertices, num_vertices))
         seen: set[tuple[int, int]] = set()
         for edge in edges:

@@ -11,16 +11,16 @@ Three gate-level knobs plus one readout knob:
   in for the phase the electron spin picks up during entangling operations.
 * ``calibration_sigma``: relative Gaussian jitter on the readout intensities.
 
-The two deterministic channels, overrotation and phase offset, also fold into
+The two deterministic channels, overrotation and phase offset, fold into
 ``circuits.qaoa_amplitudes``, which makes the ansatz state of a scan without a
-stochastic channel; ``simulate_noisy`` runs any circuit under them gate by gate
-and is the reference. Every shot is a fresh run of the ansatz with its own
-Pauli errors, so one shot's basis state has the law diag(rho) of the
-channel-averaged density matrix. ``density_populations``, the density-matrix
-twin of ``qaoa_amplitudes``, computes that diagonal exactly for a stack of
-angles (small registers only: rho has 4^n entries) by walking the ansatz's
-gates on one flat rho per point, with the depolarizing channel in closed form;
-a depolarizing record is a multinomial over it like any other.
+stochastic channel; ``circuits.simulate(circuit, noise)`` runs any circuit
+under them gate by gate and is the reference. Every shot is a fresh run of the
+ansatz with its own Pauli errors, so one shot's basis state has the law
+diag(rho) of the channel-averaged density matrix. ``density_populations``, the
+density-matrix twin of ``qaoa_amplitudes``, computes that diagonal exactly for
+a stack of angles (small registers only: rho has 4^n entries) by walking the
+ansatz's gates on one flat rho per point, with the depolarizing channel in
+closed form; a depolarizing record is a multinomial over it like any other.
 """
 
 from __future__ import annotations
@@ -29,17 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .statevector import (
-    MAX_QUBITS,
-    ROTATION_KINDS,
-    Gate,
-    StateVector,
-    apply_matrix,
-    butterfly,
-    gate_matrix,
-    init_zero,
-    rz_matrix,
-)
+from .statevector import MAX_QUBITS, Gate, butterfly, gate_matrix, rz_matrix
 
 # A perturbed intensity is I * (1 + N(0, sigma)), and experiment.MAX_RECORD_PHOTONS
 # leaves a factor of about 9000 below numpy's Poisson limit for that jitter. At
@@ -80,31 +70,11 @@ class NoiseConfig:
         return cls(**data)
 
 
-def simulate_noisy(circuit, config: NoiseConfig) -> StateVector:
-    """The circuit from |00...0> under the deterministic channels, gate by gate.
-
-    A depolarizing channel has no single final state and raises ValueError
-    (``density_populations`` averages over it). With all channels off this
-    reproduces the exact simulator bit for bit: the angles are untouched and
-    no extra operators are applied.
-    """
-    if config.is_stochastic:
-        raise ValueError("simulate_noisy takes only deterministic noise; depolarizing needs density_populations")
-    state = init_zero(circuit.num_qubits)
-    for gate in circuit.gates:
-        if config.overrotation_frac != 0.0 and gate.kind in ROTATION_KINDS:
-            gate = Gate(gate.kind, gate.targets, gate.angle * (1.0 + config.overrotation_frac))
-        state = apply_matrix(state, gate_matrix(gate), gate.targets)
-        if config.phase_offset != 0.0 and len(gate.targets) == 2:
-            state = apply_matrix(state, rz_matrix(config.phase_offset), (0,))
-    return state
-
-
 def density_populations(graph, betas, gammas, config: NoiseConfig) -> np.ndarray:
     """Basis populations ``(points, 2^n)`` of the ansatz at ``(points, p)`` angle stacks, exactly averaged over the depolarizing channel.
 
     Row k is the channel average of ``build_ansatz(graph, QaoaParams(betas[k],
-    gammas[k]))`` read gate by gate as ``simulate_noisy`` reads it: the H wall,
+    gammas[k]))`` read gate by gate as ``circuits.simulate`` reads it: the H wall,
     then per layer each edge's RZZ(gamma w) and the phase offset's RZ on qubit
     0, then RX(2 beta) on every qubit. rho is one flat row of 4^n entries per
     point, entry i * 2^n + j holding rho[i, j]: the ket is on qubits 0..n-1 of

@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from ._bitstrings import all_bitstrings, bits_to_index, index_to_bits
+from .statevector import MAX_QUBITS
 
 #: Example intensity table used throughout the tests: brighter states first.
 DEFAULT_INTENSITIES = (5.0, 3.0, 2.0, 1.0)
@@ -250,8 +251,8 @@ def parse_basis_values(text: str, value_name: str = "intensity", width: int | No
     """Parse ``<bitstring> <value>`` lines covering every basis state exactly once.
 
     Returns the values in basis-index order. The first label sets the register
-    width unless ``width`` is given. Values must be finite. Errors name the
-    offending line.
+    width unless ``width`` is given; a label wider than ``MAX_QUBITS`` is
+    refused at its line. Values must be finite. Errors name the offending line.
     """
     entries: dict[int, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -262,6 +263,8 @@ def parse_basis_values(text: str, value_name: str = "intensity", width: int | No
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected '<bitstring> <{value_name}>', got {line!r}")
         label, value = fields
+        if len(label) > MAX_QUBITS:
+            raise ValueError(f"line {lineno}: basis label has {len(label)} bits; labels are capped at {MAX_QUBITS}")
         try:
             index = bits_to_index(label)
         except ValueError:
@@ -283,8 +286,9 @@ def parse_basis_values(text: str, value_name: str = "intensity", width: int | No
         raise ValueError("file has no entries")
     expected = 1 << width
     if len(entries) != expected:
-        missing = sorted(set(range(expected)) - set(entries))
-        raise ValueError(f"file covers {len(entries)} of {expected} states (missing index {missing[0]})")
+        # every index is below 2^width, so the first missing one is at most len(entries)
+        missing = next(k for k in range(expected) if k not in entries)
+        raise ValueError(f"file covers {len(entries)} of {expected} states (missing index {missing})")
     return np.array([entries[k] for k in range(expected)])
 
 

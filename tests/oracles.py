@@ -8,7 +8,7 @@ populations one shot at a time, the slow path of ``readout.read_records``.
 ``measure_point_per_point`` is one sampled point read on its own: its state
 simulated, its rows built and checked, its records drawn with one multinomial
 and one Poisson call, and reconstructed, for that point alone, on seeds
-spawned from the point's SeedSequence. It is the slow path of
+spawned from the point's SeedSequence (``point_streams``). It is the slow path of
 ``experiment.measure_point``, which reads a stream block of one point.
 ``measure_grid_per_block`` is the slow path of ``experiment.run_scan``: it
 simulates and builds every point's rows on its own, draws each stream block's
@@ -134,13 +134,19 @@ def invert_means(config, intensities, means):
     return estimate.pops, estimate.norm, float(np.dot(estimate.pops, diag))
 
 
-def measure_point_per_point(config, params, realization_index=0, point_index=0):
-    """``(pops, norm, F_measured, F_ideal)`` of one sampled point read on its own, NaN for a degenerate table."""
-    F_ideal, rows = point_rows(config, params)
-    perturb, draws, _ = np.random.SeedSequence(config.master_seed, spawn_key=(point_index, realization_index)).spawn(3)
+def point_streams(config, realization_index=0, point_index=0):
+    """True, possibly perturbed, intensities of one point, and its draw and split seeds, spawned from its SeedSequence."""
+    perturb, draws, split = np.random.SeedSequence(config.master_seed, spawn_key=(point_index, realization_index)).spawn(3)
     intensities = config.calibration.intensities
     if config.noise is not None and config.noise.calibration_sigma > 0.0:
         intensities = perturb_calibration(intensities, config.noise.calibration_sigma, perturb)
+    return intensities, draws, split
+
+
+def measure_point_per_point(config, params, realization_index=0, point_index=0):
+    """``(pops, norm, F_measured, F_ideal)`` of one sampled point read on its own, NaN for a degenerate table."""
+    F_ideal, rows = point_rows(config, params)
+    intensities, draws, _ = point_streams(config, realization_index, point_index)
     rng = np.random.default_rng(draws)
     occupations = rng.multinomial(config.shots, rows)
     means = rng.poisson(occupations @ intensities) / config.shots

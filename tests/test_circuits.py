@@ -16,7 +16,7 @@ from nvqaoa.circuits import (
     simulate_qaoa,
 )
 from nvqaoa.graph_problem import Graph, diagonal_costs
-from nvqaoa.noise import NoiseConfig, simulate_noisy
+from nvqaoa.noise import NoiseConfig
 from nvqaoa.statevector import Gate, expectation_diagonal, fidelity, populations
 from oracles import calibration_circuits, full_loop_amplitudes
 
@@ -209,7 +209,7 @@ def test_structured_simulator_matches_gate_level_oracle(n, p):
             np.testing.assert_allclose(gate.amplitudes, phase * fast.amplitudes, rtol=0, atol=1e-12)
             for noise in DETERMINISTIC_NOISE:
                 folded = simulate_qaoa(costs, params, noise, num_edges)
-                oracle = simulate_noisy(build_ansatz(graph, params), noise or NoiseConfig())
+                oracle = simulate(build_ansatz(graph, params), noise)
                 assert fidelity(folded, oracle) >= 1 - 1e-12
                 np.testing.assert_allclose(populations(folded), populations(oracle), rtol=0, atol=1e-12)
             with pytest.raises(ValueError, match="depolarizing"):
@@ -231,7 +231,7 @@ def test_stacked_kernel_rows_equal_one_row_calls(n, p, noise):
     for row, beta, gamma in zip(stack, betas, gammas):
         params = QaoaParams(tuple(beta), tuple(gamma))
         np.testing.assert_array_equal(row, simulate_qaoa(costs, params, noise, num_edges).amplitudes)
-        oracle = simulate_noisy(build_ansatz(graph, params), noise or NoiseConfig()).amplitudes
+        oracle = simulate(build_ansatz(graph, params), noise).amplitudes
         overlap = np.vdot(row, oracle)
         np.testing.assert_allclose(oracle, overlap / abs(overlap) * row, rtol=0, atol=1e-12)
 
@@ -270,7 +270,7 @@ def test_phase_offset_and_asymmetric_diagonals_take_the_full_loop(monkeypatch):
     folded = qaoa_amplitudes(costs, betas, gammas, noise, num_edges)
     np.testing.assert_array_equal(folded, full_loop_amplitudes(costs, betas, gammas, noise, num_edges))
     for row, beta, gamma in zip(folded, betas, gammas):
-        oracle = simulate_noisy(build_ansatz(graph, QaoaParams(tuple(beta), tuple(gamma))), noise)
+        oracle = simulate(build_ansatz(graph, QaoaParams(tuple(beta), tuple(gamma))), noise)
         np.testing.assert_allclose(populations(row), populations(oracle), rtol=0, atol=1e-12)
     with pytest.raises(AssertionError, match="half-register"):
         qaoa_amplitudes(costs, betas, gammas)
@@ -310,5 +310,5 @@ def test_structured_simulator_needs_num_edges_for_a_phase_offset():
         simulate_qaoa(diagonal_costs(K2), params, NoiseConfig(phase_offset=0.1))
     # overrotation alone does not depend on the edge count
     folded = simulate_qaoa(diagonal_costs(K2), params, NoiseConfig(overrotation_frac=0.1))
-    oracle = simulate_noisy(build_ansatz(K2, params), NoiseConfig(overrotation_frac=0.1))
+    oracle = simulate(build_ansatz(K2, params), NoiseConfig(overrotation_frac=0.1))
     np.testing.assert_allclose(populations(folded), populations(oracle), rtol=0, atol=1e-12)

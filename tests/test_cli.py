@@ -872,6 +872,10 @@ def test_programming_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
         ("convergence", ["--shots", "100000000", "--checkpoint-every", "1"], "100000000 x 4 x 2^2 = 1600000000 entries"),
         ("landscape", ["--cal-sigma", "100.00000000000001"], "calibration_sigma is capped at 100"),
         ("landscape", ["--cal", "@bright-10", "--shots", "100000", "--cal-sigma", "100000"], "capped at 100"),
+        # refused at the header or label, before any n^2 or 2^width array
+        ("landscape", ["--graph", "@huge-graph"], "graphs are capped at 24"),
+        ("landscape", ["--cal", "@wide-cal"], "line 1: basis label has 64 bits; labels are capped at 24"),
+        ("landscape", ["--p", "1001"], "capped at 1000"),
     ],
 )
 def test_bad_input_is_usage_error_before_output(tmp_path, capsys, command, extra, message):
@@ -885,6 +889,8 @@ def test_bad_input_is_usage_error_before_output(tmp_path, capsys, command, extra
         "@cal-13": ("cal-13.txt", "".join(f"{s:013b} {1 + s}\n" for s in range(8192))),
         "@bright-cal": ("bright.txt", "00 1e15\n01 3\n10 2\n11 1\n"),
         "@bright-10": ("bright-10.txt", "00 1e10\n01 3\n10 2\n11 1\n"),
+        "@huge-graph": ("huge.txt", "n 100000\n0 1\n"),
+        "@wide-cal": ("wide-cal.txt", "0" * 64 + " 5\n"),
     }
     for key, (name, text) in files.items():
         (tmp_path / name).write_text(text)

@@ -25,6 +25,7 @@ from nvqaoa.experiment import (
     DEFAULT_GAMMA_RANGE,
     MAX_DEPOLARIZING_VERTICES,
     MAX_GRID_POINTS,
+    MAX_LAYERS,
     MAX_RECORD_PHOTONS,
     MAX_SAMPLED_VERTICES,
     MAX_SCAN_ENTRIES,
@@ -52,13 +53,12 @@ from nvqaoa.experiment import (
     _check_scan_entries,
     _block_points,
     _point_rows,
-    _point_streams,
     _read_point,
     _realization_stats,
     _sampled_state_pops,
 )
 from nvqaoa.graph_problem import Graph, diagonal_costs
-from nvqaoa.noise import NoiseConfig, density_populations, perturb_calibration, simulate_noisy
+from nvqaoa.noise import NoiseConfig, density_populations, perturb_calibration
 from nvqaoa.readout import CalibrationTable, DegenerateCalibrationError, check_rows, default_calibration, read_records
 from nvqaoa.reconstruction import fwht, reconstruct, walsh_coefficients
 from nvqaoa.statevector import populations
@@ -72,6 +72,7 @@ from oracles import (
     measure_point_per_point,
     p1_cost,
     point_rows,
+    point_streams,
     trace_csv_text,
 )
 from test_readout import chi2_bounds
@@ -409,8 +410,10 @@ def test_each_entry_point_raises_config_error_before_any_state(monkeypatch, case
 
 
 def test_scan_config_bounds_raise_config_error():
-    for fields_ in ({"p": 0}, {"shots": MAX_SHOTS + 1}, {"mode": "bogus"}, {"beta_range": (0.0, 1.0, 1e-12)},
-                    {"beta_range": (1.0, 0.0, 0.1)}, {"master_seed": -1}, {"realizations": 1.5}):
+    assert ScanConfig(graph=K2, p=MAX_LAYERS).p == MAX_LAYERS == 1000
+    for fields_ in ({"p": 0}, {"p": MAX_LAYERS + 1}, {"shots": MAX_SHOTS + 1}, {"mode": "bogus"},
+                    {"beta_range": (0.0, 1.0, 1e-12)}, {"beta_range": (1.0, 0.0, 0.1)}, {"master_seed": -1},
+                    {"realizations": 1.5}):
         with pytest.raises(ConfigError):
             ScanConfig(graph=K2, **fields_)
     with pytest.raises(ConfigError, match="'config.p'"):
@@ -884,7 +887,7 @@ def per_checkpoint_runs(config, params, point_index=0):
     norm_runs = np.full((config.realizations, num_checkpoints), math.nan)
     (pops,) = _sampled_state_pops(config, diagonal_costs(config.graph), [params.betas], [params.gammas])
     for realization in range(config.realizations):
-        intensities, draws, split = _point_streams(config, realization, point_index, checkpoints=True)
+        intensities, draws, split = point_streams(config, realization, point_index)
         rows = _point_rows(config, pops)
         _, checkpoints = read_records(intensities, rows, config.shots, draws, split, config.checkpoint_every)
         for k in range(num_checkpoints):
@@ -1407,7 +1410,7 @@ def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
     for trial in range(3):
         p = 1 + trial % 2
         params = QaoaParams(tuple(rng.uniform(0, math.pi, p)), tuple(rng.uniform(0, 2 * math.pi, p)))
-        intensities, draws, split = _point_streams(cfg, trial, trial, checkpoints=True)
+        intensities, draws, split = point_streams(cfg, trial, trial)
         (pops,) = _sampled_state_pops(cfg, diag, [params.betas], [params.gammas])
         fed.clear()
         means = np.concatenate(_read_point(cfg, _point_rows(cfg, pops), trial, trial))
@@ -1421,9 +1424,8 @@ def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
             np.testing.assert_allclose(oracle_rows, oracle, rtol=0, atol=1e-12)
             oracle_pops = density_matrix_populations(ansatz, noise)
         else:
-            rows = [populations(simulate(c) if noise is None else simulate_noisy(c, noise)) for c in circuits]
-            oracle_rows = check_rows(rows, 1 << n)
-            oracle_pops = populations(simulate_noisy(ansatz, noise or NoiseConfig()))
+            oracle_rows = check_rows([populations(simulate(c, noise)) for c in circuits], 1 << n)
+            oracle_pops = populations(simulate(ansatz, noise))
         oracle_means, oracle_checkpoints = read_records(intensities, oracle_rows, cfg.shots, draws, split, 1000)
         np.testing.assert_array_equal(means, oracle_means)
         np.testing.assert_array_equal(checkpoints, oracle_checkpoints)
@@ -1531,16 +1533,29 @@ def test_depolarizing_chunk_makes_one_density_call(monkeypatch):
     assert seen == [((4, 2), (4, 2))]
 
 
-def test_point_streams_are_three_children_of_the_point_seed():
-    cfg = sampled_config(noise=NoiseConfig(calibration_sigma=0.1), master_seed=9)
-    intensities, draws, split = _point_streams(cfg, 2, 5, checkpoints=True)
+def test_read_point_draws_on_three_children_of_the_point_seed(monkeypatch):
+    seeds = []
+
+    def recording(intensities, rows, shots, draws, split, every):
+        seeds.append((draws, split))
+        return read_records(intensities, rows, shots, draws, split, every)
+
+    monkeypatch.setattr(experiment, "read_records", recording)
+    cfg = sampled_config(noise=NoiseConfig(calibration_sigma=0.1), master_seed=9, exact_calibration=True)
+    rows = _point_rows(cfg, _sampled_state_pops(cfg, diagonal_costs(K2), [POINT.betas], [POINT.gammas])[0])
+    table, _ = _read_point(cfg, rows, 2, 5, checkpoints=True)
     children = np.random.SeedSequence(9, spawn_key=(5, 2)).spawn(3)
-    for k, got in ((1, draws), (2, split)):
+    for k, got in zip((1, 2), seeds.pop()):
         assert got.spawn_key == (5, 2, k) and got.pool_size == children[k].pool_size
         np.testing.assert_array_equal(got.generate_state(4), children[k].generate_state(4))
     # child 0 perturbs the table exactly as before the draws were batched
-    np.testing.assert_array_equal(intensities, perturb_calibration(CAL.intensities, 0.1, children[0]))
+    np.testing.assert_array_equal(table[-1], perturb_calibration(CAL.intensities, 0.1, children[0]))
     # without checkpoints there is no split substream, and the same draw substream
-    _, draws, split = _point_streams(cfg, 2, 5)
+    table, _ = _read_point(cfg, rows, 2, 5)
+    (draws, split), = seeds
     assert split is None
     np.testing.assert_array_equal(draws.generate_state(4), children[1].generate_state(4))
+    np.testing.assert_array_equal(table, perturb_calibration(CAL.intensities, 0.1, children[0]))
+    # a block of three points draws its three tables in one normal draw on the same child
+    table, _ = _read_point(cfg, np.stack([rows] * 3), 2, 5)
+    np.testing.assert_array_equal(table, perturb_calibration(np.tile(CAL.intensities, (3, 1)), 0.1, children[0]))

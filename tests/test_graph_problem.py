@@ -206,6 +206,11 @@ def test_parse_graph_errors():
         parse_graph("n 2\n0 5\n")
     with pytest.raises(ValueError, match="no 'n"):
         parse_graph("# nothing here\n")
+    # refused before the n x n adjacency matrix is made
+    with pytest.raises(ValueError, match="graph has 25 vertices; graphs are capped at 24"):
+        parse_graph("n 25\n0 1\n")
+    with pytest.raises(ValueError, match="capped at 24"):
+        Graph.from_edges(10**9, [])
 
 
 def test_load_graph(tmp_path):

@@ -7,9 +7,9 @@ import pytest
 from nvqaoa import noise, statevector
 from nvqaoa.circuits import Circuit, QaoaParams, build_ansatz, simulate
 from nvqaoa.graph_problem import Graph, diagonal_costs
-from nvqaoa.noise import MAX_CALIBRATION_SIGMA, NoiseConfig, density_populations, perturb_calibration, simulate_noisy
+from nvqaoa.noise import MAX_CALIBRATION_SIGMA, NoiseConfig, density_populations, perturb_calibration
 from nvqaoa.readout import CalibrationTable, check_rows, default_calibration, read_records
-from nvqaoa.statevector import ROTATION_KINDS, Gate, apply_gate, apply_matrix, init_zero, populations, rz_matrix
+from nvqaoa.statevector import ROTATION_KINDS, Gate, apply_gate, apply_matrix, gate_matrix, init_zero, populations, rz_matrix
 from oracles import density_matrix_populations
 
 K2 = Graph.complete(2)
@@ -49,8 +49,28 @@ def test_trivial_config_bit_identical_to_exact():
         beta, gamma = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
         circuit = build_ansatz(K2, QaoaParams.single(beta, gamma))
         exact = simulate(circuit)
-        quiet = simulate_noisy(circuit, NoiseConfig())
+        quiet = simulate(circuit, NoiseConfig(calibration_sigma=0.1))
         assert np.array_equal(exact.amplitudes, quiet.amplitudes)
+    for n in (1, 2, 3, 4):
+        circuit = random_circuit(n, rng, num_gates=20)
+        assert np.array_equal(simulate(circuit).amplitudes, simulate(circuit, NoiseConfig()).amplitudes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_deterministic_channels_follow_each_gate_bit_for_bit(n):
+    # the loop written out: each rotation angle scaled, then RZ(offset) on qubit 0 after each two-qubit gate
+    rng = np.random.default_rng(40 + n)
+    for trial in range(10):
+        circuit = random_circuit(n, rng, num_gates=20)
+        config = NoiseConfig(overrotation_frac=float(rng.uniform(-0.2, 0.2)), phase_offset=float(rng.uniform(-1, 1)))
+        expected = init_zero(n)
+        for gate in circuit.gates:
+            if gate.kind in ROTATION_KINDS:
+                gate = Gate(gate.kind, gate.targets, gate.angle * (1.0 + config.overrotation_frac))
+            expected = apply_matrix(expected, gate_matrix(gate), gate.targets)
+            if len(gate.targets) == 2:
+                expected = apply_matrix(expected, rz_matrix(config.phase_offset), (0,))
+        assert np.array_equal(simulate(circuit, config).amplitudes, expected.amplitudes)
 
 
 def test_overrotation_scales_rotation_angles_only():
@@ -61,7 +81,7 @@ def test_overrotation_scales_rotation_angles_only():
     for _ in range(10):
         beta, gamma = rng.uniform(0.05, 1.0), rng.uniform(0.1, 5.0)
         circuit = build_ansatz(K2, QaoaParams.single(beta, gamma))
-        state = simulate_noisy(circuit, config)
+        state = simulate(circuit, config)
         value = float(np.dot(populations(state), diag))
         # H gates are untouched, so the state is the exact ansatz at scaled angles
         assert value == pytest.approx(closed_form(beta * (1 + eps), gamma * (1 + eps)), abs=1e-9)
@@ -71,7 +91,7 @@ def test_phase_offset_follows_two_qubit_gates():
     phi = 0.83
     config = NoiseConfig(phase_offset=phi)
     circuit = Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))))
-    noisy = simulate_noisy(circuit, config)
+    noisy = simulate(circuit, config)
     expected = init_zero(2)
     expected = apply_gate(expected, Gate("H", (0,)))
     expected = apply_gate(expected, Gate("CNOT", (0, 1)))
@@ -80,7 +100,7 @@ def test_phase_offset_follows_two_qubit_gates():
 
     # single-qubit gates must not pick up the offset
     single = Circuit(2, (Gate("H", (0,)),))
-    noisy = simulate_noisy(single, config)
+    noisy = simulate(single, config)
     np.testing.assert_allclose(noisy.amplitudes, simulate(single).amplitudes, atol=1e-15)
 
 
@@ -100,11 +120,11 @@ def test_full_depolarizing_drives_to_uniform():
     np.testing.assert_allclose(pops, np.full(4, 0.25), atol=0.05)
 
 
-def test_simulate_noisy_rejects_depolarizing():
+def test_simulate_rejects_depolarizing():
     # a depolarizing channel leaves a mixed state, which only density_populations describes
     circuit = build_ansatz(K2, QaoaParams.single(0.3, 1.2))
     with pytest.raises(ValueError, match="depolarizing"):
-        simulate_noisy(circuit, NoiseConfig(depolarizing_prob=0.5, overrotation_frac=0.05))
+        simulate(circuit, NoiseConfig(depolarizing_prob=0.5, overrotation_frac=0.05))
 
 
 def test_perturb_calibration():
@@ -181,8 +201,11 @@ def forbid_dense_operators(monkeypatch):
     def dense(*args):
         raise AssertionError("density_populations applied a dense operator")
 
-    monkeypatch.setattr(statevector, "apply_matrix", dense)
-    monkeypatch.setattr(noise, "apply_matrix", dense)
+    # every binding of the dense operators that the kernel's module could reach
+    for module in (statevector, noise):
+        for name in ("apply_matrix", "apply_gate"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, dense)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -244,7 +267,7 @@ def test_stochastic_measure_circuit_matches_simulate_noisy_loop(n, prob, determi
     (pops,) = density_populations(graph, betas, gammas, config)
     if prob == 0.0:
         circuit = build_ansatz(graph, QaoaParams(tuple(betas[0]), tuple(gammas[0])))
-        np.testing.assert_allclose(pops, populations(simulate_noisy(circuit, config)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pops, populations(simulate(circuit, config)), rtol=0, atol=1e-12)
     # 11 full blocks and a 70-shot tail
     rows = check_rows(pops[None], pops.size)
     means, checkpoints = read_records(intensities, rows, 2270, 31, 32 if split else None, 200)
@@ -260,7 +283,7 @@ def test_stochastic_measure_circuit_matches_simulate_noisy_loop(n, prob, determi
 @pytest.mark.parametrize("prob", DEPOLARIZING)
 def test_trajectory_mean_matches_simulate_noisy_loop(prob, deterministic):
     # The channel average is the mean over trajectories: sum over every Pauli
-    # error pattern of its probability times the populations of simulate_noisy
+    # error pattern of its probability times the populations of simulate
     # on the circuit with those errors written in as fixed gates (Z = HXH and
     # Y = XZ up to phase; fixed gates are neither overrotated nor followed by
     # the phase offset). The channel on an arbitrary circuit is the dense
@@ -280,7 +303,7 @@ def test_trajectory_mean_matches_simulate_noisy_loop(prob, deterministic):
         for k, gate in enumerate(gates):
             noisy.append(gate)
             noisy += [Gate(kind, (q,)) for (g, q), e in zip(slots, errors) if g == k and e for kind in paulis[e]]
-        expected += weight * populations(simulate_noisy(Circuit(2, tuple(noisy)), quiet))
+        expected += weight * populations(simulate(Circuit(2, tuple(noisy)), quiet))
     np.testing.assert_allclose(density_matrix_populations(circuit, config), expected, rtol=0, atol=1e-12)
 
 
@@ -291,10 +314,10 @@ def test_density_matrix_oracle_is_the_exact_state_without_depolarizing():
     circuit = random_circuit(3, np.random.default_rng(2))
     graph, betas, gammas = random_ansatz(3, np.random.default_rng(3))
     for config in (NoiseConfig(), NoiseConfig(overrotation_frac=0.06, phase_offset=-0.4)):
-        exact = populations(simulate_noisy(circuit, config))
+        exact = populations(simulate(circuit, config))
         np.testing.assert_allclose(density_matrix_populations(circuit, config), exact, atol=1e-12)
         circuits = (build_ansatz(graph, QaoaParams(tuple(b), tuple(g))) for b, g in zip(betas, gammas))
-        exact = [populations(simulate_noisy(c, config)) for c in circuits]
+        exact = [populations(simulate(c, config)) for c in circuits]
         np.testing.assert_allclose(density_populations(graph, betas, gammas, config), exact, rtol=0, atol=1e-12)
 
 

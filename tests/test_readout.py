@@ -334,8 +334,15 @@ def test_parse_calibration():
 def test_parse_calibration_errors():
     with pytest.raises(ValueError, match="duplicate"):
         parse_calibration("0 1\n0 2\n1 3\n")
-    with pytest.raises(ValueError, match="missing"):
+    with pytest.raises(ValueError, match="missing index 3"):
         parse_calibration("00 5\n01 3\n10 2\n")
+    with pytest.raises(ValueError, match=r"covers 2 of 4 states \(missing index 1\)"):
+        parse_calibration("11 5\n00 3\n")
+    # a label wider than the largest register is refused at its line, before 2^width states are counted
+    with pytest.raises(ValueError, match="line 1: basis label has 25 bits; labels are capped at 24"):
+        parse_calibration("0" * 25 + " 5\n")
+    with pytest.raises(ValueError, match=r"covers 1 of 16777216 states \(missing index 1\)"):
+        parse_calibration("0" * 24 + " 5\n")
     with pytest.raises(ValueError, match="bad intensity"):
         parse_calibration("0 five\n1 3\n")
     with pytest.raises(ValueError, match="bad basis label"):
