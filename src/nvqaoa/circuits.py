@@ -157,9 +157,9 @@ def qaoa_amplitudes(
     Without a phase offset, and with ``costs`` equal to ``costs[::-1]``, every
     amplitude equals its mirror's under flipping all qubits, and only the half
     with qubit 0 clear is simulated (``_even_amplitudes``); the result is the
-    same bit for bit. Its layers take their cost phases from outside, so an
-    ideal scan computes one per gamma of its grid and runs every point of
-    that column from it (``experiment._ideal_point``). The loop over all 2^n
+    same bit for bit. Its layers take their cost phases from outside, so a
+    scan makes one per block of points for every layer, or per gamma where a
+    block is one point (``experiment.run_scan``). The loop over all 2^n
     amplitudes runs otherwise: for a phase offset, whose RZ on qubit 0 breaks
     the symmetry, and for a diagonal that is not its own reverse.
     """
@@ -210,7 +210,7 @@ def _even_amplitudes(n: int, phases, betas: np.ndarray) -> np.ndarray:
     ``phases`` holds each layer's cost phase on the half diagonal
     (``_cost_phase``), ``(rows, 2^(n-1))`` or one ``(1, 2^(n-1))`` row for
     every row of the ``(rows, p)`` stack ``betas``. It may be lazy, and a scan
-    may pass one phase for all layers and all points of a grid column.
+    passes one phase for all layers, or for a grid column of one-point blocks.
 
     Flipping every qubit maps index z to its mirror 2^n - 1 - z. Such a cost
     diagonal, the |+>^n start and every RX commute with that flip, so each

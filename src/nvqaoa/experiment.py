@@ -9,19 +9,18 @@ against the diagonal cost.
 
 Every deterministic ansatz state comes from the QAOA-structured simulator
 ``qaoa_amplitudes`` on the cost diagonal: the exact state of ideal points and
-of ``F_ideal``, and, with overrotation and phase offset folded in, the state a
-sampled point reads without a stochastic channel (without either channel it is
-the ``F_ideal`` state itself). An ideal scan runs its layer code with one
-cost phase per gamma of the grid (``_ideal_point``). Under depolarizing noise
-a point reads the exact channel-averaged populations of the ansatz instead
-(``noise.density_populations``): every shot is a fresh run with its own
-errors, so each shot's basis state is a draw from them. Each flip pattern
-only permutes those populations and each basis preparation is a delta vector;
-under depolarizing noise an X or Y error after an appended X undoes its flip,
-with probability 2p/3 per flipped qubit. So a point's 2^(n+1) readouts are the
-rows of one matrix (``_point_rows``), and one multinomial and one Poisson call
-per realization draw all their records (``readout.read_records``), or all the
-records of a stream block of points.
+of ``F_ideal`` (``_exact_states``), and, with overrotation and phase offset
+folded in, the state a sampled point reads without a stochastic channel
+(without either channel it is the ``F_ideal`` state itself). Under
+depolarizing noise a point reads the exact channel-averaged populations of the
+ansatz instead (``noise.density_populations``): every shot is a fresh run with
+its own errors, so each shot's basis state is a draw from them. Each flip
+pattern only permutes those populations and each basis preparation is a delta
+vector; under depolarizing noise an X or Y error after an appended X undoes
+its flip, with probability 2p/3 per flipped qubit. So a point's 2^(n+1)
+readouts are the rows of one matrix (``_point_rows``), and one multinomial and
+one Poisson call per realization draw all their records
+(``readout.read_records``), or all the records of a stream block of points.
 Sampled scans are capped at ``MAX_SAMPLED_VERTICES``, since a point's rows
 hold 2 * 4^n floats, and depolarizing ones at ``MAX_DEPOLARIZING_VERTICES``,
 since its rho holds 4^n complex entries and each gate sweeps them.
@@ -30,12 +29,12 @@ made: ``ScanConfig``'s when it is made, and, when called, those of
 ``run_scan``, ``optimize``, ``convergence_profile`` and ``measure_point``,
 among them that the largest cost phase is finite (``_check_cost_phase``).
 
-A sampled ``run_scan`` reads the grid in stream blocks of consecutive points,
+``run_scan`` reads the grid in stream blocks of consecutive points,
 ``_block_points`` of them, a number that depends on n alone and bounds a
-block's batch arrays by ``_CHUNK_ENTRIES`` floats. A block simulates its
-points' states in stacked ``qaoa_amplitudes`` calls (``_point_states``), plus
-one ``density_populations`` call under depolarizing noise, builds their rows
-as one ``(points, 2^(n+1), 2^n)`` stack and checks them once
+block's batch arrays by ``_CHUNK_ENTRIES`` floats. A block makes its points'
+exact states in one ``_exact_states`` call on one cost phase; an ideal scan
+stores them. A sampled block adds the states of its noise channels, builds
+its rows as one ``(points, 2^(n+1), 2^n)`` stack and checks them once
 (``readout.check_rows``). Each realization then draws every record of the
 block on one generator, and one stacked ``reconstruct`` call inverts it.
 ``measure_point``, ``optimize`` and ``convergence_profile`` read one point as
@@ -88,7 +87,6 @@ from .circuits import (
     # unused here: perfbench's test_tracer_wraps_every_binding_and_restores_them
     # checks that the tracer wraps this binding
     simulate,
-    simulate_qaoa,
 )
 from .graph_problem import MAX_VERTICES, Graph, diagonal_costs
 from .noise import NoiseConfig, density_populations, perturb_calibration
@@ -136,7 +134,7 @@ MAX_GRID_POINTS = 10**6
 # 2^27 float64 entries are 1 GiB. optimize holds one state at a time.
 MAX_SCAN_ENTRIES = 1 << 27
 
-# A sampled scan reads its grid in stream blocks of points whose batch arrays
+# A scan reads its grid in stream blocks of points whose batch arrays
 # hold at most this many floats (64 KiB), below glibc's default 128 KiB mmap
 # threshold. Freeing a block above it raises that threshold for the rest of the
 # process. It also sets which points share a block's generators
@@ -303,7 +301,7 @@ def closed_form_cost_k2(beta: float, gamma: float) -> float:
 
 def ideal_cost(graph: Graph, params: QaoaParams) -> float:
     """Expected cost of the exact ansatz state."""
-    return _ideal_point(diagonal_costs(graph), params)[1]
+    return _exact_states(diagonal_costs(graph), [params.betas], [params.gammas])[1][0]
 
 
 def measure_point(
@@ -366,68 +364,74 @@ def _check_cost_phase(config: ScanConfig, gammas=None) -> None:
     """
     gamma = float(np.max(np.abs(config.gammas() if gammas is None else gammas)))
     if not math.isfinite(_phase_bound(config, gamma)):
-        frac = config.noise.overrotation_frac if config.noise is not None else 0.0
         raise ConfigError(
-            f"cost phase overflows: |gamma| {gamma:g} x (1 + |overrotation| {abs(frac):g}) "
+            f"cost phase overflows: |gamma| {gamma:g} x (1 + |overrotation| {_overrotation(config):g}) "
             f"x total edge weight {config.graph.total_weight():g} is not finite"
         )
 
 
 def _phase_bound(config: ScanConfig, gamma: float) -> float:
     """|gamma| x (1 + |overrotation|) x the total edge weight: no cost phase at ``gamma`` is larger; inf on overflow."""
-    frac = config.noise.overrotation_frac if config.noise is not None else 0.0
     # Python floats overflow to inf without a numpy warning
-    return abs(float(gamma)) * (1.0 + abs(frac)) * config.graph.total_weight()
+    return abs(float(gamma)) * (1.0 + _overrotation(config)) * config.graph.total_weight()
+
+
+def _overrotation(config: ScanConfig) -> float:
+    """|overrotation| a run applies: none in ideal mode, which ignores every noise channel."""
+    return abs(config.noise.overrotation_frac) if config.mode == "sampled" and config.noise is not None else 0.0
 
 
 def run_scan(config: ScanConfig) -> LandscapeGrid:
     """Evaluate the full (beta, gamma) grid.
 
-    Ideal mode ignores shot settings and collapses to one exact evaluation per
-    point. It computes the cost phase exp(-i gamma C) on the half diagonal
-    once per gamma of the grid and evaluates each point of that column from
-    it, one point at a time (``_ideal_point``): every beta and every layer
-    shares it, and each point keeps the bits of its own ``qaoa_amplitudes``
-    call. Sampled mode reads the grid in stream blocks of consecutive points
-    (``_block_points``): a block's states are simulated and its record rows
-    built and checked once, and each realization draws all the block's records
-    on one generator and inverts them in one stacked ``reconstruct`` call.
+    Both modes read it in stream blocks of consecutive points
+    (``_block_points``), one-point blocks a gamma column at a time. A block's
+    exact states come from one stacked ``_exact_states`` call whose layers
+    share the cost phase exp(-i gamma C) on the half diagonal, made once per
+    block or, for one-point blocks, per gamma. Ideal mode ignores shot and
+    noise settings and stores the exact populations, their cost as
+    ``F_measured`` and their sum as ``norm``. Sampled mode builds and checks a
+    block's record rows once, and each realization draws all its records on
+    one generator and inverts them in one stacked ``reconstruct`` call.
     """
     _check_scan_entries(config)
     _check_cost_phase(config)
     betas, gammas = config.betas(), config.gammas()
     realizations = 1 if config.mode == "ideal" else config.realizations
     diag = diagonal_costs(config.graph)
+    half = diag[: diag.size >> 1]  # diagonal_costs equals its reverse
     shape = (betas.size, gammas.size, realizations)
     F_measured, norm, F_ideal = np.empty(shape), np.empty(shape), np.empty(shape[:2])
     pops = np.empty(shape + diag.shape)
     grid = LandscapeGrid(betas, gammas, F_measured, norm, pops, F_ideal, float(diag.max() - diag.min()))
-    if config.mode == "ideal":
-        half = diag[: diag.size >> 1]  # diagonal_costs equals its reverse
-        for gi in range(gammas.size):
-            phase = _cost_phase(half, gammas[gi, None])
-            for bi in range(betas.size):
-                params = QaoaParams((float(betas[bi]),) * config.p, (float(gammas[gi]),) * config.p)
-                pops[bi, gi, 0], F_ideal[bi, gi] = _ideal_point(diag, params, phase)
-                F_measured[bi, gi, 0], norm[bi, gi, 0] = F_ideal[bi, gi], pops[bi, gi, 0].sum()
-        return grid
     # [point, realization(, basis state)] views; a point's grid index is bi * gammas.size + gi
     F_rows, norm_rows = F_measured.reshape(-1, realizations), norm.reshape(-1, realizations)
     pops_rows = pops.reshape(-1, realizations, diag.size)
-    step = _block_points(diag.size)
-    for start in range(0, F_rows.shape[0], step):
-        stop = min(start + step, F_rows.shape[0])
+    step, total = _block_points(diag.size), F_rows.shape[0]
+    # one-point blocks in column order, so consecutive blocks share a gamma and its phase
+    starts = range(0, total, step) if step > 1 else np.arange(total).reshape(shape[:2]).T.ravel().tolist()
+    phase_gi = None
+    for start in starts:
+        stop = min(start + step, total)
         bi, gi = np.divmod(np.arange(start, stop), gammas.size)
+        if not np.array_equal(gi, phase_gi):
+            phase, phase_gi = _cost_phase(half, gammas[gi]), gi
         # (points, p) angle stacks: every layer shares its point's (beta, gamma)
         point_betas, point_gammas = betas[bi, None].repeat(config.p, 1), gammas[gi, None].repeat(config.p, 1)
-        F_ideal.flat[start:stop], reads = _point_states(config, diag, point_betas, point_gammas)
-        rows = _point_rows(config, reads)
-        for r in range(realizations):
-            # a degenerate table turns only its own row NaN
-            estimate = reconstruct(*_read_point(config, rows, r, start))
-            pops_rows[start:stop, r], norm_rows[start:stop, r] = estimate.pops, estimate.norm
-        # row by row, so each cost equals measure_point's np.dot bit for bit
-        F_rows[start:stop] = [[np.dot(row, diag) for row in point] for point in pops_rows[start:stop]]
+        ideal, F_ideal.flat[start:stop] = _exact_states(diag, point_betas, point_gammas, phase)
+        if config.mode == "ideal":
+            pops_rows[start:stop, 0], norm_rows[start:stop, 0] = ideal, ideal.sum(-1)
+            F_rows[start:stop, 0] = F_ideal.flat[start:stop]
+        else:
+            rows = _point_rows(config, _sampled_state_pops(config, diag, point_betas, point_gammas, ideal))
+            for r in range(realizations):
+                # a degenerate table turns only its own row NaN
+                estimate = reconstruct(*_read_point(config, rows, r, start))
+                pops_rows[start:stop, r], norm_rows[start:stop, r] = estimate.pops, estimate.norm
+            # row by row, so each cost equals measure_point's np.dot bit for bit
+            F_rows[start:stop] = [[np.dot(row, diag) for row in point] for point in pops_rows[start:stop]]
+        # the next block is made with none of this one's states alive
+        del ideal
     return grid
 
 
@@ -490,7 +494,7 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> Optimize
             return math.inf
         params = QaoaParams(betas, gammas)
         if config.mode == "ideal":
-            value = _ideal_point(diag, params)[1]
+            value = _exact_states(diag, [params.betas], [params.gammas])[1][0]
         else:
             record = _measure_point(config, diag, params, 0, next(eval_index))
             if not record.valid:
@@ -746,28 +750,21 @@ def _check_fields(section: dict, fields: dict, prefix: str) -> None:
             raise ConfigError(f"field {prefix + name!r} has the wrong type {type(value).__name__}")
 
 
-def _ideal_point(diag: np.ndarray, params: QaoaParams, phase: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Exact populations and cost at one point, from the structured simulator.
+def _exact_states(diag: np.ndarray, betas, gammas, phase=None) -> tuple[np.ndarray, list[float]]:
+    """Exact populations ``(points, 2^n)`` at ``(points, p)`` angle stacks, and each row's cost.
 
-    ``phase`` is the ``(1, 2^(n-1))`` cost phase of the point's gamma on the
-    half diagonal (``circuits._cost_phase``), when every layer shares that
-    gamma and ``diag`` equals its reverse. A scan computes it once for a grid
-    column, and every layer of every point of the column reuses it through
-    ``qaoa_amplitudes``' half-register code, with the same bits.
+    ``phase``, when given, is the cost phase on the half diagonal that every
+    layer shares (``circuits._cost_phase`` of each point's gamma, or one
+    ``(1, 2^(n-1))`` row for all points); ``_even_amplitudes`` then reuses it
+    with the same bits as without it. Each cost is its row's ``np.dot``, so a
+    point scores the same bits in any stack.
     """
     if phase is None:
-        amps = simulate_qaoa(diag, params).amplitudes
+        amps = qaoa_amplitudes(diag, betas, gammas)
     else:
-        amps = _even_amplitudes(diag.size.bit_length() - 1, [phase] * params.p, np.array([params.betas]))[0]
+        amps = _even_amplitudes(diag.size.bit_length() - 1, [phase] * len(betas[0]), betas)
     pops = populations(amps)
-    return pops, float(np.dot(pops, diag))
-
-
-def _point_states(config: ScanConfig, diag: np.ndarray, betas, gammas) -> tuple[list[float], np.ndarray]:
-    """``F_ideal`` and the populations read (``_sampled_state_pops``) at ``(points, p)`` angle stacks."""
-    ideal = populations(qaoa_amplitudes(diag, betas, gammas))
-    # row by row, so each cost equals _ideal_point's np.dot bit for bit
-    return [float(np.dot(row, diag)) for row in ideal], _sampled_state_pops(config, diag, betas, gammas, ideal)
+    return pops, [float(np.dot(row, diag)) for row in pops]
 
 
 def _available_cpus() -> int:
@@ -839,9 +836,11 @@ def _realization_stats(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.nd
 
 def _measure_point(config: ScanConfig, diag: np.ndarray, params: QaoaParams, realization_index: int, point_index: int):
     """``measure_point`` given the cost diagonal of ``config.graph``."""
-    (F_ideal,), (reads,) = _point_states(config, diag, [params.betas], [params.gammas])
+    betas, gammas = [params.betas], [params.gammas]
+    ideal, (F_ideal,) = _exact_states(diag, betas, gammas)
+    rows = _point_rows(config, _sampled_state_pops(config, diag, betas, gammas, ideal)[0])
     # a block of one point: its substreams are those of (point_index, realization_index)
-    table, flips = _read_point(config, _point_rows(config, reads), realization_index, point_index)
+    table, flips = _read_point(config, rows, realization_index, point_index)
     try:
         estimate = reconstruct(table, flips)
     except DegenerateCalibrationError as exc:
@@ -850,7 +849,7 @@ def _measure_point(config: ScanConfig, diag: np.ndarray, params: QaoaParams, rea
 
 
 def _block_points(size: int) -> int:
-    """Points per stream block of a sampled scan, at least one: a function of n alone, never of the realizations.
+    """Points per stream block of a scan, at least one: a function of n alone, never of the realizations.
 
     The block's record rows and occupations, (points, 2 size, size), and
     complex state stack, (points, size), each fit ``_CHUNK_ENTRIES`` floats. A

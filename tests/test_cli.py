@@ -958,6 +958,22 @@ def test_cost_phase_bound_admits_a_finite_phase(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, output", [("landscape", "landscape.csv"), ("optimize", "trace.csv")])
+def test_ideal_run_ignores_an_overrotation_it_never_applies(tmp_path, capsys, command, output):
+    # |gamma| 2 x (1 + 1e308) overflows, but only a sampled run scales its rotations
+    argv = [command, "--graph", write_k2(tmp_path), "--beta-range", "0.1:0.2:0.1", "--gamma-range", "1:2:1"]
+    plain, rotated = tmp_path / "plain", tmp_path / "rotated"
+    assert main([*argv, "--out", str(plain)]) == EXIT_OK
+    assert main([*argv, "--overrotation", "1e308", "--out", str(rotated)]) == EXIT_OK
+    assert (rotated / output).read_bytes() == (plain / output).read_bytes()
+    capsys.readouterr()
+    out = tmp_path / "sampled"
+    sampled = ["--mode", "sampled", "--cal", write_cal(tmp_path), "--shots", "1000", "--overrotation", "1e308"]
+    assert main([*argv, *sampled, "--out", str(out)]) == EXIT_USAGE
+    assert "cost phase overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rerun_convergence_without_a_full_block_is_usage_error(tmp_path, capsys):
     graph = write_k2(tmp_path)
     first = tmp_path / "conv"

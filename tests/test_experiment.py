@@ -19,6 +19,7 @@ from nvqaoa.circuits import (
     build_ansatz,
     qaoa_amplitudes,
     simulate,
+    simulate_qaoa,
 )
 from nvqaoa.experiment import (
     DEFAULT_BETA_RANGE,
@@ -278,7 +279,8 @@ def test_ideal_scan_matches_gate_level_populations():
 
 
 def test_ideal_scan_computes_one_cost_phase_per_gamma(monkeypatch):
-    # every point of a gamma column, and every layer, reuses the column's phase and keeps _ideal_point's bits
+    # one-point blocks (n >= 6) are read a gamma column at a time and share the column's phase;
+    # a block of more points makes one stacked phase, shared by every layer
     phases = []
 
     def counted_phase(costs, gamma):
@@ -288,17 +290,49 @@ def test_ideal_scan_computes_one_cost_phase_per_gamma(monkeypatch):
     cost_phase = circuits._cost_phase
     monkeypatch.setattr(circuits, "_cost_phase", counted_phase)
     monkeypatch.setattr(experiment, "_cost_phase", counted_phase)
+    ranges = {"beta_range": (0.1, 0.4, 0.1), "gamma_range": (0.2, 0.8, 0.1)}
+    ring6 = Graph.from_edges(6, [(k, (k + 1) % 6, 0.5 + 0.2 * k) for k in range(6)])
+    cal6 = CalibrationTable(np.linspace(2.0, 1.0, 64))
+    for config in (ScanConfig(graph=ring6, p=2, **ranges),
+                   ScanConfig(graph=ring6, p=2, mode="sampled", calibration=cal6, shots=100, **ranges)):
+        phases.clear()
+        grid = run_scan(config)
+        assert grid.F_ideal.shape == (4, 7)
+        assert phases == [[gamma] for gamma in grid.gammas.tolist()]
+    phases.clear()
     ring5 = Graph.from_edges(5, [(0, 1, 0.7), (1, 2, 1.3), (2, 3, 0.6), (3, 4, 1.1), (0, 4, 0.9)])
-    grid = run_scan(ScanConfig(graph=ring5, p=2, beta_range=(0.1, 0.4, 0.1), gamma_range=(0.2, 0.8, 0.1)))
-    assert grid.F_ideal.shape == (4, 7)
-    assert phases == [[gamma] for gamma in grid.gammas.tolist()]
-    diag = diagonal_costs(ring5)
-    for bi, gi in np.ndindex(grid.F_ideal.shape):
-        params = QaoaParams((float(grid.betas[bi]),) * 2, (float(grid.gammas[gi]),) * 2)
-        pops, cost = experiment._ideal_point(diag, params)
-        assert np.array_equal(grid.pops[bi, gi, 0].view(np.int64), pops.view(np.int64))
-        assert grid.F_ideal[bi, gi] == grid.F_measured[bi, gi, 0] == cost
-        assert grid.norm[bi, gi, 0] == pops.sum()
+    grid = run_scan(ScanConfig(graph=ring5, p=2, **ranges))
+    assert _block_points(32) == 4
+    point_gammas = grid.gammas[np.arange(28) % 7].tolist()
+    assert phases == [point_gammas[start : start + 4] for start in range(0, 28, 4)]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_ideal_scan_equals_per_point_simulation_bit_for_bit(n):
+    # the 3 x 3 grid is one block up to n = 4, blocks of 4, 4 and 1 points at n = 5, one-point blocks from n = 6;
+    # ideal mode applies no noise channel, so a config's noise changes no bit
+    rng = np.random.default_rng(2700 + n)
+    edges = [(i, j, float(rng.uniform(0.1, 3.0))) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7]
+    graph = Graph.from_edges(n, edges)
+    diag = diagonal_costs(graph)
+    noise = NoiseConfig(depolarizing_prob=0.01, overrotation_frac=0.1, phase_offset=0.2, calibration_sigma=0.05)
+    for p in (1, 2, 3):
+        config = ScanConfig(graph=graph, p=p, beta_range=(-0.3, 0.5, 0.4), gamma_range=(0.2, 1.4, 0.6))
+        grid = run_scan(config)
+        noisy = run_scan(replace(config, noise=noise))
+        for name in ("pops", "F_ideal", "F_measured", "norm"):
+            assert np.array_equal(_bits(getattr(noisy, name)), _bits(getattr(grid, name))), name
+        for bi, gi in np.ndindex(grid.F_ideal.shape):
+            params = QaoaParams((float(grid.betas[bi]),) * p, (float(grid.gammas[gi]),) * p)
+            pops = populations(simulate_qaoa(diag, params))
+            cost = float(np.dot(pops, diag))
+            assert np.array_equal(_bits(grid.pops[bi, gi, 0]), _bits(pops))
+            assert _bits(grid.F_ideal[bi, gi]) == _bits(grid.F_measured[bi, gi, 0]) == _bits(cost)
+            assert _bits(grid.norm[bi, gi, 0]) == _bits(pops.sum())
 
 
 def test_ideal_scan_matches_closed_form_everywhere():
@@ -342,7 +376,6 @@ def test_overflowing_cost_phase_is_rejected_before_any_state(monkeypatch):
         raise AssertionError("a state was simulated")
 
     monkeypatch.setattr(experiment, "qaoa_amplitudes", simulate)
-    monkeypatch.setattr(experiment, "simulate_qaoa", simulate)
     monkeypatch.setattr(experiment, "_cost_phase", simulate)
     monkeypatch.setattr(experiment, "_even_amplitudes", simulate)
     heavy = Graph.complete(2, 1e308)
@@ -1514,8 +1547,9 @@ def test_measure_point_simulates_one_noiseless_state(monkeypatch, noise, calls):
     assert len(seen) == (noise is None or not noise.is_stochastic)  # one state for every realization
     seen.clear()
     run_scan(replace(cfg, beta_range=(0.1, 0.2, 0.1), gamma_range=(0.5, 0.7, 0.2), realizations=3))
-    # a 2x2 grid is one chunk: one stacked call of all 4 points per state, read by all three realizations
-    assert len(seen) == calls
+    # a 2x2 grid is one chunk, read by all three realizations; its exact states come from the half-register code
+    # on the chunk's shared cost phase, so only a deterministic channel's states make one stacked call of all 4 points
+    assert len(seen) == calls - 1
     assert all(np.shape(betas) == np.shape(gammas) == (4, 1) for _, betas, gammas, *_ in seen)
 
 
