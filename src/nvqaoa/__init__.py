@@ -6,7 +6,7 @@ noise channels, and landscape/optimization drivers with a reproducible
 seeding scheme. See the README for the measurement model.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from types import ModuleType as _ModuleType
 

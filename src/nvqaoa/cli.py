@@ -340,14 +340,17 @@ def _run_landscape(cfg: ScanConfig, config: dict, options: dict, out: str, force
         if options["svg"]:
             outputs.write("landscape.svg", _landscape_svg(grid))
         outputs.manifest("landscape", config, options, artifacts, duration)
-    invalid = summary["points_invalid"]
-    total = summary["points_total"]
-    if invalid > 0:
-        print(f"warning: {invalid}/{total} points invalid (degenerate calibration)", file=sys.stderr)
-        if invalid / total > 0.01:
-            return EXIT_DEGENERATE
-    print(f"wrote {out_dir / 'landscape.csv'} ({total} rows)")
-    return EXIT_OK
+    code = _check_invalid(summary["points_invalid"], summary["points_total"], "points")
+    if code == EXIT_OK:
+        print(f"wrote {out_dir / 'landscape.csv'} ({summary['points_total']} rows)")
+    return code
+
+
+def _check_invalid(invalid: int, total: int, what: str) -> int:
+    """Warn on stderr when any of ``total`` ``what`` is invalid (degenerate calibration); exit 3 above 1%, else 0."""
+    if invalid:
+        print(f"warning: {invalid}/{total} {what} invalid (degenerate calibration)", file=sys.stderr)
+    return EXIT_DEGENERATE if invalid / total > 0.01 else EXIT_OK
 
 
 def _run_optimize(cfg: ScanConfig, config: dict, options: dict, out, force: bool) -> int:
@@ -357,6 +360,7 @@ def _run_optimize(cfg: ScanConfig, config: dict, options: dict, out, force: bool
     result = optimize(cfg, strategy=options["strategy"])
     duration = time.perf_counter() - started
     report = brute_force(cfg.graph)
+    invalid = sum(math.isnan(value) for *_, value in result.trace)
     for k, (beta, gamma) in enumerate(zip(result.best_params.betas, result.best_params.gammas)):
         print(f"beta[{k}]: {beta:.10g} rad ({beta / math.pi:.10g} pi)")
         print(f"gamma[{k}]: {gamma:.10g} rad ({gamma / math.pi:.10g} pi)")
@@ -378,12 +382,14 @@ def _run_optimize(cfg: ScanConfig, config: dict, options: dict, out, force: bool
             "best_cut_cost": report.best_cost,
             "config": config,
         }
+        if invalid:  # a run without an invalid evaluation keeps the summary it had before the field
+            summary["evaluations_invalid"] = invalid
         with _Outputs(out_dir) as outputs:
             with outputs.open("trace.csv") as handle:
                 write_trace_csv(result, handle)
             outputs.write("summary.txt", _json_text(summary))
             outputs.manifest("optimize", config, options, artifacts, duration)
-    return EXIT_OK
+    return _check_invalid(invalid, result.evaluations, "evaluations")
 
 
 def _cmd_reconstruct(args) -> int:

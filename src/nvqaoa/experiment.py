@@ -29,18 +29,14 @@ made: ``ScanConfig``'s when it is made, and, when called, those of
 ``run_scan``, ``optimize``, ``convergence_profile`` and ``measure_point``,
 among them that the largest cost phase is finite (``_check_cost_phase``).
 
-``run_scan`` reads the grid in stream blocks of consecutive points,
-``_block_points`` of them, a number that depends on n alone and bounds a
-block's batch arrays by ``_CHUNK_ENTRIES`` floats. A block makes its points'
-exact states in one ``_exact_states`` call on one cost phase; an ideal scan
-stores them. A sampled block adds the states of its noise channels, builds
-its rows as one ``(points, 2^(n+1), 2^n)`` stack and checks them once
-(``readout.check_rows``). Each realization then draws every record of the
-block on one generator, and one stacked ``reconstruct`` call inverts it.
-``measure_point``, ``optimize`` and ``convergence_profile`` read one point as
-a block of one. Every path inverts the same pair (``_read_point``): a
-calibration row and the flip means. An all-dark perturbed table is drawn like
-any other, and ``reconstruct`` alone judges a table.
+One block loop reads every grid (``_grid_blocks``): ``run_scan`` stores its
+blocks and ``optimize`` keeps their F. A stream block holds ``_block_points``
+consecutive points, a number that depends on n alone and bounds its batch
+arrays by ``_CHUNK_ENTRIES`` floats. ``measure_point``, ``convergence_profile``
+and ``optimize``'s trials off the grid read one point as a block of one. Every
+path inverts the same pair (``_read_point``): a calibration row and the flip
+means. An all-dark perturbed table is drawn like any other, and
+``reconstruct`` alone judges a table.
 
 Reproducibility contract: a cell is a function of (master seed, n, grid,
 point, realization). Realization r of the block whose first grid index is i
@@ -49,11 +45,10 @@ r))``, so results are independent of evaluation order and of the realization
 count. Its children 0, 1 and 2 perturb the block's calibration tables (one
 normal draw of shape ``(points, 2^n)``), draw the block's records (one
 multinomial and one Poisson call) and split them into checkpoint blocks
-(``convergence_profile`` only). ``measure_point``, ``optimize`` and
-``convergence_profile`` read point i as a block of one, on the substreams of
-(i, r), so the final checkpoint equals ``measure_point`` bit for bit, and so
-does the cell of a one-point grid. ``_read_point`` builds each child
-directly.
+(``convergence_profile`` only). A point read as a block of one at index i
+draws on the substreams of (i, r), so the final checkpoint equals
+``measure_point`` bit for bit, and so does the cell of a one-point grid.
+``_read_point`` builds each child directly.
 
 Landscapes and ``optimize`` run on the calling thread. ``convergence_profile``
 draws and splits its realizations in rounds of one per available CPU
@@ -71,7 +66,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, product
 from numbers import Integral
 from typing import Sequence
 
@@ -131,7 +126,7 @@ MAX_GRID_POINTS = 10**6
 # A landscape scan's populations hold points x realizations x 2^n floats (one
 # realization in ideal mode), and a convergence profile's largest array
 # checkpoints x max(realizations, 2) x 2^n; each is capped before it is made:
-# 2^27 float64 entries are 1 GiB. optimize holds one state at a time.
+# 2^27 float64 entries are 1 GiB. optimize holds one block at a time.
 MAX_SCAN_ENTRIES = 1 << 27
 
 # A scan reads its grid in stream blocks of points whose batch arrays
@@ -310,20 +305,17 @@ def measure_point(
     realization_index: int = 0,
     point_index: int = 0,
 ) -> PointRecord:
-    """Run the full measurement protocol at one parameter point.
+    """Run the full measurement protocol at one parameter point, as ``optimize`` reads a trial off its grid.
 
-    The point is read as a stream block of one, on the children of
-    (master_seed, point_index, realization_index). The calibration used for
-    reconstruction is estimated empirically from basis-state preparations
-    unless ``exact_calibration`` is set, in which case the true generating
-    table (including any per-realization perturbation) is used to isolate
-    shot noise. It equals the cell of a one-point grid bit for bit; a cell of
-    a larger grid is drawn with the other points of its block and is equal to
-    it in distribution.
-
-    An all-dark perturbed table is drawn like any other. A table that
-    ``reconstruct`` judges degenerate makes the point invalid, and ``error``
-    holds the ``DegenerateCalibrationError``.
+    The point is a stream block of one on the children of (master_seed,
+    point_index, realization_index), so it equals the cell at that index of a
+    grid of one-point blocks (from n = 6 on, or a one-point grid) bit for bit;
+    a cell of a larger block is drawn with the block's other points and equals
+    it in distribution. The calibration is estimated from basis-state
+    preparations unless ``exact_calibration`` is set, which inverts with the
+    true, possibly perturbed, table to isolate shot noise. A table that
+    ``reconstruct`` judges degenerate, an all-dark one among them, makes the
+    point invalid, and ``error`` holds the ``DegenerateCalibrationError``.
     """
     if config.mode != "sampled":
         raise ConfigError("measure_point requires mode 'sampled'")
@@ -382,57 +374,67 @@ def _overrotation(config: ScanConfig) -> float:
 
 
 def run_scan(config: ScanConfig) -> LandscapeGrid:
-    """Evaluate the full (beta, gamma) grid.
+    """Evaluate the full (beta, gamma) grid: every realization of every stream block ``_grid_blocks`` reads.
 
-    Both modes read it in stream blocks of consecutive points
-    (``_block_points``), one-point blocks a gamma column at a time. A block's
-    exact states come from one stacked ``_exact_states`` call whose layers
-    share the cost phase exp(-i gamma C) on the half diagonal, made once per
-    block or, for one-point blocks, per gamma. Ideal mode ignores shot and
-    noise settings and stores the exact populations, their cost as
-    ``F_measured`` and their sum as ``norm``. Sampled mode builds and checks a
-    block's record rows once, and each realization draws all its records on
-    one generator and inverts them in one stacked ``reconstruct`` call.
+    Ideal mode ignores shot and noise settings and stores the exact
+    populations, their cost as ``F_measured`` and their sum as ``norm``.
     """
     _check_scan_entries(config)
     _check_cost_phase(config)
     betas, gammas = config.betas(), config.gammas()
     realizations = 1 if config.mode == "ideal" else config.realizations
     diag = diagonal_costs(config.graph)
+    # F_ideal, pops, norm and F_measured, each indexed [beta, gamma(, realization(, basis state))]
+    arrays = [np.empty((betas.size, gammas.size) + rest) for rest in ((), (realizations, diag.size), (realizations,))]
+    arrays.append(np.empty_like(arrays[-1]))
+    for points, *block in _grid_blocks(config, diag, realizations):
+        for array, values in zip(arrays, block):  # grid index bi * gammas.size + gi; the last read has no array
+            array.reshape(-1, *array.shape[2:])[points] = values
+        del block, values  # the next block is made with none of this one's arrays alive
+    F_ideal, pops, norm, F_measured = arrays
+    return LandscapeGrid(betas, gammas, F_measured, norm, pops, F_ideal, float(diag.max() - diag.min()))
+
+
+def _grid_blocks(config: ScanConfig, diag: np.ndarray, realizations: int):
+    """Read the grid in stream blocks of ``_block_points`` points, one-point blocks a gamma column at a time.
+
+    Each block yields its grid-index slice, F_ideal, pops ``(points,
+    realizations, 2^n)``, norm and F_measured ``(points, realizations)``, and
+    the ``_read_point`` pair of its last sampled realization (ideal: None). Its
+    exact states come from one ``_exact_states`` call whose layers share the
+    cost phase on the half diagonal, made once per block or, for one-point
+    blocks, per gamma; ideal mode yields them as one realization. Sampled mode
+    builds and checks the block's rows once, and each realization draws all
+    its records on one generator and inverts them in one stacked
+    ``reconstruct`` call, which turns a degenerate table's row NaN.
+    """
+    betas, gammas = config.betas(), config.gammas()
     half = diag[: diag.size >> 1]  # diagonal_costs equals its reverse
-    shape = (betas.size, gammas.size, realizations)
-    F_measured, norm, F_ideal = np.empty(shape), np.empty(shape), np.empty(shape[:2])
-    pops = np.empty(shape + diag.shape)
-    grid = LandscapeGrid(betas, gammas, F_measured, norm, pops, F_ideal, float(diag.max() - diag.min()))
-    # [point, realization(, basis state)] views; a point's grid index is bi * gammas.size + gi
-    F_rows, norm_rows = F_measured.reshape(-1, realizations), norm.reshape(-1, realizations)
-    pops_rows = pops.reshape(-1, realizations, diag.size)
-    step, total = _block_points(diag.size), F_rows.shape[0]
+    step, total = _block_points(diag.size), betas.size * gammas.size
     # one-point blocks in column order, so consecutive blocks share a gamma and its phase
-    starts = range(0, total, step) if step > 1 else np.arange(total).reshape(shape[:2]).T.ravel().tolist()
+    starts = range(0, total, step) if step > 1 else np.arange(total).reshape(betas.size, -1).T.ravel().tolist()
     phase_gi = None
     for start in starts:
-        stop = min(start + step, total)
-        bi, gi = np.divmod(np.arange(start, stop), gammas.size)
+        points = slice(start, min(start + step, total))
+        bi, gi = np.divmod(np.arange(points.start, points.stop), gammas.size)
         if not np.array_equal(gi, phase_gi):
             phase, phase_gi = _cost_phase(half, gammas[gi]), gi
         # (points, p) angle stacks: every layer shares its point's (beta, gamma)
         point_betas, point_gammas = betas[bi, None].repeat(config.p, 1), gammas[gi, None].repeat(config.p, 1)
-        ideal, F_ideal.flat[start:stop] = _exact_states(diag, point_betas, point_gammas, phase)
+        ideal, F_ideal = _exact_states(diag, point_betas, point_gammas, phase)
         if config.mode == "ideal":
-            pops_rows[start:stop, 0], norm_rows[start:stop, 0] = ideal, ideal.sum(-1)
-            F_rows[start:stop, 0] = F_ideal.flat[start:stop]
+            yield points, F_ideal, ideal[:, None], ideal.sum(-1)[:, None], np.array(F_ideal)[:, None], None
         else:
             rows = _point_rows(config, _sampled_state_pops(config, diag, point_betas, point_gammas, ideal))
+            pops, norm = np.empty((bi.size, realizations, diag.size)), np.empty((bi.size, realizations))
             for r in range(realizations):
-                # a degenerate table turns only its own row NaN
-                estimate = reconstruct(*_read_point(config, rows, r, start))
-                pops_rows[start:stop, r], norm_rows[start:stop, r] = estimate.pops, estimate.norm
+                read = _read_point(config, rows, r, start)
+                estimate = reconstruct(*read)
+                pops[:, r], norm[:, r] = estimate.pops, estimate.norm
             # row by row, so each cost equals measure_point's np.dot bit for bit
-            F_rows[start:stop] = [[np.dot(row, diag) for row in point] for point in pops_rows[start:stop]]
+            yield points, F_ideal, pops, norm, np.array([[np.dot(row, diag) for row in point] for point in pops]), read
         # the next block is made with none of this one's states alive
         del ideal
-    return grid
 
 
 def landscape_error(grid: LandscapeGrid) -> float:
@@ -465,29 +467,38 @@ class OptimizeResult:
 def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> OptimizeResult:
     """Minimize the (measured or ideal) cost over the 2p angle coordinates.
 
-    Both strategies start from the best point of the configured coarse grid
-    (all layers sharing each grid (beta, gamma)). The grid is walked in
-    (beta, gamma) order and a later point wins only with a strictly smaller
-    value, so exactly equal values keep the lexicographically smallest pair.
-    Optima that are tied only mathematically usually differ in the last ulp,
-    and then float rounding picks the winner. ``grid_then_refine`` then runs
-    coordinate descent over all 2p coordinates, halving the steps until they
-    drop below ``REFINE_TOLERANCE`` radians; ``simplex`` hands the best grid
-    point to Nelder-Mead, whose value tolerance is 1e-12 of the cost's range
-    (max - min of the diagonal; 1e-12 for a constant cost). Sampled-mode
-    evaluations consume consecutive point indices of the master seed, so a
-    given call sequence is reproducible; a degenerate empirical calibration at
-    any of them raises ``DegenerateCalibrationError``. A trial off the grid whose cost phase
-    could overflow (``_phase_bound``) is skipped: it is not evaluated or
-    recorded, and it counts as +inf, so it never improves on a point.
+    Both strategies start from the first minimum over the valid values of the
+    coarse grid (all layers sharing each grid (beta, gamma)), so exactly equal
+    values keep the lexicographically smallest pair; values tied only
+    mathematically usually differ in the last ulp. The grid is read by
+    ``run_scan``'s block loop with one realization: the first trace rows equal
+    a one-realization landscape's ``F_measured`` in grid order, bit for bit.
+    ``grid_then_refine`` then runs coordinate descent over all 2p coordinates,
+    halving the steps until they drop below ``REFINE_TOLERANCE`` radians;
+    ``simplex`` hands the best grid point to Nelder-Mead, whose value tolerance
+    is 1e-12 of the cost's range (1e-12 for a constant cost). Each sampled
+    trial reads one point as a block of one, at point indices from the grid
+    size upward. An evaluation with a degenerate calibration is recorded as
+    NaN and counts as +inf; with no valid grid point, the first block's first
+    table is inverted alone, which raises ``DegenerateCalibrationError``. A
+    trial whose cost phase could overflow (``_phase_bound``) is skipped: it is
+    not evaluated or recorded, and it counts as +inf.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {', '.join(STRATEGIES)}, got {strategy!r}")
     _check_cost_phase(config)
     p = config.p
-    trace: list[tuple[tuple[float, ...], tuple[float, ...], float]] = []
-    eval_index = count()
     diag = diagonal_costs(config.graph)
+    values = np.empty(_axis(config.beta_range)[2] * _axis(config.gamma_range)[2])
+    for points, _, _, _, F, _ in _grid_blocks(config, diag, 1):
+        values[points] = F[:, 0]
+    if np.isnan(values).all():
+        # the first block's draw again, its first table inverted alone: it raises, naming the parity
+        *_, (table, flips) = next(_grid_blocks(config, diag, 1))
+        reconstruct(table[0], flips[0])
+    grid = product(config.betas().tolist(), config.gammas().tolist())
+    trace = [((beta,) * p, (gamma,) * p, value) for (beta, gamma), value in zip(grid, values.tolist())]
+    eval_index = count(len(trace))
 
     def evaluate(betas: tuple[float, ...], gammas: tuple[float, ...]) -> float:
         if not math.isfinite(_phase_bound(config, max(map(abs, gammas)))):
@@ -496,22 +507,12 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> Optimize
         if config.mode == "ideal":
             value = _exact_states(diag, [params.betas], [params.gammas])[1][0]
         else:
-            record = _measure_point(config, diag, params, 0, next(eval_index))
-            if not record.valid:
-                raise record.error
-            value = record.F_measured
+            value = _measure_point(config, diag, params, 0, next(eval_index)).F_measured
         trace.append((betas, gammas, value))
-        return value
+        return math.inf if math.isnan(value) else value
 
-    best_value = math.inf
-    best_pair = None
-    for beta in config.betas():
-        for gamma in config.gammas():
-            value = evaluate((float(beta),) * p, (float(gamma),) * p)
-            if value < best_value:
-                best_value = value
-                best_pair = (float(beta), float(gamma))
-    x = np.array([best_pair[0]] * p + [best_pair[1]] * p)
+    betas, gammas, value = trace[int(np.nanargmin(values))]
+    x = np.array(betas + gammas)
 
     if strategy == "simplex":
         from scipy.optimize import minimize  # imported here so other commands never load scipy
@@ -521,29 +522,20 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> Optimize
 
         fatol = 1e-12 * (float(diag.max() - diag.min()) or 1.0)
         minimize(objective, x, method="Nelder-Mead", options={"xatol": 1e-7, "fatol": fatol, "maxfev": 20_000})
-        best = min(trace, key=lambda entry: (entry[2], entry[0], entry[1]))
+        best = min((entry for entry in trace if not math.isnan(entry[2])), key=lambda entry: (entry[2], *entry[:2]))
         return OptimizeResult(QaoaParams(best[0], best[1]), best[2], tuple(trace))
 
     base_steps = np.array([config.beta_range[2]] * p + [config.gamma_range[2]] * p)
     scale = 1.0
-    value = best_value
-    grid_evals = len(trace)
     while (base_steps * scale).max() >= REFINE_TOLERANCE:
-        while len(trace) - grid_evals < REFINE_BUDGET:
+        while len(trace) - values.size < REFINE_BUDGET:
             improved = False
             for coord in range(2 * p):
                 step = base_steps[coord] * scale
-                candidates = []
-                for delta in (-step, +step):
-                    trial = x.copy()
-                    trial[coord] += delta
-                    trial_value = evaluate(tuple(trial[:p]), tuple(trial[p:]))
-                    candidates.append((trial_value, tuple(trial)))
-                candidates.sort(key=lambda item: (item[0], item[1]))
-                if candidates[0][0] < value:
-                    value = candidates[0][0]
-                    x = np.array(candidates[0][1])
-                    improved = True
+                trials = [(*x[:coord], x[coord] + delta, *x[coord + 1 :]) for delta in (-step, step)]
+                trial_value, trial = min((evaluate(t[:p], t[p:]), t) for t in trials)  # the smaller trial on a tie
+                if trial_value < value:
+                    value, x, improved = trial_value, np.array(trial), True
             if not improved:
                 break
         scale *= 0.5

@@ -12,7 +12,10 @@ spawned from the point's SeedSequence (``point_streams``). It is the slow path o
 ``experiment.measure_point``, which reads a stream block of one point.
 ``measure_grid_per_block`` is the slow path of ``experiment.run_scan``: it
 simulates and builds every point's rows on its own, draws each stream block's
-records stacked on the block's seeds, and reconstructs point by point. Their
+records stacked on the block's seeds, and reconstructs point by point.
+``optimize_grid_per_point`` is the per-point grid walk ``experiment.optimize``
+made before it read its grid through ``run_scan``'s blocks: one exact state or
+one ``measure_point_per_point`` read at each grid index in turn. Their
 depolarizing state is a one-row ``density_populations`` call, so there they
 are not independent of the kernel; ``density_matrix_populations`` holds the
 kernel to the channel.
@@ -190,6 +193,24 @@ def measure_grid_per_block(config):
                 pops[i, r], norm[i, r], F_measured[i, r] = invert_means(config, intensities[j], means)
     shape = (betas.size, gammas.size, realizations)
     return pops.reshape(shape + (size,)), norm.reshape(shape), F_measured.reshape(shape), F_ideal.reshape(shape[:2])
+
+
+def optimize_grid_per_point(config):
+    """``optimize``'s grid values walked point by point in (beta, gamma) order, NaN for a degenerate table.
+
+    Ideal mode scores each point's own ``simulate_qaoa`` state; sampled mode
+    reads grid index k as a point of its own, realization 0 on the seeds of
+    (k, 0).
+    """
+    diag, p = diagonal_costs(config.graph), config.p
+    values = []
+    for k, (beta, gamma) in enumerate((b, g) for b in config.betas() for g in config.gammas()):
+        params = QaoaParams((float(beta),) * p, (float(gamma),) * p)
+        if config.mode == "ideal":
+            values.append(float(np.dot(populations(simulate_qaoa(diag, params)), diag)))
+        else:
+            values.append(measure_point_per_point(config, params, 0, k)[2])
+    return values
 
 
 def full_loop_amplitudes(costs, betas, gammas, noise=None, num_edges=None):

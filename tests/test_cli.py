@@ -1008,6 +1008,37 @@ def test_degenerate_optimize_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_optimize_records_degenerate_evaluations_as_nan_and_finishes(tmp_path, capsys):
+    # a unit ring of 4 with a product table, 3e4 shots: an empirical c_t is exactly 0 about once in 1000
+    # reads. At seed 10 two evaluations are; version 0.6.0 aborted with exit 3 on its first one
+    (tmp_path / "ring4.txt").write_text("n 4\n0 1\n1 2\n2 3\n3 0\n")
+    cal = write_cal(tmp_path, intensities=tuple(1.2 * 0.75 ** bin(k).count("1") for k in range(16)))
+    argv = ["optimize", "--graph", str(tmp_path / "ring4.txt"), "--mode", "sampled", "--cal", cal, "--shots", "30000"]
+    for seed, invalid in (("10", 2), ("2", 0)):
+        out = tmp_path / f"out{seed}"
+        assert main([*argv, "--seed", seed, "--out", str(out)]) == EXIT_OK
+        err = capsys.readouterr().err
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        summary = json.loads((out / "summary.txt").read_text())
+        assert sum(row.endswith(",nan") for row in rows) == summary.get("evaluations_invalid", 0) == invalid
+        warning = f"warning: {invalid}/{len(rows)} evaluations invalid (degenerate calibration)\n"
+        assert err == (warning if invalid else "")
+        assert math.isfinite(summary["best_F"])
+
+
+def test_optimize_above_one_percent_invalid_exits_degenerate_with_outputs(tmp_path, capsys):
+    # 10 shots of a nearly flat table: an empirical c_t is exactly 0 at about one evaluation in six
+    cal = write_cal(tmp_path, intensities=(1.2, 1.0, 1.0, 0.9))
+    out = tmp_path / "out"
+    code = main(["optimize", "--graph", write_k2(tmp_path), "--mode", "sampled", "--cal", cal, "--shots", "10",
+                 "--out", str(out), *SMALL_SCAN])
+    assert code == EXIT_DEGENERATE
+    summary = json.loads((out / "summary.txt").read_text())
+    invalid, total = summary["evaluations_invalid"], summary["evaluations"]
+    assert invalid / total > 0.01
+    assert f"warning: {invalid}/{total} evaluations invalid (degenerate calibration)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("strategy", ["grid_then_refine", "simplex"])
 def test_optimize_skips_trials_whose_cost_phase_overflows(tmp_path, capsys, strategy):
     # the grid's largest phase, 1.79 x 1e308, is finite; refinement trials

@@ -71,6 +71,7 @@ from oracles import (
     landscape_csv_text,
     measure_grid_per_block,
     measure_point_per_point,
+    optimize_grid_per_point,
     p1_cost,
     point_rows,
     point_streams,
@@ -845,6 +846,95 @@ def test_optimize_p2_refines_all_four_coordinates():
     assert result.best_params.p == 2
     # two layers can do at least as well as the best single-layer value on K2
     assert result.best_F <= -0.99
+
+
+GRID_TRACE_CASES = {
+    "ideal": dict(mode="ideal"),
+    "sampled": dict(),
+    "sampled-overrotation": dict(noise=NoiseConfig(overrotation_frac=0.05)),
+    "sampled-phase-offset": dict(noise=NoiseConfig(phase_offset=0.1)),
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_TRACE_CASES))
+@pytest.mark.parametrize("n", [2, 4, 5, 6])
+def test_optimize_grid_equals_a_one_realization_landscape(n, case):
+    # the 5 x 5 grid is one partial block at n = 2, blocks of 16 and 9 at n = 4, six blocks of 4 and one of 1
+    # at n = 5, and one-point blocks read by gamma column at n = 6; optimize reads one realization of each
+    cfg = sampled_config(graph=ring(n) if n > 2 else K2, calibration=random_table(n, n), shots=3_000, realizations=3,
+                         beta_range=(0.1, 0.9, 0.2), gamma_range=(0.3, 2.3, 0.5), **GRID_TRACE_CASES[case])
+    grid = run_scan(replace(cfg, realizations=1))
+    trace = optimize(cfg).trace[: grid.F_ideal.size]
+    assert [entry[:2] for entry in trace] == [((b,), (g,)) for b in grid.betas.tolist() for g in grid.gammas.tolist()]
+    assert np.array_equal(_bits([value for *_, value in trace]), _bits(grid.F_measured.ravel()))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_optimize_grid_equals_the_per_point_walk(n):
+    # the walk optimize made before its grid went through run_scan's blocks: ideal traces equal it bit for
+    # bit at every n, sampled ones where every block is one point, on the seeds of (grid index, 0)
+    rng = np.random.default_rng(2800 + n)
+    edges = [(i, j, float(rng.uniform(0.1, 3.0))) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7]
+    grid = dict(graph=Graph.from_edges(n, edges), beta_range=(-0.3, 0.5, 0.4), gamma_range=(0.2, 1.4, 0.6))
+    configs = [ScanConfig(p=p, **grid) for p in (1, 2)]
+    if n >= 6:
+        configs.append(sampled_config(calibration=random_table(n, n), shots=3_000, **grid))
+    for cfg in configs:
+        values = [value for *_, value in optimize(cfg).trace[:9]]
+        assert np.array_equal(_bits(values), _bits(optimize_grid_per_point(cfg)))
+
+
+def darken_rows(monkeypatch, indices):
+    """Make experiment's stacked reconstruct calls see an all-zero table at the given grid indices."""
+
+    def dark(table, flips):
+        if np.ndim(flips) > 1:
+            table = np.array(table)
+            table[indices] = 0.0
+        return reconstruct(table, flips)
+
+    monkeypatch.setattr(experiment, "reconstruct", dark)
+
+
+def test_an_invalid_grid_point_is_nan_in_the_trace_and_never_the_start(monkeypatch):
+    # the 3 x 3 K2 grid is one block; its argmin and its first point go dark
+    cfg = sampled_config(beta_range=(0.1, 0.9, 0.4), gamma_range=(3.7, 5.7, 1.0), shots=3_000)
+    clean = [value for *_, value in optimize(cfg).trace[:9]]
+    best, second = np.argsort(clean)[:2]
+    darken_rows(monkeypatch, [0, best])
+    result = optimize(cfg)
+    values = [value for *_, value in result.trace[:9]]
+    assert np.isnan(values).tolist() == [k in (0, best) for k in range(9)]
+    assert np.array_equal(_bits(np.delete(values, [0, best])), _bits(np.delete(clean, [0, best])))
+    # the descent starts from the best valid point: its first trial steps beta down
+    (beta,), (gamma,), _ = result.trace[second]
+    assert result.trace[9][:2] == ((beta - cfg.beta_range[2],), (gamma,))
+    assert math.isfinite(result.best_F) and result.best_F <= clean[second]
+
+
+def test_simplex_best_skips_invalid_evaluations(monkeypatch):
+    # an unfiltered min would keep the first entry, the dark grid point, since NaN compares false
+    import scipy.optimize
+
+    returned = []
+
+    def two_trials(objective, x0, **kwargs):
+        returned.extend(objective(x0 + delta) for delta in (0.0, 0.01))
+
+    monkeypatch.setattr(scipy.optimize, "minimize", two_trials)
+    measure = experiment._measure_point
+
+    def second_trial_invalid(config, diag, params, realization_index, point_index):
+        record = measure(config, diag, params, realization_index, point_index)
+        return replace(record, F_measured=math.nan, valid=False) if point_index == 10 else record
+
+    monkeypatch.setattr(experiment, "_measure_point", second_trial_invalid)
+    darken_rows(monkeypatch, [0])
+    cfg = sampled_config(beta_range=(0.1, 0.9, 0.4), gamma_range=(3.7, 5.7, 1.0), shots=3_000)
+    result = optimize(cfg, "simplex")
+    assert result.evaluations == 11 and math.isnan(result.trace[0][2]) and math.isnan(result.trace[10][2])
+    assert returned[1] == math.inf
+    assert result.best_F == min(value for *_, value in result.trace if not math.isnan(value))
 
 
 def test_convergence_profile_checkpoints():

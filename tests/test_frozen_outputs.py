@@ -126,10 +126,19 @@ CASES = {
             "summary.txt": "2d65cbb9b77e71f7ec7099097233effc840b9308be080f3575f132ba04aa64fc",
         },
     ),
+    # one-point blocks: the grid reads point k on the seeds of (k, 0), as a refinement trial reads its own
+    "optimize-sampled-ring6-overrotation": (
+        ["optimize", "--mode", "sampled", "--overrotation", "0.05", "--graph", "ring6.txt", "--cal", "cal6.txt",
+         *COARSE, "--shots", "20000", "--seed", "13"],
+        {
+            "trace.csv": "ad9bd55bc3b3dc0ad7152829deddf5ba94bc79243e0399965ae673d84535c88d",
+            "summary.txt": "67ab5825b55a62f15ffb6af030eecc3f4a96fc19efeb3d174f6ac72ee3430cac",
+        },
+    ),
     "optimize-sampled": (
         ["optimize", "--mode", "sampled", *K2_COARSE, "--shots", "20000", "--seed", "8"],
         {
-            "trace.csv": "770dc51441bf1e18d62ab9504d1fbdccc7b56bc0ee23f8f8357338cdeae8ad28",
+            "trace.csv": "bfcbd236ff7158930efe0bedc32fb97a14700bf55b7f2d801fd3469a3fb4b395",
             "summary.txt": "aaac0b7e377bc4c752b3d7288cb85633fdb5bc35c29be4b19709d588dfc34e4e",
         },
     ),
