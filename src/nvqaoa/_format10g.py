@@ -1,13 +1,13 @@
 """CSV rows of floats, each printed as ``format(v, ".10g")``, a whole array at a time.
 
-``write_rows`` writes a table row by row, every field followed by its
-separator. An optional column map lets one source column stand for several
-fields, so a row that repeats its values (an ideal state's populations, which
-read the same backwards) has each distinct value formatted once. The table is
-formatted in blocks of whole rows, about ``CHUNK`` values each, and written
-``CHUNK`` fields at a time, so the text of a whole file is never held. A table
-under ``SMALL`` fields is formatted value by value, which is faster there than
-the array kernel's fixed cost.
+``write_rows`` writes a table row by row to a binary file, as ASCII bytes,
+every field followed by its separator. An optional column map lets one source
+column stand for several fields, so a row that repeats its values (an ideal
+state's populations, which read the same backwards) has each distinct value
+formatted once. The table is formatted in blocks of whole rows, about
+``CHUNK`` values each, and written ``CHUNK`` fields at a time, so the text of
+a whole file is never held. A table under ``SMALL`` fields is formatted value
+by value, which is faster there than the array kernel's fixed cost.
 
 Fast path, for a finite nonzero v whose decimal exponent e = floor(log10|v|)
 lies in the exact-scaling range: 10^|9-e| is an exact double, so
@@ -33,11 +33,10 @@ from __future__ import annotations
 import numpy as np
 
 # Values per kernel call, and fields per write. A chunk's largest temporary is
-# its (CHUNK, _WIDTH + 1) intp gather index, 295 KB. At 4096 a chunk's
-# temporaries (about 0.5 MB) raised glibc's dynamic mmap threshold for the rest
-# of the process. That moves the timing of unrelated code: perfbench's
-# reference kernel ran 35% faster after a convergence scan, so that workload
-# read 15% slower in reference seconds while its host time fell.
+# its (CHUNK, _WIDTH + 1) uint16 gather index, 74 KB. At 4096, with an intp
+# index, a chunk's temporaries (about 0.5 MB) raised glibc's dynamic mmap
+# threshold for the rest of the process, which moved the timing of unrelated
+# code: perfbench's reference kernel ran 35% faster after a convergence scan.
 CHUNK = 2048
 # Tables of fewer fields are formatted value by value. The kernel's fixed cost
 # breaks even at about 180 full-precision values, and at about 280 fields of a
@@ -95,7 +94,8 @@ _STYLE = np.clip(np.arange(_E_MIN, _E_MAX + 2) + 5, 0, 15)
 # _TEMPLATES[2 * (11 * style + digits) + positive]: the slots of a value's
 # text, padded with zero-byte slots to _WIDTH + 1; the last byte is its
 # separator's. Built through bytes: as a nested list it raised perfbench's
-# sampled-k2 peak_rss_mb by 0.3 MB.
+# sampled-k2 peak_rss_mb by 0.3 MB. Gather indices are uint16, faster to take
+# than intp; row r's slots start at _OFFSETS[r], below _ROW * CHUNK < 2^16.
 _TEMPLATES = np.frombuffer(
     bytes(
         slot
@@ -105,45 +105,44 @@ _TEMPLATES = np.frombuffer(
         for slot in (text + [_NUL] * _WIDTH)[: _WIDTH + 1]
     ),
     dtype=np.uint8,
-).reshape(-1, _WIDTH + 1).astype(np.intp)
+).reshape(-1, _WIDTH + 1).astype(np.uint16)
+_OFFSETS = np.repeat(np.arange(0, _ROW * CHUNK, _ROW, dtype=np.uint16), _WIDTH + 1).reshape(CHUNK, _WIDTH + 1)
 
 
 def write_rows(handle, table, seps: str, columns=None) -> None:
-    """Write each row of the 2-D float ``table`` to the text ``handle``.
+    """Write each row of the 2-D float ``table`` to the binary ``handle`` as ASCII bytes.
 
     Field c of every row reads as ``format(v, ".10g")`` of source column
     ``columns[c]`` (column c when ``columns`` is None) and is followed by ``seps[c]``.
     """
     table = np.asarray(table, dtype=float)
     rows, width = table.shape
-    fields = len(seps)
-    if rows * fields < SMALL:
+    if rows * len(seps) < SMALL:
         handle.write(_per_value((table if columns is None else table[:, columns]).ravel(), seps * rows))
         return
-    codes = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
     block = min(rows, max(1, CHUNK // width))
     # source row of each field of a block, in output order; None when that is the source order
     order = None if columns is None else (width * np.arange(block)[:, None] + columns).ravel()
-    codes = np.tile(codes, block)
+    codes = np.tile(np.frombuffer(seps.encode("ascii"), dtype=np.uint8), block)
     for first in range(0, rows, block):
         values = table[first : first + block].ravel()
         text = np.concatenate([_format_chunk(values[start : start + CHUNK]) for start in range(0, values.size, CHUNK)])
-        count = values.size // width * fields
+        count = values.size // width * len(seps)
         for start in range(0, count, CHUNK):
             stop = min(start + CHUNK, count)
             chunk = text[start:stop] if order is None else text.take(order[start:stop], axis=0)
             handle.write(_join(chunk, codes[start:stop]))
 
 
-def _per_value(values: np.ndarray, seps: str) -> str:
-    """The text of ``values``, each as "%.10g" % v followed by its separator."""
-    return "".join(map(str.__add__, ["%.10g" % v for v in values.tolist()], seps))
+def _per_value(values: np.ndarray, seps: str) -> bytes:
+    """The ASCII bytes of ``values``, each as "%.10g" % v followed by its separator."""
+    return "".join(map(str.__add__, ["%.10g" % v for v in values.tolist()], seps)).encode("ascii")
 
 
-def _join(text: np.ndarray, seps: np.ndarray) -> str:
-    """Each text row of ``text`` with its last byte set to its separator, zero bytes dropped."""
+def _join(text: np.ndarray, seps: np.ndarray) -> bytes:
+    """The bytes of each text row of ``text`` with its last byte set to its separator, zero bytes dropped."""
     text[:, _WIDTH] = seps
-    return text[text != 0].tobytes().decode("ascii")
+    return text.tobytes().translate(None, b"\0")
 
 
 def _format_chunk(values: np.ndarray) -> np.ndarray:
@@ -170,7 +169,7 @@ def _format_chunk(values: np.ndarray) -> np.ndarray:
     quads = src.view(np.uint32)  # slots 4k..4k + 3 are quad k
     quads[:, 0] = _QUADS.take(high)
     quads[:, 1] = _QUADS.take(mid)
-    quads[:, 3:] = _CONSTANTS
+    quads[:, 3], quads[:, 4] = _CONSTANTS
     pairs = src.view(np.uint16)  # slots 2k and 2k + 1 are pair k
     pairs[:, 4] = _PAIRS.take(low)
     pairs[:, _EXP // 2] = _PAIRS.take(np.abs(e))
@@ -179,7 +178,7 @@ def _format_chunk(values: np.ndarray) -> np.ndarray:
     layout = 22 * _STYLE.take(e - _E_MIN) + 2 * digits + (values >= 0)
 
     index = _TEMPLATES.take(layout, axis=0)
-    index += np.arange(0, _ROW * size, _ROW)[:, None]
+    index += _OFFSETS[:size]
     text = src.ravel().take(index)
     slow = np.flatnonzero(~fast)
     if slow.size:

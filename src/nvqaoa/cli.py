@@ -266,13 +266,14 @@ def _json_text(payload: dict) -> str:
 
 
 class _Outputs:
-    """A command's artifacts, each written to a temp file in the output directory.
+    """A command's artifacts, each written as ASCII bytes to a temp file in the output directory.
 
-    The first artifact opened makes the directory. Leaving the ``with`` block
-    normally moves every temp file into place with ``os.replace``, in the order
-    written, so the manifest, written last, lands last. An exception removes
-    the temp files instead, so a failed run leaves no artifact that would make
-    the next run need --force.
+    Opened in binary, an artifact has the same bytes and ``\\n`` line ends on
+    every platform. The first artifact opened makes the directory. Leaving
+    the ``with`` block normally moves every temp file into place with
+    ``os.replace``, in the order written, so the manifest, written last, lands
+    last. An exception removes the temp files instead, so a failed run leaves
+    no artifact that would make the next run need --force.
     """
 
     def __init__(self, out_dir: Path):
@@ -285,11 +286,11 @@ class _Outputs:
             self.out_dir.mkdir(parents=True, exist_ok=True)
         temp = self.out_dir / f".{name}.tmp"
         self._pending.append((temp, self.out_dir / name))
-        return temp.open("w")
+        return temp.open("wb")
 
     def write(self, name: str, text: str) -> None:
         with self.open(name) as handle:
-            handle.write(text)
+            handle.write(text.encode("ascii"))
 
     def manifest(self, command: str, config: dict, options: dict, artifacts: list[str], evaluate_s: float) -> None:
         """The manifest, timing the evaluation and the writing of the other artifacts."""

@@ -641,14 +641,14 @@ def write_landscape_csv(grid: LandscapeGrid, handle) -> None:
         half = np.arange(len(columns) + size // 2)
         mirror = np.concatenate((half, half[: len(columns) - 1 : -1]))
     table = np.column_stack([np.ravel(column) for column in columns] + [pops])
-    handle.write(CSV_HEADER + "\n")
+    handle.write(CSV_HEADER.encode("ascii") + b"\n")
     write_rows(handle, table, seps, mirror)
 
 
 def write_convergence_csv(profile: ConvergenceProfile, handle) -> None:
     labels = all_bitstrings(profile.num_qubits)
     header = ["shots", *(f"p{label}" for label in labels), "norm", *(f"std_p{label}" for label in labels), "std_norm"]
-    handle.write(",".join(header) + "\n")
+    handle.write(",".join(header).encode("ascii") + b"\n")
     columns = [profile.checkpoint_shots, profile.mean_pops, profile.mean_norm, profile.std_pops, profile.std_norm]
     table = np.column_stack(columns)
     write_rows(handle, table, "," * (table.shape[1] - 1) + "\n")
@@ -658,7 +658,7 @@ def write_trace_csv(result: OptimizeResult, handle) -> None:
     """CSV with one row per evaluation in call order: index, the 2p angles and F, 10 significant digits."""
     p = result.best_params.p
     header = ["index", *(f"beta{k}" for k in range(p)), *(f"gamma{k}" for k in range(p)), "F"]
-    handle.write(",".join(header) + "\n")
+    handle.write(",".join(header).encode("ascii") + b"\n")
     rows = [(i, *betas, *gammas, value) for i, (betas, gammas, value) in enumerate(result.trace)]
     table = np.array(rows, dtype=float).reshape(len(rows), 2 * p + 2)
     write_rows(handle, table, "," * (2 * p + 1) + "\n")

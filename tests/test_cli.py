@@ -697,6 +697,39 @@ def test_failed_write_leaves_no_artifact(tmp_path, capsys, monkeypatch, command,
     assert written == sorted(manifest["artifacts"] + ["manifest.txt"])
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("landscape", ["--mode", "sampled", "--svg"]),
+        ("optimize", []),
+        ("convergence", ["--beta", "0.15pi", "--gamma", "1.5pi"]),
+    ],
+)
+def test_every_artifact_is_ascii_with_newline_line_ends(tmp_path, capsys, monkeypatch, command, extra):
+    # opened in binary, an artifact's bytes depend on neither the platform's line end nor the locale
+    out = tmp_path / "out"
+    modes = {}
+    path_open = Path.open
+
+    def recording(path, mode="r", *args, **kwargs):
+        if path.parent == out and path.suffix == ".tmp":
+            modes[path.name] = mode
+        return path_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", recording)
+    argv = [command, "--graph", write_k2(tmp_path), "--cal", write_cal(tmp_path), "--shots", "2000",
+            "--realizations", "2", "--out", str(out), *SMALL_SCAN, *extra]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    names = json.loads((out / "manifest.txt").read_text())["artifacts"] + ["manifest.txt"]
+    assert sorted(path.name for path in out.iterdir()) == sorted(names)
+    assert modes == {f".{name}.tmp": "wb" for name in names}
+    for name in names:
+        data = (out / name).read_bytes()
+        data.decode("ascii")
+        assert b"\r" not in data and data.endswith(b"\n"), name
+
+
 def test_rerun_refuses_a_manifest_of_another_version(tmp_path, capsys):
     first = run_small_sampled(tmp_path, "first")
     manifest = json.loads((first / "manifest.txt").read_text())

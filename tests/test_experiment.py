@@ -462,10 +462,10 @@ def test_ideal_scan_ordering_beta_major():
     np.testing.assert_allclose(grid.gammas, [0.5, 0.6, 0.7])
     for bi, gi in np.ndindex(3, 3):  # axis 0 is beta, axis 1 is gamma
         assert grid.F_measured[bi, gi, 0] == pytest.approx(closed_form_cost_k2(grid.betas[bi], grid.gammas[gi]))
-    buffer = io.StringIO()
+    buffer = io.BytesIO()
     write_landscape_csv(grid, buffer)
     coords = [(round(float(row.split(",")[0]), 6), round(float(row.split(",")[1]), 6))
-              for row in buffer.getvalue().splitlines()[1:]]
+              for row in buffer.getvalue().decode("ascii").splitlines()[1:]]
     assert coords == [
         (0.1, 0.5), (0.1, 0.6), (0.1, 0.7),
         (0.2, 0.5), (0.2, 0.6), (0.2, 0.7),
@@ -1190,9 +1190,9 @@ def test_only_long_splits_go_to_threads(monkeypatch, graph, shots, workers):
 
 
 def kernel_text(values, seps):
-    buffer = io.StringIO()
+    buffer = io.BytesIO()
     write_rows(buffer, np.reshape(values, (-1, len(seps))), seps)
-    return buffer.getvalue()
+    return buffer.getvalue().decode("ascii")
 
 
 def per_value_text(values, seps):
@@ -1240,6 +1240,20 @@ def test_format_10g_matches_format_byte_for_byte():
     assert kernel_text(np.float64(-0.0), "\n") == "-0\n"
 
 
+def test_join_equals_the_mask_path_with_every_separator():
+    def masked(text, seps):
+        # the mask path _join replaced, kept as its oracle
+        text[:, _format10g._WIDTH] = seps
+        return text[text != 0].tobytes()
+
+    values = special_values()
+    for start in range(0, values.size, CHUNK):
+        text = _format10g._format_chunk(values[start : start + CHUNK])
+        for seps in (b",", b"|", b";", b"\n", b",|;\n"):
+            codes = np.resize(np.frombuffer(seps, dtype=np.uint8), len(text))
+            assert _format10g._join(text.copy(), codes) == masked(text.copy(), codes)
+
+
 def assert_same_text(text, expected):
     """``text == expected`` for strings or lists, naming the first difference.
 
@@ -1252,9 +1266,9 @@ def assert_same_text(text, expected):
 
 
 def assert_mapped_text(table, seps, columns, expected):
-    buffer = io.StringIO()
+    buffer = io.BytesIO()
     write_rows(buffer, table, seps, columns)
-    assert_same_text(buffer.getvalue(), expected)
+    assert_same_text(buffer.getvalue().decode("ascii"), expected)
 
 
 @pytest.mark.parametrize(
@@ -1302,18 +1316,18 @@ def test_ideal_landscape_formats_each_mirrored_population_once(monkeypatch):
     weights = np.triu(rng.uniform(0.5, 1.5, size=(10, 10)), k=1)
     ideal = ScanConfig(graph=Graph(10, weights + weights.T), beta_range=(0.1, 0.5, 0.2), gamma_range=(0.5, 1.3, 0.4))
     grid = run_scan(ideal)
-    buffer = io.StringIO()
+    buffer = io.BytesIO()
     write_landscape_csv(grid, buffer)
     assert sum(formatted) == 9 * (7 + 512)
-    assert buffer.getvalue() == landscape_csv_text(grid)
+    assert buffer.getvalue().decode("ascii") == landscape_csv_text(grid)
     # a sampled grid's rows are not palindromes: every field is formatted
     formatted.clear()
     grid = run_scan(sampled_config(graph=ring(4), calibration=random_table(4, 14), realizations=2,
                                    beta_range=(0.1, 0.5, 0.2), gamma_range=(0.5, 1.3, 0.05)))
-    buffer = io.StringIO()
+    buffer = io.BytesIO()
     write_landscape_csv(grid, buffer)
     assert sum(formatted) == grid.pops[..., 0].size * (7 + 16)
-    assert buffer.getvalue() == landscape_csv_text(grid)
+    assert buffer.getvalue().decode("ascii") == landscape_csv_text(grid)
 
 
 def test_mirrored_rows_must_match_bit_for_bit():
@@ -1326,16 +1340,16 @@ def test_mirrored_rows_must_match_bit_for_bit():
     nans[1, 2, 0, [5, -6]] = math.nan
     for pops in (zeros, -zeros, nans):
         changed = replace(grid, pops=pops)
-        buffer = io.StringIO()
+        buffer = io.BytesIO()
         write_landscape_csv(changed, buffer)
-        assert buffer.getvalue() == landscape_csv_text(changed)
+        assert buffer.getvalue().decode("ascii") == landscape_csv_text(changed)
 
 
 def test_csv_writers_match_per_value_oracles():
     def same_text(write, oracle, result):
-        buffer = io.StringIO()
+        buffer = io.BytesIO()
         write(result, buffer)
-        assert_same_text(buffer.getvalue(), oracle(result))
+        assert_same_text(buffer.getvalue().decode("ascii"), oracle(result))
 
     # ideal n = 10: 1024 populations a row, more than one chunk
     rng = np.random.default_rng(12)
@@ -1361,9 +1375,9 @@ def test_csv_writers_match_per_value_oracles():
         shots = every * np.arange(1, checkpoints + 1)
         pops = rng.random((checkpoints, 2))
         big = ConvergenceProfile(shots, pops, pops / 3, pops.sum(axis=1), pops[:, 0], 1, 1, 0)
-        buffer = io.StringIO()
+        buffer = io.BytesIO()
         write_convergence_csv(big, buffer)
-        assert buffer.getvalue().splitlines()[-1].startswith(f"{shots[-1]},")
+        assert buffer.getvalue().decode("ascii").splitlines()[-1].startswith(f"{shots[-1]},")
         same_text(write_convergence_csv, convergence_csv_text, big)
     assert 3 * 333_333_333 == MAX_SHOTS
     # a trace with +-inf, NaN and -0.0, long enough for the kernel
@@ -1384,9 +1398,9 @@ def test_convergence_requires_sampled_mode_and_enough_shots():
 def test_landscape_csv_format():
     cfg = ScanConfig(graph=K2, mode="ideal", beta_range=(0.1, 0.1, 1.0), gamma_range=(0.5, 0.5, 1.0))
     grid = run_scan(cfg)
-    buffer = io.StringIO()
+    buffer = io.BytesIO()
     write_landscape_csv(grid, buffer)
-    lines = buffer.getvalue().splitlines()
+    lines = buffer.getvalue().decode("ascii").splitlines()
     assert lines[0] == "beta,gamma,realization,F_measured,F_ideal,abs_diff,norm,pops"
     fields = lines[1].split(",")
     assert len(fields) == 8
@@ -1400,9 +1414,9 @@ def test_landscape_csv_format():
 def test_convergence_csv_format():
     cfg = sampled_config(shots=2_000, realizations=2, checkpoint_every=1000)
     profile = convergence_profile(cfg, POINT)
-    buffer = io.StringIO()
+    buffer = io.BytesIO()
     write_convergence_csv(profile, buffer)
-    lines = buffer.getvalue().splitlines()
+    lines = buffer.getvalue().decode("ascii").splitlines()
     assert lines[0] == "shots,p00,p01,p10,p11,norm,std_p00,std_p01,std_p10,std_p11,std_norm"
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "1000"
@@ -1415,10 +1429,10 @@ def test_trace_csv_format():
         ((np.float64(math.pi / 7),) * 2, (2.5e-10, 1e300), math.nan),
         ((1.0000000005, 0.0), (-math.inf, 3.0), -1.0),
     )
-    buffer = io.StringIO()
+    buffer = io.BytesIO()
     write_trace_csv(OptimizeResult(QaoaParams((0.1, 0.2), (1.0, 2.0)), -1.0, trace), buffer)
     rows = [",".join([str(i), *(format(v, ".10g") for v in (*b, *g, f))]) for i, (b, g, f) in enumerate(trace)]
-    assert buffer.getvalue() == "\n".join(["index,beta0,beta1,gamma0,gamma1,F", *rows]) + "\n"
+    assert buffer.getvalue().decode("ascii") == "\n".join(["index,beta0,beta1,gamma0,gamma1,F", *rows]) + "\n"
 
 
 def test_scan_summary_contents():
