@@ -29,14 +29,15 @@ made: ``ScanConfig``'s when it is made, and, when called, those of
 ``run_scan``, ``optimize``, ``convergence_profile`` and ``measure_point``,
 among them that the largest cost phase is finite (``_check_cost_phase``).
 
-One block loop reads every grid (``_grid_blocks``): ``run_scan`` stores its
-blocks and ``optimize`` keeps their F. A stream block holds ``_block_points``
-consecutive points, a number that depends on n alone and bounds its batch
-arrays by ``_CHUNK_ENTRIES`` floats. ``measure_point``, ``convergence_profile``
-and ``optimize``'s trials off the grid read one point as a block of one. Every
-path inverts the same pair (``_read_point``): a calibration row and the flip
-means. An all-dark perturbed table is drawn like any other, and
-``reconstruct`` alone judges a table.
+One block reader (``_read_block``) serves every evaluation. ``_grid_blocks``
+reads every grid with it, in stream blocks of ``_block_points`` consecutive
+points, a number that depends on n alone and bounds a block's batch arrays by
+``_CHUNK_ENTRIES`` floats: ``run_scan`` stores the blocks and ``optimize``
+keeps their F. ``measure_point`` and ``optimize``'s trials off the grid read
+one point as a block of one. ``convergence_profile`` builds its rows with the
+same ``_point_rows``, and every path inverts the same pair (``_read_point``):
+a calibration row and the flip means. An all-dark perturbed table is drawn
+like any other, and ``reconstruct`` alone judges a table.
 
 Reproducibility contract: a cell is a function of (master seed, n, grid,
 point, realization). Realization r of the block whose first grid index is i
@@ -300,27 +301,31 @@ def ideal_cost(graph: Graph, params: QaoaParams) -> float:
 
 
 def measure_point(
-    config: ScanConfig,
-    params: QaoaParams,
-    realization_index: int = 0,
-    point_index: int = 0,
+    config: ScanConfig, params: QaoaParams, realization_index: int = 0, point_index: int = 0
 ) -> PointRecord:
     """Run the full measurement protocol at one parameter point, as ``optimize`` reads a trial off its grid.
 
-    The point is a stream block of one on the children of (master_seed,
-    point_index, realization_index), so it equals the cell at that index of a
-    grid of one-point blocks (from n = 6 on, or a one-point grid) bit for bit;
-    a cell of a larger block is drawn with the block's other points and equals
-    it in distribution. The calibration is estimated from basis-state
+    ``_read_block`` reads the point as a stream block of one on the children
+    of (master_seed, point_index, realization_index), so it equals the cell at
+    that index of a grid of one-point blocks (from n = 6 on, or a one-point
+    grid) bit for bit; a cell of a larger block is drawn with the block's
+    other points and equals it in distribution. Both indices must be
+    nonnegative integers. The calibration is estimated from basis-state
     preparations unless ``exact_calibration`` is set, which inverts with the
     true, possibly perturbed, table to isolate shot noise. A table that
     ``reconstruct`` judges degenerate, an all-dark one among them, makes the
-    point invalid, and ``error`` holds the ``DegenerateCalibrationError``.
+    point invalid; its lone table is then inverted again, and ``error`` holds
+    the ``DegenerateCalibrationError`` that names the parity.
     """
     if config.mode != "sampled":
         raise ConfigError("measure_point requires mode 'sampled'")
+    realizations = [_check_integer("realization_index", realization_index, 0)]
+    point = _check_integer("point_index", point_index, 0)
     _check_cost_phase(config, params.gammas)
-    return _measure_point(config, diagonal_costs(config.graph), params, realization_index, point_index)
+    diag = diagonal_costs(config.graph)
+    (F_ideal,), pops, norm, F, read = _read_block(config, diag, [params.betas], [params.gammas], point, realizations)
+    error = None if np.isfinite(F[0, 0]) else _degenerate_error(read)
+    return PointRecord(pops[0, 0], float(norm[0, 0]), float(F[0, 0]), F_ideal, error is None, error)
 
 
 def _check_scan_entries(config: ScanConfig, checkpoints: bool = False) -> None:
@@ -398,15 +403,10 @@ def run_scan(config: ScanConfig) -> LandscapeGrid:
 def _grid_blocks(config: ScanConfig, diag: np.ndarray, realizations: int):
     """Read the grid in stream blocks of ``_block_points`` points, one-point blocks a gamma column at a time.
 
-    Each block yields its grid-index slice, F_ideal, pops ``(points,
-    realizations, 2^n)``, norm and F_measured ``(points, realizations)``, and
-    the ``_read_point`` pair of its last sampled realization (ideal: None). Its
-    exact states come from one ``_exact_states`` call whose layers share the
+    Each block yields its grid-index slice and what ``_read_block`` returns
+    for realizations 0 to ``realizations - 1``. Its exact states share one
     cost phase on the half diagonal, made once per block or, for one-point
-    blocks, per gamma; ideal mode yields them as one realization. Sampled mode
-    builds and checks the block's rows once, and each realization draws all
-    its records on one generator and inverts them in one stacked
-    ``reconstruct`` call, which turns a degenerate table's row NaN.
+    blocks, per gamma.
     """
     betas, gammas = config.betas(), config.gammas()
     half = diag[: diag.size >> 1]  # diagonal_costs equals its reverse
@@ -421,20 +421,38 @@ def _grid_blocks(config: ScanConfig, diag: np.ndarray, realizations: int):
             phase, phase_gi = _cost_phase(half, gammas[gi]), gi
         # (points, p) angle stacks: every layer shares its point's (beta, gamma)
         point_betas, point_gammas = betas[bi, None].repeat(config.p, 1), gammas[gi, None].repeat(config.p, 1)
-        ideal, F_ideal = _exact_states(diag, point_betas, point_gammas, phase)
-        if config.mode == "ideal":
-            yield points, F_ideal, ideal[:, None], ideal.sum(-1)[:, None], np.array(F_ideal)[:, None], None
-        else:
-            rows = _point_rows(config, _sampled_state_pops(config, diag, point_betas, point_gammas, ideal))
-            pops, norm = np.empty((bi.size, realizations, diag.size)), np.empty((bi.size, realizations))
-            for r in range(realizations):
-                read = _read_point(config, rows, r, start)
-                estimate = reconstruct(*read)
-                pops[:, r], norm[:, r] = estimate.pops, estimate.norm
-            # row by row, so each cost equals measure_point's np.dot bit for bit
-            yield points, F_ideal, pops, norm, np.array([[np.dot(row, diag) for row in point] for point in pops]), read
-        # the next block is made with none of this one's states alive
-        del ideal
+        yield points, *_read_block(config, diag, point_betas, point_gammas, start, range(realizations), phase)
+
+
+def _read_block(config: ScanConfig, diag: np.ndarray, betas, gammas, start: int, realizations, phase=None):
+    """F_ideal, pops ``(points, R, 2^n)``, norm and F_measured ``(points, R)`` of the block at ``(points, p)`` angles.
+
+    ``start`` is the block's first point index and ``realizations`` the R
+    realization indices read; last comes the ``_read_point`` pair of the last
+    (ideal: None). The exact states come from one ``_exact_states`` call
+    (``phase`` as there); ideal mode returns them as its one realization.
+    Sampled mode builds the block's rows once, and each realization draws and
+    inverts them at once: a degenerate table turns its row NaN.
+    """
+    ideal, F_ideal = _exact_states(diag, betas, gammas, phase)
+    if config.mode == "ideal":
+        return F_ideal, ideal[:, None], ideal.sum(-1)[:, None], np.array(F_ideal)[:, None], None
+    rows = _point_rows(config, diag, betas, gammas, ideal)
+    pops, norm = np.empty((len(F_ideal), len(realizations), diag.size)), np.empty((len(F_ideal), len(realizations)))
+    for k, r in enumerate(realizations):
+        read = _read_point(config, rows, r, start)
+        estimate = reconstruct(*read)
+        pops[:, k], norm[:, k] = estimate.pops, estimate.norm
+    # row by row, so a point's cost has the same bits in a block of any size
+    return F_ideal, pops, norm, np.array([[np.dot(row, diag) for row in point] for point in pops]), read
+
+
+def _degenerate_error(read) -> DegenerateCalibrationError | None:
+    """The error naming the first degenerate parity of a ``_read_point`` pair's first table, inverted alone."""
+    try:
+        reconstruct(read[0][0], read[1][0])
+    except DegenerateCalibrationError as exc:
+        return exc
 
 
 def landscape_error(grid: LandscapeGrid) -> float:
@@ -476,9 +494,10 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> Optimize
     ``grid_then_refine`` then runs coordinate descent over all 2p coordinates,
     halving the steps until they drop below ``REFINE_TOLERANCE`` radians;
     ``simplex`` hands the best grid point to Nelder-Mead, whose value tolerance
-    is 1e-12 of the cost's range (1e-12 for a constant cost). Each sampled
-    trial reads one point as a block of one, at point indices from the grid
-    size upward. An evaluation with a degenerate calibration is recorded as
+    is 1e-12 of the cost's range (1e-12 for a constant cost). Every trial, in
+    either mode, is read by ``_read_block`` as a block of one with
+    realization 0, at point indices from the grid size upward, so trial k
+    equals ``measure_point`` at index grid size + k. An evaluation with a degenerate calibration is recorded as
     NaN and counts as +inf; with no valid grid point, the first block's first
     table is inverted alone, which raises ``DegenerateCalibrationError``. A
     trial whose cost phase could overflow (``_phase_bound``) is skipped: it is
@@ -493,9 +512,8 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> Optimize
     for points, _, _, _, F, _ in _grid_blocks(config, diag, 1):
         values[points] = F[:, 0]
     if np.isnan(values).all():
-        # the first block's draw again, its first table inverted alone: it raises, naming the parity
-        *_, (table, flips) = next(_grid_blocks(config, diag, 1))
-        reconstruct(table[0], flips[0])
+        # the first block's draw again, its first table inverted alone names the parity
+        raise _degenerate_error(next(_grid_blocks(config, diag, 1))[-1])
     grid = product(config.betas().tolist(), config.gammas().tolist())
     trace = [((beta,) * p, (gamma,) * p, value) for (beta, gamma), value in zip(grid, values.tolist())]
     eval_index = count(len(trace))
@@ -504,10 +522,9 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> Optimize
         if not math.isfinite(_phase_bound(config, max(map(abs, gammas)))):
             return math.inf
         params = QaoaParams(betas, gammas)
-        if config.mode == "ideal":
-            value = _exact_states(diag, [params.betas], [params.gammas])[1][0]
-        else:
-            value = _measure_point(config, diag, params, 0, next(eval_index)).F_measured
+        # a block of one at the next point index
+        _, _, _, F, _ = _read_block(config, diag, [params.betas], [params.gammas], next(eval_index), [0])
+        value = float(F[0, 0])
         trace.append((betas, gammas, value))
         return math.inf if math.isnan(value) else value
 
@@ -584,14 +601,14 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
             f"convergence needs at least one full checkpoint block: {config.shots} shots "
             f"< checkpoint every {config.checkpoint_every}"
         )
+    point_index = _check_integer("point_index", point_index, 0)
     _check_scan_entries(config, checkpoints=True)
     _check_cost_phase(config, params.gammas)
     size = 1 << config.graph.num_vertices
     num_checkpoints = config.shots // config.checkpoint_every
     pops_runs = np.empty((config.realizations, num_checkpoints, size))
     norm_runs = np.empty((config.realizations, num_checkpoints))
-    reads = _sampled_state_pops(config, diagonal_costs(config.graph), [params.betas], [params.gammas])
-    rows = _point_rows(config, reads[0])
+    (rows,) = _point_rows(config, diagonal_costs(config.graph), [params.betas], [params.gammas])
 
     def read(realization: int):
         return _read_point(config, rows, realization, point_index, checkpoints=True)
@@ -724,10 +741,12 @@ def _axis(range_spec: Sequence[float]) -> tuple[float, float, int]:
     return start, step, int(math.floor(span)) + 1
 
 
-def _check_integer(name: str, value) -> int:
-    """``value`` as an int; bool and non-integral values raise ConfigError naming the field."""
+def _check_integer(name: str, value, minimum=None) -> int:
+    """``value`` as an int; bool, non-integral values and any below ``minimum`` raise ConfigError naming the field."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
 
 
@@ -826,20 +845,6 @@ def _realization_stats(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.nd
     return mean, np.sqrt(std)
 
 
-def _measure_point(config: ScanConfig, diag: np.ndarray, params: QaoaParams, realization_index: int, point_index: int):
-    """``measure_point`` given the cost diagonal of ``config.graph``."""
-    betas, gammas = [params.betas], [params.gammas]
-    ideal, (F_ideal,) = _exact_states(diag, betas, gammas)
-    rows = _point_rows(config, _sampled_state_pops(config, diag, betas, gammas, ideal)[0])
-    # a block of one point: its substreams are those of (point_index, realization_index)
-    table, flips = _read_point(config, rows, realization_index, point_index)
-    try:
-        estimate = reconstruct(table, flips)
-    except DegenerateCalibrationError as exc:
-        return PointRecord(np.full(diag.size, math.nan), math.nan, math.nan, F_ideal, valid=False, error=exc)
-    return PointRecord(estimate.pops, estimate.norm, float(np.dot(estimate.pops, diag)), F_ideal)
-
-
 def _block_points(size: int) -> int:
     """Points per stream block of a scan, at least one: a function of n alone, never of the realizations.
 
@@ -852,13 +857,22 @@ def _block_points(size: int) -> int:
     return max(1, _CHUNK_ENTRIES // (2 * size * size))
 
 
-def _point_rows(config: ScanConfig, reads: np.ndarray) -> np.ndarray:
-    """Checked population rows of the 2^n basis preparations and the 2^n flip variants of the ansatz.
+def _point_rows(config: ScanConfig, diag: np.ndarray, betas, gammas, ideal_pops=None) -> np.ndarray:
+    """Checked record rows ``(points, 2^(n+1), 2^n)`` of each point of ``(points, p)`` angle stacks.
 
-    ``reads`` is the state a point reads (``_sampled_state_pops``), or a stack
-    of them ``(..., 2^n)``; each point gets its 2^(n+1) rows, calibration rows
-    first, so the result is ``(..., 2^(n+1), 2^n)``.
+    A point's 2^n basis preparations come first, then its 2^n flip variants
+    of the populations it reads, every noise channel included: under a depolarizing channel the exact channel-averaged
+    ones from one ``density_populations`` call, else ``ideal_pops`` when given
+    and neither overrotation nor phase offset is set, else one stacked
+    ``qaoa_amplitudes`` call.
     """
+    noise = config.noise
+    if noise is not None and noise.is_stochastic:
+        reads = density_populations(config.graph, betas, gammas, noise)
+    elif ideal_pops is not None and (noise is None or not (noise.overrotation_frac or noise.phase_offset)):
+        reads = ideal_pops
+    else:
+        reads = populations(qaoa_amplitudes(diag, betas, gammas, noise, len(config.graph.edges())))
     size = reads.shape[-1]
     # An X on qubit q flips bit n-1-q of the basis index, so flip pattern x
     # reads out reads[idx ^ x] and basis preparation s is the delta at s.
@@ -871,7 +885,7 @@ def _point_rows(config: ScanConfig, reads: np.ndarray) -> np.ndarray:
     # r = 2p/3 of its row read at idx ^ bit, which is the row of record k ^ bit.
     # At p = 0 the mixing is an identity, skipped because its numpy calls cost
     # a noiseless K2 point about 7%.
-    undo = 2.0 * config.noise.depolarizing_prob / 3.0 if config.noise is not None else 0.0
+    undo = 2.0 * noise.depolarizing_prob / 3.0 if noise is not None else 0.0
     if undo:
         for bit in (1 << np.arange(size.bit_length() - 1)).tolist():
             # axis 1 is this bit of the record index; blocks never straddle two points
@@ -883,9 +897,10 @@ def _point_rows(config: ScanConfig, reads: np.ndarray) -> np.ndarray:
 def _read_point(config: ScanConfig, rows: np.ndarray, realization_index: int, point_index: int, checkpoints=False):
     """The calibration rows and flip means one realization of a stream block inverts.
 
-    ``rows`` are one point's ``_point_rows``, ``(2^(n+1), 2^n)``, or a block's
-    stack of them whose first point is ``point_index``; each result is
-    ``(2^n,)``, ``(points, 2^n)``, or for one point given ``checkpoints`` one
+    ``rows`` are a block's ``_point_rows``, ``(points, 2^(n+1), 2^n)``, whose
+    first point is ``point_index`` (``_read_block``), or one point's,
+    ``(2^(n+1), 2^n)`` (``convergence_profile``); each result is
+    ``(points, 2^n)``, ``(2^n,)``, or for one point given ``checkpoints`` one
     row per checkpoint. Child k of the block's substream is
     SeedSequence(master_seed, spawn_key=(point_index, realization_index, k)),
     which is what ``spawn`` makes. Child 0 perturbs the tables, one normal
@@ -910,19 +925,3 @@ def _read_point(config: ScanConfig, rows: np.ndarray, realization_index: int, po
         means = blocks.T
     flips = means[..., size:]
     return (np.broadcast_to(intensities, flips.shape) if config.exact_calibration else means[..., :size]), flips
-
-
-def _sampled_state_pops(config: ScanConfig, diag: np.ndarray, betas, gammas, ideal_pops=None) -> np.ndarray:
-    """Populations ``(points, 2^n)`` read at ``(points, p)`` angle stacks, every noise channel included.
-
-    Under a depolarizing channel these are the exact channel-averaged
-    populations, from one ``density_populations`` call. Otherwise they are
-    ``ideal_pops`` when given and neither overrotation nor phase offset is set.
-    """
-    noise = config.noise
-    if noise is not None and noise.is_stochastic:
-        return density_populations(config.graph, betas, gammas, noise)
-    if ideal_pops is not None and (noise is None or not (noise.overrotation_frac or noise.phase_offset)):
-        return ideal_pops
-    return populations(qaoa_amplitudes(diag, betas, gammas, noise, len(config.graph.edges())))
-

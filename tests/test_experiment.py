@@ -31,6 +31,7 @@ from nvqaoa.experiment import (
     MAX_SAMPLED_VERTICES,
     MAX_SCAN_ENTRIES,
     MAX_SHOTS,
+    STRATEGIES,
     ConfigError,
     ConvergenceProfile,
     LandscapeGrid,
@@ -56,7 +57,6 @@ from nvqaoa.experiment import (
     _point_rows,
     _read_point,
     _realization_stats,
-    _sampled_state_pops,
 )
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import NoiseConfig, density_populations, perturb_calibration
@@ -428,6 +428,12 @@ def _bound_cases() -> dict:
         "convergence_profile-cost-phase": (lambda: convergence_profile(heavy, far), "cost phase overflows"),
         "measure_point-mode": (lambda: measure_point(ideal, POINT), "requires mode 'sampled'"),
         "measure_point-cost-phase": (lambda: measure_point(heavy, far), "cost phase overflows"),
+        "measure_point-index": (lambda: measure_point(sampled, POINT, 0, -1), "point_index must be at least 0, got -1"),
+        "measure_point-bool-index": (lambda: measure_point(sampled, POINT, True), "realization_index must be an integer"),
+        "measure_point-float-index": (lambda: measure_point(sampled, POINT, 0, 1.5), "point_index must be an integer"),
+        "convergence_profile-index": (
+            lambda: convergence_profile(sampled, POINT, -1), "point_index must be at least 0, got -1"
+        ),
     }
 
 
@@ -869,6 +875,34 @@ def test_optimize_grid_equals_a_one_realization_landscape(n, case):
     assert np.array_equal(_bits([value for *_, value in trace]), _bits(grid.F_measured.ravel()))
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("case", ["ideal", "sampled", "sampled-overrotation"])
+@pytest.mark.parametrize("n", [2, 6])
+def test_optimize_trials_are_blocks_of_one(monkeypatch, n, case, strategy):
+    # trial k past a grid of G points is read as a block of one at point index G + k: its trace row equals
+    # measure_point there bit for bit, NaN for NaN, and ideal_cost in ideal mode. Ring-6 grids are one-point blocks.
+    import scipy.optimize
+
+    minimize = scipy.optimize.minimize
+
+    def short(fun, x0, **kwargs):  # a shot-noise simplex runs to maxfev; 100 trials are enough here
+        return minimize(fun, x0, **{**kwargs, "options": {**kwargs["options"], "maxfev": 100}})
+
+    monkeypatch.setattr(scipy.optimize, "minimize", short)
+    cfg = sampled_config(graph=ring(n) if n > 2 else K2, calibration=random_table(n, n), shots=3_000,
+                         beta_range=(0.1, 0.5, 0.2), gamma_range=(0.3, 1.3, 0.5), **GRID_TRACE_CASES[case])
+    size = cfg.betas().size * cfg.gammas().size
+    trials = optimize(cfg, strategy).trace[size:]
+    assert len(trials) >= 20
+    for k, (betas, gammas, value) in enumerate(trials):
+        params = QaoaParams(betas, gammas)
+        if cfg.mode == "ideal":
+            direct = ideal_cost(cfg.graph, params)
+        else:
+            direct = measure_point(cfg, params, 0, size + k).F_measured
+        assert _bits(value) == _bits(direct), k
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_optimize_grid_equals_the_per_point_walk(n):
     # the walk optimize made before its grid went through run_scan's blocks: ideal traces equal it bit for
@@ -885,10 +919,13 @@ def test_optimize_grid_equals_the_per_point_walk(n):
 
 
 def darken_rows(monkeypatch, indices):
-    """Make experiment's stacked reconstruct calls see an all-zero table at the given grid indices."""
+    """Make experiment's stacked reconstruct calls see an all-zero table at the given grid indices.
+
+    Only a block of several points is darkened: a trial off the grid inverts a stacked table of one row.
+    """
 
     def dark(table, flips):
-        if np.ndim(flips) > 1:
+        if np.ndim(flips) > 1 and len(flips) > 1:
             table = np.array(table)
             table[indices] = 0.0
         return reconstruct(table, flips)
@@ -922,13 +959,14 @@ def test_simplex_best_skips_invalid_evaluations(monkeypatch):
         returned.extend(objective(x0 + delta) for delta in (0.0, 0.01))
 
     monkeypatch.setattr(scipy.optimize, "minimize", two_trials)
-    measure = experiment._measure_point
+    read_block = experiment._read_block
 
-    def second_trial_invalid(config, diag, params, realization_index, point_index):
-        record = measure(config, diag, params, realization_index, point_index)
-        return replace(record, F_measured=math.nan, valid=False) if point_index == 10 else record
+    def second_trial_dark(config, diag, betas, gammas, start, *args):
+        if start == 10:  # the second trial, a block of one, records no photon on any calibration row
+            config = replace(config, calibration=CalibrationTable(np.array([0.0, 0.0, 0.0, 1e-12])))
+        return read_block(config, diag, betas, gammas, start, *args)
 
-    monkeypatch.setattr(experiment, "_measure_point", second_trial_invalid)
+    monkeypatch.setattr(experiment, "_read_block", second_trial_dark)
     darken_rows(monkeypatch, [0])
     cfg = sampled_config(beta_range=(0.1, 0.9, 0.4), gamma_range=(3.7, 5.7, 1.0), shots=3_000)
     result = optimize(cfg, "simplex")
@@ -1008,10 +1046,9 @@ def per_checkpoint_runs(config, params, point_index=0):
     num_checkpoints = config.shots // config.checkpoint_every
     pops_runs = np.full((config.realizations, num_checkpoints, size), math.nan)
     norm_runs = np.full((config.realizations, num_checkpoints), math.nan)
-    (pops,) = _sampled_state_pops(config, diagonal_costs(config.graph), [params.betas], [params.gammas])
+    (rows,) = _point_rows(config, diagonal_costs(config.graph), [params.betas], [params.gammas])
     for realization in range(config.realizations):
         intensities, draws, split = point_streams(config, realization, point_index)
-        rows = _point_rows(config, pops)
         _, checkpoints = read_records(intensities, rows, config.shots, draws, split, config.checkpoint_every)
         for k in range(num_checkpoints):
             try:
@@ -1548,11 +1585,12 @@ def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
         p = 1 + trial % 2
         params = QaoaParams(tuple(rng.uniform(0, math.pi, p)), tuple(rng.uniform(0, 2 * math.pi, p)))
         intensities, draws, split = point_streams(cfg, trial, trial)
-        (pops,) = _sampled_state_pops(cfg, diag, [params.betas], [params.gammas])
+        (rows,) = _point_rows(cfg, diag, [params.betas], [params.gammas])
+        pops = rows[1 << n]  # flip pattern 0 reads the point's populations as they are
         fed.clear()
-        means = np.concatenate(_read_point(cfg, _point_rows(cfg, pops), trial, trial))
+        means = np.concatenate(_read_point(cfg, rows, trial, trial))
         assert len(fed) == 1  # every record of the point in one draw
-        checkpoints = np.hstack(_read_point(cfg, _point_rows(cfg, pops), trial, trial, checkpoints=True)).T
+        checkpoints = np.hstack(_read_point(cfg, rows, trial, trial, checkpoints=True)).T
         ansatz = build_ansatz(graph, params)
         circuits = subcircuits(graph, params)
         if stochastic:
@@ -1570,7 +1608,9 @@ def test_subcircuit_permutations_match_gate_level_oracle(monkeypatch, n, noise):
         # the point reads the structured state with every channel folded in
         np.testing.assert_allclose(pops, oracle_pops, rtol=0, atol=1e-12)
         if noise is None or not (noise.overrotation_frac or noise.phase_offset or stochastic):
-            assert float(np.dot(pops, diag)) == ideal_cost(graph, params)
+            # F_ideal's state, handed in, makes the same rows bit for bit
+            ideal, _ = experiment._exact_states(diag, [params.betas], [params.gammas])
+            np.testing.assert_array_equal(_point_rows(cfg, diag, [params.betas], [params.gammas], ideal), [rows])
 
 
 @pytest.mark.parametrize("deterministic", [False, True], ids=["depolarizing", "with-overrotation+phase"])
@@ -1587,7 +1627,7 @@ def test_depolarizing_record_means_match_density_matrix_oracle(n, prob, determin
     cal = CalibrationTable(rng.uniform(0.5, 5.0, 1 << n))
     cfg = ScanConfig(graph=graph, mode="sampled", calibration=cal, shots=40_000, noise=noise)
     params = QaoaParams.single(float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi)))
-    rows = _point_rows(cfg, _sampled_state_pops(cfg, diagonal_costs(graph), [params.betas], [params.gammas])[0])
+    (rows,) = _point_rows(cfg, diagonal_costs(graph), [params.betas], [params.gammas])
     means, _ = read_records(cal.intensities, rows, cfg.shots, np.random.SeedSequence(7 + n))
     oracle = np.array([density_matrix_populations(c, noise) for c in subcircuits(graph, params)])
     np.testing.assert_allclose(rows, oracle, rtol=0, atol=1e-12)
@@ -1680,7 +1720,7 @@ def test_read_point_draws_on_three_children_of_the_point_seed(monkeypatch):
 
     monkeypatch.setattr(experiment, "read_records", recording)
     cfg = sampled_config(noise=NoiseConfig(calibration_sigma=0.1), master_seed=9, exact_calibration=True)
-    rows = _point_rows(cfg, _sampled_state_pops(cfg, diagonal_costs(K2), [POINT.betas], [POINT.gammas])[0])
+    (rows,) = _point_rows(cfg, diagonal_costs(K2), [POINT.betas], [POINT.gammas])
     table, _ = _read_point(cfg, rows, 2, 5, checkpoints=True)
     children = np.random.SeedSequence(9, spawn_key=(5, 2)).spawn(3)
     for k, got in zip((1, 2), seeds.pop()):
