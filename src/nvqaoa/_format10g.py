@@ -6,8 +6,10 @@ column stand for several fields, so a row that repeats its values (an ideal
 state's populations, which read the same backwards) has each distinct value
 formatted once. The table is formatted in blocks of whole rows, about
 ``CHUNK`` values each, and written ``CHUNK`` fields at a time, so the text of
-a whole file is never held. A table under ``SMALL`` fields is formatted value
-by value, which is faster there than the array kernel's fixed cost.
+a whole file is never held. A row longer than ``CHUNK`` is cut into pieces of
+``CHUNK``, and a remainder under ``CHUNK // 2`` joins the last piece, in the
+kernel and in the writes alike. A table under ``SMALL`` fields is formatted
+value by value, which is faster there than the array kernel's fixed cost.
 
 Fast path, for a finite nonzero v whose decimal exponent e = floor(log10|v|)
 lies in the exact-scaling range: 10^|9-e| is an exact double, so
@@ -32,12 +34,15 @@ from __future__ import annotations
 
 import numpy as np
 
-# Values per kernel call, and fields per write. A chunk's largest temporary is
-# its (CHUNK, _WIDTH + 1) uint16 gather index, 74 KB. At 4096, with an intp
-# index, a chunk's temporaries (about 0.5 MB) raised glibc's dynamic mmap
-# threshold for the rest of the process, which moved the timing of unrelated
-# code: perfbench's reference kernel ran 35% faster after a convergence scan.
+# Values per kernel call, and fields per write; a remainder under CHUNK // 2
+# joins the last piece, so a piece holds at most _PIECE. A piece's largest
+# temporary is its (_PIECE, _WIDTH + 1) uint16 gather index, 108 KiB, under
+# glibc's 128 KiB mmap threshold. At 4096, with an intp index, a chunk's
+# temporaries (about 0.5 MB) raised glibc's dynamic mmap threshold for the
+# rest of the process, which moved the timing of unrelated code: perfbench's
+# reference kernel ran 35% faster after a convergence scan.
 CHUNK = 2048
+_PIECE = CHUNK + CHUNK // 2 - 1
 # Tables of fewer fields are formatted value by value. The kernel's fixed cost
 # breaks even at about 180 full-precision values, and at about 280 fields of a
 # landscape CSV, whose grid and realization fields are short.
@@ -95,7 +100,7 @@ _STYLE = np.clip(np.arange(_E_MIN, _E_MAX + 2) + 5, 0, 15)
 # text, padded with zero-byte slots to _WIDTH + 1; the last byte is its
 # separator's. Built through bytes: as a nested list it raised perfbench's
 # sampled-k2 peak_rss_mb by 0.3 MB. Gather indices are uint16, faster to take
-# than intp; row r's slots start at _OFFSETS[r], below _ROW * CHUNK < 2^16.
+# than intp; row r's slots start at _OFFSETS[r], below _ROW * _PIECE < 2^16.
 _TEMPLATES = np.frombuffer(
     bytes(
         slot
@@ -106,7 +111,7 @@ _TEMPLATES = np.frombuffer(
     ),
     dtype=np.uint8,
 ).reshape(-1, _WIDTH + 1).astype(np.uint16)
-_OFFSETS = np.repeat(np.arange(0, _ROW * CHUNK, _ROW, dtype=np.uint16), _WIDTH + 1).reshape(CHUNK, _WIDTH + 1)
+_OFFSETS = np.repeat(np.arange(0, _ROW * _PIECE, _ROW, dtype=np.uint16), _WIDTH + 1).reshape(_PIECE, _WIDTH + 1)
 
 
 def write_rows(handle, table, seps: str, columns=None) -> None:
@@ -126,12 +131,16 @@ def write_rows(handle, table, seps: str, columns=None) -> None:
     codes = np.tile(np.frombuffer(seps.encode("ascii"), dtype=np.uint8), block)
     for first in range(0, rows, block):
         values = table[first : first + block].ravel()
-        text = np.concatenate([_format_chunk(values[start : start + CHUNK]) for start in range(0, values.size, CHUNK)])
-        count = values.size // width * len(seps)
-        for start in range(0, count, CHUNK):
-            stop = min(start + CHUNK, count)
+        text = np.concatenate([_format_chunk(values[start:stop]) for start, stop in _pieces(values.size)])
+        for start, stop in _pieces(values.size // width * len(seps)):
             chunk = text[start:stop] if order is None else text.take(order[start:stop], axis=0)
             handle.write(_join(chunk, codes[start:stop]))
+
+
+def _pieces(count: int) -> list[tuple[int, int]]:
+    """Bounds of ``CHUNK``-sized pieces of ``count`` items, a remainder under ``CHUNK // 2`` joined to the last."""
+    starts = list(range(0, max(count - CHUNK // 2 + 1, 1), CHUNK))
+    return list(zip(starts, starts[1:] + [count]))
 
 
 def _per_value(values: np.ndarray, seps: str) -> bytes:

@@ -52,13 +52,15 @@ draws on the substreams of (i, r), so the final checkpoint equals
 ``_read_point`` builds each child directly.
 
 Landscapes and ``optimize`` run on the calling thread. ``convergence_profile``
-draws and splits its realizations in rounds of one per available CPU
-(``_split_workers``), each on a thread of its own, the caller taking one: the
-hypergeometric split, which dominates it, runs numpy's C routine without the
-GIL and takes it back only briefly between calls. A split too
-short to pay for a thread stays on the calling thread. Each realization draws
-on its own generators, so the profile does not depend on the CPU count;
-reconstruction and statistics stay serial.
+shares its realizations among one worker per available CPU
+(``_split_workers``), each on a thread of its own, the caller being worker 0:
+worker k draws, splits and inverts realizations k, k + W, k + 2W, ... and
+writes each one's rows of the profile. The hypergeometric split, which
+dominates a realization, runs numpy's C routine without the GIL and takes it
+back only briefly between calls. A split too short to pay for a thread stays
+on the calling thread. Each realization draws on its own generators, so the
+profile does not depend on the CPU count; the statistics across realizations
+stay serial.
 """
 
 from __future__ import annotations
@@ -335,10 +337,11 @@ def _check_scan_entries(config: ScanConfig, checkpoints: bool = False) -> None:
     ideal mode. A convergence profile holds realizations x checkpoints x 2^n
     populations, and ``readout.split_totals`` 2^(n+1) x checkpoints block
     totals, so its largest array holds checkpoints x max(realizations, 2) x
-    2^n entries. It splits W realizations at a time (``_split_workers``, at
-    most one per CPU and per realization), so its live set is the populations
-    plus W realizations' block arrays, about (realizations + 2 W) x
-    checkpoints x 2^n floats besides each split's temporaries.
+    2^n entries. Each of its W workers (``_split_workers``, at most one per
+    CPU and per realization) holds one realization's block arrays at a time,
+    so its live set is the populations plus W realizations' block arrays,
+    about (realizations + 2 W) x checkpoints x 2^n floats besides each
+    split's temporaries.
     """
     n = config.graph.num_vertices
     if checkpoints:
@@ -584,13 +587,14 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     Draws the same records on the same substream as :func:`measure_point` and
     splits them into checkpoint blocks on a third (``readout.split_totals``), so
     when ``shots`` is a multiple of ``checkpoint_every`` the final checkpoint
-    reproduces that point's estimate. Realizations are drawn and split in
-    rounds of W (``_split_workers``: one per available CPU, 1 for a short
-    split), each on its own thread, the calling thread taking the first; only
-    one round's blocks are alive at a time, and the profile is the same bit for
-    bit whatever W. Each realization, an all-dark one too, then inverts all its
-    checkpoints in one stacked ``reconstruct`` call on the calling thread,
-    which leaves a checkpoint with a degenerate table NaN. Standard deviations
+    reproduces that point's estimate. One ``_map_threads`` call runs W workers
+    (``_split_workers``: one per available CPU, 1 for a short split), the
+    calling thread being worker 0, with no barrier between realizations:
+    worker k reads realizations k, k + W, k + 2W, ... one at a time, so at
+    most W realizations' blocks are alive, and the profile is the same bit for
+    bit whatever W. Each realization, an all-dark one too, inverts all its
+    checkpoints in one stacked ``reconstruct`` call on its worker, which
+    leaves a checkpoint with a degenerate table NaN. Standard deviations
     are sample standard deviations across realizations (NaN when fewer than two
     are valid).
     """
@@ -610,17 +614,15 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     norm_runs = np.empty((config.realizations, num_checkpoints))
     (rows,) = _point_rows(config, diagonal_costs(config.graph), [params.betas], [params.gammas])
 
-    def read(realization: int):
-        return _read_point(config, rows, realization, point_index, checkpoints=True)
-
     workers = _split_workers(config)
-    for first in range(0, config.realizations, workers):
-        batch = range(first, min(first + workers, config.realizations))
-        for realization, (table, flips) in zip(batch, _map_threads(read, batch)):
-            estimate = reconstruct(table, flips)
+
+    def work(worker: int) -> None:
+        for realization in range(worker, config.realizations, workers):
+            estimate = reconstruct(*_read_point(config, rows, realization, point_index, checkpoints=True))
             pops_runs[realization], norm_runs[realization] = estimate.pops, estimate.norm
-        # the next round reads with no block array of this one alive
-        del table, flips, estimate
+            del estimate  # the next read starts with none of this realization's arrays alive
+
+    _map_threads(work, range(workers))
 
     mean_pops, std_pops = _realization_stats(pops_runs, 0)
     mean_norm, std_norm = _realization_stats(norm_runs, 0)
@@ -786,10 +788,11 @@ def _available_cpus() -> int:
 
 
 def _split_workers(config: ScanConfig) -> int:
-    """Realizations ``convergence_profile`` draws and splits at a time: one per available CPU, at most all.
+    """Workers ``convergence_profile`` shares its realizations among: one per available CPU, at most all.
 
-    A split too short to pay for a thread (``_THREAD_MIN_BLOCKS``,
-    ``_THREAD_MIN_SPLIT``) takes one at a time.
+    Each worker reads, splits and inverts its realizations one at a time. A
+    split too short to pay for a thread (``_THREAD_MIN_BLOCKS``,
+    ``_THREAD_MIN_SPLIT``) gets one worker, the calling thread.
     """
     blocks = config.shots // config.checkpoint_every
     if blocks < _THREAD_MIN_BLOCKS or blocks << (config.graph.num_vertices + 1) < _THREAD_MIN_SPLIT:

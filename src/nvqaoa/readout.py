@@ -192,9 +192,10 @@ def split_totals(
         slots = np.zeros((states.size, cells.size), dtype=np.int64)
         slots[-1] = cells
         _fill_slots(rng, row[states[:-1]], slots)
-        # accumulate adds the states' means one at a time, in state order: the
-        # running sum of the method's loop, bit for bit
-        means[r] = np.add.accumulate(slots * intensities[states, None])[-1]
+        # reducing the outer axis of a C-contiguous array adds its rows one at a
+        # time, in state order: the running sum of the method's loop, bit for bit.
+        # A lone cell is a contiguous axis, summed pairwise, but its share is 1 anyway.
+        means[r] = np.add.reduce(slots * intensities[states, None], axis=0)
     total = means.sum(axis=1, keepdims=True)
     p = np.divide(means, total, out=np.full_like(means, 1.0 / cells.size), where=total > 0)
     counts = rng.multinomial(totals, p)

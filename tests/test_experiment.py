@@ -1121,7 +1121,7 @@ WORKER_CASES = {
 }
 
 
-@pytest.mark.parametrize("realizations", [1, 3, 4])
+@pytest.mark.parametrize("realizations", [1, 3, 4, 5])
 @pytest.mark.parametrize("case", list(WORKER_CASES))
 def test_convergence_profile_does_not_depend_on_the_worker_count(monkeypatch, case, realizations):
     # 1024 one-shot blocks of 8 records: long enough a split to go to a thread
@@ -1139,7 +1139,7 @@ def test_convergence_profile_does_not_depend_on_the_worker_count(monkeypatch, ca
         monkeypatch.setattr(experiment, "_available_cpus", lambda: workers)
         on_main.clear()
         profiles.append(convergence_profile(cfg, POINT, point_index=point_index))
-        # rounds of min(workers, realizations): the calling thread reads the first of each
+        # W = min(workers, realizations) workers: the calling thread, worker 0, reads each r with r mod W = 0
         share = min(workers, realizations)
         assert on_main == {r: r % share == 0 for r in range(realizations)}
     for profile in profiles[1:]:
@@ -1170,8 +1170,35 @@ def test_convergence_profile_holds_under_thread_stress(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
+def test_convergence_reads_each_realization_once_from_worker_r_mod_w(monkeypatch, workers):
+    # one _map_threads call over the workers, with no barrier: worker k reads k, k + W, ... in turn
+    maps, reads, lock = [], [], threading.Lock()
+    map_threads = experiment._map_threads
+
+    def counting(function, items):
+        maps.append(list(items))
+        return map_threads(function, items)
+
+    def spying(config, rows, realization, *args, **kwargs):
+        with lock:
+            reads.append((realization, threading.current_thread()))
+        return _read_point(config, rows, realization, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_map_threads", counting)
+    monkeypatch.setattr(experiment, "_read_point", spying)
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: workers)
+    convergence_profile(sampled_config(shots=1_024, checkpoint_every=1, realizations=7), POINT)
+    assert maps == [list(range(workers))]
+    by_thread = {}
+    for realization, thread in reads:
+        by_thread.setdefault(thread, []).append(realization)
+    assert sorted(by_thread.values()) == [list(range(k, 7, workers)) for k in range(workers)]
+    assert by_thread[threading.main_thread()] == list(range(0, 7, workers))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_convergence_holds_one_round_of_blocks_at_a_time(monkeypatch, workers):
-    # a read that starts sees only the block arrays its own round has returned
+    # a read that starts sees at most one realization's block arrays on each other worker
     lock, live, seen = threading.Lock(), [0], []
 
     def released():
@@ -1316,8 +1343,11 @@ def assert_mapped_text(table, seps, columns, expected):
         (40, 300),  # blocks of 6 rows
         (3, CHUNK - 1),
         (3, CHUNK),  # one row a block, one kernel call a row
-        (3, CHUNK + 1),  # one row a block, two kernel calls a row
+        (3, CHUNK + 1),  # one row a block; the 1-value remainder joins the kernel call
+        (3, CHUNK + CHUNK // 2 - 1),  # the longest piece
+        (3, CHUNK + CHUNK // 2),  # two kernel calls a row
         (2, 2 * CHUNK + 5),
+        (2, 2 * CHUNK + 7),  # the 7-value remainder of an ideal row joins the second piece
     ],
 )
 def test_write_rows_column_map_matches_per_value_oracle(rows, width):
@@ -1338,6 +1368,34 @@ def test_write_rows_column_map_matches_per_value_oracle(rows, width):
         assert_mapped_text(table, seps, list(columns), expected)
     seps = "".join(rng.choice(list(",|;"), width - 1)) + "\n"
     assert_mapped_text(table, seps, None, per_value_text(table.ravel(), seps))
+
+
+@pytest.mark.parametrize(
+    "width, pieces",
+    [
+        (CHUNK + 1, [CHUNK + 1]),
+        (CHUNK + CHUNK // 2 - 1, [CHUNK + CHUNK // 2 - 1]),
+        (CHUNK + CHUNK // 2, [CHUNK, CHUNK // 2]),
+        (2 * CHUNK + 7, [CHUNK, CHUNK + 7]),
+        (7 + 4 * CHUNK, [CHUNK, CHUNK, CHUNK, CHUNK + 7]),  # a mirrored ideal K14 row
+    ],
+)
+def test_a_short_row_remainder_joins_the_last_piece(monkeypatch, width, pieces):
+    # in the kernel calls and in the writes alike
+    formatted, written = [], []
+    format_chunk = _format10g._format_chunk
+
+    def counting(values):
+        formatted.append(values.size)
+        return format_chunk(values)
+
+    class Handle:
+        def write(self, data):
+            written.append(data.count(b",") + data.count(b"\n"))
+
+    monkeypatch.setattr(_format10g, "_format_chunk", counting)
+    write_rows(Handle(), np.ones((2, width)), "," * (width - 1) + "\n")
+    assert formatted == pieces * 2 and written == pieces * 2
 
 
 def test_ideal_landscape_formats_each_mirrored_population_once(monkeypatch):

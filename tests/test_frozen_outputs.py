@@ -118,7 +118,7 @@ CASES = {
             "summary.txt": "29a003c0028d590ed8082bb74bd4a9cebff76b598de36108c0602bb16216f258",
         },
     ),
-    # 7 + 2048 source fields a row: one row a block, formatted in two kernel calls
+    # 7 + 2048 source fields a row: one row a block, its 7-value remainder formatted in the row's one kernel call
     "ideal-ring12": (
         ["landscape", "--mode", "ideal", "--graph", "ring12.txt", *COARSE],
         {

@@ -222,6 +222,14 @@ def method_split(rng, intensities, occupations, totals, checkpoint_every):
     return rng.multinomial(totals, p)[:, :full]
 
 
+class SharesSpy(np.random.Generator):
+    """A generator that keeps the cell shares of its last multinomial draw."""
+
+    def multinomial(self, n, pvals, size=None):
+        self.shares = np.array(pvals)
+        return super().multinomial(n, pvals, size)
+
+
 @pytest.mark.parametrize("through_method", [False, True], ids=["c_routine", "method"])
 def test_split_draws_what_the_generator_method_draws(monkeypatch, through_method):
     # 2 to 32 states a record, split into 1 to 300 cells, with dark states
@@ -237,9 +245,12 @@ def test_split_draws_what_the_generator_method_draws(monkeypatch, through_method
         shots = int(cases.choice([1, 7, 100, 1_000, 50_000]))
         every = int(cases.choice([max(shots // 300, 1), max(shots // 7, 1), shots // 2 + 1, shots]))
         occupations, totals = draw_totals(np.random.default_rng(trial), intensities, rows, shots)
-        got = split_totals(np.random.default_rng(trial + 1), intensities, occupations, totals, every)
-        want = method_split(np.random.default_rng(trial + 1), intensities, occupations, totals, every)
+        split, method = SharesSpy(np.random.PCG64(trial + 1)), SharesSpy(np.random.PCG64(trial + 1))
+        got = split_totals(split, intensities, occupations, totals, every)
+        want = method_split(method, intensities, occupations, totals, every)
         np.testing.assert_array_equal(got, want)
+        # each cell's mean sums its states one at a time, in state order, so the shares keep their bits
+        np.testing.assert_array_equal(split.shares.view(np.int64), method.shares.view(np.int64))
     # records of unequal shot counts, or too many shots, never reach the draws
     occupations = np.array([[3, 2], [4, 2]])
     with pytest.raises(ValueError, match="one shot count"):
