@@ -32,7 +32,6 @@ from .experiment import (
     OptimizeResult,
     PointRecord,
     ScanConfig,
-    closed_form_cost_k2,
     convergence_profile,
     ideal_cost,
     landscape_error,

@@ -33,11 +33,11 @@ One block reader (``_read_block``) serves every evaluation. ``_grid_blocks``
 reads every grid with it, in stream blocks of ``_block_points`` consecutive
 points, a number that depends on n alone and bounds a block's batch arrays by
 ``_CHUNK_ENTRIES`` floats: ``run_scan`` stores the blocks and ``optimize``
-keeps their F. ``measure_point`` and ``optimize``'s trials off the grid read
-one point as a block of one. ``convergence_profile`` builds its rows with the
-same ``_point_rows``, and every path inverts the same pair (``_read_point``):
-a calibration row and the flip means. An all-dark perturbed table is drawn
-like any other, and ``reconstruct`` alone judges a table.
+keeps their F. ``measure_point``, ``optimize``'s trials off the grid and each
+``convergence_profile`` worker read one point as a block of one, the last with
+the checkpoint split. Every read inverts the same pair (``_read_point``): a
+calibration row and the flip means. An all-dark perturbed table is drawn like
+any other, and ``reconstruct`` alone judges a table.
 
 Reproducibility contract: a cell is a function of (master seed, n, grid,
 point, realization). Realization r of the block whose first grid index is i
@@ -54,13 +54,12 @@ draws on the substreams of (i, r), so the final checkpoint equals
 Landscapes and ``optimize`` run on the calling thread. ``convergence_profile``
 shares its realizations among one worker per available CPU
 (``_split_workers``), each on a thread of its own, the caller being worker 0:
-worker k draws, splits and inverts realizations k, k + W, k + 2W, ... and
-writes each one's rows of the profile. The hypergeometric split, which
-dominates a realization, runs numpy's C routine without the GIL and takes it
-back only briefly between calls. A split too short to pay for a thread stays
-on the calling thread. Each realization draws on its own generators, so the
-profile does not depend on the CPU count; the statistics across realizations
-stay serial.
+worker k reads realizations k, k + W, k + 2W, ... in one ``_read_block`` call.
+The hypergeometric split, which dominates a realization, runs numpy's C
+routine without the GIL and takes it back only briefly between calls. A split
+too short to pay for a thread stays on the calling thread. Each realization
+draws on its own generators, so the profile does not depend on the CPU count;
+the statistics across realizations are taken serially from the workers' arrays.
 """
 
 from __future__ import annotations
@@ -292,11 +291,6 @@ class LandscapeGrid:
         return np.isfinite(self.F_measured)
 
 
-def closed_form_cost_k2(beta: float, gamma: float) -> float:
-    """Exact single-layer expected cost for the two-vertex unit-weight graph."""
-    return -0.5 + 0.5 * math.sin(4.0 * beta) * math.sin(gamma)
-
-
 def ideal_cost(graph: Graph, params: QaoaParams) -> float:
     """Expected cost of the exact ansatz state."""
     return _exact_states(diagonal_costs(graph), [params.betas], [params.gammas])[1][0]
@@ -339,9 +333,9 @@ def _check_scan_entries(config: ScanConfig, checkpoints: bool = False) -> None:
     totals, so its largest array holds checkpoints x max(realizations, 2) x
     2^n entries. Each of its W workers (``_split_workers``, at most one per
     CPU and per realization) holds one realization's block arrays at a time,
-    so its live set is the populations plus W realizations' block arrays,
-    about (realizations + 2 W) x checkpoints x 2^n floats besides each
-    split's temporaries.
+    so its live set is about (realizations + 2 W) x checkpoints x 2^n floats
+    besides each split's temporaries; ``_realization_stats`` then adds a few
+    arrays of one realization's size, however many realizations there are.
     """
     n = config.graph.num_vertices
     if checkpoints:
@@ -427,7 +421,7 @@ def _grid_blocks(config: ScanConfig, diag: np.ndarray, realizations: int):
         yield points, *_read_block(config, diag, point_betas, point_gammas, start, range(realizations), phase)
 
 
-def _read_block(config: ScanConfig, diag: np.ndarray, betas, gammas, start: int, realizations, phase=None):
+def _read_block(config: ScanConfig, diag: np.ndarray, betas, gammas, start: int, realizations, phase=None, checkpoints=False):
     """F_ideal, pops ``(points, R, 2^n)``, norm and F_measured ``(points, R)`` of the block at ``(points, p)`` angles.
 
     ``start`` is the block's first point index and ``realizations`` the R
@@ -435,15 +429,18 @@ def _read_block(config: ScanConfig, diag: np.ndarray, betas, gammas, start: int,
     (ideal: None). The exact states come from one ``_exact_states`` call
     (``phase`` as there); ideal mode returns them as its one realization.
     Sampled mode builds the block's rows once, and each realization draws and
-    inverts them at once: a degenerate table turns its row NaN.
+    inverts them at once: a degenerate table turns its row NaN. ``checkpoints``
+    also splits the records, which adds a checkpoint axis after R.
     """
     ideal, F_ideal = _exact_states(diag, betas, gammas, phase)
     if config.mode == "ideal":
         return F_ideal, ideal[:, None], ideal.sum(-1)[:, None], np.array(F_ideal)[:, None], None
     rows = _point_rows(config, diag, betas, gammas, ideal)
-    pops, norm = np.empty((len(F_ideal), len(realizations), diag.size)), np.empty((len(F_ideal), len(realizations)))
+    shape = (len(F_ideal), len(realizations)) + ((config.shots // config.checkpoint_every,) if checkpoints else ())
+    pops, norm = np.empty(shape + (diag.size,)), np.empty(shape)
     for k, r in enumerate(realizations):
-        read = _read_point(config, rows, r, start)
+        read = estimate = None  # the next read starts with none of the last one's arrays alive
+        read = _read_point(config, rows, r, start, checkpoints)
         estimate = reconstruct(*read)
         pops[:, k], norm[:, k] = estimate.pops, estimate.norm
     # row by row, so a point's cost has the same bits in a block of any size
@@ -584,19 +581,18 @@ class ConvergenceProfile:
 def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int = 0) -> ConvergenceProfile:
     """Reconstruct populations from the running means at every checkpoint.
 
-    Draws the same records on the same substream as :func:`measure_point` and
-    splits them into checkpoint blocks on a third (``readout.split_totals``), so
-    when ``shots`` is a multiple of ``checkpoint_every`` the final checkpoint
-    reproduces that point's estimate. One ``_map_threads`` call runs W workers
-    (``_split_workers``: one per available CPU, 1 for a short split), the
-    calling thread being worker 0, with no barrier between realizations:
-    worker k reads realizations k, k + W, k + 2W, ... one at a time, so at
-    most W realizations' blocks are alive, and the profile is the same bit for
-    bit whatever W. Each realization, an all-dark one too, inverts all its
-    checkpoints in one stacked ``reconstruct`` call on its worker, which
-    leaves a checkpoint with a degenerate table NaN. Standard deviations
-    are sample standard deviations across realizations (NaN when fewer than two
-    are valid).
+    One ``_map_threads`` call runs W workers (``_split_workers``: one per
+    available CPU, 1 for a short split), the calling thread being worker 0.
+    Worker k reads realizations k, k + W, k + 2W, ... of the point in one
+    ``_read_block`` call, a block of one at ``point_index`` as
+    :func:`measure_point` reads it, whose records are also split into
+    checkpoint blocks on a third substream (``readout.split_totals``). So when
+    ``shots`` is a multiple of ``checkpoint_every`` the final checkpoint
+    reproduces that point's estimate, at most W realizations' blocks are
+    alive, and the profile is the same bit for bit whatever W. A checkpoint
+    with a degenerate table, every one of an all-dark realization, is NaN.
+    The statistics read the workers' arrays in realization order; standard
+    deviations are sample standard deviations (NaN when fewer than two are valid).
     """
     if config.mode != "sampled":
         raise ConfigError("convergence requires mode 'sampled'")
@@ -608,34 +604,28 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     point_index = _check_integer("point_index", point_index, 0)
     _check_scan_entries(config, checkpoints=True)
     _check_cost_phase(config, params.gammas)
-    size = 1 << config.graph.num_vertices
-    num_checkpoints = config.shots // config.checkpoint_every
-    pops_runs = np.empty((config.realizations, num_checkpoints, size))
-    norm_runs = np.empty((config.realizations, num_checkpoints))
-    (rows,) = _point_rows(config, diagonal_costs(config.graph), [params.betas], [params.gammas])
-
+    diag = diagonal_costs(config.graph)
     workers = _split_workers(config)
 
-    def work(worker: int) -> None:
-        for realization in range(worker, config.realizations, workers):
-            estimate = reconstruct(*_read_point(config, rows, realization, point_index, checkpoints=True))
-            pops_runs[realization], norm_runs[realization] = estimate.pops, estimate.norm
-            del estimate  # the next read starts with none of this realization's arrays alive
+    def work(worker: int) -> tuple[np.ndarray, np.ndarray]:
+        realizations = range(worker, config.realizations, workers)
+        block = _read_block(config, diag, [params.betas], [params.gammas], point_index, realizations, checkpoints=True)
+        return block[1][0], block[2][0]  # the point's pops and norm; its last read is dropped with the block
 
-    _map_threads(work, range(workers))
-
-    mean_pops, std_pops = _realization_stats(pops_runs, 0)
-    mean_norm, std_norm = _realization_stats(norm_runs, 0)
-    shots_axis = config.checkpoint_every * np.arange(1, num_checkpoints + 1)
+    pops, norms = zip(*_map_threads(work, range(workers)))
+    # realization r is the (r // W)-th that worker r mod W read
+    order = [(r % workers, r // workers) for r in range(config.realizations)]
+    mean_pops, std_pops = _realization_stats([pops[k][i] for k, i in order], 0)
+    mean_norm, std_norm = _realization_stats([norms[k][i] for k, i in order], 0)
     return ConvergenceProfile(
-        checkpoint_shots=shots_axis,
+        checkpoint_shots=config.checkpoint_every * np.arange(1, len(mean_norm) + 1),
         mean_pops=mean_pops,
         std_pops=std_pops,
         mean_norm=mean_norm,
         std_norm=std_norm,
         realizations=config.realizations,
         num_qubits=config.graph.num_vertices,
-        checkpoints_invalid=int(np.count_nonzero(~np.isfinite(norm_runs))),
+        checkpoints_invalid=int(sum(np.count_nonzero(~np.isfinite(norm)) for norm in norms)),
     )
 
 
@@ -831,20 +821,20 @@ def _map_threads(function, items: Sequence) -> list:
     return results
 
 
-def _realization_stats(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+def _realization_stats(values, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and ddof=1 standard deviation over the finite (valid) entries along ``axis``.
 
+    ``values`` is an array, or for axis 0 a sequence of realizations' arrays.
     The mean is NaN where no entry is valid and the deviation NaN where fewer
-    than two are. The sums run realization by realization, in index order.
+    than two are. The sums add one realization at a time, in index order.
     """
-    runs = np.moveaxis(values, axis, 0)
-    valid = np.isfinite(runs)
-    count = valid.sum(axis=0)
-    mean = np.full(runs.shape[1:], math.nan)
-    std = np.full(runs.shape[1:], math.nan)
-    np.divide(sum(np.where(valid, runs, 0.0)), count, out=mean, where=count > 0)
-    deviations = np.where(valid, runs - mean, 0.0)
-    np.divide(sum(deviations * deviations), count - 1, out=std, where=count > 1)
+    runs = np.moveaxis(values, axis, 0) if axis else values
+    count = sum(np.isfinite(run) for run in runs)
+    mean = np.full(count.shape, math.nan)
+    std = np.full(count.shape, math.nan)
+    np.divide(sum(np.where(np.isfinite(run), run, 0.0) for run in runs), count, out=mean, where=count > 0)
+    squares = (np.square(np.where(np.isfinite(run), run - mean, 0.0)) for run in runs)
+    np.divide(sum(squares), count - 1, out=std, where=count > 1)
     return mean, np.sqrt(std)
 
 
@@ -901,10 +891,9 @@ def _read_point(config: ScanConfig, rows: np.ndarray, realization_index: int, po
     """The calibration rows and flip means one realization of a stream block inverts.
 
     ``rows`` are a block's ``_point_rows``, ``(points, 2^(n+1), 2^n)``, whose
-    first point is ``point_index`` (``_read_block``), or one point's,
-    ``(2^(n+1), 2^n)`` (``convergence_profile``); each result is
-    ``(points, 2^n)``, ``(2^n,)``, or for one point given ``checkpoints`` one
-    row per checkpoint. Child k of the block's substream is
+    first point is ``point_index`` (``_read_block``); each result is
+    ``(points, 2^n)``, or given ``checkpoints`` ``(points, checkpoints, 2^n)``,
+    one row per checkpoint. Child k of the block's substream is
     SeedSequence(master_seed, spawn_key=(point_index, realization_index, k)),
     which is what ``spawn`` makes. Child 0 perturbs the tables, one normal
     draw of shape ``rows.shape[:-2] + (2^n,)``; unperturbed, the one table is
@@ -925,6 +914,6 @@ def _read_point(config: ScanConfig, rows: np.ndarray, realization_index: int, po
     split = child(2) if checkpoints else None
     means, blocks = read_records(intensities, rows, config.shots, child(1), split, config.checkpoint_every)
     if checkpoints:
-        means = blocks.T
+        means, intensities = blocks.swapaxes(-1, -2), intensities[..., None, :]
     flips = means[..., size:]
     return (np.broadcast_to(intensities, flips.shape) if config.exact_calibration else means[..., :size]), flips

@@ -17,10 +17,10 @@ directly where numpy exports it (``_marginals``), with the same draws.
 drawn from them; ``read_records`` is the one path from checked rows to
 records: it runs the two draws on their own generators and returns every
 record's mean and its running means at each full checkpoint block. A stack of
-points' rows takes the same two draws, each one call on one generator. Reading is
-deterministic given its arguments and seeds: a ``SeedSequence`` passed in is
-only read, never spawned from, so the same arguments reproduce the same
-records bit for bit.
+points' rows takes the same two draws, each one call on one generator, and the
+same split, record by record in stack order. Reading is deterministic given its
+arguments and seeds: a ``SeedSequence`` passed in is only read, never spawned
+from, so the same arguments reproduce the same records bit for bit.
 """
 
 from __future__ import annotations
@@ -175,19 +175,23 @@ def split_totals(
     the slots left. Given the block occupations, the block counts are
     independent Poissons with means L_b = occupations_b . intensities, so
     their law given the total is multinomial(total, L_b / sum L). A record
-    with sum L = 0 has total 0 and gets no counts. Returns the full block
-    totals, shape (records, full blocks); a record's partial tail holds the
-    rest of its total.
+    with sum L = 0 has total 0 and gets no counts. Records and intensities
+    come as ``draw_totals`` takes them, one point's or a stack of points', and
+    are split in that order. Returns the full block totals, shape
+    ``occupations.shape[:-1] + (full blocks,)``; a record's partial tail holds
+    the rest of its total.
     """
-    num_shots = int(occupations[0].sum())
+    records = occupations.reshape(-1, occupations.shape[-1])
+    tables = np.broadcast_to(intensities[..., None, :], occupations.shape).reshape(records.shape)
+    num_shots = int(records[0].sum())
     # the C routine checks nothing: each record must fill exactly its cells, below
     # the marginals method's own limit
-    if num_shots >= _MAX_SPLIT_SHOTS or (occupations.sum(axis=1) != num_shots).any():
+    if num_shots >= _MAX_SPLIT_SHOTS or (records.sum(axis=1) != num_shots).any():
         raise ValueError(f"records to split must share one shot count below {_MAX_SPLIT_SHOTS}")
     cells = _block_sizes(num_shots, checkpoint_every)
     num_full = num_shots // checkpoint_every
-    means = np.empty((len(occupations), cells.size))
-    for r, row in enumerate(occupations):
+    means = np.empty((len(records), cells.size))
+    for r, row in enumerate(records):
         states = np.flatnonzero(row)
         slots = np.zeros((states.size, cells.size), dtype=np.int64)
         slots[-1] = cells
@@ -195,11 +199,11 @@ def split_totals(
         # reducing the outer axis of a C-contiguous array adds its rows one at a
         # time, in state order: the running sum of the method's loop, bit for bit.
         # A lone cell is a contiguous axis, summed pairwise, but its share is 1 anyway.
-        means[r] = np.add.reduce(slots * intensities[states, None], axis=0)
+        means[r] = np.add.reduce(slots * tables[r, states, None], axis=0)
     total = means.sum(axis=1, keepdims=True)
     p = np.divide(means, total, out=np.full_like(means, 1.0 / cells.size), where=total > 0)
-    counts = rng.multinomial(totals, p)
-    return counts[:, :num_full]
+    counts = rng.multinomial(totals.reshape(-1), p)
+    return counts[:, :num_full].reshape(occupations.shape[:-1] + (num_full,))
 
 
 def _fill_slots(rng: np.random.Generator, counts: np.ndarray, slots: np.ndarray) -> None:
@@ -235,17 +239,17 @@ def read_records(
     """Mean photon count of every record, one record per row of ``check_rows`` output, and its checkpoint means.
 
     The records, one point's or a stack of points' (``draw_totals``), are
-    drawn on a generator seeded with ``draws``. Given a ``split`` seed one
-    point's records are also split into ``checkpoint_every``-shot blocks
-    (``split_totals``) on a second generator, and the running means at each
-    full block come back with one row per record, so entry k covers (k + 1) *
-    checkpoint_every shots. Otherwise the second value is None.
+    drawn on a generator seeded with ``draws``. Given a ``split`` seed they are
+    also split into ``checkpoint_every``-shot blocks (``split_totals``) on a
+    second generator, and the running means at each full block come back along
+    a last axis, so entry k covers (k + 1) * checkpoint_every shots. Otherwise
+    the second value is None.
     """
     occupations, totals = draw_totals(np.random.default_rng(draws), intensities, p, num_shots)
     if split is None:
         return totals / num_shots, None
     blocks = split_totals(np.random.default_rng(split), intensities, occupations, totals, checkpoint_every)
-    return totals / num_shots, np.cumsum(blocks, axis=1) / (checkpoint_every * np.arange(1, blocks.shape[1] + 1))
+    return totals / num_shots, np.cumsum(blocks, axis=-1) / (checkpoint_every * np.arange(1, blocks.shape[-1] + 1))
 
 
 def parse_basis_values(text: str, value_name: str = "intensity", width: int | None = None) -> np.ndarray:

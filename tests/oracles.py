@@ -23,8 +23,10 @@ kernel to the channel.
 amplitudes, the slow path of its half-register path for mirror-symmetric cost
 diagonals. ``p1_cost`` is the closed-form expected cost of a one-layer ansatz
 state, built from per-edge correlators that share no code with the simulator.
-``parity_signs`` is the dense character table that ``reconstruction.fwht``
-applies in place.
+``k2_cost`` is its two-vertex case. ``realization_stats`` is
+``experiment._realization_stats`` in its whole-array form, which holds every
+realization's temporaries at once. ``parity_signs`` is the dense character
+table that ``reconstruction.fwht`` applies in place.
 ``landscape_csv_text``, ``convergence_csv_text`` and ``trace_csv_text`` are the
 per-value CSV writers, the slow path of the ``experiment.write_*_csv`` writers:
 every float is ``format(v, ".10g")`` and every integer column ``str(int)``.
@@ -38,7 +40,7 @@ from nvqaoa._bitstrings import all_bitstrings
 from nvqaoa.circuits import Circuit, QaoaParams, append_flips, simulate_qaoa
 from nvqaoa.noise import _angle_stacks
 from nvqaoa.experiment import CSV_HEADER
-from nvqaoa.graph_problem import diagonal_costs
+from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import density_populations, perturb_calibration
 from nvqaoa.readout import CalibrationTable, check_rows
 from nvqaoa.reconstruction import DegenerateCalibrationError, reconstruct
@@ -268,6 +270,24 @@ def p1_cost(graph, beta, gamma):
     """Expected cost sum w (<Z_u Z_v> - 1) / 2 of the one-layer ansatz state at (beta, gamma)."""
     weights = np.array([w for _, _, w in graph.edges()])
     return float(np.sum(weights * (p1_edge_correlators(graph, beta, gamma) - 1.0)) / 2.0)
+
+
+def k2_cost(beta, gamma):
+    """``p1_cost`` of the unit two-vertex graph, which reduces to -1/2 + 1/2 sin 4 beta sin gamma."""
+    return p1_cost(Graph.complete(2), beta, gamma)
+
+
+def realization_stats(values, axis):
+    """Mean and ddof=1 deviation over the finite entries along ``axis``, every realization's temporaries at once."""
+    runs = np.moveaxis(values, axis, 0)
+    valid = np.isfinite(runs)
+    count = valid.sum(axis=0)
+    mean = np.full(runs.shape[1:], math.nan)
+    std = np.full(runs.shape[1:], math.nan)
+    np.divide(sum(np.where(valid, runs, 0.0)), count, out=mean, where=count > 0)
+    deviations = np.where(valid, runs - mean, 0.0)
+    np.divide(sum(deviations * deviations), count - 1, out=std, where=count > 1)
+    return mean, np.sqrt(std)
 
 
 def parity_signs(width):

@@ -27,8 +27,8 @@ from nvqaoa.cli import (
     parse_angle,
     parse_range,
 )
-from nvqaoa.experiment import closed_form_cost_k2
 from nvqaoa.noise import MAX_CALIBRATION_SIGMA
+from oracles import k2_cost
 
 
 def write_k2(tmp_path, name="k2.txt"):
@@ -228,7 +228,7 @@ def test_landscape_ideal_full_grid(tmp_path, capsys):
     for line in lines[1:]:
         beta, gamma, realization, f_meas, f_ideal = line.split(",")[:5]
         assert realization == "0"
-        expected = closed_form_cost_k2(float(beta), float(gamma))
+        expected = k2_cost(float(beta), float(gamma))
         assert float(f_meas) == pytest.approx(expected, abs=1e-9)
         assert float(f_meas) == float(f_ideal)
 

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
@@ -37,7 +38,6 @@ from nvqaoa.experiment import (
     LandscapeGrid,
     OptimizeResult,
     ScanConfig,
-    closed_form_cost_k2,
     config_from_dict,
     config_to_dict,
     convergence_profile,
@@ -68,6 +68,7 @@ from oracles import (
     convergence_csv_text,
     density_matrix_populations,
     format_10g,
+    k2_cost,
     landscape_csv_text,
     measure_grid_per_block,
     measure_point_per_point,
@@ -75,6 +76,7 @@ from oracles import (
     p1_cost,
     point_rows,
     point_streams,
+    realization_stats,
     trace_csv_text,
 )
 from test_readout import chi2_bounds
@@ -220,10 +222,10 @@ def test_sampled_registers_are_capped():
 
 
 def test_closed_form_special_values():
-    assert closed_form_cost_k2(0.0, 1.23) == pytest.approx(-0.5, abs=1e-15)
-    assert closed_form_cost_k2(math.pi / 4, 2.0) == pytest.approx(-0.5, abs=1e-12)
-    assert closed_form_cost_k2(math.pi / 8, 1.5 * math.pi) == pytest.approx(-1.0, abs=1e-12)
-    assert closed_form_cost_k2(math.pi / 8, 0.5 * math.pi) == pytest.approx(0.0, abs=1e-12)
+    assert k2_cost(0.0, 1.23) == pytest.approx(-0.5, abs=1e-15)
+    assert k2_cost(math.pi / 4, 2.0) == pytest.approx(-0.5, abs=1e-12)
+    assert k2_cost(math.pi / 8, 1.5 * math.pi) == pytest.approx(-1.0, abs=1e-12)
+    assert k2_cost(math.pi / 8, 0.5 * math.pi) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ideal_cost_matches_closed_form():
@@ -231,7 +233,7 @@ def test_ideal_cost_matches_closed_form():
     for _ in range(20):
         beta, gamma = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
         value = ideal_cost(K2, QaoaParams.single(beta, gamma))
-        assert value == pytest.approx(closed_form_cost_k2(beta, gamma), abs=1e-12)
+        assert value == pytest.approx(k2_cost(beta, gamma), abs=1e-12)
 
 
 def test_ideal_cost_frozen_point():
@@ -345,7 +347,7 @@ def test_ideal_scan_matches_closed_form_everywhere():
     np.testing.assert_array_equal(grid.F_measured[:, :, 0], grid.F_ideal)
     for bi, beta in enumerate(grid.betas):
         for gi, gamma in enumerate(grid.gammas):
-            assert grid.F_measured[bi, gi, 0] == pytest.approx(closed_form_cost_k2(beta, gamma), abs=1e-9)
+            assert grid.F_measured[bi, gi, 0] == pytest.approx(k2_cost(beta, gamma), abs=1e-9)
     np.testing.assert_allclose(grid.norm, 1.0, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(grid.norm, grid.pops.sum(axis=-1))
     assert landscape_error(grid) == 0.0
@@ -467,7 +469,7 @@ def test_ideal_scan_ordering_beta_major():
     np.testing.assert_allclose(grid.betas, [0.1, 0.2, 0.3])
     np.testing.assert_allclose(grid.gammas, [0.5, 0.6, 0.7])
     for bi, gi in np.ndindex(3, 3):  # axis 0 is beta, axis 1 is gamma
-        assert grid.F_measured[bi, gi, 0] == pytest.approx(closed_form_cost_k2(grid.betas[bi], grid.gammas[gi]))
+        assert grid.F_measured[bi, gi, 0] == pytest.approx(k2_cost(grid.betas[bi], grid.gammas[gi]))
     buffer = io.BytesIO()
     write_landscape_csv(grid, buffer)
     coords = [(round(float(row.split(",")[0]), 6), round(float(row.split(",")[1]), 6))
@@ -754,6 +756,40 @@ def test_realization_stats_match_numpy_on_valid_entries():
         np.testing.assert_array_equal(moved_std, std)
 
 
+def test_realization_stats_equal_the_whole_array_form_bit_for_bit():
+    # a NaN-holed stack, as an array, a list of realizations and along a later axis
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(4, 4096, 16))
+    values[rng.random(values.shape) < 0.3] = math.nan
+    values[:, :7] = math.nan  # no valid realization
+    values[1:, 7:11] = math.nan  # one valid realization
+    want = np.array(realization_stats(values, 0))
+    for got in (_realization_stats(values, 0), _realization_stats(list(values), 0)):
+        np.testing.assert_array_equal(np.array(got).view(np.int64), want.view(np.int64))
+    values = rng.normal(size=(6, 11, 3))
+    values[rng.random(values.shape) < 0.3] = math.nan
+    got, want = np.array(_realization_stats(values, 2)), np.array(realization_stats(values, 2))
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_realization_stats_hold_one_realization_at_a_time():
+    # the sums take one realization's temporaries at a time, so the peak does not grow with the realization count;
+    # the whole-array form holds about three copies of every realization
+    rng = np.random.default_rng(5)
+    one = 4096 * 4 * 8  # bytes of one realization
+    for realizations in (4, 32):
+        values = rng.normal(size=(realizations, 4096, 4))
+        values[rng.random(values.shape) < 0.1] = math.nan
+        for runs in (values, list(values)):
+            tracemalloc.start()
+            try:
+                _realization_stats(runs, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * one, (realizations, peak / one)
+
+
 def test_optimize_ideal_k2_reaches_minimum():
     result = optimize(ScanConfig(graph=K2, mode="ideal"))
     assert result.best_F == pytest.approx(-1.0, abs=1e-6)
@@ -986,14 +1022,27 @@ def test_convergence_profile_checkpoints():
     np.testing.assert_allclose(profile.mean_pops[-1], POINT_POPS, atol=0.1)
 
 
-def test_convergence_final_checkpoint_matches_measure_point():
-    for noise in (None, NoiseConfig(depolarizing_prob=0.05)):
-        cfg = sampled_config(shots=4_000, realizations=2, checkpoint_every=1000, noise=noise)
-        profile = convergence_profile(cfg, POINT)
-        records = [measure_point(cfg, POINT, r, point_index=0) for r in range(2)]
+def test_convergence_final_checkpoint_matches_measure_point(monkeypatch):
+    # under every channel, on one split worker and on two: 1024 blocks of 8 records pass the thread gate
+    cases = [
+        dict(), dict(noise=NoiseConfig(depolarizing_prob=0.05)), dict(exact_calibration=True),
+        dict(noise=NoiseConfig(calibration_sigma=0.1)), dict(noise=NoiseConfig(overrotation_frac=0.05)),
+        dict(noise=NoiseConfig(phase_offset=0.1)),
+    ]
+    for case, workers in itertools.product(cases, (1, 2)):
+        monkeypatch.setattr(experiment, "_available_cpus", lambda: workers)
+        cfg = sampled_config(shots=4_096, realizations=3, checkpoint_every=4, **case)
+        assert experiment._split_workers(cfg) == workers
+        profile = convergence_profile(cfg, POINT, point_index=3)
+        records = [measure_point(cfg, POINT, r, point_index=3) for r in range(3)]
+        assert all(rec.valid for rec in records)
         expected_pops = np.mean([rec.pops for rec in records], axis=0)
         np.testing.assert_array_equal(profile.mean_pops[-1], expected_pops)
         assert profile.mean_norm[-1] == np.mean([rec.norm for rec in records])
+        pops_stats = realization_stats(np.array([rec.pops for rec in records]), 0)
+        np.testing.assert_array_equal([profile.mean_pops[-1], profile.std_pops[-1]], pops_stats)
+        norm_stats = realization_stats(np.array([rec.norm for rec in records]), 0)
+        np.testing.assert_array_equal([profile.mean_norm[-1], profile.std_norm[-1]], norm_stats)
 
 
 def test_all_zero_empirical_calibration_gives_invalid_point():
@@ -1071,8 +1120,8 @@ def test_convergence_profile_matches_per_checkpoint_oracle(noise, exact):
     )
     profile = convergence_profile(cfg, POINT)
     pops_runs, norm_runs = per_checkpoint_runs(cfg, POINT)
-    np.testing.assert_array_equal([profile.mean_pops, profile.std_pops], _realization_stats(pops_runs, 0))
-    np.testing.assert_array_equal([profile.mean_norm, profile.std_norm], _realization_stats(norm_runs, 0))
+    np.testing.assert_array_equal([profile.mean_pops, profile.std_pops], realization_stats(pops_runs, 0))
+    np.testing.assert_array_equal([profile.mean_norm, profile.std_norm], realization_stats(norm_runs, 0))
     assert profile.checkpoints_invalid == np.count_nonzero(np.isnan(norm_runs))
     if not exact:
         # early checkpoints are degenerate and later ones are not
@@ -1097,7 +1146,7 @@ def test_convergence_reconstructs_once_per_realization(monkeypatch, realizations
     convergence_profile(cfg, POINT, point_index=point_index)
     # one stacked call per realization, all-dark included, not one per checkpoint
     assert len(seen) == realizations
-    assert all(means.shape == (20, 4) for _, means in seen)
+    assert all(means.shape == (1, 20, 4) for _, means in seen)  # a block of one point
 
 
 def test_non_degenerate_reconstruction_error_propagates(monkeypatch):
@@ -1146,8 +1195,8 @@ def test_convergence_profile_does_not_depend_on_the_worker_count(monkeypatch, ca
         for field in fields(ConvergenceProfile):
             np.testing.assert_array_equal(getattr(profile, field.name), getattr(profiles[0], field.name))
     pops_runs, norm_runs = per_checkpoint_runs(cfg, POINT, point_index)
-    np.testing.assert_array_equal([profiles[0].mean_pops, profiles[0].std_pops], _realization_stats(pops_runs, 0))
-    np.testing.assert_array_equal([profiles[0].mean_norm, profiles[0].std_norm], _realization_stats(norm_runs, 0))
+    np.testing.assert_array_equal([profiles[0].mean_pops, profiles[0].std_pops], realization_stats(pops_runs, 0))
+    np.testing.assert_array_equal([profiles[0].mean_norm, profiles[0].std_norm], realization_stats(norm_runs, 0))
     assert profiles[0].checkpoints_invalid == np.count_nonzero(np.isnan(norm_runs))
     if case == "cal-sigma-all-dark" and realizations == 4:
         assert np.isnan(norm_runs[3]).all() and np.isfinite(norm_runs[:3, -1]).all()
@@ -1503,7 +1552,7 @@ def test_landscape_csv_format():
     assert fields[2] == "0"
     assert len(fields[7].split("|")) == 4
     value = float(fields[3])
-    assert value == pytest.approx(closed_form_cost_k2(0.1, 0.5), abs=1e-9)
+    assert value == pytest.approx(k2_cost(0.1, 0.5), abs=1e-9)
 
 
 def test_convergence_csv_format():
@@ -1746,7 +1795,7 @@ def test_measure_point_simulates_one_noiseless_state(monkeypatch, noise, calls):
     assert record.valid and record.F_ideal == pytest.approx(POINT_F_IDEAL, abs=1e-12)
     seen.clear()
     convergence_profile(replace(cfg, realizations=3), POINT)
-    assert len(seen) == (noise is None or not noise.is_stochastic)  # one state for every realization
+    assert len(seen) == calls  # read as measure_point reads: one block of one for every realization
     seen.clear()
     run_scan(replace(cfg, beta_range=(0.1, 0.2, 0.1), gamma_range=(0.5, 0.7, 0.2), realizations=3))
     # a 2x2 grid is one chunk, read by all three realizations; its exact states come from the half-register code

@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import nvqaoa
+from oracles import k2_cost
 from test_cli import run_python
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -12,7 +13,7 @@ EXPORTS = [
     "CalibrationTable", "Circuit", "ConfigError", "ConvergenceProfile", "CutReport", "DegenerateCalibrationError",
     "Gate", "Graph", "LandscapeGrid", "NoiseConfig", "OptimizeResult", "PointRecord", "PopulationEstimate",
     "QaoaParams", "ScanConfig", "StateVector", "append_flips", "apply_gate", "brute_force", "build_ansatz",
-    "build_ansatz_native", "check_rows", "closed_form_cost_k2", "convergence_profile", "cost", "cut_value",
+    "build_ansatz_native", "check_rows", "convergence_profile", "cost", "cut_value",
     "default_calibration", "density_populations", "diagonal_costs", "expectation_diagonal", "fidelity",
     "forward_means", "fwht", "ideal_cost", "init_zero", "landscape_error", "load_graph", "measure_point", "optimize",
     "perturb_calibration", "populations", "qaoa_amplitudes", "read_records", "reconstruct", "run_scan", "simulate",
@@ -39,7 +40,7 @@ def test_readme_quick_tour_runs_as_its_comments_say():
     assert abs(float(lines[1]) - 1.0) <= 1e-12
     F_measured, F_ideal, norm = map(float, lines[2].split())
     assert math.isfinite(F_measured) and math.isfinite(norm)
-    assert abs(F_ideal - nvqaoa.closed_form_cost_k2(0.15 * math.pi, 1.5 * math.pi)) <= 1e-12
+    assert abs(F_ideal - k2_cost(0.15 * math.pi, 1.5 * math.pi)) <= 1e-12
     assert float(lines[3]) == 0.0
     best_F = float(lines[5].split()[-1])
     assert abs(best_F + 1.0) <= 1e-9

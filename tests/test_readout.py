@@ -204,19 +204,23 @@ def test_sample_shots_is_the_batched_draw_and_split_of_one_row():
 
 
 def method_split(rng, intensities, occupations, totals, checkpoint_every):
-    """``split_totals`` as a loop of ``Generator.multivariate_hypergeometric`` calls, one running sum per record."""
+    """``split_totals`` as a loop of ``Generator.multivariate_hypergeometric`` calls, one running sum per record.
+
+    ``intensities`` is one row for every record or one row per record.
+    """
     num_shots = int(occupations[0].sum())
     full, tail = divmod(num_shots, checkpoint_every)
     cells = np.array([checkpoint_every] * full + ([tail] if tail else []))
     means = np.zeros((len(occupations), cells.size))
+    tables = np.broadcast_to(intensities, occupations.shape)
     for r, row in enumerate(occupations):
         free = cells.copy()
         *drawn_states, last = np.flatnonzero(row)
         for s in drawn_states:
             drawn = rng.multivariate_hypergeometric(free, row[s])
-            means[r] += drawn * intensities[s]
+            means[r] += drawn * tables[r, s]
             free -= drawn
-        means[r] += free * intensities[last]
+        means[r] += free * tables[r, last]
     total = means.sum(axis=1, keepdims=True)
     p = np.divide(means, total, out=np.full_like(means, 1.0 / cells.size), where=total > 0)
     return rng.multinomial(totals, p)[:, :full]
@@ -257,6 +261,24 @@ def test_split_draws_what_the_generator_method_draws(monkeypatch, through_method
         split_totals(np.random.default_rng(0), np.ones(2), occupations, np.array([5, 6]), 2)
     with pytest.raises(ValueError, match="one shot count"):
         split_totals(np.random.default_rng(0), np.ones(2), np.array([[10**9, 0]]), np.array([5]), 10**6)
+
+
+def test_split_of_a_stack_splits_its_records_in_stack_order():
+    # three points' records, each point read with its own table, as draw_totals draws a block
+    cases = np.random.default_rng(31)
+    tables = cases.uniform(0.0, 3.0, (3, 8))
+    rows = check_rows(cases.dirichlet(np.ones(8), (3, 16)), 8)
+    occupations, totals = draw_totals(np.random.default_rng(1), tables, rows, 2_050)
+    got = split_totals(np.random.default_rng(2), tables, occupations, totals, 100)
+    flat = occupations.reshape(-1, 8)
+    want = method_split(np.random.default_rng(2), np.repeat(tables, 16, axis=0), flat, totals.ravel(), 100)
+    assert got.shape == (3, 16, 20)
+    np.testing.assert_array_equal(got, want.reshape(3, 16, 20))
+    # one table for the whole stack splits as the flat records do
+    occupations, totals = draw_totals(np.random.default_rng(1), tables[0], rows, 2_050)
+    flat_split = split_totals(np.random.default_rng(2), tables[0], occupations.reshape(-1, 8), totals.ravel(), 100)
+    stacked = split_totals(np.random.default_rng(2), tables[0], occupations, totals, 100)
+    np.testing.assert_array_equal(stacked, flat_split.reshape(3, 16, 20))
 
 
 def test_split_of_a_dark_record_is_all_zero():
