@@ -33,9 +33,9 @@ One block reader (``_read_block``) serves every evaluation. ``_grid_blocks``
 reads every grid with it, in stream blocks of ``_block_points`` consecutive
 points, a number that depends on n alone and bounds a block's batch arrays by
 ``_CHUNK_ENTRIES`` floats: ``run_scan`` stores the blocks and ``optimize``
-keeps their F. ``measure_point``, ``optimize``'s trials off the grid and each
-``convergence_profile`` worker read one point as a block of one, the last with
-the checkpoint split. Every read inverts the same pair (``_read_point``): a
+keeps their F. ``measure_point``, ``optimize``'s trials off the grid and
+``convergence_profile`` read one point as a block of one, the last with the
+checkpoint split. Every read inverts the same pair (``_read_point``): a
 calibration row and the flip means. An all-dark perturbed table is drawn like
 any other, and ``reconstruct`` alone judges a table.
 
@@ -52,14 +52,14 @@ draws on the substreams of (i, r), so the final checkpoint equals
 ``_read_point`` builds each child directly.
 
 Landscapes and ``optimize`` run on the calling thread. ``convergence_profile``
-shares its realizations among one worker per available CPU
+shares its realizations among one ``_read_block`` worker per available CPU
 (``_split_workers``), each on a thread of its own, the caller being worker 0:
-worker k reads realizations k, k + W, k + 2W, ... in one ``_read_block`` call.
-The hypergeometric split, which dominates a realization, runs numpy's C
+worker k reads realizations k, k + W, k + 2W, ... from the point's one set of
+rows. The hypergeometric split, which dominates a realization, runs numpy's C
 routine without the GIL and takes it back only briefly between calls. A split
 too short to pay for a thread stays on the calling thread. Each realization
 draws on its own generators, so the profile does not depend on the CPU count;
-the statistics across realizations are taken serially from the workers' arrays.
+the statistics across realizations stay serial.
 """
 
 from __future__ import annotations
@@ -331,11 +331,12 @@ def _check_scan_entries(config: ScanConfig, checkpoints: bool = False) -> None:
     ideal mode. A convergence profile holds realizations x checkpoints x 2^n
     populations, and ``readout.split_totals`` 2^(n+1) x checkpoints block
     totals, so its largest array holds checkpoints x max(realizations, 2) x
-    2^n entries. Each of its W workers (``_split_workers``, at most one per
-    CPU and per realization) holds one realization's block arrays at a time,
-    so its live set is about (realizations + 2 W) x checkpoints x 2^n floats
-    besides each split's temporaries; ``_realization_stats`` then adds a few
-    arrays of one realization's size, however many realizations there are.
+    2^n entries. Its W workers (``_split_workers``, at most one per CPU and
+    per realization) share the point's rows, 2 x 4^n floats, and each holds
+    one realization's block arrays at a time, so its live set is about
+    (realizations + 2 W) x checkpoints x 2^n + 2 x 4^n floats besides each
+    split's temporaries; ``_realization_stats`` then adds a few arrays of one
+    realization's size, however many realizations there are.
     """
     n = config.graph.num_vertices
     if checkpoints:
@@ -421,7 +422,8 @@ def _grid_blocks(config: ScanConfig, diag: np.ndarray, realizations: int):
         yield points, *_read_block(config, diag, point_betas, point_gammas, start, range(realizations), phase)
 
 
-def _read_block(config: ScanConfig, diag: np.ndarray, betas, gammas, start: int, realizations, phase=None, checkpoints=False):
+def _read_block(config: ScanConfig, diag: np.ndarray, betas, gammas, start: int, realizations, phase=None,
+                checkpoints=False, workers=1):
     """F_ideal, pops ``(points, R, 2^n)``, norm and F_measured ``(points, R)`` of the block at ``(points, p)`` angles.
 
     ``start`` is the block's first point index and ``realizations`` the R
@@ -430,21 +432,30 @@ def _read_block(config: ScanConfig, diag: np.ndarray, betas, gammas, start: int,
     (``phase`` as there); ideal mode returns them as its one realization.
     Sampled mode builds the block's rows once, and each realization draws and
     inverts them at once: a degenerate table turns its row NaN. ``checkpoints``
-    also splits the records, which adds a checkpoint axis after R.
+    also splits the records, adds a checkpoint axis after R and leaves
+    F_measured None. W = ``workers`` workers (``_map_threads``) share the
+    rows: worker k reads the k-th, (k + W)-th, ... realization, one at a time.
     """
     ideal, F_ideal = _exact_states(diag, betas, gammas, phase)
     if config.mode == "ideal":
         return F_ideal, ideal[:, None], ideal.sum(-1)[:, None], np.array(F_ideal)[:, None], None
-    rows = _point_rows(config, diag, betas, gammas, ideal)
+    # the results before the rows: made after the rows' large temporaries are freed, they cost peak RSS
     shape = (len(F_ideal), len(realizations)) + ((config.shots // config.checkpoint_every,) if checkpoints else ())
     pops, norm = np.empty(shape + (diag.size,)), np.empty(shape)
-    for k, r in enumerate(realizations):
-        read = estimate = None  # the next read starts with none of the last one's arrays alive
-        read = _read_point(config, rows, r, start, checkpoints)
-        estimate = reconstruct(*read)
-        pops[:, k], norm[:, k] = estimate.pops, estimate.norm
+    rows = _point_rows(config, diag, betas, gammas, ideal)
+
+    def work(worker: int):
+        for k in range(worker, len(realizations), workers):
+            read = estimate = None  # the next read starts with none of the last one's arrays alive
+            read = _read_point(config, rows, realizations[k], start, checkpoints)
+            estimate = reconstruct(*read)
+            pops[:, k], norm[:, k] = estimate.pops, estimate.norm
+        return read
+
+    read = _map_threads(work, range(workers))[(len(realizations) - 1) % workers]
     # row by row, so a point's cost has the same bits in a block of any size
-    return F_ideal, pops, norm, np.array([[np.dot(row, diag) for row in point] for point in pops]), read
+    F = None if checkpoints else np.array([[np.dot(row, diag) for row in point] for point in pops])
+    return F_ideal, pops, norm, F, read
 
 
 def _degenerate_error(read) -> DegenerateCalibrationError | None:
@@ -581,18 +592,15 @@ class ConvergenceProfile:
 def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int = 0) -> ConvergenceProfile:
     """Reconstruct populations from the running means at every checkpoint.
 
-    One ``_map_threads`` call runs W workers (``_split_workers``: one per
-    available CPU, 1 for a short split), the calling thread being worker 0.
-    Worker k reads realizations k, k + W, k + 2W, ... of the point in one
-    ``_read_block`` call, a block of one at ``point_index`` as
-    :func:`measure_point` reads it, whose records are also split into
-    checkpoint blocks on a third substream (``readout.split_totals``). So when
-    ``shots`` is a multiple of ``checkpoint_every`` the final checkpoint
-    reproduces that point's estimate, at most W realizations' blocks are
-    alive, and the profile is the same bit for bit whatever W. A checkpoint
-    with a degenerate table, every one of an all-dark realization, is NaN.
-    The statistics read the workers' arrays in realization order; standard
-    deviations are sample standard deviations (NaN when fewer than two are valid).
+    One ``_read_block`` call reads the point as :func:`measure_point` does, a
+    block of one at ``point_index``, and splits its records into checkpoint
+    blocks on a third substream (``readout.split_totals``): when ``shots`` is
+    a multiple of ``checkpoint_every`` the final checkpoint is that point's
+    estimate. Its W workers (``_split_workers``: one per available CPU, 1 for
+    a short split) share the point's rows, and the profile is the same bit for
+    bit whatever W. A checkpoint with a degenerate table, every one of an
+    all-dark realization, is NaN. Standard deviations are sample standard
+    deviations across realizations (NaN when fewer than two are valid).
     """
     if config.mode != "sampled":
         raise ConfigError("convergence requires mode 'sampled'")
@@ -604,19 +612,9 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     point_index = _check_integer("point_index", point_index, 0)
     _check_scan_entries(config, checkpoints=True)
     _check_cost_phase(config, params.gammas)
-    diag = diagonal_costs(config.graph)
-    workers = _split_workers(config)
-
-    def work(worker: int) -> tuple[np.ndarray, np.ndarray]:
-        realizations = range(worker, config.realizations, workers)
-        block = _read_block(config, diag, [params.betas], [params.gammas], point_index, realizations, checkpoints=True)
-        return block[1][0], block[2][0]  # the point's pops and norm; its last read is dropped with the block
-
-    pops, norms = zip(*_map_threads(work, range(workers)))
-    # realization r is the (r // W)-th that worker r mod W read
-    order = [(r % workers, r // workers) for r in range(config.realizations)]
-    mean_pops, std_pops = _realization_stats([pops[k][i] for k, i in order], 0)
-    mean_norm, std_norm = _realization_stats([norms[k][i] for k, i in order], 0)
+    _, (pops,), (norm,), _, _ = _read_block(config, diagonal_costs(config.graph), [params.betas], [params.gammas],
+                                            point_index, range(config.realizations), None, True, _split_workers(config))
+    (mean_pops, std_pops), (mean_norm, std_norm) = _realization_stats(pops, 0), _realization_stats(norm, 0)
     return ConvergenceProfile(
         checkpoint_shots=config.checkpoint_every * np.arange(1, len(mean_norm) + 1),
         mean_pops=mean_pops,
@@ -625,7 +623,7 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
         std_norm=std_norm,
         realizations=config.realizations,
         num_qubits=config.graph.num_vertices,
-        checkpoints_invalid=int(sum(np.count_nonzero(~np.isfinite(norm)) for norm in norms)),
+        checkpoints_invalid=int(np.count_nonzero(~np.isfinite(norm))),
     )
 
 
@@ -821,20 +819,24 @@ def _map_threads(function, items: Sequence) -> list:
     return results
 
 
-def _realization_stats(values, axis: int) -> tuple[np.ndarray, np.ndarray]:
+def _realization_stats(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and ddof=1 standard deviation over the finite (valid) entries along ``axis``.
 
-    ``values`` is an array, or for axis 0 a sequence of realizations' arrays.
     The mean is NaN where no entry is valid and the deviation NaN where fewer
-    than two are. The sums add one realization at a time, in index order.
+    than two are. Each sum adds one realization at a time, in index order.
     """
-    runs = np.moveaxis(values, axis, 0) if axis else values
-    count = sum(np.isfinite(run) for run in runs)
+    count = total = squares = 0
+    for run in np.moveaxis(values, axis, 0):  # in place after the first: the same additions, in the same order
+        valid = np.isfinite(run)
+        count += valid
+        total += np.where(valid, run, 0.0)
     mean = np.full(count.shape, math.nan)
+    np.divide(total, count, out=mean, where=count > 0)
+    del total, valid  # so one realization's temporaries at a time are alive
+    for run in np.moveaxis(values, axis, 0):
+        squares += np.square(np.where(np.isfinite(run), run - mean, 0.0))
     std = np.full(count.shape, math.nan)
-    np.divide(sum(np.where(np.isfinite(run), run, 0.0) for run in runs), count, out=mean, where=count > 0)
-    squares = (np.square(np.where(np.isfinite(run), run - mean, 0.0)) for run in runs)
-    np.divide(sum(squares), count - 1, out=std, where=count > 1)
+    np.divide(squares, count - 1, out=std, where=count > 1)
     return mean, np.sqrt(std)
 
 

@@ -757,15 +757,14 @@ def test_realization_stats_match_numpy_on_valid_entries():
 
 
 def test_realization_stats_equal_the_whole_array_form_bit_for_bit():
-    # a NaN-holed stack, as an array, a list of realizations and along a later axis
+    # a NaN-holed stack, along the first axis and along a later one
     rng = np.random.default_rng(4)
     values = rng.normal(size=(4, 4096, 16))
     values[rng.random(values.shape) < 0.3] = math.nan
     values[:, :7] = math.nan  # no valid realization
     values[1:, 7:11] = math.nan  # one valid realization
     want = np.array(realization_stats(values, 0))
-    for got in (_realization_stats(values, 0), _realization_stats(list(values), 0)):
-        np.testing.assert_array_equal(np.array(got).view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(np.array(_realization_stats(values, 0)).view(np.int64), want.view(np.int64))
     values = rng.normal(size=(6, 11, 3))
     values[rng.random(values.shape) < 0.3] = math.nan
     got, want = np.array(_realization_stats(values, 2)), np.array(realization_stats(values, 2))
@@ -780,14 +779,13 @@ def test_realization_stats_hold_one_realization_at_a_time():
     for realizations in (4, 32):
         values = rng.normal(size=(realizations, 4096, 4))
         values[rng.random(values.shape) < 0.1] = math.nan
-        for runs in (values, list(values)):
-            tracemalloc.start()
-            try:
-                _realization_stats(runs, 0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 8 * one, (realizations, peak / one)
+        tracemalloc.start()
+        try:
+            _realization_stats(values, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * one, (realizations, peak / one)
 
 
 def test_optimize_ideal_k2_reaches_minimum():
@@ -1243,6 +1241,24 @@ def test_convergence_reads_each_realization_once_from_worker_r_mod_w(monkeypatch
         by_thread.setdefault(thread, []).append(realization)
     assert sorted(by_thread.values()) == [list(range(k, 7, workers)) for k in range(workers)]
     assert by_thread[threading.main_thread()] == list(range(0, 7, workers))
+
+
+@pytest.mark.parametrize("noise", [None, NoiseConfig(depolarizing_prob=0.05)], ids=["noiseless", "depolarizing"])
+def test_convergence_workers_share_one_set_of_rows(monkeypatch, noise):
+    # the point's exact state, channel populations and rows are made once, not once per worker
+    calls = []
+
+    def counting(name):
+        function = getattr(experiment, name)
+        monkeypatch.setattr(experiment, name, lambda *args, **kwargs: calls.append(name) or function(*args, **kwargs))
+
+    for name in ("_exact_states", "_point_rows", "density_populations"):
+        counting(name)
+    monkeypatch.setattr(experiment, "_available_cpus", lambda: 3)
+    cfg = sampled_config(shots=1_024, checkpoint_every=1, realizations=7, noise=noise)
+    assert experiment._split_workers(cfg) == 3
+    convergence_profile(cfg, POINT)
+    assert sorted(calls) == ["_exact_states", "_point_rows"] + (["density_populations"] if noise else [])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
