@@ -16,14 +16,7 @@ from .circuits import (
     Circuit, QaoaParams, append_flips, build_ansatz, build_ansatz_native, qaoa_amplitudes, simulate, simulate_qaoa
 )
 from .readout import CalibrationTable, check_rows, default_calibration, read_records
-from .reconstruction import (
-    DegenerateCalibrationError,
-    PopulationEstimate,
-    forward_means,
-    fwht,
-    reconstruct,
-    walsh_coefficients,
-)
+from .reconstruction import DegenerateCalibrationError, forward_means, fwht, reconstruct, walsh_coefficients
 from .noise import NoiseConfig, density_populations, perturb_calibration
 from .experiment import (
     ConfigError,

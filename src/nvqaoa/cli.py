@@ -398,13 +398,13 @@ def _cmd_reconstruct(args) -> int:
     means = _read_input(
         lambda path: parse_basis_values(Path(path).read_text(), "mean", calibration.num_qubits), args.means
     )
-    estimate = reconstruct(calibration, means)  # DegenerateCalibrationError -> exit 3
+    pops, correlators = reconstruct(calibration.intensities, means)  # DegenerateCalibrationError -> exit 3
     labels = all_bitstrings(calibration.num_qubits)
-    for label, value in zip(labels, estimate.pops):
+    for label, value in zip(labels, pops):
         print(f"population {label} {value:.10g}")
-    for label, value in zip(labels, estimate.correlators):
+    for label, value in zip(labels, correlators):
         print(f"correlator {label} {value:.10g}")
-    print(f"norm {estimate.norm:.10g}")
+    print(f"norm {correlators[0]:.10g}")
     return EXIT_OK
 
 

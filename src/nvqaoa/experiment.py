@@ -423,7 +423,7 @@ def _grid_blocks(config: ScanConfig, diag: np.ndarray, realizations: int):
 
 
 def _read_block(config: ScanConfig, diag: np.ndarray, betas, gammas, start: int, realizations, phase=None,
-                checkpoints=False, workers=1):
+                checkpoints=False):
     """F_ideal, pops ``(points, R, 2^n)``, norm and F_measured ``(points, R)`` of the block at ``(points, p)`` angles.
 
     ``start`` is the block's first point index and ``realizations`` the R
@@ -433,8 +433,9 @@ def _read_block(config: ScanConfig, diag: np.ndarray, betas, gammas, start: int,
     Sampled mode builds the block's rows once, and each realization draws and
     inverts them at once: a degenerate table turns its row NaN. ``checkpoints``
     also splits the records, adds a checkpoint axis after R and leaves
-    F_measured None. W = ``workers`` workers (``_map_threads``) share the
-    rows: worker k reads the k-th, (k + W)-th, ... realization, one at a time.
+    F_measured None; its W = ``_split_workers`` workers (``_map_threads``)
+    share the rows: worker k reads the k-th, (k + W)-th, ... realization, one
+    at a time. Without ``checkpoints`` the calling thread reads them all.
     """
     ideal, F_ideal = _exact_states(diag, betas, gammas, phase)
     if config.mode == "ideal":
@@ -443,13 +444,14 @@ def _read_block(config: ScanConfig, diag: np.ndarray, betas, gammas, start: int,
     shape = (len(F_ideal), len(realizations)) + ((config.shots // config.checkpoint_every,) if checkpoints else ())
     pops, norm = np.empty(shape + (diag.size,)), np.empty(shape)
     rows = _point_rows(config, diag, betas, gammas, ideal)
+    workers = _split_workers(config) if checkpoints else 1
 
     def work(worker: int):
         for k in range(worker, len(realizations), workers):
-            read = estimate = None  # the next read starts with none of the last one's arrays alive
+            read = correlators = None  # the next read starts with none of the last one's arrays alive
             read = _read_point(config, rows, realizations[k], start, checkpoints)
-            estimate = reconstruct(*read)
-            pops[:, k], norm[:, k] = estimate.pops, estimate.norm
+            pops[:, k], correlators = reconstruct(*read)
+            norm[:, k] = correlators[..., 0]
         return read
 
     read = _map_threads(work, range(workers))[(len(realizations) - 1) % workers]
@@ -520,11 +522,13 @@ def optimize(config: ScanConfig, strategy: str = "grid_then_refine") -> Optimize
     p = config.p
     diag = diagonal_costs(config.graph)
     values = np.empty(_axis(config.beta_range)[2] * _axis(config.gamma_range)[2])
-    for points, _, _, _, F, _ in _grid_blocks(config, diag, 1):
+    first = None
+    for points, _, _, _, F, read in _grid_blocks(config, diag, 1):
         values[points] = F[:, 0]
+        first = read if first is None else first
     if np.isnan(values).all():
-        # the first block's draw again, its first table inverted alone names the parity
-        raise _degenerate_error(next(_grid_blocks(config, diag, 1))[-1])
+        # the first block's first table, inverted alone, names the parity
+        raise _degenerate_error(first)
     grid = product(config.betas().tolist(), config.gammas().tolist())
     trace = [((beta,) * p, (gamma,) * p, value) for (beta, gamma), value in zip(grid, values.tolist())]
     eval_index = count(len(trace))
@@ -613,7 +617,7 @@ def convergence_profile(config: ScanConfig, params: QaoaParams, point_index: int
     _check_scan_entries(config, checkpoints=True)
     _check_cost_phase(config, params.gammas)
     _, (pops,), (norm,), _, _ = _read_block(config, diagonal_costs(config.graph), [params.betas], [params.gammas],
-                                            point_index, range(config.realizations), None, True, _split_workers(config))
+                                            point_index, range(config.realizations), None, True)
     (mean_pops, std_pops), (mean_norm, std_norm) = _realization_stats(pops, 0), _realization_stats(norm, 0)
     return ConvergenceProfile(
         checkpoint_shots=config.checkpoint_every * np.arange(1, len(mean_norm) + 1),

@@ -29,12 +29,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .statevector import MAX_QUBITS, Gate, butterfly, gate_matrix, rz_matrix
+from .statevector import MAX_QUBITS, butterfly, rz_matrix
 
 # A perturbed intensity is I * (1 + N(0, sigma)), and experiment.MAX_RECORD_PHOTONS
 # leaves a factor of about 9000 below numpy's Poisson limit for that jitter. At
 # this cap a record's photon mean overflows only at a draw of 90 standard deviations.
 MAX_CALIBRATION_SIGMA = 100.0
+
+_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ def density_populations(graph, betas, gammas, config: NoiseConfig) -> np.ndarray
             high -= shift
 
     for q in range(n):
-        gate(gate_matrix(Gate("H", (q,))), q, (q,))
+        gate(_H, q, (q,))
     index = np.arange(dim)
     for beta, gamma in zip(betas.T, gammas.T):
         for i, j, w in graph.edges():

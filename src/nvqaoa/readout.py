@@ -33,15 +33,13 @@ from pathlib import Path
 import numpy as np
 
 from ._bitstrings import all_bitstrings, bits_to_index, index_to_bits
+from .reconstruction import DEGENERACY_TOLERANCE, DegenerateCalibrationError
 from .statevector import MAX_QUBITS
 
 #: Example intensity table used throughout the tests: brighter states first.
 DEFAULT_INTENSITIES = (5.0, 3.0, 2.0, 1.0)
 
 _POPS_TOLERANCE = 1e-9
-
-#: Walsh coefficients |c_t| at or below this cannot be divided by.
-DEGENERACY_TOLERANCE = 1e-9
 
 
 @cache
@@ -76,19 +74,6 @@ def _marginals():
 _MAX_SPLIT_SHOTS = 10**9
 
 
-class DegenerateCalibrationError(ValueError):
-    """Raised when a Walsh coefficient of the calibration is too small to divide by."""
-
-    def __init__(self, t_label: str, value: float, tolerance: float):
-        self.t_label = t_label
-        self.value = float(value)
-        self.tolerance = float(tolerance)
-        super().__init__(
-            f"calibration is degenerate along parity t={t_label}: "
-            f"|c_t| = {abs(value):.3e} <= {tolerance:.3e}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class CalibrationTable:
     """Mean photon intensity of every basis state, indexed like the state vector."""
@@ -102,7 +87,7 @@ class CalibrationTable:
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise ValueError("intensities must be finite and nonnegative")
         if np.all(arr == arr[0]):
-            # an all-equal table has c_t = 0 exactly for every parity t != 0
+            # an all-equal table has c_t = 0 exactly for every parity t != 0, so reconstruction's rule refuses it
             n = arr.size.bit_length() - 1
             raise DegenerateCalibrationError(index_to_bits(1, n), 0.0, DEGENERACY_TOLERANCE)
         arr.setflags(write=False)

@@ -11,47 +11,39 @@ diagonalizes that XOR convolution: each parity correlator <Z^t> is read off as
     <Z^t> = (2^n c_t)^{-1} sum_x (-1)^{x.t} m_x,
 
 and an inverse transform of the correlators gives the populations. The t = 0
-correlator estimates the total population and should sit near 1; it is
-reported as ``norm`` and deliberately never used to rescale anything.
-Reconstruction is exactly linear in the means, so shot noise propagates
-without bias. It fails only when some |c_t| is (near) zero, i.e. when the
-calibration carries no signal along parity t.
+correlator, the norm, estimates the total population and should sit near 1;
+it is deliberately never used to rescale anything. Reconstruction is exactly
+linear in the means, so shot noise propagates without bias. It fails only
+when some |c_t| is (near) zero, i.e. when the calibration carries no signal
+along parity t: the rule (``DEGENERACY_TOLERANCE``) lives here.
 
-``reconstruct`` also inverts stacked rows of means, ``(..., 2^n)``, all in one
-transform along the last axis. A degenerate table raises for a single vector
-but only turns its own row NaN in a stack.
+Every function takes intensities as a plain array. ``reconstruct`` inverts
+stacked rows of means, ``(..., 2^n)``, in one transform along the last axis,
+against intensities of any shape that broadcasts to them. A degenerate table
+raises for a single vector but only turns its own row NaN in a stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._bitstrings import index_to_bits
-# The error is defined next to CalibrationTable, which raises it too, and is
-# re-exported here where the reconstruction callers look for it.
-from .readout import DEGENERACY_TOLERANCE, CalibrationTable, DegenerateCalibrationError
+
+#: Walsh coefficients |c_t| at or below this cannot be divided by.
+DEGENERACY_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class PopulationEstimate:
-    """Reconstructed populations plus the parity correlators they came from."""
+class DegenerateCalibrationError(ValueError):
+    """Raised when a Walsh coefficient of the calibration is too small to divide by."""
 
-    pops: np.ndarray
-    correlators: np.ndarray
-    norm: float | np.ndarray
-
-    def __post_init__(self):
-        pops = np.array(self.pops, dtype=float)
-        corr = np.array(self.correlators, dtype=float)
-        pops.setflags(write=False)
-        corr.setflags(write=False)
-        object.__setattr__(self, "pops", pops)
-        object.__setattr__(self, "correlators", corr)
-        norm = np.array(self.norm, dtype=float)
-        norm.setflags(write=False)
-        object.__setattr__(self, "norm", float(norm) if norm.ndim == 0 else norm)
+    def __init__(self, t_label: str, value: float, tolerance: float):
+        self.t_label = t_label
+        self.value = float(value)
+        self.tolerance = float(tolerance)
+        super().__init__(
+            f"calibration is degenerate along parity t={t_label}: "
+            f"|c_t| = {abs(value):.3e} <= {tolerance:.3e}"
+        )
 
 
 def fwht(values) -> np.ndarray:
@@ -78,59 +70,53 @@ def _butterfly(v: np.ndarray) -> None:
         h *= 2
 
 
-def walsh_coefficients(calibration: CalibrationTable) -> np.ndarray:
-    """Normalized Walsh spectrum c_t = 2^-n sum_s I_s (-1)^(s.t) of the table, indexed by parity mask t."""
-    return fwht(calibration.intensities) / (1 << calibration.num_qubits)
+def walsh_coefficients(intensities) -> np.ndarray:
+    """Normalized Walsh spectrum c_t = 2^-n sum_s I_s (-1)^(s.t) of an intensity table, indexed by parity mask t."""
+    spectrum = fwht(intensities)
+    return spectrum / spectrum.size
 
 
-def forward_means(calibration: CalibrationTable, pops) -> np.ndarray:
-    """Exact readout means for every flip pattern: m_x = sum_s I_{s XOR x} pops_s."""
-    size = calibration.intensities.size
+def forward_means(intensities, pops) -> np.ndarray:
+    """Exact readout means for every flip pattern of an intensity table: m_x = sum_s I_{s XOR x} pops_s."""
+    c = walsh_coefficients(intensities)
     p = np.asarray(pops, dtype=float)
-    if p.shape != (size,):
-        raise ValueError(f"populations must have shape ({size},), got {p.shape}")
+    if p.shape != c.shape:
+        raise ValueError(f"populations must have shape {c.shape}, got {p.shape}")
     if not np.all(np.isfinite(p)) or np.any(p < -DEGENERACY_TOLERANCE):
         raise ValueError("populations must be finite and nonnegative")
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError("populations must sum to 1")
-    c = walsh_coefficients(calibration)
     # XOR convolution via the spectrum: transform, multiply, transform back.
     return fwht(c * fwht(p))
 
 
-def reconstruct(calibration: CalibrationTable | np.ndarray, means) -> PopulationEstimate:
-    """Invert flip-pattern means to populations and parity correlators.
+def reconstruct(intensities, means) -> tuple[np.ndarray, np.ndarray]:
+    """Populations and parity correlators of flip-pattern means, each of the shape of ``means``.
 
     ``means`` is one vector of 2^n means or stacked rows of them, ``(...,
-    2^n)``. ``calibration`` is a :class:`CalibrationTable` shared by every row,
-    or an array of intensity rows of the same shape as ``means``. The estimate
-    has the shape of ``means``; its ``norm`` (the t = 0 correlator) is a float
-    for one vector and an array of shape ``means.shape[:-1]`` for stacked rows.
+    2^n)``; ``intensities`` is one table shared by every row, or intensity
+    rows of any shape that broadcasts to ``means``. The norm is the t = 0
+    correlator, ``correlators[..., 0]``.
 
     A table with some |c_t| <= ``DEGENERACY_TOLERANCE`` raises
     :class:`DegenerateCalibrationError` (naming the first such parity mask)
-    for a single vector; for stacked rows its row comes back NaN. Mismatched
-    shapes, non-finite means and non-finite or negative intensities raise
+    for a single vector; for stacked rows its row comes back NaN. Shapes that
+    do not fit, non-finite means and non-finite or negative intensities raise
     ``ValueError``. No clipping and no renormalization: negative entries and
     norm != 1 are honest noise indicators that callers may inspect.
     """
     m = np.asarray(means, dtype=float)
-    if isinstance(calibration, CalibrationTable):
-        intensities = calibration.intensities  # broadcast over the rows below
-    else:
-        intensities = np.asarray(calibration, dtype=float)
-        if intensities.shape != m.shape:
-            raise ValueError(f"intensity rows of shape {intensities.shape} do not match means of shape {m.shape}")
-        if not np.isfinite(intensities).all() or (intensities < 0).any():
-            raise ValueError("intensities must be finite and nonnegative")
-    size = intensities.shape[-1] if intensities.ndim else 0
-    if m.shape[-1:] != (size,) or size < 2 or size & (size - 1):
-        raise ValueError(f"means of shape {m.shape} do not fit a power-of-two table of length {size}")
+    intensities = np.asarray(intensities, dtype=float)
+    size = m.shape[-1] if m.ndim else 0
+    if size < 2 or size & (size - 1):
+        raise ValueError(f"means of shape {m.shape} do not fit a power-of-two table")
+    if not np.isfinite(intensities).all() or (intensities < 0).any():
+        raise ValueError("intensities must be finite and nonnegative")
     if not np.isfinite(m).all():
         raise ValueError("means must be finite")
     # the tables and the means go through one transform together
     spectra = np.empty((2,) + m.shape)
-    spectra[0], spectra[1] = intensities, m
+    spectra[0], spectra[1] = intensities, m  # intensities that do not broadcast to the means raise ValueError
     _butterfly(spectra)
     c = spectra[0] / size
     small = np.abs(c) <= DEGENERACY_TOLERANCE
@@ -144,4 +130,4 @@ def reconstruct(calibration: CalibrationTable | np.ndarray, means) -> Population
     pops = correlators.copy()
     _butterfly(pops)
     pops /= size
-    return PopulationEstimate(pops=pops, correlators=correlators, norm=correlators[..., 0])
+    return pops, correlators

@@ -42,7 +42,7 @@ from nvqaoa.noise import _angle_stacks
 from nvqaoa.experiment import CSV_HEADER
 from nvqaoa.graph_problem import Graph, diagonal_costs
 from nvqaoa.noise import density_populations, perturb_calibration
-from nvqaoa.readout import CalibrationTable, check_rows
+from nvqaoa.readout import check_rows
 from nvqaoa.reconstruction import DegenerateCalibrationError, reconstruct
 from nvqaoa.statevector import ROTATION_KINDS, Gate, butterfly, gate_matrix, populations, rz_matrix
 
@@ -131,12 +131,10 @@ def invert_means(config, intensities, means):
     diag = diagonal_costs(config.graph)
     size = diag.size
     try:
-        # an all-dark table is rejected by CalibrationTable before reconstruct sees it
-        table = CalibrationTable(intensities if config.exact_calibration else means[:size])
-        estimate = reconstruct(table, means[size:])
+        pops, correlators = reconstruct(intensities if config.exact_calibration else means[:size], means[size:])
     except DegenerateCalibrationError:
         return np.full(size, math.nan), math.nan, math.nan
-    return estimate.pops, estimate.norm, float(np.dot(estimate.pops, diag))
+    return pops, float(correlators[0]), float(np.dot(pops, diag))
 
 
 def point_streams(config, realization_index=0, point_index=0):

@@ -315,6 +315,7 @@ def _bits(values) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.simd_baseline
 def test_ideal_scan_equals_per_point_simulation_bit_for_bit(n):
     # the 3 x 3 grid is one block up to n = 4, blocks of 4, 4 and 1 points at n = 5, one-point blocks from n = 6;
     # ideal mode applies no noise channel, so a config's noise changes no bit
@@ -567,6 +568,7 @@ def grid_cells(grid):
 
 
 @pytest.mark.parametrize("case", list(GRID_CASES))
+@pytest.mark.simd_baseline
 def test_single_point_grid_equals_measure_point(case):
     # a grid draws each stream block stacked and equals the stream-block oracle;
     # a one-point grid is measure_point bit for bit, and measure_point at every
@@ -635,7 +637,7 @@ def closed_form_stderr(config):
     Var_p[I]) / shots over its row p.
     """
     diag = diagonal_costs(config.graph)
-    weights = reconstruct(config.calibration, np.eye(diag.size)).pops @ diag
+    weights = reconstruct(config.calibration.intensities, np.eye(diag.size))[0] @ diag
     intensities = config.calibration.intensities
     F_ideal, sigma = [], []
     for beta, gamma in itertools.product(config.betas(), config.gammas()):
@@ -898,6 +900,7 @@ GRID_TRACE_CASES = {
 
 @pytest.mark.parametrize("case", list(GRID_TRACE_CASES))
 @pytest.mark.parametrize("n", [2, 4, 5, 6])
+@pytest.mark.simd_baseline
 def test_optimize_grid_equals_a_one_realization_landscape(n, case):
     # the 5 x 5 grid is one partial block at n = 2, blocks of 16 and 9 at n = 4, six blocks of 4 and one of 1
     # at n = 5, and one-point blocks read by gamma column at n = 6; optimize reads one realization of each
@@ -912,6 +915,7 @@ def test_optimize_grid_equals_a_one_realization_landscape(n, case):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("case", ["ideal", "sampled", "sampled-overrotation"])
 @pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.simd_baseline
 def test_optimize_trials_are_blocks_of_one(monkeypatch, n, case, strategy):
     # trial k past a grid of G points is read as a block of one at point index G + k: its trace row equals
     # measure_point there bit for bit, NaN for NaN, and ideal_cost in ideal mode. Ring-6 grids are one-point blocks.
@@ -1009,6 +1013,25 @@ def test_simplex_best_skips_invalid_evaluations(monkeypatch):
     assert result.best_F == min(value for *_, value in result.trace if not math.isnan(value))
 
 
+def test_an_all_degenerate_grid_names_its_parity_from_the_grid_read(monkeypatch):
+    # intensities this dim record no photon, so every empirical table is all zero
+    starts = []
+    read_block = experiment._read_block
+
+    def counting(config, diag, betas, gammas, start, *args):
+        starts.append(start)
+        return read_block(config, diag, betas, gammas, start, *args)
+
+    monkeypatch.setattr(experiment, "_read_block", counting)
+    cfg = sampled_config(
+        calibration=CalibrationTable(np.array([0.0, 0.0, 0.0, 1e-12])), shots=1_000,
+        beta_range=(0.1, 0.9, 0.4), gamma_range=(3.7, 5.7, 1.0),
+    )
+    with pytest.raises(DegenerateCalibrationError, match="t=00"):
+        optimize(cfg)
+    assert starts == [0]  # the 3 x 3 grid's one block, read once
+
+
 def test_convergence_profile_checkpoints():
     cfg = sampled_config(shots=5_000, realizations=3, checkpoint_every=1000)
     profile = convergence_profile(cfg, POINT)
@@ -1020,6 +1043,7 @@ def test_convergence_profile_checkpoints():
     np.testing.assert_allclose(profile.mean_pops[-1], POINT_POPS, atol=0.1)
 
 
+@pytest.mark.simd_baseline
 def test_convergence_final_checkpoint_matches_measure_point(monkeypatch):
     # under every channel, on one split worker and on two: 1024 blocks of 8 records pass the thread gate
     cases = [
@@ -1098,13 +1122,12 @@ def per_checkpoint_runs(config, params, point_index=0):
         intensities, draws, split = point_streams(config, realization, point_index)
         _, checkpoints = read_records(intensities, rows, config.shots, draws, split, config.checkpoint_every)
         for k in range(num_checkpoints):
+            table = intensities if config.exact_calibration else checkpoints[:size, k]
             try:
-                table = CalibrationTable(intensities if config.exact_calibration else checkpoints[:size, k])
-                estimate = reconstruct(table, checkpoints[size:, k])
+                pops_runs[realization, k], correlators = reconstruct(table, checkpoints[size:, k])
             except DegenerateCalibrationError:
                 continue
-            pops_runs[realization, k] = estimate.pops
-            norm_runs[realization, k] = estimate.norm
+            norm_runs[realization, k] = correlators[0]
     return pops_runs, norm_runs
 
 
@@ -1170,6 +1193,7 @@ WORKER_CASES = {
 
 @pytest.mark.parametrize("realizations", [1, 3, 4, 5])
 @pytest.mark.parametrize("case", list(WORKER_CASES))
+@pytest.mark.simd_baseline
 def test_convergence_profile_does_not_depend_on_the_worker_count(monkeypatch, case, realizations):
     # 1024 one-shot blocks of 8 records: long enough a split to go to a thread
     cfg = sampled_config(shots=1_024, checkpoint_every=1, realizations=realizations, **WORKER_CASES[case])
@@ -1356,6 +1380,7 @@ def special_values():
     return np.concatenate([specials, boundaries, powers, ties, randoms, patterns, -patterns[:1000]])
 
 
+@pytest.mark.simd_baseline
 def test_format_10g_matches_format_byte_for_byte():
     values = special_values()
     # seven fields a row: chunks start and end mid-row
@@ -1415,6 +1440,7 @@ def assert_mapped_text(table, seps, columns, expected):
         (2, 2 * CHUNK + 7),  # the 7-value remainder of an ideal row joins the second piece
     ],
 )
+@pytest.mark.simd_baseline
 def test_write_rows_column_map_matches_per_value_oracle(rows, width):
     rng = np.random.default_rng(width)
     table = np.resize(rng.permutation(special_values()), (rows, width))
@@ -1505,6 +1531,7 @@ def test_mirrored_rows_must_match_bit_for_bit():
         assert buffer.getvalue().decode("ascii") == landscape_csv_text(changed)
 
 
+@pytest.mark.simd_baseline
 def test_csv_writers_match_per_value_oracles():
     def same_text(write, oracle, result):
         buffer = io.BytesIO()
@@ -1779,7 +1806,7 @@ def test_depolarizing_errors_are_independent_per_shot():
     rows = np.array([density_matrix_populations(c, noise) for c in subcircuits(K2, params)[size:]])
     mean_I = rows @ CAL.intensities
     var_I = rows @ CAL.intensities**2 - mean_I**2
-    w = fwht(fwht(diagonal_costs(K2)) / walsh_coefficients(CAL)) / size**2
+    w = fwht(fwht(diagonal_costs(K2)) / walsh_coefficients(CAL.intensities)) / size**2
     sigma_F = math.sqrt(np.sum(w**2 * (mean_I + var_I)) / shots)
     ratio = (num - 1) * F.var(ddof=1) / sigma_F**2
     assert stats.chi2.ppf(1e-4, num - 1) <= ratio <= stats.chi2.isf(1e-4, num - 1), (F.std(ddof=1), sigma_F)

@@ -13,6 +13,9 @@ import pytest
 
 from nvqaoa.cli import EXIT_OK, main
 
+# every digest must come out of numpy's baseline SIMD loops too
+pytestmark = pytest.mark.simd_baseline
+
 GRAPHS = {
     "k2.txt": "n 2\n0 1\n",
     "ring4.txt": "n 4\n0 1 0.7\n1 2 1.2\n2 3 0.9\n3 0 1.1\n",

@@ -11,7 +11,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # the public API; a name added or removed shows here
 EXPORTS = [
     "CalibrationTable", "Circuit", "ConfigError", "ConvergenceProfile", "CutReport", "DegenerateCalibrationError",
-    "Gate", "Graph", "LandscapeGrid", "NoiseConfig", "OptimizeResult", "PointRecord", "PopulationEstimate",
+    "Gate", "Graph", "LandscapeGrid", "NoiseConfig", "OptimizeResult", "PointRecord",
     "QaoaParams", "ScanConfig", "StateVector", "append_flips", "apply_gate", "brute_force", "build_ansatz",
     "build_ansatz_native", "check_rows", "convergence_profile", "cost", "cut_value",
     "default_calibration", "density_populations", "diagonal_costs", "expectation_diagonal", "fidelity",

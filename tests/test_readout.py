@@ -235,6 +235,7 @@ class SharesSpy(np.random.Generator):
 
 
 @pytest.mark.parametrize("through_method", [False, True], ids=["c_routine", "method"])
+@pytest.mark.simd_baseline
 def test_split_draws_what_the_generator_method_draws(monkeypatch, through_method):
     # 2 to 32 states a record, split into 1 to 300 cells, with dark states
     if through_method:

@@ -243,6 +243,7 @@ def _rx_rows(beta):
 
 
 @pytest.mark.parametrize("m", range(1, 15))
+@pytest.mark.simd_baseline
 def test_constant_geometry_kernel_equals_butterfly_on_every_qubit(m):
     # butterfly(amps, M, range(m)) is the oracle, bit for bit; odd m ends in the scratch state and is copied back
     rng = np.random.default_rng(80 + m)
