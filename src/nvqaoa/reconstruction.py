@@ -17,9 +17,8 @@ linear in the means, so shot noise propagates without bias. It fails only
 when some |c_t| is (near) zero, i.e. when the calibration carries no signal
 along parity t: the rule (``DEGENERACY_TOLERANCE``) lives here.
 
-Every function takes intensities as a plain array. ``reconstruct`` inverts
-stacked rows of means, ``(..., 2^n)``, in one transform along the last axis,
-against intensities of any shape that broadcasts to them. A degenerate table
+``reconstruct`` inverts stacked rows of means, ``(..., 2^n)``, in one
+transform against intensities that broadcast to them. A degenerate table
 raises for a single vector but only turns its own row NaN in a stack.
 """
 
@@ -79,6 +78,8 @@ def walsh_coefficients(intensities) -> np.ndarray:
 def forward_means(intensities, pops) -> np.ndarray:
     """Exact readout means for every flip pattern of an intensity table: m_x = sum_s I_{s XOR x} pops_s."""
     c = walsh_coefficients(intensities)
+    if not np.isfinite(c).all() or (np.asarray(intensities) < 0).any():
+        raise ValueError("intensities must be finite and nonnegative")
     p = np.asarray(pops, dtype=float)
     if p.shape != c.shape:
         raise ValueError(f"populations must have shape {c.shape}, got {p.shape}")

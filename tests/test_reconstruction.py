@@ -4,7 +4,6 @@ import pytest
 from nvqaoa._bitstrings import all_bitstrings
 from nvqaoa.circuits import QaoaParams, append_flips, build_ansatz, simulate
 from nvqaoa.graph_problem import Graph
-from nvqaoa import readout
 from nvqaoa.readout import check_rows, default_calibration, read_records
 from nvqaoa.reconstruction import (
     DEGENERACY_TOLERANCE,
@@ -74,6 +73,9 @@ def test_forward_means_validation():
         forward_means(CAL, np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         forward_means(CAL, np.array([0.5, 0.6, 0.0, 0.0]))
+    for value in (-1.0, np.inf):
+        with pytest.raises(ValueError, match="intensities"):
+            forward_means(np.array([5.0, value, 2.0, 1.0]), np.full(4, 0.25))
 
 
 def test_reconstruct_exact_basis_state():
@@ -243,14 +245,6 @@ def test_broadcast_tables_equal_their_repeated_rows_bit_for_bit(n):
     assert np.isfinite(pops[[0, 3]]).all()
     with pytest.raises(ValueError, match="broadcast"):
         reconstruct(per_point[:3], means)
-
-
-def test_readout_refuses_tables_by_the_reconstruction_rule():
-    assert readout.DegenerateCalibrationError is DegenerateCalibrationError
-    assert readout.DEGENERACY_TOLERANCE is DEGENERACY_TOLERANCE
-    with pytest.raises(DegenerateCalibrationError) as excinfo:
-        readout.CalibrationTable(np.full(4, 2.0))
-    assert excinfo.value.tolerance == DEGENERACY_TOLERANCE
 
 
 def test_stacked_reconstruct_validation():
