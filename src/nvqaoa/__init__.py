@@ -11,7 +11,7 @@ __version__ = "0.7.0"
 from types import ModuleType as _ModuleType
 
 from .graph_problem import Graph, CutReport, brute_force, cost, cut_value, diagonal_costs, load_graph
-from .statevector import Gate, StateVector, apply_gate, init_zero, populations, expectation_diagonal, fidelity
+from .statevector import Gate, apply_gate, init_zero, populations, fidelity
 from .circuits import (
     Circuit, QaoaParams, append_flips, build_ansatz, build_ansatz_native, qaoa_amplitudes, simulate, simulate_qaoa
 )

@@ -6,19 +6,20 @@ starting from the uniform superposition. A second builder expands each RZZ
 into the native CNOT - RZ - CNOT sequence; the two must agree up to global
 phase, which is one of the library's standing self-checks.
 
-``qaoa_amplitudes`` makes a stack of ansatz states without building a circuit:
+Every state here is a plain array of 2^n amplitudes. ``qaoa_amplitudes``
+makes a ``(points, 2^n)`` stack of ansatz states without building a circuit:
 per layer, one multiply by the cost-diagonal phase (``_cost_phase``) and RX on
 every qubit in constant geometry (``statevector.butterfly_all``), each row with
-its own angles. It folds in overrotation and phase
-offset, so it makes every deterministic ansatz state of a scan, exact or
-sampled; ``simulate_qaoa`` is its one-row case. Without a phase offset, on a
-cost diagonal equal to its own reverse (every ``diagonal_costs`` output), it
-simulates only the half of each row with qubit 0 clear and mirrors it
-(``_even_amplitudes``), bit for bit what the loop over the whole register
-gives. The gate-level ``simulate(build_ansatz(...), noise)``, which takes the
-same deterministic channels gate by gate, stays as its reference. A
-depolarizing channel leaves a mixed state, which a sampled scan reads from
-the density-matrix twin ``noise.density_populations`` instead.
+its own angles. It folds in overrotation and phase offset, so it makes every
+deterministic ansatz state of a scan, exact or sampled; ``simulate_qaoa`` is
+its one-row case. Without a phase offset, on a cost diagonal equal to its own
+reverse (every ``diagonal_costs`` output), it simulates only the half of each
+row with qubit 0 clear and mirrors it (``_even_amplitudes``), bit for bit what
+the loop over the whole register gives. The gate-level
+``simulate(build_ansatz(...), noise)``, which takes the same deterministic
+channels gate by gate, stays as its reference. A depolarizing channel leaves a
+mixed state, which a sampled scan reads from the density-matrix twin
+``noise.density_populations`` instead.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from ._bitstrings import BitString, as_bit_array
 from .graph_problem import Graph
 from .noise import NoiseConfig, _angle_stacks
-from .statevector import ROTATION_KINDS, Gate, StateVector, apply_gate, butterfly_all, init_zero, rz_matrix
+from .statevector import ROTATION_KINDS, Gate, apply_gate, butterfly_all, init_zero, rz_matrix
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,8 @@ def append_flips(circuit: Circuit, pattern: BitString) -> Circuit:
     return Circuit(circuit.num_qubits, circuit.gates + extra)
 
 
-def simulate(circuit: Circuit, noise: NoiseConfig | None = None) -> StateVector:
-    """Run the circuit on |00...0> gate by gate and return the final state.
+def simulate(circuit: Circuit, noise: NoiseConfig | None = None) -> np.ndarray:
+    """Run the circuit on |00...0> gate by gate and return the final 2^n amplitudes.
 
     ``noise`` applies the deterministic channels: overrotation scales every
     rotation angle by 1 + frac, and a phase offset applies RZ(offset) on qubit
@@ -232,7 +233,6 @@ def _even_amplitudes(n: int, phases, betas: np.ndarray) -> np.ndarray:
 
 def simulate_qaoa(
     costs: np.ndarray, params: QaoaParams, noise: NoiseConfig | None = None, num_edges: int | None = None
-) -> StateVector:
-    """The ansatz state of ``params``: the one-row case of ``qaoa_amplitudes``."""
-    amps = qaoa_amplitudes(costs, [params.betas], [params.gammas], noise, num_edges)[0]
-    return StateVector(amps.size.bit_length() - 1, amps)
+) -> np.ndarray:
+    """The 2^n ansatz amplitudes of ``params``: the one-row case of ``qaoa_amplitudes``."""
+    return qaoa_amplitudes(costs, [params.betas], [params.gammas], noise, num_edges)[0]

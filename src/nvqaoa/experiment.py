@@ -335,8 +335,8 @@ def _check_scan_entries(config: ScanConfig, checkpoints: bool = False) -> None:
     per realization) share the point's rows, 2 x 4^n floats, and each holds
     one realization's block arrays at a time, so its live set is about
     (realizations + 2 W) x checkpoints x 2^n + 2 x 4^n floats besides each
-    split's temporaries; ``_realization_stats`` then adds a few arrays of one
-    realization's size, however many realizations there are.
+    split's temporaries, of which the convergence cap leaves out the 2 x 4^n rows;
+    ``_realization_stats`` then adds a few arrays of one realization's size.
     """
     n = config.graph.num_vertices
     if checkpoints:
@@ -705,8 +705,16 @@ def config_from_dict(data: dict) -> ScanConfig:
     """Inverse of config_to_dict; a missing or mistyped field raises ConfigError naming it."""
     _check_fields(data, _CONFIG_FIELDS, "config.")
     _check_fields(data["graph"], {"num_vertices": int, "edges": list}, "config.graph.")
+    for name, count in (("beta_range", 3), ("gamma_range", 3), ("calibration", None)):
+        values = data[name] or []  # a null calibration holds no numbers
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+        if not numbers or count not in (None, len(values)):
+            raise ConfigError(f"field 'config.{name}' must hold {count or 'only'} numbers, each an int or a float")
     fields = {name: data[name] for name in _CONFIG_FIELDS}  # ScanConfig makes the ranges tuples of floats
-    fields["graph"] = Graph.from_edges(data["graph"]["num_vertices"], data["graph"]["edges"])
+    try:
+        fields["graph"] = Graph.from_edges(data["graph"]["num_vertices"], data["graph"]["edges"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"fields 'config.graph.num_vertices' and 'config.graph.edges' make no graph: {exc}") from None
     if data["noise"] is not None:
         _check_fields(data["noise"], dict.fromkeys(NoiseConfig().to_dict(), (int, float)), "config.noise.")
         fields["noise"] = NoiseConfig.from_dict(data["noise"])

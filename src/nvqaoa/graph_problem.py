@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -67,6 +68,9 @@ class Graph:
                 u, v, w = edge
             else:
                 raise ValueError(f"edge must be (u, v) or (u, v, w), got {tuple(edge)!r}")
+            kinds = (Integral, Integral, Real)  # bool is an Integral, and True would pass for vertex or weight 1
+            if not all(isinstance(x, kind) and not isinstance(x, bool) for x, kind in zip(edge, kinds)):
+                raise ValueError(f"edge {tuple(edge)!r} needs integer vertices and a real weight")
             u, v = int(u), int(v)
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValueError(f"edge ({u}, {v}) references a vertex outside 0..{num_vertices - 1}")

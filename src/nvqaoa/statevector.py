@@ -7,8 +7,9 @@ Conventions, fixed once here and relied on everywhere else:
   RZZ(theta) = diag(e^{-i theta/2}, e^{+i theta/2}, e^{+i theta/2}, e^{-i theta/2}),
 * CNOT targets are written (control, target).
 
-States are never renormalized behind the caller's back; norm drift is a bug
-signal, not something to hide.
+A state is a plain 1-D complex array of 2**n amplitudes; ``apply_matrix``
+checks a caller's and returns a new one. States are never renormalized behind
+the caller's back; norm drift is a bug signal, not something to hide.
 """
 
 from __future__ import annotations
@@ -104,36 +105,21 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"unknown gate kind {gate.kind!r}")  # unreachable after Gate validation
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Immutable register state: 2**num_qubits complex amplitudes."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        n = self.num_qubits
-        if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {n}")
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (1 << n,):
-            raise ValueError(f"expected {1 << n} amplitudes, got shape {amps.shape}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-
-def init_zero(num_qubits: int) -> StateVector:
-    """|00...0> on ``num_qubits`` qubits."""
+def init_zero(num_qubits: int) -> np.ndarray:
+    """|00...0> on ``num_qubits`` qubits, a new array of 2**num_qubits amplitudes."""
     if not isinstance(num_qubits, int) or not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
     amps = np.zeros(1 << num_qubits, dtype=complex)
     amps[0] = 1.0
-    return StateVector(num_qubits, amps)
+    return amps
 
 
-def apply_matrix(state: StateVector, matrix: np.ndarray, targets: tuple[int, ...]) -> StateVector:
-    """Apply an arbitrary 2**k x 2**k matrix to the given k target qubits."""
-    n = state.num_qubits
+def apply_matrix(state: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """Apply a 2**k x 2**k ``matrix`` to the k ``targets`` of ``state`` as a new array; ``state`` is never written."""
+    shape = np.shape(state)
+    n = shape[0].bit_length() - 1 if len(shape) == 1 else 0
+    if not 1 <= n <= MAX_QUBITS or shape != (1 << n,):
+        raise ValueError(f"a state is 2**n amplitudes, n in 1..{MAX_QUBITS}; got shape {shape}")
     targets = tuple(int(t) for t in targets)
     k = len(targets)
     if k == 0 or len(set(targets)) != k:
@@ -143,11 +129,11 @@ def apply_matrix(state: StateVector, matrix: np.ndarray, targets: tuple[int, ...
     u = np.asarray(matrix, dtype=complex)
     if u.shape != (1 << k, 1 << k):
         raise ValueError(f"matrix shape {u.shape} does not act on {k} qubit(s)")
-    psi = state.amplitudes.reshape((2,) * n)
+    psi = np.asarray(state, dtype=complex).reshape((2,) * n)
     u = u.reshape((2,) * (2 * k))
     out = np.tensordot(u, psi, axes=(tuple(range(k, 2 * k)), targets))
     out = np.moveaxis(out, tuple(range(k)), targets)
-    return StateVector(n, out.reshape(-1))
+    return out.reshape(-1)
 
 
 def butterfly(amps: np.ndarray, matrix, qubits) -> None:
@@ -206,26 +192,17 @@ def butterfly_all(amps: np.ndarray, matrix) -> None:
         amps[...] = src
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     return apply_matrix(state, gate_matrix(gate), gate.targets)
 
 
-def populations(state: StateVector | np.ndarray) -> np.ndarray:
-    """Basis-state probabilities |amplitude|^2 (not renormalized) of a state or an array of amplitudes."""
-    amps = state.amplitudes if isinstance(state, StateVector) else state
+def populations(amps: np.ndarray) -> np.ndarray:
+    """Basis-state probabilities |amplitude|^2 (not renormalized) of an array of amplitudes."""
     return amps.real**2 + amps.imag**2
 
 
-def expectation_diagonal(state: StateVector, diagonal: np.ndarray) -> float:
-    """Expectation value of a diagonal operator given by its diagonal entries."""
-    d = np.asarray(diagonal, dtype=float)
-    if d.shape != (1 << state.num_qubits,):
-        raise ValueError(f"diagonal length {d.shape} does not match {state.num_qubits} qubits")
-    return float(np.dot(populations(state), d))
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|, insensitive to global phase."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states act on different register sizes")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
+    if np.shape(a) != np.shape(b):
+        raise ValueError(f"states of shapes {np.shape(a)} and {np.shape(b)} act on different registers")
+    return float(abs(np.vdot(a, b)))

@@ -635,6 +635,15 @@ INCOMPLETE_MANIFESTS = [
      "config.noise.overrotation_frac"),
     ("landscape", lambda m: m["config"].update(noise={k: v for k, v in NOISE.items() if k != "phase_offset"}),
      "config.noise.phase_offset"),
+    ("landscape", lambda m: m["config"].update(beta_range=["0.1", 0.2, 0.1]), "config.beta_range"),
+    ("landscape", lambda m: m["config"].update(gamma_range=[0.5, "0.5", 0.1]), "config.gamma_range"),
+    ("landscape", lambda m: m["config"].update(gamma_range=[0.5, 0.6, 0.1, 0.1]), "config.gamma_range"),
+    ("landscape", lambda m: m["config"].update(beta_range=[0.1, 0.2, True]), "config.beta_range"),
+    ("landscape", lambda m: m["config"].update(calibration=["5", 3, 2, 1]), "config.calibration"),
+    ("landscape", lambda m: m["config"].update(calibration=[5.0, 3.0, False, 1.0]), "config.calibration"),
+    ("landscape", lambda m: m["config"]["graph"].update(edges=[[0.5, 1, 1.0]]), "config.graph.edges"),
+    ("landscape", lambda m: m["config"]["graph"].update(edges=[[True, 0, 1.0]]), "config.graph.edges"),
+    ("landscape", lambda m: m["config"]["graph"].update(edges=[[0, 1, True]]), "config.graph.edges"),
     ("landscape", lambda m: m.pop("version"), "version"),
     ("landscape", lambda m: m.update(version="0.1.0"), "version"),
 ]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,12 @@ def test_from_edges_validation():
         Graph.from_edges(2, [(0, 1), (1, 0)])
     with pytest.raises(ValueError, match="outside"):
         Graph.from_edges(2, [(0, 2)])
+    # a bool or non-integer vertex, and a bool or non-real weight, is refused, naming the edge
+    for edge in ((0.5, 1), (True, 0), (0, 1.0), (0, "1"), (0, 1, True), (0, 1, "2"), (0, 1, 1j)):
+        with pytest.raises(ValueError, match=re.escape(repr(edge))):
+            Graph.from_edges(2, [edge])
+    # numpy scalars are Integral and Real
+    assert Graph.from_edges(2, [(np.int64(0), np.int32(1), np.float64(0.5))]).total_weight() == 0.5
 
 
 def test_bitstring_length_mismatch():

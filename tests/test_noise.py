@@ -50,10 +50,10 @@ def test_trivial_config_bit_identical_to_exact():
         circuit = build_ansatz(K2, QaoaParams.single(beta, gamma))
         exact = simulate(circuit)
         quiet = simulate(circuit, NoiseConfig(calibration_sigma=0.1))
-        assert np.array_equal(exact.amplitudes, quiet.amplitudes)
+        assert np.array_equal(exact, quiet)
     for n in (1, 2, 3, 4):
         circuit = random_circuit(n, rng, num_gates=20)
-        assert np.array_equal(simulate(circuit).amplitudes, simulate(circuit, NoiseConfig()).amplitudes)
+        assert np.array_equal(simulate(circuit), simulate(circuit, NoiseConfig()))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -70,7 +70,7 @@ def test_deterministic_channels_follow_each_gate_bit_for_bit(n):
             expected = apply_matrix(expected, gate_matrix(gate), gate.targets)
             if len(gate.targets) == 2:
                 expected = apply_matrix(expected, rz_matrix(config.phase_offset), (0,))
-        assert np.array_equal(simulate(circuit, config).amplitudes, expected.amplitudes)
+        assert np.array_equal(simulate(circuit, config), expected)
 
 
 def test_overrotation_scales_rotation_angles_only():
@@ -96,12 +96,12 @@ def test_phase_offset_follows_two_qubit_gates():
     expected = apply_gate(expected, Gate("H", (0,)))
     expected = apply_gate(expected, Gate("CNOT", (0, 1)))
     expected = apply_matrix(expected, rz_matrix(phi), (0,))
-    np.testing.assert_allclose(noisy.amplitudes, expected.amplitudes, atol=1e-14)
+    np.testing.assert_allclose(noisy, expected, atol=1e-14)
 
     # single-qubit gates must not pick up the offset
     single = Circuit(2, (Gate("H", (0,)),))
     noisy = simulate(single, config)
-    np.testing.assert_allclose(noisy.amplitudes, simulate(single).amplitudes, atol=1e-15)
+    np.testing.assert_allclose(noisy, simulate(single), atol=1e-15)
 
 
 def test_depolarizing_single_gate_statistics():

@@ -12,9 +12,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 EXPORTS = [
     "CalibrationTable", "Circuit", "ConfigError", "ConvergenceProfile", "CutReport", "DegenerateCalibrationError",
     "Gate", "Graph", "LandscapeGrid", "NoiseConfig", "OptimizeResult", "PointRecord",
-    "QaoaParams", "ScanConfig", "StateVector", "append_flips", "apply_gate", "brute_force", "build_ansatz",
+    "QaoaParams", "ScanConfig", "append_flips", "apply_gate", "brute_force", "build_ansatz",
     "build_ansatz_native", "check_rows", "convergence_profile", "cost", "cut_value",
-    "default_calibration", "density_populations", "diagonal_costs", "expectation_diagonal", "fidelity",
+    "default_calibration", "density_populations", "diagonal_costs", "fidelity",
     "forward_means", "fwht", "ideal_cost", "init_zero", "landscape_error", "load_graph", "measure_point", "optimize",
     "perturb_calibration", "populations", "qaoa_amplitudes", "read_records", "reconstruct", "run_scan", "simulate",
     "simulate_qaoa", "walsh_coefficients",

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from nvqaoa.statevector import (
+    MAX_QUBITS,
     Gate,
-    StateVector,
     apply_gate,
     apply_matrix,
     butterfly,
     butterfly_all,
-    expectation_diagonal,
     fidelity,
     gate_matrix,
     init_zero,
@@ -22,7 +21,7 @@ ALL_KINDS = ("H", "X", "RX", "RY", "RZ", "CNOT", "RZZ")
 def random_state(rng, n):
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
-    return StateVector(n, amps)
+    return amps
 
 
 def random_gate(rng, n, kind=None):
@@ -37,8 +36,8 @@ def random_gate(rng, n, kind=None):
 
 def test_init_zero():
     state = init_zero(3)
-    assert state.num_qubits == 3
-    np.testing.assert_array_equal(state.amplitudes, np.eye(8, dtype=complex)[0])
+    assert state.shape == (8,)
+    np.testing.assert_array_equal(state, np.eye(8, dtype=complex)[0])
 
 
 def test_init_zero_capacity():
@@ -50,9 +49,9 @@ def test_init_zero_capacity():
 
 def test_hadamard_and_x():
     plus = apply_gate(init_zero(1), Gate("H", (0,)))
-    np.testing.assert_allclose(plus.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
+    np.testing.assert_allclose(plus, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
     one = apply_gate(init_zero(1), Gate("X", (0,)))
-    np.testing.assert_allclose(one.amplitudes, [0, 1], atol=1e-15)
+    np.testing.assert_allclose(one, [0, 1], atol=1e-15)
 
 
 def test_qubit_zero_is_most_significant():
@@ -82,16 +81,16 @@ def test_cnot_orientation():
 def test_rzz_phase_convention():
     theta = 0.831
     state = apply_gate(init_zero(2), Gate("RZZ", (0, 1), theta))
-    np.testing.assert_allclose(state.amplitudes[0], np.exp(-0.5j * theta), atol=1e-15)
+    np.testing.assert_allclose(state[0], np.exp(-0.5j * theta), atol=1e-15)
     state = apply_gate(apply_gate(init_zero(2), Gate("X", (1,))), Gate("RZZ", (0, 1), theta))
-    np.testing.assert_allclose(state.amplitudes[1], np.exp(+0.5j * theta), atol=1e-15)
+    np.testing.assert_allclose(state[1], np.exp(+0.5j * theta), atol=1e-15)
 
 
 def test_rotation_convention_rx():
     theta = 1.234
     state = apply_gate(init_zero(1), Gate("RX", (0,), theta))
     np.testing.assert_allclose(
-        state.amplitudes, [np.cos(theta / 2), -1j * np.sin(theta / 2)], atol=1e-15
+        state, [np.cos(theta / 2), -1j * np.sin(theta / 2)], atol=1e-15
     )
 
 
@@ -113,7 +112,7 @@ def test_norm_preserved_random_circuits():
             if n == 1 and kind in ("CNOT", "RZZ"):
                 continue
             state = apply_gate(state, random_gate(rng, n, kind))
-        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_inverse_recovery():
@@ -128,7 +127,7 @@ def test_inverse_recovery():
         else:
             inverse = gate  # H, X, CNOT are involutions
         recovered = apply_gate(forward, inverse)
-        np.testing.assert_allclose(recovered.amplitudes, state.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(recovered, state, atol=1e-12)
 
 
 def test_rzz_equals_cnot_rz_cnot():
@@ -144,7 +143,7 @@ def test_rzz_equals_cnot_rz_cnot():
         chained = apply_gate(chained, Gate("CNOT", (0, 1)))
         assert fidelity(direct, chained) == pytest.approx(1.0, abs=1e-12)
         # in this construction the phases agree exactly, not just up to a global factor
-        np.testing.assert_allclose(direct.amplitudes, chained.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(direct, chained, atol=1e-12)
 
 
 def test_diagonal_gates_leave_populations():
@@ -162,9 +161,9 @@ def test_populations_and_expectation():
     np.testing.assert_allclose(pops, [0.5, 0, 0.5, 0], atol=1e-15)
     assert pops.sum() == pytest.approx(1.0, abs=1e-15)
     diag = np.array([0.0, -1.0, -1.0, 0.0])
-    assert expectation_diagonal(state, diag) == pytest.approx(-0.5, abs=1e-15)
+    assert pops @ diag == pytest.approx(-0.5, abs=1e-15)
     with pytest.raises(ValueError):
-        expectation_diagonal(state, np.zeros(5))
+        pops @ np.zeros(5)
 
 
 def test_gate_validation():
@@ -194,21 +193,60 @@ def test_apply_matrix_validation():
         apply_gate(state, Gate("RZZ", (0, 3), 0.1))
 
 
-def test_state_is_immutable():
-    state = init_zero(1)
+def test_gates_leave_their_input_unchanged():
+    # a state is a plain writable array, so the reference must copy, never update in place
+    rng = np.random.default_rng(17)
+    state = random_state(rng, 4)
+    for _ in range(40):
+        gate = random_gate(rng, 4)
+        for step in (lambda s: apply_gate(s, gate), lambda s: apply_matrix(s, gate_matrix(gate), gate.targets)):
+            before = state.copy()
+            after = step(state)
+            assert np.array_equal(state.view(np.int64), before.view(np.int64))
+            assert not np.shares_memory(after, state)
+        state = after
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        np.array(1.0 + 0j),
+        np.zeros((2, 2), dtype=complex),
+        np.zeros(1, dtype=complex),
+        np.zeros(3, dtype=complex),
+        # one register past MAX_QUBITS, as a zero-stride view that allocates nothing
+        np.broadcast_to(np.zeros(1, dtype=complex), (1 << (MAX_QUBITS + 1),)),
+    ],
+    ids=["0-d", "2-D", "length-1", "length-3", "past-MAX_QUBITS"],
+)
+def test_gates_refuse_malformed_states(state):
     with pytest.raises(ValueError):
-        state.amplitudes[0] = 0.0
+        apply_gate(state, Gate("X", (0,)))
+    with pytest.raises(ValueError):
+        apply_matrix(state, np.eye(2), (0,))
+
+
+def test_init_zero_is_fresh_and_writable():
+    first, second = init_zero(2), init_zero(2)
+    assert first.flags.writeable and not np.shares_memory(first, second)
+    first[0] = 0.0
+    np.testing.assert_array_equal(init_zero(2), [1, 0, 0, 0])
+
+
+def test_fidelity_refuses_different_shapes():
+    with pytest.raises(ValueError):
+        fidelity(init_zero(1), init_zero(2))
 
 
 def test_no_silent_renormalization():
-    state = StateVector(1, np.array([2.0, 0.0], dtype=complex))
+    state = np.array([2.0, 0.0], dtype=complex)
     assert populations(state).sum() == pytest.approx(4.0)
 
 
 def test_fidelity_global_phase():
     rng = np.random.default_rng(2)
     state = random_state(rng, 2)
-    rotated = StateVector(2, state.amplitudes * np.exp(0.4j))
+    rotated = state * np.exp(0.4j)
     assert fidelity(state, rotated) == pytest.approx(1.0, abs=1e-13)
 
 
@@ -218,7 +256,7 @@ def test_stacked_butterfly_applies_each_rows_matrix(n):
     # with that row's scalars, and as apply_matrix on each qubit in turn
     rng = np.random.default_rng(60 + n)
     rows = 5
-    stack = np.array([random_state(rng, n).amplitudes for _ in range(rows)])
+    stack = np.array([random_state(rng, n) for _ in range(rows)])
     entries = rng.normal(size=(2, 2, rows, 1, 1)) + 1j * rng.normal(size=(2, 2, rows, 1, 1))
     qubits = rng.permutation(n).tolist()
     got = stack.copy()
@@ -227,10 +265,10 @@ def test_stacked_butterfly_applies_each_rows_matrix(n):
         flat = stack[k].copy()
         butterfly(flat, entries[:, :, k, 0, 0], qubits)
         np.testing.assert_array_equal(got[k], flat)
-        want = StateVector(n, stack[k])
+        want = stack[k]
         for q in qubits:
             want = apply_matrix(want, entries[:, :, k, 0, 0], (q,))
-        np.testing.assert_allclose(got[k], want.amplitudes, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-12)
 
 
 HADAMARD = gate_matrix(Gate("H", (0,)))
